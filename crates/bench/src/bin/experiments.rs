@@ -25,7 +25,7 @@ use charles_datagen::{
     astro_table, correlated_pair_table, sweep_table, voc_table, weblog_table, DependencyKind,
 };
 use charles_sdl::{eval, Query, Segmentation};
-use charles_store::{Backend, Bitmap, DataType, DiskTable, RowTable, Table, TableBuilder, Value};
+use charles_store::{Backend, DataType, DiskTable, RowTable, Table, TableBuilder, Value};
 use charles_viz::render_panel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -54,49 +54,43 @@ fn main() {
             args.push(a.to_lowercase());
         }
     }
-    let want = |id: &str| args.is_empty() || args.iter().any(|a| a == id);
-
-    if want("e1") {
-        e1_figure2();
+    // The one list of ids: what is valid and what runs, in order.
+    let experiments: [(&str, &dyn Fn()); 13] = [
+        ("e1", &e1_figure2),
+        ("e2", &e2_figure3),
+        ("e3", &e3_figure4),
+        ("e4", &|| e4_figure1(dataset.as_deref())),
+        ("e5", &e5_horizontal),
+        ("e6", &e6_vertical),
+        ("e7", &|| e7_backend(dataset.as_deref())),
+        ("e8", &e8_indep),
+        ("e9", &e9_quality),
+        ("e10", &e10_quantile),
+        ("e11", &e11_lazy),
+        ("e12", &e12_homogeneity_surprise),
+        ("e13", &|| e13_hbcuts_scaling(json.as_deref())),
+    ];
+    // Reject before running anything: a misspelt or retired id must not
+    // pass vacuously, and `--json` has exactly one writer.
+    if let Some(bad) = args
+        .iter()
+        .find(|a| !experiments.iter().any(|(id, _)| id == a))
+    {
+        let ids: Vec<&str> = experiments.iter().map(|(id, _)| *id).collect();
+        eprintln!(
+            "unknown experiment id {bad:?}; valid ids: {}",
+            ids.join(" ")
+        );
+        std::process::exit(2);
     }
-    if want("e2") {
-        e2_figure3();
+    if json.is_some() && !args.iter().any(|a| a == "e13") {
+        eprintln!("--json is written by e13 only: experiments e13 --json <path>");
+        std::process::exit(2);
     }
-    if want("e3") {
-        e3_figure4();
-    }
-    if want("e4") {
-        e4_figure1(dataset.as_deref());
-    }
-    if want("e5") {
-        e5_horizontal();
-    }
-    if want("e6") {
-        e6_vertical();
-    }
-    if want("e7") {
-        e7_backend(dataset.as_deref());
-    }
-    if want("e8") {
-        e8_indep();
-    }
-    if want("e9") {
-        e9_quality();
-    }
-    if want("e10") {
-        e10_quantile();
-    }
-    if want("e11") {
-        e11_lazy();
-    }
-    if want("e12") {
-        e12_homogeneity_surprise();
-    }
-    if want("e13") {
-        e13_hbcuts_scaling(json.as_deref());
-    }
-    if want("e14") {
-        e14_store_scaling(json.as_deref());
+    for (id, run) in experiments {
+        if args.is_empty() || args.iter().any(|a| a == id) {
+            run();
+        }
     }
 }
 
@@ -882,95 +876,6 @@ fn e13_hbcuts_scaling(json: Option<&Path>) {
     if let Some(path) = json {
         let payload = format!(
             "{{\"bench\":\"hbcuts_scaling\",\"rows\":10000,\"config\":{{\"max_indep\":1.0,\"max_depth\":48}},\"series\":[{}]}}\n",
-            rows_json.join(",")
-        );
-        std::fs::write(path, payload).unwrap_or_else(|e| {
-            eprintln!("cannot write {path:?}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nwrote {}", path.display());
-    }
-}
-
-/// E14 — store scaling: resident bytes and op throughput of dense vs
-/// Roaring-compressed selection bitmaps at 10⁷ rows. The JSON artefact
-/// (`charles-store-scaling/v1`, committed as `BENCH_store.json`) is the
-/// evidence behind the scaling claim: sparse drill-down selections cost
-/// ≥ 4× less resident memory compressed — `load check` gates exactly
-/// that on every CI run.
-fn e14_store_scaling(json: Option<&Path>) {
-    banner(
-        "E14",
-        "store scaling: dense vs compressed selection bitmaps (10M rows)",
-    );
-    const ROWS: usize = 10_000_000;
-    const REPS: u32 = 10;
-    header(&[
-        "selection",
-        "selectivity",
-        "dense",
-        "compressed",
-        "bytes ratio",
-        "and d/c",
-        "count d/c",
-    ]);
-    let strided = |stride: usize| Bitmap::from_indices(ROWS, (0..ROWS).step_by(stride)).to_dense();
-    let time_us = |f: &mut dyn FnMut()| {
-        let (d, ()) = time_once(|| {
-            for _ in 0..REPS {
-                f();
-            }
-        });
-        d.as_secs_f64() * 1e6 / REPS as f64
-    };
-    let mut rows_json: Vec<String> = Vec::new();
-    // Strides: 50% scan, 1% filter, 0.1% and 0.01% drill-downs.
-    for (label, stride) in [
-        ("half", 2usize),
-        ("percent", 100),
-        ("permille", 1000),
-        ("permyriad", 10_000),
-    ] {
-        let a = strided(stride);
-        let b = strided(stride + 1);
-        let (ac, bc) = (a.compress(), b.compress());
-        // Differential double-check on the exact bitmaps being timed.
-        assert_eq!(a.and(&b), ac.and(&bc), "and diverged at stride {stride}");
-        assert_eq!(a.and_count(&b), ac.and_count(&bc));
-        let (db, cb) = (
-            a.resident_bytes() + b.resident_bytes(),
-            ac.resident_bytes() + bc.resident_bytes(),
-        );
-        let ratio = db as f64 / cb as f64;
-        let selectivity = 1.0 / stride as f64;
-        let d_and = time_us(&mut || {
-            std::hint::black_box(a.and(&b).count_ones());
-        });
-        let c_and = time_us(&mut || {
-            std::hint::black_box(ac.and(&bc).count_ones());
-        });
-        let d_cnt = time_us(&mut || {
-            std::hint::black_box(a.and_count(&b));
-        });
-        let c_cnt = time_us(&mut || {
-            std::hint::black_box(ac.and_count(&bc));
-        });
-        row(&[
-            label.to_string(),
-            format!("{selectivity:.4}"),
-            format!("{} KiB", db / 1024),
-            format!("{} KiB", cb / 1024),
-            format!("{ratio:.1}x"),
-            format!("{:.2}x", d_and / c_and.max(1e-9)),
-            format!("{:.2}x", d_cnt / c_cnt.max(1e-9)),
-        ]);
-        rows_json.push(format!(
-            "{{\"label\":\"{label}\",\"stride\":{stride},\"selectivity\":{selectivity:.6},\"dense_bytes\":{db},\"compressed_bytes\":{cb},\"bytes_ratio\":{ratio:.4},\"dense_and_us\":{d_and:.2},\"compressed_and_us\":{c_and:.2},\"dense_and_count_us\":{d_cnt:.2},\"compressed_and_count_us\":{c_cnt:.2}}}"
-        ));
-    }
-    if let Some(path) = json {
-        let payload = format!(
-            "{{\"schema\":\"charles-store-scaling/v1\",\"rows\":{ROWS},\"series\":[{}]}}\n",
             rows_json.join(",")
         );
         std::fs::write(path, payload).unwrap_or_else(|e| {

@@ -29,14 +29,13 @@
 //!       schema tag: charles-load/v1 — field presence, percentile
 //!       monotonicity, op accounting, clean-run invariants;
 //!       charles-wire-ab/v1 — both embedded legs plus the ≥5×
-//!       speedup gate; charles-store-scaling/v1 (BENCH_store.json) —
-//!       byte accounting plus the ≥4× sparse resident-bytes gate.
+//!       speedup gate.
 //! ```
 
 use charles_bench::load::{
-    comparison_table, run_against, run_in_process, validate, validate_store_scaling,
-    validate_wire_ab, wire_ab_speedup, wire_ab_to_json, LoadResult, Proto, ResultsCache,
-    ScenarioConfig, STORE_SCALING_SCHEMA, WIRE_AB_MIN_SPEEDUP, WIRE_AB_SCHEMA,
+    comparison_table, run_against, run_in_process, validate, validate_wire_ab, wire_ab_speedup,
+    wire_ab_to_json, LoadResult, Proto, ResultsCache, ScenarioConfig, WIRE_AB_MIN_SPEEDUP,
+    WIRE_AB_SCHEMA,
 };
 use charles_bench::mini_json;
 use std::time::Duration;
@@ -358,7 +357,6 @@ fn check(args: &[String]) -> i32 {
     };
     let (schema, result) = match doc.get("schema").and_then(mini_json::Json::as_str) {
         Some(WIRE_AB_SCHEMA) => (WIRE_AB_SCHEMA, validate_wire_ab(&doc)),
-        Some(STORE_SCALING_SCHEMA) => (STORE_SCALING_SCHEMA, validate_store_scaling(&doc)),
         _ => ("charles-load/v1", validate(&doc)),
     };
     match result {

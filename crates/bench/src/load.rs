@@ -956,93 +956,6 @@ pub fn validate_wire_ab(doc: &Json) -> Result<(), String> {
 }
 
 // ---------------------------------------------------------------------------
-// Store-scaling artefact (BENCH_store.json)
-// ---------------------------------------------------------------------------
-
-/// Schema tag of the store-scaling artefact committed as
-/// `BENCH_store.json` (emitted by `experiments -- e14 --json`).
-pub const STORE_SCALING_SCHEMA: &str = "charles-store-scaling/v1";
-
-/// The resident-bytes multiple compressed selection bitmaps must prove
-/// over the dense layout on the sparsest drill-down series.
-pub const STORE_MIN_SPARSE_RATIO: f64 = 4.0;
-
-/// Validate a parsed `charles-store-scaling/v1` document — the CI gate
-/// for the committed `BENCH_store.json`. Every series entry must carry
-/// consistent byte counts (the recorded ratio must match the raw
-/// numbers), and at least one sparse entry (selectivity ≤ 0.1%) must
-/// clear [`STORE_MIN_SPARSE_RATIO`] — the scaling claim itself.
-pub fn validate_store_scaling(doc: &Json) -> Result<(), String> {
-    match doc.get("schema").and_then(Json::as_str) {
-        Some(STORE_SCALING_SCHEMA) => {}
-        other => {
-            return Err(format!(
-                "schema is {other:?}, want {STORE_SCALING_SCHEMA:?}"
-            ))
-        }
-    }
-    match doc.get("rows").and_then(Json::as_u64) {
-        Some(n) if n >= 1_000_000 => {}
-        other => {
-            return Err(format!(
-                "rows must be ≥ 1e6 for the claim to mean anything, got {other:?}"
-            ))
-        }
-    }
-    let series = doc
-        .get("series")
-        .and_then(Json::as_arr)
-        .filter(|s| !s.is_empty())
-        .ok_or_else(|| "missing or empty \"series\" array".to_string())?;
-    let mut sparse_ok = false;
-    for (i, entry) in series.iter().enumerate() {
-        let label = entry
-            .get("label")
-            .and_then(Json::as_str)
-            .filter(|l| !l.is_empty())
-            .ok_or_else(|| format!("series[{i}]: missing string field \"label\""))?;
-        let num = |key: &str| -> Result<f64, String> {
-            entry
-                .get(key)
-                .and_then(Json::as_f64)
-                .filter(|v| v.is_finite() && *v > 0.0)
-                .ok_or_else(|| format!("series[{i}] ({label}): missing positive field {key:?}"))
-        };
-        let selectivity = num("selectivity")?;
-        if selectivity > 1.0 {
-            return Err(format!(
-                "series[{i}] ({label}): selectivity {selectivity} > 1"
-            ));
-        }
-        let (dense, compressed) = (num("dense_bytes")?, num("compressed_bytes")?);
-        let ratio = num("bytes_ratio")?;
-        let recomputed = dense / compressed;
-        if (ratio - recomputed).abs() > 0.01 + 1e-4 * recomputed {
-            return Err(format!(
-                "series[{i}] ({label}): bytes_ratio {ratio} does not match {dense} / {compressed} = {recomputed:.4}"
-            ));
-        }
-        for key in [
-            "dense_and_us",
-            "compressed_and_us",
-            "dense_and_count_us",
-            "compressed_and_count_us",
-        ] {
-            num(key)?;
-        }
-        if selectivity <= 0.001 && ratio >= STORE_MIN_SPARSE_RATIO {
-            sparse_ok = true;
-        }
-    }
-    if !sparse_ok {
-        return Err(format!(
-            "no sparse series (selectivity ≤ 0.001) reached the {STORE_MIN_SPARSE_RATIO}× resident-bytes win"
-        ));
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------------
 // The driver
 // ---------------------------------------------------------------------------
 
@@ -2031,62 +1944,6 @@ mod tests {
         let doc = mini_json::parse(&forged).unwrap();
         let err = validate_wire_ab(&doc).unwrap_err();
         assert!(err.contains("does not match"), "{err}");
-    }
-
-    #[test]
-    fn store_scaling_artefact_validates_and_gates_the_sparse_ratio() {
-        let entry = |label: &str, selectivity: f64, dense: u64, compressed: u64| {
-            format!(
-                "{{\"label\":\"{label}\",\"stride\":7,\"selectivity\":{selectivity},\
-                 \"dense_bytes\":{dense},\"compressed_bytes\":{compressed},\
-                 \"bytes_ratio\":{:.4},\"dense_and_us\":10.0,\"compressed_and_us\":2.0,\
-                 \"dense_and_count_us\":5.0,\"compressed_and_count_us\":1.0}}",
-                dense as f64 / compressed as f64
-            )
-        };
-        let doc = |series: &[String]| {
-            mini_json::parse(&format!(
-                "{{\"schema\":\"{STORE_SCALING_SCHEMA}\",\"rows\":10000000,\"series\":[{}]}}",
-                series.join(",")
-            ))
-            .unwrap()
-        };
-
-        // A sparse series clearing the 4× gate validates.
-        let good = doc(&[
-            entry("half", 0.5, 2_500_000, 2_500_000),
-            entry("permille", 0.001, 2_500_000, 50_000),
-        ]);
-        validate_store_scaling(&good).expect("50× sparse artefact validates");
-
-        // No sparse series at all: rejected.
-        let dense_only = doc(&[entry("half", 0.5, 2_500_000, 2_400_000)]);
-        let err = validate_store_scaling(&dense_only).unwrap_err();
-        assert!(err.contains("sparse"), "{err}");
-
-        // A sparse series below the gate: rejected.
-        let weak = doc(&[entry("permille", 0.001, 2_500_000, 1_000_000)]);
-        let err = validate_store_scaling(&weak).unwrap_err();
-        assert!(err.contains("4"), "{err}");
-
-        // A forged ratio that disagrees with the byte counts is caught.
-        let forged_text = format!(
-            "{{\"schema\":\"{STORE_SCALING_SCHEMA}\",\"rows\":10000000,\"series\":[{}]}}",
-            entry("permille", 0.001, 2_500_000, 50_000).replace("50.0000", "80.0000")
-        );
-        let err = validate_store_scaling(&mini_json::parse(&forged_text).unwrap()).unwrap_err();
-        assert!(err.contains("does not match"), "{err}");
-
-        // Wrong schema tag and tiny row counts are rejected.
-        let wrong_tag = mini_json::parse("{\"schema\":\"nope/v1\"}").unwrap();
-        assert!(validate_store_scaling(&wrong_tag).is_err());
-        let tiny = mini_json::parse(&format!(
-            "{{\"schema\":\"{STORE_SCALING_SCHEMA}\",\"rows\":1000,\"series\":[{}]}}",
-            entry("permille", 0.001, 2_500_000, 50_000)
-        ))
-        .unwrap();
-        let err = validate_store_scaling(&tiny).unwrap_err();
-        assert!(err.contains("rows"), "{err}");
     }
 
     #[test]

@@ -1,0 +1,53 @@
+//! The `experiments` binary rejects what it cannot run: an unknown id
+//! used to select nothing, print nothing and exit 0, so a stale
+//! invocation (a retired id, a typo) passed vacuously.
+
+use std::process::{Command, Output};
+
+fn experiments(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(args)
+        .output()
+        .expect("experiments binary runs")
+}
+
+#[test]
+fn unknown_id_exits_2_and_lists_the_valid_ids() {
+    let out = experiments(&["e99"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("e99"), "{stderr}");
+    for id in ["e1", "e7", "e13"] {
+        assert!(stderr.split_whitespace().any(|w| w == id), "{stderr}");
+    }
+    assert!(out.stdout.is_empty(), "nothing may run before the check");
+}
+
+#[test]
+fn retired_e14_is_unknown_and_blocks_the_valid_ids_beside_it() {
+    // One bad id rejects the whole invocation, valid ids included.
+    let out = experiments(&["e1", "e14"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        out.stdout.is_empty(),
+        "e1 must not run before e14 is rejected"
+    );
+}
+
+#[test]
+fn json_without_e13_named_exits_2() {
+    let path = std::env::temp_dir().join(format!("charles-cli-{}.json", std::process::id()));
+    for mut args in [vec!["--json"], vec!["e1", "--json"]] {
+        args.push(path.to_str().expect("utf-8 temp path"));
+        let out = experiments(&args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(!path.exists(), "{args:?} wrote the artefact anyway");
+    }
+}
+
+#[test]
+fn known_id_runs() {
+    let out = experiments(&["e1"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("E1"));
+}

@@ -32,8 +32,8 @@ pub struct Advice {
     pub trace: Trace,
     /// Backend operations performed while answering.
     ///
-    /// Diagnostics, not part of the deterministic output: under the
-    /// `parallel` feature two workers can miss the selection cache on
+    /// Diagnostics, not part of the deterministic output: with more
+    /// than one worker thread two workers can miss the selection cache on
     /// the same query concurrently and both evaluate it, so exact
     /// counts vary run to run (the ranked answers and trace do not).
     pub backend_ops: BackendStats,

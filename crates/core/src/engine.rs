@@ -170,7 +170,7 @@ impl<'a> Explorer<'a> {
     /// Covers of every segment of a segmentation.
     ///
     /// Each segment's selection evaluates independently, so this fans
-    /// out across threads under the `parallel` feature (order-preserving
+    /// out across `charles-parallel`'s worker threads (order-preserving
     /// — the returned vector always matches `seg.queries()` order).
     pub fn covers(&self, seg: &Segmentation) -> CoreResult<Vec<f64>> {
         crate::par::try_map(seg.queries(), |q| self.cover(q))

@@ -36,7 +36,7 @@ pub fn product_entropy(ex: &Explorer<'_>, s1: &Segmentation, s2: &Segmentation) 
     // covers in S2 order; flattening row-major reproduces the exact
     // sequential (a, b) enumeration, so the entropy sum sees the same
     // operand order bitwise.
-    let rows = crate::par::map(&sels1, |a| {
+    let rows = charles_parallel::par_map(&sels1, |a| {
         sels2
             .iter()
             .filter_map(|b| {

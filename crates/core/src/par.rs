@@ -1,11 +1,11 @@
-//! Feature-gated fork-join adapter for the hot evaluation paths.
+//! Fallible fork-join adapter for the hot evaluation paths.
 //!
-//! With the `parallel` feature (default) these helpers fan work out over
-//! `charles-parallel`'s order-preserving thread map; without it they are
-//! plain sequential iteration. Either way the result vector is in input
-//! order and every element is produced by the same pure computation, so
-//! **advisor output is bitwise identical with the feature on and off** —
-//! the guarantee `tests/parallel_equivalence.rs` pins down.
+//! `try_map` fans work out over `charles-parallel`'s order-preserving
+//! thread map. The result vector is in input order and every element is
+//! produced by the same pure computation, so **advisor output is bitwise
+//! identical at any worker count** (one worker runs the plain sequential
+//! loop on the calling thread) — the guarantee
+//! `tests/parallel_equivalence.rs` pins down.
 //!
 //! Fallibility: the closures used by the advisor return `CoreResult`.
 //! `try_map` evaluates every element (unlike a sequential `?` loop,
@@ -22,38 +22,11 @@
 
 use crate::error::CoreResult;
 
-#[cfg(feature = "parallel")]
-pub(crate) fn map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    charles_parallel::par_map(items, f)
-}
-
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    F: Fn(&T) -> U,
-{
-    items.iter().map(f).collect()
-}
-
-#[cfg(feature = "parallel")]
 pub(crate) fn try_map<T, U, F>(items: &[T], f: F) -> CoreResult<Vec<U>>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> CoreResult<U> + Sync,
 {
-    map(items, f).into_iter().collect()
-}
-
-#[cfg(not(feature = "parallel"))]
-pub(crate) fn try_map<T, U, F>(items: &[T], f: F) -> CoreResult<Vec<U>>
-where
-    F: Fn(&T) -> CoreResult<U>,
-{
-    map(items, f).into_iter().collect()
+    charles_parallel::par_map(items, f).into_iter().collect()
 }

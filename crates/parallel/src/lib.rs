@@ -10,9 +10,9 @@
 //! their input, and any reduction the caller performs afterwards runs
 //! sequentially in index order. As long as `f` itself is a pure
 //! function of its input, parallel and sequential execution are
-//! **bitwise identical**, floats included. This is what lets the
-//! `parallel` feature of `charles-core` guarantee identical advisor
-//! output with and without threads.
+//! **bitwise identical**, floats included. This is what lets
+//! `charles-core` guarantee identical advisor output with and without
+//! threads.
 //!
 //! Work distribution is static chunking: the slice is split into
 //! `min(threads, len)` contiguous chunks, one worker thread per chunk.
@@ -39,9 +39,8 @@ pub const DEFAULT_PAR_THRESHOLD: usize = 4;
 
 /// Force the worker-thread count at runtime (`0` clears the override).
 /// `set_num_threads(1)` routes every `par_map` through the sequential
-/// branch — the exact code the `parallel`-feature-off build runs —
-/// which is how the equivalence suite compares the two paths within
-/// one process.
+/// branch, which is how the equivalence suite compares the two paths
+/// within one process.
 pub fn set_num_threads(n: usize) {
     OVERRIDE.store(n, Ordering::Relaxed);
 }

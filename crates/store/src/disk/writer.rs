@@ -127,7 +127,7 @@ fn encode_data(data: &ColumnData) -> Vec<u8> {
 fn encode_validity(col: &Column) -> Vec<u8> {
     let words = col.validity().words();
     let mut out = Vec::with_capacity(words.len() * 8);
-    for w in words.iter() {
+    for w in words {
         out.extend_from_slice(&w.to_le_bytes());
     }
     out
@@ -453,7 +453,7 @@ impl StreamWriter {
         }
         let data = self.w.end_segment();
         self.w.begin_segment();
-        for word in self.state.validity.words().iter() {
+        for word in self.state.validity.words() {
             self.w.write_seg(&word.to_le_bytes())?;
         }
         let validity = self.w.end_segment();

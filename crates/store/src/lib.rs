@@ -68,7 +68,7 @@ pub mod table;
 pub mod value;
 
 pub use backend::{Backend, BackendStats};
-pub use bitmap::{compressed_selections, set_compressed_selections, Bitmap};
+pub use bitmap::Bitmap;
 pub use builder::TableBuilder;
 pub use column::{Column, ColumnData};
 pub use csv::{read_csv_file, read_csv_str, write_csv_file, write_csv_string};

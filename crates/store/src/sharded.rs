@@ -4,9 +4,8 @@
 //! counts over predicates" (§5.1) and names medians the major bottleneck
 //! (§5.2). [`ShardedTable`] scales both past a single dense [`Table`] by
 //! splitting it into contiguous row-range shards and evaluating
-//! shard-parallel (one worker per shard via `charles-parallel` when the
-//! `parallel` feature is on; the identical code runs sequentially when it
-//! is off):
+//! shard-parallel (one worker per shard via `charles-parallel`, which runs
+//! the identical code on the calling thread when it has one worker):
 //!
 //! * `eval` / `count` / `not_null` evaluate each shard independently and
 //!   glue the per-shard selection bitmaps back together in shard order
@@ -39,27 +38,11 @@ use crate::stats::{
 };
 use crate::table::Table;
 use crate::value::{numeric_value, Value};
+use charles_parallel::par_map;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-
-#[cfg(feature = "parallel")]
-use charles_parallel::par_map;
-
-/// Sequential stand-in with the same contract as
-/// `charles_parallel::par_map` — literally `items.iter().map(f).collect()`,
-/// which is also what the threaded version computes (order-preserving,
-/// pure `f`), so the feature flag cannot change any result.
-#[cfg(not(feature = "parallel"))]
-fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    items.iter().map(f).collect()
-}
 
 /// A [`Table`] split into N contiguous row-range shards behind the same
 /// [`Backend`] contract.

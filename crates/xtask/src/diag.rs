@@ -17,9 +17,6 @@ pub mod codes {
     /// Ambient clock read (`Instant::now` / `SystemTime::now`) in the
     /// deterministic core.
     pub const CLOCK: &str = "clock";
-    /// `#[cfg(feature = "parallel")]` item without a
-    /// `#[cfg(not(feature = "parallel"))]` sibling in the same file.
-    pub const FEATURE_ASYMMETRY: &str = "feature_asymmetry";
     /// `unsafe` in a module outside the committed allowlist.
     pub const UNSAFE_MODULE: &str = "unsafe_module";
     /// `unsafe` block/fn/impl without an adjacent `// SAFETY:` comment.
@@ -44,7 +41,6 @@ pub mod codes {
         PANIC,
         PANIC_REACHABLE,
         CLOCK,
-        FEATURE_ASYMMETRY,
         UNSAFE_MODULE,
         UNSAFE_UNDOCUMENTED,
         LOCK_IO,

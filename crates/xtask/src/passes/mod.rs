@@ -4,7 +4,6 @@
 
 pub mod api;
 pub mod clocks;
-pub mod features;
 pub mod locks;
 pub mod panics;
 pub mod spec;

@@ -30,8 +30,7 @@ pub const PROTECTED_FILES: &[&str] = &[
     "crates/serve/src/http.rs",
     "crates/serve/src/wire.rs",
     "crates/serve/src/json.rs",
-    "crates/store/src/bitmap/mod.rs",
-    "crates/store/src/bitmap/compressed.rs",
+    "crates/store/src/bitmap.rs",
     "crates/store/src/disk/mmap.rs",
 ];
 

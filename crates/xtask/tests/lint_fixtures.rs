@@ -92,26 +92,6 @@ fn clock_fixture_fires_in_the_core() {
 }
 
 #[test]
-fn feature_asymmetry_fixture_fires() {
-    let diags = lint_workspace(
-        "features",
-        &[(
-            "crates/core/src/par.rs",
-            include_str!("fixtures/feature_asymmetry.rs"),
-        )],
-    );
-    assert!(
-        has(
-            &diags,
-            codes::FEATURE_ASYMMETRY,
-            "crates/core/src/par.rs",
-            3
-        ),
-        "expected feature_asymmetry at par.rs:3, got: {diags:?}"
-    );
-}
-
-#[test]
 fn unsafe_module_fixture_fires_outside_the_allowlist() {
     let diags = lint_workspace(
         "unsafe-module",

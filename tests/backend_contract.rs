@@ -11,11 +11,8 @@
 //!    `Table`, `RowTable` and `ShardedTable` (shard counts {1, 3, 7},
 //!    plus an optional `CHARLES_SHARDS` env-driven count for CI smoke
 //!    runs), with shard boundaries deliberately unaligned to 64-bit
-//!    bitmap words. Two storage-layout axes ride the same matrix: the
-//!    `mmap` feature adds a memory-mapped `DiskTable` row, and the
-//!    selection-bitmap layout tests flip the process-wide compressed
-//!    override to demand bitwise-identical advisor output under dense
-//!    and Roaring-container selection bitmaps.
+//!    bitmap words. The `mmap` feature adds a memory-mapped `DiskTable`
+//!    row to the same matrix.
 
 use charles::advisor::Explorer;
 use charles::{voc_table, Advisor, Config};
@@ -42,8 +39,8 @@ impl<'a> FusedBackend<'a> {
     }
 
     fn spend(&self) -> StoreResult<()> {
-        // Compare-and-swap loop: the advisor may call concurrently under
-        // the `parallel` feature, and the fuse must never double-spend.
+        // Compare-and-swap loop: the advisor may call concurrently from
+        // its worker threads, and the fuse must never double-spend.
         let mut left = self.budget.load(Ordering::Relaxed);
         loop {
             if left == 0 {
@@ -534,8 +531,9 @@ mod contract_harness {
     }
 
     /// The advisor's ranked output — segmentations plus entropy bits —
-    /// for one backend. This is the bitwise fingerprint the layout
-    /// matrix compares.
+    /// for one backend. This is the bitwise fingerprint the mmap row
+    /// compares.
+    #[cfg(feature = "mmap")]
     fn ranked_fingerprint(b: &dyn Backend) -> Vec<(String, u64)> {
         let context = "(type_of_boat: , tonnage: , departure_harbour: )";
         Advisor::new(b)
@@ -547,75 +545,25 @@ mod contract_harness {
             .collect()
     }
 
-    /// Run `f` with the process-wide selection-bitmap layout pinned.
-    /// The override is global, so flips are serialized behind a mutex
-    /// and always restored (even on panic) to keep the rest of the
-    /// binary's tests on the build's default layout.
-    fn with_bitmap_layout<T>(compressed: bool, f: impl FnOnce() -> T) -> T {
-        use std::sync::Mutex;
-        static LAYOUT: Mutex<()> = Mutex::new(());
-        let _guard = LAYOUT.lock().unwrap_or_else(|p| p.into_inner());
-        struct Restore;
-        impl Drop for Restore {
-            fn drop(&mut self) {
-                charles_store::set_compressed_selections(None);
-            }
-        }
-        let _restore = Restore;
-        charles_store::set_compressed_selections(Some(compressed));
-        f()
-    }
-
-    /// The compressed-bitmap row of the matrix: every backend must
-    /// produce bitwise-identical advisor output whether its selection
-    /// bitmaps are dense words or Roaring containers.
-    #[test]
-    fn advisor_output_bitwise_identical_dense_vs_compressed_bitmaps() {
-        let t = fixture();
-        let dense: Vec<(String, Vec<(String, u64)>)> = with_bitmap_layout(false, || {
-            backends(&t)
-                .into_iter()
-                .map(|(name, b)| (name, ranked_fingerprint(b.as_ref())))
-                .collect()
-        });
-        assert!(!dense.is_empty() && dense.iter().all(|(_, r)| !r.is_empty()));
-        let compressed: Vec<(String, Vec<(String, u64)>)> = with_bitmap_layout(true, || {
-            backends(&t)
-                .into_iter()
-                .map(|(name, b)| (name, ranked_fingerprint(b.as_ref())))
-                .collect()
-        });
-        for ((dn, dr), (cn, cr)) in dense.iter().zip(&compressed) {
-            assert_eq!(dn, cn, "backend matrix drifted between runs");
-            assert_eq!(
-                dr, cr,
-                "advisor output diverged on {dn} under compressed bitmaps"
-            );
-        }
-    }
-
     /// The mmap row of the matrix, stated directly: advising over the
     /// mapped file is bitwise identical to the in-memory table and the
-    /// `pread` DiskTable — under both selection-bitmap layouts.
+    /// `pread` DiskTable.
     #[cfg(feature = "mmap")]
     #[test]
     fn advisor_output_bitwise_identical_table_vs_mmap() {
         let t = fixture();
-        for compressed in [false, true] {
-            let (reference, pread, mapped) = with_bitmap_layout(compressed, || {
-                (
-                    ranked_fingerprint(&t),
-                    ranked_fingerprint(&disk_fixture(&t)),
-                    ranked_fingerprint(&mmap_fixture(&t)),
-                )
-            });
-            assert!(!reference.is_empty());
-            assert_eq!(pread, reference, "pread drifted (compressed={compressed})");
-            assert_eq!(
-                mapped, reference,
-                "advisor output diverged on mmap (compressed={compressed})"
-            );
-        }
+        let reference = ranked_fingerprint(&t);
+        assert!(!reference.is_empty());
+        assert_eq!(
+            ranked_fingerprint(&disk_fixture(&t)),
+            reference,
+            "pread drifted"
+        );
+        assert_eq!(
+            ranked_fingerprint(&mmap_fixture(&t)),
+            reference,
+            "advisor output diverged on mmap"
+        );
     }
 }
 

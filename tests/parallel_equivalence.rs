@@ -1,17 +1,16 @@
 //! Parallel ⇔ sequential equivalence of the advisor's hot paths.
 //!
-//! The `parallel` feature routes candidate-cut seeding, INDEP pair
-//! evaluation, scoring and the adaptive random search through
-//! `charles-parallel`'s order-preserving thread map. The contract is
-//! that this is a pure execution-strategy change: **advisor output is
-//! bitwise identical** — same segmentations, same ranking order, same
-//! f64 score bits.
+//! Candidate-cut seeding, INDEP pair evaluation, scoring and the
+//! adaptive random search run through `charles-parallel`'s
+//! order-preserving thread map. The contract is that the worker count
+//! is a pure execution-strategy change: **advisor output is bitwise
+//! identical** — same segmentations, same ranking order, same f64
+//! score bits.
 //!
 //! `charles_parallel::set_num_threads(1)` routes every map through the
-//! sequential branch (`items.iter().map(f).collect()` — literally the
-//! code the feature-off build compiles), so one process can run both
-//! paths and compare. The feature-off build itself is covered by CI's
-//! `--no-default-features` test job.
+//! sequential branch (`items.iter().map(f).collect()` on the calling
+//! thread), so one process can run both paths and compare. CI also runs
+//! the core, store and facade suites whole under `CHARLES_NUM_THREADS=1`.
 
 use charles::advisor::{adaptive_segmentations, hb_cuts, AdaptiveOptions, Explorer};
 use charles::{voc_table, weblog_table, Advisor, Config, Query, Ranked};
