@@ -161,14 +161,7 @@ macro_rules! impl_dense_backend {
                 }
                 let mut rng = ::rand::rngs::StdRng::seed_from_u64(seed);
                 let rows = $crate::sample::reservoir_sample(sel, sample_size, &mut rng);
-                let mut buf = Vec::with_capacity(rows.len());
-                for i in rows {
-                    if let Some(v) = col.get(i).and_then(|v| v.as_f64()) {
-                        if !v.is_nan() {
-                            buf.push(v);
-                        }
-                    }
-                }
+                let mut buf: Vec<f64> = rows.into_iter().filter_map(|i| col.f64_at(i)).collect();
                 if buf.is_empty() {
                     return Ok(None);
                 }
@@ -220,22 +213,7 @@ macro_rules! impl_dense_backend {
                 sel: &$crate::bitmap::Bitmap,
                 v: &$crate::value::Value,
             ) -> $crate::error::StoreResult<Option<$crate::value::Value>> {
-                let col = self.column(column)?;
-                let mut best: Option<$crate::value::Value> = None;
-                for i in sel.iter_ones() {
-                    let Some(x) = col.get(i) else { continue };
-                    if !matches!(x.try_cmp(v), Ok(::std::cmp::Ordering::Greater)) {
-                        continue;
-                    }
-                    if best
-                        .as_ref()
-                        .map(|b| matches!(x.try_cmp(b), Ok(::std::cmp::Ordering::Less)))
-                        .unwrap_or(true)
-                    {
-                        best = Some(x);
-                    }
-                }
-                Ok(best)
+                Ok(self.column(column)?.next_above(sel, v))
             }
 
             fn frequencies(
@@ -245,40 +223,7 @@ macro_rules! impl_dense_backend {
             ) -> $crate::error::StoreResult<($crate::stats::FrequencyTable, Vec<String>)> {
                 self.scans
                     .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                let col = self.column(column)?;
-                match col.data() {
-                    $crate::column::ColumnData::Str(codes) => {
-                        let mut counts = vec![0usize; col.dict().len()];
-                        for i in sel.iter_ones() {
-                            if col.validity().get(i) {
-                                counts[codes[i] as usize] += 1;
-                            }
-                        }
-                        Ok((
-                            $crate::stats::FrequencyTable::from_counts(counts),
-                            col.dict().to_vec(),
-                        ))
-                    }
-                    $crate::column::ColumnData::Bool(vals) => {
-                        // Treat booleans as a two-entry dictionary
-                        // {false, true}.
-                        let mut counts = vec![0usize; 2];
-                        for i in sel.iter_ones() {
-                            if col.validity().get(i) {
-                                counts[vals[i] as usize] += 1;
-                            }
-                        }
-                        Ok((
-                            $crate::stats::FrequencyTable::from_counts(counts),
-                            vec!["false".into(), "true".into()],
-                        ))
-                    }
-                    _ => Err($crate::error::StoreError::TypeMismatch {
-                        column: column.to_string(),
-                        expected: "nominal".into(),
-                        found: col.data_type().name().into(),
-                    }),
-                }
+                self.column(column)?.frequencies(sel)
             }
 
             fn distinct_count(

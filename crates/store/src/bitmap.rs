@@ -106,6 +106,19 @@ impl Bitmap {
         }
     }
 
+    /// New bitmap: `self ∩ other`, with `other` arriving word by word in
+    /// layout order (words it does not supply are zero). The scan kernels
+    /// build their result this way from a validity bitmap: null rows
+    /// never match, and the tail beyond `len` is clear because `self`'s is.
+    pub(crate) fn and_words(&self, other: impl IntoIterator<Item = u64>) -> Bitmap {
+        let mut words: Vec<u64> = self.words.iter().zip(other).map(|(a, b)| a & b).collect();
+        words.resize(self.words.len(), 0);
+        Bitmap {
+            words,
+            len: self.len,
+        }
+    }
+
     /// In-place intersection with another bitmap of the same length.
     pub fn and_inplace(&mut self, other: &Bitmap) {
         assert_eq!(self.len, other.len, "bitmap length mismatch");

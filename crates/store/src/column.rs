@@ -9,7 +9,9 @@
 use crate::bitmap::Bitmap;
 use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
+use crate::stats::FrequencyTable;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Physical storage for a column's values.
@@ -225,45 +227,86 @@ impl Column {
         }
     }
 
-    /// Gather the numeric values of the rows selected by `sel` (skipping
-    /// nulls) into `out`. The workhorse behind medians and quantiles.
-    pub fn gather_f64(&self, sel: &Bitmap, out: &mut Vec<f64>) -> StoreResult<()> {
-        out.clear();
-        match &self.data {
-            ColumnData::Int(v) => {
-                for i in sel.iter_ones() {
-                    if self.validity.get(i) {
-                        out.push(v[i] as f64);
-                    }
-                }
-            }
-            ColumnData::Float(v) => {
-                for i in sel.iter_ones() {
-                    // NaN is treated as null: one NaN would otherwise poison
-                    // every downstream order statistic (NaN medians, NaN cut
-                    // points). `Column::push` rejects NaN, but columns built
-                    // from raw parts or future load paths may carry them.
-                    if self.validity.get(i) && !v[i].is_nan() {
-                        out.push(v[i]);
-                    }
-                }
-            }
-            ColumnData::Date(v) => {
-                for i in sel.iter_ones() {
-                    if self.validity.get(i) {
-                        out.push(v[i] as f64);
-                    }
-                }
-            }
-            _ => {
-                return Err(StoreError::TypeMismatch {
-                    column: self.name.clone(),
-                    expected: "numeric".into(),
-                    found: self.data_type().name().into(),
-                })
+    /// Visit, in ascending order, every row that `sel` selects and that
+    /// is not null: a trailing-zeros walk over `sel & validity`, one word
+    /// at a time. Every per-selection aggregate below goes through it.
+    fn for_each_selected(&self, sel: &Bitmap, mut visit: impl FnMut(usize)) {
+        debug_assert_eq!(sel.len(), self.len(), "selection length mismatch");
+        let words = sel.words().iter().zip(self.validity.words());
+        for (w, (&picked, &valid)) in words.enumerate() {
+            let mut word = picked & valid;
+            while word != 0 {
+                visit(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1; // clear lowest set bit
             }
         }
+    }
+
+    fn type_err(&self, expected: &str) -> StoreError {
+        StoreError::TypeMismatch {
+            column: self.name.clone(),
+            expected: expected.into(),
+            found: self.data_type().name().into(),
+        }
+    }
+
+    /// Gather the numeric values of the rows selected by `sel` (skipping
+    /// nulls) into `out`. The workhorse behind medians and quantiles.
+    ///
+    /// NaN is treated as null, here and in [`Column::min_max`] and
+    /// `next_above`: one NaN would otherwise poison every downstream order
+    /// statistic (NaN medians, NaN cut points). `Column::push` rejects NaN,
+    /// but columns loaded from raw parts may carry them.
+    pub fn gather_f64(&self, sel: &Bitmap, out: &mut Vec<f64>) -> StoreResult<()> {
+        out.clear();
+        // One popcount pass sizes the buffer exactly: no doubling overshoot
+        // and no regrowth copies on a selection of a few hundred thousand.
+        out.reserve(sel.and_count(&self.validity));
+        match &self.data {
+            ColumnData::Int(v) | ColumnData::Date(v) => {
+                self.for_each_selected(sel, |i| out.push(v[i] as f64))
+            }
+            ColumnData::Float(v) => self.for_each_selected(sel, |i| {
+                if !v[i].is_nan() {
+                    out.push(v[i]);
+                }
+            }),
+            _ => return Err(self.type_err("numeric")),
+        }
         Ok(())
+    }
+
+    /// Numeric value of row `i` as [`Column::gather_f64`] would gather it:
+    /// `None` when null, NaN or not numeric. Panics if out of range.
+    pub(crate) fn f64_at(&self, i: usize) -> Option<f64> {
+        if !self.validity.get(i) {
+            return None;
+        }
+        match &self.data {
+            ColumnData::Int(v) | ColumnData::Date(v) => Some(v[i] as f64),
+            ColumnData::Float(v) => Some(v[i]).filter(|x| !x.is_nan()),
+            _ => None,
+        }
+    }
+
+    /// Per-code counts of a nominal column over the selected, non-null
+    /// rows, plus the dictionary that decodes the codes. Booleans count
+    /// as the two-entry dictionary {false, true}.
+    pub(crate) fn frequencies(&self, sel: &Bitmap) -> StoreResult<(FrequencyTable, Vec<String>)> {
+        let (counts, dict) = match &self.data {
+            ColumnData::Str(codes) => {
+                let mut counts = vec![0usize; self.dict.len()];
+                self.for_each_selected(sel, |i| counts[codes[i] as usize] += 1);
+                (counts, self.dict.to_vec())
+            }
+            ColumnData::Bool(vals) => {
+                let mut counts = vec![0usize; 2];
+                self.for_each_selected(sel, |i| counts[vals[i] as usize] += 1);
+                (counts, vec!["false".into(), "true".into()])
+            }
+            _ => return Err(self.type_err("nominal")),
+        };
+        Ok((FrequencyTable::from_counts(counts), dict))
     }
 
     /// The sub-column covering rows `start..end`. String columns share the
@@ -292,28 +335,74 @@ impl Column {
 
     /// Minimum and maximum value among the selected, non-null rows.
     pub fn min_max(&self, sel: &Bitmap) -> Option<(Value, Value)> {
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        for i in sel.iter_ones() {
-            let Some(v) = self.get(i) else { continue };
-            match &min {
-                None => {
-                    min = Some(v.clone());
-                    max = Some(v);
-                }
-                Some(m) => {
-                    if v.try_cmp(m).map(|o| o.is_lt()).unwrap_or(false) {
-                        min = Some(v.clone());
-                    }
-                    if let Some(mx) = &max {
-                        if v.try_cmp(mx).map(|o| o.is_gt()).unwrap_or(false) {
-                            max = Some(v);
-                        }
-                    }
-                }
+        self.extremes(sel, None)
+    }
+
+    /// Smallest selected, non-null value strictly greater than `floor`
+    /// under [`Value::try_cmp`] — `None` too when the two do not compare.
+    pub(crate) fn next_above(&self, sel: &Bitmap, floor: &Value) -> Option<Value> {
+        self.extremes(sel, Some(floor)).map(|(least, _)| least)
+    }
+
+    /// Least and greatest of the selected, non-null, non-NaN values —
+    /// only those strictly above `floor` when one is given — folded over
+    /// the native vector (strings through the dictionary).
+    fn extremes(&self, sel: &Bitmap, floor: Option<&Value>) -> Option<(Value, Value)> {
+        let admit = |x: Value| {
+            !matches!(x, Value::Float(f) if f.is_nan())
+                && floor.is_none_or(|f| matches!(x.try_cmp(f), Ok(Ordering::Greater)))
+        };
+        match &self.data {
+            ColumnData::Int(v) => {
+                self.fold_extremes(sel, v, |x| admit(Value::Int(x)), i64::cmp, Value::Int)
+            }
+            ColumnData::Date(v) => {
+                self.fold_extremes(sel, v, |x| admit(Value::Date(x)), i64::cmp, Value::Date)
+            }
+            ColumnData::Bool(v) => {
+                self.fold_extremes(sel, v, |x| admit(Value::Bool(x)), bool::cmp, Value::Bool)
+            }
+            ColumnData::Float(v) => {
+                let admit = |x| admit(Value::Float(x));
+                self.fold_extremes(sel, v, admit, f64::total_cmp, Value::Float)
+            }
+            ColumnData::Str(codes) => {
+                // Compared as `&str`, not through `admit`: no `String` per row.
+                // `Some(None)` is a floor no string compares with.
+                let text = |code: u32| self.dict[code as usize].as_str();
+                let floor = floor.map(Value::as_str);
+                let admit = |c| floor.is_none_or(|f| f.is_some_and(|f| text(c) > f));
+                let cmp = |&a: &u32, &b: &u32| text(a).cmp(text(b));
+                self.fold_extremes(sel, codes, admit, cmp, |c| Value::str(text(c)))
             }
         }
-        min.zip(max)
+    }
+
+    /// `(least, greatest)` under `cmp` of the `values` that `admit` lets
+    /// through, over the selected, non-null rows; the two `Value`s are
+    /// built once at the end.
+    fn fold_extremes<T: Copy>(
+        &self,
+        sel: &Bitmap,
+        values: &[T],
+        admit: impl Fn(T) -> bool,
+        cmp: impl Fn(&T, &T) -> Ordering,
+        wrap: impl Fn(T) -> Value,
+    ) -> Option<(Value, Value)> {
+        let mut acc: Option<(T, T)> = None;
+        self.for_each_selected(sel, |i| {
+            let x = values[i];
+            if admit(x) {
+                acc = Some(match acc {
+                    None => (x, x),
+                    Some((lo, hi)) => (
+                        if cmp(&x, &lo).is_lt() { x } else { lo },
+                        if cmp(&x, &hi).is_gt() { x } else { hi },
+                    ),
+                });
+            }
+        });
+        acc.map(|(lo, hi)| (wrap(lo), wrap(hi)))
     }
 }
 
@@ -411,6 +500,34 @@ mod tests {
         let med = crate::stats::exact_median(&mut out).unwrap();
         assert_eq!(med, 3.0);
         assert!(!med.is_nan());
+    }
+
+    #[test]
+    fn min_max_and_next_above_skip_nan_like_gather() {
+        // In the total order `try_cmp` uses, a NaN sorts above +∞ (below
+        // -∞ with the sign bit set), so an unscreened fold would report
+        // it as the maximum, the minimum, or the "next" value: a cut
+        // piece `[med, NaN]` that no row satisfies.
+        let negative_nan = f64::from_bits(f64::NAN.to_bits() | 1 << 63);
+        let c = Column {
+            name: "x".into(),
+            data: ColumnData::Float(vec![1.0, f64::NAN, 3.0, negative_nan, 5.0]),
+            validity: Bitmap::ones(5),
+            dict: Arc::new(Vec::new()),
+        };
+        let all = Bitmap::ones(5);
+        assert_eq!(
+            c.min_max(&all),
+            Some((Value::Float(1.0), Value::Float(5.0)))
+        );
+        assert_eq!(
+            c.next_above(&all, &Value::Float(1.0)),
+            Some(Value::Float(3.0))
+        );
+        assert_eq!(c.next_above(&all, &Value::Float(5.0)), None);
+        assert_eq!(c.next_above(&all, &Value::Int(3)), Some(Value::Float(5.0)));
+        // Nothing but NaN selected: no extremes, exactly as for nulls.
+        assert_eq!(c.min_max(&Bitmap::from_indices(5, [1, 3])), None);
     }
 
     #[test]

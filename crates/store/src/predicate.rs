@@ -111,48 +111,48 @@ impl StorePredicate {
     }
 }
 
+/// The scan kernel: one selection word per 64-row chunk of `values`. Bit
+/// `b` of word `w` is `keep(values[64 * w + b])`, folded in without a
+/// branch, and each word is masked with the matching validity word — so
+/// nulls never match and no bit beyond the last row is ever set. `keep`
+/// is asked about null rows too and must tolerate their placeholders.
+fn scan<T: Copy>(values: &[T], validity: &Bitmap, keep: impl Fn(T) -> bool) -> Bitmap {
+    validity.and_words(values.chunks(64).map(|chunk| {
+        chunk
+            .iter()
+            .enumerate()
+            .fold(0u64, |word, (b, &v)| word | (keep(v) as u64) << b)
+    }))
+}
+
+/// [`scan`] for `lo ≤ x ≤ hi` (`lo ≤ x < hi` when half-open) over a
+/// numeric vector. Every numeric type compares as `f64`, which is what
+/// lets an `Int` column take `Float` bounds.
+fn scan_range<T: Copy>(
+    col: &Column,
+    values: &[T],
+    as_f64: impl Fn(T) -> f64,
+    pred: &RangePred,
+) -> StoreResult<Bitmap> {
+    let lo = pred.lo.as_f64().ok_or_else(|| type_err(col, &pred.lo))?;
+    let hi = pred.hi.as_f64().ok_or_else(|| type_err(col, &pred.hi))?;
+    let within = |x: f64| (x >= lo) & (x <= hi);
+    let below = |x: f64| (x >= lo) & (x < hi);
+    Ok(if pred.hi_inclusive {
+        scan(values, col.validity(), |v| within(as_f64(v)))
+    } else {
+        scan(values, col.validity(), |v| below(as_f64(v)))
+    })
+}
+
 /// Evaluate a range scan over a column, producing a fresh selection bitmap.
 ///
 /// The scan is specialised per physical type so the hot loop works on the
 /// native vector without per-row `Value` boxing.
 pub fn eval_range(col: &Column, pred: &RangePred) -> StoreResult<Bitmap> {
-    let n = col.len();
-    let mut out = Bitmap::new(n);
-    let validity = col.validity();
     match col.data() {
-        ColumnData::Int(vals) => {
-            let (lo, hi) = numeric_bounds(col, pred)?;
-            scan_numeric(
-                vals.iter().map(|&v| v as f64),
-                lo,
-                hi,
-                pred.hi_inclusive,
-                validity,
-                &mut out,
-            );
-        }
-        ColumnData::Date(vals) => {
-            let (lo, hi) = numeric_bounds(col, pred)?;
-            scan_numeric(
-                vals.iter().map(|&v| v as f64),
-                lo,
-                hi,
-                pred.hi_inclusive,
-                validity,
-                &mut out,
-            );
-        }
-        ColumnData::Float(vals) => {
-            let (lo, hi) = numeric_bounds(col, pred)?;
-            scan_numeric(
-                vals.iter().copied(),
-                lo,
-                hi,
-                pred.hi_inclusive,
-                validity,
-                &mut out,
-            );
-        }
+        ColumnData::Int(vals) | ColumnData::Date(vals) => scan_range(col, vals, |v| v as f64, pred),
+        ColumnData::Float(vals) => scan_range(col, vals, |v| v, pred),
         ColumnData::Str(codes) => {
             // Lexicographic range over strings: precompute per-code verdicts
             // so the row loop is a table lookup.
@@ -166,32 +166,23 @@ pub fn eval_range(col: &Column, pred: &RangePred) -> StoreResult<Bitmap> {
                     s >= lo && if pred.hi_inclusive { s <= hi } else { s < hi }
                 })
                 .collect();
-            for (i, &code) in codes.iter().enumerate() {
-                if validity.get(i) && verdict[code as usize] {
-                    out.set(i);
-                }
-            }
+            Ok(scan(codes, col.validity(), |code| listed(&verdict, code)))
         }
         ColumnData::Bool(vals) => {
             let lo = bool_of(col, &pred.lo)?;
             let hi = bool_of(col, &pred.hi)?;
-            for (i, &v) in vals.iter().enumerate() {
-                let upper_ok = if pred.hi_inclusive { v <= hi } else { !v & hi };
-                if validity.get(i) && v >= lo && upper_ok {
-                    out.set(i);
-                }
-            }
+            // `!v & hi` is `v < hi` on booleans.
+            let under = |v: bool| if pred.hi_inclusive { v <= hi } else { !v & hi };
+            let verdict = [false, true].map(|v| v >= lo && under(v));
+            Ok(scan(vals, col.validity(), |v| verdict[v as usize]))
         }
     }
-    Ok(out)
 }
 
 /// Evaluate a set-membership scan over a column.
 pub fn eval_set(col: &Column, pred: &SetPred) -> StoreResult<Bitmap> {
-    let n = col.len();
-    let mut out = Bitmap::new(n);
     let validity = col.validity();
-    match col.data() {
+    Ok(match col.data() {
         ColumnData::Str(codes) => {
             // Translate wanted strings into dictionary codes once; rows then
             // test codes, not strings.
@@ -202,27 +193,11 @@ pub fn eval_set(col: &Column, pred: &SetPred) -> StoreResult<Bitmap> {
                     wanted[code as usize] = true;
                 }
             }
-            for (i, &code) in codes.iter().enumerate() {
-                if validity.get(i) && wanted[code as usize] {
-                    out.set(i);
-                }
-            }
+            scan(codes, validity, |code| listed(&wanted, code))
         }
-        ColumnData::Int(vals) => {
+        ColumnData::Int(vals) | ColumnData::Date(vals) => {
             let wanted = int_set(col, &pred.values)?;
-            for (i, v) in vals.iter().enumerate() {
-                if validity.get(i) && wanted.binary_search(v).is_ok() {
-                    out.set(i);
-                }
-            }
-        }
-        ColumnData::Date(vals) => {
-            let wanted = int_set(col, &pred.values)?;
-            for (i, v) in vals.iter().enumerate() {
-                if validity.get(i) && wanted.binary_search(v).is_ok() {
-                    out.set(i);
-                }
-            }
+            scan(vals, validity, |v| wanted.binary_search(&v).is_ok())
         }
         ColumnData::Float(vals) => {
             let mut wanted: Vec<f64> = Vec::with_capacity(pred.values.len());
@@ -230,46 +205,25 @@ pub fn eval_set(col: &Column, pred: &SetPred) -> StoreResult<Bitmap> {
                 wanted.push(v.as_f64().ok_or_else(|| type_err(col, v))?);
             }
             wanted.sort_by(f64::total_cmp);
-            for (i, v) in vals.iter().enumerate() {
-                if validity.get(i) && wanted.binary_search_by(|w| w.total_cmp(v)).is_ok() {
-                    out.set(i);
-                }
-            }
+            scan(vals, validity, |v| {
+                wanted.binary_search_by(|w| w.total_cmp(&v)).is_ok()
+            })
         }
         ColumnData::Bool(vals) => {
-            let mut want_true = false;
-            let mut want_false = false;
+            let mut wanted = [false; 2];
             for v in &pred.values {
-                match v {
-                    Value::Bool(true) => want_true = true,
-                    Value::Bool(false) => want_false = true,
-                    other => return Err(type_err(col, other)),
-                }
+                wanted[bool_of(col, v)? as usize] = true;
             }
-            for (i, &v) in vals.iter().enumerate() {
-                if validity.get(i) && ((v && want_true) || (!v && want_false)) {
-                    out.set(i);
-                }
-            }
+            scan(vals, validity, |v| wanted[v as usize])
         }
-    }
-    Ok(out)
+    })
 }
 
-fn scan_numeric(
-    values: impl Iterator<Item = f64>,
-    lo: f64,
-    hi: f64,
-    hi_inclusive: bool,
-    validity: &Bitmap,
-    out: &mut Bitmap,
-) {
-    for (i, v) in values.enumerate() {
-        let upper_ok = if hi_inclusive { v <= hi } else { v < hi };
-        if v >= lo && upper_ok && validity.get(i) {
-            out.set(i);
-        }
-    }
+/// A per-dictionary-code verdict, for any `code` a row can hold: the
+/// kernel tests null rows too, and their placeholder codes need not index
+/// the dictionary (an all-null column has an empty one).
+fn listed(verdict: &[bool], code: u32) -> bool {
+    verdict.get(code as usize) == Some(&true)
 }
 
 fn bool_of(col: &Column, v: &Value) -> StoreResult<bool> {
@@ -277,12 +231,6 @@ fn bool_of(col: &Column, v: &Value) -> StoreResult<bool> {
         Value::Bool(b) => Ok(*b),
         other => Err(type_err(col, other)),
     }
-}
-
-fn numeric_bounds(col: &Column, pred: &RangePred) -> StoreResult<(f64, f64)> {
-    let lo = pred.lo.as_f64().ok_or_else(|| type_err(col, &pred.lo))?;
-    let hi = pred.hi.as_f64().ok_or_else(|| type_err(col, &pred.hi))?;
-    Ok((lo, hi))
 }
 
 fn int_set(col: &Column, values: &[Value]) -> StoreResult<Vec<i64>> {
@@ -358,6 +306,39 @@ mod tests {
             hi_inclusive: true,
         };
         assert_eq!(eval_range(&c, &p).unwrap().count_ones(), 2);
+    }
+
+    #[test]
+    fn placeholder_codes_under_nulls_are_never_trusted() {
+        // A loaded string column may carry any code under a null row
+        // (docs/FORMAT.md calls them placeholders), and an all-null one
+        // has no dictionary for code 0 to index.
+        let c = Column::from_parts(
+            "s".into(),
+            ColumnData::Str(vec![0, 9, 0]),
+            Bitmap::from_indices(3, [0]),
+            std::sync::Arc::new(vec!["a".to_string()]),
+        );
+        let range = RangePred {
+            column: "s".into(),
+            lo: Value::str("a"),
+            hi: Value::str("z"),
+            hi_inclusive: true,
+        };
+        let set = SetPred {
+            column: "s".into(),
+            values: vec![Value::str("a")],
+        };
+        assert_eq!(
+            eval_range(&c, &range).unwrap(),
+            Bitmap::from_indices(3, [0])
+        );
+        assert_eq!(eval_set(&c, &set).unwrap(), Bitmap::from_indices(3, [0]));
+
+        let mut all_null = Column::new("s", DataType::Str);
+        all_null.push(None).unwrap();
+        assert!(eval_range(&all_null, &range).unwrap().none());
+        assert!(eval_set(&all_null, &set).unwrap().none());
     }
 
     #[test]

@@ -158,20 +158,20 @@ impl RowTable {
                 found: ty.name().into(),
             });
         }
-        let mut out = Vec::new();
-        for i in sel.iter_ones() {
-            if let Some(v) = &self.rows[i][idx] {
-                if let Some(x) = v.as_f64() {
-                    // NaN is treated as null (matches the columnar engine's
-                    // gather): `RowTable::new` performs no NaN screening, so
-                    // a poisoned Float row must not yield NaN medians.
-                    if !x.is_nan() {
-                        out.push(x);
-                    }
-                }
-            }
-        }
-        Ok(out)
+        Ok(sel
+            .iter_ones()
+            .filter_map(|i| self.cell(i, idx)?.as_f64())
+            .collect())
+    }
+
+    /// The cell at (`row`, `col`) unless it is null — or NaN, which every
+    /// order statistic treats as null, as the columnar engine does:
+    /// `RowTable::new` screens types only, so a poisoned Float row must
+    /// not yield NaN medians, bounds or split points.
+    fn cell(&self, row: usize, col: usize) -> Option<&Value> {
+        self.rows[row][col]
+            .as_ref()
+            .filter(|v| !matches!(v, Value::Float(x) if x.is_nan()))
     }
 }
 
@@ -233,14 +233,10 @@ impl Backend for RowTable {
         let idx = self.col_index(column)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = reservoir_sample(sel, sample_size, &mut rng);
-        let mut buf = Vec::with_capacity(rows.len());
-        for i in rows {
-            if let Some(v) = self.rows[i][idx].as_ref().and_then(Value::as_f64) {
-                if !v.is_nan() {
-                    buf.push(v);
-                }
-            }
-        }
+        let mut buf: Vec<f64> = rows
+            .into_iter()
+            .filter_map(|i| self.cell(i, idx)?.as_f64())
+            .collect();
         if buf.is_empty() {
             return Ok(None);
         }
@@ -261,7 +257,7 @@ impl Backend for RowTable {
         let mut min: Option<Value> = None;
         let mut max: Option<Value> = None;
         for i in sel.iter_ones() {
-            let Some(v) = &self.rows[i][idx] else {
+            let Some(v) = self.cell(i, idx) else {
                 continue;
             };
             if min
@@ -291,7 +287,7 @@ impl Backend for RowTable {
         let idx = self.col_index(column)?;
         let mut best: Option<Value> = None;
         for i in sel.iter_ones() {
-            let Some(x) = &self.rows[i][idx] else {
+            let Some(x) = self.cell(i, idx) else {
                 continue;
             };
             if !matches!(x.try_cmp(v), Ok(Ordering::Greater)) {
@@ -495,6 +491,22 @@ mod tests {
         let (mean, _) = t.mean_and_var("x", &all).unwrap().unwrap();
         assert_eq!(mean, 3.0);
         assert_eq!(t.distinct_count("x", &all).unwrap(), 3);
+    }
+
+    #[test]
+    fn nan_rows_do_not_poison_bounds() {
+        let schema = Schema::from_pairs(&[("x", DataType::Float)]).unwrap();
+        let rows: Vec<Row> = [1.0, f64::NAN, 3.0, 5.0]
+            .iter()
+            .map(|&v| vec![Some(Value::Float(v))])
+            .collect();
+        let t = RowTable::new("t", schema, rows).unwrap();
+        let all = Bitmap::ones(t.row_count());
+        assert_eq!(
+            t.min_max("x", &all).unwrap(),
+            Some((Value::Float(1.0), Value::Float(5.0)))
+        );
+        assert_eq!(t.next_above("x", &all, &Value::Float(5.0)).unwrap(), None);
     }
 
     #[test]

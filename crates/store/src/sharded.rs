@@ -293,15 +293,7 @@ impl Backend for ShardedTable {
             let mut rng = StdRng::seed_from_u64(sub_seed(seed, *i as u64));
             let rows = reservoir_sample(local, share[*i], &mut rng);
             let col = shard.column(column)?;
-            let mut buf = Vec::with_capacity(rows.len());
-            for r in rows {
-                if let Some(v) = col.get(r).and_then(|v| v.as_f64()) {
-                    if !v.is_nan() {
-                        buf.push(v);
-                    }
-                }
-            }
-            Ok(buf)
+            Ok(rows.into_iter().filter_map(|r| col.f64_at(r)).collect())
         })
         .into_iter()
         .collect();

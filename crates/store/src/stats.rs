@@ -6,14 +6,13 @@
 //! remedy (§5.2). This module provides:
 //!
 //! * [`exact_median`] / [`quantile_value`] — linear-time selection
-//!   (quickselect with random pivots) over a scratch buffer;
+//!   (`slice::select_nth_unstable_by`) over a scratch buffer;
 //! * [`FrequencyTable`] — per-value counts for nominal columns, with the
 //!   paper's two orderings (by descending frequency for low-cardinality
 //!   columns, alphabetical otherwise) and the accumulated-frequency split
 //!   search used by nominal CUTs.
 
 use crate::error::{StoreError, StoreResult};
-use rand::Rng;
 
 /// Exact median of a slice (destructive: reorders the buffer).
 ///
@@ -29,11 +28,11 @@ pub fn exact_median(values: &mut [f64]) -> StoreResult<f64> {
     } else {
         let hi = select_kth(values, n / 2);
         // After select_kth, elements left of n/2 are all ≤ hi; the lower
-        // median is the max of that prefix.
-        let lo = values[..n / 2]
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
+        // median is the max of that (non-empty) prefix. Taken in the same
+        // total order it is the rank n/2 − 1 element — one bit pattern,
+        // -0.0 and +0.0 included, however the selection arranged them.
+        let below = values[..n / 2].iter().copied();
+        let lo = below.max_by(f64::total_cmp).unwrap_or(hi);
         Ok((lo + hi) / 2.0)
     }
 }
@@ -51,47 +50,12 @@ pub fn quantile_value(values: &mut [f64], q: f64) -> StoreResult<f64> {
     Ok(select_kth(values, k))
 }
 
-/// Quickselect: value of rank `k` (0-based) in ascending order.
-/// Average O(n); random pivots defeat adversarial inputs.
+/// Value of rank `k` (0-based) in ascending `total_cmp` order, by the
+/// standard library's introselect: O(n) worst case, and under a total
+/// order the rank-`k` element is one bit pattern whatever the partition.
 pub fn select_kth(values: &mut [f64], k: usize) -> f64 {
     assert!(k < values.len(), "rank {k} out of range {}", values.len());
-    let mut rng = rand::thread_rng();
-    let (mut lo, mut hi) = (0usize, values.len());
-    let mut k = k;
-    loop {
-        if hi - lo <= 16 {
-            // Small ranges: insertion sort and index directly.
-            values[lo..hi].sort_by(f64::total_cmp);
-            return values[lo + k];
-        }
-        let pivot = values[rng.gen_range(lo..hi)];
-        // Three-way partition around the pivot: [< pivot | == pivot | > pivot].
-        let (mut lt, mut i, mut gt) = (lo, lo, hi);
-        while i < gt {
-            match values[i].total_cmp(&pivot) {
-                std::cmp::Ordering::Less => {
-                    values.swap(lt, i);
-                    lt += 1;
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => {
-                    gt -= 1;
-                    values.swap(i, gt);
-                }
-                std::cmp::Ordering::Equal => i += 1,
-            }
-        }
-        let less = lt - lo;
-        let equal = gt - lt;
-        if k < less {
-            hi = lt;
-        } else if k < less + equal {
-            return pivot;
-        } else {
-            k -= less + equal;
-            lo = gt;
-        }
-    }
+    *values.select_nth_unstable_by(k, f64::total_cmp).1
 }
 
 /// Mean and population variance of a slice, in index order. `None` for an

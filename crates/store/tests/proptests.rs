@@ -4,9 +4,146 @@
 
 use charles_store::{
     exact_median, quantile_value, read_csv_str, write_csv_string, Backend, Bitmap, DataType,
-    RowTable, StorePredicate, TableBuilder, Value,
+    RowTable, StorePredicate, Table, TableBuilder, Value,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const ALL_TYPES: [DataType; 5] = [
+    DataType::Int,
+    DataType::Float,
+    DataType::Str,
+    DataType::Date,
+    DataType::Bool,
+];
+
+/// Column lengths on either side of every seam of the first two
+/// selection words, where a word-at-a-time kernel can lose or invent a
+/// row.
+const WORD_SEAMS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 129];
+
+/// The `k`-th value (`k ∈ -8..8`) of a small per-type domain, so that
+/// range bounds and set members both hit and miss rows. No `-0.0`: it is
+/// the one float the dense scan (`>=` on `f64`) and `RowTable`
+/// (`total_cmp`) order differently.
+fn domain_value(ty: DataType, k: i64) -> Value {
+    match ty {
+        DataType::Int => Value::Int(k),
+        DataType::Float => Value::Float(k as f64 * 0.5),
+        DataType::Str => Value::Str(format!("s{:02}", k + 8)),
+        DataType::Date => Value::Date(k),
+        DataType::Bool => Value::Bool(k % 2 != 0),
+    }
+}
+
+/// A one-column table `x` of `len` rows over [`domain_value`], about one
+/// row in five null.
+fn kernel_table(ty: DataType, len: usize, rng: &mut StdRng) -> Table {
+    let mut b = TableBuilder::new("t");
+    b.add_column("x", ty);
+    for _ in 0..len {
+        let cell = (!rng.gen_bool(0.2)).then(|| domain_value(ty, rng.gen_range(-8..8)));
+        b.push_row_opt(vec![cell]).unwrap();
+    }
+    b.finish()
+}
+
+/// Range predicates, inclusive and half-open, with both bounds drawn
+/// from just around the domain — and `Float` bounds on an `Int` column.
+fn range_predicates(ty: DataType, rng: &mut StdRng) -> Vec<StorePredicate> {
+    let (a, b): (i64, i64) = (rng.gen_range(-9..9), rng.gen_range(-9..9));
+    let (lo, hi) = (a.min(b), a.max(b));
+    let mut preds = Vec::new();
+    for inclusive in [true, false] {
+        let (lo_v, hi_v) = match ty {
+            DataType::Bool => (Value::Bool(false), Value::Bool(hi % 2 != 0)),
+            _ => (domain_value(ty, lo), domain_value(ty, hi)),
+        };
+        preds.push(StorePredicate::range("x", lo_v, hi_v, inclusive));
+        if ty == DataType::Int {
+            let (lo_f, hi_f) = (Value::Float(lo as f64 - 0.5), Value::Float(hi as f64));
+            preds.push(StorePredicate::range("x", lo_f, hi_f, inclusive));
+        }
+    }
+    preds
+}
+
+/// Set predicates: a random subset of the domain, the same plus a
+/// member no row holds, and the empty set.
+fn set_predicates(ty: DataType, rng: &mut StdRng) -> Vec<StorePredicate> {
+    let mut members: Vec<Value> = (-8..8)
+        .filter(|_| rng.gen_bool(0.3))
+        .map(|k| domain_value(ty, k))
+        .collect();
+    let present = StorePredicate::set("x", members.clone());
+    // 40 is outside the domain (for Bool it is just `false` again).
+    members.push(domain_value(ty, 40));
+    let with_absent = StorePredicate::set("x", members);
+    vec![present, with_absent, StorePredicate::set("x", Vec::new())]
+}
+
+/// What the per-row loops these kernels replaced answered for one
+/// non-null value: numerics compare as `f64` (which is what lets an `Int`
+/// column take `Float` bounds), strings and booleans in their own order.
+fn model_matches(v: &Value, pred: &StorePredicate) -> bool {
+    match pred {
+        StorePredicate::Range(r) => match (v.as_f64(), r.lo.as_f64(), r.hi.as_f64()) {
+            (Some(x), Some(lo), Some(hi)) => x >= lo && (x < hi || (r.hi_inclusive && x == hi)),
+            _ => {
+                let at_most = |o: std::cmp::Ordering| o.is_lt() || (r.hi_inclusive && o.is_eq());
+                v.try_cmp(&r.lo).unwrap().is_ge() && at_most(v.try_cmp(&r.hi).unwrap())
+            }
+        },
+        StorePredicate::Set(s) => s.values.contains(v),
+        other => panic!("not a leaf predicate: {other:?}"),
+    }
+}
+
+/// The kernel differential: every physical type, at every word-seam
+/// length and one random length, with random nulls — the dense scan of
+/// each of `predicates` against [`model_matches`] over `Column::get`,
+/// and against the row store's per-tuple `try_cmp` as a second witness.
+fn check_scans_against_per_row_model(
+    seed: u64,
+    random_len: usize,
+    predicates: fn(DataType, &mut StdRng) -> Vec<StorePredicate>,
+) -> Result<(), TestCaseError> {
+    for ty in ALL_TYPES {
+        for len in WORD_SEAMS.into_iter().chain([random_len]) {
+            let mut rng = StdRng::seed_from_u64(seed ^ len as u64);
+            let t = kernel_table(ty, len, &mut rng);
+            let col = t.column("x").unwrap();
+            let row = RowTable::from_table(&t);
+            for pred in predicates(ty, &mut rng) {
+                let got = t.eval(&pred).unwrap();
+                let expected: Vec<usize> = (0..len)
+                    .filter(|&i| col.get(i).is_some_and(|v| model_matches(&v, &pred)))
+                    .collect();
+                prop_assert_eq!(
+                    got.iter_ones().collect::<Vec<_>>(),
+                    expected,
+                    "{:?} x {} rows, {:?}",
+                    ty,
+                    len,
+                    &pred
+                );
+                // Exactly `len` bits and none set beyond them: the
+                // checked constructor takes the words back.
+                prop_assert_eq!(
+                    Bitmap::from_words(got.words().to_vec(), len),
+                    Some(got.clone()),
+                    "{:?} x {} rows, {:?}",
+                    ty,
+                    len,
+                    &pred
+                );
+                prop_assert_eq!(&row.eval(&pred).unwrap(), &got);
+            }
+        }
+    }
+    Ok(())
+}
 
 fn arb_bitmap(len: usize) -> impl Strategy<Value = Bitmap> {
     proptest::collection::vec(any::<bool>(), len).prop_map(move |bits| {
@@ -26,8 +163,7 @@ proptest! {
     #[test]
     fn bitmap_de_morgan(len in 1usize..300, seed in any::<u64>()) {
         // Derive two bitmaps deterministically from the seed.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut a = Bitmap::new(len);
         let mut b = Bitmap::new(len);
         for i in 0..len {
@@ -58,12 +194,21 @@ proptest! {
 
     #[test]
     fn median_and_quantiles_match_sorted_reference(
-        mut values in proptest::collection::vec(-1e6f64..1e6, 1..200),
+        mut values in proptest::collection::vec(
+            prop_oneof![
+                -1e6f64..1e6,
+                // Duplicates, both zeros and both infinities: where the
+                // rank-k element is only unique as a bit pattern.
+                (-3i64..3).prop_map(|k| k as f64),
+                proptest::sample::select(vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY]),
+            ],
+            1..200,
+        ),
         q in 0.0f64..=1.0,
     ) {
         let mut sorted = values.clone();
         sorted.sort_by(f64::total_cmp);
-        // Median: between min and max, and equals the sorted definition.
+        // Median: equals the sorted definition, bit for bit.
         let med = exact_median(&mut values.clone()).unwrap();
         let n = sorted.len();
         let reference = if n % 2 == 1 {
@@ -71,53 +216,66 @@ proptest! {
         } else {
             (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
         };
-        prop_assert!((med - reference).abs() < 1e-9, "median {med} vs {reference}");
+        prop_assert_eq!(med.to_bits(), reference.to_bits(), "median {} vs {}", med, reference);
         // Quantile: nearest-rank definition.
         let qv = quantile_value(&mut values, q).unwrap();
         let k = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-        prop_assert_eq!(qv, sorted[k]);
+        prop_assert_eq!(qv.to_bits(), sorted[k].to_bits(), "quantile {} vs {}", qv, sorted[k]);
     }
 
     #[test]
-    fn range_scan_matches_naive_filter(
-        values in proptest::collection::vec(-100i64..100, 1..150),
-        lo in -100i64..100,
-        width in 0i64..100,
-        inclusive in any::<bool>(),
-    ) {
-        let hi = lo + width;
-        let mut b = TableBuilder::new("t");
-        b.add_column("x", DataType::Int);
-        for &v in &values {
-            b.push_row(vec![Value::Int(v)]).unwrap();
-        }
-        let t = b.finish();
-        let pred = StorePredicate::range("x", Value::Int(lo), Value::Int(hi), inclusive);
-        let got = t.eval(&pred).unwrap();
-        let expected: Vec<usize> = values
-            .iter()
-            .enumerate()
-            .filter(|(_, &v)| v >= lo && if inclusive { v <= hi } else { v < hi })
-            .map(|(i, _)| i)
-            .collect();
-        prop_assert_eq!(got.iter_ones().collect::<Vec<_>>(), expected);
+    fn range_scan_matches_naive_filter(seed in any::<u64>(), random_len in 0usize..400) {
+        check_scans_against_per_row_model(seed, random_len, range_predicates)?;
     }
 
     #[test]
-    fn set_scan_matches_naive_filter(
-        values in proptest::collection::vec(0i64..20, 1..150),
-        wanted in proptest::collection::vec(0i64..20, 0..8),
-    ) {
-        let mut b = TableBuilder::new("t");
-        b.add_column("x", DataType::Int);
-        for &v in &values {
-            b.push_row(vec![Value::Int(v)]).unwrap();
+    fn set_scan_matches_naive_filter(seed in any::<u64>(), random_len in 0usize..400) {
+        check_scans_against_per_row_model(seed, random_len, set_predicates)?;
+    }
+
+    #[test]
+    fn selection_aggregates_match_filter_then_sort(seed in any::<u64>(), random_len in 0usize..400) {
+        for ty in ALL_TYPES {
+            for len in WORD_SEAMS.into_iter().chain([random_len]) {
+                let mut rng = StdRng::seed_from_u64(seed ^ len as u64);
+                let t = kernel_table(ty, len, &mut rng);
+                let col = t.column("x").unwrap();
+                let sel = Bitmap::from_indices(len, (0..len).filter(|_| rng.gen_bool(0.5)));
+                // Reference: filter the selected, non-null rows (row
+                // order), then sort.
+                let picked: Vec<Value> = sel.iter_ones().filter_map(|i| col.get(i)).collect();
+                let mut sorted = picked.clone();
+                sorted.sort_by(|a, b| a.try_cmp(b).unwrap());
+
+                let mut gathered = Vec::new();
+                if ty.is_numeric() {
+                    col.gather_f64(&sel, &mut gathered).unwrap();
+                    let reference: Vec<f64> = picked.iter().map(|v| v.as_f64().unwrap()).collect();
+                    prop_assert_eq!(&gathered, &reference);
+                } else {
+                    prop_assert!(col.gather_f64(&sel, &mut gathered).is_err());
+                    let (table, dict) = t.frequencies("x", &sel).unwrap();
+                    for &(code, n) in table.entries() {
+                        let of_code = picked.iter().filter(|v| v.render() == dict[code as usize]);
+                        prop_assert_eq!(of_code.count(), n);
+                    }
+                    prop_assert_eq!(table.total(), picked.len());
+                }
+
+                let extremes = sorted.first().cloned().zip(sorted.last().cloned());
+                prop_assert_eq!(col.min_max(&sel), extremes.clone(), "{:?} x {} rows", ty, len);
+                let floor = domain_value(ty, rng.gen_range(-9..9));
+                let next = sorted.iter().find(|v| v.try_cmp(&floor).unwrap().is_gt()).cloned();
+                prop_assert_eq!(
+                    t.next_above("x", &sel, &floor).unwrap(), next.clone(),
+                    "{:?} x {} rows above {:?}", ty, len, &floor
+                );
+                // Second witness: the row store's per-tuple folds.
+                let row = RowTable::from_table(&t);
+                prop_assert_eq!(row.min_max("x", &sel).unwrap(), extremes);
+                prop_assert_eq!(row.next_above("x", &sel, &floor).unwrap(), next);
+            }
         }
-        let t = b.finish();
-        let pred = StorePredicate::set("x", wanted.iter().map(|&v| Value::Int(v)).collect());
-        let got = t.eval(&pred).unwrap().count_ones();
-        let expected = values.iter().filter(|v| wanted.contains(v)).count();
-        prop_assert_eq!(got, expected);
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! a plain backend, a sharded split, or an HTTP serving session.
 
 use charles::serve::http_request;
+use charles::store::StorePredicate;
 use charles::{
-    voc_table, write_table, Advisor, Backend, DiskTable, ServeConfig, Server, ShardedTable,
+    voc_table, write_table, Advisor, Backend, DataType, DiskTable, ServeConfig, Server,
+    ShardedTable, TableBuilder, Value,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -59,6 +61,100 @@ fn generate_save_load_advise_round_trip() {
     let from_sharded = Advisor::new(&sharded).advise_str(CONTEXT).unwrap();
     assert_eq!(fingerprint(&from_sharded), fingerprint(&reference));
 
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// Overwrite the one float cell of the file's *first* column that holds
+/// `marker` with `poison`, and re-seal the file as a raw writer would
+/// have left it: that data segment's CRC, the whole-file CRC and the
+/// footer CRC (docs/FORMAT.md, "Footer"). `TableBuilder` and
+/// `StreamWriter` both refuse NaN, so this is how a test outside the
+/// store gets one into a `.charles` file.
+fn poison_float_cell(path: &std::path::Path, marker: f64, poison: f64) {
+    use charles::store::disk::{Crc32, TRAILER_LEN};
+    let mut bytes = std::fs::read(path).unwrap();
+    let u64_at = |b: &[u8], at: usize| u64::from_le_bytes(b[at..at + 8].try_into().unwrap());
+    let footer_end = bytes.len() - TRAILER_LEN as usize;
+    let footer = u64_at(&bytes, footer_end) as usize;
+    // First column: validity ref (u64, u64, u32), then the data ref.
+    let data_ref = footer + 20;
+    let (start, len) = (
+        u64_at(&bytes, data_ref) as usize,
+        u64_at(&bytes, data_ref + 8) as usize,
+    );
+    let cell = (start..start + len)
+        .step_by(8)
+        .find(|&at| u64_at(&bytes, at) == marker.to_bits())
+        .expect("marker cell present");
+    bytes[cell..cell + 8].copy_from_slice(&poison.to_bits().to_le_bytes());
+    // In this order: the file CRC covers the cell, the footer CRC both others.
+    for (at, covered) in [
+        (data_ref + 16, start..start + len),
+        (footer_end - 8, 0..footer),
+        (footer_end - 4, footer..footer_end - 4),
+    ] {
+        let crc = Crc32::of(&bytes[covered]);
+        bytes[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+    }
+    std::fs::write(path, bytes).unwrap();
+}
+
+#[test]
+fn nan_cells_in_a_loaded_file_do_not_break_the_seed_cuts() {
+    // A raw-loaded Float column can carry NaN under a *valid* row. Order
+    // statistics skip it like a null (median always did); when min/max
+    // did not, the seed cut on `reading` got the right piece `[med, NaN]`,
+    // which no row satisfies, and every row from the median up fell out
+    // of the advice.
+    const MARKER: f64 = 123_456.75;
+    let mut b = TableBuilder::new("probe");
+    b.add_column("reading", DataType::Float)
+        .add_column("site", DataType::Str);
+    for i in 0..400 {
+        let reading = if i == 57 {
+            MARKER
+        } else {
+            (i % 97) as f64 * 0.25
+        };
+        let site = ["north", "south", "east"][i % 3];
+        b.push_row(vec![Value::Float(reading), Value::str(site)])
+            .unwrap();
+    }
+    let path = tmp_path("nan");
+    write_table(&b.finish(), &path).unwrap();
+    poison_float_cell(&path, MARKER, f64::NAN);
+
+    let disk = DiskTable::open(&path).unwrap();
+    disk.verify().unwrap();
+    let all = disk.eval(&StorePredicate::True).unwrap();
+    assert_eq!(
+        disk.min_max("reading", &all).unwrap(),
+        Some((Value::Float(0.0), Value::Float(24.0)))
+    );
+
+    // No range piece can hold the NaN row, exactly as none holds a null:
+    // a segmentation that cuts `reading` must still partition the rows
+    // that have a reading, and any other one the whole context.
+    let valued = StorePredicate::range(
+        "reading",
+        Value::Float(f64::NEG_INFINITY),
+        Value::Float(f64::INFINITY),
+        true,
+    );
+    let valued = disk.eval(&valued).unwrap();
+    assert_eq!(valued.count_ones(), 399);
+    let advice = Advisor::new(&disk)
+        .advise_str("(reading: , site: )")
+        .unwrap();
+    let mut cut_reading = 0;
+    for r in &advice.ranked {
+        let cuts_reading = r.segmentation.attributes().contains(&"reading");
+        cut_reading += usize::from(cuts_reading);
+        let context = if cuts_reading { &valued } else { &all };
+        let report = r.segmentation.check_partition(&disk, context).unwrap();
+        assert!(report.is_partition(), "{}: {report:?}", r.segmentation);
+    }
+    assert!(cut_reading > 0, "no advice on the poisoned column");
     std::fs::remove_file(&path).unwrap();
 }
 
