@@ -11,18 +11,15 @@
 //!       the report, optionally writes the charles-load/v1 artefact.
 //!       Exits non-zero on ANY error, non-2xx response or error frame.
 //!   grid [--results PATH] [--rerun]
-//!       Sweep shards × cache capacity × server workers. Completed
+//!       Sweep cache capacity × server workers. Completed
 //!       configs are read from the results cache instead of re-run
 //!       (--rerun ignores the cache).
-//!   ab [--dim cutoff|proto] [--results PATH] [--rerun] [--json PATH]
-//!       A/B one dimension, same workload otherwise:
-//!         cutoff (default) — the charles-parallel dispatch cutoff:
-//!             library default vs threshold 1 (every par_map forks).
-//!         proto — HTTP/JSON vs the pipelined binary wire protocol on
-//!             the saturation scenario; prints the cached-advice
-//!             speedup, fails unless it clears the 5× bar, and with
-//!             --json writes the charles-wire-ab/v1 artefact
-//!             (committed as BENCH_wire.json).
+//!   ab [--results PATH] [--rerun] [--json PATH]
+//!       A/B the two listeners, same workload otherwise: HTTP/JSON vs
+//!       the pipelined binary wire protocol on the saturation
+//!       scenario; prints the cached-advice speedup, fails unless it
+//!       clears the 5× bar, and with --json writes the
+//!       charles-wire-ab/v1 artefact (committed as BENCH_wire.json).
 //!   check PATH
 //!       Validate a result artefact (CI gate for the committed
 //!       BENCH_serve.json / BENCH_wire.json), dispatching on the
@@ -206,20 +203,17 @@ fn grid(args: &[String]) -> i32 {
     };
     let mut results = Vec::new();
     let mut failed = false;
-    for shards in [1usize, 4] {
-        for cache_capacity in [0usize, 1024] {
-            for server_workers in [2usize, 8] {
-                let cfg = ScenarioConfig {
-                    name: format!("grid-s{shards}-c{cache_capacity}-w{server_workers}"),
-                    shards,
-                    cache_capacity,
-                    server_workers,
-                    ..base.clone()
-                };
-                match run_cached(&cfg, &mut cache, rerun) {
-                    Some(r) => results.push(r),
-                    None => failed = true,
-                }
+    for cache_capacity in [0usize, 1024] {
+        for server_workers in [2usize, 8] {
+            let cfg = ScenarioConfig {
+                name: format!("grid-c{cache_capacity}-w{server_workers}"),
+                cache_capacity,
+                server_workers,
+                ..base.clone()
+            };
+            match run_cached(&cfg, &mut cache, rerun) {
+                Some(r) => results.push(r),
+                None => failed = true,
             }
         }
     }
@@ -231,66 +225,10 @@ fn grid(args: &[String]) -> i32 {
     }
 }
 
-fn ab(args: &[String]) -> i32 {
-    match opt_value(args, "--dim").as_deref() {
-        None | Some("cutoff") => ab_cutoff(args),
-        Some("proto") => ab_proto(args),
-        Some(other) => {
-            eprintln!("ab: bad --dim {other:?} (want cutoff or proto)");
-            2
-        }
-    }
-}
-
-fn ab_cutoff(args: &[String]) -> i32 {
-    let mut cache = results_cache(args);
-    let rerun = has_flag(args, "--rerun");
-    // Hot-heavy and drill-dense: the advise path runs par_map over
-    // small fan-outs constantly, which is exactly where the dispatch
-    // cutoff pays (threshold 1 forks a worker pool for 2–3 items).
-    let base = ScenarioConfig {
-        duration: Duration::from_millis(2_500),
-        warmup: Duration::from_millis(500),
-        target_rps: 120.0,
-        hot_percent: 50,
-        ..ScenarioConfig::smoke()
-    };
-    let variants = [("ab-cutoff-default", 0usize), ("ab-cutoff-off", 1usize)];
-    let mut results = Vec::new();
-    for (name, par_threshold) in variants {
-        let cfg = ScenarioConfig {
-            name: name.to_string(),
-            par_threshold,
-            ..base.clone()
-        };
-        match run_cached(&cfg, &mut cache, rerun) {
-            Some(r) => results.push(r),
-            None => return 1,
-        }
-    }
-    println!("\n{}", comparison_table(&results));
-    if let [with_cutoff, without_cutoff] = results.as_slice() {
-        let delta = |a: u64, b: u64| -> String {
-            if b == 0 {
-                "n/a".to_string()
-            } else {
-                format!("{:+.1}%", 100.0 * (a as f64 - b as f64) / b as f64)
-            }
-        };
-        println!(
-            "cutoff-default vs cutoff-off: p50 {} | p95 {} | p99 {}",
-            delta(with_cutoff.latency.p50, without_cutoff.latency.p50),
-            delta(with_cutoff.latency.p95, without_cutoff.latency.p95),
-            delta(with_cutoff.latency.p99, without_cutoff.latency.p99),
-        );
-    }
-    0
-}
-
 /// A/B the two listeners on the saturation scenario: same workload,
 /// same box, run serially — the achieved-rate ratio IS the per-core
 /// cached-advice speedup the binary protocol must prove.
-fn ab_proto(args: &[String]) -> i32 {
+fn ab(args: &[String]) -> i32 {
     let mut cache = results_cache(args);
     let rerun = has_flag(args, "--rerun");
     let mut results = Vec::new();

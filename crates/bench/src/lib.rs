@@ -11,6 +11,8 @@
 //!   one-shot harness that prints every experiment's table (the rows
 //!   recorded in EXPERIMENTS.md).
 
+#![forbid(unsafe_code)]
+
 pub mod load;
 pub mod mini_json;
 

@@ -37,7 +37,7 @@ use charles_serve::{
     http_request, wire_request, Client, ClientConfig, ServeConfig, Server, ServerHandle, WireConn,
     WireError, WireRequest, WireResponse,
 };
-use charles_store::{Backend, ShardedTable};
+use charles_store::Backend;
 use std::collections::{HashMap, VecDeque};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -211,8 +211,6 @@ pub struct ScenarioConfig {
     pub name: String,
     /// Rows in the synthetic VOC backend (in-process runs only).
     pub rows: usize,
-    /// Store shards; 1 = plain single-shard table.
-    pub shards: usize,
     /// Server worker threads.
     pub server_workers: usize,
     /// Advice-cache shard count.
@@ -233,9 +231,6 @@ pub struct ScenarioConfig {
     pub hot_percent: u32,
     /// Drill/back pairs per session between start and delete.
     pub drills_per_session: usize,
-    /// `charles_parallel` dispatch cutoff forced for this run
-    /// (0 = library default). The A/B mode flips this.
-    pub par_threshold: usize,
     /// Which listener to drive (HTTP/JSON or the binary wire protocol).
     pub proto: Proto,
 }
@@ -249,7 +244,6 @@ impl ScenarioConfig {
         ScenarioConfig {
             name: "smoke".to_string(),
             rows: 4_000,
-            shards: 1,
             server_workers: 8,
             cache_shards: 16,
             cache_capacity: 1024,
@@ -259,7 +253,6 @@ impl ScenarioConfig {
             warmup: Duration::from_millis(500),
             hot_percent: 90,
             drills_per_session: 2,
-            par_threshold: 0,
             proto: Proto::Http,
         }
     }
@@ -289,10 +282,9 @@ impl ScenarioConfig {
     /// pipe-joined. Cached results are keyed by this.
     pub fn fingerprint(&self) -> String {
         format!(
-            "name={}|rows={}|shards={}|sworkers={}|cshards={}|ccap={}|conns={}|rate={:.3}|dur={}|warm={}|hot={}|drills={}|pth={}|proto={}",
+            "name={}|rows={}|sworkers={}|cshards={}|ccap={}|conns={}|rate={:.3}|dur={}|warm={}|hot={}|drills={}|proto={}",
             self.name,
             self.rows,
-            self.shards,
             self.server_workers,
             self.cache_shards,
             self.cache_capacity,
@@ -302,7 +294,6 @@ impl ScenarioConfig {
             self.warmup.as_millis(),
             self.hot_percent,
             self.drills_per_session,
-            self.par_threshold,
             self.proto.as_str(),
         )
     }
@@ -1387,16 +1378,11 @@ fn fetch_server_counters_wire(addr: std::net::SocketAddr) -> std::io::Result<Ser
 }
 
 /// Boot an in-process server over a synthetic VOC backend shaped by
-/// the scenario (rows, shards, worker and cache knobs). Both listeners
+/// the scenario (rows, worker and cache knobs). Both listeners
 /// are always bound (the wire one on its own ephemeral port), so one
 /// booted server can serve either protocol's scenarios.
 pub fn boot(cfg: &ScenarioConfig) -> std::io::Result<ServerHandle> {
-    let table = voc_table(cfg.rows, 0xC1DA);
-    let backend: Arc<dyn Backend> = if cfg.shards <= 1 {
-        Arc::new(table)
-    } else {
-        Arc::new(ShardedTable::from_table(&table, cfg.shards))
-    };
+    let backend: Arc<dyn Backend> = Arc::new(voc_table(cfg.rows, 0xC1DA));
     Server::bind(
         "127.0.0.1:0",
         backend,
@@ -1411,14 +1397,8 @@ pub fn boot(cfg: &ScenarioConfig) -> std::io::Result<ServerHandle> {
     .spawn()
 }
 
-/// Boot, drive, shut down. Applies the scenario's `par_threshold`
-/// override for the duration of the run (0 restores the library
-/// default — [`charles_parallel::set_par_threshold`] treats 0 as
-/// "no override").
+/// Boot, drive, shut down.
 pub fn run_in_process(cfg: &ScenarioConfig) -> std::io::Result<LoadResult> {
-    if cfg.par_threshold != 0 {
-        charles_parallel::set_par_threshold(cfg.par_threshold);
-    }
     let handle = boot(cfg)?;
     let target = match cfg.proto {
         Proto::Http => handle.addr(),
@@ -1431,9 +1411,6 @@ pub fn run_in_process(cfg: &ScenarioConfig) -> std::io::Result<LoadResult> {
     };
     let result = run_against(target, cfg);
     handle.shutdown();
-    if cfg.par_threshold != 0 {
-        charles_parallel::set_par_threshold(0);
-    }
     result
 }
 
@@ -1710,13 +1687,6 @@ mod tests {
         assert_eq!(fp, base.fingerprint());
         for (label, tweaked) in [
             (
-                "shards",
-                ScenarioConfig {
-                    shards: 4,
-                    ..base.clone()
-                },
-            ),
-            (
                 "cache",
                 ScenarioConfig {
                     cache_capacity: 0,
@@ -1727,13 +1697,6 @@ mod tests {
                 "rate",
                 ScenarioConfig {
                     target_rps: 151.0,
-                    ..base.clone()
-                },
-            ),
-            (
-                "threshold",
-                ScenarioConfig {
-                    par_threshold: 1,
                     ..base.clone()
                 },
             ),

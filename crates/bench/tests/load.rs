@@ -14,7 +14,6 @@ fn tiny(name: &str) -> ScenarioConfig {
     ScenarioConfig {
         name: name.to_string(),
         rows: 400,
-        shards: 1,
         server_workers: 4,
         cache_shards: 4,
         cache_capacity: 256,
@@ -24,7 +23,6 @@ fn tiny(name: &str) -> ScenarioConfig {
         warmup: Duration::from_millis(300),
         hot_percent: 100,
         drills_per_session: 1,
-        par_threshold: 0,
         proto: Proto::Http,
     }
 }

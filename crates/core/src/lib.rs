@@ -43,6 +43,8 @@
 //! println!("{}", advice.ranked[0].segmentation);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adaptive;
 pub mod advisor;
 pub mod baselines;

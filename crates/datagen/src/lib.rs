@@ -27,6 +27,8 @@
 //!   keeping peak memory independent of the row count — the path that
 //!   makes 10⁸-row files producible.
 
+#![forbid(unsafe_code)]
+
 pub mod astro;
 pub mod persist;
 pub mod synthetic;

@@ -20,11 +20,12 @@
 //! one INDEP pair) are coarse and uniform enough that static chunking
 //! is within noise of work stealing, without a dependency.
 
+#![forbid(unsafe_code)]
+
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-static THRESHOLD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Inputs shorter than this run sequentially even with threads enabled.
 ///
@@ -35,7 +36,7 @@ static THRESHOLD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// smallest cutoff that keeps every genuinely coarse fan-out (candidate
 /// seeding over k attributes, frontier pair evaluation, scoring) on the
 /// threaded path.
-pub const DEFAULT_PAR_THRESHOLD: usize = 4;
+pub const PAR_THRESHOLD: usize = 4;
 
 /// Force the worker-thread count at runtime (`0` clears the override).
 /// `set_num_threads(1)` routes every `par_map` through the sequential
@@ -70,38 +71,6 @@ pub fn num_threads() -> usize {
     })
 }
 
-/// Force the sequential cutoff at runtime (`0` clears the override,
-/// falling back to the `CHARLES_PAR_THRESHOLD` environment variable or
-/// [`DEFAULT_PAR_THRESHOLD`]). `set_par_threshold(1)` disables the
-/// cutoff entirely — every multi-element input takes the threaded path,
-/// the pre-cutoff behaviour — which is how the load harness measures
-/// the cutoff's effect A/B. The cutoff is a pure execution-strategy
-/// switch: output is bitwise identical at any threshold
-/// (`tests/parallel_equivalence.rs` pins this).
-pub fn set_par_threshold(n: usize) {
-    THRESHOLD_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// The sequential cutoff [`par_map`] applies: inputs with fewer items
-/// than this run on the calling thread. Resolution order: the
-/// [`set_par_threshold`] override if set, else `CHARLES_PAR_THRESHOLD`
-/// (resolved once, like `CHARLES_NUM_THREADS`), else
-/// [`DEFAULT_PAR_THRESHOLD`]; always at least 1.
-pub fn par_threshold() -> usize {
-    let forced = THRESHOLD_OVERRIDE.load(Ordering::Relaxed);
-    if forced != 0 {
-        return forced;
-    }
-    static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("CHARLES_PAR_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_PAR_THRESHOLD)
-    })
-}
-
 thread_local! {
     /// Set while executing inside a `par_map` worker. Nested `par_map`
     /// calls (e.g. HB-cuts pair evaluation → INDEP → product-entropy
@@ -120,7 +89,7 @@ thread_local! {
 /// Threads are spawned per call (no pool), so this is meant for coarse
 /// units of work — median scans, segment selections, whole advisor
 /// restarts — where per-item cost dwarfs the ~tens-of-µs spawn cost.
-/// Inputs shorter than [`par_threshold`] run sequentially on the
+/// Inputs shorter than [`PAR_THRESHOLD`] run sequentially on the
 /// calling thread, so tiny fan-outs (memoized cover lookups, 2-segment
 /// INDEP selections) don't pay spawn cost for microsecond work; callers
 /// with *long* inputs of mostly-cached µs-scale items should still
@@ -133,7 +102,7 @@ where
 {
     // Nested calls and sub-threshold inputs short-circuit before
     // touching num_threads(): spawn cost dwarfs microsecond work.
-    if items.len() <= 1 || items.len() < par_threshold() || IN_WORKER.with(|w| w.get()) {
+    if items.len() <= 1 || items.len() < PAR_THRESHOLD || IN_WORKER.with(|w| w.get()) {
         return items.iter().map(f).collect();
     }
     let threads = num_threads().min(items.len());
@@ -255,18 +224,16 @@ impl Drop for WorkerPool {
 mod tests {
     use super::*;
 
-    /// `set_num_threads`/`set_par_threshold` are process-global and
-    /// `#[test]` fns run concurrently: every test that overrides either
-    /// takes this lock so the overrides can't bleed across tests.
+    /// `set_num_threads` is process-global and `#[test]` fns run
+    /// concurrently: every test that overrides it takes this lock so
+    /// the override can't bleed across tests.
     static OVERRIDE_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
-    fn with_overrides<T>(threads: usize, threshold: usize, f: impl FnOnce() -> T) -> T {
+    fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
         let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         set_num_threads(threads);
-        set_par_threshold(threshold);
         let out = f();
         set_num_threads(0);
-        set_par_threshold(0);
         out
     }
 
@@ -300,12 +267,12 @@ mod tests {
     fn nested_par_map_stays_sequential() {
         // The inner map must not spawn threads-of-threads; it still
         // computes the right answer in order. Force >1 worker so the
-        // outer map actually threads even on single-core machines, and
-        // threshold 1 so the cutoff can't mask the nesting guard.
-        let got = with_overrides(4, 1, || {
+        // outer map actually threads even on single-core machines; the
+        // inner map is at the cutoff, so it can't mask the nesting guard.
+        let got = with_threads(4, || {
             let outer: Vec<u64> = (0..8).collect();
             par_map(&outer, |&x| {
-                let inner: Vec<u64> = (0..4).collect();
+                let inner: Vec<u64> = (0..PAR_THRESHOLD as u64).collect();
                 let inner_ids = par_map(&inner, |_| std::thread::current().id());
                 // All inner work ran on this (worker) thread.
                 assert!(inner_ids
@@ -321,11 +288,11 @@ mod tests {
     fn sub_threshold_inputs_stay_on_the_calling_thread() {
         // Below the cutoff no worker threads spawn: every item is
         // computed on the caller. At or above it, the map threads.
-        with_overrides(4, 4, || {
+        with_threads(4, || {
             let me = std::thread::current().id();
-            let small: Vec<u64> = (0..3).collect();
+            let small: Vec<u64> = (0..PAR_THRESHOLD as u64 - 1).collect();
             let ids = par_map(&small, |_| std::thread::current().id());
-            assert!(ids.iter().all(|&id| id == me), "len 3 < threshold 4");
+            assert!(ids.iter().all(|&id| id == me), "below the cutoff");
             let big: Vec<u64> = (0..64).collect();
             let ids = par_map(&big, |&x| {
                 std::thread::sleep(std::time::Duration::from_millis(1 + x % 2));
@@ -334,38 +301,6 @@ mod tests {
             let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
             assert!(distinct.len() > 1, "len 64 ≥ threshold must thread");
         });
-    }
-
-    #[test]
-    fn threshold_one_disables_the_cutoff() {
-        // The pre-cutoff behaviour: even a 2-item map may thread.
-        with_overrides(2, 1, || {
-            let items: Vec<u64> = (0..2).collect();
-            let ids = par_map(&items, |_| {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-                std::thread::current().id()
-            });
-            assert_ne!(ids[0], ids[1], "threshold 1 must spawn for 2 items");
-        });
-    }
-
-    #[test]
-    fn threshold_is_a_pure_strategy_switch() {
-        // Identical output (bitwise, for floats) at every threshold.
-        let items: Vec<f64> = (0..33).map(|i| i as f64 * 0.37).collect();
-        let reference: Vec<u64> = items
-            .iter()
-            .map(|&x| (x.sin() * 1e6).ln_1p().to_bits())
-            .collect();
-        for threshold in [1usize, 4, 16, 64] {
-            let got: Vec<u64> = with_overrides(0, threshold, || {
-                par_map(&items, |&x| (x.sin() * 1e6).ln_1p())
-            })
-            .iter()
-            .map(|v| v.to_bits())
-            .collect();
-            assert_eq!(got, reference, "threshold {threshold}");
-        }
     }
 
     #[test]

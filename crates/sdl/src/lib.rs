@@ -30,6 +30,8 @@
 //! assert_eq!(q.constrained_attributes(), vec!["date", "type"]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod display;
 pub mod error;

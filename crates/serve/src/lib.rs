@@ -38,6 +38,8 @@
 //! handle.shutdown();
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod client;
 pub mod http;
 pub mod json;

@@ -198,71 +198,6 @@ impl Bitmap {
         }
     }
 
-    /// Append all bits of `other` after the bits of `self` (offset-aware:
-    /// bit `i` of `other` lands at `self.len() + i`). This is the shard
-    /// concatenation primitive — per-shard selection bitmaps glue back
-    /// into one table-wide selection in shard order.
-    pub fn append(&mut self, other: &Bitmap) {
-        if other.len == 0 {
-            return;
-        }
-        let shift = self.len % WORD_BITS;
-        let new_len = self.len + other.len;
-        if shift == 0 {
-            self.words.extend_from_slice(&other.words);
-        } else {
-            let inv = WORD_BITS - shift;
-            for &w in &other.words {
-                // A non-word-aligned `len` implies at least one word.
-                if let Some(last) = self.words.last_mut() {
-                    *last |= w << shift;
-                }
-                self.words.push(w >> inv);
-            }
-        }
-        self.words.truncate(new_len.div_ceil(WORD_BITS));
-        self.len = new_len;
-        self.clear_tail();
-    }
-
-    /// Concatenate bitmaps in order: row `i` of part `k` becomes row
-    /// `len(part 0) + … + len(part k-1) + i` of the result.
-    pub fn concat<'a>(parts: impl IntoIterator<Item = &'a Bitmap>) -> Bitmap {
-        let mut out = Bitmap::new(0);
-        for p in parts {
-            out.append(p);
-        }
-        out
-    }
-
-    /// The sub-bitmap covering rows `start..end` (bit `start + i` of
-    /// `self` becomes bit `i`). Inverse of [`Bitmap::append`]; sharded
-    /// backends use it to restrict a table-wide selection to one shard's
-    /// row range.
-    pub fn slice(&self, start: usize, end: usize) -> Bitmap {
-        assert!(
-            start <= end && end <= self.len,
-            "slice {start}..{end} out of range {}",
-            self.len
-        );
-        let mut out = Bitmap::new(end - start);
-        let shift = start % WORD_BITS;
-        let first = start / WORD_BITS;
-        for (k, out_word) in out.words.iter_mut().enumerate() {
-            let lo = self.words[first + k] >> shift;
-            let hi = if shift == 0 {
-                0
-            } else {
-                self.words
-                    .get(first + k + 1)
-                    .map_or(0, |w| w << (WORD_BITS - shift))
-            };
-            *out_word = lo | hi;
-        }
-        out.clear_tail();
-        out
-    }
-
     /// The flat 64-bit word layout (bit `i` lives at word `i / 64`, bit
     /// position `i % 64`; bits beyond `len` in the last word are zero).
     /// This is the layout the on-disk `.charles` format serialises
@@ -295,7 +230,7 @@ impl Bitmap {
 
     /// True when no bit beyond `len` is set in the last word — the
     /// invariant every public operation must preserve (popcounts,
-    /// complements and appends all assume it).
+    /// complements and pushes all assume it).
     fn tail_is_clear(&self) -> bool {
         let tail = self.len % WORD_BITS;
         tail == 0
@@ -461,65 +396,6 @@ mod tests {
         let _ = Bitmap::new(10).and(&Bitmap::new(11));
     }
 
-    #[test]
-    fn append_concat_round_trip() {
-        // Lengths straddle word boundaries on purpose: 0, 1, 63, 64, 65, 130.
-        let lens = [0usize, 1, 63, 64, 65, 130];
-        let mut parts = Vec::new();
-        let mut expected = Vec::new();
-        let mut offset = 0usize;
-        for (p, &len) in lens.iter().enumerate() {
-            let idx: Vec<usize> = (0..len).filter(|i| (i + p) % 3 == 0).collect();
-            for &i in &idx {
-                expected.push(offset + i);
-            }
-            offset += len;
-            parts.push(Bitmap::from_indices(len, idx));
-        }
-        let glued = Bitmap::concat(parts.iter());
-        assert_eq!(glued.len(), offset);
-        assert_eq!(glued.iter_ones().collect::<Vec<_>>(), expected);
-        // Slicing the concatenation back apart recovers every part.
-        let mut start = 0usize;
-        for part in &parts {
-            let back = glued.slice(start, start + part.len());
-            assert_eq!(&back, part);
-            start += part.len();
-        }
-    }
-
-    #[test]
-    fn append_onto_unaligned_tail() {
-        // 70 bits of ones, then 70 more: the second append starts mid-word.
-        let mut bm = Bitmap::ones(70);
-        bm.append(&Bitmap::ones(70));
-        assert_eq!(bm.len(), 140);
-        assert_eq!(bm.count_ones(), 140);
-        assert!(bm.tail_is_clear());
-        bm.append(&Bitmap::new(3));
-        assert_eq!(bm.count_ones(), 140);
-        assert_eq!(bm.len(), 143);
-    }
-
-    #[test]
-    fn slice_matches_per_bit_extraction() {
-        let bm = Bitmap::from_indices(200, (0..200).filter(|i| i % 7 == 0));
-        for (start, end) in [(0, 200), (1, 64), (63, 65), (64, 128), (65, 199), (50, 50)] {
-            let s = bm.slice(start, end);
-            assert_eq!(s.len(), end - start);
-            for i in 0..(end - start) {
-                assert_eq!(s.get(i), bm.get(start + i), "bit {i} of {start}..{end}");
-            }
-            assert!(s.tail_is_clear());
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn slice_out_of_range_panics() {
-        let _ = Bitmap::new(10).slice(5, 11);
-    }
-
     /// Manufacture an invariant violation (as a future length-mutating
     /// refactor might): a stale bit exactly where the next push lands.
     fn dirty_tail_bitmap() -> Bitmap {
@@ -570,8 +446,8 @@ mod tests {
 
         /// Long bitmaps with structure — sparse strides, a solid
         /// prefix, alternating bits — over lengths around 2¹⁶, so the
-        /// shifted `slice`/`append` loops run over a thousand words and
-        /// end on every kind of last word.
+        /// word loops run over a thousand words and end on every kind
+        /// of last word.
         fn arb_structured() -> impl Strategy<Value = Bitmap> {
             (
                 0usize..3,
@@ -590,34 +466,20 @@ mod tests {
             prop_assert!(a.tail_is_clear());
             prop_assert!(Bitmap::ones(a.len()).tail_is_clear());
             prop_assert!(a.not().tail_is_clear());
-            // Same-length algebra on a re-sliced pair.
-            let n = a.len().min(b.len());
-            let (x, y) = (a.slice(0, n), b.slice(0, n));
-            prop_assert!(x.tail_is_clear() && y.tail_is_clear());
-            prop_assert!(x.and(&y).tail_is_clear());
-            prop_assert!(x.or(&y).tail_is_clear());
-            prop_assert!(x.and_not(&y).tail_is_clear());
-            // Append/concat across arbitrary (unaligned) offsets.
-            let mut glued = a.clone();
-            glued.append(b);
-            prop_assert!(glued.tail_is_clear());
-            prop_assert_eq!(glued.count_ones(), a.count_ones() + b.count_ones());
-            prop_assert!(Bitmap::concat([a, b, a]).tail_is_clear());
-            // Incremental pushes on top of everything above.
-            let mut grown = glued.clone();
+            // Same-length algebra: `b` re-cut to `a`'s length.
+            let y = Bitmap::from_indices(a.len(), b.iter_ones().take_while(|&i| i < a.len()));
+            prop_assert!(y.tail_is_clear());
+            prop_assert!(a.and(&y).tail_is_clear());
+            prop_assert!(a.or(&y).tail_is_clear());
+            prop_assert!(a.and_not(&y).tail_is_clear());
+            // Incremental pushes from wherever `a` ends.
+            let mut grown = a.clone();
             for &bit in extra {
                 grown.push(bit);
                 prop_assert!(grown.tail_is_clear());
             }
             let pushed_ones = extra.iter().filter(|&&v| v).count();
-            prop_assert_eq!(grown.count_ones(), glued.count_ones() + pushed_ones);
-            // Slice ↔ append round-trip at an arbitrary split point.
-            let mid = glued.len() / 2;
-            let (lo, hi) = (glued.slice(0, mid), glued.slice(mid, glued.len()));
-            prop_assert!(lo.tail_is_clear() && hi.tail_is_clear());
-            let mut rejoined = lo;
-            rejoined.append(&hi);
-            prop_assert_eq!(&rejoined, &glued);
+            prop_assert_eq!(grown.count_ones(), a.count_ones() + pushed_ones);
             Ok(())
         }
 

@@ -49,8 +49,8 @@ pub struct Column {
     /// Bit set ⇔ row holds a valid (non-null) value.
     validity: Bitmap,
     /// String dictionary; empty for non-string columns. Codes index into
-    /// it. Behind an `Arc` so that row-range slices of a column (sharded
-    /// backends) share one dictionary instead of copying it per shard.
+    /// it. Behind an `Arc` so that clones of a column
+    /// (`DiskTable::to_table`) share one dictionary instead of copying it.
     dict: Arc<Vec<String>>,
 }
 
@@ -309,30 +309,6 @@ impl Column {
         Ok((FrequencyTable::from_counts(counts), dict))
     }
 
-    /// The sub-column covering rows `start..end`. String columns share the
-    /// full dictionary (codes stay valid across slices), which is what
-    /// lets a sharded backend merge per-shard frequency tables by code.
-    pub fn slice(&self, start: usize, end: usize) -> Column {
-        assert!(
-            start <= end && end <= self.len(),
-            "slice {start}..{end} out of range {}",
-            self.len()
-        );
-        let data = match &self.data {
-            ColumnData::Int(v) => ColumnData::Int(v[start..end].to_vec()),
-            ColumnData::Float(v) => ColumnData::Float(v[start..end].to_vec()),
-            ColumnData::Str(v) => ColumnData::Str(v[start..end].to_vec()),
-            ColumnData::Date(v) => ColumnData::Date(v[start..end].to_vec()),
-            ColumnData::Bool(v) => ColumnData::Bool(v[start..end].to_vec()),
-        };
-        Column {
-            name: self.name.clone(),
-            data,
-            validity: self.validity.slice(start, end),
-            dict: Arc::clone(&self.dict),
-        }
-    }
-
     /// Minimum and maximum value among the selected, non-null rows.
     pub fn min_max(&self, sel: &Bitmap) -> Option<(Value, Value)> {
         self.extremes(sel, None)
@@ -528,39 +504,6 @@ mod tests {
         assert_eq!(c.next_above(&all, &Value::Int(3)), Some(Value::Float(5.0)));
         // Nothing but NaN selected: no extremes, exactly as for nulls.
         assert_eq!(c.min_max(&Bitmap::from_indices(5, [1, 3])), None);
-    }
-
-    #[test]
-    fn slice_preserves_values_nulls_and_dict() {
-        let mut c = Column::new("kind", DataType::Str);
-        for v in [
-            Some("fluit"),
-            Some("jacht"),
-            None,
-            Some("pinas"),
-            Some("fluit"),
-        ] {
-            c.push(v.map(Value::str)).unwrap();
-        }
-        let s = c.slice(1, 4);
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.get(0), Some(Value::str("jacht")));
-        assert_eq!(s.get(1), None);
-        assert_eq!(s.get(2), Some(Value::str("pinas")));
-        // Full dictionary shared (same allocation, not a copy): codes
-        // agree with the parent column.
-        assert_eq!(s.dict(), c.dict());
-        assert!(std::ptr::eq(s.dict(), c.dict()));
-        assert_eq!(s.code(2), c.code(3));
-        // Degenerate slices.
-        assert_eq!(c.slice(2, 2).len(), 0);
-        assert_eq!(c.slice(0, c.len()).len(), c.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn slice_out_of_range_panics() {
-        int_col(&[1, 2]).slice(1, 3);
     }
 
     #[test]

@@ -28,18 +28,7 @@
 //! file eagerly would defeat lazy column loading). All failures surface
 //! as typed [`StoreError::Corrupt`] / [`StoreError::Io`] values, never
 //! panics.
-//!
-//! The positioned-read design was chosen so segment fetches could later
-//! be served from an OS memory mapping without touching the format —
-//! and the `mmap` cargo feature now does exactly that:
-//! `DiskTable::open_mmap` maps the whole file read-only (a raw
-//! `mmap(2)` call on unix, a buffered fallback elsewhere) and hands out
-//! segment **slices** of the mapping instead of `pread` copies, with the
-//! same open-time validation and the same typed errors. No format
-//! version bump: the bytes are identical, only the access path differs.
 
-#[cfg(feature = "mmap")]
-mod mmap;
 pub mod reader;
 pub mod writer;
 

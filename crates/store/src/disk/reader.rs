@@ -9,8 +9,6 @@
 //! Untouched columns are never read, so advising on 3 attributes of a
 //! 50-column file pays for 3 columns of I/O.
 
-#[cfg(feature = "mmap")]
-use super::mmap::Mmap;
 use super::{
     io_err, type_from_code, ByteReader, ColumnSegments, Crc32, SegmentRef, ENDIAN_MARKER,
     FORMAT_VERSION, HEADER_LEN, MAGIC, TRAILER_LEN, TRAILER_MAGIC,
@@ -21,7 +19,6 @@ use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
 use crate::schema::Schema;
 use crate::table::Table;
-use std::borrow::Cow;
 use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicU64;
@@ -72,44 +69,6 @@ impl SharedFile {
     }
 }
 
-/// Where the bytes come from: the `pread` seam every fetch goes through.
-///
-/// [`DiskTable::open`] uses positioned reads against the file handle;
-/// [`DiskTable::open_mmap`] (feature `mmap`) serves the same byte ranges
-/// as slices of one read-only mapping. All structural validation runs
-/// identically over both — only [`Source::read_exact_at`] (copies) vs
-/// [`DiskTable::segment_bytes`] (borrows when mapped) differs.
-#[derive(Debug)]
-enum Source {
-    /// Buffered positioned reads (`pread(2)` on unix).
-    File(SharedFile),
-    /// One read-only mapping of the whole file.
-    #[cfg(feature = "mmap")]
-    Mapped(Mmap),
-}
-
-impl Source {
-    /// Fill `buf` from the absolute file offset `offset`. A range that
-    /// leaves a mapped file reports `UnexpectedEof`, exactly like a
-    /// short `pread` — so callers' corruption handling is shared.
-    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
-        match self {
-            Source::File(f) => f.read_exact_at(buf, offset),
-            #[cfg(feature = "mmap")]
-            Source::Mapped(m) => match m.slice(offset, buf.len() as u64) {
-                Some(src) => {
-                    buf.copy_from_slice(src);
-                    Ok(())
-                }
-                None => Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "range outside the mapped file",
-                )),
-            },
-        }
-    }
-}
-
 /// Fixed-width byte size of one row of a column's data segment.
 fn data_width(ty: DataType) -> u64 {
     match ty {
@@ -128,16 +87,13 @@ fn data_width(ty: DataType) -> u64 {
 /// output over a `DiskTable` is **bitwise identical** to advisor output
 /// over the table that was written (pinned by `tests/backend_contract.rs`
 /// and `tests/disk_persistence.rs` at the workspace root).
-///
-/// To compose with the sharded backend, materialise and split:
-/// `ShardedTable::from_table(&disk.to_table()?, n)`.
 #[derive(Debug)]
 pub struct DiskTable {
     name: String,
     schema: Schema,
     rows: usize,
     path: PathBuf,
-    source: Source,
+    file: SharedFile,
     segments: Vec<ColumnSegments>,
     cells: Vec<OnceLock<Result<Column, StoreError>>>,
     /// Whole-file CRC recorded in the footer; checked by [`DiskTable::verify`].
@@ -158,39 +114,13 @@ impl DiskTable {
     /// mismatches) surface as [`StoreError::Corrupt`]; transport faults
     /// as [`StoreError::Io`]. Never panics on malformed input.
     pub fn open(path: impl AsRef<Path>) -> StoreResult<DiskTable> {
-        let (path, file, file_len) = open_file(path.as_ref())?;
-        DiskTable::open_with(path, Source::File(SharedFile::new(file)), file_len)
-    }
-
-    /// Open a `.charles` file through one read-only memory mapping of
-    /// the whole file: segment fetches become **slices of the mapping**
-    /// (no read syscalls, no buffer copies; the OS pages data in on
-    /// demand and can evict it under pressure), while validation,
-    /// laziness, CRC checks and error behaviour are identical to
-    /// [`DiskTable::open`] — pinned by the mmap rows of
-    /// `tests/backend_contract.rs`. Same format, no version bump; see
-    /// `docs/FORMAT.md`.
-    ///
-    /// On non-unix platforms this falls back to one buffered read of
-    /// the whole file (correct, not lazy).
-    #[cfg(feature = "mmap")]
-    pub fn open_mmap(path: impl AsRef<Path>) -> StoreResult<DiskTable> {
-        let (path, file, file_len) = open_file(path.as_ref())?;
-        let map =
-            Mmap::map(&file, file_len).map_err(|e| io_err(&format!("mapping {path:?}"), e))?;
-        DiskTable::open_with(path, Source::Mapped(map), file_len)
-    }
-
-    /// True when this handle serves segments from a memory mapping.
-    #[cfg(feature = "mmap")]
-    pub fn is_mapped(&self) -> bool {
-        matches!(self.source, Source::Mapped(_))
-    }
-
-    /// Shared open path: validate header, trailer, footer and segment
-    /// index against `file_len`, reading no column data.
-    fn open_with(path: PathBuf, source: Source, file_len: u64) -> StoreResult<DiskTable> {
-        let file = source;
+        let path = path.as_ref().to_path_buf();
+        let file = File::open(&path).map_err(|e| io_err(&format!("opening {path:?}"), e))?;
+        let file_len = file
+            .metadata()
+            .map_err(|e| io_err(&format!("stat {path:?}"), e))?
+            .len();
+        let file = SharedFile::new(file);
         // The smallest well-formed file: header + schema length prefix +
         // empty schema + empty footer (just the file CRC) + footer CRC +
         // trailer.
@@ -328,7 +258,7 @@ impl DiskTable {
             schema,
             rows,
             path,
-            source: file,
+            file,
             segments,
             cells,
             file_crc,
@@ -383,9 +313,7 @@ impl DiskTable {
         }
     }
 
-    /// Load every column and assemble an in-memory [`Table`] — the entry
-    /// point for composing with [`crate::ShardedTable`]
-    /// (`ShardedTable::from_table(&disk.to_table()?, n)`).
+    /// Load every column and assemble an in-memory [`Table`].
     pub fn to_table(&self) -> StoreResult<Table> {
         let mut columns = Vec::with_capacity(self.schema.arity());
         for c in self.schema.columns() {
@@ -408,7 +336,7 @@ impl DiskTable {
         let mut buf = vec![0u8; 64 * 1024];
         while offset < self.footer_start {
             let n = ((self.footer_start - offset) as usize).min(buf.len());
-            self.source
+            self.file
                 .read_exact_at(&mut buf[..n], offset)
                 .map_err(|e| io_err("verifying file checksum", e))?;
             crc.update(&buf[..n]);
@@ -424,30 +352,13 @@ impl DiskTable {
         Ok(())
     }
 
-    /// Fetch one segment's bytes and check its CRC. From a mapped file
-    /// this is a borrowed slice of the mapping (zero copies); from a
-    /// file handle it is one positioned read into a fresh buffer.
-    fn read_segment(
-        &self,
-        seg: &SegmentRef,
-        what: impl Fn() -> String,
-    ) -> StoreResult<Cow<'_, [u8]>> {
-        let bytes: Cow<'_, [u8]> = match &self.source {
-            Source::File(f) => {
-                let mut buf = vec![0u8; seg.len as usize];
-                f.read_exact_at(&mut buf, seg.offset)
-                    .map_err(|e| io_err(&format!("reading {}", what()), e))?;
-                Cow::Owned(buf)
-            }
-            #[cfg(feature = "mmap")]
-            Source::Mapped(m) => {
-                // Open-time bounds checks make this infallible for a
-                // file that has not shrunk since; stay defensive anyway.
-                Cow::Borrowed(m.slice(seg.offset, seg.len).ok_or_else(|| {
-                    StoreError::Corrupt(format!("{}: segment outside the mapped file", what()))
-                })?)
-            }
-        };
+    /// Fetch one segment's bytes with one positioned read into a fresh
+    /// buffer and check its CRC.
+    fn read_segment(&self, seg: &SegmentRef, what: impl Fn() -> String) -> StoreResult<Vec<u8>> {
+        let mut bytes = vec![0u8; seg.len as usize];
+        self.file
+            .read_exact_at(&mut bytes, seg.offset)
+            .map_err(|e| io_err(&format!("reading {}", what()), e))?;
         if Crc32::of(&bytes) != seg.crc {
             return Err(StoreError::Corrupt(format!(
                 "{}: segment checksum mismatch",
@@ -548,17 +459,6 @@ impl DiskTable {
 
         Ok(Column::from_parts(meta.name.clone(), data, validity, dict))
     }
-}
-
-/// Open `path` and stat its length (shared by both open paths).
-fn open_file(path: &Path) -> StoreResult<(PathBuf, File, u64)> {
-    let path = path.to_path_buf();
-    let file = File::open(&path).map_err(|e| io_err(&format!("opening {path:?}"), e))?;
-    let file_len = file
-        .metadata()
-        .map_err(|e| io_err(&format!("stat {path:?}"), e))?
-        .len();
-    Ok((path, file, file_len))
 }
 
 fn decode_i64s(bytes: &[u8]) -> Vec<i64> {
@@ -1074,191 +974,6 @@ mod tests {
             "verify must fail"
         );
         std::fs::remove_file(&path).unwrap();
-    }
-
-    /// The mapped reader must be observably identical to the buffered
-    /// one — same results, same laziness, same typed rejection of every
-    /// corruption the PR 8 footer-offset suite throws at `open` — and
-    /// must never trade a typed error for a panic or a SIGBUS-shaped
-    /// wild access.
-    #[cfg(feature = "mmap")]
-    mod mmap_parity {
-        use super::*;
-
-        #[test]
-        fn mapped_round_trip_matches_buffered_bitwise() {
-            let t = fixture();
-            let path = tmp_path("mmap-roundtrip");
-            write_table(&t, &path).unwrap();
-            let m = DiskTable::open_mmap(&path).unwrap();
-            assert!(m.is_mapped());
-            assert_tables_equal(&m, &t);
-            let pred = StorePredicate::and(vec![
-                StorePredicate::range("i", Value::Int(-5), Value::Int(30), true),
-                StorePredicate::set("s", vec![Value::str("fluit"), Value::str("")]),
-            ]);
-            let d = DiskTable::open(&path).unwrap();
-            assert_eq!(m.eval(&pred).unwrap(), d.eval(&pred).unwrap());
-            let sel = t.eval(&pred).unwrap();
-            assert_eq!(m.median("f", &sel).unwrap(), d.median("f", &sel).unwrap());
-            let (mf, md_) = m.frequencies("s", &m.all_rows()).unwrap();
-            let (df, dd) = d.frequencies("s", &d.all_rows()).unwrap();
-            assert_eq!((mf.entries(), md_), (df.entries(), dd));
-            m.verify().unwrap();
-            std::fs::remove_file(&path).unwrap();
-        }
-
-        #[test]
-        fn mapped_columns_still_load_lazily() {
-            // Mapping the file must not count as materialising columns:
-            // decode still happens per column on first touch.
-            let t = fixture();
-            let path = tmp_path("mmap-lazy");
-            write_table(&t, &path).unwrap();
-            let m = DiskTable::open_mmap(&path).unwrap();
-            assert_eq!(m.columns_loaded(), 0, "open_mmap must decode no column");
-            let _ = m.not_null("f").unwrap();
-            assert_eq!(m.columns_loaded(), 1);
-            std::fs::remove_file(&path).unwrap();
-        }
-
-        #[test]
-        fn corrupt_headers_are_rejected_before_any_mapped_segment_access() {
-            let t = fixture();
-            let path = tmp_path("mmap-header");
-            write_table(&t, &path).unwrap();
-            let pristine = std::fs::read(&path).unwrap();
-
-            let reject = |bytes: &[u8], what: &str| {
-                std::fs::write(&path, bytes).unwrap();
-                match DiskTable::open_mmap(&path) {
-                    Err(StoreError::Corrupt(msg)) => msg,
-                    Err(other) => panic!("{what}: expected Corrupt, got {other}"),
-                    Ok(_) => panic!("{what}: corrupt file accepted"),
-                }
-            };
-
-            let mut bad = pristine.clone();
-            bad[0] = b'X';
-            assert!(reject(&bad, "magic").contains("magic"));
-            let mut bad = pristine.clone();
-            bad[8..12].copy_from_slice(&99u32.to_le_bytes());
-            assert!(reject(&bad, "version").contains("version 99"));
-            let truncated = &pristine[..pristine.len() - 3];
-            assert!(reject(truncated, "trailer").contains("truncated"));
-            // Hard truncations at many points: a mapped open must fail
-            // with a typed error, never fault on an out-of-map access.
-            for keep in [0, 7, 16, 40, pristine.len() / 2, pristine.len() - 17] {
-                std::fs::write(&path, &pristine[..keep]).unwrap();
-                match DiskTable::open_mmap(&path) {
-                    Err(StoreError::Corrupt(_)) | Err(StoreError::Io(_)) => {}
-                    Err(other) => panic!("truncation at {keep}: unexpected error {other}"),
-                    Ok(_) => panic!("truncation at {keep} accepted"),
-                }
-            }
-            std::fs::remove_file(&path).unwrap();
-        }
-
-        #[test]
-        fn bogus_footer_offsets_cannot_reach_past_the_mapping() {
-            // The trailer's footer offset is the one untrusted field that
-            // directly addresses the map. Every hostile value — inverted,
-            // at EOF, u64::MAX (offset+4 wraps), plus all 64 single-bit
-            // flips — must land in Corrupt/Io, never an out-of-bounds
-            // mapped access.
-            let t = fixture();
-            let path = tmp_path("mmap-footer-offset");
-            write_table(&t, &path).unwrap();
-            let pristine = std::fs::read(&path).unwrap();
-            let file_len = pristine.len() as u64;
-            let trailer_at = pristine.len() - TRAILER_LEN as usize;
-            let footer_end = file_len - TRAILER_LEN;
-
-            let hostile = [
-                footer_end + 1,
-                file_len,
-                footer_end - 3,
-                0,
-                HEADER_LEN + 3,
-                u64::MAX,
-                u64::MAX - 4,
-            ];
-            for off in hostile {
-                let mut bad = pristine.clone();
-                bad[trailer_at..trailer_at + 8].copy_from_slice(&off.to_le_bytes());
-                std::fs::write(&path, &bad).unwrap();
-                match DiskTable::open_mmap(&path) {
-                    Err(StoreError::Corrupt(_)) => {}
-                    Err(other) => panic!("offset {off}: expected Corrupt, got {other}"),
-                    Ok(_) => panic!("offset {off}: accepted"),
-                }
-            }
-            for bit in 0..64 {
-                let mut bad = pristine.clone();
-                bad[trailer_at + bit / 8] ^= 1 << (bit % 8);
-                std::fs::write(&path, &bad).unwrap();
-                match DiskTable::open_mmap(&path) {
-                    Ok(_) => panic!("bit flip {bit} in footer offset accepted"),
-                    Err(StoreError::Corrupt(_)) | Err(StoreError::Io(_)) => {}
-                    Err(other) => panic!("bit flip {bit}: unexpected error {other}"),
-                }
-            }
-            std::fs::remove_file(&path).unwrap();
-        }
-
-        #[test]
-        fn segment_byte_flips_fail_mapped_loads_with_typed_errors() {
-            // Byte-flip every region of the data area in turn: whichever
-            // segment the flip lands in, first touch of the damaged
-            // column reports a checksum mismatch (from a *mapped* slice
-            // — no read syscall to fail first), the error is sticky, and
-            // undamaged columns keep working off the same mapping.
-            let t = fixture();
-            let path = tmp_path("mmap-segment");
-            write_table(&t, &path).unwrap();
-            let pristine = std::fs::read(&path).unwrap();
-            let schema_len = u32::from_le_bytes(pristine[16..20].try_into().unwrap()) as usize;
-            let data_start = 20 + schema_len;
-
-            let mut bad = pristine.clone();
-            bad[data_start + 20] ^= 0x55; // first column's data words
-            std::fs::write(&path, &bad).unwrap();
-            let m = DiskTable::open_mmap(&path).unwrap(); // header/footer intact
-            let err = m.column("i").unwrap_err();
-            assert!(
-                matches!(&err, StoreError::Corrupt(msg) if msg.contains("checksum")),
-                "{err}"
-            );
-            assert!(m.column("i").is_err(), "damage must be sticky, not retried");
-            // A column whose segments the flip did not touch still loads.
-            assert!(m.column("b").is_ok());
-            // And whole-file verify over the mapping catches it too.
-            assert!(
-                matches!(m.verify(), Err(StoreError::Corrupt(msg)) if msg.contains("whole-file"))
-            );
-            std::fs::remove_file(&path).unwrap();
-        }
-
-        #[test]
-        fn truncation_inside_the_data_region_is_corrupt_at_open() {
-            // Chop the file so the footer survives relocation nowhere:
-            // the trailer (and thus footer) is gone, so open fails long
-            // before any segment slice could dangle past the mapping.
-            let t = fixture();
-            let path = tmp_path("mmap-trunc-data");
-            write_table(&t, &path).unwrap();
-            let pristine = std::fs::read(&path).unwrap();
-            let schema_len = u32::from_le_bytes(pristine[16..20].try_into().unwrap()) as usize;
-            for keep in [20 + schema_len + 1, pristine.len() * 3 / 4] {
-                std::fs::write(&path, &pristine[..keep]).unwrap();
-                match DiskTable::open_mmap(&path) {
-                    Err(StoreError::Corrupt(_)) | Err(StoreError::Io(_)) => {}
-                    Err(other) => panic!("keep {keep}: unexpected error {other}"),
-                    Ok(_) => panic!("keep {keep}: truncated file accepted"),
-                }
-            }
-            std::fs::remove_file(&path).unwrap();
-        }
     }
 
     #[test]

@@ -13,9 +13,7 @@
 //! engine ([`Table`] + [`ColumnData`] + [`Bitmap`] selection vectors), a
 //! **row-oriented** baseline engine ([`rowstore::RowTable`]) behind the same
 //! [`Backend`] trait (so the paper's "column stores are well suited for
-//! Charles' workloads" claim can be measured), a **row-range sharded**
-//! engine ([`sharded::ShardedTable`]) that evaluates counts and medians
-//! shard-parallel with bitwise-identical results, a **persistent on-disk
+//! Charles' workloads" claim can be measured), a **persistent on-disk
 //! columnar format** (`.charles`, spec in `docs/FORMAT.md`) with a lazy
 //! [`disk::DiskTable`] backend so datasets outlive the process, plus CSV
 //! import/export, sampling, and order statistics.
@@ -48,6 +46,7 @@
 //! assert_eq!(med, Value::Int(1100));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
@@ -62,7 +61,6 @@ pub mod predicate;
 pub mod rowstore;
 pub mod sample;
 pub mod schema;
-pub mod sharded;
 pub mod stats;
 pub mod table;
 pub mod value;
@@ -79,7 +77,6 @@ pub use predicate::{RangePred, SetPred, StorePredicate};
 pub use rowstore::{Row, RowTable};
 pub use sample::{bernoulli_sample, reservoir_sample};
 pub use schema::{ColumnMeta, Schema};
-pub use sharded::ShardedTable;
 pub use stats::{exact_median, quantile_value, FrequencyTable};
 pub use table::Table;
 pub use value::Value;

@@ -9,13 +9,14 @@
 
 use crate::backend::{Backend, BackendStats};
 use crate::bitmap::Bitmap;
+use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
 use crate::predicate::{RangePred, SetPred, StorePredicate};
 use crate::sample::reservoir_sample;
 use crate::schema::Schema;
 use crate::stats::{exact_median, mean_and_var_of, quantile_value, FrequencyTable};
 use crate::table::Table;
-use crate::value::Value;
+use crate::value::{numeric_value, Value};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
@@ -148,7 +149,9 @@ impl RowTable {
         })
     }
 
-    fn gather_f64(&self, column: &str, sel: &Bitmap) -> StoreResult<Vec<f64>> {
+    /// The selected non-null values of a numeric column, with its type
+    /// (what [`numeric_value`] folds a statistic back into).
+    fn gather_f64(&self, column: &str, sel: &Bitmap) -> StoreResult<(DataType, Vec<f64>)> {
         let idx = self.col_index(column)?;
         let ty = self.schema.columns()[idx].ty;
         if !ty.is_numeric() {
@@ -158,10 +161,11 @@ impl RowTable {
                 found: ty.name().into(),
             });
         }
-        Ok(sel
+        let buf = sel
             .iter_ones()
             .filter_map(|i| self.cell(i, idx)?.as_f64())
-            .collect())
+            .collect();
+        Ok((ty, buf))
     }
 
     /// The cell at (`row`, `col`) unless it is null — or NaN, which every
@@ -215,11 +219,11 @@ impl Backend for RowTable {
 
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
         self.medians.fetch_add(1, AtomicOrdering::Relaxed);
-        let mut buf = self.gather_f64(column, sel)?;
+        let (ty, mut buf) = self.gather_f64(column, sel)?;
         if buf.is_empty() {
             return Ok(None);
         }
-        Ok(Some(Value::Float(exact_median(&mut buf)?)))
+        Ok(Some(numeric_value(ty, exact_median(&mut buf)?)))
     }
 
     fn sampled_median(
@@ -240,16 +244,17 @@ impl Backend for RowTable {
         if buf.is_empty() {
             return Ok(None);
         }
-        Ok(Some(Value::Float(exact_median(&mut buf)?)))
+        let ty = self.schema.columns()[idx].ty;
+        Ok(Some(numeric_value(ty, exact_median(&mut buf)?)))
     }
 
     fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
         self.medians.fetch_add(1, AtomicOrdering::Relaxed);
-        let mut buf = self.gather_f64(column, sel)?;
+        let (ty, mut buf) = self.gather_f64(column, sel)?;
         if buf.is_empty() {
             return Ok(None);
         }
-        Ok(Some(Value::Float(quantile_value(&mut buf, q)?)))
+        Ok(Some(numeric_value(ty, quantile_value(&mut buf, q)?)))
     }
 
     fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>> {
@@ -279,7 +284,7 @@ impl Backend for RowTable {
     }
 
     fn mean_and_var(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
-        let buf = self.gather_f64(column, sel)?;
+        let (_, buf) = self.gather_f64(column, sel)?;
         Ok(mean_and_var_of(&buf))
     }
 
@@ -343,7 +348,7 @@ impl Backend for RowTable {
         let idx = self.col_index(column)?;
         let ty = self.schema.columns()[idx].ty;
         if ty.is_numeric() {
-            let mut buf = self.gather_f64(column, sel)?;
+            let (_, mut buf) = self.gather_f64(column, sel)?;
             buf.sort_by(f64::total_cmp);
             buf.dedup();
             Ok(buf.len())

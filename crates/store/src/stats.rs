@@ -59,9 +59,8 @@ pub fn select_kth(values: &mut [f64], k: usize) -> f64 {
 }
 
 /// Mean and population variance of a slice, in index order. `None` for an
-/// empty slice. Shared by every backend so that a sharded gather (buffers
-/// concatenated in shard = row order) folds in exactly the same order as a
-/// single-table gather — which is what makes the results bitwise identical.
+/// empty slice. Shared by every backend: each gathers in row order and
+/// folds here, which is what makes the results bitwise identical.
 pub fn mean_and_var_of(values: &[f64]) -> Option<(f64, f64)> {
     if values.is_empty() {
         return None;
@@ -70,103 +69,6 @@ pub fn mean_and_var_of(values: &[f64]) -> Option<(f64, f64)> {
     let mean = values.iter().sum::<f64>() / n;
     let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
     Some((mean, var))
-}
-
-/// The order-preserving integer key behind `f64::total_cmp`: `a.total_cmp(&b)`
-/// equals `ordered_key(a).cmp(&ordered_key(b))`. Round-trips exactly via
-/// [`key_to_f64`], which is what lets a rank search over keys return the
-/// element's original bits.
-fn ordered_key(v: f64) -> u64 {
-    let b = v.to_bits();
-    if b >> 63 == 1 {
-        !b
-    } else {
-        b | (1 << 63)
-    }
-}
-
-/// Inverse of [`ordered_key`].
-fn key_to_f64(k: u64) -> f64 {
-    f64::from_bits(if k >> 63 == 1 { k & !(1 << 63) } else { !k })
-}
-
-/// K-way order-statistic selection over individually **sorted** runs
-/// (ascending by `total_cmp`): the values at the requested global ranks,
-/// without materialising the merged sequence.
-///
-/// This is the cross-shard median/quantile merge: each shard gathers and
-/// sorts its own values in parallel, then each rank resolves with a
-/// binary search over the total-order key space, counting elements via
-/// per-run `partition_point` — `O(runs · log(run len))` per probe, 64
-/// probes, independent of the rank itself (a head-pointer merge walk
-/// would cost `O(rank · runs)` and dominate medians of large selections).
-/// `ranks` must be strictly increasing and in range of the total length.
-/// Returns one value per requested rank.
-///
-/// Because the multiset of values is exactly the concatenation of the
-/// runs, the value at rank `k` here is bit-for-bit the value
-/// [`select_kth`] finds at rank `k` on the concatenated buffer.
-pub fn select_ranks_sorted_runs(runs: &[Vec<f64>], ranks: &[usize]) -> Vec<f64> {
-    let total: usize = runs.iter().map(Vec::len).sum();
-    assert!(
-        ranks.windows(2).all(|w| w[0] < w[1]),
-        "ranks must be strictly increasing"
-    );
-    if let Some(&last) = ranks.last() {
-        assert!(last < total, "rank {last} out of range {total}");
-    }
-    ranks
-        .iter()
-        .map(|&k| {
-            // Smallest key whose ≤-count reaches k+1. The count function
-            // steps only at keys of present elements, so the search lands
-            // exactly on the rank-k element's key.
-            let (mut lo, mut hi) = (0u64, u64::MAX);
-            while lo < hi {
-                let mid = lo + (hi - lo) / 2;
-                let le: usize = runs
-                    .iter()
-                    .map(|r| r.partition_point(|&v| ordered_key(v) <= mid))
-                    .sum();
-                if le > k {
-                    hi = mid;
-                } else {
-                    lo = mid + 1;
-                }
-            }
-            key_to_f64(lo)
-        })
-        .collect()
-}
-
-/// Exact median across sorted runs — the same statistic as
-/// [`exact_median`] over the concatenated values (lower/upper midpoint
-/// for even counts), computed by k-way selection.
-pub fn median_of_sorted_runs(runs: &[Vec<f64>]) -> StoreResult<f64> {
-    let n: usize = runs.iter().map(Vec::len).sum();
-    if n == 0 {
-        return Err(StoreError::Empty("median of empty set".into()));
-    }
-    if n % 2 == 1 {
-        Ok(select_ranks_sorted_runs(runs, &[n / 2])[0])
-    } else {
-        let picked = select_ranks_sorted_runs(runs, &[n / 2 - 1, n / 2]);
-        Ok((picked[0] + picked[1]) / 2.0)
-    }
-}
-
-/// Nearest-rank quantile across sorted runs — the same statistic as
-/// [`quantile_value`] over the concatenated values.
-pub fn quantile_of_sorted_runs(runs: &[Vec<f64>], q: f64) -> StoreResult<f64> {
-    let n: usize = runs.iter().map(Vec::len).sum();
-    if n == 0 {
-        return Err(StoreError::Empty("quantile of empty set".into()));
-    }
-    if !(0.0..=1.0).contains(&q) {
-        return Err(StoreError::Parse(format!("quantile {q} outside [0,1]")));
-    }
-    let k = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-    Ok(select_ranks_sorted_runs(runs, &[k])[0])
 }
 
 /// Per-value frequency counts for a nominal column restricted to a
@@ -300,86 +202,6 @@ mod tests {
         assert_eq!(quantile_value(&mut v.clone(), 1.0).unwrap(), 100.0);
         assert_eq!(quantile_value(&mut v, 0.0).unwrap(), 1.0);
         assert!(quantile_value(&mut [1.0], 1.5).is_err());
-    }
-
-    #[test]
-    fn sorted_run_selection_matches_single_buffer() {
-        // Deterministically scatter values over 4 runs of uneven length.
-        let all: Vec<f64> = (0..257).map(|i| ((i * 37) % 101) as f64).collect();
-        let mut runs: Vec<Vec<f64>> = vec![Vec::new(); 4];
-        for (i, &v) in all.iter().enumerate() {
-            runs[(i * i) % 4].push(v);
-        }
-        for run in &mut runs {
-            run.sort_by(f64::total_cmp);
-        }
-        let mut merged = all.clone();
-        merged.sort_by(f64::total_cmp);
-        for ks in [vec![0usize], vec![128], vec![256], vec![0, 100, 255]] {
-            let got = select_ranks_sorted_runs(&runs, &ks);
-            let want: Vec<f64> = ks.iter().map(|&k| merged[k]).collect();
-            assert_eq!(got, want, "ranks {ks:?}");
-        }
-        // Median and quantiles match the single-buffer versions bitwise.
-        assert_eq!(
-            median_of_sorted_runs(&runs).unwrap().to_bits(),
-            exact_median(&mut all.clone()).unwrap().to_bits()
-        );
-        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
-            assert_eq!(
-                quantile_of_sorted_runs(&runs, q).unwrap().to_bits(),
-                quantile_value(&mut all.clone(), q).unwrap().to_bits(),
-                "q={q}"
-            );
-        }
-    }
-
-    #[test]
-    fn sorted_run_selection_handles_negatives_and_signed_zero() {
-        // The rank search runs over total_cmp's integer key space; the
-        // sign flip and -0.0 < +0.0 ordering must survive the round trip.
-        let mut all = vec![-5.5, -0.0, 0.0, 3.25, -2.0, 7.0, -0.0, 1.0];
-        let mut runs = vec![
-            vec![-5.5, -0.0, 3.25],
-            vec![-2.0, 0.0, 7.0],
-            vec![-0.0, 1.0],
-        ];
-        for run in &mut runs {
-            run.sort_by(f64::total_cmp);
-        }
-        let mut sorted = all.clone();
-        sorted.sort_by(f64::total_cmp);
-        for (k, want) in sorted.iter().enumerate() {
-            assert_eq!(
-                select_ranks_sorted_runs(&runs, &[k])[0].to_bits(),
-                want.to_bits(),
-                "rank {k}"
-            );
-        }
-        assert_eq!(
-            median_of_sorted_runs(&runs).unwrap().to_bits(),
-            exact_median(&mut all).unwrap().to_bits()
-        );
-    }
-
-    #[test]
-    fn sorted_run_selection_even_count_midpoint() {
-        // Even total spread over runs, including an empty run.
-        let runs = vec![vec![1.0, 4.0], vec![], vec![2.0, 3.0]];
-        assert_eq!(median_of_sorted_runs(&runs).unwrap(), 2.5);
-    }
-
-    #[test]
-    fn sorted_run_selection_empty_and_domain_errors() {
-        assert!(median_of_sorted_runs(&[]).is_err());
-        assert!(median_of_sorted_runs(&[vec![], vec![]]).is_err());
-        assert!(quantile_of_sorted_runs(&[vec![1.0]], 1.5).is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn sorted_run_selection_rank_out_of_range_panics() {
-        select_ranks_sorted_runs(&[vec![1.0]], &[1]);
     }
 
     #[test]

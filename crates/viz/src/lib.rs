@@ -19,6 +19,8 @@
 //! Everything renders to plain `String`s: no terminal-control crate, no
 //! colors, so output is testable and pipes cleanly.
 
+#![forbid(unsafe_code)]
+
 pub mod bar;
 pub mod format;
 pub mod multipie;

@@ -27,6 +27,8 @@
 //! in the passes, so every pass stays a pure `workspace -> findings`
 //! function.
 
+#![forbid(unsafe_code)]
+
 pub mod diag;
 pub mod lexer;
 pub mod model;

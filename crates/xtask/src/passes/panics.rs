@@ -31,7 +31,6 @@ pub const PROTECTED_FILES: &[&str] = &[
     "crates/serve/src/wire.rs",
     "crates/serve/src/json.rs",
     "crates/store/src/bitmap.rs",
-    "crates/store/src/disk/mmap.rs",
 ];
 
 /// The request-path entry fns of the serve crate: one per listener.

@@ -3,8 +3,9 @@
 //! Two guarantees, machine-checked:
 //!
 //! 1. `unsafe` may only appear in modules on the committed allowlist
-//!    ([`ALLOWED_FILES`]) — today the raw `mmap(2)` wrapper. New unsafe
-//!    anywhere else is a review decision, not a drive-by.
+//!    ([`ALLOWED_FILES`]) — today empty: the workspace has no unsafe
+//!    code, and every library root says `#![forbid(unsafe_code)]`. New
+//!    unsafe anywhere is a review decision, not a drive-by.
 //! 2. Every `unsafe` block / fn / impl / trait needs its own adjacent
 //!    `// SAFETY:` comment: either trailing on the same line, or a
 //!    comment ending directly above the statement (attribute lines and
@@ -16,7 +17,7 @@ use crate::lexer::TokKind;
 use crate::model::{SourceFile, WorkspaceFiles};
 
 /// Files permitted to contain `unsafe` at all.
-pub const ALLOWED_FILES: &[&str] = &["crates/store/src/disk/mmap.rs"];
+pub const ALLOWED_FILES: &[&str] = &[];
 
 /// Run the pass over the whole workspace.
 pub fn check(ws: &WorkspaceFiles, out: &mut Vec<Diagnostic>) {

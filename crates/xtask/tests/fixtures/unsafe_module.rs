@@ -1,5 +1,5 @@
-// Fixture: unsafe allowlist (`unsafe_module`). Placed OUTSIDE the
-// allowlisted mmap module; the SAFETY comment is present so only the
+// Fixture: unsafe allowlist (`unsafe_module`). The allowlist is empty,
+// so any path is outside it; the SAFETY comment is present so only the
 // allowlist rule fires.
 pub fn peek(bytes: &[u8]) -> u8 {
     // SAFETY: caller guarantees bytes is non-empty (it is not; that is

@@ -1,7 +1,7 @@
-// Fixture: SAFETY-comment rule (`unsafe_undocumented`). Placed at the
-// allowlisted mmap path so only the missing comment fires. The comment
+// Fixture: SAFETY-comment rule (`unsafe_undocumented`). The comment
 // above the first block is too far away (3+ lines); the second block
-// shares a line with its comment and passes.
+// shares a line with its comment and passes. (Both blocks also trip
+// the allowlist rule: the allowlist is empty.)
 pub fn read(ptr: *const u8) -> u8 {
     // SAFETY: this comment is separated from the unsafe block
 

@@ -113,7 +113,7 @@ fn unsafe_undocumented_fixture_fires_only_on_the_distant_comment() {
     let diags = lint_workspace(
         "unsafe-undoc",
         &[(
-            "crates/store/src/disk/mmap.rs",
+            "crates/store/src/raw.rs",
             include_str!("fixtures/unsafe_undocumented.rs"),
         )],
     );
@@ -121,20 +121,28 @@ fn unsafe_undocumented_fixture_fires_only_on_the_distant_comment() {
         has(
             &diags,
             codes::UNSAFE_UNDOCUMENTED,
-            "crates/store/src/disk/mmap.rs",
+            "crates/store/src/raw.rs",
             9
         ),
-        "expected unsafe_undocumented at mmap.rs:9, got: {diags:?}"
+        "expected unsafe_undocumented at raw.rs:9, got: {diags:?}"
     );
-    // Same-line trailing SAFETY comment on line 13 passes; the file is
-    // allowlisted so unsafe_module stays quiet.
+    // Same-line trailing SAFETY comment on line 13 passes.
     assert!(!has(
         &diags,
         codes::UNSAFE_UNDOCUMENTED,
-        "crates/store/src/disk/mmap.rs",
+        "crates/store/src/raw.rs",
         13
     ));
-    assert!(!diags.iter().any(|d| d.code == codes::UNSAFE_MODULE));
+    // The allowlist is empty, so both blocks are outside it, documented
+    // or not.
+    for line in [9, 13] {
+        assert!(has(
+            &diags,
+            codes::UNSAFE_MODULE,
+            "crates/store/src/raw.rs",
+            line
+        ));
+    }
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Serve-layer smoke drive: boot the advisory server over a sharded VOC
+//! Serve-layer smoke drive: boot the advisory server over a VOC
 //! dataset, then act as two analysts sharing one drill-down path over
 //! real HTTP — start, inspect, drill, back, delete — and show that the
 //! second analyst's identical context was answered from the shared
@@ -14,14 +14,14 @@
 //!     CHARLES_DATASET=/tmp/voc.charles cargo run --release --example serve_client
 
 use charles::serve::http_request;
-use charles::{DiskTable, ServeConfig, Server, ShardedTable};
+use charles::{DiskTable, ServeConfig, Server};
 use std::sync::Arc;
 
 fn main() {
-    // One shared backend: the VOC register split into row-range shards —
-    // regenerated in memory by default, lazily loaded from a .charles
-    // file when CHARLES_DATASET points at one.
-    let table = match std::env::var("CHARLES_DATASET") {
+    // One shared backend: the VOC register — regenerated in memory by
+    // default, lazily loaded from a .charles file when CHARLES_DATASET
+    // points at one.
+    let backend: Arc<dyn charles::Backend> = match std::env::var("CHARLES_DATASET") {
         Ok(path) => {
             let disk = DiskTable::open(&path)
                 .unwrap_or_else(|e| panic!("cannot open dataset {path:?}: {e}"));
@@ -30,12 +30,10 @@ fn main() {
                 disk.name(),
                 disk.len()
             );
-            disk.to_table().expect("materialise dataset for sharding")
+            Arc::new(disk)
         }
-        Err(_) => charles::voc_table(2_000, 42),
+        Err(_) => Arc::new(charles::voc_table(2_000, 42)),
     };
-    let sharded = ShardedTable::from_table(&table, 4);
-    let backend: Arc<dyn charles::Backend> = Arc::new(sharded);
 
     let server =
         Server::bind("127.0.0.1:0", backend, ServeConfig::default()).expect("bind ephemeral port");

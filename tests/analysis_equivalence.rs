@@ -1,7 +1,7 @@
 //! Equivalence oracle for the admission-time static analyzer: on every
 //! *satisfiable* context, the advisor's output with analysis enabled is
 //! bitwise-identical to its output with analysis disabled — across the
-//! `Table`, `ShardedTable` and `DiskTable` backends.
+//! `Table` and `DiskTable` backends.
 //!
 //! This is the acceptance bar for the analysis stage: it may reject or
 //! prune, but it must never *change* an answer. Duplicate-free contexts
@@ -12,7 +12,7 @@
 
 use charles::{voc_table, Advisor, Config, Table};
 use charles_store::disk::write_table;
-use charles_store::{Backend, DiskTable, ShardedTable};
+use charles_store::{Backend, DiskTable};
 
 const ROWS: usize = 1_203;
 
@@ -38,7 +38,6 @@ fn disk_fixture(t: &Table) -> DiskTable {
 fn backends(t: &Table) -> Vec<(String, Box<dyn Backend>)> {
     vec![
         ("table".into(), Box::new(t.clone())),
-        ("sharded-3".into(), Box::new(ShardedTable::from_table(t, 3))),
         ("disk".into(), Box::new(disk_fixture(t))),
     ]
 }

@@ -8,11 +8,8 @@
 //!    surface every failure gracefully;
 //! 3. every shipped backend honours the same contract — the
 //!    [`contract_harness`] module runs each Backend obligation over
-//!    `Table`, `RowTable` and `ShardedTable` (shard counts {1, 3, 7},
-//!    plus an optional `CHARLES_SHARDS` env-driven count for CI smoke
-//!    runs), with shard boundaries deliberately unaligned to 64-bit
-//!    bitmap words. The `mmap` feature adds a memory-mapped `DiskTable`
-//!    row to the same matrix.
+//!    `Table`, `RowTable` and a `DiskTable` opened from a written
+//!    `.charles` file.
 
 use charles::advisor::Explorer;
 use charles::{voc_table, Advisor, Config};
@@ -185,31 +182,14 @@ fn explorer_construction_fails_cleanly_on_dead_backend() {
 /// Parameterized contract harness: every Backend obligation, every
 /// shipped backend.
 mod contract_harness {
-    use charles::{voc_table, Advisor, ShardedTable, Table};
+    use charles::advisor::{quantile_cut_segmentation, Explorer};
+    use charles::{voc_table, Advisor, Config, Query, Segmentation, Table};
     use charles_store::disk::write_table;
     use charles_store::{Backend, Bitmap, DiskTable, RowTable, StorePredicate, Value};
 
-    /// Odd row count so that the even row-range split puts shard
-    /// boundaries off 64-bit word alignment (1543/3 → 514, 1028;
-    /// 1543/7 → 220, 440, …; none are multiples of 64).
+    /// Not a multiple of 64, so every selection ends on a partial
+    /// bitmap word.
     const ROWS: usize = 1_543;
-
-    /// Shard counts under test: the fixed {1, 3, 7} matrix by default. A
-    /// `CHARLES_SHARDS=n` env var *replaces* the matrix with that single
-    /// count — the CI smoke run uses it (together with
-    /// `CHARLES_NUM_THREADS` to force workers on single-core runners) to
-    /// drive one genuinely shard-parallel pass without re-running the
-    /// whole matrix.
-    fn shard_counts() -> Vec<usize> {
-        if let Some(n) = std::env::var("CHARLES_SHARDS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-        {
-            return vec![n];
-        }
-        vec![1, 3, 7]
-    }
 
     fn fixture() -> Table {
         voc_table(ROWS, 2026)
@@ -233,51 +213,15 @@ mod contract_harness {
         disk
     }
 
-    /// Like [`disk_fixture`], but memory-mapped: segment fetches are
-    /// slices of one read-only mapping instead of positioned reads.
-    #[cfg(feature = "mmap")]
-    fn mmap_fixture(t: &Table) -> DiskTable {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "charles-contract-mmap-{}-{}.charles",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        write_table(t, &path).expect("write .charles fixture");
-        let disk = DiskTable::open_mmap(&path).expect("map .charles fixture");
-        assert!(disk.is_mapped());
-        #[cfg(unix)]
-        let _ = std::fs::remove_file(&path);
-        disk
-    }
-
     /// All backends under test, with the reference `Table` first. The
-    /// disk-backed entries prove the persistence tentpole: a lazily
-    /// loaded `.charles` file, and a `ShardedTable` over its
-    /// materialisation, honour the identical contract.
+    /// disk entry proves the persistence promise: a lazily loaded
+    /// `.charles` file honours the identical contract.
     fn backends(t: &Table) -> Vec<(String, Box<dyn Backend>)> {
-        let mut out: Vec<(String, Box<dyn Backend>)> = vec![
+        vec![
             ("table".into(), Box::new(t.clone())),
             ("rowstore".into(), Box::new(RowTable::from_table(t))),
             ("disk".into(), Box::new(disk_fixture(t))),
-        ];
-        #[cfg(feature = "mmap")]
-        out.push(("disk-mmap".into(), Box::new(mmap_fixture(t))));
-        for n in shard_counts() {
-            out.push((
-                format!("sharded-{n}"),
-                Box::new(ShardedTable::from_table(t, n)),
-            ));
-            out.push((
-                format!("disk-sharded-{n}"),
-                Box::new(ShardedTable::from_table(
-                    &disk_fixture(t).to_table().expect("materialise disk table"),
-                    n,
-                )),
-            ));
-        }
-        out
+        ]
     }
 
     /// Predicates exercising every shape: trivial, range, set,
@@ -300,19 +244,6 @@ mod contract_harness {
                 StorePredicate::range("tonnage", Value::Int(100_000), Value::Int(200_000), true),
             ]),
         ]
-    }
-
-    #[test]
-    fn fixture_shard_boundaries_are_word_unaligned() {
-        let t = fixture();
-        for n in [3usize, 7] {
-            let s = ShardedTable::from_table(&t, n);
-            let unaligned = (1..s.shard_count())
-                .map(|k| s.shard_bounds(k).0)
-                .filter(|start| start % 64 != 0)
-                .count();
-            assert!(unaligned > 0, "fixture must cross word boundaries (n={n})");
-        }
     }
 
     #[test]
@@ -350,30 +281,14 @@ mod contract_harness {
             for (i, sel) in sels.iter().enumerate() {
                 let want = t.median("tonnage", sel).unwrap();
                 let got = b.median("tonnage", sel).unwrap();
-                // The row store reports all statistics as floats; the
-                // numeric view must agree exactly for every backend …
-                assert_eq!(
-                    got.as_ref().and_then(Value::as_f64),
-                    want.as_ref().and_then(Value::as_f64),
-                    "{name}: median over pred {i}"
-                );
-                // … and the sharded and disk backends must fold back
-                // into the column's value space bit-for-bit like the
-                // table.
-                if name.starts_with("sharded") || name.starts_with("disk") {
-                    assert_eq!(got, want, "{name}: median value space, pred {i}");
-                }
+                // Every backend folds its statistics back into the
+                // column's value space exactly like the table
+                // (`numeric_value`): same variant, same bits.
+                assert_eq!(got, want, "{name}: median over pred {i}");
                 for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
                     let want = t.quantile("tonnage", sel, q).unwrap();
                     let got = b.quantile("tonnage", sel, q).unwrap();
-                    assert_eq!(
-                        got.as_ref().and_then(Value::as_f64),
-                        want.as_ref().and_then(Value::as_f64),
-                        "{name}: q={q} pred {i}"
-                    );
-                    if name.starts_with("sharded") || name.starts_with("disk") {
-                        assert_eq!(got, want, "{name}: quantile value space q={q}");
-                    }
+                    assert_eq!(got, want, "{name}: q={q} pred {i}");
                 }
             }
         }
@@ -422,7 +337,7 @@ mod contract_harness {
             let (wm, wv) = t.mean_and_var("tonnage", &sel).unwrap().unwrap();
             let (gm, gv) = b.mean_and_var("tonnage", &sel).unwrap().unwrap();
             assert!((wm - gm).abs() < 1e-9 && (wv - gv).abs() < 1e-6, "{name}");
-            if name.starts_with("sharded") || name.starts_with("disk") {
+            if name.starts_with("disk") {
                 assert_eq!((gm.to_bits(), gv.to_bits()), (wm.to_bits(), wv.to_bits()));
             }
             assert_eq!(
@@ -458,36 +373,10 @@ mod contract_harness {
     }
 
     #[test]
-    fn advisor_output_bitwise_identical_table_vs_sharded() {
-        let t = fixture();
-        let context = "(type_of_boat: , tonnage: , departure_harbour: )";
-        let reference: Vec<(String, u64)> = Advisor::new(&t)
-            .advise_str(context)
-            .unwrap()
-            .ranked
-            .iter()
-            .map(|r| (r.segmentation.to_string(), r.score.entropy.to_bits()))
-            .collect();
-        assert!(!reference.is_empty());
-        for n in shard_counts() {
-            let sharded = ShardedTable::from_table(&t, n);
-            let got: Vec<(String, u64)> = Advisor::new(&sharded)
-                .advise_str(context)
-                .unwrap()
-                .ranked
-                .iter()
-                .map(|r| (r.segmentation.to_string(), r.score.entropy.to_bits()))
-                .collect();
-            assert_eq!(got, reference, "advisor output diverged at {n} shards");
-        }
-    }
-
-    #[test]
     fn advisor_output_bitwise_identical_table_vs_disk() {
         // The persistence round trip the tentpole promises: write the
-        // fixture out, advise over the lazily loaded file (and over a
-        // sharded split of its materialisation) and demand the exact
-        // same ranked answers, entropies bit-for-bit.
+        // fixture out, advise over the lazily loaded file and demand
+        // the exact same ranked answers, entropies bit-for-bit.
         let t = fixture();
         let context = "(type_of_boat: , tonnage: , departure_harbour: )";
         let reference: Vec<(String, u64)> = Advisor::new(&t)
@@ -514,56 +403,36 @@ mod contract_harness {
             "lazy loading defeated: {} of 9 columns materialised",
             disk.columns_loaded()
         );
-        for n in shard_counts() {
-            let sharded = ShardedTable::from_table(&disk.to_table().unwrap(), n);
-            let got: Vec<(String, u64)> = Advisor::new(&sharded)
-                .advise_str(context)
+    }
+
+    #[test]
+    fn quantile_cuts_and_advice_render_identically_on_every_backend() {
+        // What the analyst reads, byte for byte: a statistic reported
+        // outside the column's value space (a Float median of an Int
+        // column) renders `[362.0,606.0[` where the table renders
+        // `[362,605]`.
+        let t = fixture();
+        let render = |b: &dyn Backend| -> (String, String) {
+            let ex = Explorer::new(b, Config::default(), Query::wildcard(&["tonnage"])).unwrap();
+            let base = Segmentation::singleton(ex.context().clone());
+            let terciles = quantile_cut_segmentation(&ex, &base, "tonnage", 3)
                 .unwrap()
+                .unwrap();
+            let advice = Advisor::new(b)
+                .advise_str("(type_of_boat: , tonnage: , departure_harbour: )")
+                .unwrap();
+            let ranked = advice
                 .ranked
                 .iter()
-                .map(|r| (r.segmentation.to_string(), r.score.entropy.to_bits()))
+                .map(|r| format!("{}\nE={:016x}\n", r.segmentation, r.score.entropy.to_bits()))
                 .collect();
-            assert_eq!(
-                got, reference,
-                "advisor output diverged on disk→sharded at {n} shards"
-            );
+            (terciles.to_string(), ranked)
+        };
+        let reference = render(&t);
+        assert!(!reference.1.is_empty());
+        for (name, b) in backends(&t) {
+            assert_eq!(render(b.as_ref()), reference, "{name}");
         }
-    }
-
-    /// The advisor's ranked output — segmentations plus entropy bits —
-    /// for one backend. This is the bitwise fingerprint the mmap row
-    /// compares.
-    #[cfg(feature = "mmap")]
-    fn ranked_fingerprint(b: &dyn Backend) -> Vec<(String, u64)> {
-        let context = "(type_of_boat: , tonnage: , departure_harbour: )";
-        Advisor::new(b)
-            .advise_str(context)
-            .unwrap()
-            .ranked
-            .iter()
-            .map(|r| (r.segmentation.to_string(), r.score.entropy.to_bits()))
-            .collect()
-    }
-
-    /// The mmap row of the matrix, stated directly: advising over the
-    /// mapped file is bitwise identical to the in-memory table and the
-    /// `pread` DiskTable.
-    #[cfg(feature = "mmap")]
-    #[test]
-    fn advisor_output_bitwise_identical_table_vs_mmap() {
-        let t = fixture();
-        let reference = ranked_fingerprint(&t);
-        assert!(!reference.is_empty());
-        assert_eq!(
-            ranked_fingerprint(&disk_fixture(&t)),
-            reference,
-            "pread drifted"
-        );
-        assert_eq!(
-            ranked_fingerprint(&mmap_fixture(&t)),
-            reference,
-            "advisor output diverged on mmap"
-        );
     }
 }
 

@@ -4,13 +4,13 @@
 //! file and served back through [`DiskTable`] is indistinguishable from
 //! the in-memory table it came from — the advisor's ranked answers,
 //! entropies and traces are **byte-identical**, whether the file backs
-//! a plain backend, a sharded split, or an HTTP serving session.
+//! a plain backend or an HTTP serving session.
 
 use charles::serve::http_request;
 use charles::store::StorePredicate;
 use charles::{
     voc_table, write_table, Advisor, Backend, DataType, DiskTable, ServeConfig, Server,
-    ShardedTable, TableBuilder, Value,
+    TableBuilder, Value,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -55,11 +55,6 @@ fn generate_save_load_advise_round_trip() {
     let disk2 = DiskTable::open(&path).unwrap();
     let again = Advisor::new(&disk2).advise_str(CONTEXT).unwrap();
     assert_eq!(fingerprint(&again), fingerprint(&reference));
-
-    // Sharded over the materialised file.
-    let sharded = ShardedTable::from_table(&disk.to_table().unwrap(), 5);
-    let from_sharded = Advisor::new(&sharded).advise_str(CONTEXT).unwrap();
-    assert_eq!(fingerprint(&from_sharded), fingerprint(&reference));
 
     std::fs::remove_file(&path).unwrap();
 }

@@ -12,15 +12,13 @@
 //!
 //! * memoization on and off,
 //! * `MedianStrategy::Exact` and `::Sampled`,
-//! * `Table` and `ShardedTable` backends (shard counts {1, 7}, matching
-//!   the `CHARLES_SHARDS` values CI smokes),
 //!
 //! plus a probe-count assertion: the incremental path must issue at most
 //! half the naive path's INDEP memo probes once there are ≥ 16
 //! candidates (the whole point of the refactor).
 
 use charles::advisor::{hb_cuts, hb_cuts_naive, Explorer, HbCutsOutput};
-use charles::{sweep_table, voc_table, Config, MedianStrategy, Query, ShardedTable, Table};
+use charles::{sweep_table, voc_table, Config, MedianStrategy, Query, Table};
 use charles_store::Backend;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -96,7 +94,7 @@ fn assert_equivalent(backend: &dyn Backend, ctx: &Query, label: &str) -> usize {
 }
 
 #[test]
-fn equivalent_on_voc_across_configs_and_shards() {
+fn equivalent_on_voc_across_configs() {
     let table = voc_table(6_000, 23);
     let ctx = Query::wildcard(&[
         "type_of_boat",
@@ -105,12 +103,7 @@ fn equivalent_on_voc_across_configs_and_shards() {
         "cape_arrival",
         "built",
     ]);
-    let mut composed = 0;
-    composed += assert_equivalent(&table, &ctx, "table");
-    for shards in [1usize, 7] {
-        let sharded = ShardedTable::from_table(&table, shards);
-        composed += assert_equivalent(&sharded, &ctx, &format!("sharded-{shards}"));
-    }
+    let composed = assert_equivalent(&table, &ctx, "table");
     assert!(composed > 0, "every configuration stopped before composing");
 }
 
@@ -240,30 +233,27 @@ proptest! {
     /// Property: for arbitrary small tables, naive and incremental
     /// HB-cuts produce identical compose traces (same pairs, same
     /// skipped pairs, same StopReason) and identical ranked output,
-    /// across the memoize × median-strategy matrix and sharding.
+    /// across the memoize × median-strategy matrix.
     #[test]
-    fn naive_and_incremental_traces_match(t in arb_table(), shards in 1usize..4) {
+    fn naive_and_incremental_traces_match(t in arb_table()) {
         let ctx = Query::wildcard(&["x", "y", "k"]);
         // Contexts can be degenerate (all-constant columns): both paths
         // must then fail identically too.
         for (cfg_label, cfg) in config_matrix() {
-            let run = |naive: bool, backend: &dyn Backend| {
-                let ex = Explorer::new(backend, cfg.clone(), ctx.clone()).unwrap();
+            let run = |naive: bool| {
+                let ex = Explorer::new(&t, cfg.clone(), ctx.clone()).unwrap();
                 if naive { hb_cuts_naive(&ex) } else { hb_cuts(&ex) }
             };
-            let sharded = ShardedTable::from_table(&t, shards);
-            for backend in [&t as &dyn Backend, &sharded as &dyn Backend] {
-                match (run(false, backend), run(true, backend)) {
-                    (Ok(inc), Ok(naive)) => prop_assert_eq!(
-                        run_fingerprint(&inc),
-                        run_fingerprint(&naive),
-                        "diverged under {}", cfg_label
-                    ),
-                    (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
-                    (a, b) => return Err(TestCaseError::fail(format!(
-                        "one path failed, the other did not ({cfg_label}): {a:?} vs {b:?}"
-                    ))),
-                }
+            match (run(false), run(true)) {
+                (Ok(inc), Ok(naive)) => prop_assert_eq!(
+                    run_fingerprint(&inc),
+                    run_fingerprint(&naive),
+                    "diverged under {}", cfg_label
+                ),
+                (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
+                (a, b) => return Err(TestCaseError::fail(format!(
+                    "one path failed, the other did not ({cfg_label}): {a:?} vs {b:?}"
+                ))),
             }
         }
     }

@@ -139,39 +139,3 @@ fn repeated_parallel_runs_are_deterministic() {
     let b = with_threads(8, run);
     assert_eq!(a, b);
 }
-
-/// Like [`with_threads`], but also overriding the small-input cutoff —
-/// same lock, same reason: both knobs are process-global.
-fn with_threshold<T>(threads: usize, threshold: usize, f: impl FnOnce() -> T) -> T {
-    let _guard = THREAD_OVERRIDE_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    charles_parallel::set_num_threads(threads);
-    charles_parallel::set_par_threshold(threshold);
-    let out = f();
-    charles_parallel::set_par_threshold(0);
-    charles_parallel::set_num_threads(0);
-    out
-}
-
-#[test]
-fn hb_cuts_identical_at_every_par_threshold() {
-    // The sequential cutoff (inputs shorter than the threshold skip
-    // thread spawn) is a pure execution-strategy switch: advisor output
-    // is bitwise identical whether the cutoff is disabled (1 — the
-    // pre-cutoff behaviour), at its default, or so high every fan-out
-    // runs sequentially.
-    let t = voc_table(6_000, 57);
-    let ctx = "(type_of_boat: , tonnage: , departure_harbour: )";
-    let run = || {
-        let advisor = Advisor::new(&t);
-        let advice = advisor.advise_str(ctx).unwrap();
-        (fingerprint(&advice.ranked), format!("{:?}", advice.trace))
-    };
-    let reference = with_threshold(8, 1, run);
-    assert!(!reference.0.is_empty());
-    for threshold in [charles_parallel::DEFAULT_PAR_THRESHOLD, 16, 1 << 20] {
-        let got = with_threshold(8, threshold, run);
-        assert_eq!(got, reference, "threshold {threshold} diverged");
-    }
-}

@@ -2,7 +2,7 @@
 //! ROADMAP's "many advisors over one shared backend" item).
 //!
 //! The server is spun up on an ephemeral port over one shared
-//! [`ShardedTable`]; ≥ 8 client threads then drive interleaved
+//! [`charles::Table`]; ≥ 8 client threads then drive interleaved
 //! start / inspect / drill / back / error / delete traffic against it.
 //! Three things are pinned:
 //!
@@ -17,27 +17,16 @@
 //! 3. **Protocol sanity under load** — stable 4xx answers for
 //!    out-of-range drills, back-at-root, bad SDL and dead sessions,
 //!    interleaved with the happy paths.
-//!
-//! `CHARLES_SHARDS=n` overrides the backend shard count (CI smoke runs
-//! it with 7, deliberately unaligned with the 64-bit bitmap words).
 
 use charles::serve::http_request;
 use charles::serve::json::encode_advice;
 use charles::serve::wire::{wire_request, WireClient, WireRequest, WireResponse};
-use charles::{Advisor, Backend, Query, ServeConfig, Server, ShardedTable};
+use charles::{Advisor, Backend, Query, ServeConfig, Server};
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
 
 const CLIENT_THREADS: usize = 10;
 const ITERATIONS: usize = 2;
-
-fn shard_count() -> usize {
-    std::env::var("CHARLES_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(3)
-}
 
 /// The four canonical contexts the swarm explores, each with a permuted
 /// spelling — equivalent under canonicalization, so sessions using
@@ -334,18 +323,16 @@ fn wire_client_script(addr: std::net::SocketAddr, spelling: &str, oracle: &Oracl
 
 #[test]
 fn concurrent_sessions_serve_oracle_bytes_and_share_one_cache() {
-    let shards = shard_count();
     let table = charles::voc_table(600, 42);
-    let sharded = ShardedTable::from_table(&table, shards);
 
-    // Single-threaded oracle over the very same sharded backend.
+    // Single-threaded oracle over the very same backend.
     let mut distinct = HashSet::new();
     let oracles: Vec<Oracle> = context_pool()
         .iter()
-        .map(|spellings| oracle(&sharded, spellings[0], &mut distinct))
+        .map(|spellings| oracle(&table, spellings[0], &mut distinct))
         .collect();
 
-    let backend: Arc<dyn Backend> = Arc::new(sharded);
+    let backend: Arc<dyn Backend> = Arc::new(table);
     let server = Server::bind(
         "127.0.0.1:0",
         backend,
@@ -452,9 +439,7 @@ fn pipelined_wire_frames_answer_in_order() {
     use charles::serve::wire::WireConn;
     use charles::serve::ClientConfig;
 
-    let table = charles::voc_table(400, 7);
-    let sharded = ShardedTable::from_table(&table, shard_count());
-    let backend: Arc<dyn Backend> = Arc::new(sharded);
+    let backend: Arc<dyn Backend> = Arc::new(charles::voc_table(400, 7));
     let server = Server::bind("127.0.0.1:0", backend, ServeConfig::default())
         .unwrap()
         .with_wire_listener("127.0.0.1:0")
@@ -528,9 +513,7 @@ fn pipelined_wire_frames_answer_in_order() {
 /// race the very same brand-new context: single-flight, one run.
 #[test]
 fn racing_identical_contexts_compute_once() {
-    let table = charles::voc_table(400, 7);
-    let sharded = ShardedTable::from_table(&table, shard_count());
-    let backend: Arc<dyn Backend> = Arc::new(sharded);
+    let backend: Arc<dyn Backend> = Arc::new(charles::voc_table(400, 7));
     let server = Server::bind("127.0.0.1:0", backend, ServeConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
     let cache = server.cache();
