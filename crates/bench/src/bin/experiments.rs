@@ -19,7 +19,8 @@ use charles_core::baselines::{
 };
 use charles_core::{
     adaptive_segmentations, compose, cut_segmentation, hb_cuts, hb_cuts_naive, indep, product,
-    quantile_cut_query, AdaptiveOptions, Advisor, Config, Explorer, LazyGenerator, MedianStrategy,
+    quantile_cut_query, AdaptiveOptions, Advisor, Config, Explorer, HbCutsOutput, LazyGenerator,
+    MedianStrategy,
 };
 use charles_datagen::{
     astro_table, correlated_pair_table, sweep_table, voc_table, weblog_table, DependencyKind,
@@ -34,7 +35,6 @@ use std::path::{Path, PathBuf};
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     let mut dataset: Option<PathBuf> = None;
-    let mut json: Option<PathBuf> = None;
     let mut args: Vec<String> = Vec::new();
     let mut it = raw.into_iter();
     while let Some(a) = it.next() {
@@ -44,12 +44,6 @@ fn main() {
                 std::process::exit(2);
             });
             dataset = Some(PathBuf::from(path));
-        } else if a == "--json" {
-            let path = it.next().unwrap_or_else(|| {
-                eprintln!("--json requires an output path (e.g. BENCH_hbcuts.json)");
-                std::process::exit(2);
-            });
-            json = Some(PathBuf::from(path));
         } else {
             args.push(a.to_lowercase());
         }
@@ -68,10 +62,10 @@ fn main() {
         ("e10", &e10_quantile),
         ("e11", &e11_lazy),
         ("e12", &e12_homogeneity_surprise),
-        ("e13", &|| e13_hbcuts_scaling(json.as_deref())),
+        ("e13", &e13_hbcuts_scaling),
     ];
     // Reject before running anything: a misspelt or retired id must not
-    // pass vacuously, and `--json` has exactly one writer.
+    // pass vacuously.
     if let Some(bad) = args
         .iter()
         .find(|a| !experiments.iter().any(|(id, _)| id == a))
@@ -81,10 +75,6 @@ fn main() {
             "unknown experiment id {bad:?}; valid ids: {}",
             ids.join(" ")
         );
-        std::process::exit(2);
-    }
-    if json.is_some() && !args.iter().any(|a| a == "e13") {
-        eprintln!("--json is written by e13 only: experiments e13 --json <path>");
         std::process::exit(2);
     }
     for (id, run) in experiments {
@@ -815,10 +805,8 @@ fn e12_homogeneity_surprise() {
 }
 
 /// E13 — incremental vs naive HB-cuts pair argmin: wall time and INDEP
-/// memo probes as the candidate count grows (the `hbcuts_scaling`
-/// criterion bench times the same sweep; this one also counts probes
-/// and can emit a machine-readable baseline with `--json <path>`).
-fn e13_hbcuts_scaling(json: Option<&Path>) {
+/// memo probes as the candidate count grows.
+fn e13_hbcuts_scaling() {
     banner(
         "E13",
         "HB-cuts argmin scaling: incremental vs naive (10k rows, deep runs)",
@@ -834,7 +822,15 @@ fn e13_hbcuts_scaling(json: Option<&Path>) {
         "naive probes",
         "probe ratio",
     ]);
-    let mut rows_json: Vec<String> = Vec::new();
+    // What the naive ⇔ incremental contract is about, in comparable form.
+    let fingerprint = |out: &HbCutsOutput| {
+        let ranked: Vec<(String, u64)> = out
+            .ranked
+            .iter()
+            .map(|r| (r.segmentation.to_string(), r.score.entropy.to_bits()))
+            .collect();
+        (ranked, out.trace.stop)
+    };
     for k in [4usize, 8, 12, 16] {
         let table = sweep_table(10_000, k, 11);
         let ctx = charles_bench::context_over(&table, k);
@@ -851,11 +847,12 @@ fn e13_hbcuts_scaling(json: Option<&Path>) {
         };
         let (d_inc, out_inc, probes_inc) = run(false);
         let (d_naive, out_naive, probes_naive) = run(true);
-        // The two paths must agree — this harness double-checks the
-        // equivalence contract on every baseline it emits.
+        // The two paths must agree: the equivalence contract
+        // (tests/hbcuts_equivalence.rs), re-checked on every row in the
+        // build profile that ships.
         assert_eq!(
-            out_inc.ranked.len(),
-            out_naive.ranked.len(),
+            fingerprint(&out_inc),
+            fingerprint(&out_naive),
             "naive and incremental disagreed at k = {k}"
         );
         let ratio = probes_naive as f64 / probes_inc.max(1) as f64;
@@ -867,22 +864,6 @@ fn e13_hbcuts_scaling(json: Option<&Path>) {
             format!("{probes_naive}"),
             format!("{ratio:.2}x"),
         ]);
-        rows_json.push(format!(
-            "{{\"candidates\":{k},\"incremental_us\":{},\"naive_us\":{},\"incremental_probes\":{probes_inc},\"naive_probes\":{probes_naive},\"probe_ratio\":{ratio:.4}}}",
-            d_inc.as_micros(),
-            d_naive.as_micros()
-        ));
-    }
-    if let Some(path) = json {
-        let payload = format!(
-            "{{\"bench\":\"hbcuts_scaling\",\"rows\":10000,\"config\":{{\"max_indep\":1.0,\"max_depth\":48}},\"series\":[{}]}}\n",
-            rows_json.join(",")
-        );
-        std::fs::write(path, payload).unwrap_or_else(|e| {
-            eprintln!("cannot write {path:?}: {e}");
-            std::process::exit(1);
-        });
-        println!("\nwrote {}", path.display());
     }
 }
 

@@ -3,18 +3,13 @@
 //! The paper is a vision paper: its evaluation artefacts are Figures 1–4
 //! plus the scalability analysis of §5.1 and the extensions of §5.2
 //! (see DESIGN.md §4 for the experiment index E1–E12). This crate
-//! regenerates all of them:
-//!
-//! * `cargo bench -p charles-bench` — Criterion micro/meso benchmarks,
-//!   one bench target per timed experiment;
-//! * `cargo run -p charles-bench --bin experiments [--release]` — the
-//!   one-shot harness that prints every experiment's table (the rows
-//!   recorded in EXPERIMENTS.md).
+//! regenerates all of them with
+//! `cargo run -p charles-bench --bin experiments [--release]`, the
+//! one-shot harness that prints every experiment's table (the rows
+//! recorded in EXPERIMENTS.md). It reproduces the paper; it gates no
+//! performance number — those come from `benchmark/` (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]
-
-pub mod load;
-pub mod mini_json;
 
 use charles_core::{Config, Explorer};
 use charles_sdl::Query;

@@ -35,14 +35,13 @@ fn retired_e14_is_unknown_and_blocks_the_valid_ids_beside_it() {
 }
 
 #[test]
-fn json_without_e13_named_exits_2() {
-    let path = std::env::temp_dir().join(format!("charles-cli-{}.json", std::process::id()));
-    for mut args in [vec!["--json"], vec!["e1", "--json"]] {
-        args.push(path.to_str().expect("utf-8 temp path"));
-        let out = experiments(&args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}");
-        assert!(!path.exists(), "{args:?} wrote the artefact anyway");
-    }
+fn json_is_not_a_flag_exits_2_with_the_id_list_before_anything_runs() {
+    let out = experiments(&["e13", "--json", "out.json"]);
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--json"), "{stderr}");
+    assert!(stderr.split_whitespace().any(|w| w == "e13"), "{stderr}");
+    assert!(out.stdout.is_empty(), "e13 must not run before the check");
 }
 
 #[test]

@@ -34,8 +34,8 @@ pub struct CacheStats {
 impl CacheStats {
     /// Total INDEP memo-layer probes: lookups that hit plus pair values
     /// actually computed (each computed value is exactly one probe that
-    /// came back empty). This is the counter the `hbcuts_scaling` bench
-    /// tracks: the incremental pair maintenance in [`crate::hb_cuts`]
+    /// came back empty). This is the counter `experiments e13`
+    /// tabulates: the incremental pair maintenance in [`crate::hb_cuts`]
     /// carries known pairs in run-local state, so it probes the shared
     /// memo only for the O(k) frontier pairs per iteration, where the
     /// naive argmin re-probes all O(k²) pairs every iteration.

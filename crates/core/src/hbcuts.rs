@@ -38,7 +38,7 @@
 //! the naive nested loop, so first-wins tie-breaks — and hence the
 //! chosen pair, the trace and the advice — are bitwise identical to
 //! [`hb_cuts_naive`], the O(k²)-probes reference implementation kept for
-//! the equivalence suite and the `hbcuts_scaling` bench.
+//! the equivalence suite and `experiments e13`.
 //!
 //! A best pair whose composition fails (no attribute cuttable) no longer
 //! aborts the run: it is recorded in [`Trace::skipped_pairs`], banned for
@@ -441,7 +441,7 @@ pub fn hb_cuts(ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
 /// tie-breaks, compose fallback, stop criteria) are shared code with
 /// [`hb_cuts`], so the two produce bitwise-identical output — the
 /// contract pinned by `tests/hbcuts_equivalence.rs` and measured (in
-/// memo probes) by the `hbcuts_scaling` bench.
+/// memo probes) by `experiments e13`.
 pub fn hb_cuts_naive(ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
     let mut trace = Trace::default();
     let mut cand = seed_candidates(ex, &mut trace)?;

@@ -1,5 +1,5 @@
 //! HTTP clients for the advisory server: a persistent keep-alive
-//! [`Client`] (the load harness's workhorse) and the one-shot
+//! [`Client`] (what the benchmark's served workloads drive) and the one-shot
 //! [`http_request`] helper tests and smoke checks have always used.
 //!
 //! Both are dependency-free and both are **bounded in time**: every

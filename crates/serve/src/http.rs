@@ -46,7 +46,8 @@ impl Method {
 pub struct Request {
     /// Request method.
     pub method: Method,
-    /// Request path (must start with `/`; no query-string handling).
+    /// Request target, verbatim (must start with `/`). The router
+    /// matches its path component and ignores any `?query`.
     pub path: String,
     /// Decoded body (empty when no `Content-Length`).
     pub body: String,

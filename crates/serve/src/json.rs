@@ -17,6 +17,7 @@
 //!   but the encoder cannot prove that) become `null` instead of
 //!   invalid tokens.
 
+use crate::server::MetricsSnapshot;
 use charles_core::hbcuts::{ComposeStep, SkippedPair, StopReason, Trace};
 use charles_core::{Advice, Ranked, Score};
 
@@ -68,6 +69,92 @@ where
     out
 }
 
+/// `{"session":…,"advice":…}` — the reply to start, drill and back.
+/// `advice` is an already-rendered advice object ([`encode_advice`] or
+/// [`crate::wire::WireAdvice::to_json`]), as in [`info_body`].
+pub(crate) fn session_body(id: &str, advice: &str) -> String {
+    format!("{{\"session\":{},\"advice\":{advice}}}", json_string(id))
+}
+
+/// `{"session":…,"depth":…,"breadcrumbs":[…],"advice":…}` — the reply
+/// to a session inspection.
+pub(crate) fn info_body(id: &str, depth: u64, breadcrumbs: &[String], advice: &str) -> String {
+    format!(
+        "{{\"session\":{},\"depth\":{depth},\"breadcrumbs\":{},\"advice\":{advice}}}",
+        json_string(id),
+        json_string_array(breadcrumbs)
+    )
+}
+
+/// The shared advice-cache counters; `capacity` is `null` when the
+/// cache is unbounded.
+pub(crate) fn cache_stats_body(
+    hits: u64,
+    misses: u64,
+    runs: u64,
+    evictions: u64,
+    entries: u64,
+    capacity: Option<u64>,
+) -> String {
+    let capacity = match capacity {
+        Some(cap) => cap.to_string(),
+        None => "null".to_string(),
+    };
+    format!(
+        "{{\"hits\":{hits},\"misses\":{misses},\"runs\":{runs},\"evictions\":{evictions},\"entries\":{entries},\"capacity\":{capacity}}}"
+    )
+}
+
+/// The serving-layer counters.
+pub(crate) fn metrics_body(m: &MetricsSnapshot) -> String {
+    format!(
+        "{{\"connections\":{},\"requests\":{},\"responses_2xx\":{},\"responses_4xx\":{},\"responses_5xx\":{},\"analysis_rejects\":{},\"analysis_prunes\":{}}}",
+        m.connections,
+        m.requests,
+        m.responses_2xx,
+        m.responses_4xx,
+        m.responses_5xx,
+        m.analysis_rejects,
+        m.analysis_prunes
+    )
+}
+
+/// The liveness reply.
+pub(crate) const HEALTH_BODY: &str = "{\"ok\":true}";
+
+/// The error object both listeners answer with: [`encode_error`]'s
+/// shape, plus — when `diagnostics` is `Some`, even if empty — a
+/// `"diagnostics":[{"code":…,"attr":…,"detail":…},…]` member built from
+/// `(code, attr, detail)` triples.
+pub(crate) fn error_body(
+    code: &str,
+    message: &str,
+    diagnostics: Option<&[(&str, &str, &str)]>,
+) -> String {
+    let mut out = format!(
+        "{{\"error\":{{\"code\":{},\"message\":{}",
+        json_string(code),
+        json_string(message)
+    );
+    if let Some(diagnostics) = diagnostics {
+        out.push_str(",\"diagnostics\":[");
+        for (i, (code, attr, detail)) in diagnostics.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"code\":{},\"attr\":{},\"detail\":{}}}",
+                json_string(code),
+                json_string(attr),
+                json_string(detail)
+            ));
+        }
+        out.push(']');
+    }
+    out.push_str("}}");
+    out
+}
+
 /// `{"error":{"code":"...","message":"..."}}` — the body of every
 /// non-2xx response. `code` is a stable snake_case machine-readable
 /// identifier (clients branch on it; the set is documented in the
@@ -77,11 +164,7 @@ pub fn encode_error(code: &str, message: &str) -> String {
         code.chars().all(|c| c.is_ascii_lowercase() || c == '_'),
         "error codes are stable snake_case identifiers, got {code:?}"
     );
-    format!(
-        "{{\"error\":{{\"code\":{},\"message\":{}}}}}",
-        json_string(code),
-        json_string(message)
-    )
+    error_body(code, message, None)
 }
 
 /// [`encode_error`] with the static-analysis findings attached:
@@ -98,25 +181,11 @@ pub fn encode_error_with_diagnostics(
         code.chars().all(|c| c.is_ascii_lowercase() || c == '_'),
         "error codes are stable snake_case identifiers, got {code:?}"
     );
-    let mut diags = String::from("[");
-    for (i, d) in diagnostics.iter().enumerate() {
-        if i > 0 {
-            diags.push(',');
-        }
-        diags.push_str(&format!(
-            "{{\"code\":{},\"attr\":{},\"detail\":{}}}",
-            json_string(d.code.name()),
-            json_string(&d.attr),
-            json_string(&d.detail)
-        ));
-    }
-    diags.push(']');
-    format!(
-        "{{\"error\":{{\"code\":{},\"message\":{},\"diagnostics\":{}}}}}",
-        json_string(code),
-        json_string(message),
-        diags
-    )
+    let triples: Vec<(&str, &str, &str)> = diagnostics
+        .iter()
+        .map(|d| (d.code.name(), d.attr.as_str(), d.detail.as_str()))
+        .collect();
+    error_body(code, message, Some(&triples))
 }
 
 /// The wire name of a stop reason (snake_case, stable).

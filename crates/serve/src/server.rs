@@ -22,7 +22,8 @@
 
 use crate::http::{parse_request, write_response, HttpError, Method, Request};
 use crate::json::{
-    encode_advice, encode_error, encode_error_with_diagnostics, json_string, json_string_array,
+    cache_stats_body, encode_advice, encode_error, encode_error_with_diagnostics, info_body,
+    metrics_body, session_body, HEALTH_BODY,
 };
 use charles_core::{Advice, AdviceCache, Config, CoreError, OwnedSession};
 use charles_parallel::WorkerPool;
@@ -104,8 +105,8 @@ struct Dataset {
 /// Monotonic serving-layer counters, incremented at the connection
 /// layer (so the pure `route` dispatcher stays side-effect free).
 /// Exposed in-process via [`Server::metrics`]/[`ServerHandle::metrics`]
-/// and over the wire at `GET /metrics` — the load harness reads both
-/// ends to cross-check that every request it sent was accounted for.
+/// and over the wire at `GET /metrics` — a caller can read both ends
+/// to cross-check that every request it sent was accounted for.
 #[derive(Debug, Default)]
 pub struct ServerMetrics {
     connections: AtomicU64,
@@ -254,9 +255,8 @@ pub(crate) struct ServerState {
     /// `shutdown(2)` them and unblock workers parked in reads. Without
     /// this, draining the pool waits out the full read deadline of every
     /// idle keep-alive connection — a stop that should take milliseconds
-    /// took `read_timeout` (10 s at the defaults); the load harness,
-    /// which starts and stops a server per scenario, made that stall
-    /// impossible to ignore.
+    /// took `read_timeout` (10 s at the defaults); a caller that starts
+    /// and stops a server per scenario cannot ignore that stall.
     conns: Mutex<HashMap<u64, TcpStream>>,
     conn_seq: AtomicU64,
 }
@@ -646,8 +646,11 @@ fn http_error_code(e: &HttpError) -> &'static str {
     }
 }
 
-/// Split a path into non-empty segments.
-fn segments(path: &str) -> Vec<&str> {
+/// Split a request target's path component into non-empty segments.
+/// The query (everything from the first `?`) is ignored: a load
+/// balancer's `GET /healthz?probe=lb` is a health probe, not a 404.
+fn segments(target: &str) -> Vec<&str> {
+    let path = target.split_once('?').map_or(target, |(path, _)| path);
     path.split('/').filter(|s| !s.is_empty()).collect()
 }
 
@@ -706,8 +709,8 @@ fn render(result: Result<ApiOk, ApiError>) -> (u16, String) {
 
 fn render_ok(ok: &ApiOk) -> (u16, String) {
     match ok {
-        ApiOk::Created { id, advice } => (201, advice_envelope(id, advice)),
-        ApiOk::Advice { id, advice } => (200, advice_envelope(id, advice)),
+        ApiOk::Created { id, advice } => (201, session_body(id, &encode_advice(advice))),
+        ApiOk::Advice { id, advice } => (200, session_body(id, &encode_advice(advice))),
         ApiOk::Info {
             id,
             depth,
@@ -715,42 +718,15 @@ fn render_ok(ok: &ApiOk) -> (u16, String) {
             advice,
         } => (
             200,
-            format!(
-                "{{\"session\":{},\"depth\":{},\"breadcrumbs\":{},\"advice\":{}}}",
-                json_string(id),
-                depth,
-                json_string_array(breadcrumbs),
-                encode_advice(advice)
-            ),
+            info_body(id, *depth as u64, breadcrumbs, &encode_advice(advice)),
         ),
         ApiOk::Deleted => (204, String::new()),
-        ApiOk::CacheStats(c) => {
-            let capacity = match c.capacity {
-                Some(cap) => cap.to_string(),
-                None => "null".to_string(),
-            };
-            (
-                200,
-                format!(
-                    "{{\"hits\":{},\"misses\":{},\"runs\":{},\"evictions\":{},\"entries\":{},\"capacity\":{}}}",
-                    c.hits, c.misses, c.runs, c.evictions, c.entries, capacity
-                ),
-            )
-        }
-        ApiOk::Metrics(m) => (
+        ApiOk::CacheStats(c) => (
             200,
-            format!(
-                "{{\"connections\":{},\"requests\":{},\"responses_2xx\":{},\"responses_4xx\":{},\"responses_5xx\":{},\"analysis_rejects\":{},\"analysis_prunes\":{}}}",
-                m.connections,
-                m.requests,
-                m.responses_2xx,
-                m.responses_4xx,
-                m.responses_5xx,
-                m.analysis_rejects,
-                m.analysis_prunes
-            ),
+            cache_stats_body(c.hits, c.misses, c.runs, c.evictions, c.entries, c.capacity),
         ),
-        ApiOk::Health => (200, "{\"ok\":true}".to_string()),
+        ApiOk::Metrics(m) => (200, metrics_body(m)),
+        ApiOk::Health => (200, HEALTH_BODY.to_string()),
     }
 }
 
@@ -971,15 +947,6 @@ where
     }
 }
 
-/// The standard success envelope: session id + full advice payload.
-fn advice_envelope(id: &str, advice: &Advice) -> String {
-    format!(
-        "{{\"session\":{},\"advice\":{}}}",
-        json_string(id),
-        encode_advice(advice)
-    )
-}
-
 /// Map advisor errors onto statuses and stable codes: client mistakes
 /// are 4xx, backend faults are the only 500s.
 fn core_error(e: &CoreError) -> ApiError {
@@ -1156,6 +1123,11 @@ mod tests {
         // Unknown route → 404; known route, wrong method → 405.
         let (status, _) = route(&st, &get("/frobnicate"));
         assert_eq!(status, 404);
+        // A query string neither creates nor hides a route.
+        let (status, _) = route(&st, &get("/nope?x"));
+        assert_eq!(status, 404);
+        let (status, _) = route(&st, &get("/cache/stats?"));
+        assert_eq!(status, 200);
         let (status, _) = route(&st, &get("/session/s1/drill"));
         assert_eq!(status, 405);
         // Out-of-range drill → 422 with the indices echoed.
@@ -1423,9 +1395,11 @@ mod tests {
     #[test]
     fn healthz() {
         let st = state();
-        let (status, body) = route(&st, &get("/healthz"));
-        assert_eq!(status, 200);
-        assert_eq!(body, "{\"ok\":true}");
+        for target in ["/healthz", "/healthz?probe=1"] {
+            let (status, body) = route(&st, &get(target));
+            assert_eq!(status, 200, "{target}");
+            assert_eq!(body, "{\"ok\":true}");
+        }
     }
 
     #[test]

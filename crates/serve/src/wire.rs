@@ -49,7 +49,10 @@
 //! equivalence oracle in `tests/serve_concurrency.rs` leans on this.
 
 use crate::client::ClientConfig;
-use crate::json::{json_f64, json_string, json_string_array, stop_reason_name};
+use crate::json::{
+    cache_stats_body, error_body, info_body, json_f64, json_string, json_string_array,
+    metrics_body, session_body, stop_reason_name, HEALTH_BODY,
+};
 use crate::server::{
     api_back, api_cache_stats, api_create_session, api_delete_session, api_drill, api_metrics,
     api_session_info, ApiError, ApiOk, CacheStatsReply, DeadlineStream, ServerState,
@@ -511,95 +514,32 @@ impl WireResponse {
     /// makes that testable byte-for-byte.
     pub fn to_http(&self) -> (u16, String) {
         match self {
-            WireResponse::Started { id, advice } => (
-                201,
-                format!(
-                    "{{\"session\":{},\"advice\":{}}}",
-                    json_string(id),
-                    advice.to_json()
-                ),
-            ),
-            WireResponse::Advice { id, advice } => (
-                200,
-                format!(
-                    "{{\"session\":{},\"advice\":{}}}",
-                    json_string(id),
-                    advice.to_json()
-                ),
-            ),
+            WireResponse::Started { id, advice } => (201, session_body(id, &advice.to_json())),
+            WireResponse::Advice { id, advice } => (200, session_body(id, &advice.to_json())),
             WireResponse::Info {
                 id,
                 depth,
                 breadcrumbs,
                 advice,
-            } => (
-                200,
-                format!(
-                    "{{\"session\":{},\"depth\":{},\"breadcrumbs\":{},\"advice\":{}}}",
-                    json_string(id),
-                    depth,
-                    json_string_array(breadcrumbs),
-                    advice.to_json()
-                ),
-            ),
+            } => (200, info_body(id, *depth, breadcrumbs, &advice.to_json())),
             WireResponse::Deleted => (204, String::new()),
-            WireResponse::CacheStats(c) => {
-                let capacity = match c.capacity {
-                    Some(cap) => cap.to_string(),
-                    None => "null".to_string(),
-                };
-                (
-                    200,
-                    format!(
-                        "{{\"hits\":{},\"misses\":{},\"runs\":{},\"evictions\":{},\"entries\":{},\"capacity\":{}}}",
-                        c.hits, c.misses, c.runs, c.evictions, c.entries, capacity
-                    ),
-                )
-            }
-            WireResponse::Metrics(m) => (
+            WireResponse::CacheStats(c) => (
                 200,
-                format!(
-                    "{{\"connections\":{},\"requests\":{},\"responses_2xx\":{},\"responses_4xx\":{},\"responses_5xx\":{},\"analysis_rejects\":{},\"analysis_prunes\":{}}}",
-                    m.connections,
-                    m.requests,
-                    m.responses_2xx,
-                    m.responses_4xx,
-                    m.responses_5xx,
-                    m.analysis_rejects,
-                    m.analysis_prunes
-                ),
+                cache_stats_body(c.hits, c.misses, c.runs, c.evictions, c.entries, c.capacity),
             ),
-            WireResponse::Health => (200, "{\"ok\":true}".to_string()),
+            WireResponse::Metrics(m) => (200, metrics_body(m)),
+            WireResponse::Health => (200, HEALTH_BODY.to_string()),
             WireResponse::Error(f) => {
-                let body = match &f.diagnostics {
-                    None => format!(
-                        "{{\"error\":{{\"code\":{},\"message\":{}}}}}",
-                        json_string(&f.code),
-                        json_string(&f.message)
-                    ),
-                    Some(diags) => {
-                        let mut list = String::from("[");
-                        for (i, d) in diags.iter().enumerate() {
-                            if i > 0 {
-                                list.push(',');
-                            }
-                            list.push_str(&format!(
-                                "{{\"code\":{},\"attr\":{},\"detail\":{}}}",
-                                json_string(&d.code),
-                                json_string(&d.attr),
-                                json_string(&d.detail)
-                            ));
-                        }
-                        list.push(']');
-                        format!(
-                            "{{\"error\":{{\"code\":{},\"message\":{},\"diagnostics\":{}}}}}",
-                            json_string(&f.code),
-                            json_string(&f.message),
-                            list
-                        )
-                    }
-                };
-                (f.status, body)
+                let diagnostics: Option<Vec<(&str, &str, &str)>> =
+                    f.diagnostics.as_ref().map(|ds| {
+                        ds.iter()
+                            .map(|d| (d.code.as_str(), d.attr.as_str(), d.detail.as_str()))
+                            .collect()
+                    });
+                (
+                    f.status,
+                    error_body(&f.code, &f.message, diagnostics.as_deref()),
+                )
             }
         }
     }
@@ -772,8 +712,8 @@ impl WireResponse {
 
 /// The cheap decode of a response frame: status plus (for session
 /// responses) the session id, skipping the advice payload wholesale.
-/// This is what a load generator needs per response — full decoding is
-/// for consumers that read the advice.
+/// This is what a pipelined caller needs to account for a response —
+/// full decoding is for consumers that read the advice.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireSummary {
     /// The HTTP-equivalent status.
@@ -1436,11 +1376,6 @@ impl WireConn {
         req.encode(&mut self.encode);
     }
 
-    /// Number of bytes currently staged.
-    pub fn staged_bytes(&self) -> usize {
-        self.encode.len()
-    }
-
     /// Write all staged frames in one syscall and clear the buffer.
     pub fn flush(&mut self) -> std::io::Result<()> {
         if self.encode.is_empty() {
@@ -1461,14 +1396,6 @@ impl WireConn {
     pub fn recv(&mut self) -> Result<WireResponse, WireError> {
         let opcode = read_frame(&mut self.reader, &mut self.scratch, MAX_RESPONSE_PAYLOAD)?;
         WireResponse::decode(opcode, &self.scratch)
-    }
-
-    /// Read the next response frame and decode only its envelope
-    /// (status + session id), skipping advice payloads — the cheap path
-    /// for load generation.
-    pub fn recv_summary(&mut self) -> Result<WireSummary, WireError> {
-        let opcode = read_frame(&mut self.reader, &mut self.scratch, MAX_RESPONSE_PAYLOAD)?;
-        summarize_response(opcode, &self.scratch)
     }
 }
 
