@@ -6,8 +6,9 @@
 //! cargo run -p charles-bench --bin experiments --release -- e4 --dataset voc.charles
 //! ```
 //!
-//! Experiment ids follow DESIGN.md §4 (E1–E12). Output is the set of rows
-//! recorded in EXPERIMENTS.md. `--dataset <path>` points the advisor
+//! The experiment ids (E1–E12) are the list in `main`; each `eN_*`
+//! function's doc names the figure or section of the paper whose rows
+//! it prints. `--dataset <path>` points the advisor
 //! experiments (E4's Figure 1 panel and E7's backend ablation) at a
 //! saved `.charles` file instead of the synthetic VOC register — write
 //! one with `cargo run -p charles-datagen --bin datagen`.
@@ -18,9 +19,8 @@ use charles_core::baselines::{
     CliqueOptions, ExhaustiveOptions, RandomOptions,
 };
 use charles_core::{
-    adaptive_segmentations, compose, cut_segmentation, hb_cuts, hb_cuts_naive, indep, product,
-    quantile_cut_query, AdaptiveOptions, Advisor, Config, Explorer, HbCutsOutput, LazyGenerator,
-    MedianStrategy,
+    adaptive_segmentations, compose, cut_segmentation, hb_cuts, indep, product, quantile_cut_query,
+    AdaptiveOptions, Advisor, Config, Explorer, LazyGenerator, MedianStrategy,
 };
 use charles_datagen::{
     astro_table, correlated_pair_table, sweep_table, voc_table, weblog_table, DependencyKind,
@@ -49,7 +49,7 @@ fn main() {
         }
     }
     // The one list of ids: what is valid and what runs, in order.
-    let experiments: [(&str, &dyn Fn()); 13] = [
+    let experiments: [(&str, &dyn Fn()); 12] = [
         ("e1", &e1_figure2),
         ("e2", &e2_figure3),
         ("e3", &e3_figure4),
@@ -62,7 +62,6 @@ fn main() {
         ("e10", &e10_quantile),
         ("e11", &e11_lazy),
         ("e12", &e12_homogeneity_surprise),
-        ("e13", &e13_hbcuts_scaling),
     ];
     // Reject before running anything: a misspelt or retired id must not
     // pass vacuously.
@@ -259,9 +258,10 @@ fn e4_figure1(dataset: Option<&Path>) {
     };
     banner("E4", &format!("Figure 1: the Charles interface on {label}"));
     let ships = ships.as_ref();
-    // The default run keeps the exact Figure 1 context (pinned by
-    // EXPERIMENTS.md); a --dataset run cannot assume those attribute
-    // names and takes a wildcard over the first five columns instead.
+    // The default run keeps the exact Figure 1 context (the five
+    // attributes of the paper's panel); a --dataset run cannot assume
+    // those attribute names and takes a wildcard over the first five
+    // columns instead.
     let context = match dataset {
         None => charles_sdl::parse_query(
             "(type_of_boat: , tonnage: , departure_harbour: , cape_arrival: , built: )",
@@ -801,69 +801,6 @@ fn e12_homogeneity_surprise() {
             r.score.entropy,
             r.segmentation.attributes()
         );
-    }
-}
-
-/// E13 — incremental vs naive HB-cuts pair argmin: wall time and INDEP
-/// memo probes as the candidate count grows.
-fn e13_hbcuts_scaling() {
-    banner(
-        "E13",
-        "HB-cuts argmin scaling: incremental vs naive (10k rows, deep runs)",
-    );
-    // max_indep = 1.0 keeps the loop composing to the depth bound — the
-    // worst case for the pair argmin.
-    let cfg = Config::default().with_max_indep(1.0).with_max_depth(48);
-    header(&[
-        "candidates",
-        "incremental",
-        "naive",
-        "inc probes",
-        "naive probes",
-        "probe ratio",
-    ]);
-    // What the naive ⇔ incremental contract is about, in comparable form.
-    let fingerprint = |out: &HbCutsOutput| {
-        let ranked: Vec<(String, u64)> = out
-            .ranked
-            .iter()
-            .map(|r| (r.segmentation.to_string(), r.score.entropy.to_bits()))
-            .collect();
-        (ranked, out.trace.stop)
-    };
-    for k in [4usize, 8, 12, 16] {
-        let table = sweep_table(10_000, k, 11);
-        let ctx = charles_bench::context_over(&table, k);
-        let run = |naive: bool| {
-            let ex = Explorer::new(&table, cfg.clone(), ctx.clone()).unwrap();
-            let (d, out) = time_once(|| {
-                if naive {
-                    hb_cuts_naive(&ex).unwrap()
-                } else {
-                    hb_cuts(&ex).unwrap()
-                }
-            });
-            (d, out, ex.cache_stats().indep_probes())
-        };
-        let (d_inc, out_inc, probes_inc) = run(false);
-        let (d_naive, out_naive, probes_naive) = run(true);
-        // The two paths must agree: the equivalence contract
-        // (tests/hbcuts_equivalence.rs), re-checked on every row in the
-        // build profile that ships.
-        assert_eq!(
-            fingerprint(&out_inc),
-            fingerprint(&out_naive),
-            "naive and incremental disagreed at k = {k}"
-        );
-        let ratio = probes_naive as f64 / probes_inc.max(1) as f64;
-        row(&[
-            format!("{k}"),
-            fmt_duration(d_inc),
-            fmt_duration(d_naive),
-            format!("{probes_inc}"),
-            format!("{probes_naive}"),
-            format!("{ratio:.2}x"),
-        ]);
     }
 }
 

@@ -2,11 +2,11 @@
 //!
 //! The paper is a vision paper: its evaluation artefacts are Figures 1–4
 //! plus the scalability analysis of §5.1 and the extensions of §5.2
-//! (see DESIGN.md §4 for the experiment index E1–E12). This crate
-//! regenerates all of them with
+//! (experiments E1–E12, indexed by the list in `bin/experiments.rs`).
+//! This crate regenerates all of them with
 //! `cargo run -p charles-bench --bin experiments [--release]`, the
-//! one-shot harness that prints every experiment's table (the rows
-//! recorded in EXPERIMENTS.md). It reproduces the paper; it gates no
+//! one-shot harness that prints every experiment's table. It
+//! reproduces the paper; it gates no
 //! performance number — those come from `benchmark/` (`BENCHMARK.json`).
 
 #![forbid(unsafe_code)]

@@ -17,31 +17,36 @@ fn unknown_id_exits_2_and_lists_the_valid_ids() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("e99"), "{stderr}");
-    for id in ["e1", "e7", "e13"] {
+    for id in ["e1", "e7", "e12"] {
         assert!(stderr.split_whitespace().any(|w| w == id), "{stderr}");
     }
     assert!(out.stdout.is_empty(), "nothing may run before the check");
 }
 
 #[test]
-fn retired_e14_is_unknown_and_blocks_the_valid_ids_beside_it() {
+fn retired_ids_are_unknown_and_block_the_valid_ids_beside_them() {
     // One bad id rejects the whole invocation, valid ids included.
-    let out = experiments(&["e1", "e14"]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        out.stdout.is_empty(),
-        "e1 must not run before e14 is rejected"
-    );
+    for retired in ["e13", "e14"] {
+        let out = experiments(&["e1", retired]);
+        assert_eq!(out.status.code(), Some(2));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("valid ids: e1 "), "{stderr}");
+        assert!(stderr.trim_end().ends_with(" e12"), "{stderr}");
+        assert!(
+            out.stdout.is_empty(),
+            "e1 must not run before {retired} is rejected"
+        );
+    }
 }
 
 #[test]
 fn json_is_not_a_flag_exits_2_with_the_id_list_before_anything_runs() {
-    let out = experiments(&["e13", "--json", "out.json"]);
+    let out = experiments(&["e12", "--json", "out.json"]);
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("--json"), "{stderr}");
-    assert!(stderr.split_whitespace().any(|w| w == "e13"), "{stderr}");
-    assert!(out.stdout.is_empty(), "e13 must not run before the check");
+    assert!(stderr.split_whitespace().any(|w| w == "e12"), "{stderr}");
+    assert!(out.stdout.is_empty(), "e12 must not run before the check");
 }
 
 #[test]

@@ -21,7 +21,10 @@
 //!
 //! Errors are cached too: the advisor is a deterministic function of
 //! (backend, config, context), so a failed context keeps failing and
-//! re-running it would only burn backend operations.
+//! re-running it would only burn backend operations. The exception is a
+//! store I/O error ([`StoreError::Io`]): a failed read says nothing
+//! about the context, so the callers of that flight see the error, the
+//! entry is dropped, and the next request runs again.
 //!
 //! A cache built with [`AdviceCache::bounded`] additionally enforces a
 //! capacity: once a shard is full, inserting a new context evicts its
@@ -34,6 +37,7 @@
 use crate::advisor::{Advice, Advisor};
 use crate::error::{CoreError, CoreResult};
 use charles_sdl::Query;
+use charles_store::StoreError;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -177,10 +181,9 @@ impl AdviceCache {
         let canonical = advisor.admit(context)?.canonicalized();
         let key = canonical.to_string();
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
+        let shard = &self.shards[self.shard_index(&key)];
         let slot: Slot = {
-            let mut shard = self.shards[self.shard_index(&key)]
-                .lock()
-                .expect("advice cache shard poisoned");
+            let mut shard = shard.lock().expect("advice cache shard poisoned");
             if let Some(entry) = shard.get_mut(&key) {
                 entry.last_used = now;
                 entry.slot.clone()
@@ -190,7 +193,7 @@ impl AdviceCache {
                         self.evict_lru(&mut shard);
                     }
                 }
-                let entry = shard.entry(key).or_insert(Entry {
+                let entry = shard.entry(key.clone()).or_insert(Entry {
                     slot: Slot::default(),
                     last_used: now,
                 });
@@ -202,11 +205,21 @@ impl AdviceCache {
         } else {
             self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        slot.get_or_init(|| {
-            self.runs.fetch_add(1, Ordering::Relaxed);
-            advisor.advise(canonical.clone()).map(Arc::new)
-        })
-        .clone()
+        let result = slot
+            .get_or_init(|| {
+                self.runs.fetch_add(1, Ordering::Relaxed);
+                advisor.advise(canonical.clone()).map(Arc::new)
+            })
+            .clone();
+        if matches!(result, Err(CoreError::Store(StoreError::Io(_)))) {
+            // Transient, unlike every other error: forget this flight
+            // (and only this one — the key may already hold a retry).
+            let mut shard = shard.lock().expect("advice cache shard poisoned");
+            if shard.get(&key).is_some_and(|e| Arc::ptr_eq(&e.slot, &slot)) {
+                shard.remove(&key);
+            }
+        }
+        result
     }
 
     /// Evict the least-recently-used *settled* entry of a full shard.

@@ -5,10 +5,12 @@
 //! panel) and its materialised extent. All primitives, metrics and the
 //! HB-cuts algorithm operate through it.
 //!
-//! The explorer memoizes per-query selections and per-pair INDEP values —
-//! the §5.1 optimization ("the calculations of SDL products and entropy
-//! can be reused from one iteration to the next"). Memoization can be
-//! switched off ([`crate::Config::memoize`]) to measure its effect.
+//! The explorer memoizes per-query selections — half of the §5.1
+//! optimization ("the calculations of SDL products and entropy can be
+//! reused from one iteration to the next"); the other half, pair INDEP
+//! values, is carried by the HB-cuts loop itself ([`crate::hbcuts`]).
+//! Both can be switched off ([`crate::Config::memoize`]) to measure
+//! their effect.
 
 use crate::config::Config;
 use crate::error::{CoreError, CoreResult};
@@ -25,33 +27,24 @@ pub struct CacheStats {
     pub sel_hits: u64,
     /// Selection-cache misses (predicate actually evaluated).
     pub sel_misses: u64,
-    /// INDEP-cache hits.
-    pub indep_hits: u64,
-    /// INDEP-cache misses (pairwise counting actually performed).
+    /// INDEP evaluations (pairwise counting actually performed): one per
+    /// [`crate::indep()`] call, so one per candidate pair of an HB-cuts
+    /// run. The benchmark reports it as `core.indep_misses`.
     pub indep_misses: u64,
 }
 
 impl CacheStats {
-    /// Total INDEP memo-layer probes: lookups that hit plus pair values
-    /// actually computed (each computed value is exactly one probe that
-    /// came back empty). This is the counter `experiments e13`
-    /// tabulates: the incremental pair maintenance in [`crate::hb_cuts`]
-    /// carries known pairs in run-local state, so it probes the shared
-    /// memo only for the O(k) frontier pairs per iteration, where the
-    /// naive argmin re-probes all O(k²) pairs every iteration.
+    /// Calls of [`crate::indep()`] — equal to `indep_misses` by
+    /// definition since every call evaluates; kept because the
+    /// benchmark reports both.
     pub fn indep_probes(&self) -> u64 {
-        self.indep_hits + self.indep_misses
+        self.indep_misses
     }
 }
 
 #[derive(Default)]
 struct Caches {
     selections: HashMap<String, Arc<Bitmap>>,
-    /// INDEP memo as a two-level map keyed by the *ordered* fingerprint
-    /// pair (`outer ≤ inner`). Two levels instead of a `(String, String)`
-    /// key so probes can borrow `&str`s — the hot argmin paths probe
-    /// without allocating; Strings are only built when a value is stored.
-    indep: HashMap<String, HashMap<String, f64>>,
     stats: CacheStats,
 }
 
@@ -70,8 +63,9 @@ impl<'a> Explorer<'a> {
     /// The context extent is the query's result set restricted to rows
     /// that are non-null in **every** attribute the context mentions, so
     /// that cuts on any of those attributes partition the context exactly
-    /// (see DESIGN.md). Errors if the configuration is invalid or the
-    /// context is empty.
+    /// (a row null in one of them would fall in neither half of a cut on
+    /// it). Errors if the configuration is invalid or the context is
+    /// empty.
     pub fn new(
         backend: &'a dyn Backend,
         config: Config,
@@ -188,34 +182,9 @@ impl<'a> Explorer<'a> {
         Ok(med)
     }
 
-    /// Look up a memoized INDEP value for an (unordered) pair of
-    /// segmentation fingerprints. The probe borrows both keys — no
-    /// allocation happens on this path, hit or miss.
-    pub(crate) fn cached_indep(&self, fp1: &str, fp2: &str) -> Option<f64> {
-        if !self.config.memoize {
-            return None;
-        }
-        let (a, b) = ordered(fp1, fp2);
-        let mut caches = self.caches.lock();
-        let hit = caches.indep.get(a).and_then(|m| m.get(b)).copied();
-        if hit.is_some() {
-            caches.stats.indep_hits += 1;
-        }
-        hit
-    }
-
-    /// Store an INDEP value for a pair of fingerprints.
-    pub(crate) fn store_indep(&self, fp1: &str, fp2: &str, value: f64) {
-        let (a, b) = ordered(fp1, fp2);
-        let mut caches = self.caches.lock();
-        caches.stats.indep_misses += 1;
-        if self.config.memoize {
-            caches
-                .indep
-                .entry(a.to_string())
-                .or_default()
-                .insert(b.to_string(), value);
-        }
+    /// Count one INDEP evaluation.
+    pub(crate) fn count_indep_evaluation(&self) {
+        self.caches.lock().stats.indep_misses += 1;
     }
 }
 
@@ -225,14 +194,6 @@ pub fn fingerprint(seg: &Segmentation) -> String {
     let mut parts: Vec<String> = seg.queries().iter().map(|q| q.to_string()).collect();
     parts.sort();
     parts.join(" | ")
-}
-
-fn ordered<'s>(a: &'s str, b: &'s str) -> (&'s str, &'s str) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
 }
 
 #[cfg(test)]
@@ -367,15 +328,5 @@ mod tests {
         let s1 = Segmentation::new(vec![q1.clone(), q2.clone()]);
         let s2 = Segmentation::new(vec![q2, q1]);
         assert_eq!(fingerprint(&s1), fingerprint(&s2));
-    }
-
-    #[test]
-    fn indep_cache_round_trip() {
-        let t = table();
-        let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["x", "k"])).unwrap();
-        assert_eq!(ex.cached_indep("a", "b"), None);
-        ex.store_indep("b", "a", 0.75);
-        assert_eq!(ex.cached_indep("a", "b"), Some(0.75));
-        assert_eq!(ex.cached_indep("b", "a"), Some(0.75));
     }
 }

@@ -25,33 +25,39 @@
 //!
 //! # Incremental pair maintenance
 //!
-//! Line 11 is the hot loop of the whole system. [`hb_cuts`] maintains a
-//! per-run pair state (`PairState`): every candidate is interned to an
-//! integer id
-//! when it is created (seeded or composed) and its fingerprint is
-//! rendered exactly once; pair INDEP values live in a triangular matrix
-//! indexed by id pairs. After composing `(i, j)` only the O(k) pairs
-//! touching the new candidate are unknown — they are evaluated in one
-//! parallel fan-out — while every other pair's value is carried over as
-//! a plain array read: no re-render, no lock, no allocation. The argmin
-//! itself scans the matrix in the exact `(i, j)` enumeration order of
-//! the naive nested loop, so first-wins tie-breaks — and hence the
-//! chosen pair, the trace and the advice — are bitwise identical to
-//! [`hb_cuts_naive`], the O(k²)-probes reference implementation kept for
-//! the equivalence suite and `experiments e13`.
+//! Line 11 is the hot loop of the whole system, and §5.1 asks one thing
+//! of it: "the calculations of SDL products and entropy can be reused
+//! from one iteration to the next". The per-run pair state (`PairState`)
+//! is that reuse, and the only INDEP memo in the crate: every candidate
+//! is interned to an integer id when it is created (seeded or composed)
+//! and pair INDEP values live in a triangular matrix indexed by id
+//! pairs. After composing `(i, j)` only the O(k) pairs touching the new
+//! candidate are unknown — they are evaluated in one parallel fan-out —
+//! while every other pair's value is carried over as a plain array read:
+//! no render, no lock, no allocation. Every id pair is therefore
+//! evaluated exactly once per run. The argmin scans the matrix in the
+//! `(i, j)` enumeration order of the textbook nested loop, so first-wins
+//! tie-breaks — and hence the chosen pair, the trace and the advice —
+//! are bitwise identical to the independent Figure 4 reference written
+//! against public primitives in `tests/hbcuts_equivalence.rs`.
 //!
-//! A best pair whose composition fails (no attribute cuttable) no longer
-//! aborts the run: it is recorded in [`Trace::skipped_pairs`], banned for
+//! The loop itself exists once, as the `Stepper`: [`hb_cuts`] seeds it
+//! in one parallel fan-out and steps it to the stop; [`crate::lazy`]
+//! seeds it one attribute per call and steps it on demand.
+//!
+//! A best pair whose composition fails (no attribute cuttable) does not
+//! abort the run: it is recorded in [`Trace::skipped_pairs`], banned for
 //! as long as both candidates live, and the loop falls back to the
 //! next-most-dependent pair — matching the paper's greedy intent.
-//! [`StopReason::ComposeFailed`] now only fires when *every* remaining
-//! pair is uncomposable.
+//! [`StopReason::ComposeFailed`] only fires when *every* remaining pair
+//! is uncomposable.
 //!
 //! The [`Trace`] records every seed and composition step so the execution
 //! tree of Figure 3 can be checked and displayed.
 
-use crate::engine::{fingerprint, Explorer};
+use crate::engine::Explorer;
 use crate::error::{CoreError, CoreResult};
+use crate::indep::indep;
 use crate::metrics::{score, Score};
 use crate::primitives::{compose, cut_segmentation};
 use crate::ranking::{rank, Ranked};
@@ -138,15 +144,16 @@ impl HbCutsOutput {
     }
 }
 
-/// Per-run incremental pair state over interned candidate ids.
+/// Per-run incremental pair state over interned candidate ids — the
+/// §5.1 reuse, and the crate's only INDEP memo.
 ///
 /// Ids are assigned once per candidate lifetime (never reused), so pair
 /// values and the uncomposable ban set survive the `swap_remove`
 /// shuffles of the live-candidate vector untouched.
 #[derive(Default)]
-pub(crate) struct PairState {
-    /// Fingerprint per interned id, rendered exactly once at creation.
-    fps: Vec<String>,
+struct PairState {
+    /// Candidates interned so far (the next id).
+    interned: u32,
     /// Lower-triangular INDEP matrix by id pair; NaN = not yet computed
     /// (INDEP itself is always finite — a quotient of finite entropies,
     /// clamped to ≤ 1).
@@ -164,11 +171,10 @@ fn uid_key(a: u32, b: u32) -> (u32, u32) {
 }
 
 impl PairState {
-    /// Intern a candidate: assign the next id and render its fingerprint
-    /// (the only time this segmentation is ever rendered by the loop).
-    pub(crate) fn intern(&mut self, seg: &Segmentation) -> u32 {
-        let id = self.fps.len() as u32;
-        self.fps.push(fingerprint(seg));
+    /// Intern a candidate: assign the next id.
+    fn intern(&mut self) -> u32 {
+        let id = self.interned;
+        self.interned += 1;
         // Grow the triangle by one row: pairs (0..id, id).
         self.tri.extend(std::iter::repeat_n(f64::NAN, id as usize));
         id
@@ -180,22 +186,17 @@ impl PairState {
     }
 
     /// Pair value, NaN when not yet computed.
-    pub(crate) fn get(&self, a: u32, b: u32) -> f64 {
+    fn get(&self, a: u32, b: u32) -> f64 {
         self.tri[Self::idx(a, b)]
     }
 
-    pub(crate) fn set(&mut self, a: u32, b: u32, v: f64) {
+    fn set(&mut self, a: u32, b: u32, v: f64) {
         let i = Self::idx(a, b);
         self.tri[i] = v;
     }
 
-    /// The interned fingerprint of `id`.
-    pub(crate) fn fp(&self, id: u32) -> &str {
-        &self.fps[id as usize]
-    }
-
     /// Mark an id pair as uncomposable for the rest of the run.
-    pub(crate) fn ban(&mut self, a: u32, b: u32) {
+    fn ban(&mut self, a: u32, b: u32) {
         self.uncomposable.insert(uid_key(a, b));
     }
 
@@ -206,12 +207,12 @@ impl PairState {
     /// the O(k) pairs touching the newly composed candidate. With
     /// memoization off (the §5.1 ablation: *nothing* is reused from one
     /// iteration to the next) it is every pair, every iteration —
-    /// matching the naive loop bit-for-bit, because `E(S1 × S2)` is
+    /// matching the textbook loop bit-for-bit, because `E(S1 × S2)` is
     /// summed in operand order and a recomputation after a
     /// `swap_remove` reshuffle can visit the operands swapped, which
     /// moves the last ulp. Carrying values across iterations is reuse,
     /// so the ablation must not do it.
-    pub(crate) fn frontier(&self, ids: &[u32], memoize: bool) -> Vec<(usize, usize)> {
+    fn frontier(&self, ids: &[u32], memoize: bool) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for i in 0..ids.len() {
             for j in (i + 1)..ids.len() {
@@ -223,10 +224,10 @@ impl PairState {
         out
     }
 
-    /// Skip-aware argmin over the stored pair values, in the exact naive
-    /// `(i, j)` enumeration order (first-wins ties), excluding banned
-    /// pairs. Every live pair's value must already be stored.
-    pub(crate) fn best_pair(&self, ids: &[u32]) -> Option<(usize, usize, f64)> {
+    /// Skip-aware argmin over the stored pair values, in the `(i, j)`
+    /// enumeration order of the nested loop (first-wins ties), excluding
+    /// banned pairs. Every live pair's value must already be stored.
+    fn best_pair(&self, ids: &[u32]) -> Option<(usize, usize, f64)> {
         let mut best: Option<(usize, usize, f64)> = None;
         for i in 0..ids.len() {
             for j in (i + 1)..ids.len() {
@@ -247,264 +248,184 @@ fn attrs_of(seg: &Segmentation) -> Vec<String> {
     seg.attributes().iter().map(|s| s.to_string()).collect()
 }
 
-/// Lines 2–5: seed with one binary cut per attribute. The per-attribute
-/// cuts are independent (median scan + two selections each), so they fan
-/// out across threads; the zip keeps attribute order.
-fn seed_candidates(ex: &Explorer<'_>, trace: &mut Trace) -> CoreResult<Vec<Segmentation>> {
-    let base = Segmentation::singleton(ex.context().clone());
-    let attrs = ex.attributes();
-    let seed_cuts = crate::par::try_map(&attrs, |attr| cut_segmentation(ex, &base, attr))?;
-    let mut cand: Vec<Segmentation> = Vec::new();
-    for (attr, cut) in attrs.iter().zip(seed_cuts) {
+/// The one HB-cuts loop (Figure 4, lines 2–22), one iteration per
+/// [`Stepper::step`]: the live candidates with their interned ids, the
+/// pair memo, the trace, and the segmentations already retired to the
+/// output. [`hb_cuts`] and [`crate::lazy::LazyGenerator`] differ only in
+/// how they seed it and when they step it.
+#[derive(Default)]
+pub(crate) struct Stepper {
+    cand: Vec<Segmentation>,
+    /// Interned id of each live candidate, parallel to `cand`.
+    ids: Vec<u32>,
+    state: PairState,
+    trace: Trace,
+    /// Line 20: composed pairs leave `cand` for the output.
+    retired: Vec<Segmentation>,
+}
+
+impl Stepper {
+    /// Line 4: record the outcome of `CUT_attr(context)` — a new
+    /// candidate, or an attribute that is constant in the context.
+    pub(crate) fn seed(&mut self, attr: &str, cut: Option<Segmentation>) {
         match cut {
             Some(seg) => {
-                trace.seeds.push(attr.to_string());
-                cand.push(seg);
+                self.trace.seeds.push(attr.to_string());
+                self.push(seg);
             }
-            None => trace.skipped.push(attr.to_string()),
+            None => self.trace.skipped.push(attr.to_string()),
         }
     }
-    if cand.is_empty() {
-        return Err(CoreError::NoCuttableAttribute);
+
+    fn push(&mut self, seg: Segmentation) {
+        self.ids.push(self.state.intern());
+        self.cand.push(seg);
     }
-    Ok(cand)
-}
 
-/// Outcome of one selection round (argmin + compose with fallback).
-enum RoundOutcome {
-    /// Composition accepted at live positions `(i, j)`.
-    Accept {
-        i: usize,
-        j: usize,
-        seg: Segmentation,
-    },
-    /// A stop criterion fired and was recorded in the trace.
-    Stop,
-}
+    /// The execution record so far; `stop` is set once a step returned
+    /// `None`.
+    pub(crate) fn trace(&self) -> &Trace {
+        &self.trace
+    }
 
-/// Lines 11–20 of one iteration: pick the most dependent pair, compose
-/// it, apply the stopping criteria. An uncomposable best pair is banned,
-/// recorded in the trace, and the argmin falls back to the
-/// next-most-dependent pair; only when no composable pair remains does
-/// the loop stop with [`StopReason::ComposeFailed`]. Shared verbatim by
-/// the incremental and naive paths so their selection semantics cannot
-/// drift apart.
-fn compose_round(
-    ex: &Explorer<'_>,
-    cand: &[Segmentation],
-    ids: &[u32],
-    state: &mut PairState,
-    trace: &mut Trace,
-) -> CoreResult<RoundOutcome> {
-    let max_indep = ex.config().max_indep;
-    let max_depth = ex.config().max_depth;
-    loop {
-        // Line 11: argmin over unordered candidate pairs, first-wins
-        // tie-breaks over the same (i, j) enumeration as the naive
-        // nested loop.
-        let Some((i, j, ind)) = state.best_pair(ids) else {
-            trace.stop = Some(StopReason::ComposeFailed);
-            return Ok(RoundOutcome::Stop);
-        };
+    /// Lines 11–20, one iteration: evaluate the pairs not yet known,
+    /// pick the most dependent pair, compose it, apply the stopping
+    /// criteria. Returns the accepted composition (now the last live
+    /// candidate), or `None` once a stop criterion fired and was
+    /// recorded in the trace.
+    ///
+    /// An uncomposable best pair is banned, recorded in the trace, and
+    /// the argmin falls back to the next-most-dependent pair; only when
+    /// no composable pair remains does the loop stop with
+    /// [`StopReason::ComposeFailed`].
+    pub(crate) fn step(&mut self, ex: &Explorer<'_>) -> CoreResult<Option<&Segmentation>> {
+        if self.cand.len() < 2 {
+            self.trace.stop = Some(StopReason::ExhaustedCandidates);
+            return Ok(None);
+        }
+        // Evaluate the unknown pairs (the incremental frontier) in one
+        // parallel fan-out; results land in the triangular matrix.
+        let frontier = self.state.frontier(&self.ids, ex.config().memoize);
+        let cand = &self.cand;
+        let fresh = crate::par::try_map(&frontier, |&(i, j)| indep(ex, &cand[i], &cand[j]))?;
+        for (&(i, j), v) in frontier.iter().zip(fresh) {
+            self.state.set(self.ids[i], self.ids[j], v);
+        }
 
-        // Line 12: compose; an uncomposable pair is skipped (greedy
-        // fallback) rather than aborting the run — unless even this
-        // most-dependent pair is past the independence threshold, in
-        // which case every remaining pair is too and line 15's stop
-        // fires directly (no composition exists to record as a step).
-        // Without this check the fallback would ban its way through
-        // past-threshold pairs, burning compose work and misreporting
-        // ComposeFailed.
-        let Some(new_seg) = compose(ex, &cand[i], &cand[j])? else {
-            if ind >= max_indep {
-                trace.stop = Some(StopReason::IndependenceThreshold);
-                return Ok(RoundOutcome::Stop);
-            }
-            state.ban(ids[i], ids[j]);
-            trace.skipped_pairs.push(SkippedPair {
-                left_attrs: attrs_of(&cand[i]),
-                right_attrs: attrs_of(&cand[j]),
+        let max_indep = ex.config().max_indep;
+        let (i, j, new_seg) = loop {
+            // Line 11: argmin over unordered candidate pairs.
+            let Some((i, j, ind)) = self.state.best_pair(&self.ids) else {
+                self.trace.stop = Some(StopReason::ComposeFailed);
+                return Ok(None);
+            };
+
+            // Line 12: compose; an uncomposable pair is skipped (greedy
+            // fallback) rather than aborting the run — unless even this
+            // most-dependent pair is past the independence threshold, in
+            // which case every remaining pair is too and line 15's stop
+            // fires directly (no composition exists to record as a step).
+            // Without this check the fallback would ban its way through
+            // past-threshold pairs, burning compose work and misreporting
+            // ComposeFailed.
+            let Some(new_seg) = compose(ex, &self.cand[i], &self.cand[j])? else {
+                if ind >= max_indep {
+                    self.trace.stop = Some(StopReason::IndependenceThreshold);
+                    return Ok(None);
+                }
+                self.state.ban(self.ids[i], self.ids[j]);
+                self.trace.skipped_pairs.push(SkippedPair {
+                    left_attrs: attrs_of(&self.cand[i]),
+                    right_attrs: attrs_of(&self.cand[j]),
+                    indep: ind,
+                });
+                continue;
+            };
+            let dep = new_seg.depth();
+
+            // Lines 15–16: stopping criteria.
+            let stop = if ind >= max_indep {
+                Some(StopReason::IndependenceThreshold)
+            } else if dep >= ex.config().max_depth {
+                Some(StopReason::DepthLimit)
+            } else {
+                None
+            };
+            self.trace.steps.push(ComposeStep {
+                left_attrs: attrs_of(&self.cand[i]),
+                right_attrs: attrs_of(&self.cand[j]),
                 indep: ind,
+                depth: dep,
+                accepted: stop.is_none(),
             });
-            continue;
-        };
-        let dep = new_seg.depth();
-        let step = ComposeStep {
-            left_attrs: attrs_of(&cand[i]),
-            right_attrs: attrs_of(&cand[j]),
-            indep: ind,
-            depth: dep,
-            accepted: false,
+            if stop.is_some() {
+                self.trace.stop = stop;
+                return Ok(None);
+            }
+            break (i, j, new_seg);
         };
 
-        // Lines 15–16: stopping criteria.
-        if ind >= max_indep {
-            trace.steps.push(step);
-            trace.stop = Some(StopReason::IndependenceThreshold);
-            return Ok(RoundOutcome::Stop);
-        }
-        if dep >= max_depth {
-            trace.steps.push(step);
-            trace.stop = Some(StopReason::DepthLimit);
-            return Ok(RoundOutcome::Stop);
-        }
-
-        trace.steps.push(ComposeStep {
-            accepted: true,
-            ..step
-        });
-        return Ok(RoundOutcome::Accept { i, j, seg: new_seg });
+        // Lines 18–20: replace the pair by the composition. Remove j
+        // first (j > i) so indices stay valid.
+        let s2 = self.cand.swap_remove(j);
+        self.ids.swap_remove(j);
+        let s1 = self.cand.swap_remove(i);
+        self.ids.swap_remove(i);
+        self.retired.push(s1);
+        self.retired.push(s2);
+        self.push(new_seg);
+        Ok(self.cand.last())
     }
-}
 
-/// Score, rank and truncate the collected output (lines 23–25).
-fn finish(
-    ex: &Explorer<'_>,
-    mut output: Vec<Segmentation>,
-    cand: Vec<Segmentation>,
-    trace: Trace,
-) -> CoreResult<HbCutsOutput> {
-    // Line 23: everything still in cand is also returned.
-    output.extend(cand);
+    /// Lines 23–25: everything still in `cand` joins the output, which
+    /// is scored, ranked and truncated.
+    fn finish(self, ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
+        let mut output = self.retired;
+        output.extend(self.cand);
 
-    // Line 25: sort by entropy (descending), with deterministic
-    // tie-breaks. Scoring each segmentation is independent work; order
-    // is preserved.
-    let scores = crate::par::try_map(&output, |seg| score(ex, seg))?;
-    let scored: Vec<(Segmentation, Score)> = output.into_iter().zip(scores).collect();
-    let mut ranked = rank(scored);
-    ranked.truncate(ex.config().max_results);
-    Ok(HbCutsOutput { ranked, trace })
+        // Line 25: sort by entropy (descending), with deterministic
+        // tie-breaks. Scoring each segmentation is independent work; order
+        // is preserved.
+        let scores = crate::par::try_map(&output, |seg| score(ex, seg))?;
+        let scored: Vec<(Segmentation, Score)> = output.into_iter().zip(scores).collect();
+        let mut ranked = rank(scored);
+        ranked.truncate(ex.config().max_results);
+        Ok(HbCutsOutput {
+            ranked,
+            trace: self.trace,
+        })
+    }
 }
 
 /// Run HB-cuts over an explorer's context (Figure 4, lines 1–26).
 ///
-/// This is the incremental-argmin implementation (see the module docs):
-/// per iteration it evaluates INDEP only for the O(k) frontier pairs
+/// Per iteration it evaluates INDEP only for the O(k) frontier pairs
 /// touching the newly composed candidate and carries every other pair
-/// value in run-local state. Output — ranked answers and trace,
-/// including first-wins tie-breaks — is bitwise identical to
-/// [`hb_cuts_naive`].
+/// value in run-local state (see the module docs).
 pub fn hb_cuts(ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
-    let mut trace = Trace::default();
-    let mut cand = seed_candidates(ex, &mut trace)?;
-
-    let mut state = PairState::default();
-    let mut ids: Vec<u32> = cand.iter().map(|seg| state.intern(seg)).collect();
-
-    let mut output: Vec<Segmentation> = Vec::new();
+    // Lines 2–5: seed with one binary cut per attribute. The
+    // per-attribute cuts are independent (median scan + two selections
+    // each), so they fan out across threads; the zip keeps attribute
+    // order.
+    let base = Segmentation::singleton(ex.context().clone());
+    let attrs = ex.attributes();
+    let seed_cuts = crate::par::try_map(&attrs, |attr| cut_segmentation(ex, &base, attr))?;
+    let mut stepper = Stepper::default();
+    for (attr, cut) in attrs.iter().zip(seed_cuts) {
+        stepper.seed(attr, cut);
+    }
+    if stepper.cand.is_empty() {
+        return Err(CoreError::NoCuttableAttribute);
+    }
 
     // Lines 10–22: compose the most dependent pair until a stop fires.
-    loop {
-        if cand.len() < 2 {
-            trace.stop = Some(StopReason::ExhaustedCandidates);
-            break;
-        }
-        // Evaluate the unknown pairs (the incremental frontier) in one
-        // parallel fan-out; results land in the triangular matrix. The
-        // fan-out still consults the explorer's shared memo first, so a
-        // second run over the same explorer reuses its values.
-        let frontier = state.frontier(&ids, ex.config().memoize);
-        if !frontier.is_empty() {
-            let fps: Vec<&str> = ids.iter().map(|&id| state.fp(id)).collect();
-            let fresh = crate::indep::indep_frontier(ex, &cand, &fps, &frontier)?;
-            for (&(i, j), v) in frontier.iter().zip(fresh) {
-                state.set(ids[i], ids[j], v);
-            }
-        }
+    while stepper.step(ex)?.is_some() {}
 
-        match compose_round(ex, &cand, &ids, &mut state, &mut trace)? {
-            RoundOutcome::Stop => break,
-            RoundOutcome::Accept { i, j, seg } => {
-                // Lines 18–20: replace the pair by the composition.
-                // Remove j first (j > i) so indices stay valid.
-                let s2 = cand.swap_remove(j);
-                ids.swap_remove(j);
-                let s1 = cand.swap_remove(i);
-                ids.swap_remove(i);
-                output.push(s1);
-                output.push(s2);
-                ids.push(state.intern(&seg));
-                cand.push(seg);
-            }
-        }
-    }
-
-    finish(ex, output, cand, trace)
-}
-
-/// The naive O(k²)-probes reference implementation of HB-cuts.
-///
-/// Per iteration it re-renders every candidate fingerprint and probes
-/// the explorer's shared memo for **all** unordered pairs, exactly as
-/// the pre-incremental advisor did. Selection semantics (argmin order,
-/// tie-breaks, compose fallback, stop criteria) are shared code with
-/// [`hb_cuts`], so the two produce bitwise-identical output — the
-/// contract pinned by `tests/hbcuts_equivalence.rs` and measured (in
-/// memo probes) by `experiments e13`.
-pub fn hb_cuts_naive(ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
-    let mut trace = Trace::default();
-    let mut cand = seed_candidates(ex, &mut trace)?;
-
-    // The ban set still needs stable identities across swap_remove
-    // shuffles, so candidates are interned here too — but fingerprints
-    // are deliberately re-rendered every iteration below.
-    let mut state = PairState::default();
-    let mut ids: Vec<u32> = cand.iter().map(|seg| state.intern(seg)).collect();
-
-    let mut output: Vec<Segmentation> = Vec::new();
-
-    loop {
-        if cand.len() < 2 {
-            trace.stop = Some(StopReason::ExhaustedCandidates);
-            break;
-        }
-        // Full O(k²) enumeration: probe the shared memo for every pair,
-        // fan the misses out in parallel, zip hits and fresh values back
-        // into enumeration order.
-        let k = cand.len();
-        let pairs: Vec<(usize, usize)> = (0..k)
-            .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
-            .collect();
-        let fps_owned: Vec<String> = cand.iter().map(fingerprint).collect();
-        let fps: Vec<&str> = fps_owned.iter().map(String::as_str).collect();
-        let cached: Vec<Option<f64>> = pairs
-            .iter()
-            .map(|&(i, j)| ex.cached_indep(fps[i], fps[j]))
-            .collect();
-        let misses: Vec<(usize, usize)> = pairs
-            .iter()
-            .zip(&cached)
-            .filter(|(_, hit)| hit.is_none())
-            .map(|(&p, _)| p)
-            .collect();
-        let fresh = crate::indep::indep_frontier(ex, &cand, &fps, &misses)?;
-        let mut fresh_iter = fresh.into_iter();
-        for (&(i, j), hit) in pairs.iter().zip(&cached) {
-            let v = hit.unwrap_or_else(|| fresh_iter.next().expect("one value per miss"));
-            state.set(ids[i], ids[j], v);
-        }
-
-        match compose_round(ex, &cand, &ids, &mut state, &mut trace)? {
-            RoundOutcome::Stop => break,
-            RoundOutcome::Accept { i, j, seg } => {
-                let s2 = cand.swap_remove(j);
-                ids.swap_remove(j);
-                let s1 = cand.swap_remove(i);
-                ids.swap_remove(i);
-                output.push(s1);
-                output.push(s2);
-                ids.push(state.intern(&seg));
-                cand.push(seg);
-            }
-        }
-    }
-
-    finish(ex, output, cand, trace)
+    stepper.finish(ex)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::Config;
     use charles_sdl::Query;
@@ -543,7 +464,7 @@ mod tests {
     /// are identical binary columns (INDEP exactly ½, but each half is
     /// constant in the other attribute so COMPOSE finds nothing to cut),
     /// while `c` tracks `a` loosely and composes fine.
-    fn uncomposable_best_pair_table() -> charles_store::Table {
+    pub(crate) fn uncomposable_best_pair_table() -> charles_store::Table {
         let mut rng = StdRng::seed_from_u64(9);
         let mut b = TableBuilder::new("t");
         b.add_column("a", DataType::Int)
@@ -810,48 +731,5 @@ mod tests {
         assert!(out.trace.skipped_pairs.is_empty(), "{:?}", out.trace);
         assert!(out.trace.steps.is_empty());
         assert_eq!(out.ranked.len(), 3);
-    }
-
-    #[test]
-    fn naive_reference_matches_incremental_on_figure3() {
-        let t = figure3_table(1500);
-        let ctx = Query::wildcard(&["att1", "att2", "att3", "att4", "att5"]);
-        let inc = {
-            let ex = Explorer::new(&t, Config::default(), ctx.clone()).unwrap();
-            hb_cuts(&ex).unwrap()
-        };
-        let naive = {
-            let ex = Explorer::new(&t, Config::default(), ctx).unwrap();
-            hb_cuts_naive(&ex).unwrap()
-        };
-        assert_eq!(format!("{:?}", inc.trace), format!("{:?}", naive.trace));
-        let fp = |out: &HbCutsOutput| {
-            out.ranked
-                .iter()
-                .map(|r| (r.segmentation.to_string(), r.score.entropy.to_bits()))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(fp(&inc), fp(&naive));
-    }
-
-    #[test]
-    fn incremental_probes_the_memo_less() {
-        let t = figure3_table(1500);
-        let ctx = Query::wildcard(&["att1", "att2", "att3", "att4", "att5"]);
-        let probes = |naive: bool| {
-            let ex = Explorer::new(&t, Config::default(), ctx.clone()).unwrap();
-            if naive {
-                hb_cuts_naive(&ex).unwrap();
-            } else {
-                hb_cuts(&ex).unwrap();
-            }
-            ex.cache_stats().indep_probes()
-        };
-        let inc = probes(false);
-        let naive = probes(true);
-        assert!(
-            inc < naive,
-            "incremental must probe the memo less: {inc} vs {naive}"
-        );
     }
 }

@@ -13,11 +13,13 @@
 //!
 //! The implementation never materialises product queries: the entropy of
 //! `S1 × S2` only needs the pairwise intersection cardinalities, which are
-//! bitmap AND-counts over the cached segment selections. Pair results are
-//! memoized across HB-cuts iterations (§5.1: "the calculations of SDL
-//! products and entropy can be reused from one iteration to the next").
+//! bitmap AND-counts over the cached segment selections. [`indep`] itself
+//! remembers nothing: the reuse §5.1 asks for ("the calculations of SDL
+//! products and entropy can be reused from one iteration to the next")
+//! is the HB-cuts loop's per-run pair state, which evaluates every
+//! candidate pair exactly once (see [`crate::hbcuts`]).
 
-use crate::engine::{fingerprint, Explorer};
+use crate::engine::Explorer;
 use crate::error::CoreResult;
 use crate::metrics::entropy_from_covers;
 use charles_sdl::Segmentation;
@@ -49,59 +51,21 @@ pub fn product_entropy(ex: &Explorer<'_>, s1: &Segmentation, s2: &Segmentation) 
     Ok(entropy_from_covers(&covers))
 }
 
-/// `INDEP(S1, S2)`, memoized per unordered pair.
+/// `INDEP(S1, S2)`.
 ///
 /// Degenerate case: when `E(S1) + E(S2) = 0` (both segmentations are
 /// single-piece or completely unbalanced) there is no dependence signal;
 /// we return 1.0 ("fully independent") so HB-cuts never composes on noise.
 pub fn indep(ex: &Explorer<'_>, s1: &Segmentation, s2: &Segmentation) -> CoreResult<f64> {
-    indep_with_fingerprints(ex, s1, s2, &fingerprint(s1), &fingerprint(s2))
-}
-
-/// Evaluate INDEP for a *frontier* of candidate position pairs in one
-/// order-preserving parallel fan-out (`fps` runs parallel to `cand`).
-///
-/// This is the only place the HB-cuts argmin paths touch INDEP: the
-/// incremental path passes the O(k) pairs involving the newly composed
-/// candidate, the naive reference passes its per-iteration memo misses.
-/// Each evaluation consults the explorer's shared memo first (one
-/// borrowed-key probe), so repeat runs over one explorer still reuse
-/// values across calls.
-pub(crate) fn indep_frontier(
-    ex: &Explorer<'_>,
-    cand: &[Segmentation],
-    fps: &[&str],
-    frontier: &[(usize, usize)],
-) -> CoreResult<Vec<f64>> {
-    crate::par::try_map(frontier, |&(i, j)| {
-        indep_with_fingerprints(ex, &cand[i], &cand[j], fps[i], fps[j])
-    })
-}
-
-/// [`indep`] with caller-supplied fingerprints, so hot loops that
-/// already maintain them (the HB-cuts pair argmin) don't re-render the
-/// segmentations for every cache miss.
-pub(crate) fn indep_with_fingerprints(
-    ex: &Explorer<'_>,
-    s1: &Segmentation,
-    s2: &Segmentation,
-    fp1: &str,
-    fp2: &str,
-) -> CoreResult<f64> {
-    if let Some(v) = ex.cached_indep(fp1, fp2) {
-        return Ok(v);
-    }
+    ex.count_indep_evaluation();
     let e1 = crate::metrics::entropy(ex, s1)?;
     let e2 = crate::metrics::entropy(ex, s2)?;
     let denom = e1 + e2;
-    let value = if denom <= f64::EPSILON {
-        1.0
-    } else {
-        // Subadditivity bounds the true quotient by 1; clamp floating noise.
-        (product_entropy(ex, s1, s2)? / denom).min(1.0)
-    };
-    ex.store_indep(fp1, fp2, value);
-    Ok(value)
+    if denom <= f64::EPSILON {
+        return Ok(1.0);
+    }
+    // Subadditivity bounds the true quotient by 1; clamp floating noise.
+    Ok((product_entropy(ex, s1, s2)? / denom).min(1.0))
 }
 
 /// Check Proposition 1's equality within a tolerance: are the partition
@@ -215,20 +179,6 @@ mod tests {
         let single = Segmentation::singleton(ex.context().clone());
         let v = indep(&ex, &single, &single).unwrap();
         assert_eq!(v, 1.0);
-    }
-
-    #[test]
-    fn indep_memoized_across_calls() {
-        let t = independent_table();
-        let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["a", "b"])).unwrap();
-        let sa = halves(&ex, "a");
-        let sb = halves(&ex, "b");
-        let v1 = indep(&ex, &sa, &sb).unwrap();
-        let before = ex.cache_stats();
-        let v2 = indep(&ex, &sb, &sa).unwrap(); // swapped order hits too
-        let after = ex.cache_stats();
-        assert_eq!(v1, v2);
-        assert_eq!(after.indep_hits, before.indep_hits + 1);
     }
 
     #[test]

@@ -7,43 +7,31 @@
 //!
 //! [`LazyGenerator`] runs the HB-cuts loop incrementally: the seed cuts
 //! are produced one per `next()` call, then each further call performs one
-//! composition step. The set of segmentations eventually yielded equals
-//! exactly the eager [`crate::hb_cuts`] output (seeds + accepted
-//! compositions), just in discovery order instead of entropy order —
-//! experiment E11 measures the resulting time-to-first-answer gap.
+//! composition step of the same stepper [`crate::hb_cuts`] drives to the
+//! end. The set of segmentations eventually yielded equals exactly the
+//! eager output (seeds + accepted compositions), just in discovery order
+//! instead of entropy order, and the [`Trace`] is the same — experiment
+//! E11 measures the resulting time-to-first-answer gap.
 
 use crate::engine::Explorer;
 use crate::error::CoreResult;
-use crate::hbcuts::{PairState, StopReason};
+use crate::hbcuts::{Stepper, StopReason, Trace};
 use crate::metrics::{score, Score};
-use crate::primitives::{compose, cut_segmentation};
+use crate::primitives::cut_segmentation;
 use charles_sdl::Segmentation;
-
-enum Phase {
-    /// Seeding: next attribute index to try.
-    Seeding(usize),
-    /// Composing candidates.
-    Composing,
-    /// Loop finished.
-    Done(StopReason),
-}
 
 /// Incremental HB-cuts: call [`LazyGenerator::next_segmentation`]
 /// repeatedly; `None` means the answer space is exhausted.
 ///
-/// The composing phase shares the eager loop's incremental pair state:
-/// candidates are interned once, pair INDEP values persist across
-/// `next()` calls, and each step only evaluates the O(k) pairs touching
-/// the previously composed candidate. An uncomposable best pair is
-/// skipped in favour of the next-most-dependent one, mirroring
-/// [`crate::hb_cuts`]'s fallback.
+/// Pair INDEP values persist across `next()` calls, so each composing
+/// call only evaluates the O(k) pairs touching the previously composed
+/// candidate.
 pub struct LazyGenerator<'e, 'a> {
     ex: &'e Explorer<'a>,
     attrs: Vec<String>,
-    cand: Vec<Segmentation>,
-    ids: Vec<u32>,
-    state: PairState,
-    phase: Phase,
+    /// Next attribute to seed; past the end, calls compose.
+    next_attr: usize,
+    stepper: Stepper,
 }
 
 impl<'e, 'a> LazyGenerator<'e, 'a> {
@@ -52,90 +40,46 @@ impl<'e, 'a> LazyGenerator<'e, 'a> {
         LazyGenerator {
             ex,
             attrs: ex.attributes().iter().map(|s| s.to_string()).collect(),
-            cand: Vec::new(),
-            ids: Vec::new(),
-            state: PairState::default(),
-            phase: Phase::Seeding(0),
+            next_attr: 0,
+            stepper: Stepper::default(),
         }
     }
 
     /// Why the generator stopped, once it has.
     pub fn stop_reason(&self) -> Option<StopReason> {
-        match self.phase {
-            Phase::Done(r) => Some(r),
-            _ => None,
-        }
+        self.stepper.trace().stop
+    }
+
+    /// The execution record so far — once the generator has stopped, the
+    /// [`Trace`] the eager run returns.
+    pub fn trace(&self) -> &Trace {
+        self.stepper.trace()
     }
 
     /// Produce the next segmentation (scored), or `None` when done.
     pub fn next_segmentation(&mut self) -> CoreResult<Option<(Segmentation, Score)>> {
-        loop {
-            match self.phase {
-                Phase::Seeding(idx) => {
-                    if idx >= self.attrs.len() {
-                        self.phase = Phase::Composing;
-                        continue;
-                    }
-                    self.phase = Phase::Seeding(idx + 1);
-                    let base = Segmentation::singleton(self.ex.context().clone());
-                    if let Some(seg) = cut_segmentation(self.ex, &base, &self.attrs[idx])? {
-                        let s = score(self.ex, &seg)?;
-                        self.ids.push(self.state.intern(&seg));
-                        self.cand.push(seg.clone());
-                        return Ok(Some((seg, s)));
-                    }
-                    // Uncuttable attribute: try the next one.
-                }
-                Phase::Composing => {
-                    if self.cand.len() < 2 {
-                        self.phase = Phase::Done(StopReason::ExhaustedCandidates);
-                        return Ok(None);
-                    }
-                    // Fill the incremental frontier (all pairs on the
-                    // first composing step, O(k) afterwards — or every
-                    // pair when the §5.1 reuse is ablated away).
-                    let frontier = self.state.frontier(&self.ids, self.ex.config().memoize);
-                    if !frontier.is_empty() {
-                        let fps: Vec<&str> = self.ids.iter().map(|&id| self.state.fp(id)).collect();
-                        let fresh =
-                            crate::indep::indep_frontier(self.ex, &self.cand, &fps, &frontier)?;
-                        for (&(i, j), v) in frontier.iter().zip(fresh) {
-                            self.state.set(self.ids[i], self.ids[j], v);
-                        }
-                    }
-                    loop {
-                        let Some((i, j, ind)) = self.state.best_pair(&self.ids) else {
-                            // Every remaining pair is uncomposable.
-                            self.phase = Phase::Done(StopReason::ComposeFailed);
-                            return Ok(None);
-                        };
-                        if ind >= self.ex.config().max_indep {
-                            self.phase = Phase::Done(StopReason::IndependenceThreshold);
-                            return Ok(None);
-                        }
-                        let Some(new_seg) = compose(self.ex, &self.cand[i], &self.cand[j])? else {
-                            // Skip the uncomposable pair, fall back to
-                            // the next-most-dependent one.
-                            self.state.ban(self.ids[i], self.ids[j]);
-                            continue;
-                        };
-                        if new_seg.depth() >= self.ex.config().max_depth {
-                            self.phase = Phase::Done(StopReason::DepthLimit);
-                            return Ok(None);
-                        }
-                        self.cand.swap_remove(j);
-                        self.ids.swap_remove(j);
-                        self.cand.swap_remove(i);
-                        self.ids.swap_remove(i);
-                        let s = score(self.ex, &new_seg)?;
-                        self.ids.push(self.state.intern(&new_seg));
-                        self.cand.push(new_seg.clone());
-                        return Ok(Some((new_seg, s)));
-                    }
-                }
-                Phase::Done(_) => return Ok(None),
+        while let Some(attr) = self.attrs.get(self.next_attr) {
+            self.next_attr += 1;
+            let base = Segmentation::singleton(self.ex.context().clone());
+            let cut = cut_segmentation(self.ex, &base, attr)?;
+            let yielded = match &cut {
+                Some(seg) => Some((seg.clone(), score(self.ex, seg)?)),
+                None => None,
+            };
+            self.stepper.seed(attr, cut);
+            if yielded.is_some() {
+                return Ok(yielded);
             }
+            // Uncuttable attribute: try the next one.
         }
+        if self.stop_reason().is_some() {
+            return Ok(None);
+        }
+        let Some(seg) = self.stepper.step(self.ex)?.cloned() else {
+            return Ok(None);
+        };
+        let s = score(self.ex, &seg)?;
+        Ok(Some((seg, s)))
     }
 
     /// Drain everything that remains (turning the generator eager).
@@ -153,7 +97,7 @@ mod tests {
     use super::*;
     use crate::config::Config;
     use crate::engine::fingerprint;
-    use crate::hbcuts::hb_cuts;
+    use crate::hbcuts::{hb_cuts, tests::uncomposable_best_pair_table};
     use charles_sdl::Query;
     use charles_store::{DataType, TableBuilder, Value};
     use rand::rngs::StdRng;
@@ -191,24 +135,36 @@ mod tests {
 
     #[test]
     fn lazy_yields_same_set_as_eager() {
-        let t = table();
+        // Both drive the same stepper, so beyond the yielded set the
+        // whole trace must agree — also over a banned (uncomposable)
+        // best pair and with the §5.1 reuse ablated.
         let ctx = Query::wildcard(&["a", "b", "c"]);
-        let ex1 = Explorer::new(&t, Config::default(), ctx.clone()).unwrap();
-        let eager: BTreeSet<String> = hb_cuts(&ex1)
-            .unwrap()
-            .ranked
-            .iter()
-            .map(|r| fingerprint(&r.segmentation))
-            .collect();
-        let ex2 = Explorer::new(&t, Config::default(), ctx).unwrap();
-        let mut gen = LazyGenerator::new(&ex2);
-        let lazy: BTreeSet<String> = gen
-            .collect_all()
-            .unwrap()
-            .iter()
-            .map(|(s, _)| fingerprint(s))
-            .collect();
-        assert_eq!(eager, lazy);
+        let mut banned = 0;
+        for t in [table(), uncomposable_best_pair_table()] {
+            for memoize in [true, false] {
+                let cfg = Config::default().with_memoize(memoize);
+                let ex1 = Explorer::new(&t, cfg.clone(), ctx.clone()).unwrap();
+                let eager = hb_cuts(&ex1).unwrap();
+                let ex2 = Explorer::new(&t, cfg, ctx.clone()).unwrap();
+                let mut gen = LazyGenerator::new(&ex2);
+                let lazy: BTreeSet<String> = gen
+                    .collect_all()
+                    .unwrap()
+                    .iter()
+                    .map(|(s, _)| fingerprint(s))
+                    .collect();
+                let eager_set: BTreeSet<String> = eager
+                    .ranked
+                    .iter()
+                    .map(|r| fingerprint(&r.segmentation))
+                    .collect();
+                assert_eq!(eager_set, lazy);
+                assert_eq!(gen.stop_reason(), eager.trace.stop);
+                assert_eq!(format!("{:?}", gen.trace()), format!("{:?}", eager.trace));
+                banned += eager.trace.skipped_pairs.len();
+            }
+        }
+        assert!(banned > 0, "no run went over a banned pair");
     }
 
     #[test]

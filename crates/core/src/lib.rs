@@ -9,11 +9,13 @@
 //! The layers, bottom-up:
 //!
 //! * [`engine::Explorer`] — pins a context over a [`charles_store::Backend`]
-//!   and memoizes selections and INDEP values (§5.1 optimization);
+//!   and memoizes selections (§5.1 optimization);
 //! * [`metrics`] — simplicity, breadth, entropy (§3);
 //! * [`primitives`] — CUT, COMPOSE, PRODUCT (§4.1);
 //! * [`mod@indep`] — the dependence quotient and Proposition 1;
 //! * [`hbcuts`] — the HB-cuts heuristic (§4.2, Figure 4) with tracing;
+//!   its per-run pair state carries INDEP values across iterations (the
+//!   other half of §5.1) and its one loop also drives [`lazy`];
 //! * [`ranking`] — entropy-first and weighted 3-criteria orders;
 //! * [`advisor`] / [`session`] — the user-facing facade and drill-down
 //!   exploration loop;
@@ -70,9 +72,7 @@ pub use cache::{AdviceCache, AdviceCacheStats};
 pub use config::{Config, MedianStrategy};
 pub use engine::{fingerprint, CacheStats, Explorer};
 pub use error::{CoreError, CoreResult};
-pub use hbcuts::{
-    hb_cuts, hb_cuts_naive, ComposeStep, HbCutsOutput, SkippedPair, StopReason, Trace,
-};
+pub use hbcuts::{hb_cuts, ComposeStep, HbCutsOutput, SkippedPair, StopReason, Trace};
 pub use homogeneity::{homogeneity, Homogeneity};
 pub use indep::{indep, is_independent, product_entropy};
 pub use lazy::LazyGenerator;

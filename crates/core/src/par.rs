@@ -13,12 +13,11 @@
 //! order, so the observable `Err` is the same one the sequential loop
 //! would have produced.
 //!
-//! The hottest caller is the HB-cuts INDEP fan-out
-//! (`indep::indep_frontier`): since the incremental pair maintenance
-//! landed it receives only the O(k) frontier pairs touching the newly
-//! composed candidate per iteration — the input is small but each
-//! element is coarse (bitmap AND-count grids), which is exactly the
-//! shape this order-preserving map is for.
+//! The hottest caller is the HB-cuts INDEP fan-out (the stepper in
+//! `hbcuts`): after the first iteration it passes only the O(k)
+//! frontier pairs touching the newly composed candidate — the input is
+//! small but each element is coarse (bitmap AND-count grids), which is
+//! exactly the shape this order-preserving map is for.
 
 use crate::error::CoreResult;
 

@@ -5,7 +5,8 @@
 //! astronomy catalogue (demo proposal), and the web logs of the
 //! introduction. Each generator here synthesises a dataset with the same
 //! schema *and the same dependency structure* — which is all the advisor
-//! ever observes (see DESIGN.md §2 for the substitution argument).
+//! ever observes: it reads medians, frequencies and intersection counts,
+//! never the values' meaning.
 //!
 //! All generators are deterministic for a fixed seed.
 //!

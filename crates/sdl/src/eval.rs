@@ -42,8 +42,9 @@ pub fn count(query: &Query, backend: &dyn Backend) -> StoreResult<usize> {
 ///
 /// The paper defines `C(Q) = |R(Q)|/|T|`; we generalise the denominator to
 /// the segmented context so entropies of sub-database explorations stay
-/// normalised (see DESIGN.md §1 note 1). Pass `backend.row_count()` to get
-/// the paper's literal definition.
+/// normalised (a drill-down's covers sum to 1 over its own context, not
+/// to the context's share of the table). Pass `backend.row_count()` to
+/// get the paper's literal definition.
 pub fn cover(query: &Query, backend: &dyn Backend, context_size: usize) -> StoreResult<f64> {
     if context_size == 0 {
         return Ok(0.0);

@@ -12,7 +12,7 @@
 //!    `.charles` file.
 
 use charles::advisor::Explorer;
-use charles::{voc_table, Advisor, Config};
+use charles::{voc_table, AdviceCache, Advisor, Config, CoreError};
 use charles_store::{
     Backend, BackendStats, Bitmap, FrequencyTable, Schema, StoreError, StorePredicate, StoreResult,
     Value,
@@ -41,7 +41,7 @@ impl<'a> FusedBackend<'a> {
         let mut left = self.budget.load(Ordering::Relaxed);
         loop {
             if left == 0 {
-                return Err(StoreError::Parse("injected backend failure".into()));
+                return Err(StoreError::Io("injected backend failure".into()));
             }
             if left == usize::MAX {
                 return Ok(());
@@ -177,6 +177,26 @@ fn explorer_construction_fails_cleanly_on_dead_backend() {
     let ctx = charles::parse_query(CONTEXT, Backend::schema(&dead)).unwrap();
     let err = Explorer::new(&dead, Config::default(), ctx);
     assert!(err.is_err());
+}
+
+#[test]
+fn transient_io_error_is_not_served_from_the_advice_cache() {
+    // One failed read must not become the cached answer for its context.
+    let table = voc_table(1_000, 55);
+    let flaky = FusedBackend::new(&table, 0);
+    let advisor = Advisor::new(&flaky);
+    let cache = AdviceCache::new();
+    let ctx = charles::parse_query(CONTEXT, Backend::schema(&flaky)).unwrap();
+    let err = cache.advise_cached(&advisor, ctx.clone()).unwrap_err();
+    assert!(
+        matches!(err, CoreError::Store(StoreError::Io(_))),
+        "{err:?}"
+    );
+    flaky.budget.store(usize::MAX, Ordering::Relaxed); // the disk is back
+    let advice = cache.advise_cached(&advisor, ctx).unwrap();
+    assert!(!advice.ranked.is_empty());
+    assert_eq!(cache.stats().runs, 2);
+    assert_eq!(cache.len(), 1);
 }
 
 /// Parameterized contract harness: every Backend obligation, every

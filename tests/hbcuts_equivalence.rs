@@ -1,11 +1,14 @@
-//! Naive ⇔ incremental equivalence of the HB-cuts pair argmin.
+//! Reference ⇔ production equivalence of HB-cuts.
 //!
-//! `hb_cuts` maintains incremental per-run pair state (interned
+//! `hb_cuts` runs Figure 4 over incremental per-run pair state (interned
 //! candidate ids, a triangular INDEP matrix, a ban set for uncomposable
-//! pairs); `hb_cuts_naive` re-enumerates and re-probes all O(k²) pairs
-//! through the explorer's shared memo every iteration, as the advisor
-//! did before the incremental refactor. The contract: this is purely an
-//! execution-strategy change — **bitwise-identical advisor output**,
+//! pairs). [`figure4_reference`] below is an independent implementation
+//! of the same figure, written against the public primitives only
+//! (`cut_segmentation`, `indep`, `compose`, `score`, `rank`): every
+//! iteration it enumerates all O(k²) pairs in the textbook nested loop
+//! and orders them by a stable sort, carrying INDEP values in its own
+//! map keyed by rendered fingerprints. It shares no selection code with
+//! what it checks. The contract: **bitwise-identical advisor output**,
 //! meaning the same compose trace (same pairs in the same order, same
 //! skipped pairs, same `StopReason`) and the same ranked answers down to
 //! the f64 score bits, across:
@@ -13,16 +16,148 @@
 //! * memoization on and off,
 //! * `MedianStrategy::Exact` and `::Sampled`,
 //!
-//! plus a probe-count assertion: the incremental path must issue at most
-//! half the naive path's INDEP memo probes once there are ≥ 16
-//! candidates (the whole point of the refactor).
+//! plus an evaluation-count assertion: with memoization on, production
+//! evaluates every candidate pair exactly once.
 
-use charles::advisor::{hb_cuts, hb_cuts_naive, Explorer, HbCutsOutput};
-use charles::{sweep_table, voc_table, Config, MedianStrategy, Query, Table};
+use charles::advisor::{
+    compose, cut_segmentation, fingerprint, hb_cuts, indep, rank, score, ComposeStep, CoreError,
+    CoreResult, Explorer, HbCutsOutput, SkippedPair, StopReason, Trace,
+};
+use charles::{sweep_table, voc_table, Config, MedianStrategy, Query, Segmentation, Table};
 use charles_store::Backend;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, HashSet};
+
+fn attrs_of(seg: &Segmentation) -> Vec<String> {
+    seg.attributes().iter().map(|s| s.to_string()).collect()
+}
+
+/// Figure 4, line by line, with the two refinements the production loop
+/// documents: an uncomposable most-dependent pair is skipped for the
+/// next-most-dependent one (and never retried), and `Config::memoize`
+/// decides whether INDEP values are carried from one iteration to the
+/// next (§5.1).
+fn figure4_reference(ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
+    let cfg = ex.config().clone();
+    let mut trace = Trace::default();
+
+    // Lines 2–5: one binary cut per attribute of the context.
+    let base = Segmentation::singleton(ex.context().clone());
+    let mut cand: Vec<Segmentation> = Vec::new();
+    for attr in ex.attributes() {
+        match cut_segmentation(ex, &base, attr)? {
+            Some(seg) => {
+                trace.seeds.push(attr.to_string());
+                cand.push(seg);
+            }
+            None => trace.skipped.push(attr.to_string()),
+        }
+    }
+    if cand.is_empty() {
+        return Err(CoreError::NoCuttableAttribute);
+    }
+
+    let pair_key = |a: &str, b: &str| {
+        if a <= b {
+            (a.to_string(), b.to_string())
+        } else {
+            (b.to_string(), a.to_string())
+        }
+    };
+    let mut carried: HashMap<(String, String), f64> = HashMap::new();
+    let mut uncomposable: HashSet<(String, String)> = HashSet::new();
+    let mut output: Vec<Segmentation> = Vec::new();
+
+    // Lines 10–22.
+    let stop = 'run: loop {
+        if cand.len() < 2 {
+            break StopReason::ExhaustedCandidates;
+        }
+        // Line 11: INDEP of every unordered pair; the stable sort keeps
+        // enumeration order among equal values (first wins).
+        let fps: Vec<String> = cand.iter().map(fingerprint).collect();
+        let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
+        for i in 0..cand.len() {
+            for j in (i + 1)..cand.len() {
+                let key = pair_key(&fps[i], &fps[j]);
+                let v = match carried.get(&key) {
+                    Some(&v) if cfg.memoize => v,
+                    _ => {
+                        let v = indep(ex, &cand[i], &cand[j])?;
+                        carried.insert(key, v);
+                        v
+                    }
+                };
+                pairs.push((i, j, v));
+            }
+        }
+        pairs.sort_by(|a, b| a.2.total_cmp(&b.2));
+
+        let mut accepted = None;
+        for (i, j, ind) in pairs {
+            let key = pair_key(&fps[i], &fps[j]);
+            if uncomposable.contains(&key) {
+                continue;
+            }
+            // Line 12.
+            let Some(new_seg) = compose(ex, &cand[i], &cand[j])? else {
+                if ind >= cfg.max_indep {
+                    break 'run StopReason::IndependenceThreshold;
+                }
+                uncomposable.insert(key);
+                trace.skipped_pairs.push(SkippedPair {
+                    left_attrs: attrs_of(&cand[i]),
+                    right_attrs: attrs_of(&cand[j]),
+                    indep: ind,
+                });
+                continue;
+            };
+            // Line 15.
+            let stop = if ind >= cfg.max_indep {
+                Some(StopReason::IndependenceThreshold)
+            } else if new_seg.depth() >= cfg.max_depth {
+                Some(StopReason::DepthLimit)
+            } else {
+                None
+            };
+            trace.steps.push(ComposeStep {
+                left_attrs: attrs_of(&cand[i]),
+                right_attrs: attrs_of(&cand[j]),
+                indep: ind,
+                depth: new_seg.depth(),
+                accepted: stop.is_none(),
+            });
+            if let Some(reason) = stop {
+                break 'run reason;
+            }
+            accepted = Some((i, j, new_seg));
+            break;
+        }
+        let Some((i, j, new_seg)) = accepted else {
+            break StopReason::ComposeFailed;
+        };
+        // Lines 18–20 (j > i: remove j first so i stays valid).
+        let s2 = cand.swap_remove(j);
+        let s1 = cand.swap_remove(i);
+        output.push(s1);
+        output.push(s2);
+        cand.push(new_seg);
+    };
+    trace.stop = Some(stop);
+
+    // Lines 23–25.
+    output.extend(cand);
+    let mut scored = Vec::new();
+    for seg in output {
+        let s = score(ex, &seg)?;
+        scored.push((seg, s));
+    }
+    let mut ranked = rank(scored);
+    ranked.truncate(cfg.max_results);
+    Ok(HbCutsOutput { ranked, trace })
+}
 
 /// One ranked answer in exactly-comparable form: segmentation text plus
 /// the raw bits of the entropy score and the integer score fields.
@@ -66,7 +201,7 @@ fn config_matrix() -> Vec<(&'static str, Config)> {
     ]
 }
 
-/// Assert naive ⇔ incremental equality for one backend + context over
+/// Assert reference ⇔ production equality for one backend + context over
 /// the whole configuration matrix. Returns the number of configurations
 /// that produced at least one composition (so callers can assert the
 /// comparison was not vacuous).
@@ -77,14 +212,14 @@ fn assert_equivalent(backend: &dyn Backend, ctx: &Query, label: &str) -> usize {
             let ex = Explorer::new(backend, cfg.clone(), ctx.clone()).unwrap();
             hb_cuts(&ex).unwrap()
         };
-        let naive = {
+        let reference = {
             let ex = Explorer::new(backend, cfg, ctx.clone()).unwrap();
-            hb_cuts_naive(&ex).unwrap()
+            figure4_reference(&ex).unwrap()
         };
         assert_eq!(
             run_fingerprint(&inc),
-            run_fingerprint(&naive),
-            "naive and incremental HB-cuts diverged ({label}, {cfg_label})"
+            run_fingerprint(&reference),
+            "reference and production HB-cuts diverged ({label}, {cfg_label})"
         );
         if inc.trace.steps.iter().any(|s| s.accepted) {
             composed += 1;
@@ -156,11 +291,10 @@ fn equivalent_when_best_pairs_are_uncomposable() {
 }
 
 #[test]
-fn incremental_halves_indep_probes_at_16_candidates() {
-    // The acceptance bar of the refactor: at k ≥ 16 candidates the
-    // incremental path must issue at most half the INDEP memo probes of
-    // the naive path (it carries all non-frontier pairs in run-local
-    // state instead of re-probing the shared memo each iteration).
+fn every_candidate_pair_is_evaluated_exactly_once() {
+    // The pair state is the INDEP memo: all k(k−1)/2 seed pairs on the
+    // first iteration, then after each accepted composition only the
+    // pairs of the new candidate with the other live ones.
     let k = 16usize;
     let table = sweep_table(3_000, k, 11);
     let names = Backend::schema(&table).names();
@@ -170,24 +304,24 @@ fn incremental_halves_indep_probes_at_16_candidates() {
     // worst case for the pair argmin.
     let cfg = Config::default().with_max_indep(1.0).with_max_depth(64);
 
-    let probes = |naive: bool| {
-        let ex = Explorer::new(&table, cfg.clone(), ctx.clone()).unwrap();
-        let out = if naive {
-            hb_cuts_naive(&ex).unwrap()
-        } else {
-            hb_cuts(&ex).unwrap()
-        };
-        assert!(
-            out.trace.steps.iter().filter(|s| s.accepted).count() >= 3,
-            "need several iterations for the comparison to mean anything"
-        );
-        ex.cache_stats().indep_probes()
+    let run = |memoize: bool| {
+        let ex = Explorer::new(&table, cfg.clone().with_memoize(memoize), ctx.clone()).unwrap();
+        let out = hb_cuts(&ex).unwrap();
+        assert_eq!(out.trace.seeds.len(), k);
+        let stats = ex.cache_stats();
+        assert_eq!(stats.indep_probes(), stats.indep_misses);
+        let accepted = out.trace.steps.iter().filter(|s| s.accepted).count();
+        (stats.indep_misses, accepted)
     };
-    let incremental = probes(false);
-    let naive = probes(true);
+    let (evaluated, accepted) = run(true);
+    assert!(accepted >= 3, "need several iterations: {accepted}");
+    // Step s leaves k − s live candidates, one of them new.
+    let expected = k * (k - 1) / 2 + (1..=accepted).map(|s| k - s - 1).sum::<usize>();
+    assert_eq!(evaluated, expected as u64);
+    let (ablated, _) = run(false);
     assert!(
-        incremental * 2 <= naive,
-        "incremental must issue ≤ half the probes: {incremental} vs {naive}"
+        ablated > evaluated,
+        "without reuse every pair is re-evaluated every iteration: {ablated} vs {evaluated}"
     );
 }
 
@@ -230,7 +364,7 @@ fn arb_table() -> impl Strategy<Value = Table> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Property: for arbitrary small tables, naive and incremental
+    /// Property: for arbitrary small tables, the reference and production
     /// HB-cuts produce identical compose traces (same pairs, same
     /// skipped pairs, same StopReason) and identical ranked output,
     /// across the memoize × median-strategy matrix.
@@ -240,14 +374,14 @@ proptest! {
         // Contexts can be degenerate (all-constant columns): both paths
         // must then fail identically too.
         for (cfg_label, cfg) in config_matrix() {
-            let run = |naive: bool| {
+            let run = |reference: bool| {
                 let ex = Explorer::new(&t, cfg.clone(), ctx.clone()).unwrap();
-                if naive { hb_cuts_naive(&ex) } else { hb_cuts(&ex) }
+                if reference { figure4_reference(&ex) } else { hb_cuts(&ex) }
             };
             match (run(false), run(true)) {
-                (Ok(inc), Ok(naive)) => prop_assert_eq!(
+                (Ok(inc), Ok(reference)) => prop_assert_eq!(
                     run_fingerprint(&inc),
-                    run_fingerprint(&naive),
+                    run_fingerprint(&reference),
                     "diverged under {}", cfg_label
                 ),
                 (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
