@@ -28,15 +28,14 @@ pub struct CacheStats {
     /// Selection-cache misses (predicate actually evaluated).
     pub sel_misses: u64,
     /// INDEP evaluations (pairwise counting actually performed): one per
-    /// [`crate::indep()`] call, so one per candidate pair of an HB-cuts
+    /// [`crate::indep()`] call and one per candidate pair of an HB-cuts
     /// run. The benchmark reports it as `core.indep_misses`.
     pub indep_misses: u64,
 }
 
 impl CacheStats {
-    /// Calls of [`crate::indep()`] — equal to `indep_misses` by
-    /// definition since every call evaluates; kept because the
-    /// benchmark reports both.
+    /// INDEP probes — equal to `indep_misses` by definition since
+    /// every probe evaluates; kept because the benchmark reports both.
     pub fn indep_probes(&self) -> u64 {
         self.indep_misses
     }
@@ -128,10 +127,12 @@ impl<'a> Explorer<'a> {
     /// Materialise (and cache) the selection of a query, intersected with
     /// the context extent.
     pub fn selection(&self, q: &Query) -> CoreResult<Arc<Bitmap>> {
-        let key = q.to_string();
-        if self.config.memoize {
+        // The memo key is the rendered query; the §5.1 ablation has no
+        // memo, so it renders none.
+        let key = self.config.memoize.then(|| q.to_string());
+        if let Some(key) = &key {
             let mut caches = self.caches.lock();
-            if let Some(bm) = caches.selections.get(&key).map(Arc::clone) {
+            if let Some(bm) = caches.selections.get(key).map(Arc::clone) {
                 caches.stats.sel_hits += 1;
                 return Ok(bm);
             }
@@ -141,7 +142,7 @@ impl<'a> Explorer<'a> {
         let arc = Arc::new(sel);
         let mut caches = self.caches.lock();
         caches.stats.sel_misses += 1;
-        if self.config.memoize {
+        if let Some(key) = key {
             caches.selections.insert(key, Arc::clone(&arc));
         }
         Ok(arc)
@@ -182,9 +183,9 @@ impl<'a> Explorer<'a> {
         Ok(med)
     }
 
-    /// Count one INDEP evaluation.
-    pub(crate) fn count_indep_evaluation(&self) {
-        self.caches.lock().stats.indep_misses += 1;
+    /// Count `n` INDEP evaluations.
+    pub(crate) fn count_indep_evaluations(&self, n: u64) {
+        self.caches.lock().stats.indep_misses += n;
     }
 }
 

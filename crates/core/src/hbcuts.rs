@@ -32,10 +32,14 @@
 //! is interned to an integer id when it is created (seeded or composed)
 //! and pair INDEP values live in a triangular matrix indexed by id
 //! pairs. After composing `(i, j)` only the O(k) pairs touching the new
-//! candidate are unknown — they are evaluated in one parallel fan-out —
-//! while every other pair's value is carried over as a plain array read:
-//! no render, no lock, no allocation. Every id pair is therefore
-//! evaluated exactly once per run. The argmin scans the matrix in the
+//! candidate are unknown, while every other pair's value is carried over
+//! as a plain array read: no render, no lock, no allocation. Every id
+//! pair is therefore evaluated exactly once per run. The operands are
+//! carried the same way: a candidate is *resolved* once, when it is
+//! created — its pieces' selections and its entropy (`indep::Resolved`,
+//! one selection lookup per piece, fanned out) — so an evaluation is two
+//! field reads and one AND-count grid, in a plain loop, and the final
+//! scores read the same entropies. The argmin scans the matrix in the
 //! `(i, j)` enumeration order of the textbook nested loop, so first-wins
 //! tie-breaks — and hence the chosen pair, the trace and the advice —
 //! are bitwise identical to the independent Figure 4 reference written
@@ -57,8 +61,8 @@
 
 use crate::engine::Explorer;
 use crate::error::{CoreError, CoreResult};
-use crate::indep::indep;
-use crate::metrics::{score, Score};
+use crate::indep::{resolve, Resolved};
+use crate::metrics::{score_with, Score};
 use crate::primitives::{compose, cut_segmentation};
 use crate::ranking::{rank, Ranked};
 use charles_sdl::Segmentation;
@@ -248,76 +252,120 @@ fn attrs_of(seg: &Segmentation) -> Vec<String> {
     seg.attributes().iter().map(|s| s.to_string()).collect()
 }
 
+/// Line 4: `CUT_attr(context)` with the cut resolved for INDEP, or
+/// `None` for an attribute that is constant in the context.
+pub(crate) fn seed_cut(
+    ex: &Explorer<'_>,
+    base: &Segmentation,
+    attr: &str,
+) -> CoreResult<Option<(Segmentation, Resolved)>> {
+    cut_segmentation(ex, base, attr)?
+        .map(|seg| resolve(ex, &seg).map(|resolved| (seg, resolved)))
+        .transpose()
+}
+
 /// The one HB-cuts loop (Figure 4, lines 2–22), one iteration per
-/// [`Stepper::step`]: the live candidates with their interned ids, the
-/// pair memo, the trace, and the segmentations already retired to the
-/// output. [`hb_cuts`] and [`crate::lazy::LazyGenerator`] differ only in
-/// how they seed it and when they step it.
+/// [`Stepper::step`]: the live candidates with their interned ids and
+/// resolved forms, the pair memo, the trace, and the segmentations
+/// already retired to the output. [`hb_cuts`] and
+/// [`crate::lazy::LazyGenerator`] differ only in how they seed it and
+/// when they step it.
 #[derive(Default)]
 pub(crate) struct Stepper {
     cand: Vec<Segmentation>,
     /// Interned id of each live candidate, parallel to `cand`.
     ids: Vec<u32>,
+    /// Each live candidate as INDEP and the scores read it — piece
+    /// selections and entropy, resolved once when it was created —
+    /// parallel to `cand`.
+    resolved: Vec<Resolved>,
     state: PairState,
     trace: Trace,
-    /// Line 20: composed pairs leave `cand` for the output.
-    retired: Vec<Segmentation>,
+    /// Line 20: composed pairs leave `cand` for the output, each with
+    /// its entropy.
+    retired: Vec<(Segmentation, f64)>,
 }
 
 impl Stepper {
-    /// Line 4: record the outcome of `CUT_attr(context)` — a new
-    /// candidate, or an attribute that is constant in the context.
-    pub(crate) fn seed(&mut self, attr: &str, cut: Option<Segmentation>) {
+    /// Line 4: record the outcome of [`seed_cut`] — a new candidate, or
+    /// an attribute that is constant in the context.
+    pub(crate) fn seed(&mut self, attr: &str, cut: Option<(Segmentation, Resolved)>) {
         match cut {
-            Some(seg) => {
+            Some((seg, resolved)) => {
                 self.trace.seeds.push(attr.to_string());
-                self.push(seg);
+                self.push(seg, resolved);
             }
             None => self.trace.skipped.push(attr.to_string()),
         }
     }
 
-    fn push(&mut self, seg: Segmentation) {
+    fn push(&mut self, seg: Segmentation, resolved: Resolved) {
         self.ids.push(self.state.intern());
         self.cand.push(seg);
+        self.resolved.push(resolved);
+    }
+
+    /// Remove the live candidate at `at`, keeping its entropy.
+    fn take(&mut self, at: usize) -> (Segmentation, f64) {
+        self.ids.swap_remove(at);
+        let entropy = self.resolved.swap_remove(at).entropy;
+        (self.cand.swap_remove(at), entropy)
     }
 
     /// The execution record so far; `stop` is set once a step returned
-    /// `None`.
+    /// `false`.
     pub(crate) fn trace(&self) -> &Trace {
         &self.trace
     }
 
+    /// The newest live candidate with its score card: the seed or the
+    /// composition a lazy run has just produced.
+    pub(crate) fn newest(&self) -> Option<(Segmentation, Score)> {
+        let seg = self.cand.last()?;
+        Some((seg.clone(), score_with(seg, self.resolved.last()?.entropy)))
+    }
+
     /// Lines 11–20, one iteration: evaluate the pairs not yet known,
     /// pick the most dependent pair, compose it, apply the stopping
-    /// criteria. Returns the accepted composition (now the last live
-    /// candidate), or `None` once a stop criterion fired and was
-    /// recorded in the trace.
+    /// criteria. Returns whether a composition was accepted (it is now
+    /// the newest live candidate); `false` once a stop criterion fired
+    /// and was recorded in the trace.
     ///
     /// An uncomposable best pair is banned, recorded in the trace, and
     /// the argmin falls back to the next-most-dependent pair; only when
     /// no composable pair remains does the loop stop with
     /// [`StopReason::ComposeFailed`].
-    pub(crate) fn step(&mut self, ex: &Explorer<'_>) -> CoreResult<Option<&Segmentation>> {
+    ///
+    /// On `Err` no candidate has been added, removed or recorded, so
+    /// the same step can be retried.
+    pub(crate) fn step(&mut self, ex: &Explorer<'_>) -> CoreResult<bool> {
         if self.cand.len() < 2 {
             self.trace.stop = Some(StopReason::ExhaustedCandidates);
-            return Ok(None);
+            return Ok(false);
         }
-        // Evaluate the unknown pairs (the incremental frontier) in one
-        // parallel fan-out; results land in the triangular matrix.
-        let frontier = self.state.frontier(&self.ids, ex.config().memoize);
-        let cand = &self.cand;
-        let fresh = crate::par::try_map(&frontier, |&(i, j)| indep(ex, &cand[i], &cand[j]))?;
-        for (&(i, j), v) in frontier.iter().zip(fresh) {
+        // Evaluate the unknown pairs (the incremental frontier) over the
+        // carried operands — a plain loop: a probe is a handful of
+        // AND-counts. The §5.1 ablation carries nothing, so it resolves
+        // both operands anew for every probe, as `indep()` does.
+        let memoize = ex.config().memoize;
+        let n = ex.context_size();
+        let frontier = self.state.frontier(&self.ids, memoize);
+        ex.count_indep_evaluations(frontier.len() as u64);
+        for (i, j) in frontier {
+            let v = if memoize {
+                self.resolved[i].indep(&self.resolved[j], n)
+            } else {
+                resolve(ex, &self.cand[i])?.indep(&resolve(ex, &self.cand[j])?, n)
+            };
             self.state.set(self.ids[i], self.ids[j], v);
         }
 
         let max_indep = ex.config().max_indep;
-        let (i, j, new_seg) = loop {
+        let (i, j, new_seg, resolved) = loop {
             // Line 11: argmin over unordered candidate pairs.
             let Some((i, j, ind)) = self.state.best_pair(&self.ids) else {
                 self.trace.stop = Some(StopReason::ComposeFailed);
-                return Ok(None);
+                return Ok(false);
             };
 
             // Line 12: compose; an uncomposable pair is skipped (greedy
@@ -331,7 +379,7 @@ impl Stepper {
             let Some(new_seg) = compose(ex, &self.cand[i], &self.cand[j])? else {
                 if ind >= max_indep {
                     self.trace.stop = Some(StopReason::IndependenceThreshold);
-                    return Ok(None);
+                    return Ok(false);
                 }
                 self.state.ban(self.ids[i], self.ids[j]);
                 self.trace.skipped_pairs.push(SkippedPair {
@@ -351,49 +399,58 @@ impl Stepper {
             } else {
                 None
             };
-            self.trace.steps.push(ComposeStep {
+            let step = ComposeStep {
                 left_attrs: attrs_of(&self.cand[i]),
                 right_attrs: attrs_of(&self.cand[j]),
                 indep: ind,
                 depth: dep,
                 accepted: stop.is_none(),
-            });
+            };
             if stop.is_some() {
+                self.trace.steps.push(step);
                 self.trace.stop = stop;
-                return Ok(None);
+                return Ok(false);
             }
-            break (i, j, new_seg);
+            // An accepted composition joins the candidates resolved —
+            // the fallible part, so it comes before the step is recorded.
+            let resolved = resolve(ex, &new_seg)?;
+            self.trace.steps.push(step);
+            break (i, j, new_seg, resolved);
         };
 
         // Lines 18–20: replace the pair by the composition. Remove j
         // first (j > i) so indices stay valid.
-        let s2 = self.cand.swap_remove(j);
-        self.ids.swap_remove(j);
-        let s1 = self.cand.swap_remove(i);
-        self.ids.swap_remove(i);
+        let s2 = self.take(j);
+        let s1 = self.take(i);
         self.retired.push(s1);
         self.retired.push(s2);
-        self.push(new_seg);
-        Ok(self.cand.last())
+        self.push(new_seg, resolved);
+        Ok(true)
     }
 
     /// Lines 23–25: everything still in `cand` joins the output, which
-    /// is scored, ranked and truncated.
-    fn finish(self, ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
-        let mut output = self.retired;
-        output.extend(self.cand);
-
-        // Line 25: sort by entropy (descending), with deterministic
-        // tie-breaks. Scoring each segmentation is independent work; order
-        // is preserved.
-        let scores = crate::par::try_map(&output, |seg| score(ex, seg))?;
-        let scored: Vec<(Segmentation, Score)> = output.into_iter().zip(scores).collect();
+    /// is scored from the carried entropies, ranked (by entropy,
+    /// descending, with deterministic tie-breaks) and truncated.
+    fn finish(self, max_results: usize) -> HbCutsOutput {
+        let live = self
+            .cand
+            .into_iter()
+            .zip(self.resolved.iter().map(|r| r.entropy));
+        let scored = self
+            .retired
+            .into_iter()
+            .chain(live)
+            .map(|(seg, entropy)| {
+                let score = score_with(&seg, entropy);
+                (seg, score)
+            })
+            .collect();
         let mut ranked = rank(scored);
-        ranked.truncate(ex.config().max_results);
-        Ok(HbCutsOutput {
+        ranked.truncate(max_results);
+        HbCutsOutput {
             ranked,
             trace: self.trace,
-        })
+        }
     }
 }
 
@@ -409,7 +466,7 @@ pub fn hb_cuts(ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
     // order.
     let base = Segmentation::singleton(ex.context().clone());
     let attrs = ex.attributes();
-    let seed_cuts = crate::par::try_map(&attrs, |attr| cut_segmentation(ex, &base, attr))?;
+    let seed_cuts = crate::par::try_map(&attrs, |attr| seed_cut(ex, &base, attr))?;
     let mut stepper = Stepper::default();
     for (attr, cut) in attrs.iter().zip(seed_cuts) {
         stepper.seed(attr, cut);
@@ -419,9 +476,9 @@ pub fn hb_cuts(ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
     }
 
     // Lines 10–22: compose the most dependent pair until a stop fires.
-    while stepper.step(ex)?.is_some() {}
+    while stepper.step(ex)? {}
 
-    stepper.finish(ex)
+    Ok(stepper.finish(ex.config().max_results))
 }
 
 #[cfg(test)]

@@ -13,42 +13,74 @@
 //!
 //! The implementation never materialises product queries: the entropy of
 //! `S1 × S2` only needs the pairwise intersection cardinalities, which are
-//! bitmap AND-counts over the cached segment selections. [`indep`] itself
-//! remembers nothing: the reuse §5.1 asks for ("the calculations of SDL
-//! products and entropy can be reused from one iteration to the next")
-//! is the HB-cuts loop's per-run pair state, which evaluates every
-//! candidate pair exactly once (see [`crate::hbcuts`]).
+//! bitmap AND-counts over the segment selections. There is one kernel and
+//! it works on *resolved* operands (`Resolved`: a segmentation's piece
+//! selections plus its entropy): the denominator is two field reads, the
+//! numerator one AND-count grid — no query is rendered, no lock taken.
+//! The HB-cuts loop resolves each candidate once, when it is created, and
+//! carries the resolved form for as long as the candidate lives (the §5.1
+//! reuse, see [`crate::hbcuts`]); the public [`indep`] and
+//! [`product_entropy`] remember nothing — they resolve both operands and
+//! call the same kernel.
 
 use crate::engine::Explorer;
 use crate::error::CoreResult;
 use crate::metrics::entropy_from_covers;
 use charles_sdl::Segmentation;
+use charles_store::Bitmap;
+use std::sync::Arc;
+
+/// A segmentation as INDEP consumes it: its pieces' selections in
+/// `seg.queries()` order, and `E(S)`.
+pub(crate) struct Resolved {
+    sels: Vec<Arc<Bitmap>>,
+    pub(crate) entropy: f64,
+}
+
+/// Resolve a segmentation: one selection lookup per piece. The pieces
+/// materialise independently (predicate scans when new), so they fan out.
+pub(crate) fn resolve(ex: &Explorer<'_>, seg: &Segmentation) -> CoreResult<Resolved> {
+    let sels = crate::par::try_map(seg.queries(), |q| ex.selection(q))?;
+    let n = ex.context_size() as f64;
+    let covers: Vec<f64> = sels.iter().map(|s| s.count_ones() as f64 / n).collect();
+    Ok(Resolved {
+        entropy: entropy_from_covers(&covers),
+        sels,
+    })
+}
+
+impl Resolved {
+    /// `E(S1 × S2)` from the AND-count grid, enumerated row-major — the
+    /// `(a, b)` order the entropy sum has always seen, so its value is
+    /// fixed down to the last bit.
+    fn product_entropy(&self, other: &Resolved, n: usize) -> f64 {
+        let mut covers = Vec::with_capacity(self.sels.len() * other.sels.len());
+        for a in &self.sels {
+            for b in &other.sels {
+                let c = a.and_count(b);
+                if c > 0 {
+                    covers.push(c as f64 / n as f64);
+                }
+            }
+        }
+        entropy_from_covers(&covers)
+    }
+
+    /// `INDEP(S1, S2)` over a context of `n` rows; see [`indep`].
+    pub(crate) fn indep(&self, other: &Resolved, n: usize) -> f64 {
+        let denom = self.entropy + other.entropy;
+        if denom <= f64::EPSILON {
+            return 1.0;
+        }
+        // Subadditivity bounds the true quotient by 1; clamp floating noise.
+        (self.product_entropy(other, n) / denom).min(1.0)
+    }
+}
 
 /// Entropy of the product `S1 × S2` computed from pairwise intersection
 /// counts (no product queries are built).
 pub fn product_entropy(ex: &Explorer<'_>, s1: &Segmentation, s2: &Segmentation) -> CoreResult<f64> {
-    let n = ex.context_size();
-    if n == 0 {
-        return Ok(0.0);
-    }
-    // Segment selections materialise independently; fan them out.
-    let sels1 = crate::par::try_map(s1.queries(), |q| ex.selection(q))?;
-    let sels2 = crate::par::try_map(s2.queries(), |q| ex.selection(q))?;
-    // AND-count grid: one parallel task per row of S1, each emitting its
-    // covers in S2 order; flattening row-major reproduces the exact
-    // sequential (a, b) enumeration, so the entropy sum sees the same
-    // operand order bitwise.
-    let rows = charles_parallel::par_map(&sels1, |a| {
-        sels2
-            .iter()
-            .filter_map(|b| {
-                let c = a.and_count(b);
-                (c > 0).then(|| c as f64 / n as f64)
-            })
-            .collect::<Vec<f64>>()
-    });
-    let covers: Vec<f64> = rows.into_iter().flatten().collect();
-    Ok(entropy_from_covers(&covers))
+    Ok(resolve(ex, s1)?.product_entropy(&resolve(ex, s2)?, ex.context_size()))
 }
 
 /// `INDEP(S1, S2)`.
@@ -57,15 +89,8 @@ pub fn product_entropy(ex: &Explorer<'_>, s1: &Segmentation, s2: &Segmentation) 
 /// single-piece or completely unbalanced) there is no dependence signal;
 /// we return 1.0 ("fully independent") so HB-cuts never composes on noise.
 pub fn indep(ex: &Explorer<'_>, s1: &Segmentation, s2: &Segmentation) -> CoreResult<f64> {
-    ex.count_indep_evaluation();
-    let e1 = crate::metrics::entropy(ex, s1)?;
-    let e2 = crate::metrics::entropy(ex, s2)?;
-    let denom = e1 + e2;
-    if denom <= f64::EPSILON {
-        return Ok(1.0);
-    }
-    // Subadditivity bounds the true quotient by 1; clamp floating noise.
-    Ok((product_entropy(ex, s1, s2)? / denom).min(1.0))
+    ex.count_indep_evaluations(1);
+    Ok(resolve(ex, s1)?.indep(&resolve(ex, s2)?, ex.context_size()))
 }
 
 /// Check Proposition 1's equality within a tolerance: are the partition

@@ -15,9 +15,8 @@
 
 use crate::engine::Explorer;
 use crate::error::CoreResult;
-use crate::hbcuts::{Stepper, StopReason, Trace};
-use crate::metrics::{score, Score};
-use crate::primitives::cut_segmentation;
+use crate::hbcuts::{seed_cut, Stepper, StopReason, Trace};
+use crate::metrics::Score;
 use charles_sdl::Segmentation;
 
 /// Incremental HB-cuts: call [`LazyGenerator::next_segmentation`]
@@ -57,29 +56,25 @@ impl<'e, 'a> LazyGenerator<'e, 'a> {
     }
 
     /// Produce the next segmentation (scored), or `None` when done.
+    ///
+    /// A call that fails has consumed nothing: the next call retries the
+    /// same seed or the same composition step.
     pub fn next_segmentation(&mut self) -> CoreResult<Option<(Segmentation, Score)>> {
         while let Some(attr) = self.attrs.get(self.next_attr) {
-            self.next_attr += 1;
             let base = Segmentation::singleton(self.ex.context().clone());
-            let cut = cut_segmentation(self.ex, &base, attr)?;
-            let yielded = match &cut {
-                Some(seg) => Some((seg.clone(), score(self.ex, seg)?)),
-                None => None,
-            };
+            let cut = seed_cut(self.ex, &base, attr)?;
+            self.next_attr += 1;
+            let cuttable = cut.is_some();
             self.stepper.seed(attr, cut);
-            if yielded.is_some() {
-                return Ok(yielded);
+            if cuttable {
+                return Ok(self.stepper.newest());
             }
             // Uncuttable attribute: try the next one.
         }
-        if self.stop_reason().is_some() {
+        if self.stop_reason().is_some() || !self.stepper.step(self.ex)? {
             return Ok(None);
         }
-        let Some(seg) = self.stepper.step(self.ex)?.cloned() else {
-            return Ok(None);
-        };
-        let s = score(self.ex, &seg)?;
-        Ok(Some((seg, s)))
+        Ok(self.stepper.newest())
     }
 
     /// Drain everything that remains (turning the generator eager).

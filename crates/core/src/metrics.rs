@@ -91,12 +91,18 @@ impl Score {
 
 /// Compute the score card for a segmentation.
 pub fn score(ex: &Explorer<'_>, seg: &Segmentation) -> CoreResult<Score> {
-    Ok(Score {
-        entropy: entropy(ex, seg)?,
+    Ok(score_with(seg, entropy(ex, seg)?))
+}
+
+/// The score card of a segmentation whose entropy is already known (the
+/// HB-cuts loop carries it with each candidate).
+pub(crate) fn score_with(seg: &Segmentation, entropy: f64) -> Score {
+    Score {
+        entropy,
         simplicity: simplicity(seg),
         breadth: breadth(seg),
         depth: seg.depth(),
-    })
+    }
 }
 
 #[cfg(test)]

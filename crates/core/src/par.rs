@@ -13,11 +13,13 @@
 //! order, so the observable `Err` is the same one the sequential loop
 //! would have produced.
 //!
-//! The hottest caller is the HB-cuts INDEP fan-out (the stepper in
-//! `hbcuts`): after the first iteration it passes only the O(k)
-//! frontier pairs touching the newly composed candidate — the input is
-//! small but each element is coarse (bitmap AND-count grids), which is
-//! exactly the shape this order-preserving map is for.
+//! The callers in the HB-cuts run are the seed fan-out (one CUT per
+//! context attribute, each resolved for INDEP) and the resolution of a
+//! new composition (one selection per piece — predicate scans): few
+//! elements, each coarse, which is the shape this order-preserving map
+//! is for. The INDEP frontier itself is a plain loop: over resolved
+//! candidates a probe is a handful of bitmap AND-counts, far below what
+//! a thread spawn costs.
 
 use crate::error::CoreResult;
 

@@ -16,9 +16,9 @@
 //!
 //! Work distribution is static chunking: the slice is split into
 //! `min(threads, len)` contiguous chunks, one worker thread per chunk.
-//! The advisor's units of work (scoring one candidate cut, evaluating
-//! one INDEP pair) are coarse and uniform enough that static chunking
-//! is within noise of work stealing, without a dependency.
+//! The advisor's units of work (cutting one seed attribute, scanning
+//! one segment's predicate) are coarse and uniform enough that static
+//! chunking is within noise of work stealing, without a dependency.
 
 #![forbid(unsafe_code)]
 
@@ -30,12 +30,12 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Inputs shorter than this run sequentially even with threads enabled.
 ///
 /// Thread spawn costs tens of microseconds; the advisor's smallest
-/// fan-outs (`Explorer::covers` over a 2–3 segment segmentation, INDEP
-/// selection lookups that are usually memo hits) finish in single-digit
-/// microseconds, so spawning for them is pure overhead. Four is the
-/// smallest cutoff that keeps every genuinely coarse fan-out (candidate
-/// seeding over k attributes, frontier pair evaluation, scoring) on the
-/// threaded path.
+/// fan-outs (`Explorer::covers` over a 2–3 segment segmentation, the
+/// two pieces of a seed cut) finish in single-digit microseconds, so
+/// spawning for them is pure overhead. Four is the smallest cutoff that
+/// keeps every genuinely coarse fan-out (candidate seeding over k
+/// attributes, the selections of a composed candidate's ≥ 4 pieces,
+/// adaptive restarts) on the threaded path.
 pub const PAR_THRESHOLD: usize = 4;
 
 /// Force the worker-thread count at runtime (`0` clears the override).
@@ -73,11 +73,11 @@ pub fn num_threads() -> usize {
 
 thread_local! {
     /// Set while executing inside a `par_map` worker. Nested `par_map`
-    /// calls (e.g. HB-cuts pair evaluation → INDEP → product-entropy
-    /// selection fan-out) run sequentially instead of spawning
+    /// calls (e.g. HB-cuts seeding → resolving the seed's two
+    /// selections) run sequentially instead of spawning
     /// threads-of-threads: only the outermost level parallelises, which
     /// bounds concurrency at [`num_threads`] and avoids paying thread
-    /// spawn cost on inner loops that are usually cache hits.
+    /// spawn cost on short inner loops.
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -90,10 +90,10 @@ thread_local! {
 /// units of work — median scans, segment selections, whole advisor
 /// restarts — where per-item cost dwarfs the ~tens-of-µs spawn cost.
 /// Inputs shorter than [`PAR_THRESHOLD`] run sequentially on the
-/// calling thread, so tiny fan-outs (memoized cover lookups, 2-segment
-/// INDEP selections) don't pay spawn cost for microsecond work; callers
-/// with *long* inputs of mostly-cached µs-scale items should still
-/// filter those out first (see the HB-cuts pair argmin).
+/// calling thread, so tiny fan-outs (memoized cover lookups, a seed
+/// cut's two selections) don't pay spawn cost for microsecond work;
+/// callers with *long* inputs of µs-scale items should not come here at
+/// all (the HB-cuts INDEP frontier is a plain loop).
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,

@@ -11,20 +11,22 @@
 //!    `Table`, `RowTable` and a `DiskTable` opened from a written
 //!    `.charles` file.
 
-use charles::advisor::Explorer;
+use charles::advisor::{hb_cuts, Explorer, LazyGenerator};
 use charles::{voc_table, AdviceCache, Advisor, Config, CoreError};
 use charles_store::{
     Backend, BackendStats, Bitmap, FrequencyTable, Schema, StoreError, StorePredicate, StoreResult,
     Value,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 /// A delegating backend with a fuse: after `budget` operations, every
 /// further call fails with a synthetic error. `budget = usize::MAX`
-/// disables the fuse (pure delegation).
+/// disables the fuse (pure delegation). A second, switchable fault fails
+/// every `eval` of a conjunction whatever the budget.
 struct FusedBackend<'a> {
     inner: &'a charles::Table,
     budget: AtomicUsize,
+    fail_conjunctions: AtomicBool,
 }
 
 impl<'a> FusedBackend<'a> {
@@ -32,6 +34,7 @@ impl<'a> FusedBackend<'a> {
         FusedBackend {
             inner,
             budget: AtomicUsize::new(budget),
+            fail_conjunctions: AtomicBool::new(false),
         }
     }
 
@@ -68,6 +71,10 @@ impl Backend for FusedBackend<'_> {
     }
     fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
         self.spend()?;
+        if matches!(pred, StorePredicate::And(_)) && self.fail_conjunctions.load(Ordering::Relaxed)
+        {
+            return Err(StoreError::Io("injected conjunction failure".into()));
+        }
         self.inner.eval(pred)
     }
     fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
@@ -197,6 +204,75 @@ fn transient_io_error_is_not_served_from_the_advice_cache() {
     assert!(!advice.ranked.is_empty());
     assert_eq!(cache.stats().runs, 2);
     assert_eq!(cache.len(), 1);
+}
+
+#[test]
+fn failed_resolution_of_a_composed_candidate_is_one_err_and_consumes_nothing() {
+    // Over a wildcard context the context lowers to `True` and a seed's
+    // pieces to one range or set each, so the first conjunction the
+    // backend sees is a piece of the first *composed* candidate, when
+    // HB-cuts resolves it for INDEP (a fan-out over its pieces).
+    let table = voc_table(1_000, 56);
+    let ctx = charles::parse_query(CONTEXT, Backend::schema(&table)).unwrap();
+    let healthy = {
+        let ex = Explorer::new(&table, Config::default(), ctx.clone()).unwrap();
+        hb_cuts(&ex).unwrap()
+    };
+    assert!(healthy.trace.steps.iter().any(|s| s.accepted));
+
+    let faulty = || {
+        let b = FusedBackend::new(&table, usize::MAX);
+        b.fail_conjunctions.store(true, Ordering::Relaxed);
+        b
+    };
+    let eager_err = |threads: usize| {
+        charles_parallel::set_num_threads(threads);
+        let backend = faulty();
+        let ex = Explorer::new(&backend, Config::default(), ctx.clone()).unwrap();
+        let err = hb_cuts(&ex).unwrap_err();
+        charles_parallel::set_num_threads(0);
+        err
+    };
+    let err = eager_err(1);
+    assert_eq!(
+        err,
+        CoreError::Store(StoreError::Io("injected conjunction failure".into()))
+    );
+    assert_eq!(eager_err(4), err);
+
+    // The lazy run drives the same stepper: the failed step must leave
+    // it as it was, so that a retry — here after the fault clears —
+    // yields what the healthy eager run returns, trace included.
+    let backend = faulty();
+    let ex = Explorer::new(&backend, Config::default(), ctx).unwrap();
+    let mut gen = LazyGenerator::new(&ex);
+    let mut yielded = Vec::new();
+    let lazy_err = loop {
+        match gen.next_segmentation() {
+            Ok(Some(item)) => yielded.push(item),
+            Ok(None) => panic!("stopped before composing"),
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(lazy_err, err);
+    assert_eq!(yielded.len(), healthy.trace.seeds.len());
+    assert_eq!(gen.next_segmentation().unwrap_err(), err);
+    assert!(gen.trace().steps.is_empty(), "{:?}", gen.trace());
+    backend.fail_conjunctions.store(false, Ordering::Relaxed);
+    yielded.extend(gen.collect_all().unwrap());
+    assert_eq!(format!("{:?}", gen.trace()), format!("{:?}", healthy.trace));
+    let mut lazy: Vec<(String, u64)> = yielded
+        .iter()
+        .map(|(seg, score)| (seg.to_string(), score.entropy.to_bits()))
+        .collect();
+    let mut eager: Vec<(String, u64)> = healthy
+        .ranked
+        .iter()
+        .map(|r| (r.segmentation.to_string(), r.score.entropy.to_bits()))
+        .collect();
+    lazy.sort();
+    eager.sort();
+    assert_eq!(lazy, eager);
 }
 
 /// Parameterized contract harness: every Backend obligation, every

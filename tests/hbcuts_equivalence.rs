@@ -16,8 +16,9 @@
 //! * memoization on and off,
 //! * `MedianStrategy::Exact` and `::Sampled`,
 //!
-//! plus an evaluation-count assertion: with memoization on, production
-//! evaluates every candidate pair exactly once.
+//! plus two count assertions: with memoization on, production evaluates
+//! every candidate pair exactly once, and its selection lookups are a
+//! closed form of the trace (CUT's, plus one per piece of each candidate).
 
 use charles::advisor::{
     compose, cut_segmentation, fingerprint, hb_cuts, indep, rank, score, ComposeStep, CoreError,
@@ -322,6 +323,80 @@ fn every_candidate_pair_is_evaluated_exactly_once() {
     assert!(
         ablated > evaluated,
         "without reuse every pair is re-evaluated every iteration: {ablated} vs {evaluated}"
+    );
+}
+
+#[test]
+fn selection_lookups_follow_the_trace_not_the_pair_count() {
+    // Every interned candidate is resolved once — one selection lookup
+    // per piece — and the INDEP frontier reads the resolved forms, so a
+    // run's lookups are CUT's plus the resolutions: a closed form in the
+    // trace with no term in the number of pairs evaluated. The ablation
+    // carries nothing and resolves both operands of every probe: one
+    // miss per piece per evaluation on top.
+    let k = 16usize;
+    let table = sweep_table(3_000, k, 11);
+    let names = Backend::schema(&table).names();
+    let take: Vec<&str> = names.into_iter().take(k).collect();
+    let ctx = Query::wildcard(&take);
+    let cfg = Config::default().with_max_indep(1.0).with_max_depth(64);
+
+    let run = |memoize: bool| {
+        let ex = Explorer::new(&table, cfg.clone().with_memoize(memoize), ctx.clone()).unwrap();
+        let out = hb_cuts(&ex).unwrap();
+        (out.trace, ex.cache_stats())
+    };
+    let (trace, memo) = run(true);
+    assert_eq!(trace.seeds.len(), k);
+    assert!(trace.skipped_pairs.is_empty());
+    assert_eq!(trace.stop, Some(StopReason::DepthLimit));
+
+    // Replay the trace's depths. Live candidates are known by their
+    // sorted attribute list; every seed is a binary cut.
+    let key = |attrs: &[String]| {
+        let mut attrs = attrs.to_vec();
+        attrs.sort();
+        attrs
+    };
+    let mut depth_of: HashMap<Vec<String>, usize> =
+        trace.seeds.iter().map(|a| (vec![a.clone()], 2)).collect();
+    // CUT_attr(context) looks the context up once per attribute, and
+    // each seed is resolved.
+    let (mut cut_lookups, mut resolve_lookups) = (k, 2 * k);
+    // The ablation's Σ (depth(S1) + depth(S2)) over every live pair of
+    // every iteration; each trace step here is one iteration.
+    let mut ablated_probe_pieces = 0;
+    for step in &trace.steps {
+        let live: usize = depth_of.values().sum();
+        ablated_probe_pieces += (depth_of.len() - 1) * live;
+        let (left, right) = (key(&step.left_attrs), key(&step.right_attrs));
+        let (dl, n) = (depth_of[&left], right.len());
+        // On this table every piece is cuttable on every attribute, so
+        // COMPOSE doubles the depth per attribute of the right operand
+        // and cuts dl + 2·dl + … + 2ⁿ⁻¹·dl pieces on the way.
+        assert_eq!(step.depth, dl << n, "{step:?}");
+        cut_lookups += dl * ((1 << n) - 1);
+        if step.accepted {
+            resolve_lookups += step.depth;
+            depth_of.remove(&left);
+            depth_of.remove(&right);
+            depth_of.insert(key(&[left, right].concat()), step.depth);
+        }
+    }
+
+    let lookups = memo.sel_hits + memo.sel_misses;
+    assert_eq!(lookups, (cut_lookups + resolve_lookups) as u64);
+    assert!(
+        lookups < 8 * memo.indep_misses,
+        "the operands of an evaluation cost lookups again: {memo:?}"
+    );
+
+    let (ablated_trace, ablated) = run(false);
+    assert_eq!(format!("{ablated_trace:?}"), format!("{trace:?}"));
+    assert_eq!(ablated.sel_hits, 0);
+    assert_eq!(
+        ablated.sel_misses,
+        (cut_lookups + resolve_lookups + ablated_probe_pieces) as u64
     );
 }
 
