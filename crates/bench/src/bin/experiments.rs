@@ -315,6 +315,13 @@ fn e5_horizontal() {
             let ex = explorer_over(&t, Config::default(), k);
             hb_cuts(&ex).unwrap()
         });
+        // What the ablation switches off is the §5.1 reuse *between
+        // INDEP probes*: no pair value and no resolved operand survives
+        // an iteration, so every probe of every round re-evaluates both
+        // operands' pieces as whole conjunctions (at 12 attributes ≈ 12×
+        // the run time, all of it those scans). CUT and COMPOSE are the
+        // same in both columns — a piece inheriting its parent's bitmap
+        // is what a conjunction is, not a memo.
         let (d_nomemo, _) = time_once(|| {
             let ex = explorer_over(&t, Config::default().with_memoize(false), k);
             hb_cuts(&ex).unwrap()

@@ -30,15 +30,13 @@ pub struct Advice {
     pub ranked: Vec<Ranked>,
     /// HB-cuts execution trace (the Figure 3 tree).
     pub trace: Trace,
-    /// Backend operations performed while answering.
-    ///
-    /// Diagnostics, not part of the deterministic output: with more
-    /// than one worker thread two workers can miss the selection cache on
-    /// the same query concurrently and both evaluate it, so exact
-    /// counts vary run to run (the ranked answers and trace do not).
+    /// Backend operations performed while answering: the same counts at
+    /// any worker count, since every selection the run needs is derived
+    /// from its parent's exactly once (no memo two workers could both
+    /// miss). Assumes the backend served no one else meanwhile.
     pub backend_ops: BackendStats,
-    /// Cache effectiveness while answering. Diagnostics — see
-    /// [`Advice::backend_ops`] for why counts may vary under threads.
+    /// Selections materialised and INDEP pairs evaluated while
+    /// answering; as deterministic as [`Advice::backend_ops`].
     pub cache: CacheStats,
 }
 

@@ -46,7 +46,13 @@ pub struct Config {
     /// Reuse selections, entropies and INDEP values across iterations —
     /// the §5.1 optimization ("the calculations of SDL products and
     /// entropy can be reused from one iteration to the next"). Disabling
-    /// this is the ablation measured by experiment E5.
+    /// this is the ablation measured by experiment E5: no pair value and
+    /// no resolved operand is carried from one INDEP probe to the next
+    /// (each probe re-evaluates both operands' pieces as whole
+    /// conjunctions), and [`crate::Explorer::selection`] keeps no memo.
+    /// It does not switch off CUT handing each piece its parent's bitmap
+    /// to narrow by one scan: that is how a conjunction is evaluated,
+    /// not something remembered.
     pub memoize: bool,
     /// Statically analyze every context at admission: reject ill-typed
     /// queries with structured diagnostics, prune provably-empty

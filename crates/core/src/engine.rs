@@ -5,16 +5,23 @@
 //! panel) and its materialised extent. All primitives, metrics and the
 //! HB-cuts algorithm operate through it.
 //!
-//! The explorer memoizes per-query selections — half of the §5.1
+//! Selections reach their consumers two ways. A query that CUT has just
+//! derived travels as a `Piece`: the query plus its derivation — the
+//! parent's bitmap and the one conjunct that narrows it — so its bitmap
+//! is `parent ∧ scan(conjunct)`, one column scan, computed when the
+//! piece is first needed. That is the definition of a conjunction, not a
+//! cache, and no switch turns it off. Any other query goes through
+//! [`Explorer::selection`], which evaluates the whole conjunction and
+//! memoizes the result by the rendered query — half of the §5.1
 //! optimization ("the calculations of SDL products and entropy can be
 //! reused from one iteration to the next"); the other half, pair INDEP
-//! values, is carried by the HB-cuts loop itself ([`crate::hbcuts`]).
-//! Both can be switched off ([`crate::Config::memoize`]) to measure
-//! their effect.
+//! values and the candidates' resolved pieces, is carried by the HB-cuts
+//! loop itself ([`crate::hbcuts`]). Both halves can be switched off
+//! ([`crate::Config::memoize`]) to measure their effect.
 
 use crate::config::Config;
 use crate::error::{CoreError, CoreResult};
-use charles_sdl::{eval, Query, Segmentation};
+use charles_sdl::{eval, Constraint, Query, Segmentation};
 use charles_store::{Backend, Bitmap, Value};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -23,9 +30,11 @@ use std::sync::Arc;
 /// Cache performance counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Selection-cache hits.
+    /// Selection lookups answered without touching the backend: a memo
+    /// hit, or the context asked for its own extent.
     pub sel_hits: u64,
-    /// Selection-cache misses (predicate actually evaluated).
+    /// Selections materialised by the backend: a looked-up query's whole
+    /// conjunction evaluated, or a derived piece's one scan.
     pub sel_misses: u64,
     /// INDEP evaluations (pairwise counting actually performed): one per
     /// [`crate::indep()`] call and one per candidate pair of an HB-cuts
@@ -45,6 +54,52 @@ impl CacheStats {
 struct Caches {
     selections: HashMap<String, Arc<Bitmap>>,
     stats: CacheStats,
+}
+
+/// A query with its selection inside the explorer's context — what CUT
+/// takes and what it hands on.
+pub(crate) struct Piece {
+    pub(crate) query: Query,
+    sel: PieceSelection,
+}
+
+enum PieceSelection {
+    Ready(Arc<Bitmap>),
+    /// `R(parent) ∩ R(query.predicates()[conjunct])`: the piece is its
+    /// parent refined on that one conjunct, and refinement only narrows
+    /// a constraint, so every other conjunct is already in `parent`.
+    Derived {
+        parent: Arc<Bitmap>,
+        conjunct: usize,
+    },
+}
+
+impl Piece {
+    pub(crate) fn ready(query: Query, sel: Arc<Bitmap>) -> Piece {
+        Piece {
+            query,
+            sel: PieceSelection::Ready(sel),
+        }
+    }
+
+    /// `(Q, attr: constraint)` of Definition 5, derived from `Q`'s
+    /// selection; `None` when the refinement is provably empty.
+    pub(crate) fn refined(
+        query: &Query,
+        sel: &Arc<Bitmap>,
+        attr: &str,
+        constraint: Constraint,
+    ) -> Option<Piece> {
+        let query = query.refined(attr, constraint)?;
+        let conjunct = query.predicates().iter().position(|p| p.attr == attr)?;
+        Some(Piece {
+            query,
+            sel: PieceSelection::Derived {
+                parent: Arc::clone(sel),
+                conjunct,
+            },
+        })
+    }
 }
 
 /// A pinned exploration context over a backend.
@@ -124,9 +179,18 @@ impl<'a> Explorer<'a> {
         self.caches.lock().stats
     }
 
+    /// The context with its extent: the root every CUT derives from.
+    pub(crate) fn context_piece(&self) -> Piece {
+        Piece::ready(self.context.clone(), Arc::clone(&self.context_sel))
+    }
+
     /// Materialise (and cache) the selection of a query, intersected with
-    /// the context extent.
+    /// the context extent. The context's own selection is its extent.
     pub fn selection(&self, q: &Query) -> CoreResult<Arc<Bitmap>> {
+        if *q == self.context {
+            self.caches.lock().stats.sel_hits += 1;
+            return Ok(Arc::clone(&self.context_sel));
+        }
         // The memo key is the rendered query; the §5.1 ablation has no
         // memo, so it renders none.
         let key = self.config.memoize.then(|| q.to_string());
@@ -146,6 +210,37 @@ impl<'a> Explorer<'a> {
             caches.selections.insert(key, Arc::clone(&arc));
         }
         Ok(arc)
+    }
+
+    /// A piece's selection. For a derived piece that is one scan of the
+    /// narrowing conjunct and one AND with the parent, whose handle is
+    /// the caller's to drop with the piece.
+    pub(crate) fn materialise(&self, piece: &Piece) -> CoreResult<Arc<Bitmap>> {
+        match &piece.sel {
+            PieceSelection::Ready(sel) => Ok(Arc::clone(sel)),
+            PieceSelection::Derived { parent, conjunct } => {
+                let narrowing = &piece.query.predicates()[*conjunct];
+                let mut sel = self.backend.eval(&eval::lower_predicate(narrowing))?;
+                sel.and_inplace(parent);
+                self.caches.lock().stats.sel_misses += 1;
+                Ok(Arc::new(sel))
+            }
+        }
+    }
+
+    /// Hand a piece's query to a caller outside the crate. The selection
+    /// memo takes the bitmap the piece derives, so the caller's next
+    /// `selection`/`count` of that query is a hit, not a re-evaluation
+    /// of the conjunction; the §5.1 ablation has no memo to put it in.
+    pub(crate) fn release(&self, piece: Piece) -> CoreResult<Query> {
+        if self.config.memoize {
+            let key = piece.query.to_string();
+            if !self.caches.lock().selections.contains_key(&key) {
+                let sel = self.materialise(&piece)?;
+                self.caches.lock().selections.insert(key, sel);
+            }
+        }
+        Ok(piece.query)
     }
 
     /// `|R(Q)|` within the context.
@@ -200,7 +295,6 @@ pub fn fingerprint(seg: &Segmentation) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charles_sdl::Constraint;
     use charles_store::{DataType, TableBuilder};
 
     fn table() -> charles_store::Table {
@@ -282,12 +376,76 @@ mod tests {
             Query::wildcard(&["x", "k"]),
         )
         .unwrap();
-        let q = Query::wildcard(&["x", "k"]);
+        let q = Query::wildcard(&["x", "k"])
+            .refined("k", Constraint::set(vec![Value::str("even")]).unwrap())
+            .unwrap();
         let _ = ex.selection(&q).unwrap();
         let _ = ex.selection(&q).unwrap();
         let stats = ex.cache_stats();
         assert_eq!(stats.sel_hits, 0);
         assert_eq!(stats.sel_misses, 2);
+    }
+
+    #[test]
+    fn the_context_answers_for_itself_without_a_scan() {
+        // The context's selection *is* its extent — with or without the
+        // memo, and without re-scanning its own conjunction.
+        let t = table();
+        let ctx = Query::wildcard(&["x", "k"])
+            .refined(
+                "x",
+                Constraint::range(Value::Int(0), Value::Int(9)).unwrap(),
+            )
+            .unwrap();
+        for memoize in [true, false] {
+            let cfg = Config::default().with_memoize(memoize);
+            let ex = Explorer::new(&t, cfg, ctx.clone()).unwrap();
+            let scans = t.stats().scans;
+            let sel = ex.selection(&ctx).unwrap();
+            assert_eq!(*sel, *ex.context_selection());
+            assert_eq!(t.stats().scans, scans);
+            let stats = ex.cache_stats();
+            assert_eq!((stats.sel_hits, stats.sel_misses), (1, 0));
+        }
+    }
+
+    #[test]
+    fn a_derived_piece_costs_one_scan_and_equals_the_conjunction() {
+        let t = table();
+        let ctx = Query::wildcard(&["x", "k"])
+            .refined(
+                "x",
+                Constraint::range(Value::Int(0), Value::Int(15)).unwrap(),
+            )
+            .unwrap();
+        let ex = Explorer::new(&t, Config::default(), ctx.clone()).unwrap();
+        let root = ex.context_piece();
+        let root_sel = ex.materialise(&root).unwrap();
+        let evens = Constraint::set(vec![Value::str("even")]).unwrap();
+        let piece = Piece::refined(&root.query, &root_sel, "k", evens).unwrap();
+        // Refining the attribute the context already constrains
+        // intersects: the narrowed conjunct is the one scanned.
+        let low = Constraint::range(Value::Int(4), Value::Int(99)).unwrap();
+        let piece = {
+            let sel = ex.materialise(&piece).unwrap();
+            Piece::refined(&piece.query, &sel, "x", low).unwrap()
+        };
+        let scans = t.stats().scans;
+        let derived = ex.materialise(&piece).unwrap();
+        assert_eq!(t.stats().scans, scans + 1);
+        assert_eq!(
+            derived.iter_ones().collect::<Vec<_>>(),
+            [4, 6, 8, 10, 12, 14]
+        );
+        let mut evaluated = eval::selection(&piece.query, &t).unwrap();
+        evaluated.and_inplace(ex.context_selection());
+        assert_eq!(*derived, evaluated);
+        // Released, the memo answers for it.
+        let q = ex.release(piece).unwrap();
+        let before = ex.cache_stats();
+        assert_eq!(*ex.selection(&q).unwrap(), evaluated);
+        assert_eq!(ex.cache_stats().sel_hits, before.sel_hits + 1);
+        assert_eq!(ex.cache_stats().sel_misses, before.sel_misses);
     }
 
     #[test]

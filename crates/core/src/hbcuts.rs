@@ -36,14 +36,18 @@
 //! as a plain array read: no render, no lock, no allocation. Every id
 //! pair is therefore evaluated exactly once per run. The operands are
 //! carried the same way: a candidate is *resolved* once, when it is
-//! created — its pieces' selections and its entropy (`indep::Resolved`,
-//! one selection lookup per piece, fanned out) — so an evaluation is two
-//! field reads and one AND-count grid, in a plain loop, and the final
-//! scores read the same entropies. The argmin scans the matrix in the
-//! `(i, j)` enumeration order of the textbook nested loop, so first-wins
-//! tie-breaks — and hence the chosen pair, the trace and the advice —
-//! are bitwise identical to the independent Figure 4 reference written
-//! against public primitives in `tests/hbcuts_equivalence.rs`.
+//! created — its pieces' selections and its entropy (`indep::Resolved`;
+//! each piece arrives from CUT as its parent's bitmap plus the one
+//! conjunct that narrows it, so resolving it is one scan, fanned out) —
+//! so an evaluation is two field reads and one AND-count grid, in a
+//! plain loop, the final scores read the same entropies, and COMPOSE
+//! cuts on from the same bitmaps: the loop never asks the explorer for
+//! a selection by query, so it renders none. The argmin scans the
+//! matrix in the `(i, j)` enumeration order of the textbook nested loop,
+//! so first-wins tie-breaks — and hence the chosen pair, the trace and
+//! the advice — are bitwise identical to the independent Figure 4
+//! reference written against public primitives in
+//! `tests/hbcuts_equivalence.rs`.
 //!
 //! The loop itself exists once, as the `Stepper`: [`hb_cuts`] seeds it
 //! in one parallel fan-out and steps it to the stop; [`crate::lazy`]
@@ -61,9 +65,9 @@
 
 use crate::engine::Explorer;
 use crate::error::{CoreError, CoreResult};
-use crate::indep::{resolve, Resolved};
+use crate::indep::{resolve, resolve_pieces, Resolved};
 use crate::metrics::{score_with, Score};
-use crate::primitives::{compose, cut_segmentation};
+use crate::primitives::{compose_pieces, cut_pieces};
 use crate::ranking::{rank, Ranked};
 use charles_sdl::Segmentation;
 use std::collections::HashSet;
@@ -252,16 +256,15 @@ fn attrs_of(seg: &Segmentation) -> Vec<String> {
     seg.attributes().iter().map(|s| s.to_string()).collect()
 }
 
-/// Line 4: `CUT_attr(context)` with the cut resolved for INDEP, or
-/// `None` for an attribute that is constant in the context.
+/// Line 4: `CUT_attr(context)` — the context's extent narrowed by one
+/// scan per half — resolved for INDEP, or `None` for an attribute that
+/// is constant in the context.
 pub(crate) fn seed_cut(
     ex: &Explorer<'_>,
-    base: &Segmentation,
     attr: &str,
 ) -> CoreResult<Option<(Segmentation, Resolved)>> {
-    cut_segmentation(ex, base, attr)?
-        .map(|seg| resolve(ex, &seg).map(|resolved| (seg, resolved)))
-        .transpose()
+    let (halves, cut) = cut_pieces(ex, vec![ex.context_piece()], attr)?;
+    cut.then(|| resolve_pieces(ex, halves)).transpose()
 }
 
 /// The one HB-cuts loop (Figure 4, lines 2–22), one iteration per
@@ -376,7 +379,13 @@ impl Stepper {
             // Without this check the fallback would ban its way through
             // past-threshold pairs, burning compose work and misreporting
             // ComposeFailed.
-            let Some(new_seg) = compose(ex, &self.cand[i], &self.cand[j])? else {
+            // COMPOSE cuts on from the bitmaps the left operand carries.
+            let composed = compose_pieces(
+                ex,
+                self.resolved[i].pieces(&self.cand[i]),
+                &self.cand[j].attributes(),
+            )?;
+            let Some(pieces) = composed else {
                 if ind >= max_indep {
                     self.trace.stop = Some(StopReason::IndependenceThreshold);
                     return Ok(false);
@@ -389,7 +398,7 @@ impl Stepper {
                 });
                 continue;
             };
-            let dep = new_seg.depth();
+            let dep = pieces.len();
 
             // Lines 15–16: stopping criteria.
             let stop = if ind >= max_indep {
@@ -411,9 +420,10 @@ impl Stepper {
                 self.trace.stop = stop;
                 return Ok(false);
             }
-            // An accepted composition joins the candidates resolved —
-            // the fallible part, so it comes before the step is recorded.
-            let resolved = resolve(ex, &new_seg)?;
+            // An accepted composition joins the candidates resolved — its
+            // last level of pieces scanned only now, and the fallible
+            // part, so it comes before the step is recorded.
+            let (new_seg, resolved) = resolve_pieces(ex, pieces)?;
             self.trace.steps.push(step);
             break (i, j, new_seg, resolved);
         };
@@ -461,12 +471,11 @@ impl Stepper {
 /// value in run-local state (see the module docs).
 pub fn hb_cuts(ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
     // Lines 2–5: seed with one binary cut per attribute. The
-    // per-attribute cuts are independent (median scan + two selections
-    // each), so they fan out across threads; the zip keeps attribute
+    // per-attribute cuts are independent (median scan + one scan per
+    // half), so they fan out across threads; the zip keeps attribute
     // order.
-    let base = Segmentation::singleton(ex.context().clone());
     let attrs = ex.attributes();
-    let seed_cuts = crate::par::try_map(&attrs, |attr| seed_cut(ex, &base, attr))?;
+    let seed_cuts = crate::par::try_map(&attrs, |attr| seed_cut(ex, attr))?;
     let mut stepper = Stepper::default();
     for (attr, cut) in attrs.iter().zip(seed_cuts) {
         stepper.seed(attr, cut);
@@ -705,6 +714,70 @@ pub(crate) mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn carried_pieces_equal_their_conjunctions() {
+        // What the stepper carries for a candidate — each piece's
+        // bitmap, derived from its parent's by one scan — is bit for bit
+        // the piece's whole conjunction evaluated inside the context, at
+        // every generation, under a context that already constrains a
+        // numeric and a nominal attribute, with nulls in every column.
+        let mut rng = StdRng::seed_from_u64(17);
+        let mut b = TableBuilder::new("t");
+        b.add_column("a", DataType::Int)
+            .add_column("b", DataType::Float)
+            .add_column("k", DataType::Str)
+            .add_column("c", DataType::Int);
+        for _ in 0..1500 {
+            let a: i64 = rng.gen_range(0..200);
+            let row = vec![
+                Value::Int(a),
+                Value::Float(a as f64 / 3.0 + rng.gen_range(0.0..9.0)),
+                Value::str(format!("k{}", (a / 40 + rng.gen_range(0i64..2)) % 6)),
+                Value::Int(a + rng.gen_range(-15i64..=15)),
+            ];
+            let row = row
+                .into_iter()
+                .map(|v| (!rng.gen_bool(0.1)).then_some(v))
+                .collect();
+            b.push_row_opt(row).unwrap();
+        }
+        let t = b.finish();
+        let ctx = charles_sdl::parse_query(
+            "(a: [10,180], b: , k: {k0, k1, k2, k3, k4}, c: )",
+            t.schema(),
+        )
+        .unwrap();
+        let cfg = Config::default().with_max_indep(1.0).with_max_depth(40);
+        let ex = Explorer::new(&t, cfg, ctx).unwrap();
+
+        let check = |stepper: &Stepper| {
+            let mut pieces = 0;
+            for (seg, resolved) in stepper.cand.iter().zip(&stepper.resolved) {
+                assert_eq!(seg.depth(), resolved.sels().len());
+                for (q, carried) in seg.queries().iter().zip(resolved.sels()) {
+                    let mut evaluated = charles_sdl::eval::selection(q, &t).unwrap();
+                    evaluated.and_inplace(ex.context_selection());
+                    assert_eq!(**carried, evaluated, "{q}");
+                    pieces += 1;
+                }
+            }
+            pieces
+        };
+        let mut stepper = Stepper::default();
+        for attr in ex.attributes() {
+            stepper.seed(attr, seed_cut(&ex, attr).unwrap());
+        }
+        assert_eq!(check(&stepper), 8);
+        let mut accepted = 0;
+        while stepper.step(&ex).unwrap() {
+            accepted += 1;
+            assert!(check(&stepper) > 8);
+        }
+        assert!(accepted >= 2, "{:?}", stepper.trace());
+        // The run never asked the explorer for a selection by query.
+        assert_eq!(ex.cache_stats().sel_hits, 0);
     }
 
     #[test]

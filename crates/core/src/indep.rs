@@ -17,13 +17,15 @@
 //! it works on *resolved* operands (`Resolved`: a segmentation's piece
 //! selections plus its entropy): the denominator is two field reads, the
 //! numerator one AND-count grid — no query is rendered, no lock taken.
-//! The HB-cuts loop resolves each candidate once, when it is created, and
-//! carries the resolved form for as long as the candidate lives (the §5.1
-//! reuse, see [`crate::hbcuts`]); the public [`indep`] and
-//! [`product_entropy`] remember nothing — they resolve both operands and
-//! call the same kernel.
+//! The HB-cuts loop resolves each candidate once, when it is created —
+//! from the pieces CUT derived, one scan each (`resolve_pieces`) — and
+//! carries the resolved form for as long as the candidate lives (the
+//! §5.1 reuse, see [`crate::hbcuts`]); COMPOSE starts its cuts from the
+//! same bitmaps. The public [`indep`] and [`product_entropy`] remember
+//! nothing — they look both operands' pieces up in the explorer
+//! (`resolve`) and call the same kernel.
 
-use crate::engine::Explorer;
+use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
 use crate::metrics::entropy_from_covers;
 use charles_sdl::Segmentation;
@@ -37,19 +39,55 @@ pub(crate) struct Resolved {
     pub(crate) entropy: f64,
 }
 
-/// Resolve a segmentation: one selection lookup per piece. The pieces
-/// materialise independently (predicate scans when new), so they fan out.
+/// Resolve a segmentation by its queries: one selection lookup per
+/// piece, each a whole conjunction when the explorer has not seen it.
+/// The pieces evaluate independently, so they fan out.
 pub(crate) fn resolve(ex: &Explorer<'_>, seg: &Segmentation) -> CoreResult<Resolved> {
     let sels = crate::par::try_map(seg.queries(), |q| ex.selection(q))?;
-    let n = ex.context_size() as f64;
-    let covers: Vec<f64> = sels.iter().map(|s| s.count_ones() as f64 / n).collect();
-    Ok(Resolved {
-        entropy: entropy_from_covers(&covers),
-        sels,
-    })
+    Ok(Resolved::new(sels, ex.context_size()))
+}
+
+/// Resolve the pieces CUT handed over into a candidate: one scan per
+/// piece still derived, fanned out.
+pub(crate) fn resolve_pieces(
+    ex: &Explorer<'_>,
+    pieces: Vec<Piece>,
+) -> CoreResult<(Segmentation, Resolved)> {
+    let sels = crate::par::try_map(&pieces, |p| ex.materialise(p))?;
+    let queries = pieces.into_iter().map(|p| p.query).collect();
+    Ok((
+        Segmentation::new(queries),
+        Resolved::new(sels, ex.context_size()),
+    ))
 }
 
 impl Resolved {
+    fn new(sels: Vec<Arc<Bitmap>>, n: usize) -> Resolved {
+        let covers: Vec<f64> = sels
+            .iter()
+            .map(|s| s.count_ones() as f64 / n as f64)
+            .collect();
+        Resolved {
+            entropy: entropy_from_covers(&covers),
+            sels,
+        }
+    }
+
+    /// The segmentation's pieces again, selections in hand: what COMPOSE
+    /// starts cutting from.
+    pub(crate) fn pieces(&self, seg: &Segmentation) -> Vec<Piece> {
+        seg.queries()
+            .iter()
+            .zip(&self.sels)
+            .map(|(q, sel)| Piece::ready(q.clone(), Arc::clone(sel)))
+            .collect()
+    }
+
+    #[cfg(test)]
+    pub(crate) fn sels(&self) -> &[Arc<Bitmap>] {
+        &self.sels
+    }
+
     /// `E(S1 × S2)` from the AND-count grid, enumerated row-major — the
     /// `(a, b)` order the entropy sum has always seen, so its value is
     /// fixed down to the last bit.

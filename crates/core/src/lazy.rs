@@ -61,8 +61,7 @@ impl<'e, 'a> LazyGenerator<'e, 'a> {
     /// same seed or the same composition step.
     pub fn next_segmentation(&mut self) -> CoreResult<Option<(Segmentation, Score)>> {
         while let Some(attr) = self.attrs.get(self.next_attr) {
-            let base = Segmentation::singleton(self.ex.context().clone());
-            let cut = seed_cut(self.ex, &base, attr)?;
+            let cut = seed_cut(self.ex, attr)?;
             self.next_attr += 1;
             let cuttable = cut.is_some();
             self.stepper.seed(attr, cut);

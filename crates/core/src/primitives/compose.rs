@@ -7,11 +7,35 @@
 //! Because each CUT recomputes medians *per piece*, composition adapts the
 //! split points to the conditional distributions — this is what makes
 //! Figure 2's `COMPOSE(A, B)` differ from the plain product `A × B`.
+//!
+//! The cuts chain over pieces (`compose_pieces`): a level's halves carry
+//! their parent's bitmap into the next level, which materialises each
+//! with one scan before cutting it again, and the last level's halves
+//! leave still derived — a composition that trips a stop criterion never
+//! scans them. The public [`compose`] looks S1's pieces up once and
+//! releases the result through the explorer's selection memo.
 
-use super::cut::cut_segmentation;
-use crate::engine::Explorer;
+use super::cut::{cut_pieces, lookup_pieces, release_pieces};
+use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
 use charles_sdl::Segmentation;
+
+/// Definition 7 over pieces: `pieces` cut on `attrs`, last attribute
+/// innermost. `None` when no cut succeeded at all.
+pub(crate) fn compose_pieces(
+    ex: &Explorer<'_>,
+    mut pieces: Vec<Piece>,
+    attrs: &[&str],
+) -> CoreResult<Option<Vec<Piece>>> {
+    let mut any = false;
+    // Definition 7 nests CUT_attN innermost, so apply attN first.
+    for attr in attrs.iter().rev() {
+        let (next, cut) = cut_pieces(ex, pieces, attr)?;
+        pieces = next;
+        any |= cut;
+    }
+    Ok(any.then_some(pieces))
+}
 
 /// Compose two segmentations. Returns `None` when no cut succeeded at all
 /// (S1 is constant on every attribute of S2).
@@ -20,17 +44,9 @@ pub fn compose(
     s1: &Segmentation,
     s2: &Segmentation,
 ) -> CoreResult<Option<Segmentation>> {
-    let attrs = s2.attributes();
-    let mut current = s1.clone();
-    let mut any = false;
-    // Definition 7 nests CUT_attN innermost, so apply attN first.
-    for attr in attrs.iter().rev() {
-        if let Some(next) = cut_segmentation(ex, &current, attr)? {
-            current = next;
-            any = true;
-        }
-    }
-    Ok(if any { Some(current) } else { None })
+    compose_pieces(ex, lookup_pieces(ex, s1)?, &s2.attributes())?
+        .map(|pieces| release_pieces(ex, pieces))
+        .transpose()
 }
 
 #[cfg(test)]

@@ -13,35 +13,96 @@
 //! segmentation, un-cuttable queries are carried over unchanged so the
 //! result remains a partition; if *no* query could be cut the segmentation
 //! cut as a whole is `None`.
+//!
+//! CUT works on *(query, selection)* pairs (`Piece`): it already holds
+//! `R(Q)` when it splits `Q` — it has just taken the median over it — so
+//! each half leaves as `R(Q)` plus the one constraint that narrows it,
+//! and its bitmap costs one column scan and one AND when somebody first
+//! needs it, instead of a scan per conjunct of the half's whole query.
+//! `cut_piece` / `cut_pieces` are that implementation; the public
+//! [`cut_query`] / [`cut_segmentation`] look their operand up once and
+//! release the halves through the explorer's selection memo.
 
-use crate::engine::Explorer;
+use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
 use charles_sdl::{Constraint, Query, Segmentation};
-use charles_store::{DataType, FrequencyTable, Value};
+use charles_store::{Bitmap, DataType, FrequencyTable, Value};
+use std::sync::Arc;
 
-/// Cut one query in two along `attr`. Returns `None` when no valid binary
-/// split exists.
-pub fn cut_query(ex: &Explorer<'_>, q: &Query, attr: &str) -> CoreResult<Option<(Query, Query)>> {
-    let sel = ex.selection(q)?;
+/// Definition 5 over a piece: its two halves along `attr`, each derived
+/// from the piece's selection, or `None` when no valid binary split
+/// exists.
+pub(crate) fn cut_piece(
+    ex: &Explorer<'_>,
+    query: &Query,
+    sel: &Arc<Bitmap>,
+    attr: &str,
+) -> CoreResult<Option<[Piece; 2]>> {
     if sel.none() {
         return Ok(None);
     }
     let ty = ex.backend().schema().type_of(attr)?;
-    let pieces = if ty.is_numeric() {
-        numeric_pieces(ex, attr, &sel)?
+    let halves = if ty.is_numeric() {
+        numeric_pieces(ex, attr, sel)?
     } else {
-        nominal_pieces(ex, attr, ty, &sel)?
+        nominal_pieces(ex, attr, ty, sel)?
     };
-    let Some((left, right)) = pieces else {
+    let Some((left, right)) = halves else {
         return Ok(None);
     };
-    // Refine the query with each piece; both refinements must stay
+    // Refine the query with each half; both refinements must stay
     // satisfiable (they do by construction — the split points come from
     // values inside the segment).
-    match (q.refined(attr, left), q.refined(attr, right)) {
-        (Some(l), Some(r)) => Ok(Some((l, r))),
-        _ => Ok(None),
+    Ok(Piece::refined(query, sel, attr, left)
+        .zip(Piece::refined(query, sel, attr, right))
+        .map(|(l, r)| [l, r]))
+}
+
+/// Definition 6 over pieces: cut each along `attr`, carrying the ones
+/// with no valid split over unchanged (keeps the partition property).
+/// Also says whether any piece was cut.
+pub(crate) fn cut_pieces(
+    ex: &Explorer<'_>,
+    pieces: Vec<Piece>,
+    attr: &str,
+) -> CoreResult<(Vec<Piece>, bool)> {
+    let mut out = Vec::with_capacity(pieces.len() * 2);
+    let mut any = false;
+    for piece in pieces {
+        let sel = ex.materialise(&piece)?;
+        match cut_piece(ex, &piece.query, &sel, attr)? {
+            Some(halves) => {
+                any = true;
+                out.extend(halves);
+            }
+            None => out.push(Piece::ready(piece.query, sel)),
+        }
     }
+    Ok((out, any))
+}
+
+/// The pieces of a segmentation a caller outside the crate handed in:
+/// one selection lookup each.
+pub(crate) fn lookup_pieces(ex: &Explorer<'_>, seg: &Segmentation) -> CoreResult<Vec<Piece>> {
+    seg.queries()
+        .iter()
+        .map(|q| Ok(Piece::ready(q.clone(), ex.selection(q)?)))
+        .collect()
+}
+
+/// The segmentation of pieces on their way out of the crate.
+pub(crate) fn release_pieces(ex: &Explorer<'_>, pieces: Vec<Piece>) -> CoreResult<Segmentation> {
+    let queries: CoreResult<Vec<Query>> = pieces.into_iter().map(|p| ex.release(p)).collect();
+    Ok(Segmentation::new(queries?))
+}
+
+/// Cut one query in two along `attr`. Returns `None` when no valid binary
+/// split exists.
+pub fn cut_query(ex: &Explorer<'_>, q: &Query, attr: &str) -> CoreResult<Option<(Query, Query)>> {
+    let Some([left, right]) = cut_piece(ex, q, &ex.selection(q)?, attr)? else {
+        return Ok(None);
+    };
+    Ok(Some((ex.release(left)?, ex.release(right)?)))
 }
 
 /// Cut every query of a segmentation along `attr` (Definition 6):
@@ -54,30 +115,18 @@ pub fn cut_segmentation(
     seg: &Segmentation,
     attr: &str,
 ) -> CoreResult<Option<Segmentation>> {
-    let mut out = Vec::with_capacity(seg.depth() * 2);
-    let mut any = false;
-    for q in seg.queries() {
-        match cut_query(ex, q, attr)? {
-            Some((l, r)) => {
-                any = true;
-                out.push(l);
-                out.push(r);
-            }
-            None => out.push(q.clone()),
-        }
+    let (pieces, any) = cut_pieces(ex, lookup_pieces(ex, seg)?, attr)?;
+    if !any {
+        return Ok(None);
     }
-    Ok(if any {
-        Some(Segmentation::new(out))
-    } else {
-        None
-    })
+    release_pieces(ex, pieces).map(Some)
 }
 
 /// Median-based pieces for a numeric attribute.
 fn numeric_pieces(
     ex: &Explorer<'_>,
     attr: &str,
-    sel: &charles_store::Bitmap,
+    sel: &Bitmap,
 ) -> CoreResult<Option<(Constraint, Constraint)>> {
     let Some((min, max)) = ex.backend().min_max(attr, sel)? else {
         return Ok(None);
@@ -131,7 +180,7 @@ fn nominal_pieces(
     ex: &Explorer<'_>,
     attr: &str,
     ty: DataType,
-    sel: &charles_store::Bitmap,
+    sel: &Bitmap,
 ) -> CoreResult<Option<(Constraint, Constraint)>> {
     let (ft, dict) = ex.backend().frequencies(attr, sel)?;
     if ft.cardinality() < 2 {

@@ -13,10 +13,10 @@
 //! wants to expose; experiment E10 measures the balance gain over
 //! iterated median cuts on skewed data.
 
-use crate::engine::Explorer;
+use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
 use charles_sdl::{Constraint, Query, Segmentation};
-use charles_store::Value;
+use charles_store::{Bitmap, Value};
 
 /// Cut one query into (up to) `k` pieces at equi-depth quantiles.
 ///
@@ -38,11 +38,23 @@ pub fn quantile_cut_query(
         return Ok(None);
     }
     let ty = ex.backend().schema().type_of(attr)?;
-    if ty.is_numeric() {
-        numeric_quantile_pieces(ex, q, attr, k, &sel)
+    let constraints = if ty.is_numeric() {
+        numeric_quantile_pieces(ex, attr, k, &sel)?
     } else {
-        nominal_quantile_pieces(ex, q, attr, ty, k, &sel)
-    }
+        nominal_quantile_pieces(ex, attr, ty, k, &sel)?
+    };
+    let Some(constraints) = constraints else {
+        return Ok(None);
+    };
+    // Each piece is the query's selection narrowed by its one constraint
+    // (as in CUT); the memo takes the bitmaps on the way out.
+    let pieces: Option<Vec<Piece>> = constraints
+        .into_iter()
+        .map(|c| Piece::refined(q, &sel, attr, c))
+        .collect();
+    pieces
+        .map(|pieces| pieces.into_iter().map(|p| ex.release(p)).collect())
+        .transpose()
 }
 
 /// Quantile-cut every query of a segmentation (the k-ary Definition 6).
@@ -72,11 +84,10 @@ pub fn quantile_cut_segmentation(
 
 fn numeric_quantile_pieces(
     ex: &Explorer<'_>,
-    q: &Query,
     attr: &str,
     k: usize,
-    sel: &charles_store::Bitmap,
-) -> CoreResult<Option<Vec<Query>>> {
+    sel: &Bitmap,
+) -> CoreResult<Option<Vec<Constraint>>> {
     let Some((min, max)) = ex.backend().min_max(attr, sel)? else {
         return Ok(None);
     };
@@ -118,22 +129,18 @@ fn numeric_quantile_pieces(
         let last = matches!(w[1].try_cmp(&max), Ok(std::cmp::Ordering::Equal));
         let constraint = Constraint::range_with(w[0].clone(), w[1].clone(), last);
         let Ok(c) = constraint else { return Ok(None) };
-        let Some(piece) = q.refined(attr, c) else {
-            return Ok(None);
-        };
-        pieces.push(piece);
+        pieces.push(c);
     }
     Ok(Some(pieces))
 }
 
 fn nominal_quantile_pieces(
     ex: &Explorer<'_>,
-    q: &Query,
     attr: &str,
     ty: charles_store::DataType,
     k: usize,
-    sel: &charles_store::Bitmap,
-) -> CoreResult<Option<Vec<Query>>> {
+    sel: &Bitmap,
+) -> CoreResult<Option<Vec<Constraint>>> {
     let (ft, dict) = ex.backend().frequencies(attr, sel)?;
     if ft.cardinality() < 2 {
         return Ok(None);
@@ -175,10 +182,7 @@ fn nominal_quantile_pieces(
         let Ok(c) = Constraint::set(b) else {
             return Ok(None);
         };
-        let Some(piece) = q.refined(attr, c) else {
-            return Ok(None);
-        };
-        pieces.push(piece);
+        pieces.push(c);
     }
     Ok(Some(pieces))
 }

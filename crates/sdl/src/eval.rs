@@ -1,31 +1,26 @@
 //! Evaluation: SDL queries → store predicates → selection bitmaps.
 
-use crate::predicate::Constraint;
+use crate::predicate::{Constraint, Predicate};
 use crate::query::Query;
 use charles_store::{Backend, Bitmap, StorePredicate, StoreResult};
 
+/// Lower one conjunct: the range or set scan over its attribute, or
+/// `True` for an unconstrained one.
+pub fn lower_predicate(p: &Predicate) -> StorePredicate {
+    match &p.constraint {
+        Constraint::Any => StorePredicate::True,
+        Constraint::Range {
+            lo,
+            hi,
+            hi_inclusive,
+        } => StorePredicate::range(p.attr.clone(), lo.clone(), hi.clone(), *hi_inclusive),
+        Constraint::Set(values) => StorePredicate::set(p.attr.clone(), values.clone()),
+    }
+}
+
 /// Lower an SDL query into the store's physical predicate form.
 pub fn lower(query: &Query) -> StorePredicate {
-    let mut parts = Vec::new();
-    for p in query.predicates() {
-        match &p.constraint {
-            Constraint::Any => {}
-            Constraint::Range {
-                lo,
-                hi,
-                hi_inclusive,
-            } => parts.push(StorePredicate::range(
-                p.attr.clone(),
-                lo.clone(),
-                hi.clone(),
-                *hi_inclusive,
-            )),
-            Constraint::Set(values) => {
-                parts.push(StorePredicate::set(p.attr.clone(), values.clone()))
-            }
-        }
-    }
-    StorePredicate::and(parts)
+    StorePredicate::and(query.predicates().iter().map(lower_predicate).collect())
 }
 
 /// Evaluate a query into a selection bitmap: `R(Q)` of the paper.

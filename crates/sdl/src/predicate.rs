@@ -322,6 +322,54 @@ mod tests {
     }
 
     #[test]
+    fn intersect_only_ever_narrows() {
+        // R(c ∩ d) ⊆ R(c) ∩ R(d), and `None` only when that is empty:
+        // the fact that lets a cut piece be its parent's selection
+        // narrowed by its one refined conjunct. Exhaustive over closed
+        // and half-open ranges with Int and Float bounds (an Int column
+        // under Float bounds compares cross-type) and sets, against
+        // every probe value on and between the bounds.
+        let nums = [
+            Value::Int(0),
+            Value::Float(0.5),
+            Value::Int(1),
+            Value::Int(2),
+            Value::Float(2.0),
+            Value::Float(2.5),
+            Value::Int(3),
+            Value::Int(4),
+        ];
+        let mut constraints = vec![Constraint::Any];
+        for lo in &nums {
+            for hi in &nums {
+                for inc in [true, false] {
+                    constraints.extend(Constraint::range_with(lo.clone(), hi.clone(), inc));
+                }
+            }
+        }
+        for members in [&nums[..1], &nums[1..4], &nums[2..7], &nums[5..]] {
+            constraints.push(Constraint::set(members.to_vec()).unwrap());
+        }
+        let probes: Vec<Value> = (-1..=9).map(|i| Value::Float(i as f64 * 0.5)).collect();
+        let mut proper = 0;
+        for c in &constraints {
+            for d in &constraints {
+                let both = |v: &Value| c.matches(v) && d.matches(v);
+                match c.intersect(d) {
+                    Some(m) => {
+                        for v in &probes {
+                            assert!(!m.matches(v) || both(v), "{c:?} ∩ {d:?} = {m:?} ∌ {v}");
+                        }
+                        proper += usize::from(m != *c && m != *d);
+                    }
+                    None => assert!(!probes.iter().any(both), "{c:?} ∩ {d:?} is not empty"),
+                }
+            }
+        }
+        assert!(proper > 100, "the grid must exercise real intersections");
+    }
+
+    #[test]
     fn intersect_with_any_is_identity() {
         let r = Constraint::range(Value::Int(0), Value::Int(1)).unwrap();
         assert_eq!(Constraint::Any.intersect(&r), Some(r.clone()));

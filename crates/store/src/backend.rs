@@ -20,12 +20,16 @@ use crate::value::Value;
 ///
 /// The paper's workload taxonomy (§5.1) is "counts over predicates and
 /// median calculations": `counts` tallies the former as a logical
-/// operation in its own right, while `scans` counts physical predicate
-/// scans (a `count` issues scans too — one per leaf predicate — so the
-/// two move together but measure different layers).
+/// operation in its own right, while `scans` counts physical passes
+/// over a column: one per leaf predicate evaluated (a `count` issues
+/// those too, so the two move together but measure different layers)
+/// and one per `frequencies` call, which walks the column under a
+/// selection just as a scan does. (`RowTable` has no columns to pass
+/// over: it counts one scan per `eval`, whatever the conjunction.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
-    /// Number of predicate scans executed.
+    /// Number of column passes executed: one per leaf range or set
+    /// predicate evaluated, and one per `frequencies` call.
     pub scans: u64,
     /// Number of `count` operations answered (the paper's "counts over
     /// predicates" metric).

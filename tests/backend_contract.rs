@@ -17,16 +17,17 @@ use charles_store::{
     Backend, BackendStats, Bitmap, FrequencyTable, Schema, StoreError, StorePredicate, StoreResult,
     Value,
 };
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A delegating backend with a fuse: after `budget` operations, every
 /// further call fails with a synthetic error. `budget = usize::MAX`
-/// disables the fuse (pure delegation). A second, switchable fault fails
-/// every `eval` of a conjunction whatever the budget.
+/// disables the fuse (pure delegation). A second fuse of the same kind,
+/// `scan_budget`, is spent by `eval` alone: it fails the k-th predicate
+/// evaluation and every one after it, whatever the first fuse says.
 struct FusedBackend<'a> {
     inner: &'a charles::Table,
     budget: AtomicUsize,
-    fail_conjunctions: AtomicBool,
+    scan_budget: AtomicUsize,
 }
 
 impl<'a> FusedBackend<'a> {
@@ -34,30 +35,29 @@ impl<'a> FusedBackend<'a> {
         FusedBackend {
             inner,
             budget: AtomicUsize::new(budget),
-            fail_conjunctions: AtomicBool::new(false),
+            scan_budget: AtomicUsize::new(usize::MAX),
         }
     }
 
     fn spend(&self) -> StoreResult<()> {
-        // Compare-and-swap loop: the advisor may call concurrently from
-        // its worker threads, and the fuse must never double-spend.
-        let mut left = self.budget.load(Ordering::Relaxed);
-        loop {
-            if left == 0 {
-                return Err(StoreError::Io("injected backend failure".into()));
-            }
-            if left == usize::MAX {
-                return Ok(());
-            }
-            match self.budget.compare_exchange_weak(
-                left,
-                left - 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return Ok(()),
-                Err(now) => left = now,
-            }
+        spend(&self.budget, "backend")
+    }
+}
+
+fn spend(fuse: &AtomicUsize, what: &str) -> StoreResult<()> {
+    // Compare-and-swap loop: the advisor may call concurrently from
+    // its worker threads, and the fuse must never double-spend.
+    let mut left = fuse.load(Ordering::Relaxed);
+    loop {
+        if left == 0 {
+            return Err(StoreError::Io(format!("injected {what} failure")));
+        }
+        if left == usize::MAX {
+            return Ok(());
+        }
+        match fuse.compare_exchange_weak(left, left - 1, Ordering::Relaxed, Ordering::Relaxed) {
+            Ok(_) => return Ok(()),
+            Err(now) => left = now,
         }
     }
 }
@@ -71,10 +71,7 @@ impl Backend for FusedBackend<'_> {
     }
     fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
         self.spend()?;
-        if matches!(pred, StorePredicate::And(_)) && self.fail_conjunctions.load(Ordering::Relaxed)
-        {
-            return Err(StoreError::Io("injected conjunction failure".into()));
-        }
+        spend(&self.scan_budget, "scan")?;
         self.inner.eval(pred)
     }
     fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
@@ -208,21 +205,26 @@ fn transient_io_error_is_not_served_from_the_advice_cache() {
 
 #[test]
 fn failed_resolution_of_a_composed_candidate_is_one_err_and_consumes_nothing() {
-    // Over a wildcard context the context lowers to `True` and a seed's
-    // pieces to one range or set each, so the first conjunction the
-    // backend sees is a piece of the first *composed* candidate, when
-    // HB-cuts resolves it for INDEP (a fan-out over its pieces).
+    // Over a wildcard context HB-cuts evaluates one predicate for the
+    // context's extent and one per half of each seed cut. COMPOSE of two
+    // seeds then cuts the left one's halves from the bitmaps it carries
+    // — medians and frequencies, no predicate — so the next evaluation
+    // is a piece of the first *composed* candidate, when HB-cuts
+    // resolves it for INDEP (a fan-out over its pieces).
     let table = voc_table(1_000, 56);
     let ctx = charles::parse_query(CONTEXT, Backend::schema(&table)).unwrap();
     let healthy = {
         let ex = Explorer::new(&table, Config::default(), ctx.clone()).unwrap();
         hb_cuts(&ex).unwrap()
     };
-    assert!(healthy.trace.steps.iter().any(|s| s.accepted));
+    let first = &healthy.trace.steps[0];
+    assert!(first.accepted && first.left_attrs.len() == 1 && first.right_attrs.len() == 1);
+    let evals_before_the_first_resolve = 1 + 2 * healthy.trace.seeds.len();
 
     let faulty = || {
         let b = FusedBackend::new(&table, usize::MAX);
-        b.fail_conjunctions.store(true, Ordering::Relaxed);
+        b.scan_budget
+            .store(evals_before_the_first_resolve, Ordering::Relaxed);
         b
     };
     let eager_err = |threads: usize| {
@@ -236,7 +238,7 @@ fn failed_resolution_of_a_composed_candidate_is_one_err_and_consumes_nothing() {
     let err = eager_err(1);
     assert_eq!(
         err,
-        CoreError::Store(StoreError::Io("injected conjunction failure".into()))
+        CoreError::Store(StoreError::Io("injected scan failure".into()))
     );
     assert_eq!(eager_err(4), err);
 
@@ -258,7 +260,7 @@ fn failed_resolution_of_a_composed_candidate_is_one_err_and_consumes_nothing() {
     assert_eq!(yielded.len(), healthy.trace.seeds.len());
     assert_eq!(gen.next_segmentation().unwrap_err(), err);
     assert!(gen.trace().steps.is_empty(), "{:?}", gen.trace());
-    backend.fail_conjunctions.store(false, Ordering::Relaxed);
+    backend.scan_budget.store(usize::MAX, Ordering::Relaxed);
     yielded.extend(gen.collect_all().unwrap());
     assert_eq!(format!("{:?}", gen.trace()), format!("{:?}", healthy.trace));
     let mut lazy: Vec<(String, u64)> = yielded

@@ -180,6 +180,13 @@ fn stats_expose_workload_shape() {
         .unwrap();
     assert!(wide.backend_ops.scans > narrow.backend_ops.scans);
     assert!(wide.backend_ops.medians >= narrow.backend_ops.medians);
-    // Memoization pays off in wide contexts.
-    assert!(wide.cache.sel_hits > 0);
+    // No selection is looked up twice: each piece's bitmap is derived
+    // from its parent's exactly once — one scan, a miss by the counter's
+    // definition — so there is no hit to count. Over numeric attributes
+    // those are all the scans there are; nominal cuts add one per
+    // frequency table.
+    assert_eq!((narrow.cache.sel_hits, wide.cache.sel_hits), (0, 0));
+    assert!(wide.cache.sel_misses > narrow.cache.sel_misses);
+    assert_eq!(narrow.backend_ops.scans, narrow.cache.sel_misses);
+    assert!(wide.backend_ops.scans > wide.cache.sel_misses);
 }

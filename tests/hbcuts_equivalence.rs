@@ -17,8 +17,10 @@
 //! * `MedianStrategy::Exact` and `::Sampled`,
 //!
 //! plus two count assertions: with memoization on, production evaluates
-//! every candidate pair exactly once, and its selection lookups are a
-//! closed form of the trace (CUT's, plus one per piece of each candidate).
+//! every candidate pair exactly once, and the predicate scans it issues
+//! are a closed form of the trace (the context's conjuncts, one per piece
+//! materialised, one per frequency table — none for the last level of a
+//! rejected composition).
 
 use charles::advisor::{
     compose, cut_segmentation, fingerprint, hb_cuts, indep, rank, score, ComposeStep, CoreError,
@@ -326,78 +328,167 @@ fn every_candidate_pair_is_evaluated_exactly_once() {
     );
 }
 
+/// What one HB-cuts run costs the backend, replayed from its trace.
+#[derive(Debug, Default)]
+struct ReplayedCost {
+    /// Pieces materialised, one scan each: `parent ∧ scan(conjunct)`.
+    pieces: u64,
+    /// `frequencies` calls, one per nominal cut; each counts as a scan.
+    frequency_tables: u64,
+    /// What the §5.1 ablation looks up on top, having carried nothing:
+    /// every piece of both operands of every pair of every iteration…
+    ablated_lookups: u64,
+    /// …each a whole conjunction, one scan per conjunct.
+    ablated_scans: u64,
+}
+
+/// Replay a trace over a table where every piece is cuttable on every
+/// attribute: COMPOSE then doubles the depth per attribute of the right
+/// operand (asserted step by step), and a candidate's pieces carry one
+/// conjunct per attribute it lists.
+fn replay_cost(ctx: &Query, trace: &Trace, nominal: &dyn Fn(&str) -> bool) -> ReplayedCost {
+    assert!(trace.skipped.is_empty() && trace.skipped_pairs.is_empty());
+    // A candidate lists the attributes its queries constrain, in the
+    // context's order — the context's own constraints included.
+    let listed = |cut: &[String]| -> Vec<String> {
+        ctx.predicates()
+            .iter()
+            .filter(|p| p.is_constraining() || cut.contains(&p.attr))
+            .map(|p| p.attr.clone())
+            .collect()
+    };
+    let mut cost = ReplayedCost::default();
+    // Every seed is a binary cut of the context's extent: two scans.
+    let mut live: Vec<(Vec<String>, u64)> = Vec::new();
+    for seed in &trace.seeds {
+        cost.pieces += 2;
+        cost.frequency_tables += u64::from(nominal(seed));
+        live.push((listed(std::slice::from_ref(seed)), 2));
+    }
+    // Each trace step is one iteration of the loop.
+    for step in &trace.steps {
+        let others = live.len() as u64 - 1;
+        cost.ablated_lookups += others * live.iter().map(|(_, d)| d).sum::<u64>();
+        cost.ablated_scans += others
+            * live
+                .iter()
+                .map(|(attrs, d)| d * attrs.len() as u64)
+                .sum::<u64>();
+
+        // (Attribute lists name candidates only while they are distinct.)
+        let at = |attrs: &Vec<String>| {
+            assert_eq!(live.iter().filter(|(a, _)| a == attrs).count(), 1);
+            live.iter().position(|(a, _)| a == attrs).unwrap()
+        };
+        let (l, r) = (at(&step.left_attrs), at(&step.right_attrs));
+        let mut pieces = live[l].1;
+        for (level, attr) in step.right_attrs.iter().rev().enumerate() {
+            // The first level cuts the bitmaps the left operand carries;
+            // every later one first materialises the halves it was handed.
+            if level > 0 {
+                cost.pieces += pieces;
+            }
+            if nominal(attr) {
+                cost.frequency_tables += pieces;
+            }
+            pieces *= 2;
+        }
+        assert_eq!(step.depth as u64, pieces, "{step:?}");
+        // The last level is scanned only for a composition that stays.
+        if step.accepted {
+            cost.pieces += pieces;
+            let union = listed(&[step.left_attrs.clone(), step.right_attrs.clone()].concat());
+            live.remove(l.max(r));
+            live.remove(l.min(r));
+            live.push((union, pieces));
+        }
+    }
+    cost
+}
+
+/// Run HB-cuts with and without the §5.1 reuse and hold the backend's
+/// scan count and the explorer's selection counters to the replay.
+fn assert_scans_follow_the_trace(table: &Table, ctx: &Query, cfg: &Config) -> Trace {
+    let run = |memoize: bool| {
+        table.reset_stats();
+        let ex = Explorer::new(table, cfg.clone().with_memoize(memoize), ctx.clone()).unwrap();
+        let out = hb_cuts(&ex).unwrap();
+        (out.trace, ex.cache_stats(), table.stats().scans)
+    };
+    let (trace, memo, scans) = run(true);
+    let schema = Backend::schema(table);
+    let nominal = |attr: &str| !schema.type_of(attr).unwrap().is_numeric();
+    let cost = replay_cost(ctx, &trace, &nominal);
+
+    // The context's extent is one scan per conjunct it constrains; from
+    // there every selection the run touches is its parent's narrowed by
+    // one scan, exactly once — nothing is looked up, so nothing hits —
+    // and no term grows with the number of pairs evaluated.
+    let context_scans = ctx.constraint_count() as u64;
+    assert_eq!(
+        scans,
+        context_scans + cost.pieces + cost.frequency_tables,
+        "{cost:?}"
+    );
+    assert_eq!((memo.sel_hits, memo.sel_misses), (0, cost.pieces));
+
+    // The ablation cuts and composes the same way (a piece inheriting
+    // its parent's bitmap is what a conjunction is, not a memo) but
+    // carries no operand from one INDEP probe to the next.
+    let (ablated_trace, ablated, ablated_scans) = run(false);
+    assert_eq!(format!("{ablated_trace:?}"), format!("{trace:?}"));
+    assert_eq!(ablated_scans, scans + cost.ablated_scans, "{cost:?}");
+    assert_eq!(
+        (ablated.sel_hits, ablated.sel_misses),
+        (0, cost.pieces + cost.ablated_lookups)
+    );
+    trace
+}
+
 #[test]
 fn selection_lookups_follow_the_trace_not_the_pair_count() {
-    // Every interned candidate is resolved once — one selection lookup
-    // per piece — and the INDEP frontier reads the resolved forms, so a
-    // run's lookups are CUT's plus the resolutions: a closed form in the
-    // trace with no term in the number of pairs evaluated. The ablation
-    // carries nothing and resolves both operands of every probe: one
-    // miss per piece per evaluation on top.
+    // Sixteen numeric seeds over a wildcard context, composing until the
+    // depth bound rejects a composition — whose last level of pieces is
+    // never scanned.
     let k = 16usize;
     let table = sweep_table(3_000, k, 11);
     let names = Backend::schema(&table).names();
     let take: Vec<&str> = names.into_iter().take(k).collect();
-    let ctx = Query::wildcard(&take);
     let cfg = Config::default().with_max_indep(1.0).with_max_depth(64);
-
-    let run = |memoize: bool| {
-        let ex = Explorer::new(&table, cfg.clone().with_memoize(memoize), ctx.clone()).unwrap();
-        let out = hb_cuts(&ex).unwrap();
-        (out.trace, ex.cache_stats())
-    };
-    let (trace, memo) = run(true);
+    let trace = assert_scans_follow_the_trace(&table, &Query::wildcard(&take), &cfg);
     assert_eq!(trace.seeds.len(), k);
-    assert!(trace.skipped_pairs.is_empty());
     assert_eq!(trace.stop, Some(StopReason::DepthLimit));
+    assert!(trace.steps.iter().filter(|s| s.accepted).count() >= 3);
 
-    // Replay the trace's depths. Live candidates are known by their
-    // sorted attribute list; every seed is a binary cut.
-    let key = |attrs: &[String]| {
-        let mut attrs = attrs.to_vec();
-        attrs.sort();
-        attrs
-    };
-    let mut depth_of: HashMap<Vec<String>, usize> =
-        trace.seeds.iter().map(|a| (vec![a.clone()], 2)).collect();
-    // CUT_attr(context) looks the context up once per attribute, and
-    // each seed is resolved.
-    let (mut cut_lookups, mut resolve_lookups) = (k, 2 * k);
-    // The ablation's Σ (depth(S1) + depth(S2)) over every live pair of
-    // every iteration; each trace step here is one iteration.
-    let mut ablated_probe_pieces = 0;
-    for step in &trace.steps {
-        let live: usize = depth_of.values().sum();
-        ablated_probe_pieces += (depth_of.len() - 1) * live;
-        let (left, right) = (key(&step.left_attrs), key(&step.right_attrs));
-        let (dl, n) = (depth_of[&left], right.len());
-        // On this table every piece is cuttable on every attribute, so
-        // COMPOSE doubles the depth per attribute of the right operand
-        // and cuts dl + 2·dl + … + 2ⁿ⁻¹·dl pieces on the way.
-        assert_eq!(step.depth, dl << n, "{step:?}");
-        cut_lookups += dl * ((1 << n) - 1);
-        if step.accepted {
-            resolve_lookups += step.depth;
-            depth_of.remove(&left);
-            depth_of.remove(&right);
-            depth_of.insert(key(&[left, right].concat()), step.depth);
-        }
+    // A context that constrains one of its attributes (every candidate
+    // then lists it, and COMPOSE cuts on it again) with a nominal one
+    // among the rest (each cut on it is a frequency table).
+    let mut rng = StdRng::seed_from_u64(5);
+    let mut b = charles::TableBuilder::new("t");
+    b.add_column("x", charles_store::DataType::Int)
+        .add_column("y", charles_store::DataType::Float)
+        .add_column("k", charles_store::DataType::Str)
+        .add_column("z", charles_store::DataType::Int);
+    for _ in 0..6_000 {
+        let x: i64 = rng.gen_range(0..1_000);
+        let y = x as f64 + rng.gen_range(-200.0..200.0);
+        let k = (x / 125 + rng.gen_range(0i64..3)) % 8;
+        let z = x + rng.gen_range(-300i64..300);
+        b.push_row(vec![
+            charles::Value::Int(x),
+            charles::Value::Float(y),
+            charles::Value::Str(format!("c{k}")),
+            charles::Value::Int(z),
+        ])
+        .unwrap();
     }
-
-    let lookups = memo.sel_hits + memo.sel_misses;
-    assert_eq!(lookups, (cut_lookups + resolve_lookups) as u64);
-    assert!(
-        lookups < 8 * memo.indep_misses,
-        "the operands of an evaluation cost lookups again: {memo:?}"
-    );
-
-    let (ablated_trace, ablated) = run(false);
-    assert_eq!(format!("{ablated_trace:?}"), format!("{trace:?}"));
-    assert_eq!(ablated.sel_hits, 0);
-    assert_eq!(
-        ablated.sel_misses,
-        (cut_lookups + resolve_lookups + ablated_probe_pieces) as u64
-    );
+    let table = b.finish();
+    let ctx =
+        charles::parse_query("(x: [100,900], y: , k: , z: )", Backend::schema(&table)).unwrap();
+    let trace = assert_scans_follow_the_trace(&table, &ctx, &cfg.with_max_depth(16));
+    assert_eq!(trace.seeds, ["x", "y", "k", "z"]);
+    assert!(trace.steps.iter().any(|s| s.accepted));
+    assert!(trace.steps.iter().any(|s| !s.accepted), "{trace:?}");
 }
 
 /// Random small table in the spirit of `partition_properties.rs`: two

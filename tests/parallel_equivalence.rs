@@ -86,6 +86,29 @@ fn hb_cuts_identical_with_and_without_threads() {
 }
 
 #[test]
+fn backend_ops_and_cache_counters_identical_with_and_without_threads() {
+    // The counters are part of the answer too: every selection a run
+    // needs is derived from its parent's exactly once — the seeds from
+    // the context's extent, which no worker looks up, let alone
+    // re-scans — so no two workers can race to evaluate the same one.
+    let t = voc_table(8_000, 99);
+    for ctx in [
+        "(type_of_boat: , tonnage: , departure_harbour: , trip: )",
+        "(type_of_boat: {fluit, jacht, pinas}, tonnage: [200,1000], departure_harbour: , trip: )",
+    ] {
+        let run = || {
+            let advice = Advisor::new(&t).advise_str(ctx).unwrap();
+            (advice.backend_ops, advice.cache)
+        };
+        let (seq_ops, seq_cache) = with_threads(1, run);
+        assert!(seq_ops.scans > 0 && seq_cache.sel_misses > 0);
+        for _ in 0..4 {
+            assert_eq!(with_threads(8, run), (seq_ops, seq_cache), "{ctx}");
+        }
+    }
+}
+
+#[test]
 fn hb_cuts_identical_on_weblog_shape() {
     // A second dataset shape: more nominal columns, different cut mix.
     let t = weblog_table(6_000, 4242);
