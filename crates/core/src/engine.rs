@@ -9,8 +9,13 @@
 //! derived travels as a `Piece`: the query plus its derivation — the
 //! parent's bitmap and the one conjunct that narrows it — so its bitmap
 //! is `parent ∧ scan(conjunct)`, one column scan, computed when the
-//! piece is first needed. That is the definition of a conjunction, not a
-//! cache, and no switch turns it off. Any other query goes through
+//! piece is first needed. When CUT's statistics covered every row of the
+//! parent (no null, no NaN in the cut attribute) its two halves partition
+//! the parent, and the pair costs one scan: the right half is what the
+//! left leaves, `parent ∧ ¬left`, an AND-NOT over words already held
+//! (`Piece::halves`). That is the definition of a conjunction and of a
+//! partition, not a cache, and no switch turns it off. Any other query
+//! goes through
 //! [`Explorer::selection`], which evaluates the whole conjunction and
 //! memoizes the result by the rendered query — half of the §5.1
 //! optimization ("the calculations of SDL products and entropy can be
@@ -19,13 +24,13 @@
 //! loop itself ([`crate::hbcuts`]). Both halves can be switched off
 //! ([`crate::Config::memoize`]) to measure their effect.
 
-use crate::config::Config;
+use crate::config::{Config, MedianStrategy};
 use crate::error::{CoreError, CoreResult};
 use charles_sdl::{eval, Constraint, Query, Segmentation};
-use charles_store::{Backend, Bitmap, Value};
+use charles_store::{Backend, Bitmap, CutStats};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Cache performance counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -33,8 +38,10 @@ pub struct CacheStats {
     /// Selection lookups answered without touching the backend: a memo
     /// hit, or the context asked for its own extent.
     pub sel_hits: u64,
-    /// Selections materialised by the backend: a looked-up query's whole
-    /// conjunction evaluated, or a derived piece's one scan.
+    /// Selections materialised: a looked-up query's whole conjunction
+    /// evaluated, a derived piece's one scan, or — one selection like
+    /// any other, though it costs the backend no scan — a cut's right
+    /// half taken as what the left half leaves of their parent.
     pub sel_misses: u64,
     /// INDEP evaluations (pairwise counting actually performed): one per
     /// [`crate::indep()`] call and one per candidate pair of an HB-cuts
@@ -71,8 +78,25 @@ enum PieceSelection {
     Derived {
         parent: Arc<Bitmap>,
         conjunct: usize,
+        /// Set on both halves of a cut that partitions `parent`.
+        pair: Option<(Half, LeftSelection)>,
     },
 }
+
+/// Which half of a partitioning cut a piece is.
+enum Half {
+    /// Scans its conjunct like any derived piece, and leaves the bitmap
+    /// where its sibling finds it.
+    Left,
+    /// `parent ∧ ¬left` once the left half has been materialised — no
+    /// scan; until then it can only scan its own conjunct. Halves leave
+    /// CUT left first and every walk of them keeps that order;
+    /// `Explorer::materialise_all` keeps it across a fan-out.
+    Right,
+}
+
+/// The left half's bitmap, shared by the two halves of one cut.
+type LeftSelection = Arc<OnceLock<Arc<Bitmap>>>;
 
 impl Piece {
     pub(crate) fn ready(query: Query, sel: Arc<Bitmap>) -> Piece {
@@ -90,6 +114,35 @@ impl Piece {
         attr: &str,
         constraint: Constraint,
     ) -> Option<Piece> {
+        Piece::derived(query, sel, attr, constraint, None)
+    }
+
+    /// The two halves `CUT_attr(Q)` of Definition 5. `partition` says
+    /// that every row of `sel` satisfies exactly one of the two
+    /// constraints — the statistics they were drawn from covered all of
+    /// `sel` — and then the right half is what the left leaves of `sel`.
+    pub(crate) fn halves(
+        query: &Query,
+        sel: &Arc<Bitmap>,
+        attr: &str,
+        (left, right): (Constraint, Constraint),
+        partition: bool,
+    ) -> Option<[Piece; 2]> {
+        let shared = partition.then(LeftSelection::default);
+        let pair = |half| shared.clone().map(|left| (half, left));
+        Some([
+            Piece::derived(query, sel, attr, left, pair(Half::Left))?,
+            Piece::derived(query, sel, attr, right, pair(Half::Right))?,
+        ])
+    }
+
+    fn derived(
+        query: &Query,
+        sel: &Arc<Bitmap>,
+        attr: &str,
+        constraint: Constraint,
+        pair: Option<(Half, LeftSelection)>,
+    ) -> Option<Piece> {
         let query = query.refined(attr, constraint)?;
         let conjunct = query.predicates().iter().position(|p| p.attr == attr)?;
         Some(Piece {
@@ -97,8 +150,21 @@ impl Piece {
             sel: PieceSelection::Derived {
                 parent: Arc::clone(sel),
                 conjunct,
+                pair,
             },
         })
+    }
+
+    /// Whether materialising this piece waits for its sibling's bitmap
+    /// instead of scanning.
+    fn is_complement(&self) -> bool {
+        matches!(
+            &self.sel,
+            PieceSelection::Derived {
+                pair: Some((Half::Right, _)),
+                ..
+            }
+        )
     }
 }
 
@@ -214,18 +280,57 @@ impl<'a> Explorer<'a> {
 
     /// A piece's selection. For a derived piece that is one scan of the
     /// narrowing conjunct and one AND with the parent, whose handle is
-    /// the caller's to drop with the piece.
+    /// the caller's to drop with the piece; for the right half of a
+    /// partitioning cut whose left half has been materialised, one
+    /// AND-NOT and no scan.
     pub(crate) fn materialise(&self, piece: &Piece) -> CoreResult<Arc<Bitmap>> {
-        match &piece.sel {
-            PieceSelection::Ready(sel) => Ok(Arc::clone(sel)),
-            PieceSelection::Derived { parent, conjunct } => {
-                let narrowing = &piece.query.predicates()[*conjunct];
+        let (parent, conjunct, pair) = match &piece.sel {
+            PieceSelection::Ready(sel) => return Ok(Arc::clone(sel)),
+            PieceSelection::Derived {
+                parent,
+                conjunct,
+                pair,
+            } => (parent, *conjunct, pair),
+        };
+        let left = match pair {
+            Some((Half::Right, left)) => left.get(),
+            _ => None,
+        };
+        let sel = match left {
+            Some(left) => parent.and_not(left),
+            None => {
+                let narrowing = &piece.query.predicates()[conjunct];
                 let mut sel = self.backend.eval(&eval::lower_predicate(narrowing))?;
                 sel.and_inplace(parent);
-                self.caches.lock().stats.sel_misses += 1;
-                Ok(Arc::new(sel))
+                sel
             }
+        };
+        let sel = Arc::new(sel);
+        if let Some((Half::Left, shared)) = pair {
+            // A second materialisation finds the same bits already there.
+            let _ = shared.set(Arc::clone(&sel));
         }
+        self.caches.lock().stats.sel_misses += 1;
+        Ok(sel)
+    }
+
+    /// Every piece's selection, in order. The unit of fan-out is the
+    /// scan: a cut's right half follows from its left sibling's bitmap
+    /// once the scans are in, so a pair costs one scan at any worker
+    /// count — never two halves racing for it.
+    pub(crate) fn materialise_all(&self, pieces: &[Piece]) -> CoreResult<Vec<Arc<Bitmap>>> {
+        let scanned = crate::par::try_map(pieces, |p| {
+            if p.is_complement() {
+                Ok(None)
+            } else {
+                self.materialise(p).map(Some)
+            }
+        })?;
+        pieces
+            .iter()
+            .zip(scanned)
+            .map(|(p, sel)| sel.map_or_else(|| self.materialise(p), Ok))
+            .collect()
     }
 
     /// Hand a piece's query to a caller outside the crate. The selection
@@ -266,16 +371,20 @@ impl<'a> Explorer<'a> {
         crate::par::try_map(seg.queries(), |q| self.cover(q))
     }
 
-    /// Split point for a numeric cut, honouring the configured median
-    /// strategy.
-    pub(crate) fn split_point(&self, attr: &str, sel: &Bitmap) -> CoreResult<Option<Value>> {
-        let med = match self.config.median {
-            crate::config::MedianStrategy::Exact => self.backend.median(attr, sel)?,
-            crate::config::MedianStrategy::Sampled { size, seed } => {
-                self.backend.sampled_median(attr, sel, size, seed)?
-            }
+    /// What a numeric cut needs of `attr` over `sel`, honouring the
+    /// configured median strategy: the exact median comes with the
+    /// extremes from one pass where the backend has one
+    /// ([`Backend::cut_stats`]); a sampled one is its own call.
+    pub(crate) fn cut_stats(&self, attr: &str, sel: &Bitmap) -> CoreResult<Option<CutStats>> {
+        let (size, seed) = match self.config.median {
+            MedianStrategy::Exact => return Ok(self.backend.cut_stats(attr, sel)?),
+            MedianStrategy::Sampled { size, seed } => (size, seed),
         };
-        Ok(med)
+        let Some((min, max)) = self.backend.min_max(attr, sel)? else {
+            return Ok(None);
+        };
+        let sampled = || self.backend.sampled_median(attr, sel, size, seed);
+        Ok(Some(CutStats::over(min, max, None, sampled)?))
     }
 
     /// Count `n` INDEP evaluations.
@@ -295,7 +404,7 @@ pub fn fingerprint(seg: &Segmentation) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charles_store::{DataType, TableBuilder};
+    use charles_store::{DataType, TableBuilder, Value};
 
     fn table() -> charles_store::Table {
         let mut b = TableBuilder::new("t");
@@ -446,6 +555,60 @@ mod tests {
         assert_eq!(*ex.selection(&q).unwrap(), evaluated);
         assert_eq!(ex.cache_stats().sel_hits, before.sel_hits + 1);
         assert_eq!(ex.cache_stats().sel_misses, before.sel_misses);
+    }
+
+    #[test]
+    fn a_partitioning_cut_pair_costs_one_scan() {
+        let t = table();
+        let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["x", "k"])).unwrap();
+        let root = ex.context_piece();
+        let root_sel = ex.materialise(&root).unwrap();
+        let range = |lo, hi| Constraint::range(Value::Int(lo), Value::Int(hi)).unwrap();
+        let halves = |partition| {
+            let split = (range(0, 6), range(7, 19));
+            Piece::halves(&root.query, &root_sel, "x", split, partition).unwrap()
+        };
+        let evaluated = |piece: &Piece| {
+            let mut sel = eval::selection(&piece.query, &t).unwrap();
+            sel.and_inplace(ex.context_selection());
+            sel
+        };
+        // Left then right: the right half is what the left one leaves —
+        // two selections, one scan. Told nothing about the split, each
+        // half scans for itself, and so does a right half asked first:
+        // the order moves the cost, never the bits.
+        for (partition, right_first, scans) in
+            [(true, false, 1), (false, false, 2), (true, true, 2)]
+        {
+            let mut pair = halves(partition);
+            assert!(!pair[0].is_complement());
+            assert_eq!(pair[1].is_complement(), partition);
+            if right_first {
+                pair.reverse();
+            }
+            let before = (t.stats().scans, ex.cache_stats().sel_misses);
+            let sels = pair.each_ref().map(|p| ex.materialise(p).unwrap());
+            assert_eq!(t.stats().scans - before.0, scans);
+            assert_eq!(ex.cache_stats().sel_misses - before.1, 2);
+            for (piece, sel) in pair.iter().zip(&sels) {
+                assert_eq!(**sel, evaluated(piece), "{}", piece.query);
+            }
+            assert_eq!(sels[0].count_ones() + sels[1].count_ones(), 20);
+        }
+        // Taken together the scans go first, in whatever order the
+        // halves stand.
+        for right_first in [false, true] {
+            let mut pair = halves(true);
+            if right_first {
+                pair.reverse();
+            }
+            let scans = t.stats().scans;
+            let sels = ex.materialise_all(&pair).unwrap();
+            assert_eq!(t.stats().scans, scans + 1);
+            for (piece, sel) in pair.iter().zip(&sels) {
+                assert_eq!(**sel, evaluated(piece), "{}", piece.query);
+            }
+        }
     }
 
     #[test]

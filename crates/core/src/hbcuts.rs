@@ -38,7 +38,8 @@
 //! carried the same way: a candidate is *resolved* once, when it is
 //! created — its pieces' selections and its entropy (`indep::Resolved`;
 //! each piece arrives from CUT as its parent's bitmap plus the one
-//! conjunct that narrows it, so resolving it is one scan, fanned out) —
+//! conjunct that narrows it, so resolving it is one scan, fanned out,
+//! and none for the right half of a cut that partitions its parent) —
 //! so an evaluation is two field reads and one AND-count grid, in a
 //! plain loop, the final scores read the same entropies, and COMPOSE
 //! cuts on from the same bitmaps: the loop never asks the explorer for
@@ -257,8 +258,8 @@ fn attrs_of(seg: &Segmentation) -> Vec<String> {
 }
 
 /// Line 4: `CUT_attr(context)` — the context's extent narrowed by one
-/// scan per half — resolved for INDEP, or `None` for an attribute that
-/// is constant in the context.
+/// scan, the other half being what that leaves — resolved for INDEP, or
+/// `None` for an attribute that is constant in the context.
 pub(crate) fn seed_cut(
     ex: &Explorer<'_>,
     attr: &str,
@@ -471,9 +472,9 @@ impl Stepper {
 /// value in run-local state (see the module docs).
 pub fn hb_cuts(ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
     // Lines 2–5: seed with one binary cut per attribute. The
-    // per-attribute cuts are independent (median scan + one scan per
-    // half), so they fan out across threads; the zip keeps attribute
-    // order.
+    // per-attribute cuts are independent (one walk for the median, one
+    // scan for the halves), so they fan out across threads; the zip
+    // keeps attribute order.
     let attrs = ex.attributes();
     let seed_cuts = crate::par::try_map(&attrs, |attr| seed_cut(ex, attr))?;
     let mut stepper = Stepper::default();

@@ -18,7 +18,8 @@
 //! selections plus its entropy): the denominator is two field reads, the
 //! numerator one AND-count grid — no query is rendered, no lock taken.
 //! The HB-cuts loop resolves each candidate once, when it is created —
-//! from the pieces CUT derived, one scan each (`resolve_pieces`) — and
+//! from the pieces CUT derived, one scan per piece or, where a cut's
+//! halves partition their parent, per pair (`resolve_pieces`) — and
 //! carries the resolved form for as long as the candidate lives (the
 //! §5.1 reuse, see [`crate::hbcuts`]); COMPOSE starts its cuts from the
 //! same bitmaps. The public [`indep`] and [`product_entropy`] remember
@@ -47,13 +48,13 @@ pub(crate) fn resolve(ex: &Explorer<'_>, seg: &Segmentation) -> CoreResult<Resol
     Ok(Resolved::new(sels, ex.context_size()))
 }
 
-/// Resolve the pieces CUT handed over into a candidate: one scan per
-/// piece still derived, fanned out.
+/// Resolve the pieces CUT handed over into a candidate: the scans of
+/// those still derived fan out (`Explorer::materialise_all`).
 pub(crate) fn resolve_pieces(
     ex: &Explorer<'_>,
     pieces: Vec<Piece>,
 ) -> CoreResult<(Segmentation, Resolved)> {
-    let sels = crate::par::try_map(&pieces, |p| ex.materialise(p))?;
+    let sels = ex.materialise_all(&pieces)?;
     let queries = pieces.into_iter().map(|p| p.query).collect();
     Ok((
         Segmentation::new(queries),

@@ -19,6 +19,21 @@
 //! each half leaves as `R(Q)` plus the one constraint that narrows it,
 //! and its bitmap costs one column scan and one AND when somebody first
 //! needs it, instead of a scan per conjunct of the half's whole query.
+//!
+//! One pass per cut, twice over. The statistics of a numeric cut — min,
+//! max, exact median — come from one walk of `R(Q)`
+//! (`Backend::cut_stats`), not one for the extremes and one for the
+//! median. And when those statistics (or a nominal cut's frequency table)
+//! were taken over *every* row of `R(Q)` — no null and no NaN in the cut
+//! attribute, the rule inside a context that mentions it — the two halves
+//! partition `R(Q)`, so the right one is what the left one leaves,
+//! `R(Q) ∧ ¬left`, and the pair costs one scan. A row with no value
+//! belongs to neither half: then each half scans its own conjunct. So
+//! they do where `Q` already holds a `Float` bound on an `Int` or `Date`
+//! attribute: such a bound compares as `f64`, the integer split point
+//! exactly, and beyond 2⁵³ the two orders disagree on who is whose
+//! neighbour.
+//!
 //! `cut_piece` / `cut_pieces` are that implementation; the public
 //! [`cut_query`] / [`cut_segmentation`] look their operand up once and
 //! release the halves through the explorer's selection memo.
@@ -42,20 +57,31 @@ pub(crate) fn cut_piece(
         return Ok(None);
     }
     let ty = ex.backend().schema().type_of(attr)?;
-    let halves = if ty.is_numeric() {
-        numeric_pieces(ex, attr, sel)?
+    let split = if ty.is_numeric() {
+        numeric_split(ex, attr, query.constraint(attr), sel)?
     } else {
-        nominal_pieces(ex, attr, ty, sel)?
+        nominal_split(ex, attr, ty, sel)?
     };
-    let Some((left, right)) = halves else {
+    let Some(split) = split else {
         return Ok(None);
     };
     // Refine the query with each half; both refinements must stay
     // satisfiable (they do by construction — the split points come from
     // values inside the segment).
-    Ok(Piece::refined(query, sel, attr, left)
-        .zip(Piece::refined(query, sel, attr, right))
-        .map(|(l, r)| [l, r]))
+    let partition = split.valued == Some(sel.count_ones());
+    Ok(Piece::halves(query, sel, attr, split.halves, partition))
+}
+
+/// Where a segment splits along an attribute.
+struct Split {
+    /// The two constraints. Every value the attribute takes in the
+    /// segment satisfies exactly one of them.
+    halves: (Constraint, Constraint),
+    /// How many of the segment's rows hold such a value — where the
+    /// backend said, and the store compares the refined constraints in
+    /// the one order they were drawn in. All of them: the halves
+    /// partition the segment.
+    valued: Option<usize>,
 }
 
 /// Definition 6 over pieces: cut each along `attr`, carrying the ones
@@ -122,20 +148,45 @@ pub fn cut_segmentation(
     release_pieces(ex, pieces).map(Some)
 }
 
-/// Median-based pieces for a numeric attribute.
-fn numeric_pieces(
+/// Whether everything the query already holds of a discrete attribute is
+/// of the column's own type, like the integer halves CUT is about to
+/// refine it with. The store compares such bounds as integers, exactly;
+/// a bound of another type (a `Float` on an `Int` column) survives
+/// refinement where it ties and compares as `f64`, in which `s` and
+/// `s + 1` are one value beyond 2⁵³ — halves that may overlap.
+fn bounds_compare_exactly(held: Option<&Constraint>, like: &Value) -> bool {
+    let exact = |v: &Value| v.data_type() == like.data_type();
+    match held {
+        None | Some(Constraint::Any) => true,
+        Some(Constraint::Range { lo, hi, .. }) => exact(lo) && exact(hi),
+        Some(Constraint::Set(vals)) => vals.iter().all(exact),
+    }
+}
+
+/// Median-based split of a numeric attribute, of which the query so far
+/// holds `held`.
+fn numeric_split(
     ex: &Explorer<'_>,
     attr: &str,
+    held: Option<&Constraint>,
     sel: &Bitmap,
-) -> CoreResult<Option<(Constraint, Constraint)>> {
-    let Some((min, max)) = ex.backend().min_max(attr, sel)? else {
+) -> CoreResult<Option<Split>> {
+    let Some(stats) = ex.cut_stats(attr, sel)? else {
         return Ok(None);
     };
-    if matches!(min.try_cmp(&max), Ok(std::cmp::Ordering::Equal)) {
+    let (min, max) = (stats.min, stats.max);
+    let Some(med) = stats.median else {
         return Ok(None); // constant within the segment
-    }
-    let Some(med) = ex.split_point(attr, sel)? else {
-        return Ok(None);
+    };
+    // Continuous columns compare as `f64` whatever the bound: one order,
+    // no overlap. Discrete ones partition only under exact comparison.
+    let discrete = matches!(min, Value::Int(_) | Value::Date(_));
+    let valued = stats
+        .ranked
+        .filter(|_| !discrete || bounds_compare_exactly(held, &min));
+    let split = |left, right| Split {
+        halves: (left, right),
+        valued,
     };
 
     // Discrete columns (Int/Date): closed integer pieces
@@ -145,13 +196,13 @@ fn numeric_pieces(
         let s = (med.as_f64().expect("numeric median").floor() as i64).clamp(*lo, *hi - 1);
         let left = Constraint::range(Value::Int(*lo), Value::Int(s)).expect("lo ≤ s");
         let right = Constraint::range(Value::Int(s + 1), Value::Int(*hi)).expect("s+1 ≤ hi");
-        return Ok(Some((left, right)));
+        return Ok(Some(split(left, right)));
     }
     if let (Value::Date(lo), Value::Date(hi)) = (&min, &max) {
         let s = (med.as_f64().expect("numeric median").floor() as i64).clamp(*lo, *hi - 1);
         let left = Constraint::range(Value::Date(*lo), Value::Date(s)).expect("lo ≤ s");
         let right = Constraint::range(Value::Date(s + 1), Value::Date(*hi)).expect("s+1 ≤ hi");
-        return Ok(Some((left, right)));
+        return Ok(Some(split(left, right)));
     }
 
     // Continuous columns: the paper's half-open split [min, med[ / [med, max].
@@ -159,7 +210,7 @@ fn numeric_pieces(
     // would be empty; fall back to the smallest value above the minimum.
     let med_f = med.as_f64().expect("numeric median");
     let min_f = min.as_f64().expect("numeric bound");
-    let split = if med_f <= min_f {
+    let at = if med_f <= min_f {
         match ex.backend().next_above(attr, sel, &min)? {
             Some(v) => v,
             None => return Ok(None), // single distinct value
@@ -167,21 +218,21 @@ fn numeric_pieces(
     } else {
         med
     };
-    let left = Constraint::range_with(min.clone(), split.clone(), false);
-    let right = Constraint::range_with(split, max, true);
+    let left = Constraint::range_with(min.clone(), at.clone(), false);
+    let right = Constraint::range_with(at, max, true);
     match (left, right) {
-        (Ok(l), Ok(r)) => Ok(Some((l, r))),
+        (Ok(l), Ok(r)) => Ok(Some(split(l, r))),
         _ => Ok(None),
     }
 }
 
-/// Frequency-ordered pieces for a nominal attribute.
-fn nominal_pieces(
+/// Frequency-ordered split of a nominal attribute.
+fn nominal_split(
     ex: &Explorer<'_>,
     attr: &str,
     ty: DataType,
     sel: &Bitmap,
-) -> CoreResult<Option<(Constraint, Constraint)>> {
+) -> CoreResult<Option<Split>> {
     let (ft, dict) = ex.backend().frequencies(attr, sel)?;
     if ft.cardinality() < 2 {
         return Ok(None);
@@ -212,7 +263,10 @@ fn nominal_pieces(
         .map(|&(c, _)| decode(c))
         .collect();
     match (Constraint::set(left), Constraint::set(right)) {
-        (Ok(l), Ok(r)) => Ok(Some((l, r))),
+        (Ok(l), Ok(r)) => Ok(Some(Split {
+            halves: (l, r),
+            valued: Some(ft.total()),
+        })),
         _ => Ok(None),
     }
 }
@@ -221,7 +275,7 @@ fn nominal_pieces(
 mod tests {
     use super::*;
     use crate::config::{Config, MedianStrategy};
-    use charles_store::{DataType, TableBuilder};
+    use charles_store::{Backend, DataType, TableBuilder};
 
     /// The Figure 2 boats: 4 fluits (1000–2000, 2000–5000 tonnage) and 4
     /// jachts, with departure years correlated with the type.
@@ -284,6 +338,101 @@ mod tests {
         assert_eq!(ex.count(&r).unwrap(), 4);
         let cs = l.constraint("type").unwrap();
         assert!(matches!(cs, Constraint::Set(v) if v.len() == 1));
+    }
+
+    #[test]
+    fn a_clean_cut_pair_costs_one_scan() {
+        // No null in a context's own attributes: the statistics cover
+        // the whole segment, its halves partition it, and the right one
+        // is what the left one leaves. A nominal cut's frequency table
+        // is a column pass of its own.
+        let t = boats();
+        let ex = explorer(&t);
+        let ctx = ex.context().clone();
+        for (attr, scans) in [("tonnage", 1), ("type", 2)] {
+            t.reset_stats();
+            let (l, r) = cut_query(&ex, &ctx, attr).unwrap().unwrap();
+            assert_eq!(t.stats().scans, scans, "{attr}");
+            // Both halves were released into the memo: counting them
+            // evaluates nothing.
+            assert_eq!(ex.count(&l).unwrap() + ex.count(&r).unwrap(), 8);
+            assert_eq!(t.stats().scans, scans, "{attr}");
+        }
+    }
+
+    #[test]
+    fn a_null_in_the_parent_costs_two_scans_and_equals_the_conjunctions() {
+        // Cutting on an attribute from outside the context: the extent
+        // only screens the nulls of the attributes the context mentions,
+        // so rows null in `y` or `k` are in the parent and in neither
+        // half — the right half is *not* what the left one leaves.
+        let mut b = TableBuilder::new("t");
+        b.add_column("x", DataType::Int)
+            .add_column("y", DataType::Int)
+            .add_column("k", DataType::Str);
+        for i in 0..12i64 {
+            b.push_row_opt(vec![
+                Some(Value::Int(i)),
+                (i % 4 != 1).then_some(Value::Int(i * 5 % 12)),
+                (i % 3 != 2).then_some(Value::str(if i < 7 { "a" } else { "b" })),
+            ])
+            .unwrap();
+        }
+        let t = b.finish();
+        let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["x"])).unwrap();
+        assert_eq!(ex.context_size(), 12);
+        for (attr, valued, scans) in [("y", 9, 2), ("k", 8, 3)] {
+            t.reset_stats();
+            let (l, r) = cut_query(&ex, ex.context(), attr).unwrap().unwrap();
+            assert_eq!(t.stats().scans, scans, "{attr}");
+            assert!(l.mentions(attr) && r.mentions(attr));
+            // Released into the memo, not re-evaluated on lookup.
+            let released = [&l, &r].map(|q| ex.selection(q).unwrap());
+            assert_eq!(t.stats().scans, scans, "{attr}");
+            let mut covered = 0;
+            for (q, released) in [&l, &r].into_iter().zip(released) {
+                let mut evaluated = charles_sdl::eval::selection(q, &t).unwrap();
+                evaluated.and_inplace(ex.context_selection());
+                assert_eq!(*released, evaluated, "{q}");
+                covered += evaluated.count_ones();
+            }
+            assert_eq!(covered, valued, "{attr}");
+        }
+    }
+
+    #[test]
+    fn a_float_bound_on_an_integer_attribute_costs_two_scans() {
+        // 2⁵³ + 3 and 2⁵³ + 4 are one `f64`. The context's `Float` upper
+        // bound ties with the split point 2⁵³ + 3, both refined halves
+        // keep it and compare as `f64`: they overlap, and the right one
+        // is its own conjunction, not what the left one leaves.
+        let base = 1i64 << 53;
+        let mut b = TableBuilder::new("t");
+        b.add_column("z", DataType::Int);
+        for i in [2, 3, 3, 4] {
+            b.push_row(vec![Value::Int(base + i)]).unwrap();
+        }
+        let t = b.finish();
+        let float = |i: i64| Value::Float((base + i) as f64);
+        let int = |i: i64| Value::Int(base + i);
+        for (lo, hi, scans, counts) in
+            [(int(2), int(4), 1, [3, 1]), (float(2), float(4), 2, [4, 3])]
+        {
+            let ctx = Query::wildcard(&["z"])
+                .refined("z", Constraint::range(lo, hi).unwrap())
+                .unwrap();
+            let ex = Explorer::new(&t, Config::default(), ctx).unwrap();
+            assert_eq!(ex.context_size(), 4);
+            t.reset_stats();
+            let (l, r) = cut_query(&ex, ex.context(), "z").unwrap().unwrap();
+            assert_eq!(t.stats().scans, scans, "{l} | {r}");
+            for (q, count) in [&l, &r].into_iter().zip(counts) {
+                let mut evaluated = charles_sdl::eval::selection(q, &t).unwrap();
+                evaluated.and_inplace(ex.context_selection());
+                assert_eq!(*ex.selection(q).unwrap(), evaluated, "{q}");
+                assert_eq!(evaluated.count_ones(), count, "{q}");
+            }
+        }
     }
 
     #[test]

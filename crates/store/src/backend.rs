@@ -10,7 +10,7 @@
 //! suited for Charles' workloads" claim calls for (experiment E7).
 
 use crate::bitmap::Bitmap;
-use crate::error::StoreResult;
+use crate::error::{StoreError, StoreResult};
 use crate::predicate::StorePredicate;
 use crate::schema::Schema;
 use crate::stats::FrequencyTable;
@@ -24,18 +24,64 @@ use crate::value::Value;
 /// over a column: one per leaf predicate evaluated (a `count` issues
 /// those too, so the two move together but measure different layers)
 /// and one per `frequencies` call, which walks the column under a
-/// selection just as a scan does. (`RowTable` has no columns to pass
-/// over: it counts one scan per `eval`, whatever the conjunction.)
+/// selection just as a scan does. A selection the advisor obtains
+/// without a predicate — a cut's second half taken as what the first
+/// half leaves of their parent, an AND-NOT over words it already holds
+/// — is no pass over any column and counts as nothing here.
+/// (`RowTable` has no columns to pass over: it counts one scan per
+/// `eval`, whatever the conjunction.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
     /// Number of column passes executed: one per leaf range or set
-    /// predicate evaluated, and one per `frequencies` call.
+    /// predicate evaluated, and one per `frequencies` call; none for a
+    /// selection derived as the complement of another.
     pub scans: u64,
     /// Number of `count` operations answered (the paper's "counts over
     /// predicates" metric).
     pub counts: u64,
     /// Number of median/quantile computations executed.
     pub medians: u64,
+}
+
+/// What a median CUT asks about a numeric column under a selection, as
+/// [`Backend::cut_stats`] answers it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CutStats {
+    /// Least selected value (nulls and NaN skipped, as everywhere).
+    pub min: Value,
+    /// Greatest selected value.
+    pub max: Value,
+    /// Exact median of the selected values; `None` — not computed — when
+    /// `min` equals `max`: a constant segment has no cut.
+    pub median: Option<Value>,
+    /// How many values the statistics were taken over — the selected
+    /// rows that are neither null nor NaN — when the backend counted
+    /// them in the same pass; `None` when it did not. Equal to the
+    /// selection's size, it says every selected row holds a value, so
+    /// two ranges that split `[min, max]` split the selection.
+    pub ranked: Option<usize>,
+}
+
+impl CutStats {
+    /// The statistics of a segment whose extremes are `min` and `max`.
+    /// `median` is asked — called — only when the two differ, in the
+    /// total order they were folded in (`-0.0` is below `+0.0`): a
+    /// constant segment has no cut, and nobody counts a median for it.
+    pub fn over(
+        min: Value,
+        max: Value,
+        ranked: Option<usize>,
+        median: impl FnOnce() -> StoreResult<Option<Value>>,
+    ) -> StoreResult<CutStats> {
+        let constant = matches!(min.try_cmp(&max), Ok(std::cmp::Ordering::Equal));
+        let median = if constant { None } else { median()? };
+        Ok(CutStats {
+            min,
+            max,
+            median,
+            ranked,
+        })
+    }
 }
 
 /// Implement [`Backend`] for a dense columnar type.
@@ -200,6 +246,29 @@ macro_rules! impl_dense_backend {
                 Ok(self.column(column)?.min_max(sel))
             }
 
+            fn cut_stats(
+                &self,
+                column: &str,
+                sel: &$crate::bitmap::Bitmap,
+            ) -> $crate::error::StoreResult<Option<$crate::backend::CutStats>> {
+                // One walk of the selection where `min_max` + `median`
+                // make two: the extremes are folded while the values
+                // the median is selected from are gathered.
+                let col = self.column(column)?;
+                let mut buf = Vec::new();
+                let Some((min, max)) = col.gather_f64_with_extremes(sel, &mut buf)? else {
+                    return Ok(None);
+                };
+                let ranked = Some(buf.len());
+                let stats = $crate::backend::CutStats::over(min, max, ranked, || {
+                    self.medians
+                        .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
+                    let med = $crate::stats::exact_median(&mut buf)?;
+                    Ok(Some($crate::value::numeric_value(col.data_type(), med)))
+                })?;
+                Ok(Some(stats))
+            }
+
             fn mean_and_var(
                 &self,
                 column: &str,
@@ -316,6 +385,32 @@ pub trait Backend: Send + Sync {
 
     /// Minimum and maximum of a column over a selection.
     fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>>;
+
+    /// Everything a median CUT needs of a numeric column under a
+    /// selection, in one call: [`Backend::min_max`] and — unless the two
+    /// are equal — [`Backend::median`]. `None` when the selection holds
+    /// no value; a column that is not numeric is `median`'s type error.
+    ///
+    /// The provided body is those two calls and reports no
+    /// [`CutStats::ranked`]. A backend that can take all three from one
+    /// pass over the selection overrides it (the columnar engines do) and
+    /// must return the same values and count one median exactly when the
+    /// provided body would.
+    fn cut_stats(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<CutStats>> {
+        let ty = self.schema().type_of(column)?;
+        if !ty.is_numeric() {
+            return Err(StoreError::TypeMismatch {
+                column: column.to_string(),
+                expected: "numeric".into(),
+                found: ty.name().into(),
+            });
+        }
+        let Some((min, max)) = self.min_max(column, sel)? else {
+            return Ok(None);
+        };
+        let stats = CutStats::over(min, max, None, || self.median(column, sel))?;
+        Ok(Some(stats))
+    }
 
     /// Smallest value strictly greater than `v` within a selection
     /// (`SELECT MIN(col) WHERE col > v`): the fallback split point for

@@ -276,6 +276,39 @@ impl Column {
         Ok(())
     }
 
+    /// [`Column::gather_f64`] and [`Column::min_max`] from one walk of the
+    /// selection: `out` as the former fills it, the extremes as the latter
+    /// folds them over the native vector (`None` when nothing was
+    /// gathered). What a median cut asks for, which would otherwise walk
+    /// the same rows twice.
+    pub(crate) fn gather_f64_with_extremes(
+        &self,
+        sel: &Bitmap,
+        out: &mut Vec<f64>,
+    ) -> StoreResult<Option<(Value, Value)>> {
+        out.clear();
+        out.reserve(sel.and_count(&self.validity));
+        let gather = |x: i64| {
+            out.push(x as f64);
+            true
+        };
+        Ok(match &self.data {
+            ColumnData::Int(v) => self.fold_extremes(sel, v, gather, i64::cmp, Value::Int),
+            ColumnData::Date(v) => self.fold_extremes(sel, v, gather, i64::cmp, Value::Date),
+            ColumnData::Float(v) => {
+                let gather = |x: f64| {
+                    let valued = !x.is_nan();
+                    if valued {
+                        out.push(x);
+                    }
+                    valued
+                };
+                self.fold_extremes(sel, v, gather, f64::total_cmp, Value::Float)
+            }
+            _ => return Err(self.type_err("numeric")),
+        })
+    }
+
     /// Numeric value of row `i` as [`Column::gather_f64`] would gather it:
     /// `None` when null, NaN or not numeric. Panics if out of range.
     pub(crate) fn f64_at(&self, i: usize) -> Option<f64> {
@@ -361,7 +394,7 @@ impl Column {
         &self,
         sel: &Bitmap,
         values: &[T],
-        admit: impl Fn(T) -> bool,
+        mut admit: impl FnMut(T) -> bool,
         cmp: impl Fn(&T, &T) -> Ordering,
         wrap: impl Fn(T) -> Value,
     ) -> Option<(Value, Value)> {

@@ -65,7 +65,7 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use backend::{Backend, BackendStats};
+pub use backend::{Backend, BackendStats, CutStats};
 pub use bitmap::Bitmap;
 pub use builder::TableBuilder;
 pub use column::{Column, ColumnData};

@@ -126,23 +126,29 @@ fn scan<T: Copy>(values: &[T], validity: &Bitmap, keep: impl Fn(T) -> bool) -> B
 }
 
 /// [`scan`] for `lo ≤ x ≤ hi` (`lo ≤ x < hi` when half-open) over a
-/// numeric vector. Every numeric type compares as `f64`, which is what
-/// lets an `Int` column take `Float` bounds.
-fn scan_range<T: Copy>(
+/// numeric vector, each value compared as `key` maps it.
+fn scan_range<V: Copy, T: Copy + PartialOrd>(
     col: &Column,
-    values: &[T],
-    as_f64: impl Fn(T) -> f64,
-    pred: &RangePred,
-) -> StoreResult<Bitmap> {
+    values: &[V],
+    key: impl Fn(V) -> T,
+    (lo, hi): (T, T),
+    hi_inclusive: bool,
+) -> Bitmap {
+    let within = |x: T| (x >= lo) & (x <= hi);
+    let below = |x: T| (x >= lo) & (x < hi);
+    if hi_inclusive {
+        scan(values, col.validity(), |v| within(key(v)))
+    } else {
+        scan(values, col.validity(), |v| below(key(v)))
+    }
+}
+
+/// A range's bounds as `f64`, which every numeric type compares as —
+/// what lets an `Int` column take `Float` bounds.
+fn f64_bounds(col: &Column, pred: &RangePred) -> StoreResult<(f64, f64)> {
     let lo = pred.lo.as_f64().ok_or_else(|| type_err(col, &pred.lo))?;
     let hi = pred.hi.as_f64().ok_or_else(|| type_err(col, &pred.hi))?;
-    let within = |x: f64| (x >= lo) & (x <= hi);
-    let below = |x: f64| (x >= lo) & (x < hi);
-    Ok(if pred.hi_inclusive {
-        scan(values, col.validity(), |v| within(as_f64(v)))
-    } else {
-        scan(values, col.validity(), |v| below(as_f64(v)))
-    })
+    Ok((lo, hi))
 }
 
 /// Evaluate a range scan over a column, producing a fresh selection bitmap.
@@ -151,8 +157,28 @@ fn scan_range<T: Copy>(
 /// native vector without per-row `Value` boxing.
 pub fn eval_range(col: &Column, pred: &RangePred) -> StoreResult<Bitmap> {
     match col.data() {
-        ColumnData::Int(vals) | ColumnData::Date(vals) => scan_range(col, vals, |v| v as f64, pred),
-        ColumnData::Float(vals) => scan_range(col, vals, |v| v, pred),
+        ColumnData::Int(vals) | ColumnData::Date(vals) => Ok(match (&pred.lo, &pred.hi) {
+            // Integer bounds compare as integers, exactly: as `f64` two
+            // values beyond 2⁵³ can round to one, and a cut's `[lo, s]` /
+            // `[s+1, hi]` halves would overlap.
+            (Value::Int(lo) | Value::Date(lo), Value::Int(hi) | Value::Date(hi)) => {
+                scan_range(col, vals, |v| v, (*lo, *hi), pred.hi_inclusive)
+            }
+            _ => scan_range(
+                col,
+                vals,
+                |v| v as f64,
+                f64_bounds(col, pred)?,
+                pred.hi_inclusive,
+            ),
+        }),
+        ColumnData::Float(vals) => Ok(scan_range(
+            col,
+            vals,
+            |v| v,
+            f64_bounds(col, pred)?,
+            pred.hi_inclusive,
+        )),
         ColumnData::Str(codes) => {
             // Lexicographic range over strings: precompute per-code verdicts
             // so the row loop is a table lookup.
@@ -351,6 +377,28 @@ mod tests {
             hi_inclusive: true,
         };
         assert_eq!(eval_range(&c, &p).unwrap().count_ones(), 2);
+    }
+
+    #[test]
+    fn integer_bounds_compare_exactly_beyond_f64_precision() {
+        // 2⁵³ and 2⁵³ + 1 are one `f64`: compared as floats, adjacent
+        // integer ranges overlap.
+        let base = 1i64 << 53;
+        let c = int_col(&[base, base + 1, base + 2, base + 3]);
+        let range = |lo, hi, hi_inclusive| RangePred {
+            column: "x".into(),
+            lo,
+            hi,
+            hi_inclusive,
+        };
+        let rows = |p: &RangePred| eval_range(&c, p).unwrap().iter_ones().collect::<Vec<_>>();
+        let int = |x| Value::Int(base + x);
+        assert_eq!(rows(&range(int(0), int(1), true)), [0, 1]);
+        assert_eq!(rows(&range(int(2), int(3), true)), [2, 3]);
+        assert_eq!(rows(&range(int(1), int(2), false)), [1]);
+        // A `Float` bound keeps the `f64` comparison, rounding and all.
+        let float = Value::Float(base as f64);
+        assert_eq!(rows(&range(float.clone(), float, true)), [0, 1]);
     }
 
     #[test]

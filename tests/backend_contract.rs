@@ -19,19 +19,25 @@ use charles_store::{
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+mod common;
+
 /// A delegating backend with a fuse: after `budget` operations, every
 /// further call fails with a synthetic error. `budget = usize::MAX`
 /// disables the fuse (pure delegation). A second fuse of the same kind,
 /// `scan_budget`, is spent by `eval` alone: it fails the k-th predicate
 /// evaluation and every one after it, whatever the first fuse says.
+///
+/// It forwards the *required* methods only: `cut_stats` is the trait's
+/// provided body over them, so the advisor runs here as it would over
+/// any backend written before that method existed.
 struct FusedBackend<'a> {
-    inner: &'a charles::Table,
+    inner: &'a dyn Backend,
     budget: AtomicUsize,
     scan_budget: AtomicUsize,
 }
 
 impl<'a> FusedBackend<'a> {
-    fn new(inner: &'a charles::Table, budget: usize) -> Self {
+    fn new(inner: &'a dyn Backend, budget: usize) -> Self {
         FusedBackend {
             inner,
             budget: AtomicUsize::new(budget),
@@ -67,7 +73,7 @@ impl Backend for FusedBackend<'_> {
         self.inner.row_count()
     }
     fn schema(&self) -> &Schema {
-        Backend::schema(self.inner)
+        self.inner.schema()
     }
     fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
         self.spend()?;
@@ -206,11 +212,15 @@ fn transient_io_error_is_not_served_from_the_advice_cache() {
 #[test]
 fn failed_resolution_of_a_composed_candidate_is_one_err_and_consumes_nothing() {
     // Over a wildcard context HB-cuts evaluates one predicate for the
-    // context's extent and one per half of each seed cut. COMPOSE of two
-    // seeds then cuts the left one's halves from the bitmaps it carries
-    // — medians and frequencies, no predicate — so the next evaluation
-    // is a piece of the first *composed* candidate, when HB-cuts
-    // resolves it for INDEP (a fan-out over its pieces).
+    // context's extent, then those of the seed cuts: one for a nominal
+    // seed (its frequency table's total says the halves partition the
+    // context, so the second is what the first leaves), two for a numeric
+    // one (the wrapper forwards the required methods only, and the
+    // provided `cut_stats` counts nothing, so each half scans for
+    // itself). COMPOSE of two seeds then cuts the left one's halves from
+    // the bitmaps it carries — medians and frequencies, no predicate — so
+    // the next evaluation is a piece of the first *composed* candidate,
+    // when HB-cuts resolves it for INDEP (a fan-out over its scans).
     let table = voc_table(1_000, 56);
     let ctx = charles::parse_query(CONTEXT, Backend::schema(&table)).unwrap();
     let healthy = {
@@ -219,14 +229,32 @@ fn failed_resolution_of_a_composed_candidate_is_one_err_and_consumes_nothing() {
     };
     let first = &healthy.trace.steps[0];
     assert!(first.accepted && first.left_attrs.len() == 1 && first.right_attrs.len() == 1);
-    let evals_before_the_first_resolve = 1 + 2 * healthy.trace.seeds.len();
+    let seed_evals = |attr: &String| {
+        let numeric = Backend::schema(&table).type_of(attr).unwrap().is_numeric();
+        if numeric {
+            2
+        } else {
+            1
+        }
+    };
+    let evals_before_the_first_resolve =
+        1 + healthy.trace.seeds.iter().map(seed_evals).sum::<usize>();
+    assert_eq!(evals_before_the_first_resolve, 6);
 
-    let faulty = || {
+    let failing_after = |evals: usize| {
         let b = FusedBackend::new(&table, usize::MAX);
-        b.scan_budget
-            .store(evals_before_the_first_resolve, Ordering::Relaxed);
+        b.scan_budget.store(evals, Ordering::Relaxed);
         b
     };
+    let faulty = || failing_after(evals_before_the_first_resolve);
+    // One evaluation fewer and it is the last seed that fails.
+    {
+        let backend = failing_after(evals_before_the_first_resolve - 1);
+        let ex = Explorer::new(&backend, Config::default(), ctx.clone()).unwrap();
+        let mut gen = LazyGenerator::new(&ex);
+        let seeded = std::iter::from_fn(|| gen.next_segmentation().ok().flatten()).count();
+        assert_eq!(seeded, healthy.trace.seeds.len() - 1);
+    }
     let eager_err = |threads: usize| {
         charles_parallel::set_num_threads(threads);
         let backend = faulty();
@@ -280,10 +308,14 @@ fn failed_resolution_of_a_composed_candidate_is_one_err_and_consumes_nothing() {
 /// Parameterized contract harness: every Backend obligation, every
 /// shipped backend.
 mod contract_harness {
-    use charles::advisor::{quantile_cut_segmentation, Explorer};
+    use super::{common, FusedBackend};
+    use charles::advisor::{cut_query, cut_segmentation, quantile_cut_segmentation, Explorer};
     use charles::{voc_table, Advisor, Config, Query, Segmentation, Table};
     use charles_store::disk::write_table;
-    use charles_store::{Backend, Bitmap, DiskTable, RowTable, StorePredicate, Value};
+    use charles_store::{
+        Backend, Bitmap, DataType, DiskTable, Row, RowTable, StoreError, StorePredicate,
+        TableBuilder, Value,
+    };
 
     /// Not a multiple of 64, so every selection ends on a partial
     /// bitmap word.
@@ -311,10 +343,12 @@ mod contract_harness {
         disk
     }
 
+    type Backends = Vec<(String, Box<dyn Backend>)>;
+
     /// All backends under test, with the reference `Table` first. The
     /// disk entry proves the persistence promise: a lazily loaded
     /// `.charles` file honours the identical contract.
-    fn backends(t: &Table) -> Vec<(String, Box<dyn Backend>)> {
+    fn backends(t: &Table) -> Backends {
         vec![
             ("table".into(), Box::new(t.clone())),
             ("rowstore".into(), Box::new(RowTable::from_table(t))),
@@ -467,6 +501,221 @@ mod contract_harness {
                 m
             };
             assert_eq!(to_map(&gf, &gd), to_map(&wf, &wd), "{name}: frequencies");
+        }
+    }
+
+    /// Six rows a cut's statistics must get right, then filler: a null
+    /// and a NaN in `f` (first, so `poison_float_cell` finds it), both
+    /// zeros, nulls in `x`, a constant `c`, a nominal `k`. NaN cannot
+    /// enter a `Table` through its builder: the disk file is patched,
+    /// the table loaded from it, the row store built from the cells.
+    fn cut_stats_fixture() -> (Backends, Vec<Row>) {
+        const NAN_MARKER: f64 = 1.0e12;
+        let mut cells: Vec<Row> = Vec::new();
+        let floats = [Some(NAN_MARKER), None, Some(-0.0), Some(0.0), Some(2.5)];
+        for i in 0..70i64 {
+            let f = floats
+                .get(i as usize)
+                .copied()
+                .unwrap_or(Some(i as f64 / 4.0));
+            cells.push(vec![
+                f.map(Value::Float),
+                (i % 7 != 3).then_some(Value::Int(i * i % 23 - 9)),
+                Some(Value::Date(9_000 + i % 11)),
+                Some(Value::Int(7)),
+                Some(Value::str(format!("k{}", i % 3))),
+            ]);
+        }
+        let mut b = TableBuilder::new("t");
+        b.add_column("f", DataType::Float)
+            .add_column("x", DataType::Int)
+            .add_column("d", DataType::Date)
+            .add_column("c", DataType::Int)
+            .add_column("k", DataType::Str);
+        for row in &cells {
+            b.push_row_opt(row.clone()).unwrap();
+        }
+        let clean = b.finish();
+        let path = std::env::temp_dir().join(format!(
+            "charles-contract-cut-stats-{}.charles",
+            std::process::id()
+        ));
+        write_table(&clean, &path).unwrap();
+        common::poison_float_cell(&path, NAN_MARKER, f64::NAN);
+        let disk = DiskTable::open(&path).unwrap();
+        let table = disk.to_table().unwrap();
+        std::fs::remove_file(&path).unwrap();
+        cells[0][0] = Some(Value::Float(f64::NAN));
+        let rows = RowTable::new("t", Backend::schema(&clean).clone(), cells.clone()).unwrap();
+        let backends: Backends = vec![
+            ("table".into(), Box::new(table)),
+            ("rowstore".into(), Box::new(rows)),
+            ("disk".into(), Box::new(disk)),
+        ];
+        (backends, cells)
+    }
+
+    #[test]
+    fn obligation_cut_stats_is_min_max_and_median_in_one_call() {
+        // An override must be the provided body, value for value (down
+        // to the sign of a zero, hence `Debug`) and median for median:
+        // the body runs over the same backend behind a wrapper that
+        // forwards the required methods only.
+        let (backends, cells) = cut_stats_fixture();
+        let n = cells.len();
+        let sels = [
+            ("all", Bitmap::ones(n)),
+            ("none", Bitmap::new(n)),
+            ("nan and null", Bitmap::from_indices(n, [0, 1])),
+            ("both zeros", Bitmap::from_indices(n, [2, 3])),
+            ("zeros and a null", Bitmap::from_indices(n, [1, 2, 3])),
+            ("one row", Bitmap::from_indices(n, [4])),
+            (
+                "odd",
+                Bitmap::from_indices(n, (0..n).filter(|i| i % 2 == 1)),
+            ),
+            ("x null", Bitmap::from_indices(n, [3, 10, 17])),
+            ("tail", Bitmap::from_indices(n, 60..n)),
+        ];
+        let mut reference = Vec::new();
+        for (name, b) in &backends {
+            let provided = FusedBackend::new(b.as_ref(), usize::MAX);
+            let mut seen = Vec::new();
+            for (col, attr) in ["f", "x", "d", "c"].iter().enumerate() {
+                for (label, sel) in &sels {
+                    let what = format!("{name}: {attr} over {label}");
+                    b.reset_stats();
+                    let got = b.cut_stats(attr, sel).unwrap();
+                    let medians = b.stats().medians;
+                    b.reset_stats();
+                    let want = provided.cut_stats(attr, sel).unwrap();
+                    assert_eq!(medians, b.stats().medians, "{what}: medians");
+
+                    let valued = sel
+                        .iter_ones()
+                        .filter_map(|i| cells[i][col].as_ref())
+                        .filter(|v| !matches!(v, Value::Float(x) if x.is_nan()))
+                        .count();
+                    assert_eq!(got.is_some(), valued > 0, "{what}");
+                    let values = |s: &Option<charles_store::CutStats>| {
+                        s.as_ref()
+                            .map(|s| format!("{:?} {:?} {:?}", s.min, s.max, s.median))
+                    };
+                    assert_eq!(values(&got), values(&want), "{what}");
+                    if let Some(stats) = &got {
+                        // No median where there is nothing to split.
+                        let constant = format!("{:?}", stats.min) == format!("{:?}", stats.max);
+                        assert_eq!(stats.median.is_none(), constant, "{what}");
+                        assert_eq!(medians, u64::from(!constant), "{what}");
+                        // A count, when given, is of the values ranked.
+                        assert!(stats.ranked.is_none_or(|r| r == valued), "{what}");
+                        assert_eq!(stats.ranked.is_some(), name != "rowstore", "{what}");
+                    }
+                    seen.push(values(&got));
+                }
+            }
+            // Not numeric, not there: `median`'s errors.
+            let all = &sels[0].1;
+            let err = b.cut_stats("k", all).unwrap_err();
+            assert!(matches!(err, StoreError::TypeMismatch { .. }), "{name}");
+            assert_eq!(err, b.median("k", all).unwrap_err(), "{name}");
+            assert_eq!(err, provided.cut_stats("k", all).unwrap_err(), "{name}");
+            assert_eq!(
+                b.cut_stats("nope", all).unwrap_err(),
+                b.median("nope", all).unwrap_err(),
+                "{name}"
+            );
+            // And every backend says the same.
+            if reference.is_empty() {
+                reference = seen;
+            } else {
+                assert_eq!(seen, reference, "{name}");
+            }
+        }
+        // The fixture is what it claims: both zeros are the extremes of
+        // their segment, in that order, and that is not a constant one.
+        assert_eq!(
+            reference[3].as_deref(),
+            Some("Float(-0.0) Float(0.0) Some(Float(0.0))")
+        );
+    }
+
+    #[test]
+    fn a_nan_in_the_parent_sends_each_half_of_a_cut_to_its_own_scan() {
+        // `f` holds a NaN (row 0) and a null (row 1): the context's
+        // extent screens the null and keeps the NaN, which no range
+        // holds — so a cut on `f` does not partition its parent and its
+        // halves scan one conjunct each. `d` holds a value in every row:
+        // the columnar engines' one-pass statistics count as many values
+        // as the parent has rows, and the pair costs one scan; the row
+        // store takes the provided `cut_stats`, counts nothing, and scans
+        // twice (one scan per `eval` is also how it counts).
+        let (backends, _) = cut_stats_fixture();
+        for (name, b) in &backends {
+            let ctx = Query::wildcard(&["f", "d"]);
+            let ex = Explorer::new(b.as_ref(), Config::default(), ctx.clone()).unwrap();
+            assert_eq!(ex.context_size(), 69, "{name}");
+            let one_pass = if name == "rowstore" { 2 } else { 1 };
+            for (attr, covered, scans) in [("f", 68, 2), ("d", 69, one_pass)] {
+                b.reset_stats();
+                let (l, r) = cut_query(&ex, &ctx, attr).unwrap().unwrap();
+                let released = [&l, &r].map(|q| ex.selection(q).unwrap());
+                assert_eq!(b.stats().scans, scans, "{name}: {attr}");
+                for (q, released) in [&l, &r].into_iter().zip(&released) {
+                    let mut evaluated = charles::sdl::eval::selection(q, b.as_ref()).unwrap();
+                    evaluated.and_inplace(ex.context_selection());
+                    assert_eq!(**released, evaluated, "{name}: {q}");
+                }
+                assert!(released[0].is_disjoint(&released[1]), "{name}: {attr}");
+                let both = released[0].count_ones() + released[1].count_ones();
+                assert_eq!(both, covered, "{name}: {attr}");
+            }
+        }
+    }
+
+    #[test]
+    fn integer_cuts_partition_beyond_f64_precision() {
+        // 2⁵³ … 2⁵³+3: as `f64` the four are two values, the halves
+        // `[lo, s]` / `[s+1, hi]` of a cut used to overlap (2 + 4 rows)
+        // and the "partition" was none. Integer bounds on an integer
+        // column compare as integers, on every backend.
+        const BASE: i64 = 1 << 53;
+        let mut b = TableBuilder::new("t");
+        b.add_column("z", DataType::Int)
+            .add_column("day", DataType::Date);
+        for i in 0..4 {
+            b.push_row(vec![Value::Int(BASE + i), Value::Date(BASE + i)])
+                .unwrap();
+        }
+        let t = b.finish();
+        for (name, b) in backends(&t) {
+            for attr in ["z", "day"] {
+                let ex =
+                    Explorer::new(b.as_ref(), Config::default(), Query::wildcard(&[attr])).unwrap();
+                let base = Segmentation::singleton(ex.context().clone());
+                let seg = cut_segmentation(&ex, &base, attr).unwrap().unwrap();
+                // (Where it splits is the median's business, and that is
+                // still taken over `f64`s: 1 + 3 here.)
+                let rows: usize = seg.queries().iter().map(|q| ex.count(q).unwrap()).sum();
+                assert_eq!(rows, 4, "{name}: {seg}");
+                let report = seg
+                    .check_partition(ex.backend(), ex.context_selection())
+                    .unwrap();
+                assert!(report.is_partition(), "{name}: {report:?}");
+            }
+            // One row exactly, where `f64` cannot tell it from its
+            // neighbour; a `Float` bound still compares as `f64`.
+            let only = |lo, hi| b.count(&StorePredicate::range("z", lo, hi, true)).unwrap();
+            assert_eq!(
+                only(Value::Int(BASE + 1), Value::Int(BASE + 1)),
+                1,
+                "{name}"
+            );
+            assert_eq!(
+                only(Value::Float(BASE as f64), Value::Float(BASE as f64)),
+                2,
+                "{name}"
+            );
         }
     }
 

@@ -181,12 +181,15 @@ fn stats_expose_workload_shape() {
     assert!(wide.backend_ops.scans > narrow.backend_ops.scans);
     assert!(wide.backend_ops.medians >= narrow.backend_ops.medians);
     // No selection is looked up twice: each piece's bitmap is derived
-    // from its parent's exactly once — one scan, a miss by the counter's
-    // definition — so there is no hit to count. Over numeric attributes
-    // those are all the scans there are; nominal cuts add one per
-    // frequency table.
+    // from its parent's exactly once — a miss by the counter's
+    // definition — so there is no hit to count. Inside a context no cut
+    // attribute is null, so a cut's two halves partition their parent and
+    // the pair costs one scan: the left half's; the right half is what
+    // that leaves. Over numeric attributes those are all the scans there
+    // are; nominal cuts add one per frequency table.
     assert_eq!((narrow.cache.sel_hits, wide.cache.sel_hits), (0, 0));
     assert!(wide.cache.sel_misses > narrow.cache.sel_misses);
-    assert_eq!(narrow.backend_ops.scans, narrow.cache.sel_misses);
-    assert!(wide.backend_ops.scans > wide.cache.sel_misses);
+    assert_eq!(2 * narrow.backend_ops.scans, narrow.cache.sel_misses);
+    assert!(2 * wide.backend_ops.scans > wide.cache.sel_misses);
+    assert!(wide.backend_ops.scans < wide.cache.sel_misses);
 }

@@ -18,9 +18,10 @@
 //!
 //! plus two count assertions: with memoization on, production evaluates
 //! every candidate pair exactly once, and the predicate scans it issues
-//! are a closed form of the trace (the context's conjuncts, one per piece
-//! materialised, one per frequency table — none for the last level of a
-//! rejected composition).
+//! are a closed form of the trace (the context's conjuncts, one per cut
+//! pair materialised — two where the cut could not tell that its halves
+//! partition their parent — and one per frequency table; none for the
+//! last level of a rejected composition).
 
 use charles::advisor::{
     compose, cut_segmentation, fingerprint, hb_cuts, indep, rank, score, ComposeStep, CoreError,
@@ -331,8 +332,13 @@ fn every_candidate_pair_is_evaluated_exactly_once() {
 /// What one HB-cuts run costs the backend, replayed from its trace.
 #[derive(Debug, Default)]
 struct ReplayedCost {
-    /// Pieces materialised, one scan each: `parent ∧ scan(conjunct)`.
-    pieces: u64,
+    /// Cut pairs materialised, by the kind of the attribute cut: two
+    /// selections each. A pair costs one scan — the left half is
+    /// `parent ∧ scan(conjunct)`, the right what that leaves of the
+    /// parent — when the cut knew its statistics covered every row of the
+    /// parent, and one scan per half when it did not.
+    numeric_pairs: u64,
+    nominal_pairs: u64,
     /// `frequencies` calls, one per nominal cut; each counts as a scan.
     frequency_tables: u64,
     /// What the §5.1 ablation looks up on top, having carried nothing:
@@ -340,6 +346,12 @@ struct ReplayedCost {
     ablated_lookups: u64,
     /// …each a whole conjunction, one scan per conjunct.
     ablated_scans: u64,
+}
+
+impl ReplayedCost {
+    fn pieces(&self) -> u64 {
+        2 * (self.numeric_pairs + self.nominal_pairs)
+    }
 }
 
 /// Replay a trace over a table where every piece is cuttable on every
@@ -358,10 +370,18 @@ fn replay_cost(ctx: &Query, trace: &Trace, nominal: &dyn Fn(&str) -> bool) -> Re
             .collect()
     };
     let mut cost = ReplayedCost::default();
-    // Every seed is a binary cut of the context's extent: two scans.
+    // `halves` pieces, the two halves of cuts on `attr`, materialised.
+    fn materialise(cost: &mut ReplayedCost, nominal: bool, halves: u64) {
+        let pairs = match nominal {
+            true => &mut cost.nominal_pairs,
+            false => &mut cost.numeric_pairs,
+        };
+        *pairs += halves / 2;
+    }
+    // Every seed is a binary cut of the context's extent: one pair.
     let mut live: Vec<(Vec<String>, u64)> = Vec::new();
     for seed in &trace.seeds {
-        cost.pieces += 2;
+        materialise(&mut cost, nominal(seed), 2);
         cost.frequency_tables += u64::from(nominal(seed));
         live.push((listed(std::slice::from_ref(seed)), 2));
     }
@@ -382,21 +402,24 @@ fn replay_cost(ctx: &Query, trace: &Trace, nominal: &dyn Fn(&str) -> bool) -> Re
         };
         let (l, r) = (at(&step.left_attrs), at(&step.right_attrs));
         let mut pieces = live[l].1;
-        for (level, attr) in step.right_attrs.iter().rev().enumerate() {
+        let mut handed: Option<&String> = None;
+        for attr in step.right_attrs.iter().rev() {
             // The first level cuts the bitmaps the left operand carries;
             // every later one first materialises the halves it was handed.
-            if level > 0 {
-                cost.pieces += pieces;
+            if let Some(cut_on) = handed {
+                materialise(&mut cost, nominal(cut_on), pieces);
             }
             if nominal(attr) {
                 cost.frequency_tables += pieces;
             }
             pieces *= 2;
+            handed = Some(attr);
         }
         assert_eq!(step.depth as u64, pieces, "{step:?}");
         // The last level is scanned only for a composition that stays.
         if step.accepted {
-            cost.pieces += pieces;
+            let cut_on = handed.expect("a composition cuts on something");
+            materialise(&mut cost, nominal(cut_on), pieces);
             let union = listed(&[step.left_attrs.clone(), step.right_attrs.clone()].concat());
             live.remove(l.max(r));
             live.remove(l.min(r));
@@ -421,16 +444,28 @@ fn assert_scans_follow_the_trace(table: &Table, ctx: &Query, cfg: &Config) -> Tr
     let cost = replay_cost(ctx, &trace, &nominal);
 
     // The context's extent is one scan per conjunct it constrains; from
-    // there every selection the run touches is its parent's narrowed by
-    // one scan, exactly once — nothing is looked up, so nothing hits —
-    // and no term grows with the number of pairs evaluated.
+    // there every selection the run touches is derived from its parent's,
+    // exactly once — nothing is looked up, so nothing hits — and no term
+    // grows with the number of pairs evaluated. These tables hold no null
+    // and no NaN, so every cut's halves partition their parent; the cut
+    // knows it from the count its statistics come with — the exact
+    // median's ranked values, a frequency table's total — and the pair
+    // costs one scan. A sampled median comes with no count, and each of
+    // its halves scans for itself.
+    let scans_per_numeric_pair = match cfg.median {
+        MedianStrategy::Exact => 1,
+        MedianStrategy::Sampled { .. } => 2,
+    };
     let context_scans = ctx.constraint_count() as u64;
     assert_eq!(
         scans,
-        context_scans + cost.pieces + cost.frequency_tables,
+        context_scans
+            + scans_per_numeric_pair * cost.numeric_pairs
+            + cost.nominal_pairs
+            + cost.frequency_tables,
         "{cost:?}"
     );
-    assert_eq!((memo.sel_hits, memo.sel_misses), (0, cost.pieces));
+    assert_eq!((memo.sel_hits, memo.sel_misses), (0, cost.pieces()));
 
     // The ablation cuts and composes the same way (a piece inheriting
     // its parent's bitmap is what a conjunction is, not a memo) but
@@ -440,7 +475,7 @@ fn assert_scans_follow_the_trace(table: &Table, ctx: &Query, cfg: &Config) -> Tr
     assert_eq!(ablated_scans, scans + cost.ablated_scans, "{cost:?}");
     assert_eq!(
         (ablated.sel_hits, ablated.sel_misses),
-        (0, cost.pieces + cost.ablated_lookups)
+        (0, cost.pieces() + cost.ablated_lookups)
     );
     trace
 }
@@ -485,10 +520,16 @@ fn selection_lookups_follow_the_trace_not_the_pair_count() {
     let table = b.finish();
     let ctx =
         charles::parse_query("(x: [100,900], y: , k: , z: )", Backend::schema(&table)).unwrap();
-    let trace = assert_scans_follow_the_trace(&table, &ctx, &cfg.with_max_depth(16));
-    assert_eq!(trace.seeds, ["x", "y", "k", "z"]);
-    assert!(trace.steps.iter().any(|s| s.accepted));
-    assert!(trace.steps.iter().any(|s| !s.accepted), "{trace:?}");
+    let exact = cfg.with_max_depth(16);
+    let sampled = exact
+        .clone()
+        .with_median(MedianStrategy::Sampled { size: 512, seed: 7 });
+    for cfg in [exact, sampled] {
+        let trace = assert_scans_follow_the_trace(&table, &ctx, &cfg);
+        assert_eq!(trace.seeds, ["x", "y", "k", "z"]);
+        assert!(trace.steps.iter().any(|s| s.accepted));
+        assert!(trace.steps.iter().any(|s| !s.accepted), "{trace:?}");
+    }
 }
 
 /// Random small table in the spirit of `partition_properties.rs`: two
