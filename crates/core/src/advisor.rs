@@ -12,6 +12,7 @@ use crate::hbcuts::{hb_cuts, Trace};
 use crate::ranking::Ranked;
 use charles_sdl::{parse_query, Query, QueryReport};
 use charles_store::{Backend, BackendStats};
+use std::sync::OnceLock;
 
 /// The advisor: owns nothing but a reference to the data and the tuning.
 pub struct Advisor<'a> {
@@ -38,6 +39,49 @@ pub struct Advice {
     /// Selections materialised and INDEP pairs evaluated while
     /// answering; as deterministic as [`Advice::backend_ops`].
     pub cache: CacheStats,
+    /// What this advice renders to, kept once a server has sent it.
+    pub encoded: Encoded,
+}
+
+/// Write-once slots for the two rendered forms of an [`Advice`] a
+/// server sends — one binary, one text. The core stores what it is
+/// handed and knows neither format: whoever first sends the advice
+/// passes the renderer, every later send borrows the stored form.
+///
+/// The slots belong to one `Advice` value and are freed with it; they
+/// describe its other fields as they were at the first send, so code
+/// that edits an advice in place afterwards must also reset `encoded`.
+/// A clone starts with empty slots, and `Debug` prints the same whether
+/// or not they are filled.
+#[derive(Default)]
+pub struct Encoded {
+    binary: OnceLock<Box<[u8]>>,
+    text: OnceLock<Box<str>>,
+}
+
+impl Encoded {
+    /// The binary form: `render` runs on the first call only (racing
+    /// first calls run one renderer and share its output).
+    pub fn binary(&self, render: impl FnOnce() -> Vec<u8>) -> &[u8] {
+        self.binary.get_or_init(|| render().into_boxed_slice())
+    }
+
+    /// The text form; as [`Encoded::binary`].
+    pub fn text(&self, render: impl FnOnce() -> String) -> &str {
+        self.text.get_or_init(|| render().into_boxed_str())
+    }
+}
+
+impl Clone for Encoded {
+    fn clone(&self) -> Encoded {
+        Encoded::default()
+    }
+}
+
+impl std::fmt::Debug for Encoded {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Encoded")
+    }
 }
 
 impl<'a> Advisor<'a> {
@@ -141,6 +185,7 @@ impl<'a> Advisor<'a> {
             trace,
             backend_ops: self.backend.stats(),
             cache: ex.cache_stats(),
+            encoded: Encoded::default(),
         })
     }
 
@@ -237,6 +282,58 @@ mod tests {
         let advice = advisor.advise_str("(type: , tonnage: )").unwrap();
         assert!(advice.segment(0, 0).is_some());
         assert!(advice.segment(999, 0).is_none());
+    }
+
+    #[test]
+    fn encoded_slots_render_once_and_stay_with_their_advice() {
+        let t = voc_like();
+        let advice = Advisor::new(&t).advise_str("(type: , tonnage: )").unwrap();
+        let before = format!("{advice:?}");
+
+        // First call renders, later calls borrow what it stored — the
+        // two slots independently.
+        assert_eq!(advice.encoded.binary(|| vec![1, 2, 3]), [1, 2, 3]);
+        assert_eq!(
+            advice.encoded.binary(|| unreachable!("rendered once")),
+            [1, 2, 3]
+        );
+        assert_eq!(advice.encoded.text(|| "abc".to_string()), "abc");
+        assert_eq!(advice.encoded.text(|| unreachable!("rendered once")), "abc");
+
+        // Serving leaves no mark on `Debug`.
+        assert_eq!(format!("{advice:?}"), before);
+
+        // A clone starts empty: it renders for itself, and what it
+        // stores is not its original's.
+        let clone = advice.clone();
+        assert_eq!(clone.encoded.binary(|| vec![9]), [9]);
+        assert_eq!(clone.encoded.text(|| "z".to_string()), "z");
+        assert_eq!(
+            advice.encoded.binary(|| unreachable!("rendered once")),
+            [1, 2, 3]
+        );
+        assert_eq!(format!("{clone:?}"), before);
+    }
+
+    #[test]
+    fn racing_first_renders_store_one() {
+        let t = voc_like();
+        let advice = Advisor::new(&t).advise_str("(type: , tonnage: )").unwrap();
+        let rendered = std::sync::atomic::AtomicUsize::new(0);
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    barrier.wait();
+                    let bytes = advice.encoded.binary(|| {
+                        rendered.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                        vec![7; 64]
+                    });
+                    assert_eq!(bytes, [7; 64]);
+                });
+            }
+        });
+        assert_eq!(rendered.load(std::sync::atomic::Ordering::Relaxed), 1);
     }
 
     #[test]

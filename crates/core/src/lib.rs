@@ -67,7 +67,7 @@ pub mod session;
 pub mod surprise;
 
 pub use adaptive::{adaptive_segmentations, AdaptiveOptions};
-pub use advisor::{Advice, Advisor};
+pub use advisor::{Advice, Advisor, Encoded};
 pub use cache::{AdviceCache, AdviceCacheStats};
 pub use config::{Config, MedianStrategy};
 pub use engine::{fingerprint, CacheStats, Explorer};

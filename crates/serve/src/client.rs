@@ -94,11 +94,12 @@ fn write_request<W: Write>(
     body: &str,
     connection: &str,
 ) -> std::io::Result<()> {
-    write!(
-        writer,
+    // One buffer, one `write_all` — see `http::write_response`.
+    let message = format!(
         "{method} {path} HTTP/1.1\r\nHost: charles\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n{body}",
         body.len()
-    )?;
+    );
+    writer.write_all(message.as_bytes())?;
     writer.flush()
 }
 
@@ -328,4 +329,28 @@ pub fn http_request_with(
     write_request(reader.get_mut(), method, path, body, "close")?;
     let resp = read_response(&mut reader)?;
     Ok((resp.status, resp.body))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::CountingWriter;
+
+    #[test]
+    fn a_request_is_one_write() {
+        // Both callers pass the bare `TcpStream`: one `write` here is
+        // one `send(2)`, one segment under `TCP_NODELAY`.
+        for body in ["(kind: , size: )", ""] {
+            let mut out = CountingWriter::default();
+            write_request(&mut out, "POST", "/session", body, "keep-alive").unwrap();
+            assert_eq!(out.writes, 1, "body {body:?}");
+            let text = String::from_utf8(out.bytes).unwrap();
+            assert!(text.starts_with("POST /session HTTP/1.1\r\n"), "{text}");
+            assert!(
+                text.contains(&format!("Content-Length: {}\r\n", body.len())),
+                "{text}"
+            );
+            assert!(text.ends_with(&format!("\r\n\r\n{body}")), "{text}");
+        }
+    }
 }

@@ -291,16 +291,41 @@ pub fn write_response<W: Write>(
     body: &str,
     keep_alive: bool,
 ) -> std::io::Result<()> {
-    write!(
-        writer,
+    // One buffer, one `write_all`: `write!` on the socket itself is one
+    // `write` per literal piece and argument, each its own segment under
+    // `TCP_NODELAY`.
+    let message = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: application/json\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n{}",
         status,
         status_reason(status),
         body.len(),
         if keep_alive { "keep-alive" } else { "close" },
         body
-    )?;
+    );
+    writer.write_all(message.as_bytes())?;
     writer.flush()
+}
+
+/// A `Write` that counts `write` calls the way an unbuffered socket
+/// turns them into `send(2)`s (shared with `client.rs`'s tests).
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CountingWriter {
+    pub(crate) writes: usize,
+    pub(crate) bytes: Vec<u8>,
+}
+
+#[cfg(test)]
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -491,6 +516,19 @@ mod tests {
         assert!(text.starts_with("HTTP/1.1 201 Created\r\n"));
         assert!(text.contains("Content-Length: 7\r\n"));
         assert!(text.ends_with("{\"x\":1}"));
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        // The listener hands `write_response` the bare `TcpStream`, so
+        // every `write` here is a `send(2)` — and, under the
+        // `TCP_NODELAY` the server sets, a segment of its own.
+        for (status, body) in [(200, "{\"x\":1}"), (204, "")] {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, status, body, true).unwrap();
+            assert_eq!(out.writes, 1, "status {status}");
+            assert!(out.bytes.ends_with(body.as_bytes()));
+        }
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Hand-rolled JSON encoding of advisor payloads.
 //!
 //! crates.io (and hence serde) is unreachable in this build environment,
-//! so the wire format is produced by a small writer with two hard
-//! guarantees the serving layer leans on:
+//! so JSON bodies are produced by a small writer. Its functions are
+//! pure: [`encode_advice`] formats its argument on every call. The
+//! server formats each `Advice` once — the first reply that carries an
+//! advice stores [`encode_advice`]'s output in the advice's own text
+//! slot ([`charles_core::Encoded`]), and that reply and every later one
+//! embed the borrowed slot (`served_advice`, read by `render_ok`). The
+//! writer has two hard guarantees the serving layer leans on:
 //!
 //! * **Determinism** — object keys are emitted in a fixed order with no
 //!   whitespace, floats use Rust's shortest round-trip `Display`, and
@@ -292,6 +297,13 @@ pub fn encode_advice(advice: &Advice) -> String {
         ranked,
         encode_trace(&advice.trace)
     )
+}
+
+/// The advice object as both listeners' JSON bodies embed it: the first
+/// call on an `Advice` renders it ([`encode_advice`]) into the advice's
+/// own text slot, this and every later call borrow the slot.
+pub(crate) fn served_advice(advice: &Advice) -> &str {
+    advice.encoded.text(|| encode_advice(advice))
 }
 
 #[cfg(test)]

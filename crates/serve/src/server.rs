@@ -22,8 +22,8 @@
 
 use crate::http::{parse_request, write_response, HttpError, Method, Request};
 use crate::json::{
-    cache_stats_body, encode_advice, encode_error, encode_error_with_diagnostics, info_body,
-    metrics_body, session_body, HEALTH_BODY,
+    cache_stats_body, encode_error, encode_error_with_diagnostics, info_body, metrics_body,
+    served_advice, session_body, HEALTH_BODY,
 };
 use charles_core::{Advice, AdviceCache, Config, CoreError, OwnedSession};
 use charles_parallel::WorkerPool;
@@ -175,7 +175,7 @@ pub struct MetricsSnapshot {
 
 /// One successful API outcome, listener-agnostic: the HTTP listener
 /// renders these to JSON ([`render_ok`]), the binary listener to typed
-/// frames (`wire::encode_api_reply`). Keeping the session logic behind
+/// frames (`wire::encode_api_result`). Keeping the session logic behind
 /// this seam is what makes the two listeners answer with the *same
 /// decisions* by construction — only the encoding differs.
 pub(crate) enum ApiOk {
@@ -709,8 +709,8 @@ fn render(result: Result<ApiOk, ApiError>) -> (u16, String) {
 
 fn render_ok(ok: &ApiOk) -> (u16, String) {
     match ok {
-        ApiOk::Created { id, advice } => (201, session_body(id, &encode_advice(advice))),
-        ApiOk::Advice { id, advice } => (200, session_body(id, &encode_advice(advice))),
+        ApiOk::Created { id, advice } => (201, session_body(id, served_advice(advice))),
+        ApiOk::Advice { id, advice } => (200, session_body(id, served_advice(advice))),
         ApiOk::Info {
             id,
             depth,
@@ -718,7 +718,7 @@ fn render_ok(ok: &ApiOk) -> (u16, String) {
             advice,
         } => (
             200,
-            info_body(id, *depth as u64, breadcrumbs, &encode_advice(advice)),
+            info_body(id, *depth as u64, breadcrumbs, served_advice(advice)),
         ),
         ApiOk::Deleted => (204, String::new()),
         ApiOk::CacheStats(c) => (
@@ -1188,6 +1188,41 @@ mod tests {
             .parse::<u64>()
             .unwrap();
         assert!(evictions_field >= 2, "{body}");
+    }
+
+    #[test]
+    fn encodings_are_freed_with_their_advice() {
+        // One cache entry: the second context evicts the first, whose
+        // only other holder is session s1's history. No registry keeps
+        // an encoding alive past its advice.
+        let st = ServerState {
+            cache: Arc::new(AdviceCache::bounded(1, 1)),
+            cache_capacity: 1,
+            ..state()
+        };
+        let first = api_create_session(&st, "(kind: )");
+        let Ok(ApiOk::Created { advice, .. }) = &first else {
+            panic!("start failed");
+        };
+        let weak = Arc::downgrade(advice);
+        // Send it on both listeners' encoders: both slots filled.
+        let (status, _) = render(Ok(ApiOk::Advice {
+            id: "s1".to_string(),
+            advice: Arc::clone(advice),
+        }));
+        assert_eq!(status, 200);
+        let mut frame = Vec::new();
+        crate::wire::encode_api_result(&mut frame, &first);
+        drop(first);
+        assert!(weak.upgrade().is_some(), "cache and session hold it");
+
+        let (status, body) = route(&st, &post("/session", "(size: )"));
+        assert_eq!(status, 201, "{body}");
+        assert_eq!(st.cache.stats().evictions, 1);
+        assert!(weak.upgrade().is_some(), "session s1 still holds it");
+
+        assert!(matches!(api_delete_session(&st, "s1"), Ok(ApiOk::Deleted)));
+        assert!(weak.upgrade().is_none(), "nothing else kept it alive");
     }
 
     #[test]

@@ -766,7 +766,7 @@ pub fn summarize_response(opcode: u8, payload: &[u8]) -> Result<WireSummary, Wir
 }
 
 // ---------------------------------------------------------------------
-// Server side: encoding straight from the API types (alloc-free).
+// Server side: encoding straight from the API types.
 // ---------------------------------------------------------------------
 
 /// The status [`encode_api_result`] will frame for `result` (shared
@@ -780,9 +780,10 @@ pub(crate) fn api_status(result: &Result<ApiOk, ApiError>) -> u16 {
     }
 }
 
-/// Append one response frame for an API outcome to `buf`, allocating
-/// nothing beyond `buf`'s own (reused) growth: advice strings are
-/// written through `Display` straight into the buffer.
+/// Append one response frame for an API outcome to `buf`. Re-sending an
+/// advice allocates nothing beyond `buf`'s own (reused) growth — its
+/// payload is copied from the advice's slot ([`put_advice`]); the first
+/// send of each advice renders that payload once.
 pub(crate) fn encode_api_result(buf: &mut Vec<u8>, result: &Result<ApiOk, ApiError>) {
     match result {
         Ok(ApiOk::Created { id, advice }) => {
@@ -865,8 +866,23 @@ fn encode_frame_error(buf: &mut Vec<u8>, err: &WireError) {
     end_frame(buf, start);
 }
 
-/// Encode an `Advice` payload straight from the advisor's types.
+/// Append an advice payload — everything a session reply carries after
+/// its id (and, for `Info`, its breadcrumbs). The first send of an
+/// `Advice` renders it ([`render_advice`]) into the advice's own binary
+/// slot; this and every later send copy the slot, so re-sending a cached
+/// advice formats nothing.
 fn put_advice(buf: &mut Vec<u8>, advice: &Advice) {
+    buf.extend_from_slice(advice.encoded.binary(|| {
+        let mut payload = Vec::new();
+        render_advice(&mut payload, advice);
+        payload
+    }));
+}
+
+/// Render an `Advice` payload straight from the advisor's types:
+/// queries are written through `Display` into `buf`, no `String` per
+/// query.
+fn render_advice(buf: &mut Vec<u8>, advice: &Advice) {
     put_display(buf, &advice.context);
     put_u64(buf, advice.context_size as u64);
     put_u32(buf, advice.ranked.len() as u32);
@@ -900,8 +916,9 @@ fn put_advice(buf: &mut Vec<u8>, advice: &Advice) {
     put_u8(buf, encode_stop(advice.trace.stop));
 }
 
-/// Encode a decoded advice payload (the owned mirror of [`put_advice`];
-/// the round-trip suites pin the two to identical bytes).
+/// Encode a decoded advice payload (the owned mirror of
+/// [`render_advice`]; the round-trip suites pin the two to identical
+/// bytes).
 fn put_wire_advice(buf: &mut Vec<u8>, advice: &WireAdvice) {
     put_str(buf, &advice.context);
     put_u64(buf, advice.context_size);
@@ -1631,6 +1648,112 @@ mod tests {
             assert_eq!(one, two);
             assert_eq!(decoded.status(), resp.status());
         }
+    }
+
+    /// A real advice with ≥ 2 ranked answers, never served.
+    fn fresh_advice() -> Advice {
+        use charles_store::{DataType, TableBuilder, Value};
+        let mut b = TableBuilder::new("t");
+        b.add_column("kind", DataType::Str)
+            .add_column("size", DataType::Int);
+        for i in 0..48i64 {
+            let kind = if i % 2 == 0 { "even" } else { "odd" };
+            b.push_row(vec![Value::str(kind), Value::Int(i)]).unwrap();
+        }
+        let table = b.finish();
+        let advice = charles_core::Advisor::new(&table)
+            .advise_str("(kind: , size: )")
+            .unwrap();
+        assert!(advice.ranked.len() >= 2);
+        advice
+    }
+
+    fn frame_of(result: &Result<ApiOk, ApiError>) -> Vec<u8> {
+        let mut buf = Vec::new();
+        encode_api_result(&mut buf, result);
+        buf
+    }
+
+    /// `frame` re-encoded by the owned-side encoder from its own decode.
+    fn reencoded(frame: &[u8]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        WireResponse::decode(frame[5], &frame[HEADER_LEN..])
+            .unwrap()
+            .encode(&mut buf);
+        buf
+    }
+
+    #[test]
+    fn a_resent_advice_is_the_first_send_bit_for_bit() {
+        use std::sync::Arc;
+        let advice = Arc::new(fresh_advice());
+        let id = "s1".to_string();
+        let replies = [
+            Ok(ApiOk::Created {
+                id: id.clone(),
+                advice: Arc::clone(&advice),
+            }),
+            Ok(ApiOk::Advice {
+                id: id.clone(),
+                advice: Arc::clone(&advice),
+            }),
+            Ok(ApiOk::Info {
+                id,
+                depth: 1,
+                breadcrumbs: vec!["(kind: , size: )".to_string()],
+                advice: Arc::clone(&advice),
+            }),
+        ];
+        // The first reply renders into the advice's slot; all later
+        // ones, of any shape, copy it. Each frame is what the pure
+        // owned-side encoder produces for the same response.
+        for reply in &replies {
+            let first = frame_of(reply);
+            assert_eq!(frame_of(reply), first);
+            assert_eq!(reencoded(&first), first);
+        }
+        // And the slot holds exactly the payload a never-served copy
+        // renders.
+        let mut pure = Vec::new();
+        render_advice(&mut pure, &advice.as_ref().clone());
+        assert_eq!(advice.encoded.binary(|| unreachable!("served above")), pure);
+    }
+
+    #[test]
+    fn an_edited_clone_serves_its_own_bytes() {
+        use std::sync::Arc;
+        let original = Arc::new(fresh_advice());
+        let reply = |advice: &Arc<Advice>| {
+            Ok(ApiOk::Advice {
+                id: "s1".to_string(),
+                advice: Arc::clone(advice),
+            })
+        };
+        let original_frame = frame_of(&reply(&original));
+        let original_json = crate::json::served_advice(&original).to_string();
+
+        let mut clone = original.as_ref().clone();
+        clone.ranked.truncate(1);
+        let clone = Arc::new(clone);
+        let clone_frame = frame_of(&reply(&clone));
+        assert_ne!(clone_frame, original_frame);
+        assert_eq!(reencoded(&clone_frame), clone_frame);
+        let WireResponse::Advice { advice, .. } =
+            WireResponse::decode(clone_frame[5], &clone_frame[HEADER_LEN..]).unwrap()
+        else {
+            panic!("expected an Advice frame");
+        };
+        assert_eq!(advice.ranked.len(), 1);
+        assert_eq!(
+            crate::json::served_advice(&clone),
+            crate::json::encode_advice(&clone)
+        );
+        assert_eq!(crate::json::served_advice(&clone), advice.to_json());
+
+        // The original still serves what it first sent.
+        assert_eq!(frame_of(&reply(&original)), original_frame);
+        assert_eq!(crate::json::served_advice(&original), original_json);
+        assert_eq!(original_json, crate::json::encode_advice(&original));
     }
 
     #[test]

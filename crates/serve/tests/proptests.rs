@@ -358,6 +358,7 @@ fn arb_advice() -> impl Strategy<Value = Advice> {
                     },
                     backend_ops: Default::default(),
                     cache: Default::default(),
+                    encoded: Default::default(),
                 }
             },
         )

@@ -509,6 +509,129 @@ fn pipelined_wire_frames_answer_in_order() {
     handle.shutdown();
 }
 
+/// One wire exchange kept raw: the decoded response plus the payload
+/// bytes exactly as they crossed the socket. Asserts on the way that
+/// the pure owned-side encoder reproduces those bytes from the decode.
+fn raw_wire_exchange(
+    stream: &mut std::net::TcpStream,
+    req: &WireRequest<'_>,
+) -> (WireResponse, Vec<u8>) {
+    use charles::serve::wire::{read_frame, HEADER_LEN, MAX_RESPONSE_PAYLOAD};
+    use std::io::Write;
+    let mut frame = Vec::new();
+    req.encode(&mut frame);
+    stream.write_all(&frame).unwrap();
+    let mut payload = Vec::new();
+    let opcode = read_frame(stream, &mut payload, MAX_RESPONSE_PAYLOAD).unwrap();
+    let resp = WireResponse::decode(opcode, &payload).unwrap();
+    let mut pure = Vec::new();
+    resp.encode(&mut pure);
+    assert_eq!(pure[5], opcode);
+    assert_eq!(
+        &pure[HEADER_LEN..],
+        payload.as_slice(),
+        "served frame differs from WireResponse::encode of its own decode"
+    );
+    (resp, payload)
+}
+
+/// The advice a session reply carries.
+fn advice_of(resp: &WireResponse) -> &charles::serve::wire::WireAdvice {
+    match resp {
+        WireResponse::Started { advice, .. }
+        | WireResponse::Advice { advice, .. }
+        | WireResponse::Info { advice, .. } => advice,
+        other => panic!("expected a session reply, got {other:?}"),
+    }
+}
+
+/// Start / inspect / drill / inspect / back / inspect over raw wire
+/// frames: every advice equals the direct-advisor oracle, and every
+/// re-send of an advice carries the same payload bytes as its first.
+fn raw_wire_script(addr: std::net::SocketAddr, spelling: &str, oracle: &Oracle) {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    let (started, _) = raw_wire_exchange(&mut stream, &WireRequest::Start { body: spelling });
+    let WireResponse::Started { id, .. } = &started else {
+        panic!("start failed: {started:?}");
+    };
+    let id = id.as_str();
+    assert_eq!(advice_of(&started).to_json(), oracle.root_json);
+
+    let (info, root_info) = raw_wire_exchange(&mut stream, &WireRequest::Inspect { id });
+    assert_eq!(advice_of(&info).to_json(), oracle.root_json);
+
+    let drill = WireRequest::Drill {
+        id,
+        rank: 0,
+        seg: 0,
+    };
+    let (drilled, drilled_payload) = raw_wire_exchange(&mut stream, &drill);
+    assert_eq!(advice_of(&drilled).to_json(), oracle.drill_json);
+    let (info, drill_info) = raw_wire_exchange(&mut stream, &WireRequest::Inspect { id });
+    assert_eq!(advice_of(&info).to_json(), oracle.drill_json);
+    // An `Advice` payload is id + advice, an `Info` payload is id +
+    // depth + breadcrumbs + advice: the advice bytes are the tail.
+    let drill_advice = &drilled_payload[4 + id.len()..];
+    assert!(drill_info.ends_with(drill_advice));
+
+    let (back, back_payload) = raw_wire_exchange(&mut stream, &WireRequest::Back { id });
+    assert_eq!(advice_of(&back).to_json(), oracle.root_json);
+    let root_advice = &back_payload[4 + id.len()..];
+    assert!(root_info.ends_with(root_advice));
+    let (_, root_info_again) = raw_wire_exchange(&mut stream, &WireRequest::Inspect { id });
+    assert_eq!(root_info_again, root_info);
+
+    let (deleted, _) = raw_wire_exchange(&mut stream, &WireRequest::Delete { id });
+    assert_eq!(deleted.status(), 204);
+}
+
+/// First send ⇔ n-th send ⇔ pure render, on both listeners: K
+/// connections start one cold context at the same instant — one advisor
+/// run, and the first sends of its advice race each other (a server
+/// that keeps an advice's encoding must fill it exactly once) — then
+/// re-read it through inspect / drill / back. Every payload is the
+/// direct-advisor oracle's, bit for bit.
+#[test]
+fn racing_first_sends_and_resends_serve_the_pure_render() {
+    let table = charles::voc_table(500, 23);
+    let spellings = context_pool()[0];
+    let mut distinct = HashSet::new();
+    let oracle = oracle(&table, spellings[0], &mut distinct);
+
+    let backend: Arc<dyn Backend> = Arc::new(table);
+    let server = Server::bind("127.0.0.1:0", backend, ServeConfig::default())
+        .unwrap()
+        .with_wire_listener("127.0.0.1:0")
+        .unwrap();
+    let addr = server.local_addr().unwrap();
+    let wire_addr = server.wire_addr().unwrap();
+    let cache = server.cache();
+    let handle = server.spawn().unwrap();
+
+    let barrier = Barrier::new(CLIENT_THREADS);
+    std::thread::scope(|scope| {
+        for t in 0..CLIENT_THREADS {
+            let (barrier, oracle) = (&barrier, &oracle);
+            let spelling = spellings[(t / 2) % 2];
+            scope.spawn(move || {
+                barrier.wait();
+                if t % 2 == 0 {
+                    client_script(addr, spelling, oracle);
+                } else {
+                    raw_wire_script(wire_addr, spelling, oracle);
+                }
+            });
+        }
+    });
+
+    assert_eq!(
+        cache.stats().runs,
+        distinct.len() as u64,
+        "one advisor run per distinct context, however many sends"
+    );
+    handle.shutdown();
+}
+
 /// The cache must also be *correct* under contention when many threads
 /// race the very same brand-new context: single-flight, one run.
 #[test]
