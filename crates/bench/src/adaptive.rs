@@ -13,11 +13,11 @@
 //! best-balancing candidates for *that piece*. Several restarts produce a
 //! pool of heterogeneous segmentations, ranked by the usual metrics.
 
-use crate::engine::Explorer;
-use crate::error::CoreResult;
-use crate::metrics::score;
-use crate::primitives::cut_query;
-use crate::ranking::{rank, Ranked};
+use charles_core::engine::Explorer;
+use charles_core::error::CoreResult;
+use charles_core::metrics::score;
+use charles_core::primitives::cut_query;
+use charles_core::ranking::{rank, Ranked};
 use charles_sdl::{Query, Segmentation};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -58,16 +58,20 @@ pub fn adaptive_segmentations(ex: &Explorer<'_>, opts: AdaptiveOptions) -> CoreR
     // one after another.
     let mut master = StdRng::seed_from_u64(opts.seed);
     let seeds: Vec<u64> = (0..opts.restarts.max(1)).map(|_| master.gen()).collect();
-    let runs = crate::par::try_map(&seeds, |&seed| {
+    // Every restart runs; the first error in restart order is the one a
+    // sequential loop would have returned.
+    let runs: Vec<Segmentation> = charles_parallel::par_map(&seeds, |&seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         one_run(ex, opts, &mut rng)
-    })?;
+    })
+    .into_iter()
+    .collect::<CoreResult<_>>()?;
 
     // Dedupe and score in restart order (first occurrence wins).
-    let mut pool: Vec<(Segmentation, crate::metrics::Score)> = Vec::new();
+    let mut pool: Vec<(Segmentation, charles_core::metrics::Score)> = Vec::new();
     let mut seen: Vec<String> = Vec::new();
     for seg in runs {
-        let fp = crate::engine::fingerprint(&seg);
+        let fp = charles_core::engine::fingerprint(&seg);
         if !seen.contains(&fp) {
             seen.push(fp);
             let s = score(ex, &seg)?;
@@ -145,7 +149,7 @@ fn one_run(ex: &Explorer<'_>, opts: AdaptiveOptions, rng: &mut StdRng) -> CoreRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
+    use charles_core::config::Config;
     use charles_store::{DataType, TableBuilder, Value};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

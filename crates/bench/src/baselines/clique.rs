@@ -16,8 +16,8 @@
 //! the data"). For experiment E9 the cells are wrapped into a partition by
 //! adding a rest-bucket.
 
-use crate::engine::Explorer;
-use crate::error::CoreResult;
+use charles_core::engine::Explorer;
+use charles_core::error::CoreResult;
 use charles_sdl::{Constraint, Query};
 use charles_store::{Bitmap, Value};
 
@@ -150,7 +150,7 @@ pub fn clique_clusters(ex: &Explorer<'_>, opts: CliqueOptions) -> CoreResult<Vec
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
+    use charles_core::config::Config;
     use charles_store::{DataType, TableBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};

@@ -8,11 +8,11 @@
 //! whole-set cuts, so its best entropy bounds HB-cuts' best entropy from
 //! above — at 2^N cost instead of HB-cuts' quadratic-in-N iterations.
 
-use crate::engine::Explorer;
-use crate::error::{CoreError, CoreResult};
-use crate::metrics::score;
-use crate::primitives::cut_segmentation;
-use crate::ranking::{rank, Ranked};
+use charles_core::engine::Explorer;
+use charles_core::error::{CoreError, CoreResult};
+use charles_core::metrics::score;
+use charles_core::primitives::cut_segmentation;
+use charles_core::ranking::{rank, Ranked};
 use charles_sdl::Segmentation;
 
 /// Options for exhaustive enumeration.
@@ -77,8 +77,8 @@ pub fn exhaustive_segmentations(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
-    use crate::hbcuts::hb_cuts;
+    use charles_core::config::Config;
+    use charles_core::hbcuts::hb_cuts;
     use charles_sdl::Query;
     use charles_store::{DataType, TableBuilder, Value};
     use rand::rngs::StdRng;

@@ -5,10 +5,10 @@
 //! value ranges (numeric). This is precisely the segmentation family with
 //! breadth 1 — the foil for Charles' breadth principle.
 
-use crate::engine::Explorer;
-use crate::error::CoreResult;
-use crate::metrics::score;
-use crate::ranking::{rank, Ranked};
+use charles_core::engine::Explorer;
+use charles_core::error::CoreResult;
+use charles_core::metrics::score;
+use charles_core::ranking::{rank, Ranked};
 use charles_sdl::{Constraint, Segmentation};
 use charles_store::Value;
 
@@ -114,8 +114,8 @@ fn facet_for(ex: &Explorer<'_>, attr: &str, bins: usize) -> CoreResult<Option<Se
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
-    use crate::metrics::breadth;
+    use charles_core::config::Config;
+    use charles_core::metrics::breadth;
     use charles_sdl::Query;
     use charles_store::{DataType, TableBuilder};
 

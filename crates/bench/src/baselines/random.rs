@@ -4,10 +4,10 @@
 //! attribute *and the split point* uniformly at random — no medians, no
 //! dependence detection, no ranking signal.
 
-use crate::engine::Explorer;
-use crate::error::CoreResult;
-use crate::metrics::score;
-use crate::ranking::{rank, Ranked};
+use charles_core::engine::Explorer;
+use charles_core::error::CoreResult;
+use charles_core::metrics::score;
+use charles_core::ranking::{rank, Ranked};
 use charles_sdl::{Constraint, Query, Segmentation};
 use charles_store::Value;
 use rand::rngs::StdRng;
@@ -165,7 +165,7 @@ fn random_split(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
+    use charles_core::config::Config;
     use charles_store::{DataType, TableBuilder};
 
     fn table() -> charles_store::Table {

@@ -13,14 +13,19 @@
 //! saved `.charles` file instead of the synthetic VOC register — write
 //! one with `cargo run -p charles-datagen --bin datagen`.
 
-use charles_bench::{explorer_over, fmt_duration, header, row, time_once};
-use charles_core::baselines::{
+#![forbid(unsafe_code)]
+
+use charles_bench::baselines::{
     clique_clusters, exhaustive_segmentations, facet_segmentations, random_segmentations,
     CliqueOptions, ExhaustiveOptions, RandomOptions,
 };
+use charles_bench::{
+    adaptive_segmentations, explorer_over, fmt_duration, header, homogeneity, quantile_cut_query,
+    rank_by_surprise, row, surprise, time_once, AdaptiveOptions,
+};
 use charles_core::{
-    adaptive_segmentations, compose, cut_segmentation, hb_cuts, indep, product, quantile_cut_query,
-    AdaptiveOptions, Advisor, Config, Explorer, LazyGenerator, MedianStrategy,
+    compose, cut_segmentation, hb_cuts, indep, product, Advisor, Config, Explorer, LazyGenerator,
+    MedianStrategy,
 };
 use charles_datagen::{
     astro_table, correlated_pair_table, sweep_table, voc_table, weblog_table, DependencyKind,
@@ -756,8 +761,8 @@ fn e12_homogeneity_surprise() {
         let ex = explorer_over(t, Config::default(), *k);
         let hb = hb_cuts(&ex).unwrap();
         let best = &hb.ranked[0];
-        let h = charles_core::homogeneity(&ex, &best.segmentation).unwrap();
-        let s = charles_core::surprise(&ex, &best.segmentation).unwrap();
+        let h = homogeneity(&ex, &best.segmentation).unwrap();
+        let s = surprise(&ex, &best.segmentation).unwrap();
         row(&[
             name.to_string(),
             "hb-cuts".into(),
@@ -778,12 +783,8 @@ fn e12_homogeneity_surprise() {
         let mut s_sum = 0.0;
         let mut e_sum = 0.0;
         for r in &rand {
-            h_sum += charles_core::homogeneity(&ex, &r.segmentation)
-                .unwrap()
-                .mean_gain;
-            s_sum += charles_core::surprise(&ex, &r.segmentation)
-                .unwrap()
-                .weighted;
+            h_sum += homogeneity(&ex, &r.segmentation).unwrap().mean_gain;
+            s_sum += surprise(&ex, &r.segmentation).unwrap().weighted;
             e_sum += r.score.entropy;
         }
         let m = rand.len() as f64;
@@ -800,7 +801,7 @@ fn e12_homogeneity_surprise() {
     let t = voc_table(20_000, 41);
     let ex = explorer_over(&t, Config::default(), 5);
     let hb = hb_cuts(&ex).unwrap();
-    let reordered = charles_core::rank_by_surprise(&ex, hb.ranked.clone()).unwrap();
+    let reordered = rank_by_surprise(&ex, hb.ranked.clone()).unwrap();
     println!("\nVOC answers re-ranked by surprise (top 3):");
     for (score, r) in reordered.iter().take(3) {
         println!(

@@ -17,8 +17,8 @@
 //! All scores are *gains* in `[0, 1]`: 0 = segments look like the
 //! context, 1 = segments are internally constant.
 
-use crate::engine::Explorer;
-use crate::error::CoreResult;
+use charles_core::engine::Explorer;
+use charles_core::error::CoreResult;
 use charles_sdl::Segmentation;
 use charles_store::Bitmap;
 
@@ -144,8 +144,8 @@ fn nominal_gain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
-    use crate::primitives::cut_segmentation;
+    use charles_core::config::Config;
+    use charles_core::primitives::cut_segmentation;
     use charles_sdl::{Constraint, Query};
     use charles_store::{DataType, TableBuilder, Value};
 
@@ -264,7 +264,7 @@ mod tests {
         // random segmentation of the same depth on clustered data.
         let t = overlapping_clusters();
         let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["x", "kind"])).unwrap();
-        let out = crate::hbcuts::hb_cuts(&ex).unwrap();
+        let out = charles_core::hbcuts::hb_cuts(&ex).unwrap();
         let hb = homogeneity(&ex, &out.ranked[0].segmentation).unwrap();
         let rand = crate::baselines::random_segmentations(
             &ex,

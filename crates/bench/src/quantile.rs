@@ -13,8 +13,8 @@
 //! wants to expose; experiment E10 measures the balance gain over
 //! iterated median cuts on skewed data.
 
-use crate::engine::{Explorer, Piece};
-use crate::error::CoreResult;
+use charles_core::engine::Explorer;
+use charles_core::error::CoreResult;
 use charles_sdl::{Constraint, Query, Segmentation};
 use charles_store::{Bitmap, Value};
 
@@ -46,15 +46,11 @@ pub fn quantile_cut_query(
     let Some(constraints) = constraints else {
         return Ok(None);
     };
-    // Each piece is the query's selection narrowed by its one constraint
-    // (as in CUT); the memo takes the bitmaps on the way out.
-    let pieces: Option<Vec<Piece>> = constraints
+    // `None` when a refinement is provably empty.
+    Ok(constraints
         .into_iter()
-        .map(|c| Piece::refined(q, &sel, attr, c))
-        .collect();
-    pieces
-        .map(|pieces| pieces.into_iter().map(|p| ex.release(p)).collect())
-        .transpose()
+        .map(|c| q.refined(attr, c))
+        .collect())
 }
 
 /// Quantile-cut every query of a segmentation (the k-ary Definition 6).
@@ -190,9 +186,10 @@ fn nominal_quantile_pieces(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
-    use crate::metrics::entropy;
-    use charles_store::{DataType, TableBuilder};
+    use charles_core::config::Config;
+    use charles_core::metrics::entropy;
+    use charles_sdl::eval;
+    use charles_store::{Backend, DataType, DiskTable, RowTable, TableBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -345,5 +342,69 @@ mod tests {
             .check_partition(ex.backend(), ex.context_selection())
             .unwrap()
             .is_partition());
+    }
+
+    #[test]
+    fn pieces_select_their_conjunctions_within_the_context_on_every_backend() {
+        // A piece is the cut query refined on one attribute and nothing
+        // else: looked up, its selection is its whole conjunction inside
+        // the context, which is the cut query's selection narrowed by
+        // that one conjunct — on every backend.
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut b = TableBuilder::new("t");
+        b.add_column("x", DataType::Int)
+            .add_column("f", DataType::Float)
+            .add_column("k", DataType::Str);
+        for _ in 0..600 {
+            let x: i64 = rng.gen_range(0..100);
+            let f = x as f64 * 0.5 + rng.gen::<f64>();
+            let k = ["a", "b", "c", "d", "e"][rng.gen_range(0usize..5)];
+            let row = vec![Value::Int(x), Value::Float(f), Value::str(k)];
+            // Nulls in every column: the context screens them out.
+            let row = row.into_iter().map(|v| (!rng.gen_bool(0.05)).then_some(v));
+            b.push_row_opt(row.collect()).unwrap();
+        }
+        let table = b.finish();
+        let rows = RowTable::from_table(&table);
+        let path =
+            std::env::temp_dir().join(format!("charles-quantile-{}.charles", std::process::id()));
+        charles_store::write_table(&table, &path).unwrap();
+        let disk = DiskTable::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+
+        // The context already constrains `x`, and the query being cut is
+        // narrower than the context.
+        let context = Query::wildcard(&["x", "f", "k"])
+            .refined(
+                "x",
+                Constraint::range(Value::Int(10), Value::Int(89)).unwrap(),
+            )
+            .unwrap();
+        let names = ["a", "b", "c"].map(Value::str).to_vec();
+        let q = context
+            .refined("k", Constraint::set(names).unwrap())
+            .unwrap();
+        let backends: [&dyn Backend; 3] = [&table, &rows, &disk];
+        for backend in backends {
+            let ex = Explorer::new(backend, Config::default(), context.clone()).unwrap();
+            let parent = ex.selection(&q).unwrap();
+            for (attr, k) in [("x", 3), ("x", 4), ("f", 3), ("k", 2)] {
+                let pieces = quantile_cut_query(&ex, &q, attr, k).unwrap().unwrap();
+                assert!(pieces.len() >= 2, "{attr}/{k}");
+                let mut covered = 0;
+                for piece in &pieces {
+                    let sel = ex.selection(piece).unwrap();
+                    let mut conjunction = eval::selection(piece, backend).unwrap();
+                    conjunction.and_inplace(ex.context_selection());
+                    assert_eq!(*sel, conjunction, "{piece}");
+                    let narrowing = piece.predicates().iter().find(|p| p.attr == attr).unwrap();
+                    let mut derived = backend.eval(&eval::lower_predicate(narrowing)).unwrap();
+                    derived.and_inplace(&parent);
+                    assert_eq!(*sel, derived, "{piece}");
+                    covered += sel.count_ones();
+                }
+                assert_eq!(covered, parent.count_ones(), "{attr}/{k} partitions");
+            }
+        }
     }
 }

@@ -20,9 +20,9 @@
 //! its segments'. [`rank_by_surprise`] re-orders advisor output by it —
 //! an alternative lens to the paper's entropy ranking.
 
-use crate::engine::Explorer;
-use crate::error::CoreResult;
-use crate::ranking::Ranked;
+use charles_core::engine::Explorer;
+use charles_core::error::CoreResult;
+use charles_core::ranking::Ranked;
 use charles_sdl::{Query, Segmentation};
 use charles_store::Bitmap;
 
@@ -141,8 +141,8 @@ pub fn rank_by_surprise(ex: &Explorer<'_>, ranked: Vec<Ranked>) -> CoreResult<Ve
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Config;
-    use crate::primitives::cut_segmentation;
+    use charles_core::config::Config;
+    use charles_core::primitives::cut_segmentation;
     use charles_store::{DataType, TableBuilder, Value};
 
     /// kind "a" rows have large y; kind "b" rows small y; z is pure noise.
@@ -223,11 +223,11 @@ mod tests {
         let by_z = cut_segmentation(&ex, &base, "z").unwrap().unwrap();
         let ranked = vec![
             Ranked {
-                score: crate::metrics::score(&ex, &by_z).unwrap(),
+                score: charles_core::metrics::score(&ex, &by_z).unwrap(),
                 segmentation: by_z,
             },
             Ranked {
-                score: crate::metrics::score(&ex, &by_kind).unwrap(),
+                score: charles_core::metrics::score(&ex, &by_kind).unwrap(),
                 segmentation: by_kind,
             },
         ];

@@ -28,9 +28,8 @@ use crate::config::{Config, MedianStrategy};
 use crate::error::{CoreError, CoreResult};
 use charles_sdl::{eval, Constraint, Query, Segmentation};
 use charles_store::{Backend, Bitmap, CutStats};
-use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Cache performance counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -106,17 +105,6 @@ impl Piece {
         }
     }
 
-    /// `(Q, attr: constraint)` of Definition 5, derived from `Q`'s
-    /// selection; `None` when the refinement is provably empty.
-    pub(crate) fn refined(
-        query: &Query,
-        sel: &Arc<Bitmap>,
-        attr: &str,
-        constraint: Constraint,
-    ) -> Option<Piece> {
-        Piece::derived(query, sel, attr, constraint, None)
-    }
-
     /// The two halves `CUT_attr(Q)` of Definition 5. `partition` says
     /// that every row of `sel` satisfies exactly one of the two
     /// constraints — the statistics they were drawn from covered all of
@@ -136,6 +124,8 @@ impl Piece {
         ])
     }
 
+    /// `(Q, attr: constraint)` of Definition 5, derived from `Q`'s
+    /// selection; `None` when the refinement is provably empty.
     fn derived(
         query: &Query,
         sel: &Arc<Bitmap>,
@@ -242,7 +232,14 @@ impl<'a> Explorer<'a> {
 
     /// Cache counters so far.
     pub fn cache_stats(&self) -> CacheStats {
-        self.caches.lock().stats
+        self.caches().stats
+    }
+
+    /// The memo and the counters. A panic under this lock leaves both
+    /// valid (an insert or an increment either happened or did not), so
+    /// a poisoned guard is recovered, not propagated.
+    fn caches(&self) -> MutexGuard<'_, Caches> {
+        self.caches.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// The context with its extent: the root every CUT derives from.
@@ -254,14 +251,14 @@ impl<'a> Explorer<'a> {
     /// the context extent. The context's own selection is its extent.
     pub fn selection(&self, q: &Query) -> CoreResult<Arc<Bitmap>> {
         if *q == self.context {
-            self.caches.lock().stats.sel_hits += 1;
+            self.caches().stats.sel_hits += 1;
             return Ok(Arc::clone(&self.context_sel));
         }
         // The memo key is the rendered query; the §5.1 ablation has no
         // memo, so it renders none.
         let key = self.config.memoize.then(|| q.to_string());
         if let Some(key) = &key {
-            let mut caches = self.caches.lock();
+            let mut caches = self.caches();
             if let Some(bm) = caches.selections.get(key).map(Arc::clone) {
                 caches.stats.sel_hits += 1;
                 return Ok(bm);
@@ -270,7 +267,7 @@ impl<'a> Explorer<'a> {
         let mut sel = eval::selection(q, self.backend)?;
         sel.and_inplace(&self.context_sel);
         let arc = Arc::new(sel);
-        let mut caches = self.caches.lock();
+        let mut caches = self.caches();
         caches.stats.sel_misses += 1;
         if let Some(key) = key {
             caches.selections.insert(key, Arc::clone(&arc));
@@ -310,7 +307,7 @@ impl<'a> Explorer<'a> {
             // A second materialisation finds the same bits already there.
             let _ = shared.set(Arc::clone(&sel));
         }
-        self.caches.lock().stats.sel_misses += 1;
+        self.caches().stats.sel_misses += 1;
         Ok(sel)
     }
 
@@ -340,9 +337,9 @@ impl<'a> Explorer<'a> {
     pub(crate) fn release(&self, piece: Piece) -> CoreResult<Query> {
         if self.config.memoize {
             let key = piece.query.to_string();
-            if !self.caches.lock().selections.contains_key(&key) {
+            if !self.caches().selections.contains_key(&key) {
                 let sel = self.materialise(&piece)?;
-                self.caches.lock().selections.insert(key, sel);
+                self.caches().selections.insert(key, sel);
             }
         }
         Ok(piece.query)
@@ -389,7 +386,7 @@ impl<'a> Explorer<'a> {
 
     /// Count `n` INDEP evaluations.
     pub(crate) fn count_indep_evaluations(&self, n: u64) {
-        self.caches.lock().stats.indep_misses += n;
+        self.caches().stats.indep_misses += n;
     }
 }
 
@@ -531,13 +528,13 @@ mod tests {
         let root = ex.context_piece();
         let root_sel = ex.materialise(&root).unwrap();
         let evens = Constraint::set(vec![Value::str("even")]).unwrap();
-        let piece = Piece::refined(&root.query, &root_sel, "k", evens).unwrap();
+        let piece = Piece::derived(&root.query, &root_sel, "k", evens, None).unwrap();
         // Refining the attribute the context already constrains
         // intersects: the narrowed conjunct is the one scanned.
         let low = Constraint::range(Value::Int(4), Value::Int(99)).unwrap();
         let piece = {
             let sel = ex.materialise(&piece).unwrap();
-            Piece::refined(&piece.query, &sel, "x", low).unwrap()
+            Piece::derived(&piece.query, &sel, "x", low, None).unwrap()
         };
         let scans = t.stats().scans;
         let derived = ex.materialise(&piece).unwrap();

@@ -132,17 +132,6 @@ pub fn indep(ex: &Explorer<'_>, s1: &Segmentation, s2: &Segmentation) -> CoreRes
     Ok(resolve(ex, s1)?.indep(&resolve(ex, s2)?, ex.context_size()))
 }
 
-/// Check Proposition 1's equality within a tolerance: are the partition
-/// variables of `S1` and `S2` independent on this dataset?
-pub fn is_independent(
-    ex: &Explorer<'_>,
-    s1: &Segmentation,
-    s2: &Segmentation,
-    tolerance: f64,
-) -> CoreResult<bool> {
-    Ok(indep(ex, s1, s2)? >= 1.0 - tolerance)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -188,7 +177,6 @@ mod tests {
         let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["a", "b"])).unwrap();
         let v = indep(&ex, &halves(&ex, "a"), &halves(&ex, "b")).unwrap();
         assert!((v - 1.0).abs() < 1e-9, "got {v}");
-        assert!(is_independent(&ex, &halves(&ex, "a"), &halves(&ex, "b"), 0.01).unwrap());
     }
 
     #[test]
@@ -199,7 +187,6 @@ mod tests {
         let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["a", "b"])).unwrap();
         let v = indep(&ex, &halves(&ex, "a"), &halves(&ex, "b")).unwrap();
         assert!((v - 0.5).abs() < 1e-9, "got {v}");
-        assert!(!is_independent(&ex, &halves(&ex, "a"), &halves(&ex, "b"), 0.01).unwrap());
     }
 
     #[test]

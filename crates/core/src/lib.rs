@@ -16,14 +16,17 @@
 //! * [`hbcuts`] — the HB-cuts heuristic (§4.2, Figure 4) with tracing;
 //!   its per-run pair state carries INDEP values across iterations (the
 //!   other half of §5.1) and its one loop also drives [`lazy`];
-//! * [`ranking`] — entropy-first and weighted 3-criteria orders;
-//! * [`advisor`] / [`session`] — the user-facing facade and drill-down
-//!   exploration loop;
-//! * extensions from §5.2: [`lazy`] (generate answers on demand),
-//!   [`quantile`] (non-median cuts), [`adaptive`] (per-piece cuts via
-//!   randomized search), sampled medians ([`config::MedianStrategy`]);
-//! * [`baselines`] — faceted search, CLIQUE-style grids, random and
-//!   exhaustive segmentation, for the comparison experiments (§6).
+//! * [`ranking`] — the paper's entropy-first order;
+//! * [`advisor`] / [`cache`] / [`session`] — the user-facing facade, the
+//!   cross-session advice cache and the drill-down exploration loop;
+//! * the §5.2 extensions the advisor itself runs: [`lazy`] (generate
+//!   answers on demand, over the same stepper) and sampled medians
+//!   ([`config::MedianStrategy`]).
+//!
+//! This crate is what the server, the sessions and Figure 4 need. The
+//! other §5.2 extensions (quantile and adaptive cuts, homogeneity,
+//! surprise) and the §6 comparison baselines are called by the
+//! experiments only, and live beside them in `charles-bench`.
 //!
 //! # Quickstart
 //!
@@ -47,38 +50,29 @@
 
 #![forbid(unsafe_code)]
 
-pub mod adaptive;
 pub mod advisor;
-pub mod baselines;
 pub mod cache;
 pub mod config;
 pub mod engine;
 pub mod error;
 pub mod hbcuts;
-pub mod homogeneity;
 pub mod indep;
 pub mod lazy;
 pub mod metrics;
 pub(crate) mod par;
 pub mod primitives;
-pub mod quantile;
 pub mod ranking;
 pub mod session;
-pub mod surprise;
 
-pub use adaptive::{adaptive_segmentations, AdaptiveOptions};
 pub use advisor::{Advice, Advisor, Encoded};
 pub use cache::{AdviceCache, AdviceCacheStats};
 pub use config::{Config, MedianStrategy};
 pub use engine::{fingerprint, CacheStats, Explorer};
 pub use error::{CoreError, CoreResult};
 pub use hbcuts::{hb_cuts, ComposeStep, HbCutsOutput, SkippedPair, StopReason, Trace};
-pub use homogeneity::{homogeneity, Homogeneity};
-pub use indep::{indep, is_independent, product_entropy};
+pub use indep::{indep, product_entropy};
 pub use lazy::LazyGenerator;
 pub use metrics::{breadth, entropy, entropy_from_covers, score, simplicity, Score};
-pub use primitives::{compose, cut_query, cut_segmentation, product, product_all_cells};
-pub use quantile::{quantile_cut_query, quantile_cut_segmentation};
-pub use ranking::{rank, rank_weighted, Ranked, Weights};
-pub use session::{OwnedSession, Session};
-pub use surprise::{rank_by_surprise, surprise, Surprise};
+pub use primitives::{compose, cut_query, cut_segmentation, product};
+pub use ranking::{rank, Ranked};
+pub use session::Session;

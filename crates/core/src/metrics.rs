@@ -63,11 +63,6 @@ pub struct Score {
 }
 
 impl Score {
-    /// Entropy in bits rather than nats.
-    pub fn entropy_bits(&self) -> f64 {
-        self.entropy / std::f64::consts::LN_2
-    }
-
     /// The theoretical entropy ceiling for this depth (`ln M`).
     pub fn max_entropy(&self) -> f64 {
         if self.depth == 0 {
@@ -202,7 +197,6 @@ mod tests {
         assert_eq!(s.breadth, 1);
         assert_eq!(s.depth, 2);
         assert!((s.balance() - 1.0).abs() < 1e-12);
-        assert!((s.entropy_bits() - 1.0).abs() < 1e-12);
     }
 
     #[test]

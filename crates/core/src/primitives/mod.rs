@@ -13,4 +13,4 @@ pub use compose::compose;
 pub(crate) use compose::compose_pieces;
 pub(crate) use cut::cut_pieces;
 pub use cut::{cut_query, cut_segmentation};
-pub use product::{product, product_all_cells};
+pub use product::product;

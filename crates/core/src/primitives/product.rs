@@ -9,7 +9,7 @@
 
 use crate::engine::Explorer;
 use crate::error::CoreResult;
-use charles_sdl::{Query, Segmentation};
+use charles_sdl::Segmentation;
 
 /// The SDL product, pruned: cells whose constraints are provably
 /// incompatible are dropped, and — when
@@ -33,21 +33,6 @@ pub fn product(
         }
     }
     Ok(Segmentation::new(cells))
-}
-
-/// The literal Definition 8 product: every `K × L` cell that is not
-/// provably empty at the constraint level, without consulting the data.
-/// Used by tests that check the definition verbatim.
-pub fn product_all_cells(s1: &Segmentation, s2: &Segmentation) -> Segmentation {
-    let mut cells: Vec<Query> = Vec::with_capacity(s1.depth() * s2.depth());
-    for q1 in s1.queries() {
-        for q2 in s2.queries() {
-            if let Some(cell) = q1.conjoin(q2) {
-                cells.push(cell);
-            }
-        }
-    }
-    Segmentation::new(cells)
 }
 
 #[cfg(test)]
@@ -124,9 +109,6 @@ mod tests {
         // With b = a, off-diagonal cells are empty and pruned: 2 cells left.
         let p = product(&ex, &sa, &sb).unwrap();
         assert_eq!(p.depth(), 2);
-        // The unpruned Definition 8 product keeps all 4 satisfiable cells.
-        let raw = product_all_cells(&sa, &sb);
-        assert_eq!(raw.depth(), 4);
     }
 
     #[test]

@@ -2,11 +2,8 @@
 //!
 //! The paper returns HB-cuts results "by order of entropy" and describes
 //! the three principles as "a 3-dimensional space to navigate or rank
-//! segmentations". [`rank`] implements the paper's default (entropy
-//! descending, deterministic tie-breaks); [`rank_weighted`] exposes the
-//! 3-dimensional navigation as a weighted score for UIs that let the user
-//! slide between legibility (simplicity), information (breadth) and
-//! balance (entropy).
+//! segmentations". [`rank`] implements the paper's order: entropy
+//! descending, with breadth and simplicity as deterministic tie-breaks.
 
 use crate::metrics::Score;
 use charles_sdl::Segmentation;
@@ -41,85 +38,6 @@ pub fn rank(scored: Vec<(Segmentation, Score)>) -> Vec<Ranked> {
             .then_with(|| a.segmentation.to_string().cmp(&b.segmentation.to_string()))
     });
     out
-}
-
-/// Weights for the 3-criteria ranking. Each weight multiplies a
-/// normalised criterion in `[0, 1]`; larger composite scores rank first.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weights {
-    /// Weight of normalised entropy (balance).
-    pub entropy: f64,
-    /// Weight of normalised breadth.
-    pub breadth: f64,
-    /// Weight of normalised simplicity (inverted: simpler is better).
-    pub simplicity: f64,
-}
-
-impl Default for Weights {
-    fn default() -> Weights {
-        Weights {
-            entropy: 1.0,
-            breadth: 0.5,
-            simplicity: 0.25,
-        }
-    }
-}
-
-/// Composite score of one entry given the maxima over the result set.
-fn composite(
-    s: &Score,
-    w: &Weights,
-    max_entropy: f64,
-    max_breadth: usize,
-    max_simpl: usize,
-) -> f64 {
-    let e = if max_entropy > 0.0 {
-        s.entropy / max_entropy
-    } else {
-        0.0
-    };
-    let b = if max_breadth > 0 {
-        s.breadth as f64 / max_breadth as f64
-    } else {
-        0.0
-    };
-    // Invert simplicity: fewer constraints per query is better.
-    let p = if max_simpl > 0 {
-        1.0 - s.simplicity as f64 / max_simpl as f64
-    } else {
-        1.0
-    };
-    w.entropy * e + w.breadth * b + w.simplicity * p
-}
-
-/// Rank by a weighted combination of the three principles.
-pub fn rank_weighted(scored: Vec<(Segmentation, Score)>, weights: Weights) -> Vec<Ranked> {
-    let max_entropy = scored.iter().map(|(_, s)| s.entropy).fold(0.0f64, f64::max);
-    let max_breadth = scored.iter().map(|(_, s)| s.breadth).max().unwrap_or(0);
-    let max_simpl = scored.iter().map(|(_, s)| s.simplicity).max().unwrap_or(0);
-    let mut out: Vec<(f64, Ranked)> = scored
-        .into_iter()
-        .map(|(segmentation, score)| {
-            let c = composite(&score, &weights, max_entropy, max_breadth, max_simpl);
-            (
-                c,
-                Ranked {
-                    segmentation,
-                    score,
-                },
-            )
-        })
-        .collect();
-    out.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                a.1.segmentation
-                    .to_string()
-                    .cmp(&b.1.segmentation.to_string())
-            })
-    });
-    out.into_iter().map(|(_, r)| r).collect()
 }
 
 #[cfg(test)]
@@ -164,37 +82,7 @@ mod tests {
     }
 
     #[test]
-    fn weighted_rank_can_prefer_breadth() {
-        let w = Weights {
-            entropy: 0.0,
-            breadth: 1.0,
-            simplicity: 0.0,
-        };
-        let ranked = rank_weighted(
-            vec![
-                (seg(&["a"]), score(10.0, 1, 1, 2)),
-                (seg(&["b"]), score(0.1, 1, 3, 2)),
-            ],
-            w,
-        );
-        assert_eq!(ranked[0].score.breadth, 3);
-    }
-
-    #[test]
-    fn weighted_rank_default_still_values_entropy_first() {
-        let ranked = rank_weighted(
-            vec![
-                (seg(&["a"]), score(2.0, 1, 1, 4)),
-                (seg(&["b"]), score(0.2, 1, 1, 2)),
-            ],
-            Weights::default(),
-        );
-        assert_eq!(ranked[0].score.depth, 4);
-    }
-
-    #[test]
     fn empty_input_is_fine() {
         assert!(rank(vec![]).is_empty());
-        assert!(rank_weighted(vec![], Weights::default()).is_empty());
     }
 }

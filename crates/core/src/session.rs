@@ -4,7 +4,7 @@
 //! is interested in … The system then generates several segmentations and
 //! presents them in a ranked list … The user can then select one SDL
 //! query, and submit it for further exploration." A [`Session`] keeps the
-//! breadcrumb trail of contexts so the user can drill in and back out.
+//! trail of advices so the user can drill in and back out.
 
 use crate::advisor::{Advice, Advisor};
 use crate::cache::AdviceCache;
@@ -15,202 +15,82 @@ use charles_store::Backend;
 use std::sync::Arc;
 
 /// An interactive exploration session over one backend.
-pub struct Session<'a> {
-    advisor: Advisor<'a>,
-    /// Breadcrumbs: every context visited, current one last. Invariant:
-    /// `history` and `advice` are non-empty and aligned after `start`.
-    history: Vec<Query>,
-    advice: Vec<Advice>,
-}
-
-impl<'a> Session<'a> {
-    /// Open a session with the paper-default configuration.
-    pub fn new(backend: &'a dyn Backend) -> Session<'a> {
-        Session {
-            advisor: Advisor::new(backend),
-            history: Vec::new(),
-            advice: Vec::new(),
-        }
-    }
-
-    /// Open a session with an explicit configuration.
-    pub fn with_config(backend: &'a dyn Backend, config: Config) -> Session<'a> {
-        Session {
-            advisor: Advisor::with_config(backend, config),
-            history: Vec::new(),
-            advice: Vec::new(),
-        }
-    }
-
-    /// Enter the initial context (SDL text) and get the first advice.
-    pub fn start(&mut self, sdl: &str) -> CoreResult<&Advice> {
-        let q = parse_query(sdl, self.backend().schema())?;
-        self.start_query(q)
-    }
-
-    /// Enter the initial context (parsed query).
-    pub fn start_query(&mut self, context: Query) -> CoreResult<&Advice> {
-        let advice = self.advisor.advise(context.clone())?;
-        self.history.clear();
-        self.advice.clear();
-        self.history.push(context);
-        self.advice.push(advice);
-        Ok(self.current().expect("just pushed"))
-    }
-
-    /// The advice for the current context.
-    pub fn current(&self) -> Option<&Advice> {
-        self.advice.last()
-    }
-
-    /// The current context query.
-    pub fn context(&self) -> Option<&Query> {
-        self.history.last()
-    }
-
-    /// Depth of the breadcrumb trail (1 = initial context).
-    pub fn depth(&self) -> usize {
-        self.history.len()
-    }
-
-    /// Drill into segment `seg_idx` of ranked answer `rank_idx`: that
-    /// segment's query becomes the new context.
-    ///
-    /// A segment whose rows are uniform in every context attribute is a
-    /// legitimate end of the drill-down path, not a failure:
-    /// [`Advisor::advise`] yields an [`Advice`] with an empty `ranked`
-    /// list for it (the breadcrumb is still pushed, so
-    /// [`Session::back`] works as usual).
-    pub fn drill(&mut self, rank_idx: usize, seg_idx: usize) -> CoreResult<&Advice> {
-        let current = self.current().ok_or(CoreError::SessionNotStarted)?;
-        let target = current
-            .segment(rank_idx, seg_idx)
-            .ok_or(CoreError::NoSuchSegment { rank_idx, seg_idx })?
-            .clone();
-        let advice = self.advisor.advise(target.clone())?;
-        self.history.push(target);
-        self.advice.push(advice);
-        Ok(self.current().expect("just pushed"))
-    }
-
-    /// Go back one level. Returns the advice of the restored context, or
-    /// `None` when already at the root (see [`Session::try_back`] for the
-    /// error-reporting variant).
-    pub fn back(&mut self) -> Option<&Advice> {
-        self.try_back().ok()
-    }
-
-    /// Go back one level, with a stable error instead of a silent no-op:
-    /// [`CoreError::SessionNotStarted`] before `start`,
-    /// [`CoreError::AtRoot`] when the trail has nowhere to unwind.
-    pub fn try_back(&mut self) -> CoreResult<&Advice> {
-        match self.history.len() {
-            0 => Err(CoreError::SessionNotStarted),
-            1 => Err(CoreError::AtRoot),
-            _ => {
-                self.history.pop();
-                self.advice.pop();
-                Ok(self.current().expect("history was ≥ 2 deep"))
-            }
-        }
-    }
-
-    /// The full breadcrumb trail, oldest first.
-    pub fn breadcrumbs(&self) -> &[Query] {
-        &self.history
-    }
-
-    /// The backend being explored.
-    pub fn backend(&self) -> &'a dyn Backend {
-        self.advisor.backend()
-    }
-}
-
-/// An exploration session that **owns** its backend (via `Arc`) — the
-/// form a server needs, where sessions are long-lived state detached
-/// from any caller's stack frame.
 ///
-/// Differences from the borrowed [`Session`]:
-///
-/// * the backend is shared (`Arc<dyn Backend>`), so many sessions can
-///   explore one dataset concurrently;
-/// * every advised context is **canonicalized** first
+/// * The backend is shared (`Arc<dyn Backend>`), so a session is
+///   long-lived state detached from any caller's stack frame and many
+///   sessions can explore one dataset concurrently.
+/// * Every advised context is **canonicalized** first
 ///   ([`Query::canonicalized`]) — the session's identity for a context
 ///   is its canonical form, which is what makes advice shareable across
-///   sessions;
-/// * an optional [`AdviceCache`] can be attached, making equivalent
-///   contexts across sessions cost exactly one advisor run;
-/// * advice is held as `Arc<Advice>` so cached answers are shared, not
-///   copied, per session.
+///   sessions.
+/// * Advice always comes through an [`AdviceCache`]: the session's own,
+///   or the one [`Session::with_cache`] hands it, which makes equivalent
+///   contexts across sessions cost exactly one advisor run. Advice is
+///   held as `Arc<Advice>`, so a cached answer is shared, not copied.
 ///
-/// With or without a cache the advice returned for a context is
-/// byte-identical to `Advisor::advise(context.canonicalized())` on the
-/// same backend and config.
-pub struct OwnedSession {
+/// Either way the advice returned for a context is byte-identical to
+/// `Advisor::advise(context.canonicalized())` on the same backend and
+/// config.
+pub struct Session {
     backend: Arc<dyn Backend>,
     config: Config,
-    cache: Option<Arc<AdviceCache>>,
-    /// Breadcrumbs of canonical contexts; aligned with `advice`.
-    history: Vec<Query>,
-    advice: Vec<Arc<Advice>>,
+    cache: Arc<AdviceCache>,
+    /// The advice of every context visited, current one last: level
+    /// `i`'s breadcrumb is `trail[i].context`. Non-empty after `start`.
+    trail: Vec<Arc<Advice>>,
 }
 
-impl OwnedSession {
+impl Session {
     /// Open a session with the paper-default configuration.
-    pub fn new(backend: Arc<dyn Backend>) -> OwnedSession {
-        OwnedSession::with_config(backend, Config::default())
+    pub fn new(backend: Arc<dyn Backend>) -> Session {
+        Session::with_config(backend, Config::default())
     }
 
     /// Open a session with an explicit configuration.
-    pub fn with_config(backend: Arc<dyn Backend>, config: Config) -> OwnedSession {
-        OwnedSession {
+    pub fn with_config(backend: Arc<dyn Backend>, config: Config) -> Session {
+        Session {
             backend,
             config,
-            cache: None,
-            history: Vec::new(),
-            advice: Vec::new(),
+            // One caller at a time (`&mut self`): one shard.
+            cache: Arc::new(AdviceCache::with_shards(1)),
+            trail: Vec::new(),
         }
     }
 
-    /// Attach a shared advice cache: contexts advised by this session
-    /// become reusable by every other session holding the same cache.
-    /// The cache must only be shared between sessions over the same
-    /// backend and config.
-    pub fn with_cache(mut self, cache: Arc<AdviceCache>) -> OwnedSession {
-        self.cache = Some(cache);
+    /// Advise through a shared cache instead of the session's own:
+    /// contexts advised by this session become reusable by every other
+    /// session holding the same cache. The cache must only be shared
+    /// between sessions over the same backend and config.
+    pub fn with_cache(mut self, cache: Arc<AdviceCache>) -> Session {
+        self.cache = cache;
         self
     }
 
     fn advise(&self, context: Query) -> CoreResult<Arc<Advice>> {
         let advisor = Advisor::with_config(self.backend.as_ref(), self.config.clone());
-        match &self.cache {
-            Some(cache) => cache.advise_cached(&advisor, context),
-            None => advisor.advise(context.canonicalized()).map(Arc::new),
-        }
+        self.cache.advise_cached(&advisor, context)
     }
 
     /// Enter the initial context (SDL text) and get the first advice.
+    /// Resets any existing trail; on error the session is left as it was.
     pub fn start(&mut self, sdl: &str) -> CoreResult<&Arc<Advice>> {
-        let q = parse_query(sdl, self.backend.schema())?;
-        self.start_query(q)
-    }
-
-    /// Enter the initial context (parsed query). Resets any existing
-    /// breadcrumb trail.
-    pub fn start_query(&mut self, context: Query) -> CoreResult<&Arc<Advice>> {
+        let context = parse_query(sdl, self.backend.schema())?;
         let advice = self.advise(context)?;
-        self.history.clear();
-        self.advice.clear();
-        // The breadcrumb is the context actually advised on (canonical).
-        self.history.push(advice.context.clone());
-        self.advice.push(advice);
-        Ok(self.current().expect("just pushed"))
+        self.trail.clear();
+        Ok(self.push(advice))
     }
 
-    /// Drill into segment `seg_idx` of ranked answer `rank_idx`. Stable
-    /// errors: [`CoreError::SessionNotStarted`] before `start`,
+    /// Drill into segment `seg_idx` of ranked answer `rank_idx`: that
+    /// segment's query becomes the new context. Stable errors:
+    /// [`CoreError::SessionNotStarted`] before `start`,
     /// [`CoreError::NoSuchSegment`] for an out-of-range pair — the
     /// session state is unchanged on error.
+    ///
+    /// A segment whose rows are uniform in every context attribute is a
+    /// legitimate end of the drill-down path, not a failure:
+    /// [`Advisor::advise`] yields an [`Advice`] with an empty `ranked`
+    /// list for it (the level is still pushed, so [`Session::back`]
+    /// works as usual).
     pub fn drill(&mut self, rank_idx: usize, seg_idx: usize) -> CoreResult<&Arc<Advice>> {
         let current = self.current().ok_or(CoreError::SessionNotStarted)?;
         let target = current
@@ -218,57 +98,54 @@ impl OwnedSession {
             .ok_or(CoreError::NoSuchSegment { rank_idx, seg_idx })?
             .clone();
         let advice = self.advise(target)?;
-        self.history.push(advice.context.clone());
-        self.advice.push(advice);
-        Ok(self.current().expect("just pushed"))
+        Ok(self.push(advice))
     }
 
-    /// Go back one level with a stable error: see [`Session::try_back`].
+    fn push(&mut self, advice: Arc<Advice>) -> &Arc<Advice> {
+        self.trail.push(advice);
+        &self.trail[self.trail.len() - 1]
+    }
+
+    /// Go back one level, with a stable error instead of a silent no-op:
+    /// [`CoreError::SessionNotStarted`] before `start`,
+    /// [`CoreError::AtRoot`] when the trail has nowhere to unwind.
     pub fn try_back(&mut self) -> CoreResult<&Arc<Advice>> {
-        match self.history.len() {
+        match self.trail.len() {
             0 => Err(CoreError::SessionNotStarted),
             1 => Err(CoreError::AtRoot),
-            _ => {
-                self.history.pop();
-                self.advice.pop();
-                Ok(self.current().expect("history was ≥ 2 deep"))
+            n => {
+                self.trail.pop();
+                Ok(&self.trail[n - 2])
             }
         }
     }
 
-    /// Go back one level; `None` at the root (compat wrapper).
+    /// Go back one level. Returns the advice of the restored context, or
+    /// `None` when already at the root or not started (see
+    /// [`Session::try_back`] for the error-reporting variant).
     pub fn back(&mut self) -> Option<&Arc<Advice>> {
         self.try_back().ok()
     }
 
     /// The advice for the current context.
     pub fn current(&self) -> Option<&Arc<Advice>> {
-        self.advice.last()
+        self.trail.last()
     }
 
     /// The current (canonical) context query.
     pub fn context(&self) -> Option<&Query> {
-        self.history.last()
+        self.current().map(|advice| &advice.context)
     }
 
-    /// Depth of the breadcrumb trail (1 = initial context).
+    /// Depth of the trail (1 = initial context).
     pub fn depth(&self) -> usize {
-        self.history.len()
+        self.trail.len()
     }
 
-    /// The full breadcrumb trail of canonical contexts, oldest first.
-    pub fn breadcrumbs(&self) -> &[Query] {
-        &self.history
-    }
-
-    /// The shared backend being explored.
-    pub fn backend(&self) -> &Arc<dyn Backend> {
-        &self.backend
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &Config {
-        &self.config
+    /// The breadcrumbs: the canonical context of every level, oldest
+    /// first.
+    pub fn breadcrumbs(&self) -> impl ExactSizeIterator<Item = &Query> {
+        self.trail.iter().map(|advice| &advice.context)
     }
 }
 
@@ -277,7 +154,7 @@ mod tests {
     use super::*;
     use charles_store::{DataType, TableBuilder, Value};
 
-    fn table() -> charles_store::Table {
+    fn table() -> Arc<dyn Backend> {
         let mut b = TableBuilder::new("t");
         b.add_column("kind", DataType::Str)
             .add_column("size", DataType::Int);
@@ -285,16 +162,17 @@ mod tests {
             let kind = if i % 2 == 0 { "even" } else { "odd" };
             b.push_row(vec![Value::str(kind), Value::Int(i)]).unwrap();
         }
-        b.finish()
+        Arc::new(b.finish())
     }
 
     #[test]
     fn start_drill_back_loop() {
-        let t = table();
-        let mut s = Session::new(&t);
-        let first = s.start("(kind: , size: )").unwrap();
+        let mut s = Session::new(table());
+        let first = s.start("(size: , kind: )").unwrap();
         assert_eq!(first.context_size, 64);
         assert_eq!(s.depth(), 1);
+        // Contexts are canonicalized: attribute order is sorted.
+        assert_eq!(s.context().unwrap().to_string(), "(kind: , size: )");
 
         let drilled = s.drill(0, 0).unwrap();
         assert!(drilled.context_size < 64);
@@ -320,8 +198,7 @@ mod tests {
             b.push_row(vec![Value::str("a"), Value::Int(1)]).unwrap();
             b.push_row(vec![Value::str("b"), Value::Int(2)]).unwrap();
         }
-        let t = b.finish();
-        let mut s = Session::new(&t);
+        let mut s = Session::new(Arc::new(b.finish()));
         s.start("(kind: , size: )").unwrap();
         let deeper = s.drill(0, 0).unwrap();
         assert!(deeper.ranked.is_empty());
@@ -341,8 +218,7 @@ mod tests {
 
     #[test]
     fn drill_out_of_range_errors() {
-        let t = table();
-        let mut s = Session::new(&t);
+        let mut s = Session::new(table());
         s.start("(kind: , size: )").unwrap();
         // The error is stable and carries the offending indices.
         assert_eq!(
@@ -359,14 +235,14 @@ mod tests {
                 seg_idx: 42
             }
         );
+        assert!(s.drill(9, 9).unwrap_err().to_string().contains("(9, 9)"));
         // Session state unchanged after a failed drill.
         assert_eq!(s.depth(), 1);
     }
 
     #[test]
     fn drill_before_start_errors() {
-        let t = table();
-        let mut s = Session::new(&t);
+        let mut s = Session::new(table());
         assert_eq!(s.drill(0, 0).unwrap_err(), CoreError::SessionNotStarted);
         assert!(s.current().is_none());
         assert!(s.context().is_none());
@@ -374,9 +250,8 @@ mod tests {
 
     #[test]
     fn try_back_has_stable_errors() {
-        let t = table();
-        let mut s = Session::new(&t);
-        // Empty history: not started.
+        let mut s = Session::new(table());
+        // Empty trail: not started.
         assert_eq!(s.try_back().unwrap_err(), CoreError::SessionNotStarted);
         s.start("(kind: , size: )").unwrap();
         // At the root: AtRoot, and the state is untouched.
@@ -389,8 +264,7 @@ mod tests {
 
     #[test]
     fn restart_resets_history() {
-        let t = table();
-        let mut s = Session::new(&t);
+        let mut s = Session::new(table());
         s.start("(kind: , size: )").unwrap();
         s.drill(0, 0).unwrap();
         s.start("(size: )").unwrap();
@@ -398,29 +272,35 @@ mod tests {
     }
 
     #[test]
-    fn owned_session_start_drill_back_loop() {
-        let backend: Arc<dyn Backend> = Arc::new(table());
-        let mut s = OwnedSession::new(backend);
-        let first = s.start("(size: , kind: )").unwrap();
-        assert_eq!(first.context_size, 64);
-        // Contexts are canonicalized: attribute order is sorted.
-        assert_eq!(s.context().unwrap().to_string(), "(kind: , size: )");
-        let drilled = s.drill(0, 0).unwrap();
-        assert!(drilled.context_size < 64);
-        assert_eq!(s.depth(), 2);
-        assert_eq!(s.breadcrumbs().len(), 2);
-        assert_eq!(s.try_back().unwrap().context_size, 64);
-        assert_eq!(s.try_back().unwrap_err(), CoreError::AtRoot);
-        assert!(s.drill(9, 9).unwrap_err().to_string().contains("(9, 9)"));
+    fn breadcrumbs_are_the_contexts_of_the_trail() {
+        let mut s = Session::new(table());
+        s.start("(size: , kind: )").unwrap();
+        s.drill(0, 0).unwrap();
+        let abandoned = s.drill(0, 0).unwrap().context.clone();
+        s.try_back().unwrap();
+        s.drill(0, 1).unwrap();
+        let crumbs: Vec<&Query> = s.breadcrumbs().collect();
+        let contexts: Vec<&Query> = s.trail.iter().map(|a| &a.context).collect();
+        assert_eq!(crumbs, contexts);
+        assert_eq!(crumbs.len(), s.depth());
+        assert_eq!(s.depth(), 3);
+        assert_eq!(crumbs[0].to_string(), "(kind: , size: )");
+        // Each level is the segment drilled from the level above it, and
+        // the level that was backed out of is gone.
+        assert_eq!(Some(crumbs[1]), s.trail[0].segment(0, 0));
+        assert_eq!(Some(crumbs[2]), s.trail[1].segment(0, 1));
+        assert_ne!(*crumbs[2], abandoned);
+        assert_eq!(s.context(), Some(crumbs[2]));
     }
 
     #[test]
-    fn owned_session_matches_direct_advisor_bytes() {
-        let t = table();
-        let backend: Arc<dyn Backend> = Arc::new(table());
-        let mut s = OwnedSession::new(backend);
+    fn session_matches_direct_advisor_bytes() {
+        let backend = table();
+        let mut s = Session::new(Arc::clone(&backend));
         let served = s.start("(size: , kind: )").unwrap().clone();
-        let direct = Advisor::new(&t).advise_str("(kind: , size: )").unwrap();
+        let direct = Advisor::new(backend.as_ref())
+            .advise_str("(kind: , size: )")
+            .unwrap();
         assert_eq!(
             format!("{:?}", served.ranked),
             format!("{:?}", direct.ranked)
@@ -429,9 +309,30 @@ mod tests {
     }
 
     #[test]
+    fn a_standalone_session_re_drilling_a_segment_reuses_its_advice() {
+        // No shared cache: the session's own answers for the context it
+        // has already advised on.
+        let backend = table();
+        let mut s = Session::new(Arc::clone(&backend));
+        s.start("(size: , kind: )").unwrap();
+        let first = s.drill(0, 0).unwrap().clone();
+        s.try_back().unwrap();
+        let again = s.drill(0, 0).unwrap().clone();
+        assert!(Arc::ptr_eq(&first, &again));
+        let direct = Advisor::new(backend.as_ref())
+            .advise(first.context.canonicalized())
+            .unwrap();
+        assert_eq!(again.context, direct.context);
+        assert_eq!(
+            format!("{:?}", again.ranked),
+            format!("{:?}", direct.ranked)
+        );
+        assert_eq!(format!("{:?}", again.trace), format!("{:?}", direct.trace));
+    }
+
+    #[test]
     fn repeated_attribute_context_collapses_to_merged_breadcrumb() {
-        let backend: Arc<dyn Backend> = Arc::new(table());
-        let mut s = OwnedSession::new(backend);
+        let mut s = Session::new(table());
         s.start("(size: [0,40], size: [10,99], kind: )").unwrap();
         // The breadcrumb is the analyzed context: merged and canonical.
         assert_eq!(s.context().unwrap().to_string(), "(kind: , size: [10,40])");
@@ -440,8 +341,7 @@ mod tests {
 
     #[test]
     fn unsatisfiable_start_leaves_the_session_unstarted() {
-        let backend: Arc<dyn Backend> = Arc::new(table());
-        let mut s = OwnedSession::new(backend);
+        let mut s = Session::new(table());
         assert_eq!(
             s.start("(size: [0,10], size: [20,30])").unwrap_err(),
             CoreError::UnsatisfiableContext
@@ -458,11 +358,11 @@ mod tests {
     }
 
     #[test]
-    fn owned_sessions_share_advice_through_the_cache() {
-        let backend: Arc<dyn Backend> = Arc::new(table());
+    fn sessions_share_advice_through_the_cache() {
+        let backend = table();
         let cache = Arc::new(crate::cache::AdviceCache::with_shards(4));
-        let mut s1 = OwnedSession::new(Arc::clone(&backend)).with_cache(Arc::clone(&cache));
-        let mut s2 = OwnedSession::new(Arc::clone(&backend)).with_cache(Arc::clone(&cache));
+        let mut s1 = Session::new(Arc::clone(&backend)).with_cache(Arc::clone(&cache));
+        let mut s2 = Session::new(Arc::clone(&backend)).with_cache(Arc::clone(&cache));
         let a1 = s1.start("(kind: , size: )").unwrap().clone();
         // Equivalent but permuted context: must reuse the same entry.
         let a2 = s2.start("(size: , kind: )").unwrap().clone();

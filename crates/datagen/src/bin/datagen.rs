@@ -16,6 +16,8 @@
 //! dictionary), at the cost of re-running the generator once per column.
 //! The two paths produce value-identical files.
 
+#![forbid(unsafe_code)]
+
 use charles_datagen::{generate_and_save, generate_and_save_streaming, DATASET_NAMES};
 use std::process::ExitCode;
 

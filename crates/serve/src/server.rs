@@ -13,7 +13,7 @@
 //! | `GET /healthz` | — | liveness probe |
 //!
 //! Requests are handled by a fixed [`WorkerPool`]; per-session state is
-//! an [`OwnedSession`] behind its own mutex, so requests to different
+//! a [`Session`] behind its own mutex, so requests to different
 //! sessions never serialize on each other and requests to the same
 //! session are ordered. All advice flows through the shared cache:
 //! N sessions asking for the same canonical context cost one HB-cuts
@@ -25,7 +25,7 @@ use crate::json::{
     cache_stats_body, encode_error, encode_error_with_diagnostics, info_body, metrics_body,
     served_advice, session_body, HEALTH_BODY,
 };
-use charles_core::{Advice, AdviceCache, Config, CoreError, OwnedSession};
+use charles_core::{Advice, AdviceCache, Config, CoreError, Session};
 use charles_parallel::WorkerPool;
 use charles_sdl::{Diagnostic, DiagnosticCode, SdlError};
 use charles_store::{Backend, DiskTable};
@@ -238,7 +238,7 @@ pub(crate) struct ServerState {
     backend: Arc<dyn Backend>,
     advisor_config: Config,
     cache: Arc<AdviceCache>,
-    sessions: Mutex<HashMap<String, Arc<Mutex<OwnedSession>>>>,
+    sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
     next_id: AtomicU64,
     max_sessions: usize,
     /// Advice-cache shard count and entry bound (0 = unbounded),
@@ -572,16 +572,35 @@ fn accept_loop(
                 .insert(conn_id, clone);
         }
         pool.execute(move || {
+            let _registered = Registered {
+                state: &state,
+                conn_id,
+            };
             match kind {
                 ConnKind::Http => handle_connection(stream, &state, timeout, max_requests),
                 ConnKind::Wire => crate::wire::handle_wire_connection(stream, &state, timeout),
             }
-            state
-                .conns
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .remove(&conn_id);
         });
+    }
+}
+
+/// A connection's entry in [`ServerState::conns`], removed when this
+/// drops: on the handler's return and on its unwind alike. The pool
+/// contains a panicking job, so a `remove` written after the handler
+/// would not run and the cloned socket — one fd, one map entry — would
+/// stay until shutdown.
+struct Registered<'a> {
+    state: &'a ServerState,
+    conn_id: u64,
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        self.state
+            .conns
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .remove(&self.conn_id);
     }
 }
 
@@ -826,7 +845,7 @@ pub(crate) fn api_create_session(state: &ServerState, body: &str) -> Result<ApiO
         },
         Some(rel) => state.dataset(rel)?,
     };
-    let mut session = OwnedSession::with_config(dataset.backend, state.advisor_config.clone())
+    let mut session = Session::with_config(dataset.backend, state.advisor_config.clone())
         .with_cache(dataset.cache);
     let advice = match session.start(sdl) {
         Ok(advice) => Arc::clone(advice),
@@ -871,11 +890,7 @@ pub(crate) fn api_session_info(state: &ServerState, id: &str) -> Result<ApiOk, A
         Ok(ApiOk::Info {
             id: id.to_string(),
             depth: session.depth(),
-            breadcrumbs: session
-                .breadcrumbs()
-                .iter()
-                .map(|q| q.to_string())
-                .collect(),
+            breadcrumbs: session.breadcrumbs().map(|q| q.to_string()).collect(),
             advice,
         })
     })
@@ -930,7 +945,7 @@ fn no_such_session(id: &str) -> ApiError {
 /// lock is released first, so sessions never serialize on each other).
 fn with_session<F>(state: &ServerState, id: &str, f: F) -> Result<ApiOk, ApiError>
 where
-    F: FnOnce(&str, &mut OwnedSession) -> Result<ApiOk, ApiError>,
+    F: FnOnce(&str, &mut Session) -> Result<ApiOk, ApiError>,
 {
     let session = state
         .sessions
@@ -1102,6 +1117,30 @@ mod tests {
         assert_eq!(status, 204);
         let (status, _) = route(&st, &get("/session/s1"));
         assert_eq!(status, 404);
+    }
+
+    #[test]
+    fn a_connection_leaves_the_registry_when_its_handler_returns_or_panics() {
+        let st = state();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        for (conn_id, panics) in [(1, false), (2, true)] {
+            let stream = TcpStream::connect(addr).unwrap();
+            st.conns.lock().unwrap().insert(conn_id, stream);
+            // What the pool does with a job: run it, contain its panic.
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _registered = Registered {
+                    state: &st,
+                    conn_id,
+                };
+                assert!(st.conns.lock().unwrap().contains_key(&conn_id));
+                if panics {
+                    panic!("a handler bug");
+                }
+            }));
+            assert_eq!(outcome.is_err(), panics);
+            assert!(st.conns.lock().unwrap().is_empty(), "panics: {panics}");
+        }
     }
 
     #[test]

@@ -1279,7 +1279,10 @@ pub(crate) fn handle_wire_connection(stream: TcpStream, state: &ServerState, tim
 
     let (resp_tx, resp_rx) = mpsc::sync_channel::<Vec<u8>>(PIPELINE_DEPTH);
     let (recycle_tx, recycle_rx) = mpsc::channel::<Vec<u8>>();
-    let writer_thread = std::thread::spawn(move || {
+    // `std::thread::spawn` panics when the OS refuses a thread; a
+    // connection that cannot have its writer is closed instead (the
+    // refused closure drops the socket's write half with it).
+    let spawned = std::thread::Builder::new().spawn(move || {
         let mut writer = writer;
         let mut batch: Vec<u8> = Vec::new();
         while let Ok(frame) = resp_rx.recv() {
@@ -1303,6 +1306,9 @@ pub(crate) fn handle_wire_connection(stream: TcpStream, state: &ServerState, tim
             }
         }
     });
+    let Ok(writer_thread) = spawned else {
+        return;
+    };
 
     let mut scratch: Vec<u8> = Vec::new();
     loop {

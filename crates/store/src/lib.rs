@@ -75,7 +75,7 @@ pub use disk::{write_table, DiskTable, StreamWriter};
 pub use error::{StoreError, StoreResult};
 pub use predicate::{RangePred, SetPred, StorePredicate};
 pub use rowstore::{Row, RowTable};
-pub use sample::{bernoulli_sample, reservoir_sample};
+pub use sample::reservoir_sample;
 pub use schema::{ColumnMeta, Schema};
 pub use stats::{exact_median, quantile_value, FrequencyTable};
 pub use table::Table;

@@ -26,21 +26,6 @@ pub fn reservoir_sample(sel: &Bitmap, k: usize, rng: &mut impl Rng) -> Vec<usize
     reservoir
 }
 
-/// Bernoulli sampling: keep each selected row independently with
-/// probability `p`. Returns a sub-bitmap of `sel`.
-pub fn bernoulli_sample(sel: &Bitmap, p: f64, rng: &mut impl Rng) -> Bitmap {
-    let mut out = Bitmap::new(sel.len());
-    if p <= 0.0 {
-        return out;
-    }
-    for idx in sel.iter_ones() {
-        if p >= 1.0 || rng.gen_bool(p) {
-            out.set(idx);
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,24 +82,5 @@ mod tests {
                 "row {i} sampled {h} times, expected ~{expected}"
             );
         }
-    }
-
-    #[test]
-    fn bernoulli_bounds() {
-        let sel = Bitmap::ones(500);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(bernoulli_sample(&sel, 0.0, &mut rng).count_ones(), 0);
-        assert_eq!(bernoulli_sample(&sel, 1.0, &mut rng).count_ones(), 500);
-        let half = bernoulli_sample(&sel, 0.5, &mut rng).count_ones();
-        assert!((150..=350).contains(&half), "got {half}");
-    }
-
-    #[test]
-    fn bernoulli_respects_selection() {
-        let sel = Bitmap::from_indices(100, [10, 20, 30]);
-        let mut rng = StdRng::seed_from_u64(1);
-        let out = bernoulli_sample(&sel, 1.0, &mut rng);
-        assert!(out.is_subset_of(&sel));
-        assert_eq!(out.count_ones(), 3);
     }
 }

@@ -17,10 +17,6 @@ pub mod codes {
     /// Ambient clock read (`Instant::now` / `SystemTime::now`) in the
     /// deterministic core.
     pub const CLOCK: &str = "clock";
-    /// `unsafe` in a module outside the committed allowlist.
-    pub const UNSAFE_MODULE: &str = "unsafe_module";
-    /// `unsafe` block/fn/impl without an adjacent `// SAFETY:` comment.
-    pub const UNSAFE_UNDOCUMENTED: &str = "unsafe_undocumented";
     /// Mutex guard binding live across a blocking I/O call in the same
     /// block scope.
     pub const LOCK_IO: &str = "lock_io";
@@ -41,8 +37,6 @@ pub mod codes {
         PANIC,
         PANIC_REACHABLE,
         CLOCK,
-        UNSAFE_MODULE,
-        UNSAFE_UNDOCUMENTED,
         LOCK_IO,
         SPEC_DRIFT,
         README_DRIFT,

@@ -15,7 +15,6 @@
 //! | `panic` | no panicking calls in protected request/selection files |
 //! | `panic_reachable` | no panics reachable from serve's entry fns |
 //! | `clock` | no ambient clock reads in the deterministic core |
-//! | `unsafe_module` / `unsafe_undocumented` | unsafe is allowlisted and argued |
 //! | `lock_io` | no mutex guard held across blocking I/O in serve |
 //! | `spec_drift` / `readme_drift` | wire consts + error codes match `docs/lint/registry.txt` and the README |
 //! | `api_snapshot` | `pub` surface matches `docs/api/<crate>.txt` |
@@ -60,7 +59,6 @@ pub fn run_lint_on(ws: &WorkspaceFiles) -> Vec<Diagnostic> {
     passes::panics::check_direct(ws, &mut raw);
     passes::panics::check_reachable(ws, &mut raw);
     passes::clocks::check(ws, &mut raw);
-    passes::unsafe_audit::check(ws, &mut raw);
     passes::locks::check(ws, &mut raw);
     passes::spec::check(ws, &mut raw);
     passes::api::check(ws, &mut raw);

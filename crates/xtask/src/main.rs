@@ -12,6 +12,8 @@
 //! clean — so CI can both gate on the exit code and upload the output.
 //! The rules themselves are documented in `docs/LINTS.md`.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 fn main() -> ExitCode {

@@ -102,9 +102,6 @@ pub struct SourceFile {
     pub suppressions: Vec<Suppression>,
     /// Per-token: inside a test-scoped item.
     in_test: Vec<bool>,
-    /// Per-line (1-based): the line carries a token that is neither a
-    /// comment nor part of an attribute.
-    line_has_code: Vec<bool>,
 }
 
 impl SourceFile {
@@ -115,26 +112,9 @@ impl SourceFile {
             toks: &toks,
             items: Vec::new(),
             in_test: vec![false; toks.len()],
-            attr_toks: vec![false; toks.len()],
         };
         p.items(0, toks.len(), &[], false, None);
-        let Parser {
-            items,
-            in_test,
-            attr_toks,
-            ..
-        } = p;
-        let n_lines = toks
-            .last()
-            .map_or(0, |t| t.line as usize + src.matches('\n').count() + 1);
-        let mut line_has_code = vec![false; n_lines + 2];
-        for (i, t) in toks.iter().enumerate() {
-            if t.kind != TokKind::Comment && !attr_toks[i] {
-                if let Some(slot) = line_has_code.get_mut(t.line as usize) {
-                    *slot = true;
-                }
-            }
-        }
+        let Parser { items, in_test, .. } = p;
         // A suppression is a plain `//` line comment whose body *starts*
         // with the marker — doc comments or prose that merely mention
         // `lint:allow(...)` mid-sentence are not suppressions.
@@ -163,21 +143,12 @@ impl SourceFile {
             items,
             suppressions,
             in_test,
-            line_has_code,
         }
     }
 
     /// Is token `i` inside a `#[cfg(test)]` / `#[test]` scope?
     pub fn is_test_tok(&self, i: usize) -> bool {
         self.in_test.get(i).copied().unwrap_or(false)
-    }
-
-    /// Does `line` carry real code (not just comments/attributes)?
-    pub fn line_has_code(&self, line: u32) -> bool {
-        self.line_has_code
-            .get(line as usize)
-            .copied()
-            .unwrap_or(false)
     }
 
     /// The suppression on `line` for `code`, if any.
@@ -192,7 +163,6 @@ struct Parser<'a> {
     toks: &'a [Tok],
     items: Vec<Item>,
     in_test: Vec<bool>,
-    attr_toks: Vec<bool>,
 }
 
 impl<'a> Parser<'a> {
@@ -296,9 +266,6 @@ impl<'a> Parser<'a> {
                 return i + 1;
             }
             let past = self.skip_matched(bracket_at, end, '[', ']');
-            for j in i..past {
-                self.attr_toks[j] = true;
-            }
             // `#[test]`, `#[cfg(test)]`, `#[cfg(all(test, …))]` — any
             // `test` ident inside the attribute marks the item.
             attr_test |= self.toks[i..past]
@@ -867,16 +834,5 @@ mod tests {
             .items
             .iter()
             .any(|i| i.kind == ItemKind::Static && i.name == "Y"));
-    }
-
-    #[test]
-    fn line_has_code_ignores_comments_and_attrs() {
-        let f = SourceFile::parse(
-            "x.rs",
-            "// just a comment\n#[allow(dead_code)]\nfn f() {}\n",
-        );
-        assert!(!f.line_has_code(1));
-        assert!(!f.line_has_code(2));
-        assert!(f.line_has_code(3));
     }
 }

@@ -7,7 +7,6 @@ pub mod clocks;
 pub mod locks;
 pub mod panics;
 pub mod spec;
-pub mod unsafe_audit;
 
 use crate::lexer::{Tok, TokKind};
 use crate::model::SourceFile;

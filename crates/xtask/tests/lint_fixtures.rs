@@ -92,60 +92,6 @@ fn clock_fixture_fires_in_the_core() {
 }
 
 #[test]
-fn unsafe_module_fixture_fires_outside_the_allowlist() {
-    let diags = lint_workspace(
-        "unsafe-module",
-        &[(
-            "crates/serve/src/peek.rs",
-            include_str!("fixtures/unsafe_module.rs"),
-        )],
-    );
-    assert!(
-        has(&diags, codes::UNSAFE_MODULE, "crates/serve/src/peek.rs", 7),
-        "expected unsafe_module at peek.rs:7, got: {diags:?}"
-    );
-    // The SAFETY comment is present, so the documentation rule is quiet.
-    assert!(!diags.iter().any(|d| d.code == codes::UNSAFE_UNDOCUMENTED));
-}
-
-#[test]
-fn unsafe_undocumented_fixture_fires_only_on_the_distant_comment() {
-    let diags = lint_workspace(
-        "unsafe-undoc",
-        &[(
-            "crates/store/src/raw.rs",
-            include_str!("fixtures/unsafe_undocumented.rs"),
-        )],
-    );
-    assert!(
-        has(
-            &diags,
-            codes::UNSAFE_UNDOCUMENTED,
-            "crates/store/src/raw.rs",
-            9
-        ),
-        "expected unsafe_undocumented at raw.rs:9, got: {diags:?}"
-    );
-    // Same-line trailing SAFETY comment on line 13 passes.
-    assert!(!has(
-        &diags,
-        codes::UNSAFE_UNDOCUMENTED,
-        "crates/store/src/raw.rs",
-        13
-    ));
-    // The allowlist is empty, so both blocks are outside it, documented
-    // or not.
-    for line in [9, 13] {
-        assert!(has(
-            &diags,
-            codes::UNSAFE_MODULE,
-            "crates/store/src/raw.rs",
-            line
-        ));
-    }
-}
-
-#[test]
 fn lock_io_fixture_fires_on_the_live_guard_only() {
     let diags = lint_workspace(
         "lock-io",

@@ -11,9 +11,10 @@
 //! compares the paper's default median cuts with the §5.2 quantile
 //! extension on the skewed redshift column, and prints the HB-cuts trace.
 
-use charles::advisor::{homogeneity, quantile_cut_query, surprise, Explorer, StopReason};
+use charles::advisor::{Explorer, StopReason};
 use charles::viz::{segment_rows, segment_sparklines, stacked_bar, treemap};
 use charles::{astro_table, Advisor, Config, Query, Segmentation};
+use charles_bench::{homogeneity, quantile_cut_query, surprise};
 
 fn main() {
     let sky = astro_table(50_000, 7);

@@ -12,6 +12,7 @@
 use charles::sdl::query_to_sql;
 use charles::store::DataType;
 use charles::{Advisor, Session, TableBuilder, Value};
+use std::sync::Arc;
 
 fn main() {
     // 1. A relation. In real use this comes from CSV (`read_csv_str`) or
@@ -73,7 +74,7 @@ fn main() {
 
     // 4. Drill down: take the first segment of the best answer as the new
     //    context and ask again.
-    let mut session = Session::new(&table);
+    let mut session = Session::new(Arc::new(table));
     session
         .start("(type_of_boat: , tonnage: , departure_harbour: )")
         .expect("context parses");

@@ -17,13 +17,14 @@ use charles::viz::{context_panel, multi_level_pie, render_panel, PieLevel};
 use charles::{voc_table, Session};
 use charles_sdl::{eval, segmentation_to_sql};
 use std::io::{BufRead, Write};
+use std::sync::Arc;
 
 const CONTEXT: &str = "(type_of_boat: , tonnage: , departure_harbour: , cape_arrival: , built: )";
 
 fn main() {
     let interactive = std::env::args().any(|a| a == "-i" || a == "--interactive");
-    let ships = voc_table(20_000, 1713);
-    let mut session = Session::new(&ships);
+    let ships = Arc::new(voc_table(20_000, 1713));
+    let mut session = Session::new(ships.clone());
     session.start(CONTEXT).expect("context parses");
 
     if interactive {
@@ -34,7 +35,7 @@ fn main() {
 }
 
 /// Non-interactive guided tour: show the panel, drill once, show again.
-fn tour(ships: &charles::Table, session: &mut Session<'_>) {
+fn tour(ships: &charles::Table, session: &mut Session) {
     let advice = session.current().expect("started");
     println!("{}", context_panel(&advice.context));
     println!(
@@ -78,7 +79,7 @@ fn tour(ships: &charles::Table, session: &mut Session<'_>) {
     println!("run with -i for the interactive version");
 }
 
-fn repl(ships: &charles::Table, session: &mut Session<'_>) {
+fn repl(ships: &charles::Table, session: &mut Session) {
     let stdin = std::io::stdin();
     let mut selected = 0usize;
     loop {

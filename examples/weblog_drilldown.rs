@@ -13,13 +13,14 @@
 //! agreement plus the operation counts.
 
 use charles::{weblog_table, Advisor, Config, MedianStrategy, Session};
+use std::sync::Arc;
 
 fn main() {
-    let log = weblog_table(100_000, 404);
+    let log = Arc::new(weblog_table(100_000, 404));
     println!("web log: {} requests\n", log.len());
 
     // Triage step 1: the whole log.
-    let mut session = Session::new(&log);
+    let mut session = Session::new(log.clone());
     let advice = session
         .start("(section: , status: , latency_ms: , country: , hour: )")
         .expect("context parses");
@@ -39,7 +40,7 @@ fn main() {
     }
 
     // Triage step 2: drill into the server errors.
-    let errors = Advisor::new(&log)
+    let errors = Advisor::new(log.as_ref())
         .advise_str("(status: {500}, section: , latency_ms: , country: )")
         .expect("context parses");
     println!("\n=== the 500s ({} requests) ===", errors.context_size);
@@ -57,10 +58,10 @@ fn main() {
     // Step 3: exact vs sampled medians (§5.2) on the same context.
     println!("\n=== exact vs sampled medians ===");
     let context = "(latency_ms: , bytes: , hour: )";
-    let exact_advisor = Advisor::new(&log);
+    let exact_advisor = Advisor::new(log.as_ref());
     let exact = exact_advisor.advise_str(context).expect("parses");
     let sampled_advisor = Advisor::with_config(
-        &log,
+        log.as_ref(),
         Config::default().with_median(MedianStrategy::Sampled {
             size: 1024,
             seed: 7,

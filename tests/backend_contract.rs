@@ -309,8 +309,9 @@ fn failed_resolution_of_a_composed_candidate_is_one_err_and_consumes_nothing() {
 /// shipped backend.
 mod contract_harness {
     use super::{common, FusedBackend};
-    use charles::advisor::{cut_query, cut_segmentation, quantile_cut_segmentation, Explorer};
+    use charles::advisor::{cut_query, cut_segmentation, Explorer};
     use charles::{voc_table, Advisor, Config, Query, Segmentation, Table};
+    use charles_bench::quantile_cut_segmentation;
     use charles_store::disk::write_table;
     use charles_store::{
         Backend, Bitmap, DataType, DiskTable, Row, RowTable, StoreError, StorePredicate,
@@ -804,8 +805,8 @@ fn homogeneity_and_surprise_propagate_backend_errors() {
     fused.budget.store(0, Ordering::Relaxed); // kill the backend now
                                               // Cached selections may still satisfy some calls; fresh backend work
                                               // must error.
-    let h = charles::advisor::homogeneity(&ex, &best);
-    let s = charles::advisor::surprise(&ex, &best);
+    let h = charles_bench::homogeneity(&ex, &best);
+    let s = charles_bench::surprise(&ex, &best);
     assert!(
         h.is_err() || s.is_err(),
         "diagnostics ignored a dead backend"

@@ -1,12 +1,12 @@
 //! Full-stack integration: the advisor over every dataset and backend.
 
-use charles::advisor::baselines::{facet_segmentations, random_segmentations, RandomOptions};
 use charles::advisor::Explorer;
 use charles::viz::{render_panel, segment_rows};
 use charles::{
     astro_table, read_csv_str, voc_table, weblog_table, write_csv_string, Advisor, Config, Query,
     RowTable, Session,
 };
+use charles_bench::baselines::{facet_segmentations, random_segmentations, RandomOptions};
 
 #[test]
 fn advisor_works_on_all_three_demo_datasets() {
@@ -76,8 +76,7 @@ fn csv_round_trip_preserves_advice() {
 
 #[test]
 fn session_drills_to_exhaustion_or_depth_five() {
-    let t = voc_table(5_000, 6);
-    let mut s = Session::new(&t);
+    let mut s = Session::new(std::sync::Arc::new(voc_table(5_000, 6)));
     s.start("(type_of_boat: , tonnage: , departure_harbour: , built: )")
         .unwrap();
     let mut sizes = vec![s.current().unwrap().context_size];

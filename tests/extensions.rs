@@ -2,13 +2,14 @@
 //! modules (homogeneity, surprise, sparklines, multi-level pies, adaptive
 //! cuts, lazy generation) working together on realistic data.
 
-use charles::advisor::baselines::{random_segmentations, RandomOptions};
-use charles::advisor::{
-    adaptive_segmentations, homogeneity, quantile_cut_segmentation, rank_by_surprise, surprise,
-    AdaptiveOptions, Explorer, LazyGenerator,
-};
+use charles::advisor::{Explorer, LazyGenerator};
 use charles::viz::{multi_level_pie, segment_sparklines, PieLevel};
 use charles::{astro_table, voc_table, Config, MedianStrategy, Query, Segmentation};
+use charles_bench::baselines::{random_segmentations, RandomOptions};
+use charles_bench::{
+    adaptive_segmentations, homogeneity, quantile_cut_segmentation, rank_by_surprise, surprise,
+    AdaptiveOptions,
+};
 
 #[test]
 fn homogeneity_of_hbcuts_beats_random_on_voc() {

@@ -12,8 +12,9 @@
 //! thread), so one process can run both paths and compare. CI also runs
 //! the core, store and facade suites whole under `CHARLES_NUM_THREADS=1`.
 
-use charles::advisor::{adaptive_segmentations, hb_cuts, AdaptiveOptions, Explorer};
+use charles::advisor::{hb_cuts, Explorer};
 use charles::{voc_table, weblog_table, Advisor, Config, Query, Ranked};
+use charles_bench::{adaptive_segmentations, AdaptiveOptions};
 
 /// Render a ranked result list into an exactly-comparable form:
 /// segmentation text plus the raw bits of every float score.

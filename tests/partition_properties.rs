@@ -7,8 +7,9 @@
 //! * the SDL parser round-trips whatever the display prints;
 //! * covers sum to 1 over any partition.
 
-use charles::advisor::{cut_segmentation, hb_cuts, indep, quantile_cut_segmentation, Explorer};
+use charles::advisor::{cut_segmentation, hb_cuts, indep, Explorer};
 use charles::{Config, Query, Segmentation, TableBuilder, Value};
+use charles_bench::quantile_cut_segmentation;
 use charles_sdl::{parse_query, parse_segmentation};
 use charles_store::DataType;
 use proptest::prelude::*;
