@@ -8,15 +8,18 @@
 //! Selections reach their consumers two ways. A query that CUT has just
 //! derived travels as a `Piece`: the query plus its derivation — the
 //! parent's bitmap and the one conjunct that narrows it — so its bitmap
-//! is `parent ∧ scan(conjunct)`, one column scan, computed when the
-//! piece is first needed. When CUT's statistics covered every row of the
-//! parent (no null, no NaN in the cut attribute) its two halves partition
-//! the parent, and the pair costs one scan: the right half is what the
-//! left leaves, `parent ∧ ¬left`, an AND-NOT over words already held
-//! (`Piece::halves`). That is the definition of a conjunction and of a
-//! partition, not a cache, and no switch turns it off. Any other query
-//! goes through
-//! [`Explorer::selection`], which evaluates the whole conjunction and
+//! is `parent ∧ scan(conjunct)`, computed when the piece is first needed
+//! as the backend's `And[Rows(parent), conjunct]`: one scan, which reads
+//! only the rows the parent holds, not the whole column. When CUT's
+//! statistics covered every row of the parent (no null, no NaN in the cut
+//! attribute) its two halves partition the parent, and the pair costs one
+//! scan: the right half is what the left leaves, `parent ∧ ¬left`, an
+//! AND-NOT over words already held (`Piece::halves`). That is the
+//! definition of a conjunction and of a partition, not a cache, and no
+//! switch turns it off. Any other query goes through
+//! [`Explorer::selection`], which evaluates the whole conjunction within
+//! the context's extent (`And[Rows(context), …]`, each conjunct reading
+//! only the rows left by the ones before it) and
 //! memoizes the result by the rendered query — half of the §5.1
 //! optimization ("the calculations of SDL products and entropy can be
 //! reused from one iteration to the next"); the other half, pair INDEP
@@ -27,7 +30,7 @@
 use crate::config::{Config, MedianStrategy};
 use crate::error::{CoreError, CoreResult};
 use charles_sdl::{eval, Constraint, Query, Segmentation};
-use charles_store::{Backend, Bitmap, CutStats};
+use charles_store::{Backend, Bitmap, CutStats, StorePredicate};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -248,7 +251,8 @@ impl<'a> Explorer<'a> {
     }
 
     /// Materialise (and cache) the selection of a query, intersected with
-    /// the context extent. The context's own selection is its extent.
+    /// the context extent — evaluated within it, so no conjunct reads a
+    /// row outside the context. The context's own selection is its extent.
     pub fn selection(&self, q: &Query) -> CoreResult<Arc<Bitmap>> {
         if *q == self.context {
             self.caches().stats.sel_hits += 1;
@@ -264,9 +268,11 @@ impl<'a> Explorer<'a> {
                 return Ok(bm);
             }
         }
-        let mut sel = eval::selection(q, self.backend)?;
-        sel.and_inplace(&self.context_sel);
-        let arc = Arc::new(sel);
+        let within = StorePredicate::and(vec![
+            StorePredicate::Rows(Arc::clone(&self.context_sel)),
+            eval::lower(q),
+        ]);
+        let arc = Arc::new(self.backend.eval(&within)?);
         let mut caches = self.caches();
         caches.stats.sel_misses += 1;
         if let Some(key) = key {
@@ -276,10 +282,10 @@ impl<'a> Explorer<'a> {
     }
 
     /// A piece's selection. For a derived piece that is one scan of the
-    /// narrowing conjunct and one AND with the parent, whose handle is
-    /// the caller's to drop with the piece; for the right half of a
-    /// partitioning cut whose left half has been materialised, one
-    /// AND-NOT and no scan.
+    /// narrowing conjunct within the parent — it reads the parent's rows
+    /// only — into a bitmap whose handle is the caller's to drop with the
+    /// piece; for the right half of a partitioning cut whose left half
+    /// has been materialised, one AND-NOT and no scan.
     pub(crate) fn materialise(&self, piece: &Piece) -> CoreResult<Arc<Bitmap>> {
         let (parent, conjunct, pair) = match &piece.sel {
             PieceSelection::Ready(sel) => return Ok(Arc::clone(sel)),
@@ -297,9 +303,10 @@ impl<'a> Explorer<'a> {
             Some(left) => parent.and_not(left),
             None => {
                 let narrowing = &piece.query.predicates()[conjunct];
-                let mut sel = self.backend.eval(&eval::lower_predicate(narrowing))?;
-                sel.and_inplace(parent);
-                sel
+                self.backend.eval(&StorePredicate::and(vec![
+                    StorePredicate::Rows(Arc::clone(parent)),
+                    eval::lower_predicate(narrowing),
+                ]))?
             }
         };
         let sel = Arc::new(sel);

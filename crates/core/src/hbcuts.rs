@@ -38,8 +38,9 @@
 //! carried the same way: a candidate is *resolved* once, when it is
 //! created — its pieces' selections and its entropy (`indep::Resolved`;
 //! each piece arrives from CUT as its parent's bitmap plus the one
-//! conjunct that narrows it, so resolving it is one scan, fanned out,
-//! and none for the right half of a cut that partitions its parent) —
+//! conjunct that narrows it, so resolving it is one scan of the parent's
+//! rows, fanned out, and none for the right half of a cut that
+//! partitions its parent) —
 //! so an evaluation is two field reads and one AND-count grid, in a
 //! plain loop, the final scores read the same entropies, and COMPOSE
 //! cuts on from the same bitmaps: the loop never asks the explorer for

@@ -15,8 +15,8 @@
 //!
 //! The callers in the HB-cuts run are the seed fan-out (one CUT per
 //! context attribute, each resolved for INDEP) and the resolution of a
-//! new composition (one column scan per piece, or per pair of halves
-//! that partition their parent): few elements, each coarse, which is
+//! new composition (one scan of its parent's rows per piece, or per pair
+//! of halves that partition their parent): few elements, each coarse, which is
 //! the shape this order-preserving map is for. The INDEP frontier itself is a plain loop: over resolved
 //! candidates a probe is a handful of bitmap AND-counts, far below what
 //! a thread spawn costs.

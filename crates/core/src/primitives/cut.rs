@@ -17,8 +17,9 @@
 //! CUT works on *(query, selection)* pairs (`Piece`): it already holds
 //! `R(Q)` when it splits `Q` — it has just taken the median over it — so
 //! each half leaves as `R(Q)` plus the one constraint that narrows it,
-//! and its bitmap costs one column scan and one AND when somebody first
-//! needs it, instead of a scan per conjunct of the half's whole query.
+//! and its bitmap costs one scan of that constraint within `R(Q)` when
+//! somebody first needs it — a walk of `R(Q)`'s rows, not of the whole
+//! column — instead of a scan per conjunct of the half's whole query.
 //!
 //! One pass per cut, twice over. The statistics of a numeric cut — min,
 //! max, exact median — come from one walk of `R(Q)`

@@ -21,20 +21,24 @@ use crate::value::Value;
 /// The paper's workload taxonomy (§5.1) is "counts over predicates and
 /// median calculations": `counts` tallies the former as a logical
 /// operation in its own right, while `scans` counts physical passes
-/// over a column: one per leaf predicate evaluated (a `count` issues
+/// over a column: one per range or set leaf evaluated (a `count` issues
 /// those too, so the two move together but measure different layers)
 /// and one per `frequencies` call, which walks the column under a
-/// selection just as a scan does. A selection the advisor obtains
-/// without a predicate — a cut's second half taken as what the first
-/// half leaves of their parent, an AND-NOT over words it already holds
-/// — is no pass over any column and counts as nothing here.
-/// (`RowTable` has no columns to pass over: it counts one scan per
-/// `eval`, whatever the conjunction.)
+/// selection just as a scan does. A leaf evaluated after others in a
+/// conjunction still counts one, though it reads only the rows they
+/// left — so `scans` counts passes, not rows read. A selection the
+/// advisor obtains without a column — a [`StorePredicate::Rows`] leaf,
+/// or a cut's second half taken as what the first half leaves of their
+/// parent, an AND-NOT over words it already holds — is no pass over any
+/// column and counts as nothing here. (`RowTable` has no columns to pass
+/// over: it counts one scan per `eval`, whatever the conjunction.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
-    /// Number of column passes executed: one per leaf range or set
-    /// predicate evaluated, and one per `frequencies` call; none for a
-    /// selection derived as the complement of another.
+    /// Number of column passes executed: one per range or set leaf
+    /// evaluated — over its whole column, or over the rows the leaves
+    /// before it in a conjunction left — and one per `frequencies` call;
+    /// none for a `Rows` leaf or a selection derived as the complement
+    /// of another.
     pub scans: u64,
     /// Number of `count` operations answered (the paper's "counts over
     /// predicates" metric).
@@ -97,6 +101,65 @@ impl CutStats {
 /// `DiskTable::column` may fault with `Io`/`Corrupt` on first touch.)
 macro_rules! impl_dense_backend {
     ($ty:ty) => {
+        impl $ty {
+            /// `R(pred)`, or `within ∧ R(pred)` reading only the rows of
+            /// `within`: a conjunction evaluates its first leaf as it
+            /// stands and each later one within what the leaves before
+            /// it left, so a range or set leaf after the first walks
+            /// that selection instead of its whole column.
+            fn eval_within(
+                &self,
+                pred: &$crate::predicate::StorePredicate,
+                within: Option<$crate::bitmap::Bitmap>,
+            ) -> $crate::error::StoreResult<$crate::bitmap::Bitmap> {
+                use $crate::predicate::StorePredicate;
+                match pred {
+                    StorePredicate::True => Ok(within.unwrap_or_else(|| self.all_rows())),
+                    StorePredicate::Range(r) => {
+                        self.scans
+                            .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
+                        $crate::predicate::eval_range(self.column(&r.column)?, r, within)
+                    }
+                    StorePredicate::Set(s) => {
+                        self.scans
+                            .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
+                        $crate::predicate::eval_set(self.column(&s.column)?, s, within)
+                    }
+                    // A selection already held: no pass over any column.
+                    StorePredicate::Rows(rows) => {
+                        if rows.len() != self.rows {
+                            return Err($crate::error::StoreError::LengthMismatch {
+                                left: rows.len(),
+                                right: self.rows,
+                            });
+                        }
+                        Ok(match within {
+                            Some(mut sel) => {
+                                sel.and_inplace(rows);
+                                sel
+                            }
+                            None => $crate::bitmap::Bitmap::clone(rows),
+                        })
+                    }
+                    StorePredicate::And(ps) => {
+                        let mut acc = within;
+                        for p in ps {
+                            let sel = self.eval_within(p, acc.take())?;
+                            // Early exit on empty intermediate selections:
+                            // common in product cells of nearly dependent
+                            // segmentations.
+                            let empty = sel.none();
+                            acc = Some(sel);
+                            if empty {
+                                break;
+                            }
+                        }
+                        Ok(acc.unwrap_or_else(|| self.all_rows()))
+                    }
+                }
+            }
+        }
+
         impl $crate::backend::Backend for $ty {
             fn row_count(&self) -> usize {
                 self.rows
@@ -110,44 +173,7 @@ macro_rules! impl_dense_backend {
                 &self,
                 pred: &$crate::predicate::StorePredicate,
             ) -> $crate::error::StoreResult<$crate::bitmap::Bitmap> {
-                use $crate::predicate::StorePredicate;
-                match pred {
-                    StorePredicate::True => Ok(self.all_rows()),
-                    StorePredicate::Range(r) => {
-                        self.scans
-                            .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                        $crate::predicate::eval_range(self.column(&r.column)?, r)
-                    }
-                    StorePredicate::Set(s) => {
-                        self.scans
-                            .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                        $crate::predicate::eval_set(self.column(&s.column)?, s)
-                    }
-                    StorePredicate::And(ps) => {
-                        let mut acc: Option<$crate::bitmap::Bitmap> = None;
-                        for p in ps {
-                            let sel = $crate::backend::Backend::eval(self, p)?;
-                            acc = Some(match acc {
-                                None => sel,
-                                Some(mut a) => {
-                                    a.and_inplace(&sel);
-                                    a
-                                }
-                            });
-                            // Early exit on empty intermediate selections:
-                            // common in product cells of nearly dependent
-                            // segmentations.
-                            if acc
-                                .as_ref()
-                                .map($crate::bitmap::Bitmap::none)
-                                .unwrap_or(false)
-                            {
-                                break;
-                            }
-                        }
-                        Ok(acc.unwrap_or_else(|| self.all_rows()))
-                    }
-                }
+                self.eval_within(pred, None)
             }
 
             fn count(

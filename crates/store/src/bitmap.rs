@@ -119,6 +119,19 @@ impl Bitmap {
         }
     }
 
+    /// Narrow in place, one word at a time: each word that has a bit set
+    /// keeps what `keep(word_index, word)` returns of it; an empty word is
+    /// not visited. The restricted scan kernel narrows a selection this
+    /// way, and the tail beyond `len` stays clear because bits are only
+    /// ever cleared.
+    pub(crate) fn narrow_words(&mut self, mut keep: impl FnMut(usize, u64) -> u64) {
+        for (w, word) in self.words.iter_mut().enumerate() {
+            if *word != 0 {
+                *word &= keep(w, *word);
+            }
+        }
+    }
+
     /// In-place intersection with another bitmap of the same length.
     pub fn and_inplace(&mut self, other: &Bitmap) {
         assert_eq!(self.len, other.len, "bitmap length mismatch");

@@ -1,14 +1,22 @@
 //! Storage-level predicates.
 //!
 //! These are the *physical* counterparts of SDL constraints: a range scan,
-//! a set-membership scan, or a conjunction of those. The SDL crate lowers
-//! its language-level predicates into [`StorePredicate`]s; the table
-//! evaluates them into selection [`Bitmap`]s.
+//! a set-membership scan, the rows of a selection already held, or a
+//! conjunction of those. The SDL crate lowers its language-level
+//! predicates into [`StorePredicate`]s; the table evaluates them into
+//! selection [`Bitmap`]s.
+//!
+//! A leaf evaluated on its own is one pass over its column. A range or
+//! set leaf evaluated after others in a conjunction reads only the rows
+//! they left: the kernel below walks that selection, so a piece narrowed
+//! from its parent (`And[Rows(parent), conjunct]`) costs what the parent
+//! holds, not what the table does.
 
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
 use crate::error::{StoreError, StoreResult};
 use crate::value::Value;
+use std::sync::Arc;
 
 /// A range constraint `lo ≤ x ≤ hi` (or `lo ≤ x < hi` when
 /// `hi_inclusive == false`, the paper's `[min, med[` cut pieces).
@@ -42,6 +50,10 @@ pub enum StorePredicate {
     Range(RangePred),
     /// Set-membership scan.
     Set(SetPred),
+    /// The rows set in a selection over the same table: no column is
+    /// read. At the head of an [`StorePredicate::And`] it is the
+    /// selection the other leaves narrow.
+    Rows(Arc<Bitmap>),
     /// Conjunction of sub-predicates.
     And(Vec<StorePredicate>),
 }
@@ -91,7 +103,7 @@ impl StorePredicate {
 
     fn collect_columns<'a>(&'a self, out: &mut Vec<&'a str>) {
         match self {
-            StorePredicate::True => {}
+            StorePredicate::True | StorePredicate::Rows(_) => {}
             StorePredicate::Range(r) => {
                 if !out.contains(&r.column.as_str()) {
                     out.push(&r.column);
@@ -111,18 +123,61 @@ impl StorePredicate {
     }
 }
 
-/// The scan kernel: one selection word per 64-row chunk of `values`. Bit
-/// `b` of word `w` is `keep(values[64 * w + b])`, folded in without a
-/// branch, and each word is masked with the matching validity word — so
-/// nulls never match and no bit beyond the last row is ever set. `keep`
-/// is asked about null rows too and must tolerate their placeholders.
-fn scan<T: Copy>(values: &[T], validity: &Bitmap, keep: impl Fn(T) -> bool) -> Bitmap {
-    validity.and_words(values.chunks(64).map(|chunk| {
-        chunk
-            .iter()
-            .enumerate()
-            .fold(0u64, |word, (b, &v)| word | (keep(v) as u64) << b)
-    }))
+/// A word of a selection with at least this many selected, non-null rows
+/// is compared whole — all 64 values, the verdicts masked — and a sparser
+/// one row by row. Measured on the benchmark's tables
+/// (`docs/adr/0012-a-narrowing-scan-reads-only-its-parents-rows.md`);
+/// not a setting.
+const DENSE_WORD: u32 = 32;
+
+/// The scan kernel, over the whole column or within a selection.
+///
+/// Without `within` it makes one selection word per 64-row chunk of
+/// `values`: bit `b` of word `w` is `keep(values[64 * w + b])`, folded in
+/// without a branch ([`verdicts`]), and each word is masked with the
+/// matching validity word — so nulls never match and no bit beyond the
+/// last row is ever set. `keep` is asked about null rows too and must
+/// tolerate their placeholders.
+///
+/// Given `within` (as long as the column), it narrows that selection to
+/// `within ∧ validity ∧ keep` and reads only the words it has rows in:
+/// a word with fewer than [`DENSE_WORD`] selected, non-null rows asks
+/// `keep` about those rows alone, a trailing-zeros walk; a denser one is
+/// folded whole like a chunk above and masked.
+fn scan<T: Copy>(
+    values: &[T],
+    validity: &Bitmap,
+    within: Option<Bitmap>,
+    keep: impl Fn(T) -> bool,
+) -> Bitmap {
+    let Some(mut sel) = within else {
+        return validity.and_words(values.chunks(64).map(|chunk| verdicts(chunk, &keep)));
+    };
+    assert_eq!(sel.len(), values.len(), "selection length mismatch");
+    let valid = validity.words();
+    sel.narrow_words(|w, picked| {
+        let live = picked & valid[w];
+        let base = w * 64;
+        if live.count_ones() >= DENSE_WORD {
+            return live & verdicts(&values[base..values.len().min(base + 64)], &keep);
+        }
+        let (mut kept, mut rest) = (0u64, live);
+        while rest != 0 {
+            let b = rest.trailing_zeros();
+            kept |= (keep(values[base + b as usize]) as u64) << b;
+            rest &= rest - 1; // clear lowest set bit
+        }
+        kept
+    });
+    sel
+}
+
+/// Bit `b` is `keep(chunk[b])`, for a chunk of at most 64 values.
+fn verdicts<T: Copy>(chunk: &[T], keep: &impl Fn(T) -> bool) -> u64 {
+    chunk
+        .iter()
+        .enumerate()
+        .fold(0u64, |word, (b, &v)| word | (keep(v) as u64) << b)
 }
 
 /// [`scan`] for `lo ≤ x ≤ hi` (`lo ≤ x < hi` when half-open) over a
@@ -130,16 +185,17 @@ fn scan<T: Copy>(values: &[T], validity: &Bitmap, keep: impl Fn(T) -> bool) -> B
 fn scan_range<V: Copy, T: Copy + PartialOrd>(
     col: &Column,
     values: &[V],
+    within: Option<Bitmap>,
     key: impl Fn(V) -> T,
     (lo, hi): (T, T),
     hi_inclusive: bool,
 ) -> Bitmap {
-    let within = |x: T| (x >= lo) & (x <= hi);
+    let inside = |x: T| (x >= lo) & (x <= hi);
     let below = |x: T| (x >= lo) & (x < hi);
     if hi_inclusive {
-        scan(values, col.validity(), |v| within(key(v)))
+        scan(values, col.validity(), within, |v| inside(key(v)))
     } else {
-        scan(values, col.validity(), |v| below(key(v)))
+        scan(values, col.validity(), within, |v| below(key(v)))
     }
 }
 
@@ -151,22 +207,25 @@ fn f64_bounds(col: &Column, pred: &RangePred) -> StoreResult<(f64, f64)> {
     Ok((lo, hi))
 }
 
-/// Evaluate a range scan over a column, producing a fresh selection bitmap.
+/// Evaluate a range scan over a column, producing a fresh selection
+/// bitmap — or, given a selection `within`, narrowing it to
+/// `within ∧ R(pred)` and reading only the rows it holds.
 ///
 /// The scan is specialised per physical type so the hot loop works on the
 /// native vector without per-row `Value` boxing.
-pub fn eval_range(col: &Column, pred: &RangePred) -> StoreResult<Bitmap> {
+pub fn eval_range(col: &Column, pred: &RangePred, within: Option<Bitmap>) -> StoreResult<Bitmap> {
     match col.data() {
         ColumnData::Int(vals) | ColumnData::Date(vals) => Ok(match (&pred.lo, &pred.hi) {
             // Integer bounds compare as integers, exactly: as `f64` two
             // values beyond 2⁵³ can round to one, and a cut's `[lo, s]` /
             // `[s+1, hi]` halves would overlap.
             (Value::Int(lo) | Value::Date(lo), Value::Int(hi) | Value::Date(hi)) => {
-                scan_range(col, vals, |v| v, (*lo, *hi), pred.hi_inclusive)
+                scan_range(col, vals, within, |v| v, (*lo, *hi), pred.hi_inclusive)
             }
             _ => scan_range(
                 col,
                 vals,
+                within,
                 |v| v as f64,
                 f64_bounds(col, pred)?,
                 pred.hi_inclusive,
@@ -175,6 +234,7 @@ pub fn eval_range(col: &Column, pred: &RangePred) -> StoreResult<Bitmap> {
         ColumnData::Float(vals) => Ok(scan_range(
             col,
             vals,
+            within,
             |v| v,
             f64_bounds(col, pred)?,
             pred.hi_inclusive,
@@ -192,7 +252,9 @@ pub fn eval_range(col: &Column, pred: &RangePred) -> StoreResult<Bitmap> {
                     s >= lo && if pred.hi_inclusive { s <= hi } else { s < hi }
                 })
                 .collect();
-            Ok(scan(codes, col.validity(), |code| listed(&verdict, code)))
+            Ok(scan(codes, col.validity(), within, |code| {
+                listed(&verdict, code)
+            }))
         }
         ColumnData::Bool(vals) => {
             let lo = bool_of(col, &pred.lo)?;
@@ -200,13 +262,14 @@ pub fn eval_range(col: &Column, pred: &RangePred) -> StoreResult<Bitmap> {
             // `!v & hi` is `v < hi` on booleans.
             let under = |v: bool| if pred.hi_inclusive { v <= hi } else { !v & hi };
             let verdict = [false, true].map(|v| v >= lo && under(v));
-            Ok(scan(vals, col.validity(), |v| verdict[v as usize]))
+            Ok(scan(vals, col.validity(), within, |v| verdict[v as usize]))
         }
     }
 }
 
-/// Evaluate a set-membership scan over a column.
-pub fn eval_set(col: &Column, pred: &SetPred) -> StoreResult<Bitmap> {
+/// Evaluate a set-membership scan over a column, or within a selection
+/// as [`eval_range`] does.
+pub fn eval_set(col: &Column, pred: &SetPred, within: Option<Bitmap>) -> StoreResult<Bitmap> {
     let validity = col.validity();
     Ok(match col.data() {
         ColumnData::Str(codes) => {
@@ -219,11 +282,11 @@ pub fn eval_set(col: &Column, pred: &SetPred) -> StoreResult<Bitmap> {
                     wanted[code as usize] = true;
                 }
             }
-            scan(codes, validity, |code| listed(&wanted, code))
+            scan(codes, validity, within, |code| listed(&wanted, code))
         }
         ColumnData::Int(vals) | ColumnData::Date(vals) => {
             let wanted = int_set(col, &pred.values)?;
-            scan(vals, validity, |v| wanted.binary_search(&v).is_ok())
+            scan(vals, validity, within, |v| wanted.binary_search(&v).is_ok())
         }
         ColumnData::Float(vals) => {
             let mut wanted: Vec<f64> = Vec::with_capacity(pred.values.len());
@@ -231,7 +294,7 @@ pub fn eval_set(col: &Column, pred: &SetPred) -> StoreResult<Bitmap> {
                 wanted.push(v.as_f64().ok_or_else(|| type_err(col, v))?);
             }
             wanted.sort_by(f64::total_cmp);
-            scan(vals, validity, |v| {
+            scan(vals, validity, within, |v| {
                 wanted.binary_search_by(|w| w.total_cmp(&v)).is_ok()
             })
         }
@@ -240,7 +303,7 @@ pub fn eval_set(col: &Column, pred: &SetPred) -> StoreResult<Bitmap> {
             for v in &pred.values {
                 wanted[bool_of(col, v)? as usize] = true;
             }
-            scan(vals, validity, |v| wanted[v as usize])
+            scan(vals, validity, within, |v| wanted[v as usize])
         }
     })
 }
@@ -311,12 +374,12 @@ mod tests {
             hi: Value::Int(4),
             hi_inclusive: true,
         };
-        assert_eq!(eval_range(&c, &closed).unwrap().count_ones(), 3);
+        assert_eq!(eval_range(&c, &closed, None).unwrap().count_ones(), 3);
         let open = RangePred {
             hi_inclusive: false,
             ..closed
         };
-        assert_eq!(eval_range(&c, &open).unwrap().count_ones(), 2);
+        assert_eq!(eval_range(&c, &open, None).unwrap().count_ones(), 2);
     }
 
     #[test]
@@ -331,7 +394,7 @@ mod tests {
             hi: Value::Int(10),
             hi_inclusive: true,
         };
-        assert_eq!(eval_range(&c, &p).unwrap().count_ones(), 2);
+        assert_eq!(eval_range(&c, &p, None).unwrap().count_ones(), 2);
     }
 
     #[test]
@@ -356,15 +419,18 @@ mod tests {
             values: vec![Value::str("a")],
         };
         assert_eq!(
-            eval_range(&c, &range).unwrap(),
+            eval_range(&c, &range, None).unwrap(),
             Bitmap::from_indices(3, [0])
         );
-        assert_eq!(eval_set(&c, &set).unwrap(), Bitmap::from_indices(3, [0]));
+        assert_eq!(
+            eval_set(&c, &set, None).unwrap(),
+            Bitmap::from_indices(3, [0])
+        );
 
         let mut all_null = Column::new("s", DataType::Str);
         all_null.push(None).unwrap();
-        assert!(eval_range(&all_null, &range).unwrap().none());
-        assert!(eval_set(&all_null, &set).unwrap().none());
+        assert!(eval_range(&all_null, &range, None).unwrap().none());
+        assert!(eval_set(&all_null, &set, None).unwrap().none());
     }
 
     #[test]
@@ -376,7 +442,7 @@ mod tests {
             hi: Value::Float(30.0),
             hi_inclusive: true,
         };
-        assert_eq!(eval_range(&c, &p).unwrap().count_ones(), 2);
+        assert_eq!(eval_range(&c, &p, None).unwrap().count_ones(), 2);
     }
 
     #[test]
@@ -391,7 +457,12 @@ mod tests {
             hi,
             hi_inclusive,
         };
-        let rows = |p: &RangePred| eval_range(&c, p).unwrap().iter_ones().collect::<Vec<_>>();
+        let rows = |p: &RangePred| {
+            eval_range(&c, p, None)
+                .unwrap()
+                .iter_ones()
+                .collect::<Vec<_>>()
+        };
         let int = |x| Value::Int(base + x);
         assert_eq!(rows(&range(int(0), int(1), true)), [0, 1]);
         assert_eq!(rows(&range(int(2), int(3), true)), [2, 3]);
@@ -410,7 +481,7 @@ mod tests {
             hi: Value::str("t"),
             hi_inclusive: false,
         };
-        let sel = eval_range(&c, &p).unwrap();
+        let sel = eval_range(&c, &p, None).unwrap();
         assert_eq!(sel.iter_ones().collect::<Vec<_>>(), vec![1, 2]);
     }
 
@@ -423,7 +494,7 @@ mod tests {
             hi: Value::Int(2),
             hi_inclusive: true,
         };
-        assert!(eval_range(&c, &p).is_err());
+        assert!(eval_range(&c, &p, None).is_err());
     }
 
     #[test]
@@ -433,7 +504,7 @@ mod tests {
             column: "s".into(),
             values: vec![Value::str("fluit"), Value::str("pinas"), Value::str("nope")],
         };
-        let sel = eval_set(&c, &p).unwrap();
+        let sel = eval_set(&c, &p, None).unwrap();
         assert_eq!(sel.iter_ones().collect::<Vec<_>>(), vec![0, 2, 3]);
     }
 
@@ -444,7 +515,7 @@ mod tests {
             column: "x".into(),
             values: vec![Value::Int(2), Value::Int(3)],
         };
-        assert_eq!(eval_set(&c, &p).unwrap().count_ones(), 3);
+        assert_eq!(eval_set(&c, &p, None).unwrap().count_ones(), 3);
 
         let mut f = Column::new("f", DataType::Float);
         for v in [1.5, 2.5, 3.5] {
@@ -454,7 +525,7 @@ mod tests {
             column: "f".into(),
             values: vec![Value::Float(2.5)],
         };
-        assert_eq!(eval_set(&f, &p).unwrap().count_ones(), 1);
+        assert_eq!(eval_set(&f, &p, None).unwrap().count_ones(), 1);
     }
 
     #[test]
@@ -467,7 +538,7 @@ mod tests {
             column: "b".into(),
             values: vec![Value::Bool(true)],
         };
-        assert_eq!(eval_set(&c, &p).unwrap().count_ones(), 2);
+        assert_eq!(eval_set(&c, &p, None).unwrap().count_ones(), 2);
     }
 
     #[test]
@@ -502,6 +573,6 @@ mod tests {
             column: "s".into(),
             values: vec![],
         };
-        assert_eq!(eval_set(&c, &p).unwrap().count_ones(), 0);
+        assert_eq!(eval_set(&c, &p, None).unwrap().count_ones(), 0);
     }
 }

@@ -133,14 +133,26 @@ impl RowTable {
             .any(|w| matches!(v.try_cmp(w), Ok(Ordering::Equal)))
     }
 
-    fn matches(&self, row: &Row, pred: &StorePredicate) -> StoreResult<bool> {
+    /// Whether row `i` satisfies `pred`. A conjunction stops at its first
+    /// false conjunct, so a later one is never looked at for that row.
+    fn matches(&self, i: usize, pred: &StorePredicate) -> StoreResult<bool> {
+        let row = &self.rows[i];
         Ok(match pred {
             StorePredicate::True => true,
             StorePredicate::Range(r) => self.match_range(row, self.col_index(&r.column)?, r),
             StorePredicate::Set(s) => self.match_set(row, self.col_index(&s.column)?, s),
+            StorePredicate::Rows(sel) => {
+                if sel.len() != self.rows.len() {
+                    return Err(StoreError::LengthMismatch {
+                        left: sel.len(),
+                        right: self.rows.len(),
+                    });
+                }
+                sel.get(i)
+            }
             StorePredicate::And(ps) => {
                 for p in ps {
-                    if !self.matches(row, p)? {
+                    if !self.matches(i, p)? {
                         return Ok(false);
                     }
                 }
@@ -191,8 +203,8 @@ impl Backend for RowTable {
     fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
         self.scans.fetch_add(1, AtomicOrdering::Relaxed);
         let mut out = Bitmap::new(self.rows.len());
-        for (i, row) in self.rows.iter().enumerate() {
-            if self.matches(row, pred)? {
+        for i in 0..self.rows.len() {
+            if self.matches(i, pred)? {
                 out.set(i);
             }
         }

@@ -9,6 +9,7 @@ use charles_store::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 const ALL_TYPES: [DataType; 5] = [
     DataType::Int,
@@ -100,10 +101,34 @@ fn model_matches(v: &Value, pred: &StorePredicate) -> bool {
     }
 }
 
+/// Selections to evaluate a leaf within, each word drawn at its own
+/// density — from empty through a few rows to full — so that, under the
+/// table's one-in-five nulls, the restricted kernel walks some words row
+/// by row and compares others whole, in every order.
+fn word_mixes(len: usize, rng: &mut StdRng) -> Vec<Bitmap> {
+    const DENSITIES: [f64; 7] = [0.0, 0.05, 0.2, 0.35, 0.5, 0.8, 1.0];
+    (0..3)
+        .map(|_| {
+            let mut sel = Bitmap::new(len);
+            for word in (0..len).step_by(64) {
+                let p = DENSITIES[rng.gen_range(0..DENSITIES.len())];
+                for i in word..len.min(word + 64) {
+                    if rng.gen_bool(p) {
+                        sel.set(i);
+                    }
+                }
+            }
+            sel
+        })
+        .collect()
+}
+
 /// The kernel differential: every physical type, at every word-seam
 /// length and one random length, with random nulls — the dense scan of
-/// each of `predicates` against [`model_matches`] over `Column::get`,
-/// and against the row store's per-tuple `try_cmp` as a second witness.
+/// each of `predicates`, over the whole column and within selections of
+/// mixed word densities ([`word_mixes`]), against [`model_matches`] over
+/// `Column::get`, and against the row store's per-tuple `try_cmp` as a
+/// second witness.
 fn check_scans_against_per_row_model(
     seed: u64,
     random_len: usize,
@@ -115,7 +140,9 @@ fn check_scans_against_per_row_model(
             let t = kernel_table(ty, len, &mut rng);
             let col = t.column("x").unwrap();
             let row = RowTable::from_table(&t);
-            for pred in predicates(ty, &mut rng) {
+            let predicates = predicates(ty, &mut rng);
+            let selections = word_mixes(len, &mut rng);
+            for pred in predicates {
                 let got = t.eval(&pred).unwrap();
                 let expected: Vec<usize> = (0..len)
                     .filter(|&i| col.get(i).is_some_and(|v| model_matches(&v, &pred)))
@@ -139,6 +166,27 @@ fn check_scans_against_per_row_model(
                     &pred
                 );
                 prop_assert_eq!(&row.eval(&pred).unwrap(), &got);
+                for sel in &selections {
+                    let rows = StorePredicate::Rows(Arc::new(sel.clone()));
+                    let within = StorePredicate::and(vec![rows, pred.clone()]);
+                    let narrowed = t.eval(&within).unwrap();
+                    let expected: Vec<usize> =
+                        expected.iter().copied().filter(|&i| sel.get(i)).collect();
+                    prop_assert_eq!(
+                        narrowed.iter_ones().collect::<Vec<_>>(),
+                        expected,
+                        "{:?} x {} rows, {:?} within {:?}",
+                        ty,
+                        len,
+                        &pred,
+                        sel
+                    );
+                    prop_assert_eq!(
+                        Bitmap::from_words(narrowed.words().to_vec(), len),
+                        Some(narrowed.clone())
+                    );
+                    prop_assert_eq!(&row.eval(&within).unwrap(), &narrowed);
+                }
             }
         }
     }

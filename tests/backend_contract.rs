@@ -18,6 +18,7 @@ use charles_store::{
     Value,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 mod common;
 
@@ -25,7 +26,9 @@ mod common;
 /// further call fails with a synthetic error. `budget = usize::MAX`
 /// disables the fuse (pure delegation). A second fuse of the same kind,
 /// `scan_budget`, is spent by `eval` alone: it fails the k-th predicate
-/// evaluation and every one after it, whatever the first fuse says.
+/// evaluation and every one after it, whatever the first fuse says. A
+/// third, `leader_gate`, is one-shot: the first `eval` that finds it set
+/// takes it, waits at its barrier twice and panics.
 ///
 /// It forwards the *required* methods only: `cut_stats` is the trait's
 /// provided body over them, so the advisor runs here as it would over
@@ -34,6 +37,7 @@ struct FusedBackend<'a> {
     inner: &'a dyn Backend,
     budget: AtomicUsize,
     scan_budget: AtomicUsize,
+    leader_gate: Mutex<Option<Arc<Barrier>>>,
 }
 
 impl<'a> FusedBackend<'a> {
@@ -42,6 +46,7 @@ impl<'a> FusedBackend<'a> {
             inner,
             budget: AtomicUsize::new(budget),
             scan_budget: AtomicUsize::new(usize::MAX),
+            leader_gate: Mutex::new(None),
         }
     }
 
@@ -78,6 +83,12 @@ impl Backend for FusedBackend<'_> {
     fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
         self.spend()?;
         spend(&self.scan_budget, "scan")?;
+        let gate = self.leader_gate.lock().unwrap().take();
+        if let Some(gate) = gate {
+            gate.wait(); // in flight
+            gate.wait(); // released
+            panic!("injected leader panic");
+        }
         self.inner.eval(pred)
     }
     fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
@@ -210,6 +221,47 @@ fn transient_io_error_is_not_served_from_the_advice_cache() {
 }
 
 #[test]
+fn a_panicking_leader_leaves_its_waiter_a_clean_rerun() {
+    // The single-flight leader panics while a second caller waits on its
+    // slot: the panic is the leader's alone, the waiter runs the context
+    // again and gets what a plain run returns, and the cache stays usable
+    // — no shard lock is held across a run, so none is poisoned.
+    let table = voc_table(1_000, 57);
+    let ctx = charles::parse_query(CONTEXT, Backend::schema(&table)).unwrap();
+    let plain = FusedBackend::new(&table, usize::MAX);
+    let reference = Advisor::new(&plain).advise(ctx.canonicalized()).unwrap();
+    let backend = FusedBackend::new(&table, usize::MAX);
+    let gate = Arc::new(Barrier::new(2));
+    *backend.leader_gate.lock().unwrap() = Some(Arc::clone(&gate));
+    let cache = AdviceCache::new();
+    let advise = || cache.advise_cached(&Advisor::new(&backend), ctx.clone());
+    std::thread::scope(|s| {
+        let leader = s.spawn(advise);
+        gate.wait(); // the leader holds the flight
+        let waiter = s.spawn(advise);
+        // The waiter's miss: it found the leader's slot in flight. Parked
+        // in the slot yet or about to be, it finds the slot empty when
+        // the leader dies, and runs the context itself.
+        while cache.stats().misses < 2 {
+            std::thread::yield_now();
+        }
+        gate.wait(); // the leader panics
+        let panic = leader.join().unwrap_err();
+        assert_eq!(panic.downcast_ref::<&str>(), Some(&"injected leader panic"));
+        let advice = waiter.join().expect("the panic reached the waiter");
+        assert_eq!(format!("{:?}", advice.unwrap()), format!("{reference:?}"));
+    });
+    let stats = cache.stats();
+    assert_eq!((stats.runs, stats.misses, stats.hits), (2, 2, 0));
+    // `len` takes every shard lock (and panics on a poisoned one); the
+    // next caller is served the waiter's answer.
+    assert_eq!(cache.len(), 1);
+    let again = advise().unwrap();
+    assert_eq!(format!("{again:?}"), format!("{reference:?}"));
+    assert_eq!((cache.stats().runs, cache.stats().hits), (2, 1));
+}
+
+#[test]
 fn failed_resolution_of_a_composed_candidate_is_one_err_and_consumes_nothing() {
     // Over a wildcard context HB-cuts evaluates one predicate for the
     // context's extent, then those of the seed cuts: one for a nominal
@@ -317,6 +369,7 @@ mod contract_harness {
         Backend, Bitmap, DataType, DiskTable, Row, RowTable, StoreError, StorePredicate,
         TableBuilder, Value,
     };
+    use std::sync::Arc;
 
     /// Not a multiple of 64, so every selection ends on a partial
     /// bitmap word.
@@ -639,6 +692,216 @@ mod contract_harness {
             reference[3].as_deref(),
             Some("Float(-0.0) Float(0.0) Some(Float(0.0))")
         );
+    }
+
+    /// 200 rows — three whole bitmap words and an 8-row tail — of every
+    /// column type, each with nulls: a NaN in `f` (row 3), `i` straddling
+    /// 2⁵³, and string placeholder codes under nulls that are not 0 (row
+    /// 7: a code the dictionary has; row 11: one it has not). Neither can
+    /// enter through the builder: the disk file is patched, the table
+    /// loaded from it, the row store built from the cells.
+    fn rows_fixture() -> (Backends, usize) {
+        const N: usize = 200;
+        const BASE: i64 = (1 << 53) - 4;
+        let mut cells: Vec<Row> = Vec::new();
+        for i in 0..N {
+            let n = i as i64;
+            cells.push(vec![
+                (i % 5 != 1).then_some(Value::Float(n as f64 * 0.25 - 10.0)),
+                (i % 6 != 2).then_some(Value::Int(BASE + n * 7 % 13)),
+                (i % 7 != 4).then_some(Value::Date(9_000 + n % 17)),
+                (i % 4 != 3).then(|| Value::str(format!("s{}", i % 5))),
+                (i % 8 != 5).then_some(Value::Bool(i % 3 == 0)),
+            ]);
+        }
+        let mut b = TableBuilder::new("t");
+        b.add_column("f", DataType::Float)
+            .add_column("i", DataType::Int)
+            .add_column("d", DataType::Date)
+            .add_column("s", DataType::Str)
+            .add_column("b", DataType::Bool);
+        for row in &cells {
+            b.push_row_opt(row.clone()).unwrap();
+        }
+        let clean = b.finish();
+        let path = std::env::temp_dir().join(format!(
+            "charles-contract-rows-{}.charles",
+            std::process::id()
+        ));
+        write_table(&clean, &path).unwrap();
+        common::patch_cell(&path, 0, 3, &f64::NAN.to_bits().to_le_bytes());
+        common::patch_cell(&path, 3, 7, &2u32.to_le_bytes());
+        common::patch_cell(&path, 3, 11, &99u32.to_le_bytes());
+        let disk = DiskTable::open(&path).unwrap();
+        let table = disk.to_table().unwrap();
+        std::fs::remove_file(&path).unwrap();
+        cells[3][0] = Some(Value::Float(f64::NAN));
+        let rows = RowTable::new("t", Backend::schema(&clean).clone(), cells).unwrap();
+        let backends: Backends = vec![
+            ("table".into(), Box::new(table)),
+            ("rowstore".into(), Box::new(rows)),
+            ("disk".into(), Box::new(disk)),
+        ];
+        (backends, N)
+    }
+
+    /// Every leaf kind on every column type, and the shapes they combine
+    /// into, over [`rows_fixture`].
+    fn leaves(n: usize) -> Vec<StorePredicate> {
+        const BASE: i64 = (1 << 53) - 4;
+        let range = |col: &str, lo: Value, hi: Value| {
+            [true, false].map(|closed| StorePredicate::range(col, lo.clone(), hi.clone(), closed))
+        };
+        let mut out = Vec::new();
+        out.extend(range("f", Value::Float(-5.0), Value::Float(20.0)));
+        out.extend(range(
+            "f",
+            Value::Float(f64::NEG_INFINITY),
+            Value::Float(f64::INFINITY),
+        ));
+        // Integer bounds beyond 2⁵³ compare exactly; `Float` ones as f64.
+        out.extend(range("i", Value::Int(BASE + 2), Value::Int(BASE + 9)));
+        out.extend(range(
+            "i",
+            Value::Float(BASE as f64),
+            Value::Float((BASE + 8) as f64),
+        ));
+        out.extend(range("d", Value::Date(9_003), Value::Date(9_010)));
+        out.extend(range("s", Value::str("s1"), Value::str("s3")));
+        out.extend(range("b", Value::Bool(false), Value::Bool(true)));
+        let floats = [-9.0, 0.0, 12.5, 7.25].map(Value::Float);
+        let ints = [1, 5, 12].map(|k| Value::Int(BASE + k));
+        let strs = ["s0", "s4", "zz"].map(Value::str);
+        out.extend([
+            StorePredicate::set("f", floats.to_vec()),
+            StorePredicate::set("i", ints.to_vec()),
+            StorePredicate::set("d", vec![Value::Date(9_000), Value::Date(9_016)]),
+            StorePredicate::set("s", strs.to_vec()),
+            StorePredicate::set("b", vec![Value::Bool(true)]),
+            StorePredicate::set("s", Vec::new()),
+            StorePredicate::True,
+            StorePredicate::Rows(Arc::new(Bitmap::from_indices(n, (0..n).step_by(3)))),
+            StorePredicate::and(vec![
+                StorePredicate::range("i", Value::Int(BASE), Value::Int(BASE + 6), true),
+                StorePredicate::set("s", vec![Value::str("s1"), Value::str("s2")]),
+            ]),
+        ]);
+        out
+    }
+
+    /// Selections whose words are empty, sparse (a walk of their rows)
+    /// and dense (all 64 values compared, then masked), and every mix.
+    fn selections(n: usize) -> Vec<(&'static str, Bitmap)> {
+        let pick =
+            |keep: &dyn Fn(usize) -> bool| Bitmap::from_indices(n, (0..n).filter(|&i| keep(i)));
+        vec![
+            ("empty", Bitmap::new(n)),
+            ("all", Bitmap::ones(n)),
+            ("tail word", pick(&|i| i >= 192)),
+            ("sparse", pick(&|i| i % 9 == 4)),
+            ("dense", pick(&|i| i % 11 != 0)),
+            // Dense, sparse, empty, then a dense tail.
+            (
+                "mixed",
+                pick(&|i| match i / 64 {
+                    0 | 3 => i % 13 != 0,
+                    1 => i % 16 == 1,
+                    _ => false,
+                }),
+            ),
+            ("halves", pick(&|i| (i * 37 + i / 7) % 2 == 0)),
+        ]
+    }
+
+    /// `R(pred)` the way it was evaluated before a leaf could narrow a
+    /// selection: each leaf of a conjunction scanned on its own, ANDed.
+    fn whole_leaves(b: &dyn Backend, pred: &StorePredicate) -> Bitmap {
+        match pred {
+            StorePredicate::And(ps) => ps.iter().fold(Bitmap::ones(b.row_count()), |mut acc, p| {
+                acc.and_inplace(&whole_leaves(b, p));
+                acc
+            }),
+            leaf => b.eval(leaf).unwrap(),
+        }
+    }
+
+    #[test]
+    fn obligation_a_leaf_within_rows_is_the_leaf_and_those_rows() {
+        let (backends, n) = rows_fixture();
+        let reference = &backends[0].1;
+        for (name, b) in &backends {
+            for (label, sel) in selections(n) {
+                let rows = StorePredicate::Rows(Arc::new(sel.clone()));
+                b.reset_stats();
+                assert_eq!(b.eval(&rows).unwrap(), sel, "{name}: {label}");
+                let scans = if name == "rowstore" { 1 } else { 0 };
+                assert_eq!(
+                    b.stats().scans,
+                    scans,
+                    "{name}: {label}: rows read no column"
+                );
+                for leaf in leaves(n) {
+                    let what = format!("{name}: {leaf:?} within {label}");
+                    let want = whole_leaves(reference.as_ref(), &leaf).and(&sel);
+                    assert_eq!(whole_leaves(b.as_ref(), &leaf).and(&sel), want, "{what}");
+                    b.reset_stats();
+                    let within = StorePredicate::and(vec![rows.clone(), leaf.clone()]);
+                    let got = b.eval(&within).unwrap();
+                    assert_eq!(got, want, "{what}");
+                    // No bit beyond the last row: the words round-trip.
+                    assert_eq!(Bitmap::from_words(got.words().to_vec(), n), Some(got));
+                    // A range or set leaf within a selection is one scan
+                    // of the rows it holds, and none when it holds none;
+                    // the row store counts one per `eval`.
+                    let scans = match &leaf {
+                        _ if name == "rowstore" => Some(1),
+                        StorePredicate::Range(_) | StorePredicate::Set(_) => {
+                            Some(u64::from(!sel.none()))
+                        }
+                        StorePredicate::True | StorePredicate::Rows(_) => Some(0),
+                        _ => None,
+                    };
+                    if let Some(scans) = scans {
+                        assert_eq!(b.stats().scans, scans, "{what}: scans");
+                    }
+                    // Order does not matter to the bits.
+                    let after = StorePredicate::and(vec![leaf.clone(), rows.clone()]);
+                    assert_eq!(b.eval(&after).unwrap(), want, "{what}, rows last");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn obligation_an_unknown_column_errs_only_where_it_is_reached() {
+        // A conjunction stops at its first empty prefix on every backend:
+        // behind one, a leaf's column is never looked up; behind a
+        // non-empty one, every backend reports it the same way.
+        let (backends, n) = rows_fixture();
+        let nope = StorePredicate::range("nope", Value::Int(0), Value::Int(1), true);
+        let rows = |sel: Bitmap| StorePredicate::Rows(Arc::new(sel));
+        let absent = StorePredicate::set("s", vec![Value::str("absent")]);
+        for (name, b) in &backends {
+            for prefix in [rows(Bitmap::new(n)), absent.clone()] {
+                let pred = StorePredicate::and(vec![prefix, nope.clone()]);
+                assert_eq!(b.eval(&pred).unwrap(), Bitmap::new(n), "{name}: {pred:?}");
+            }
+            let pred = StorePredicate::and(vec![rows(Bitmap::ones(n)), nope.clone()]);
+            assert_eq!(
+                b.eval(&pred).unwrap_err(),
+                StoreError::UnknownColumn("nope".into()),
+                "{name}"
+            );
+            // A selection of another length is not one of this table.
+            assert_eq!(
+                b.eval(&rows(Bitmap::ones(n + 1))).unwrap_err(),
+                StoreError::LengthMismatch {
+                    left: n + 1,
+                    right: n
+                },
+                "{name}"
+            );
+        }
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! CUT hands each half on as its parent's bitmap plus the one conjunct
 //! that narrows it, and the half's selection is materialised as
-//! `parent ∧ scan(conjunct)`: one column scan instead of one per conjunct
-//! of the half's whole query. That is only the same bitmap if refining a
-//! constraint never widens it (`R(c ∩ d) ⊆ R(c)`; the unit half of that
-//! is `charles_sdl`'s `intersect_only_ever_narrows`) and if the scan
-//! kernels agree with themselves across constraint forms — so this suite
+//! `parent ∧ scan(conjunct)`: one scan of the parent's rows instead of
+//! one per conjunct of the half's whole query. That is only the same
+//! bitmap if refining a constraint never widens it (`R(c ∩ d) ⊆ R(c)`;
+//! the unit half of that is `charles_sdl`'s `intersect_only_ever_narrows`)
+//! and if the scan kernels agree with themselves across constraint forms,
+//! over a whole column and within a selection — so this suite
 //! checks it bit for bit, over random tables with nulls, NaN floats,
 //! `Int` columns under `Float` bounds and integers beyond 2⁵³ (where two
 //! neighbours are one `f64`), for contexts that already constrain the
@@ -236,11 +237,15 @@ fn contexts(domain_hi: i64) -> Vec<Query> {
     ]
 }
 
-/// `eval::selection(q) ∧ context_selection()`: the conjunction scanned
-/// whole, the way every piece was materialised before derivation.
+/// `R(q) ∧ context_selection()` with every conjunct scanned whole — one
+/// plain `eval` of each, ANDed — the way every piece was materialised
+/// before derivation, and before a conjunct could be evaluated within a
+/// selection: the reference shares no code path with the one it checks.
 fn evaluated(ex: &Explorer<'_>, q: &Query) -> Bitmap {
-    let mut sel = eval::selection(q, ex.backend()).unwrap();
-    sel.and_inplace(ex.context_selection());
+    let mut sel = ex.context_selection().clone();
+    for p in q.predicates() {
+        sel.and_inplace(&ex.backend().eval(&eval::lower_predicate(p)).unwrap());
+    }
     sel
 }
 
