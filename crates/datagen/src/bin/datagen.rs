@@ -1,7 +1,7 @@
 //! Generate a synthetic dataset and save it as a `.charles` file.
 //!
 //! ```sh
-//! cargo run -p charles-datagen --bin datagen -- [--stream] <voc|astro|weblog> <rows> <seed> <out.charles>
+//! cargo run -p charles-datagen --bin datagen -- <voc|astro|weblog> <rows> <seed> <out.charles>
 //! ```
 //!
 //! This is the first half of the persistence round trip the rest of the
@@ -10,28 +10,21 @@
 //! experiments take it via `--dataset <path>`, and CI drives
 //! generate → save → serve as a smoke test.
 //!
-//! `--stream` writes the file column-by-column through the store's
-//! `StreamWriter` instead of materialising the whole table first: peak
-//! memory stays flat in the row count (one validity bitmap + one string
-//! dictionary), at the cost of re-running the generator once per column.
-//! The two paths produce value-identical files.
+//! The file is written column by column through the store's
+//! `StreamWriter`, never materialising the whole table: peak memory stays
+//! flat in the row count (one validity bitmap + one string dictionary),
+//! at the cost of re-running the generator once per column.
 
 #![forbid(unsafe_code)]
 
-use charles_datagen::{generate_and_save, generate_and_save_streaming, DATASET_NAMES};
+use charles_datagen::{generate_and_save, DATASET_NAMES};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let stream = if let Some(i) = args.iter().position(|a| a == "--stream") {
-        args.remove(i);
-        true
-    } else {
-        false
-    };
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let [name, rows, seed, path] = args.as_slice() else {
         eprintln!(
-            "usage: datagen [--stream] <{}> <rows> <seed> <out.charles>",
+            "usage: datagen <{}> <rows> <seed> <out.charles>",
             DATASET_NAMES.join("|")
         );
         return ExitCode::FAILURE;
@@ -50,17 +43,9 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = if stream {
-        generate_and_save_streaming(name, rows, seed, path)
-    } else {
-        generate_and_save(name, rows, seed, path).map(|_| ())
-    };
-    match result {
+    match generate_and_save(name, rows, seed, path) {
         Ok(()) => {
-            println!(
-                "wrote {path}: dataset {name:?}, {rows} rows (seed {seed}{})",
-                if stream { ", streamed" } else { "" }
-            );
+            println!("wrote {path}: dataset {name:?}, {rows} rows (seed {seed})");
             ExitCode::SUCCESS
         }
         Err(e) => {

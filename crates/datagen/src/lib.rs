@@ -20,13 +20,13 @@
 //!   dependency for calibrating INDEP (experiment E8) and scalability
 //!   sweeps (E5/E6);
 //! * [`zipf`] — a small Zipf sampler shared by the generators;
-//! * [`persist`] — save any generated dataset as a `.charles` file
-//!   (and the `datagen` binary that does it from the shell), so a
-//!   dataset is generated once and served from disk forever after.
-//!   [`persist::generate_and_save_streaming`] writes the same file with
-//!   one generator pass per column through the store's `StreamWriter`,
-//!   keeping peak memory independent of the row count — the path that
-//!   makes 10⁸-row files producible.
+//! * [`persist`] — save any named dataset as a `.charles` file (and the
+//!   `datagen` binary that does it from the shell), so a dataset is
+//!   generated once and served from disk forever after.
+//!   [`persist::generate_and_save`] writes it with one generator pass
+//!   per column through the store's `StreamWriter`, keeping peak memory
+//!   independent of the row count — what makes 10⁸-row files
+//!   producible.
 
 #![forbid(unsafe_code)]
 
@@ -39,8 +39,7 @@ pub mod zipf;
 
 pub use astro::astro_table;
 pub use persist::{
-    dataset_by_name, dataset_rows, dataset_schema, generate_and_save, generate_and_save_streaming,
-    save_table, DATASET_NAMES,
+    dataset_by_name, dataset_rows, dataset_schema, generate_and_save, DATASET_NAMES,
 };
 pub use synthetic::{correlated_pair_table, sweep_table, DependencyKind};
 pub use voc::voc_table;

@@ -15,20 +15,15 @@
 //! cargo run -p charles-datagen --bin datagen -- voc 20000 42 /tmp/voc.charles
 //! ```
 //!
-//! Two write paths share the generators. [`generate_and_save`] builds the
-//! whole [`Table`] in memory and hands it to `write_table` — simple, but
-//! resident memory scales with the row count, which caps it far below the
-//! 10⁸-row files the scaled store is meant to serve.
-//! [`generate_and_save_streaming`] instead drives the store's
-//! [`StreamWriter`] with one generator pass **per column**: because every
-//! generator is a deterministic function of `(rows, seed)`, replaying the
-//! row stream once per column costs only CPU, and peak memory is one
-//! column's validity bitmap plus its string dictionary regardless of row
-//! count. Both paths produce value-identical files (pinned by tests
-//! below) — only segment order differs, which the format's offset-driven
-//! footer makes unobservable.
+//! [`generate_and_save`] never builds the [`Table`]: it drives the
+//! store's [`StreamWriter`] with one generator pass **per column**.
+//! Because every generator is a deterministic function of `(rows, seed)`,
+//! replaying the row stream once per column costs only CPU, and peak
+//! memory is one column's validity bitmap plus its string dictionary
+//! regardless of row count — which is what makes 10⁸-row files
+//! producible. The file is byte for byte what `write_table` writes for
+//! [`dataset_by_name`]'s table (pinned by a test below).
 
-use charles_store::disk::write_table;
 use charles_store::{Schema, StoreError, StoreResult, StreamWriter, Table, Value};
 use std::path::Path;
 
@@ -59,7 +54,7 @@ pub fn dataset_schema(name: &str) -> Option<(&'static str, Schema)> {
 }
 
 /// The row stream a named generator produces — the replayable producer
-/// behind [`generate_and_save_streaming`]. `None` for unknown names.
+/// behind [`generate_and_save`]. `None` for unknown names.
 pub fn dataset_rows(
     name: &str,
     rows: usize,
@@ -73,37 +68,11 @@ pub fn dataset_rows(
     }
 }
 
-/// Save any table as a `.charles` file — a re-export of the store's
-/// writer so datagen callers need no second import.
-pub fn save_table(table: &Table, path: impl AsRef<Path>) -> StoreResult<()> {
-    write_table(table, path)
-}
-
-/// Generate a named dataset and save it in one step, returning the
-/// generated table (callers often want to advise over it immediately to
-/// compare against the loaded file).
+/// Generate a named dataset and save it as a `.charles` file **without
+/// materialising the table**: one generator pass per column through the
+/// store's [`StreamWriter`]. Peak memory is independent of `rows` (one
+/// validity bitmap plus one string dictionary).
 pub fn generate_and_save(
-    name: &str,
-    rows: usize,
-    seed: u64,
-    path: impl AsRef<Path>,
-) -> StoreResult<Table> {
-    let table = dataset_by_name(name, rows, seed).ok_or_else(|| {
-        StoreError::Parse(format!(
-            "unknown dataset {name:?} (expected one of {DATASET_NAMES:?})"
-        ))
-    })?;
-    save_table(&table, path)?;
-    Ok(table)
-}
-
-/// Generate a named dataset and save it **without materialising the
-/// table**: one generator pass per column through the store's
-/// [`StreamWriter`]. Peak memory is independent of `rows` (one validity
-/// bitmap plus one string dictionary), which is what makes 10⁸-row
-/// `.charles` files producible at all. The output is value-identical to
-/// [`generate_and_save`]'s for the same `(name, rows, seed)`.
-pub fn generate_and_save_streaming(
     name: &str,
     rows: usize,
     seed: u64,
@@ -133,19 +102,25 @@ pub fn generate_and_save_streaming(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charles_store::{Backend, DiskTable};
+    use charles_store::{write_table, Backend, DiskTable};
+
+    fn tmp_path(tag: &str, name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "charles-datagen-{tag}-{}-{name}.charles",
+            std::process::id()
+        ))
+    }
 
     #[test]
     fn every_named_dataset_saves_and_reloads() {
-        for (i, name) in DATASET_NAMES.iter().enumerate() {
-            let path = std::env::temp_dir().join(format!(
-                "charles-datagen-{}-{name}-{i}.charles",
-                std::process::id()
-            ));
-            let generated = generate_and_save(name, 500, 9, &path).unwrap();
+        for name in DATASET_NAMES {
+            let path = tmp_path("reload", name);
+            generate_and_save(name, 500, 9, &path).unwrap();
             let loaded = DiskTable::open(&path).unwrap();
             assert_eq!(loaded.len(), 500, "{name}");
-            assert_eq!(Backend::schema(&loaded), generated.schema(), "{name}");
+            let (table_name, schema) = dataset_schema(name).unwrap();
+            assert_eq!(loaded.name(), table_name, "{name}");
+            assert_eq!(Backend::schema(&loaded), &schema, "{name}");
             loaded.verify().unwrap();
             std::fs::remove_file(&path).unwrap();
         }
@@ -155,9 +130,6 @@ mod tests {
     fn unknown_dataset_is_a_typed_error() {
         assert!(dataset_by_name("nope", 10, 1).is_none());
         let err = generate_and_save("nope", 10, 1, "/tmp/never-written.charles").unwrap_err();
-        assert!(err.to_string().contains("unknown dataset"), "{err}");
-        let err =
-            generate_and_save_streaming("nope", 10, 1, "/tmp/never-written.charles").unwrap_err();
         assert!(err.to_string().contains("unknown dataset"), "{err}");
         assert!(dataset_schema("nope").is_none());
         assert!(dataset_rows("nope", 10, 1).is_none());
@@ -192,54 +164,21 @@ mod tests {
     }
 
     #[test]
-    fn streamed_files_are_value_identical_to_eager_ones() {
+    fn a_generated_file_is_the_file_of_its_table() {
+        // Column by column from the row stream, or whole columns from
+        // the built table: one writer, the same bytes — dictionary codes
+        // included, since both intern in first-occurrence order.
         for name in DATASET_NAMES {
-            let pid = std::process::id();
-            let eager_path =
-                std::env::temp_dir().join(format!("charles-datagen-eager-{pid}-{name}.charles"));
-            let stream_path =
-                std::env::temp_dir().join(format!("charles-datagen-stream-{pid}-{name}.charles"));
-            let table = generate_and_save(name, 700, 42, &eager_path).unwrap();
-            generate_and_save_streaming(name, 700, 42, &stream_path).unwrap();
-
-            let eager = DiskTable::open(&eager_path).unwrap();
-            let streamed = DiskTable::open(&stream_path).unwrap();
-            streamed.verify().unwrap();
-            assert_eq!(
-                Backend::schema(&streamed),
-                Backend::schema(&eager),
+            let streamed = tmp_path("stream", name);
+            let written = tmp_path("table", name);
+            generate_and_save(name, 700, 42, &streamed).unwrap();
+            write_table(&dataset_by_name(name, 700, 42).unwrap(), &written).unwrap();
+            assert!(
+                std::fs::read(&streamed).unwrap() == std::fs::read(&written).unwrap(),
                 "{name}"
             );
-            assert_eq!(streamed.len(), eager.len(), "{name}");
-            for col in table.schema().names() {
-                let cs = streamed.column(col).unwrap();
-                let ce = eager.column(col).unwrap();
-                for i in 0..eager.len() {
-                    assert_eq!(cs.get(i), ce.get(i), "{name} row {i} col {col}");
-                }
-                // The advisor's three workload primitives agree too.
-                let all_s = streamed.all_rows();
-                let all_e = eager.all_rows();
-                if matches!(
-                    Backend::schema(&eager).type_of(col).unwrap(),
-                    charles_store::DataType::Str
-                ) {
-                    let (ft_s, dict_s) = streamed.frequencies(col, &all_s).unwrap();
-                    let (ft_e, dict_e) = eager.frequencies(col, &all_e).unwrap();
-                    // Dictionary codes (not just decoded strings) match:
-                    // interning order is first-occurrence in both paths.
-                    assert_eq!(dict_s, dict_e, "{name} {col}");
-                    assert_eq!(ft_s.entries(), ft_e.entries(), "{name} {col}");
-                } else {
-                    assert_eq!(
-                        streamed.median(col, &all_s).unwrap(),
-                        eager.median(col, &all_e).unwrap(),
-                        "{name} {col}"
-                    );
-                }
-            }
-            std::fs::remove_file(&eager_path).unwrap();
-            std::fs::remove_file(&stream_path).unwrap();
+            std::fs::remove_file(&streamed).unwrap();
+            std::fs::remove_file(&written).unwrap();
         }
     }
 }

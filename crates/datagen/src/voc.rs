@@ -102,7 +102,7 @@ fn voc_row(rng: &mut StdRng) -> Vec<Value> {
 
 /// The `n` voyages of `voc_table(n, seed)` as a row iterator — the
 /// streaming producer: re-creating this iterator replays the identical
-/// rows, which is what lets `generate_and_save_streaming` make one pass
+/// rows, which is what lets `generate_and_save` make one pass
 /// per column without materialising the table.
 pub fn voc_rows(n: usize, seed: u64) -> impl Iterator<Item = Vec<Value>> {
     let mut rng = StdRng::seed_from_u64(seed);

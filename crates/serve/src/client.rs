@@ -1,6 +1,7 @@
 //! HTTP clients for the advisory server: a persistent keep-alive
-//! [`Client`] (what the benchmark's served workloads drive) and the one-shot
-//! [`http_request`] helper tests and smoke checks have always used.
+//! [`Client`] (what the benchmark's served workloads drive, with any
+//! [`ClientConfig`]) and the one-shot [`http_request`] helper tests and
+//! smoke checks have always used.
 //!
 //! Both are dependency-free and both are **bounded in time**: every
 //! connect, read and write carries a timeout, so a stalled or silent
@@ -17,8 +18,13 @@ use std::time::Duration;
 /// will buffer.
 const MAX_RESPONSE_HEAD: usize = 64 * 1024;
 
-/// Timeouts and socket options for [`Client`] (and the one-shot
-/// helpers, which use the same defaults).
+/// Upper bound on a response body the clients will allocate for: the
+/// wire client's frame bound ([`crate::wire::MAX_RESPONSE_PAYLOAD`]), so
+/// neither transport sizes a buffer on the server's word alone.
+const MAX_RESPONSE_BODY: usize = crate::wire::MAX_RESPONSE_PAYLOAD as usize;
+
+/// Timeouts and socket options for [`Client`] (the one-shot
+/// [`http_request`] uses the defaults).
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
     /// TCP connect deadline.
@@ -161,6 +167,11 @@ fn read_response<R: BufRead>(reader: &mut R) -> std::io::Result<Response> {
                     .trim()
                     .parse()
                     .map_err(|_| invalid(format!("bad Content-Length: {value:?}")))?;
+                if content_length > MAX_RESPONSE_BODY {
+                    return Err(invalid(format!(
+                        "Content-Length {content_length} exceeds the {MAX_RESPONSE_BODY}-byte limit"
+                    )));
+                }
             } else if name.eq_ignore_ascii_case("connection") {
                 keep_alive = value.trim().eq_ignore_ascii_case("keep-alive");
             }
@@ -278,9 +289,10 @@ impl Client {
     }
 }
 
-/// Issue one request on a throwaway connection and return
-/// `(status, body)`, with the default [`ClientConfig`] deadlines
-/// applied (a stalled server times out instead of hanging forever).
+/// Issue one request on a throwaway connection (`Connection: close`)
+/// and return `(status, body)`, with the default [`ClientConfig`]
+/// deadlines applied (a stalled server times out instead of hanging
+/// forever). Other deadlines are a [`Client`]'s.
 ///
 /// `method` is sent verbatim (the server decides what it supports); the
 /// body, when non-empty, is framed with `Content-Length`.
@@ -290,41 +302,11 @@ pub fn http_request(
     path: &str,
     body: &str,
 ) -> std::io::Result<(u16, String)> {
-    http_request_with(addr, method, path, body, &ClientConfig::default())
-}
-
-/// [`http_request`] with one explicit deadline covering connect, read
-/// and write.
-pub fn http_request_timeout(
-    addr: impl ToSocketAddrs,
-    method: &str,
-    path: &str,
-    body: &str,
-    timeout: Duration,
-) -> std::io::Result<(u16, String)> {
-    http_request_with(
-        addr,
-        method,
-        path,
-        body,
-        &ClientConfig::with_timeout(timeout),
-    )
-}
-
-/// The configurable one-shot request all the helpers above reduce to.
-/// Sends `Connection: close` and reads one framed response.
-pub fn http_request_with(
-    addr: impl ToSocketAddrs,
-    method: &str,
-    path: &str,
-    body: &str,
-    config: &ClientConfig,
-) -> std::io::Result<(u16, String)> {
     let addr = addr
         .to_socket_addrs()?
         .next()
         .ok_or_else(|| invalid("address resolved to nothing"))?;
-    let stream = connect(&addr, config)?;
+    let stream = connect(&addr, &ClientConfig::default())?;
     let mut reader = BufReader::new(stream);
     write_request(reader.get_mut(), method, path, body, "close")?;
     let resp = read_response(&mut reader)?;

@@ -2,7 +2,8 @@
 //!
 //! crates.io (and hence serde) is unreachable in this build environment,
 //! so JSON bodies are produced by a small writer. Its functions are
-//! pure: [`encode_advice`] formats its argument on every call. The
+//! pure: [`encode_advice`] formats its argument on every call, through
+//! the one JSON advice encoder, [`WireAdvice::to_json`]. The
 //! server formats each `Advice` once — the first reply that carries an
 //! advice stores [`encode_advice`]'s output in the advice's own text
 //! slot ([`charles_core::Encoded`]), and that reply and every later one
@@ -23,8 +24,9 @@
 //!   invalid tokens.
 
 use crate::server::MetricsSnapshot;
-use charles_core::hbcuts::{ComposeStep, SkippedPair, StopReason, Trace};
-use charles_core::{Advice, Ranked, Score};
+use crate::wire::{WireAdvice, WireCacheStats};
+use charles_core::hbcuts::StopReason;
+use charles_core::Advice;
 
 /// Escape and double-quote a string.
 pub fn json_string(s: &str) -> String {
@@ -58,25 +60,26 @@ pub fn json_f64(v: f64) -> String {
 }
 
 /// A JSON array of strings.
-pub fn json_string_array<I, S>(items: I) -> String
-where
-    I: IntoIterator<Item = S>,
-    S: AsRef<str>,
-{
+pub fn json_string_array(items: &[String]) -> String {
+    json_array(items, |s| json_string(s))
+}
+
+/// A JSON array of `items`, each rendered by `item`.
+pub(crate) fn json_array<T>(items: &[T], item: impl Fn(&T) -> String) -> String {
     let mut out = String::from("[");
-    for (i, item) in items.into_iter().enumerate() {
+    for (i, x) in items.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&json_string(item.as_ref()));
+        out.push_str(&item(x));
     }
     out.push(']');
     out
 }
 
 /// `{"session":…,"advice":…}` — the reply to start, drill and back.
-/// `advice` is an already-rendered advice object ([`encode_advice`] or
-/// [`crate::wire::WireAdvice::to_json`]), as in [`info_body`].
+/// `advice` is an already-rendered advice object
+/// ([`WireAdvice::to_json`]), as in [`info_body`].
 pub(crate) fn session_body(id: &str, advice: &str) -> String {
     format!("{{\"session\":{},\"advice\":{advice}}}", json_string(id))
 }
@@ -93,20 +96,14 @@ pub(crate) fn info_body(id: &str, depth: u64, breadcrumbs: &[String], advice: &s
 
 /// The shared advice-cache counters; `capacity` is `null` when the
 /// cache is unbounded.
-pub(crate) fn cache_stats_body(
-    hits: u64,
-    misses: u64,
-    runs: u64,
-    evictions: u64,
-    entries: u64,
-    capacity: Option<u64>,
-) -> String {
-    let capacity = match capacity {
+pub(crate) fn cache_stats_body(c: &WireCacheStats) -> String {
+    let capacity = match c.capacity {
         Some(cap) => cap.to_string(),
         None => "null".to_string(),
     };
     format!(
-        "{{\"hits\":{hits},\"misses\":{misses},\"runs\":{runs},\"evictions\":{evictions},\"entries\":{entries},\"capacity\":{capacity}}}"
+        "{{\"hits\":{},\"misses\":{},\"runs\":{},\"evictions\":{},\"entries\":{},\"capacity\":{capacity}}}",
+        c.hits, c.misses, c.runs, c.evictions, c.entries
     )
 }
 
@@ -142,19 +139,15 @@ pub(crate) fn error_body(
         json_string(message)
     );
     if let Some(diagnostics) = diagnostics {
-        out.push_str(",\"diagnostics\":[");
-        for (i, (code, attr, detail)) in diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
+        out.push_str(",\"diagnostics\":");
+        out.push_str(&json_array(diagnostics, |(code, attr, detail)| {
+            format!(
                 "{{\"code\":{},\"attr\":{},\"detail\":{}}}",
                 json_string(code),
                 json_string(attr),
                 json_string(detail)
-            ));
-        }
-        out.push(']');
+            )
+        }));
     }
     out.push_str("}}");
     out
@@ -203,100 +196,12 @@ pub fn stop_reason_name(stop: StopReason) -> &'static str {
     }
 }
 
-/// Encode a score card.
-pub fn encode_score(score: &Score) -> String {
-    format!(
-        "{{\"entropy\":{},\"simplicity\":{},\"breadth\":{},\"depth\":{}}}",
-        json_f64(score.entropy),
-        score.simplicity,
-        score.breadth,
-        score.depth
-    )
-}
-
-/// Encode one ranked answer: the segmentation as its rendered queries
-/// (exactly what `POST /session/{id}/drill` lets the client select by
-/// index) plus the score card.
-pub fn encode_ranked(ranked: &Ranked) -> String {
-    format!(
-        "{{\"segmentation\":{},\"score\":{}}}",
-        json_string_array(ranked.segmentation.queries().iter().map(|q| q.to_string())),
-        encode_score(&ranked.score)
-    )
-}
-
-/// Encode one composition step of the trace.
-pub fn encode_step(step: &ComposeStep) -> String {
-    format!(
-        "{{\"left\":{},\"right\":{},\"indep\":{},\"depth\":{},\"accepted\":{}}}",
-        json_string_array(&step.left_attrs),
-        json_string_array(&step.right_attrs),
-        json_f64(step.indep),
-        step.depth,
-        step.accepted
-    )
-}
-
-/// Encode one skipped (uncomposable) pair of the trace.
-pub fn encode_skipped_pair(pair: &SkippedPair) -> String {
-    format!(
-        "{{\"left\":{},\"right\":{},\"indep\":{}}}",
-        json_string_array(&pair.left_attrs),
-        json_string_array(&pair.right_attrs),
-        json_f64(pair.indep)
-    )
-}
-
-/// Encode the HB-cuts execution trace.
-pub fn encode_trace(trace: &Trace) -> String {
-    let mut steps = String::from("[");
-    for (i, s) in trace.steps.iter().enumerate() {
-        if i > 0 {
-            steps.push(',');
-        }
-        steps.push_str(&encode_step(s));
-    }
-    steps.push(']');
-    let mut skipped_pairs = String::from("[");
-    for (i, p) in trace.skipped_pairs.iter().enumerate() {
-        if i > 0 {
-            skipped_pairs.push(',');
-        }
-        skipped_pairs.push_str(&encode_skipped_pair(p));
-    }
-    skipped_pairs.push(']');
-    let stop = match trace.stop {
-        Some(s) => json_string(stop_reason_name(s)),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"seeds\":{},\"skipped\":{},\"steps\":{},\"skipped_pairs\":{},\"stop\":{}}}",
-        json_string_array(&trace.seeds),
-        json_string_array(&trace.skipped),
-        steps,
-        skipped_pairs,
-        stop
-    )
-}
-
 /// Encode a full advice payload (deterministic fields only — see the
-/// module docs for why the op/cache diagnostics are excluded).
+/// module docs for why the op/cache diagnostics are excluded): the
+/// advice lowered to its wire form and rendered by
+/// [`WireAdvice::to_json`], the one JSON advice encoder.
 pub fn encode_advice(advice: &Advice) -> String {
-    let mut ranked = String::from("[");
-    for (i, r) in advice.ranked.iter().enumerate() {
-        if i > 0 {
-            ranked.push(',');
-        }
-        ranked.push_str(&encode_ranked(r));
-    }
-    ranked.push(']');
-    format!(
-        "{{\"context\":{},\"context_size\":{},\"ranked\":{},\"trace\":{}}}",
-        json_string(&advice.context.to_string()),
-        advice.context_size,
-        ranked,
-        encode_trace(&advice.trace)
-    )
+    WireAdvice::from(advice).to_json()
 }
 
 /// The advice object as both listeners' JSON bodies embed it: the first

@@ -46,9 +46,7 @@ pub mod json;
 pub mod server;
 pub mod wire;
 
-pub use client::{
-    http_request, http_request_timeout, http_request_with, Client, ClientConfig, Response,
-};
+pub use client::{http_request, Client, ClientConfig, Response};
 pub use http::{Method, Request};
 pub use server::{MetricsSnapshot, ServeConfig, Server, ServerHandle, ServerMetrics};
 pub use wire::{

@@ -25,6 +25,7 @@ use crate::json::{
     cache_stats_body, encode_error, encode_error_with_diagnostics, info_body, metrics_body,
     served_advice, session_body, HEALTH_BODY,
 };
+use crate::wire::WireCacheStats;
 use charles_core::{Advice, AdviceCache, Config, CoreError, Session};
 use charles_parallel::WorkerPool;
 use charles_sdl::{Diagnostic, DiagnosticCode, SdlError};
@@ -42,8 +43,6 @@ use std::time::Duration;
 pub struct ServeConfig {
     /// Connection-handling worker threads.
     pub workers: usize,
-    /// Shard count of the cross-session advice cache.
-    pub cache_shards: usize,
     /// Upper bound on cached advice entries (per cache — the default
     /// backend's and each loaded dataset's). Once full, the
     /// least-recently-used settled entry is evicted, so a long-running
@@ -83,7 +82,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             workers: 8,
-            cache_shards: 16,
             cache_capacity: 1024,
             read_timeout: Duration::from_secs(10),
             max_requests_per_connection: 128,
@@ -193,23 +191,11 @@ pub(crate) enum ApiOk {
     /// `DELETE /session/{id}` → 204, empty body.
     Deleted,
     /// `GET /cache/stats`.
-    CacheStats(CacheStatsReply),
+    CacheStats(WireCacheStats),
     /// `GET /metrics`.
     Metrics(MetricsSnapshot),
     /// `GET /healthz`.
     Health,
-}
-
-/// Shared-cache counters as served to clients.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct CacheStatsReply {
-    pub hits: u64,
-    pub misses: u64,
-    pub runs: u64,
-    pub evictions: u64,
-    pub entries: u64,
-    /// `None` = unbounded cache.
-    pub capacity: Option<u64>,
 }
 
 /// One failed API outcome: status, stable snake_case code, human
@@ -241,10 +227,9 @@ pub(crate) struct ServerState {
     sessions: Mutex<HashMap<String, Arc<Mutex<Session>>>>,
     next_id: AtomicU64,
     max_sessions: usize,
-    /// Advice-cache shard count and entry bound (0 = unbounded),
-    /// applied to every cache this server creates — the default
-    /// backend's and each loaded dataset's.
-    cache_shards: usize,
+    /// Advice-cache entry bound (0 = unbounded), applied to every cache
+    /// this server creates — the default backend's and each loaded
+    /// dataset's.
     cache_capacity: usize,
     dataset_root: Option<PathBuf>,
     /// Datasets loaded through `@path` session bodies, keyed by
@@ -261,12 +246,15 @@ pub(crate) struct ServerState {
     conn_seq: AtomicU64,
 }
 
+/// Shard count of every advice cache a server creates.
+const CACHE_SHARDS: usize = 16;
+
 /// Build an advice cache honouring the configured bound (0 = unbounded).
-fn new_cache(shards: usize, capacity: usize) -> AdviceCache {
+fn new_cache(capacity: usize) -> AdviceCache {
     if capacity == 0 {
-        AdviceCache::with_shards(shards)
+        AdviceCache::with_shards(CACHE_SHARDS)
     } else {
-        AdviceCache::bounded(shards, capacity)
+        AdviceCache::bounded(CACHE_SHARDS, capacity)
     }
 }
 
@@ -305,11 +293,10 @@ impl Server {
         let state = Arc::new(ServerState {
             backend,
             advisor_config,
-            cache: Arc::new(new_cache(config.cache_shards, config.cache_capacity)),
+            cache: Arc::new(new_cache(config.cache_capacity)),
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             max_sessions: config.max_sessions.max(1),
-            cache_shards: config.cache_shards,
             cache_capacity: config.cache_capacity,
             dataset_root: config.dataset_root.clone(),
             datasets: Mutex::new(HashMap::new()),
@@ -740,10 +727,7 @@ fn render_ok(ok: &ApiOk) -> (u16, String) {
             info_body(id, *depth as u64, breadcrumbs, served_advice(advice)),
         ),
         ApiOk::Deleted => (204, String::new()),
-        ApiOk::CacheStats(c) => (
-            200,
-            cache_stats_body(c.hits, c.misses, c.runs, c.evictions, c.entries, c.capacity),
-        ),
+        ApiOk::CacheStats(c) => (200, cache_stats_body(c)),
         ApiOk::Metrics(m) => (200, metrics_body(m)),
         ApiOk::Health => (200, HEALTH_BODY.to_string()),
     }
@@ -810,7 +794,7 @@ impl ServerState {
             Ok(table) => {
                 let dataset = Dataset {
                     backend: Arc::new(table),
-                    cache: Arc::new(new_cache(self.cache_shards, self.cache_capacity)),
+                    cache: Arc::new(new_cache(self.cache_capacity)),
                 };
                 registry.insert(canonical, dataset.clone());
                 Ok(dataset)
@@ -923,7 +907,7 @@ pub(crate) fn api_back(state: &ServerState, id: &str) -> Result<ApiOk, ApiError>
 
 pub(crate) fn api_cache_stats(state: &ServerState) -> ApiOk {
     let stats = state.cache.stats();
-    ApiOk::CacheStats(CacheStatsReply {
+    ApiOk::CacheStats(WireCacheStats {
         hits: stats.hits,
         misses: stats.misses,
         runs: stats.runs,
@@ -1050,11 +1034,10 @@ mod tests {
         ServerState {
             backend: backend(),
             advisor_config: Config::default(),
-            cache: Arc::new(AdviceCache::bounded(4, 64)),
+            cache: Arc::new(new_cache(64)),
             sessions: Mutex::new(HashMap::new()),
             next_id: AtomicU64::new(1),
             max_sessions: 4096,
-            cache_shards: 4,
             cache_capacity: 64,
             dataset_root: None,
             datasets: Mutex::new(HashMap::new()),

@@ -50,12 +50,12 @@
 
 use crate::client::ClientConfig;
 use crate::json::{
-    cache_stats_body, error_body, info_body, json_f64, json_string, json_string_array,
+    cache_stats_body, error_body, info_body, json_array, json_f64, json_string, json_string_array,
     metrics_body, session_body, stop_reason_name, HEALTH_BODY,
 };
 use crate::server::{
     api_back, api_cache_stats, api_create_session, api_delete_session, api_drill, api_metrics,
-    api_session_info, ApiError, ApiOk, CacheStatsReply, DeadlineStream, ServerState,
+    api_session_info, ApiError, ApiOk, DeadlineStream, ServerState,
 };
 use crate::MetricsSnapshot;
 use charles_core::hbcuts::StopReason;
@@ -339,55 +339,96 @@ pub struct WireAdvice {
     pub trace: WireTrace,
 }
 
+impl From<&Advice> for WireAdvice {
+    /// The lowering every served advice undergoes: queries rendered to
+    /// text, counters widened to `u64`, floats kept as bits. Both
+    /// formats encode from it — JSON through [`WireAdvice::to_json`],
+    /// CHRW through the one payload writer — so they cannot disagree
+    /// about a field.
+    fn from(advice: &Advice) -> WireAdvice {
+        let trace = &advice.trace;
+        WireAdvice {
+            context: advice.context.to_string(),
+            context_size: advice.context_size as u64,
+            ranked: advice
+                .ranked
+                .iter()
+                .map(|r| WireRanked {
+                    segmentation: r
+                        .segmentation
+                        .queries()
+                        .iter()
+                        .map(ToString::to_string)
+                        .collect(),
+                    entropy: r.score.entropy,
+                    simplicity: r.score.simplicity as u64,
+                    breadth: r.score.breadth as u64,
+                    depth: r.score.depth as u64,
+                })
+                .collect(),
+            trace: WireTrace {
+                seeds: trace.seeds.clone(),
+                skipped: trace.skipped.clone(),
+                steps: trace
+                    .steps
+                    .iter()
+                    .map(|s| WireStep {
+                        left: s.left_attrs.clone(),
+                        right: s.right_attrs.clone(),
+                        indep: s.indep,
+                        depth: s.depth as u64,
+                        accepted: s.accepted,
+                    })
+                    .collect(),
+                skipped_pairs: trace
+                    .skipped_pairs
+                    .iter()
+                    .map(|p| WirePair {
+                        left: p.left_attrs.clone(),
+                        right: p.right_attrs.clone(),
+                        indep: p.indep,
+                    })
+                    .collect(),
+                stop: trace.stop,
+            },
+        }
+    }
+}
+
 impl WireAdvice {
-    /// Render this advice as JSON, byte-identical to
-    /// [`crate::json::encode_advice`] on the originating `Advice` (the
-    /// floats travelled as bits, so the shortest-round-trip text form
-    /// is reproduced exactly).
+    /// Render this advice as the JSON object both listeners serve — the
+    /// one JSON advice encoder ([`crate::json::encode_advice`] is this
+    /// on the lowered `Advice`). Floats travel as bits, so a decoded
+    /// payload renders the same shortest-round-trip text as its source.
     pub fn to_json(&self) -> String {
-        let mut ranked = String::from("[");
-        for (i, r) in self.ranked.iter().enumerate() {
-            if i > 0 {
-                ranked.push(',');
-            }
-            ranked.push_str(&format!(
+        let ranked = json_array(&self.ranked, |r| {
+            format!(
                 "{{\"segmentation\":{},\"score\":{{\"entropy\":{},\"simplicity\":{},\"breadth\":{},\"depth\":{}}}}}",
                 json_string_array(&r.segmentation),
                 json_f64(r.entropy),
                 r.simplicity,
                 r.breadth,
                 r.depth
-            ));
-        }
-        ranked.push(']');
-        let mut steps = String::from("[");
-        for (i, s) in self.trace.steps.iter().enumerate() {
-            if i > 0 {
-                steps.push(',');
-            }
-            steps.push_str(&format!(
+            )
+        });
+        let steps = json_array(&self.trace.steps, |s| {
+            format!(
                 "{{\"left\":{},\"right\":{},\"indep\":{},\"depth\":{},\"accepted\":{}}}",
                 json_string_array(&s.left),
                 json_string_array(&s.right),
                 json_f64(s.indep),
                 s.depth,
                 s.accepted
-            ));
-        }
-        steps.push(']');
-        let mut skipped_pairs = String::from("[");
-        for (i, p) in self.trace.skipped_pairs.iter().enumerate() {
-            if i > 0 {
-                skipped_pairs.push(',');
-            }
-            skipped_pairs.push_str(&format!(
+            )
+        });
+        let skipped_pairs = json_array(&self.trace.skipped_pairs, |p| {
+            format!(
                 "{{\"left\":{},\"right\":{},\"indep\":{}}}",
                 json_string_array(&p.left),
                 json_string_array(&p.right),
                 json_f64(p.indep)
-            ));
-        }
-        skipped_pairs.push(']');
+            )
+        });
         let stop = match self.trace.stop {
             Some(s) => json_string(stop_reason_name(s)),
             None => "null".to_string(),
@@ -523,10 +564,7 @@ impl WireResponse {
                 advice,
             } => (200, info_body(id, *depth, breadcrumbs, &advice.to_json())),
             WireResponse::Deleted => (204, String::new()),
-            WireResponse::CacheStats(c) => (
-                200,
-                cache_stats_body(c.hits, c.misses, c.runs, c.evictions, c.entries, c.capacity),
-            ),
+            WireResponse::CacheStats(c) => (200, cache_stats_body(c)),
             WireResponse::Metrics(m) => (200, metrics_body(m)),
             WireResponse::Health => (200, HEALTH_BODY.to_string()),
             WireResponse::Error(f) => {
@@ -559,10 +597,9 @@ impl WireResponse {
     }
 
     /// Append this response as one complete frame to `buf`. The server
-    /// encodes straight from its own types (`encode_api_result`);
-    /// this owned-side encoder exists for tests and for proxying, and
-    /// is pinned byte-identical to the server's by the round-trip
-    /// suites.
+    /// frames its own types (`encode_api_result`), but every payload
+    /// field goes through the same writers as here: an advice through
+    /// `put_wire_advice`, cache counters through `put_cache_stats`.
     pub fn encode(&self, buf: &mut Vec<u8>) {
         let start = begin_frame(buf, self.opcode());
         match self {
@@ -585,20 +622,7 @@ impl WireResponse {
                 put_wire_advice(buf, advice);
             }
             WireResponse::Deleted | WireResponse::Health => {}
-            WireResponse::CacheStats(c) => {
-                put_u64(buf, c.hits);
-                put_u64(buf, c.misses);
-                put_u64(buf, c.runs);
-                put_u64(buf, c.evictions);
-                put_u64(buf, c.entries);
-                match c.capacity {
-                    None => put_u8(buf, 0),
-                    Some(cap) => {
-                        put_u8(buf, 1);
-                        put_u64(buf, cap);
-                    }
-                }
-            }
+            WireResponse::CacheStats(c) => put_cache_stats(buf, c),
             WireResponse::Metrics(m) => put_metrics(buf, m),
             WireResponse::Error(f) => {
                 put_u16(buf, f.status);
@@ -868,57 +892,19 @@ fn encode_frame_error(buf: &mut Vec<u8>, err: &WireError) {
 
 /// Append an advice payload — everything a session reply carries after
 /// its id (and, for `Info`, its breadcrumbs). The first send of an
-/// `Advice` renders it ([`render_advice`]) into the advice's own binary
-/// slot; this and every later send copy the slot, so re-sending a cached
-/// advice formats nothing.
+/// `Advice` lowers it and writes the payload ([`put_wire_advice`]) into
+/// the advice's own binary slot; this and every later send copy the
+/// slot, so re-sending a cached advice formats nothing.
 fn put_advice(buf: &mut Vec<u8>, advice: &Advice) {
     buf.extend_from_slice(advice.encoded.binary(|| {
         let mut payload = Vec::new();
-        render_advice(&mut payload, advice);
+        put_wire_advice(&mut payload, &WireAdvice::from(advice));
         payload
     }));
 }
 
-/// Render an `Advice` payload straight from the advisor's types:
-/// queries are written through `Display` into `buf`, no `String` per
-/// query.
-fn render_advice(buf: &mut Vec<u8>, advice: &Advice) {
-    put_display(buf, &advice.context);
-    put_u64(buf, advice.context_size as u64);
-    put_u32(buf, advice.ranked.len() as u32);
-    for r in &advice.ranked {
-        let queries = r.segmentation.queries();
-        put_u32(buf, queries.len() as u32);
-        for q in queries {
-            put_display(buf, q);
-        }
-        put_f64(buf, r.score.entropy);
-        put_u64(buf, r.score.simplicity as u64);
-        put_u64(buf, r.score.breadth as u64);
-        put_u64(buf, r.score.depth as u64);
-    }
-    put_str_list(buf, &advice.trace.seeds);
-    put_str_list(buf, &advice.trace.skipped);
-    put_u32(buf, advice.trace.steps.len() as u32);
-    for s in &advice.trace.steps {
-        put_str_list(buf, &s.left_attrs);
-        put_str_list(buf, &s.right_attrs);
-        put_f64(buf, s.indep);
-        put_u64(buf, s.depth as u64);
-        put_u8(buf, u8::from(s.accepted));
-    }
-    put_u32(buf, advice.trace.skipped_pairs.len() as u32);
-    for p in &advice.trace.skipped_pairs {
-        put_str_list(buf, &p.left_attrs);
-        put_str_list(buf, &p.right_attrs);
-        put_f64(buf, p.indep);
-    }
-    put_u8(buf, encode_stop(advice.trace.stop));
-}
-
-/// Encode a decoded advice payload (the owned mirror of
-/// [`render_advice`]; the round-trip suites pin the two to identical
-/// bytes).
+/// Write an advice payload: the one CHRW advice encoder, for the
+/// server's first send of an `Advice` and for [`WireResponse::encode`].
 fn put_wire_advice(buf: &mut Vec<u8>, advice: &WireAdvice) {
     put_str(buf, &advice.context);
     put_u64(buf, advice.context_size);
@@ -952,7 +938,7 @@ fn put_wire_advice(buf: &mut Vec<u8>, advice: &WireAdvice) {
     put_u8(buf, encode_stop(advice.trace.stop));
 }
 
-fn put_cache_stats(buf: &mut Vec<u8>, c: &CacheStatsReply) {
+fn put_cache_stats(buf: &mut Vec<u8>, c: &WireCacheStats) {
     put_u64(buf, c.hits);
     put_u64(buf, c.misses);
     put_u64(buf, c.runs);
@@ -1085,7 +1071,8 @@ fn begin_frame(buf: &mut Vec<u8>, opcode: u8) -> usize {
 /// Patch the payload length of the frame opened at `start`.
 fn end_frame(buf: &mut [u8], start: usize) {
     let len = (buf.len() - start - HEADER_LEN) as u32;
-    buf[start + 6..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes()); // lint:allow(panic) start was returned by begin_frame, so the header span exists
+    // `start` was returned by `begin_frame`, so the header span exists.
+    buf[start + 6..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
 }
 
 fn put_u8(buf: &mut Vec<u8>, v: u8) {
@@ -1130,7 +1117,8 @@ fn put_display(buf: &mut Vec<u8>, v: &dyn std::fmt::Display) {
     // Writes into a Vec are infallible.
     let _ = write!(buf, "{v}");
     let len = (buf.len() - start) as u32;
-    buf[patch..patch + 4].copy_from_slice(&len.to_le_bytes()); // lint:allow(panic) patch points at the 4-byte length slot this fn reserved
+    // `patch` points at the 4-byte length slot reserved above.
+    buf[patch..patch + 4].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Bounds-checked cursor over one frame payload. Every read is
@@ -1721,7 +1709,7 @@ mod tests {
         // And the slot holds exactly the payload a never-served copy
         // renders.
         let mut pure = Vec::new();
-        render_advice(&mut pure, &advice.as_ref().clone());
+        put_wire_advice(&mut pure, &WireAdvice::from(&advice.as_ref().clone()));
         assert_eq!(advice.encoded.binary(|| unreachable!("served above")), pure);
     }
 

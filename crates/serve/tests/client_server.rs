@@ -1,15 +1,17 @@
 //! Socket-level tests of the serving path the load harness stands on:
 //! the persistent [`Client`] reusing one keep-alive connection across
 //! many requests without desync, `TCP_NODELAY` keeping small pipelined
-//! exchanges inside an interactive latency budget, and client-side
-//! deadlines turning a stalled server into an error instead of a hang.
+//! exchanges inside an interactive latency budget, client-side deadlines
+//! turning a stalled server into an error instead of a hang, and a
+//! bounded response body.
 
-use charles_serve::{
-    http_request, http_request_timeout, Client, ClientConfig, ServeConfig, Server,
-};
+use charles_serve::wire::MAX_RESPONSE_PAYLOAD;
+use charles_serve::{http_request, Client, ClientConfig, ServeConfig, Server};
 use charles_store::{Backend, DataType, TableBuilder, Value};
-use std::net::TcpListener;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 fn backend() -> Arc<dyn Backend> {
@@ -132,46 +134,26 @@ fn pipelined_small_responses_fit_an_interactive_latency_budget() {
 }
 
 #[test]
-fn one_shot_helper_times_out_on_a_silent_server() {
-    // A listener that accepts and never answers: the deadline-carrying
-    // helpers must give up within the timeout instead of hanging
-    // forever (the original client read to EOF with no deadline).
+fn client_times_out_on_a_silent_server() {
+    // A listener that accepts and never answers: the client must give
+    // up within its deadline instead of hanging forever (the original
+    // client read to EOF with no deadline), and on a fresh connection
+    // it does so once (no silent retry loop).
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
     let hold = std::thread::spawn(move || {
-        // Accept and park the connections until the test ends.
-        let mut held = Vec::new();
-        while let Ok((stream, _)) = listener.accept() {
-            held.push(stream);
-            if held.len() >= 2 {
-                break;
-            }
-        }
+        // Accept and park the connection until the test ends.
+        let held = listener.accept();
         std::thread::sleep(Duration::from_secs(2));
         drop(held);
     });
 
-    let start = Instant::now();
-    let err = http_request_timeout(addr, "GET", "/healthz", "", Duration::from_millis(200))
-        .expect_err("silent server must not yield a response");
-    let elapsed = start.elapsed();
-    assert!(
-        matches!(
-            err.kind(),
-            std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-        ),
-        "unexpected error: {err:?}"
-    );
-    assert!(elapsed < Duration::from_secs(1), "hung for {elapsed:?}");
-
-    // The pooled client observes the same deadline on a fresh
-    // connection (no silent retry loop).
     let mut client =
         Client::new(addr, ClientConfig::with_timeout(Duration::from_millis(200))).unwrap();
     let start = Instant::now();
     let err = client
         .request("GET", "/healthz", "")
-        .expect_err("silent server must time the pooled client out too");
+        .expect_err("silent server must not yield a response");
     assert!(
         matches!(
             err.kind(),
@@ -217,4 +199,56 @@ fn one_shot_requests_still_work_end_to_end() {
     assert!(body.contains("\"connections\":"), "{body}");
     assert!(body.contains("\"responses_2xx\":"), "{body}");
     handle.shutdown();
+}
+
+/// A one-connection server that reads a request and answers with a head
+/// claiming a `Content-Length` of `claimed` and a two-byte body, then
+/// waits for the client to hang up.
+fn lying_server(claimed: u64) -> (SocketAddr, JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let liar = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().unwrap();
+        let mut reader = BufReader::new(stream);
+        let mut line = String::new();
+        while reader.read_line(&mut line).unwrap() > 0 && line != "\r\n" {
+            line.clear();
+        }
+        let mut stream = reader.into_inner();
+        write!(
+            stream,
+            "HTTP/1.1 200 OK\r\nContent-Length: {claimed}\r\nConnection: close\r\n\r\n{{}}"
+        )
+        .unwrap();
+        let _ = stream.read_to_end(&mut Vec::new());
+    });
+    (addr, liar)
+}
+
+#[test]
+fn a_content_length_beyond_the_frame_bound_is_invalid_data() {
+    // The client sizes the body buffer from the server's head; past the
+    // wire client's frame bound it refuses instead. `u64::MAX` used to
+    // panic with a capacity overflow, a merely huge value to abort on
+    // allocation.
+    let over = u64::from(MAX_RESPONSE_PAYLOAD) + 1;
+    for claimed in [u64::MAX, 1 << 40, over] {
+        let (addr, liar) = lying_server(claimed);
+        let err = http_request(addr, "GET", "/healthz", "").expect_err("a lying head");
+        assert_eq!(
+            err.kind(),
+            std::io::ErrorKind::InvalidData,
+            "{claimed}: {err}"
+        );
+        liar.join().unwrap();
+    }
+    // The keep-alive client reads heads the same way.
+    let (addr, liar) = lying_server(u64::MAX);
+    let mut client = Client::new(addr, ClientConfig::default()).unwrap();
+    let err = client
+        .request("GET", "/healthz", "")
+        .expect_err("a lying head");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    drop(client);
+    liar.join().unwrap();
 }

@@ -1,8 +1,8 @@
 //! Binary wire-protocol property tests, mirroring the JSON suite in
 //! `tests/proptests.rs`: arbitrary byte soup decodes to a typed error
 //! (never a panic), encode→decode is identity including bitwise f64
-//! advice payloads, truncated frames are detected, and the binary
-//! advice rendering agrees byte-for-byte with the JSON encoder.
+//! advice payloads, truncated frames are detected, and a decoded advice
+//! renders the JSON its source advice does, byte for byte.
 //!
 //! Failing seeds are pinned in `proptest-regressions/wire_proptests.txt`,
 //! matching the store/sdl convention.
@@ -13,8 +13,8 @@ use charles_sdl::{Constraint, Predicate, Query, Segmentation};
 use charles_serve::json::encode_advice;
 use charles_serve::wire::{
     read_frame, summarize_response, WireAdvice, WireCacheStats, WireDiagnostic, WireError,
-    WireFault, WirePair, WireRanked, WireRequest, WireResponse, WireStep, WireTrace, HEADER_LEN,
-    MAGIC, MAX_REQUEST_PAYLOAD, MAX_RESPONSE_PAYLOAD, VERSION,
+    WireFault, WireRequest, WireResponse, WireTrace, HEADER_LEN, MAGIC, MAX_REQUEST_PAYLOAD,
+    MAX_RESPONSE_PAYLOAD, VERSION,
 };
 use charles_serve::MetricsSnapshot;
 use charles_store::Value;
@@ -137,59 +137,6 @@ fn arb_advice() -> impl Strategy<Value = Advice> {
         )
 }
 
-/// The field-by-field conversion an advice payload undergoes on the
-/// wire: strings are pre-rendered, counters widen to u64, floats travel
-/// as bits. This is the test-side mirror of the server's encoder.
-fn wire_advice_of(advice: &Advice) -> WireAdvice {
-    WireAdvice {
-        context: advice.context.to_string(),
-        context_size: advice.context_size as u64,
-        ranked: advice
-            .ranked
-            .iter()
-            .map(|r| WireRanked {
-                segmentation: r
-                    .segmentation
-                    .queries()
-                    .iter()
-                    .map(|q| q.to_string())
-                    .collect(),
-                entropy: r.score.entropy,
-                simplicity: r.score.simplicity as u64,
-                breadth: r.score.breadth as u64,
-                depth: r.score.depth as u64,
-            })
-            .collect(),
-        trace: WireTrace {
-            seeds: advice.trace.seeds.clone(),
-            skipped: advice.trace.skipped.clone(),
-            steps: advice
-                .trace
-                .steps
-                .iter()
-                .map(|s| WireStep {
-                    left: s.left_attrs.clone(),
-                    right: s.right_attrs.clone(),
-                    indep: s.indep,
-                    depth: s.depth as u64,
-                    accepted: s.accepted,
-                })
-                .collect(),
-            skipped_pairs: advice
-                .trace
-                .skipped_pairs
-                .iter()
-                .map(|p| WirePair {
-                    left: p.left_attrs.clone(),
-                    right: p.right_attrs.clone(),
-                    indep: p.indep,
-                })
-                .collect(),
-            stop: advice.trace.stop,
-        },
-    }
-}
-
 fn arb_fault() -> impl Strategy<Value = WireFault> {
     (
         100u16..600,
@@ -210,7 +157,7 @@ fn arb_fault() -> impl Strategy<Value = WireFault> {
 }
 
 fn arb_response() -> impl Strategy<Value = WireResponse> {
-    let advice = || arb_advice().prop_map(|a| wire_advice_of(&a));
+    let advice = || arb_advice().prop_map(|a| WireAdvice::from(&a));
     prop_oneof![
         (any::<u32>(), advice()).prop_map(|(n, advice)| WireResponse::Started {
             id: format!("s{n}"),
@@ -394,16 +341,13 @@ proptest! {
     }
 
     #[test]
-    fn wire_advice_rendering_matches_the_json_encoder(advice in arb_advice()) {
+    fn a_decoded_advice_renders_the_json_its_source_does(advice in arb_advice()) {
         // The cross-listener contract: a decoded binary advice payload
         // renders to the exact bytes the JSON path serves. Floats made
         // the trip as bits, so even shortest-round-trip float text
-        // agrees (non-finite renders as null on both sides).
-        let wire = wire_advice_of(&advice);
-        prop_assert_eq!(wire.to_json(), encode_advice(&advice));
-        // And after a full encode→decode trip the rendering still
-        // agrees — nothing was lost on the wire.
-        let resp = WireResponse::Advice { id: "s1".to_string(), advice: wire };
+        // agrees (non-finite renders as null on both sides) — nothing
+        // was lost on the wire.
+        let resp = WireResponse::Advice { id: "s1".to_string(), advice: WireAdvice::from(&advice) };
         let mut one = Vec::new();
         resp.encode(&mut one);
         let (opcode, payload) = split_frame(&one);

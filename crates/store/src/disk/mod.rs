@@ -5,7 +5,8 @@
 //! meant re-ingesting and re-building columns on every boot. This module
 //! gives tables a durable form: a versioned binary **columnar** layout
 //! (the natural shape for Charles' workload of counts and medians over
-//! single columns) written once by [`write_table`] and served lazily by
+//! single columns) written once by [`StreamWriter`] (or [`write_table`],
+//! which feeds it a whole table) and served lazily by
 //! [`DiskTable`], which fetches a column's segments on first touch via
 //! positioned reads instead of materialising the whole file.
 //!
@@ -15,7 +16,7 @@
 //! ```text
 //! [header: magic, version, endianness marker]
 //! [schema block: table name, row count, column names + types]
-//! [per column: validity bitmap words · typed fixed-width data · string dictionary]
+//! [per column: typed fixed-width data · validity bitmap words · string dictionary]
 //! [footer: per-segment (offset, length, CRC-32) index · whole-file CRC-32]
 //! [trailer: footer offset · trailing magic]
 //! ```

@@ -944,9 +944,9 @@ mod tests {
         let path = tmp_path("segment");
         write_table(&t, &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        // Flip one byte in the first column's data region (safely past
-        // header + schema block; the validity words of 97 rows are 16
-        // bytes, so offset HEADER+4+schema+20 lands in column data).
+        // Flip one byte in the first column's data region, which
+        // starts right after header + schema block: offset
+        // HEADER+4+schema+20 lands in its 97 × 8 data bytes.
         let schema_len = u32::from_le_bytes(bytes[16..20].try_into().unwrap()) as usize;
         let poke = 20 + schema_len + 20;
         bytes[poke] ^= 0x55;

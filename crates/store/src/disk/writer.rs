@@ -1,26 +1,23 @@
-//! Writing `.charles` files: eager ([`write_table`]) and streaming
-//! ([`StreamWriter`]).
+//! Writing `.charles` files: one writer, [`StreamWriter`], which
+//! [`write_table`] drives a whole column at a time.
 //!
-//! Both writers are single-pass: header, schema block, column segments,
+//! The writer is single-pass: header, schema block, column segments,
 //! then the footer index — no seeks, so everything streams through a
-//! `BufWriter`. Offsets and the whole-file CRC are tracked as bytes go
-//! out. The eager writer computes each segment's CRC over its encoded
-//! bytes up front; the streaming writer accumulates segment CRCs
-//! incrementally as values arrive, which is what lets it emit files far
-//! larger than memory — it never holds a column's data, only the current
-//! column's validity bitmap and (for strings) dictionary.
+//! `BufWriter`. Offsets, segment CRCs and the whole-file CRC accumulate
+//! as bytes go out, which is what lets it emit files far larger than
+//! memory: it never holds a column's data, only the current column's
+//! validity bitmap and (for strings) dictionary.
 //!
-//! The two writers order a column's segments differently (eager:
-//! validity·data·dict; streaming: data·validity·dict, because validity
-//! is only complete after the last value). Both orders are equally valid
-//! `.charles` v1: the footer's absolute offsets are normative, segment
-//! order never was (see `docs/FORMAT.md`), and [`super::DiskTable`]
-//! reads both identically.
+//! Every file orders a column's segments data · validity · dictionary,
+//! because validity is only complete after a column's last value. The
+//! footer's absolute offsets are normative, segment order is not (see
+//! `docs/FORMAT.md`).
 
 use super::{
     io_err, type_code, ByteWriter, ColumnSegments, Crc32, SegmentRef, ENDIAN_MARKER,
     FORMAT_VERSION, MAGIC, TRAILER_MAGIC,
 };
+use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
 use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
@@ -123,16 +120,6 @@ fn encode_data(data: &ColumnData) -> Vec<u8> {
     }
 }
 
-/// Encode a validity bitmap as its raw word layout.
-fn encode_validity(col: &Column) -> Vec<u8> {
-    let words = col.validity().words();
-    let mut out = Vec::with_capacity(words.len() * 8);
-    for w in words {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-    out
-}
-
 /// Encode a string dictionary (entry count, then length-prefixed UTF-8).
 fn encode_dict(dict: &[String]) -> Vec<u8> {
     let mut w = ByteWriter::new();
@@ -180,10 +167,11 @@ fn encode_footer(columns: &[ColumnSegments], file_crc: u32) -> Vec<u8> {
 }
 
 /// Write `table` to `path` in the `.charles` v1 format (see
-/// `docs/FORMAT.md`). Overwrites any existing file. The written file
-/// round-trips bitwise: [`super::DiskTable::open`] on the result yields
-/// a backend whose every operation — and therefore the full advisor
-/// output — is identical to running against `table` directly.
+/// `docs/FORMAT.md`): a [`StreamWriter`] fed one whole column at a time.
+/// Overwrites any existing file. The written file round-trips bitwise:
+/// [`super::DiskTable::open`] on the result yields a backend whose every
+/// operation — and therefore the full advisor output — is identical to
+/// running against `table` directly.
 ///
 /// ```no_run
 /// use charles_store::{TableBuilder, DataType, Value, disk};
@@ -197,50 +185,11 @@ fn encode_footer(columns: &[ColumnSegments], file_crc: u32) -> Vec<u8> {
 /// assert_eq!(loaded.len(), 1);
 /// ```
 pub fn write_table(table: &Table, path: impl AsRef<Path>) -> StoreResult<()> {
-    let file = std::fs::File::create(path.as_ref())
-        .map_err(|e| io_err(&format!("creating {:?}", path.as_ref()), e))?;
-    let mut w = TrackedWriter::new(BufWriter::new(file));
-
-    // Header.
-    w.write(&MAGIC)?;
-    w.write(&FORMAT_VERSION.to_le_bytes())?;
-    w.write(&ENDIAN_MARKER.to_le_bytes())?;
-
-    // Schema block, length-prefixed so the reader can slurp it without
-    // parsing ahead.
-    let schema = encode_schema(table.name(), table.len(), table.schema());
-    w.write(&(schema.len() as u32).to_le_bytes())?;
-    w.write(&schema)?;
-
-    // Column segments, schema order.
-    let mut columns = Vec::with_capacity(table.columns().len());
+    let mut w = StreamWriter::create(path, table.name(), table.schema().clone(), table.len())?;
     for col in table.columns() {
-        let validity = w.segment(&encode_validity(col))?;
-        let data = w.segment(&encode_data(col.data()))?;
-        let dict = match col.data() {
-            ColumnData::Str(_) => Some(w.segment(&encode_dict(col.dict()))?),
-            _ => None,
-        };
-        columns.push(ColumnSegments {
-            validity,
-            data,
-            dict,
-        });
+        w.append_column(col)?;
     }
-
-    // Footer (indexed by the trailer) + its own CRC + trailer.
-    let footer_start = w.offset;
-    let file_crc = w.crc.finish();
-    let footer = encode_footer(&columns, file_crc);
-    let footer_crc = Crc32::of(&footer);
-    w.write(&footer)?;
-    w.write(&footer_crc.to_le_bytes())?;
-    w.write(&footer_start.to_le_bytes())?;
-    w.write(&TRAILER_MAGIC)?;
-    w.inner
-        .flush()
-        .map_err(|e| io_err("flushing .charles file", e))?;
-    Ok(())
+    w.finish()
 }
 
 /// State held for the column currently being streamed — the *entire*
@@ -249,7 +198,7 @@ pub fn write_table(table: &Table, path: impl AsRef<Path>) -> StoreResult<()> {
 /// straight to disk.
 struct ColumnState {
     rows_written: usize,
-    validity: crate::Bitmap,
+    validity: Bitmap,
     /// Dictionary entries in first-occurrence order (string columns),
     /// so streamed codes are identical to [`Column`]'s interning.
     dict: Vec<String>,
@@ -260,11 +209,10 @@ struct ColumnState {
 }
 
 impl ColumnState {
-    fn new(rows_hint: usize) -> ColumnState {
-        let _ = rows_hint;
+    fn new() -> ColumnState {
         ColumnState {
             rows_written: 0,
-            validity: crate::Bitmap::new(0),
+            validity: Bitmap::new(0),
             dict: Vec::new(),
             dict_index: HashMap::new(),
         }
@@ -283,7 +231,7 @@ impl ColumnState {
 /// [`StreamWriter::end_column`]; finally [`StreamWriter::finish`] seals
 /// the footer. The caller regenerates or re-reads the rows once per
 /// column (an *arity-pass* producer — see `charles-datagen`'s
-/// `generate_and_save_streaming`, whose deterministic generators make
+/// `generate_and_save`, whose deterministic generators make
 /// re-iteration free).
 ///
 /// Every protocol violation is a typed error, not a panic: appending a
@@ -294,20 +242,17 @@ impl ColumnState {
 /// last column ([`StoreError::ArityMismatch`]), or finishing with
 /// columns missing ([`StoreError::ArityMismatch`]).
 ///
-/// The streamed file is read by [`super::DiskTable`] exactly like an
-/// eagerly written one — same schema, same values, same advisor output
-/// (pinned by this module's tests and `tests/disk_persistence.rs`). The
-/// only physical difference is per-column segment order (data before
-/// validity); the footer's absolute offsets make that invisible.
+/// A streamed file is byte for byte the file [`write_table`] writes for
+/// the table of the same values, and [`super::DiskTable`] reads it back
+/// as that table — same schema, same values, same advisor output (pinned
+/// by this module's tests and `tests/disk_persistence.rs`).
 pub struct StreamWriter {
     w: TrackedWriter<BufWriter<std::fs::File>>,
-    name: String,
     schema: Schema,
     rows: usize,
     /// Completed columns' segment references, schema order.
     columns: Vec<ColumnSegments>,
     state: ColumnState,
-    finished: bool,
 }
 
 impl StreamWriter {
@@ -331,35 +276,30 @@ impl StreamWriter {
         w.begin_segment(); // first column's data segment
         Ok(StreamWriter {
             w,
-            name: name.to_string(),
             schema,
             rows,
             columns: Vec::new(),
-            state: ColumnState::new(rows),
-            finished: false,
+            state: ColumnState::new(),
         })
     }
 
-    /// Table name the file will carry.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The column currently accepting values (schema index).
-    pub fn current_column(&self) -> usize {
-        self.columns.len()
-    }
-
-    /// Append the next row's value for the current column (`None` for
-    /// null). Data bytes are written (and checksummed) immediately.
-    pub fn append(&mut self, value: Option<Value>) -> StoreResult<()> {
+    /// The schema index of the column accepting values; errs once every
+    /// column is sealed.
+    fn current(&self) -> StoreResult<usize> {
         let idx = self.columns.len();
-        if self.finished || idx >= self.schema.arity() {
+        if idx >= self.schema.arity() {
             return Err(StoreError::ArityMismatch {
                 expected: self.schema.arity(),
                 found: idx + 1,
             });
         }
+        Ok(idx)
+    }
+
+    /// Append the next row's value for the current column (`None` for
+    /// null). Data bytes are written (and checksummed) immediately.
+    pub fn append(&mut self, value: Option<Value>) -> StoreResult<()> {
+        let idx = self.current()?;
         if self.state.rows_written >= self.rows {
             return Err(StoreError::LengthMismatch {
                 left: self.rows,
@@ -438,27 +378,39 @@ impl StreamWriter {
     /// next schema column. Errs if the column is short of the declared
     /// row count.
     pub fn end_column(&mut self) -> StoreResult<()> {
-        let idx = self.columns.len();
-        if self.finished || idx >= self.schema.arity() {
-            return Err(StoreError::ArityMismatch {
-                expected: self.schema.arity(),
-                found: idx + 1,
-            });
-        }
+        let idx = self.current()?;
         if self.state.rows_written != self.rows {
             return Err(StoreError::LengthMismatch {
                 left: self.rows,
                 right: self.state.rows_written,
             });
         }
+        let state = std::mem::replace(&mut self.state, ColumnState::new());
+        self.seal(idx, &state.validity, &state.dict)
+    }
+
+    /// Write `col` whole as the current column — its data in one bulk
+    /// write — and seal it: [`write_table`]'s path. `col` is a column
+    /// of the schema the writer was created with, with no value of it
+    /// appended yet.
+    fn append_column(&mut self, col: &Column) -> StoreResult<()> {
+        let idx = self.current()?;
+        debug_assert_eq!((col.len(), self.state.rows_written), (self.rows, 0));
+        self.w.write_seg(&encode_data(col.data()))?;
+        self.seal(idx, col.validity(), col.dict())
+    }
+
+    /// Close column `idx`'s data segment, write its validity words and
+    /// (for strings) dictionary, and open the next column's data segment.
+    fn seal(&mut self, idx: usize, validity: &Bitmap, dict: &[String]) -> StoreResult<()> {
         let data = self.w.end_segment();
         self.w.begin_segment();
-        for word in self.state.validity.words() {
+        for word in validity.words() {
             self.w.write_seg(&word.to_le_bytes())?;
         }
         let validity = self.w.end_segment();
         let dict = if self.schema.columns()[idx].ty == DataType::Str {
-            Some(self.w.segment(&encode_dict(&self.state.dict))?)
+            Some(self.w.segment(&encode_dict(dict))?)
         } else {
             None
         };
@@ -467,7 +419,6 @@ impl StreamWriter {
             data,
             dict,
         });
-        self.state = ColumnState::new(self.rows);
         self.w.begin_segment(); // next column's data segment (unused if done)
         Ok(())
     }
@@ -481,7 +432,6 @@ impl StreamWriter {
                 found: self.columns.len(),
             });
         }
-        self.finished = true;
         let footer_start = self.w.offset;
         let file_crc = self.w.crc.finish();
         let footer = encode_footer(&self.columns, file_crc);
@@ -608,27 +558,19 @@ mod stream_tests {
     }
 
     #[test]
-    fn streamed_and_eager_files_read_back_identically() {
-        // Segment order differs between the writers (data-before-
-        // validity when streaming); the offset-driven reader must hide
-        // that entirely.
+    fn a_streamed_file_is_the_file_write_table_writes() {
+        // One writer: value by value or a whole column at a time, the
+        // same segments land in the same order with the same CRCs.
         let rows = 113;
-        let t = eager_table(rows);
-        let eager_path = tmp_path("eager");
+        let table_path = tmp_path("table");
         let stream_path = tmp_path("stream");
-        write_table(&t, &eager_path).unwrap();
+        write_table(&eager_table(rows), &table_path).unwrap();
         stream_file(rows, &stream_path);
-        let de = DiskTable::open(&eager_path).unwrap();
-        let ds = DiskTable::open(&stream_path).unwrap();
-        for c in t.schema().columns() {
-            for i in 0..rows {
-                assert_eq!(
-                    de.column(&c.name).unwrap().get(i),
-                    ds.column(&c.name).unwrap().get(i)
-                );
-            }
-        }
-        std::fs::remove_file(&eager_path).unwrap();
+        assert_eq!(
+            std::fs::read(&table_path).unwrap(),
+            std::fs::read(&stream_path).unwrap()
+        );
+        std::fs::remove_file(&table_path).unwrap();
         std::fs::remove_file(&stream_path).unwrap();
     }
 

@@ -31,6 +31,8 @@ pub mod codes {
     pub const ALLOW_UNREASONED: &str = "allow_unreasoned";
     /// `lint:allow` comment naming a code this engine does not emit.
     pub const ALLOW_UNKNOWN: &str = "allow_unknown";
+    /// `lint:allow` comment on a line that raised nothing under its code.
+    pub const ALLOW_UNUSED: &str = "allow_unused";
 
     /// All codes, for validation of `lint:allow(<code>)` comments.
     pub const ALL: &[&str] = &[
@@ -43,6 +45,7 @@ pub mod codes {
         API_SNAPSHOT,
         ALLOW_UNREASONED,
         ALLOW_UNKNOWN,
+        ALLOW_UNUSED,
     ];
 }
 

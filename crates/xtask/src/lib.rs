@@ -22,9 +22,10 @@
 //! Suppression is per-line and must be justified:
 //! `// lint:allow(<code>) <reason>`. An empty reason is itself a
 //! diagnostic (`allow_unreasoned`), as is a code the engine does not
-//! know (`allow_unknown`). Suppressions are applied centrally here, not
-//! in the passes, so every pass stays a pure `workspace -> findings`
-//! function.
+//! know (`allow_unknown`) and a suppression whose line raised nothing
+//! under its code (`allow_unused`). Suppressions are applied centrally
+//! here, not in the passes, so every pass stays a pure
+//! `workspace -> findings` function.
 
 #![forbid(unsafe_code)]
 
@@ -35,6 +36,7 @@ pub mod passes;
 
 use diag::{codes, Diagnostic};
 use model::WorkspaceFiles;
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
 /// The workspace root, from this crate's own manifest location.
@@ -69,9 +71,50 @@ pub fn run_lint_on(ws: &WorkspaceFiles) -> Vec<Diagnostic> {
 ///
 /// A diagnostic is dropped when its line carries a
 /// `// lint:allow(<its code>) <reason>` comment with non-empty reason.
-/// Every suppression comment in the tree is audited regardless of
-/// whether it matched: unknown codes and missing reasons are findings.
+/// Every suppression comment in the tree is audited: an unknown code, a
+/// missing reason, or — failing those — a line that raised nothing
+/// under its code (a stale or misplaced marker) is one finding.
 fn apply_suppressions(ws: &WorkspaceFiles, raw: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    let raised: HashSet<(&str, u32, &str)> = raw
+        .iter()
+        .map(|d| (d.file.as_str(), d.line, d.code))
+        .collect();
+    let mut audit = Vec::new();
+    for file in &ws.files {
+        for s in &file.suppressions {
+            let (code, why) = if !codes::ALL.contains(&s.code.as_str()) {
+                (
+                    codes::ALLOW_UNKNOWN,
+                    format!(
+                        "`lint:allow({})` names a code this lint does not emit — see \
+                         docs/LINTS.md for the list",
+                        s.code
+                    ),
+                )
+            } else if s.reason.is_empty() {
+                (
+                    codes::ALLOW_UNREASONED,
+                    format!(
+                        "`lint:allow({})` without a reason — suppressions must say *why* \
+                         the finding is acceptable: `// lint:allow({}) <reason>`",
+                        s.code, s.code
+                    ),
+                )
+            } else if !raised.contains(&(file.path.as_str(), s.line, s.code.as_str())) {
+                (
+                    codes::ALLOW_UNUSED,
+                    format!(
+                        "`lint:allow({})` on a line that raises no `{}` finding — delete \
+                         the marker (keep its reason as a plain comment if it helps)",
+                        s.code, s.code
+                    ),
+                )
+            } else {
+                continue;
+            };
+            audit.push(Diagnostic::new(code, file.path.clone(), s.line, why));
+        }
+    }
     let mut out: Vec<Diagnostic> = raw
         .into_iter()
         .filter(|d| {
@@ -82,33 +125,7 @@ fn apply_suppressions(ws: &WorkspaceFiles, raw: Vec<Diagnostic>) -> Vec<Diagnost
             !suppressed
         })
         .collect();
-    for file in &ws.files {
-        for s in &file.suppressions {
-            if !codes::ALL.contains(&s.code.as_str()) {
-                out.push(Diagnostic::new(
-                    codes::ALLOW_UNKNOWN,
-                    file.path.clone(),
-                    s.line,
-                    format!(
-                        "`lint:allow({})` names a code this lint does not emit — see \
-                         docs/LINTS.md for the list",
-                        s.code
-                    ),
-                ));
-            } else if s.reason.is_empty() {
-                out.push(Diagnostic::new(
-                    codes::ALLOW_UNREASONED,
-                    file.path.clone(),
-                    s.line,
-                    format!(
-                        "`lint:allow({})` without a reason — suppressions must say *why* \
-                         the finding is acceptable: `// lint:allow({}) <reason>`",
-                        s.code, s.code
-                    ),
-                ));
-            }
-        }
-    }
+    out.extend(audit);
     out.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.code, a.detail.as_str()).cmp(&(
             b.file.as_str(),
@@ -159,6 +176,26 @@ mod tests {
         let out = apply_suppressions(&ws, Vec::new());
         let codes_seen: Vec<&str> = out.iter().map(|d| d.code).collect();
         assert_eq!(codes_seen, [codes::ALLOW_UNREASONED, codes::ALLOW_UNKNOWN]);
+    }
+
+    #[test]
+    fn an_allow_whose_line_raised_nothing_under_its_code_is_unused() {
+        let ws = WorkspaceFiles {
+            root: PathBuf::new(),
+            files: vec![model::SourceFile::parse(
+                "a.rs",
+                "fn f() {\n    x(); // lint:allow(panic) nothing here panics\n    y(); // lint:allow(panic) this one does\n}\n",
+            )],
+        };
+        // Line 2 raised a finding under another code only; line 3 under
+        // the marker's own.
+        let raw = vec![
+            Diagnostic::new(codes::LOCK_IO, "a.rs", 2, "blocking"),
+            Diagnostic::new(codes::PANIC, "a.rs", 3, "panicking call"),
+        ];
+        let out = apply_suppressions(&ws, raw);
+        let seen: Vec<(&str, u32)> = out.iter().map(|d| (d.code, d.line)).collect();
+        assert_eq!(seen, [(codes::ALLOW_UNUSED, 2), (codes::LOCK_IO, 2)]);
     }
 
     #[test]

@@ -221,6 +221,22 @@ fn allow_unknown_fixture_fires() {
 }
 
 #[test]
+fn allow_unused_fixture_fires_on_a_marker_that_silences_nothing() {
+    let diags = lint_workspace(
+        "unused",
+        &[(
+            "crates/serve/src/server.rs",
+            include_str!("fixtures/allow_unused.rs"),
+        )],
+    );
+    assert!(
+        has(&diags, codes::ALLOW_UNUSED, "crates/serve/src/server.rs", 5),
+        "expected allow_unused at server.rs:5, got: {diags:?}"
+    );
+    assert!(!has(&diags, codes::PANIC, "crates/serve/src/server.rs", 5));
+}
+
+#[test]
 fn reasoned_allow_suppresses_the_diagnostic() {
     let diags = lint_workspace(
         "reasoned",

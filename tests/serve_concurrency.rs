@@ -338,7 +338,6 @@ fn concurrent_sessions_serve_oracle_bytes_and_share_one_cache() {
         backend,
         ServeConfig {
             workers: 8,
-            cache_shards: 5,
             ..ServeConfig::default()
         },
     )
