@@ -200,21 +200,7 @@ macro_rules! impl_dense_backend {
             ) -> $crate::error::StoreResult<Option<$crate::value::Value>> {
                 self.medians
                     .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                let col = self.column(column)?;
-                if !col.data_type().is_numeric() {
-                    return Err($crate::error::StoreError::TypeMismatch {
-                        column: column.to_string(),
-                        expected: "numeric".into(),
-                        found: col.data_type().name().into(),
-                    });
-                }
-                let mut buf = Vec::new();
-                col.gather_f64(sel, &mut buf)?;
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                let med = $crate::stats::exact_median(&mut buf)?;
-                Ok(Some($crate::value::numeric_value(col.data_type(), med)))
+                Ok(self.column(column)?.order_keys(sel)?.median())
             }
 
             fn sampled_median(
@@ -237,12 +223,8 @@ macro_rules! impl_dense_backend {
                 }
                 let mut rng = ::rand::rngs::StdRng::seed_from_u64(seed);
                 let rows = $crate::sample::reservoir_sample(sel, sample_size, &mut rng);
-                let mut buf: Vec<f64> = rows.into_iter().filter_map(|i| col.f64_at(i)).collect();
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                let med = $crate::stats::exact_median(&mut buf)?;
-                Ok(Some($crate::value::numeric_value(col.data_type(), med)))
+                let keys = rows.into_iter().filter_map(|i| col.key_at(i));
+                Ok($crate::stats::OrderKeys::collect(col.data_type(), keys).median())
             }
 
             fn quantile(
@@ -253,14 +235,7 @@ macro_rules! impl_dense_backend {
             ) -> $crate::error::StoreResult<Option<$crate::value::Value>> {
                 self.medians
                     .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                let col = self.column(column)?;
-                let mut buf = Vec::new();
-                col.gather_f64(sel, &mut buf)?;
-                if buf.is_empty() {
-                    return Ok(None);
-                }
-                let v = $crate::stats::quantile_value(&mut buf, q)?;
-                Ok(Some($crate::value::numeric_value(col.data_type(), v)))
+                self.column(column)?.order_keys(sel)?.quantile(q)
             }
 
             fn min_max(
@@ -278,19 +253,17 @@ macro_rules! impl_dense_backend {
                 sel: &$crate::bitmap::Bitmap,
             ) -> $crate::error::StoreResult<Option<$crate::backend::CutStats>> {
                 // One walk of the selection where `min_max` + `median`
-                // make two: the extremes are folded while the values
+                // make two: the extremes are folded while the order keys
                 // the median is selected from are gathered.
-                let col = self.column(column)?;
-                let mut buf = Vec::new();
-                let Some((min, max)) = col.gather_f64_with_extremes(sel, &mut buf)? else {
+                let mut keys = self.column(column)?.order_keys(sel)?;
+                let Some((min, max)) = keys.extremes() else {
                     return Ok(None);
                 };
-                let ranked = Some(buf.len());
+                let ranked = Some(keys.len());
                 let stats = $crate::backend::CutStats::over(min, max, ranked, || {
                     self.medians
                         .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                    let med = $crate::stats::exact_median(&mut buf)?;
-                    Ok(Some($crate::value::numeric_value(col.data_type(), med)))
+                    Ok(keys.median())
                 })?;
                 Ok(Some(stats))
             }

@@ -9,10 +9,10 @@
 use crate::bitmap::Bitmap;
 use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
-use crate::stats::FrequencyTable;
+use crate::stats::{counters, float_key, FrequencyTable, OrderKeys, Ranked};
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Physical storage for a column's values.
 #[derive(Debug, Clone)]
@@ -52,6 +52,10 @@ pub struct Column {
     /// it. Behind an `Arc` so that clones of a column
     /// (`DiskTable::to_table`) share one dictionary instead of copying it.
     dict: Arc<Vec<String>>,
+    /// Least and greatest valid value of an `Int`/`Date` column (`None`
+    /// for another type, or no valid row), folded on first use and
+    /// forgotten by `push`.
+    span: OnceLock<Option<(i64, i64)>>,
 }
 
 impl Column {
@@ -69,6 +73,7 @@ impl Column {
             data,
             validity: Bitmap::new(0),
             dict: Arc::new(Vec::new()),
+            span: OnceLock::new(),
         }
     }
 
@@ -88,6 +93,7 @@ impl Column {
             data,
             validity,
             dict,
+            span: OnceLock::new(),
         }
     }
 
@@ -139,6 +145,7 @@ impl Column {
 
     /// Append a value. `None` appends a null.
     pub fn push(&mut self, value: Option<Value>) -> StoreResult<()> {
+        self.span.take();
         match value {
             None => {
                 self.push_physical_default();
@@ -251,12 +258,14 @@ impl Column {
     }
 
     /// Gather the numeric values of the rows selected by `sel` (skipping
-    /// nulls) into `out`. The workhorse behind medians and quantiles.
+    /// nulls) into `out`, in row order: what means and distinct counts
+    /// fold.
     ///
-    /// NaN is treated as null, here and in [`Column::min_max`] and
-    /// `next_above`: one NaN would otherwise poison every downstream order
-    /// statistic (NaN medians, NaN cut points). `Column::push` rejects NaN,
-    /// but columns loaded from raw parts may carry them.
+    /// NaN is treated as null, here and in [`Column::min_max`],
+    /// `next_above` and the order keys every rank is selected from: one
+    /// NaN would otherwise poison every downstream order statistic (NaN
+    /// medians, NaN cut points). `Column::push` rejects NaN, but columns
+    /// loaded from raw parts may carry them.
     pub fn gather_f64(&self, sel: &Bitmap, out: &mut Vec<f64>) -> StoreResult<()> {
         out.clear();
         // One popcount pass sizes the buffer exactly: no doubling overshoot
@@ -276,48 +285,71 @@ impl Column {
         Ok(())
     }
 
-    /// [`Column::gather_f64`] and [`Column::min_max`] from one walk of the
-    /// selection: `out` as the former fills it, the extremes as the latter
-    /// folds them over the native vector (`None` when nothing was
-    /// gathered). What a median cut asks for, which would otherwise walk
-    /// the same rows twice.
-    pub(crate) fn gather_f64_with_extremes(
-        &self,
-        sel: &Bitmap,
-        out: &mut Vec<f64>,
-    ) -> StoreResult<Option<(Value, Value)>> {
-        out.clear();
-        out.reserve(sel.and_count(&self.validity));
-        let gather = |x: i64| {
-            out.push(x as f64);
-            true
+    /// The order keys of the selected, non-null, non-NaN values, their
+    /// extremes folded in the same walk of the selection: what every
+    /// median, quantile and cut statistic is taken from. Where the
+    /// column's span and the count allow (`stats::counters`), the walk
+    /// counts each value instead of gathering it.
+    pub(crate) fn order_keys(&self, sel: &Bitmap) -> StoreResult<OrderKeys> {
+        let n = sel.and_count(&self.validity);
+        // The extremes fold in locals: as fields beside the buffer they
+        // would be reloaded after every store through it.
+        let (mut min, mut max) = (i64::MAX, i64::MIN);
+        if let (ColumnData::Int(v) | ColumnData::Date(v), Some((base, mut counts))) =
+            (&self.data, counters(n, self.span()))
+        {
+            self.for_each_selected(sel, |i| {
+                let k = v[i];
+                counts[k.wrapping_sub(base) as usize] += 1;
+                min = min.min(k);
+                max = max.max(k);
+            });
+            let ranked = Ranked::Counts { base, counts, n };
+            return Ok(OrderKeys::from_parts(self.data_type(), ranked, (min, max)));
+        }
+        let mut keys = Vec::with_capacity(n);
+        let mut push = |k: i64| {
+            keys.push(k);
+            min = min.min(k);
+            max = max.max(k);
         };
-        Ok(match &self.data {
-            ColumnData::Int(v) => self.fold_extremes(sel, v, gather, i64::cmp, Value::Int),
-            ColumnData::Date(v) => self.fold_extremes(sel, v, gather, i64::cmp, Value::Date),
-            ColumnData::Float(v) => {
-                let gather = |x: f64| {
-                    let valued = !x.is_nan();
-                    if valued {
-                        out.push(x);
-                    }
-                    valued
-                };
-                self.fold_extremes(sel, v, gather, f64::total_cmp, Value::Float)
-            }
+        match &self.data {
+            ColumnData::Int(v) | ColumnData::Date(v) => self.for_each_selected(sel, |i| push(v[i])),
+            ColumnData::Float(v) => self.for_each_selected(sel, |i| {
+                if !v[i].is_nan() {
+                    push(float_key(v[i]));
+                }
+            }),
             _ => return Err(self.type_err("numeric")),
+        }
+        let ranked = Ranked::Keys(keys);
+        Ok(OrderKeys::from_parts(self.data_type(), ranked, (min, max)))
+    }
+
+    /// Least and greatest valid value of an `Int`/`Date` column.
+    fn span(&self) -> Option<(i64, i64)> {
+        *self.span.get_or_init(|| match &self.data {
+            ColumnData::Int(v) | ColumnData::Date(v) => {
+                let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+                self.for_each_selected(&self.validity, |i| {
+                    lo = lo.min(v[i]);
+                    hi = hi.max(v[i]);
+                });
+                (lo <= hi).then_some((lo, hi))
+            }
+            _ => None,
         })
     }
 
-    /// Numeric value of row `i` as [`Column::gather_f64`] would gather it:
+    /// Order key of row `i` as [`Column::order_keys`] would take it:
     /// `None` when null, NaN or not numeric. Panics if out of range.
-    pub(crate) fn f64_at(&self, i: usize) -> Option<f64> {
+    pub(crate) fn key_at(&self, i: usize) -> Option<i64> {
         if !self.validity.get(i) {
             return None;
         }
         match &self.data {
-            ColumnData::Int(v) | ColumnData::Date(v) => Some(v[i] as f64),
-            ColumnData::Float(v) => Some(v[i]).filter(|x| !x.is_nan()),
+            ColumnData::Int(v) | ColumnData::Date(v) => Some(v[i]),
+            ColumnData::Float(v) => Some(v[i]).filter(|x| !x.is_nan()).map(float_key),
             _ => None,
         }
     }
@@ -502,11 +534,12 @@ mod tests {
             data: ColumnData::Float(vec![1.0, f64::NAN, 3.0, f64::NAN, 5.0]),
             validity: Bitmap::ones(5),
             dict: Arc::new(Vec::new()),
+            span: OnceLock::new(),
         };
         let mut out = Vec::new();
         c.gather_f64(&Bitmap::ones(5), &mut out).unwrap();
         assert_eq!(out, vec![1.0, 3.0, 5.0]);
-        let med = crate::stats::exact_median(&mut out).unwrap();
+        let med = crate::stats::exact_median(&out).unwrap();
         assert_eq!(med, 3.0);
         assert!(!med.is_nan());
     }
@@ -523,6 +556,7 @@ mod tests {
             data: ColumnData::Float(vec![1.0, f64::NAN, 3.0, negative_nan, 5.0]),
             validity: Bitmap::ones(5),
             dict: Arc::new(Vec::new()),
+            span: OnceLock::new(),
         };
         let all = Bitmap::ones(5);
         assert_eq!(

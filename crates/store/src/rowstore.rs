@@ -14,9 +14,9 @@ use crate::error::{StoreError, StoreResult};
 use crate::predicate::{RangePred, SetPred, StorePredicate};
 use crate::sample::reservoir_sample;
 use crate::schema::Schema;
-use crate::stats::{exact_median, mean_and_var_of, quantile_value, FrequencyTable};
+use crate::stats::{mean_and_var_of, order_key, FrequencyTable, OrderKeys};
 use crate::table::Table;
-use crate::value::{numeric_value, Value};
+use crate::value::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
@@ -31,6 +31,11 @@ pub struct RowTable {
     name: String,
     schema: Schema,
     rows: Vec<Row>,
+    /// Per column, the dictionary its frequency tables are coded in:
+    /// for a `Str` column its strings in order of first occurrence in
+    /// the relation — the columnar engine's interning order, so a count
+    /// tie breaks the same way on both — and empty for any other.
+    dicts: Vec<Vec<String>>,
     scans: AtomicU64,
     counts: AtomicU64,
     medians: AtomicU64,
@@ -42,6 +47,7 @@ impl Clone for RowTable {
             name: self.name.clone(),
             schema: self.schema.clone(),
             rows: self.rows.clone(),
+            dicts: self.dicts.clone(),
             scans: AtomicU64::new(self.scans.load(AtomicOrdering::Relaxed)),
             counts: AtomicU64::new(self.counts.load(AtomicOrdering::Relaxed)),
             medians: AtomicU64::new(self.medians.load(AtomicOrdering::Relaxed)),
@@ -71,10 +77,25 @@ impl RowTable {
                 }
             }
         }
+        let dicts = (0..schema.arity())
+            .map(|c| {
+                let mut dict: Vec<String> = Vec::new();
+                let mut seen = std::collections::HashSet::new();
+                for row in &rows {
+                    if let Some(Value::Str(s)) = &row[c] {
+                        if seen.insert(s) {
+                            dict.push(s.clone());
+                        }
+                    }
+                }
+                dict
+            })
+            .collect();
         Ok(RowTable {
             name: name.into(),
             schema,
             rows,
+            dicts,
             scans: AtomicU64::new(0),
             counts: AtomicU64::new(0),
             medians: AtomicU64::new(0),
@@ -94,10 +115,15 @@ impl RowTable {
             }
             rows.push(row);
         }
+        let dicts = names
+            .iter()
+            .map(|name| table.column(name).expect("column exists").dict().to_vec())
+            .collect();
         RowTable {
             name: format!("{}_rowstore", table.name()),
             schema,
             rows,
+            dicts,
             scans: AtomicU64::new(0),
             counts: AtomicU64::new(0),
             medians: AtomicU64::new(0),
@@ -161,9 +187,27 @@ impl RowTable {
         })
     }
 
-    /// The selected non-null values of a numeric column, with its type
-    /// (what [`numeric_value`] folds a statistic back into).
-    fn gather_f64(&self, column: &str, sel: &Bitmap) -> StoreResult<(DataType, Vec<f64>)> {
+    /// The selected non-null values of a numeric column, in row order:
+    /// what means and distinct counts fold.
+    fn gather_f64(&self, column: &str, sel: &Bitmap) -> StoreResult<Vec<f64>> {
+        let idx = self.numeric_index(column)?;
+        Ok(sel
+            .iter_ones()
+            .filter_map(|i| self.cell(i, idx)?.as_f64())
+            .collect())
+    }
+
+    /// The order keys of the selected non-null values of a numeric
+    /// column: what its medians and quantiles are selected from.
+    fn order_keys(&self, column: &str, sel: &Bitmap) -> StoreResult<OrderKeys> {
+        let idx = self.numeric_index(column)?;
+        let keys = sel
+            .iter_ones()
+            .filter_map(|i| order_key(self.cell(i, idx)?));
+        Ok(OrderKeys::collect(self.schema.columns()[idx].ty, keys))
+    }
+
+    fn numeric_index(&self, column: &str) -> StoreResult<usize> {
         let idx = self.col_index(column)?;
         let ty = self.schema.columns()[idx].ty;
         if !ty.is_numeric() {
@@ -173,11 +217,7 @@ impl RowTable {
                 found: ty.name().into(),
             });
         }
-        let buf = sel
-            .iter_ones()
-            .filter_map(|i| self.cell(i, idx)?.as_f64())
-            .collect();
-        Ok((ty, buf))
+        Ok(idx)
     }
 
     /// The cell at (`row`, `col`) unless it is null — or NaN, which every
@@ -231,11 +271,7 @@ impl Backend for RowTable {
 
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
         self.medians.fetch_add(1, AtomicOrdering::Relaxed);
-        let (ty, mut buf) = self.gather_f64(column, sel)?;
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(numeric_value(ty, exact_median(&mut buf)?)))
+        Ok(self.order_keys(column, sel)?.median())
     }
 
     fn sampled_median(
@@ -249,24 +285,15 @@ impl Backend for RowTable {
         let idx = self.col_index(column)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = reservoir_sample(sel, sample_size, &mut rng);
-        let mut buf: Vec<f64> = rows
+        let keys = rows
             .into_iter()
-            .filter_map(|i| self.cell(i, idx)?.as_f64())
-            .collect();
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        let ty = self.schema.columns()[idx].ty;
-        Ok(Some(numeric_value(ty, exact_median(&mut buf)?)))
+            .filter_map(|i| order_key(self.cell(i, idx)?));
+        Ok(OrderKeys::collect(self.schema.columns()[idx].ty, keys).median())
     }
 
     fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
         self.medians.fetch_add(1, AtomicOrdering::Relaxed);
-        let (ty, mut buf) = self.gather_f64(column, sel)?;
-        if buf.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(numeric_value(ty, quantile_value(&mut buf, q)?)))
+        self.order_keys(column, sel)?.quantile(q)
     }
 
     fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>> {
@@ -296,8 +323,7 @@ impl Backend for RowTable {
     }
 
     fn mean_and_var(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
-        let (_, buf) = self.gather_f64(column, sel)?;
-        Ok(mean_and_var_of(&buf))
+        Ok(mean_and_var_of(&self.gather_f64(column, sel)?))
     }
 
     fn next_above(&self, column: &str, sel: &Bitmap, v: &Value) -> StoreResult<Option<Value>> {
@@ -336,22 +362,24 @@ impl Backend for RowTable {
                 found: ty.name().into(),
             });
         }
-        // Build an ad-hoc dictionary in first-occurrence order (mirrors the
-        // columnar engine's interning order for identical data).
-        let mut dict: Vec<String> = Vec::new();
-        let mut counts: Vec<usize> = Vec::new();
+        // Coded as the columnar engine codes them: strings by the
+        // relation's dictionary, booleans as {false, true}.
+        let dict = match ty {
+            DataType::Bool => vec!["false".into(), "true".into()],
+            _ => self.dicts[idx].clone(),
+        };
+        let mut counts = vec![0usize; dict.len()];
         for i in sel.iter_ones() {
-            let Some(v) = &self.rows[i][idx] else {
-                continue;
+            let code = match &self.rows[i][idx] {
+                None => continue,
+                Some(Value::Bool(b)) => usize::from(*b),
+                Some(Value::Str(s)) => dict
+                    .iter()
+                    .position(|d| d == s)
+                    .expect("every string of the relation is in its dictionary"),
+                Some(v) => unreachable!("{v:?} in a nominal column"),
             };
-            let key = v.render();
-            match dict.iter().position(|d| *d == key) {
-                Some(p) => counts[p] += 1,
-                None => {
-                    dict.push(key);
-                    counts.push(1);
-                }
-            }
+            counts[code] += 1;
         }
         Ok((FrequencyTable::from_counts(counts), dict))
     }
@@ -360,7 +388,7 @@ impl Backend for RowTable {
         let idx = self.col_index(column)?;
         let ty = self.schema.columns()[idx].ty;
         if ty.is_numeric() {
-            let (_, mut buf) = self.gather_f64(column, sel)?;
+            let mut buf = self.gather_f64(column, sel)?;
             buf.sort_by(f64::total_cmp);
             buf.dedup();
             Ok(buf.len())

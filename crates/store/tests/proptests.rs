@@ -2,6 +2,7 @@
 //! order statistics, predicate scans, CSV round-trips, and the
 //! column-store/row-store equivalence.
 
+use charles_store::value::numeric_value;
 use charles_store::{
     exact_median, quantile_value, read_csv_str, write_csv_string, Backend, Bitmap, DataType,
     RowTable, StorePredicate, Table, TableBuilder, Value,
@@ -193,6 +194,133 @@ fn check_scans_against_per_row_model(
     Ok(())
 }
 
+/// The seams of the store's rank selection (`stats.rs`): a histogram of
+/// 2¹² buckets over the keys' range, read alone when the range is under
+/// it, and no histogram below 256 keys.
+const BUCKETS: i64 = 1 << 12;
+const CUT_OVER: usize = 256;
+
+/// `n` integers of one of the shapes the rank selection treats apart:
+/// * beyond 2⁵³ (where `f64` merges neighbours), with `i64::MIN` and
+///   `i64::MAX` in the same set — a range of 2⁶⁴ − 1;
+/// * spanning exactly 2¹² − 1, 2¹² and 2¹² + 1 values' worth of range;
+/// * one bucket holding all but the two extremes;
+/// * a handful of values, heavily duplicated.
+///
+/// Apart from the first shape they lie within ±2⁴¹, where every integer
+/// is its own `f64`: a rank off by one shows in the median.
+fn int_keys(shape: u8, n: usize, rng: &mut StdRng) -> Vec<i64> {
+    let base: i64 = rng.gen_range(-(1i64 << 40)..(1 << 40));
+    let mut v: Vec<i64> = match shape {
+        0 => (0..n)
+            .map(|_| (1 << 53) + rng.gen_range(-50i64..50))
+            .collect(),
+        1..=3 => {
+            let range = BUCKETS - 2 + i64::from(shape);
+            let mut v: Vec<i64> = (0..n).map(|_| base + rng.gen_range(0..=range)).collect();
+            v[0] = base;
+            v[n - 1] = base + range;
+            v
+        }
+        4 => (0..n).map(|_| base + rng.gen_range(0i64..64)).collect(),
+        _ => (0..n).map(|_| base + 7 * rng.gen_range(0i64..3)).collect(),
+    };
+    if shape == 0 || shape == 4 {
+        v[0] = i64::MIN;
+        v[n - 1] = i64::MAX;
+    }
+    v
+}
+
+/// `n` floats drawn from both zeros, both infinities, subnormals of
+/// both signs, a few heavily repeated values and a wide spread.
+fn float_values(n: usize, rng: &mut StdRng) -> Vec<f64> {
+    let tiny = f64::MIN_POSITIVE / 8.0;
+    let pool = [
+        0.0,
+        -0.0,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        tiny,
+        -tiny,
+        1.5,
+        -2.0,
+    ];
+    (0..n)
+        .map(|_| match rng.gen_range(0..3) {
+            0 => rng.gen_range(-1e300..1e300),
+            1 => pool[rng.gen_range(0..pool.len())],
+            _ => pool[rng.gen_range(4..pool.len())] * rng.gen_range(1..3) as f64,
+        })
+        .collect()
+}
+
+/// A one-column table `x` of `ty` holding `values`.
+fn column_table(ty: DataType, values: impl IntoIterator<Item = Value>) -> Table {
+    let mut b = TableBuilder::new("t");
+    b.add_column("x", ty);
+    for v in values {
+        b.push_row(vec![v]).unwrap();
+    }
+    b.finish()
+}
+
+/// Median, quantiles and cut statistics of column `x` over `sel`, on the
+/// table and on the row store, against the sorted `picked` (ascending
+/// under `cmp`, as `f64` by `to_f64`), bit for bit: `Debug` tells the
+/// zeros apart.
+fn check_ranks<T: Copy>(
+    t: &Table,
+    sel: &Bitmap,
+    mut picked: Vec<T>,
+    cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
+    to_f64: impl Fn(T) -> f64,
+    wrap: impl Fn(T) -> Value,
+) -> Result<(), TestCaseError> {
+    let ty = t.schema().type_of("x").unwrap();
+    picked.sort_by(&cmp);
+    let n = picked.len();
+    let show = |v: Option<Value>| format!("{v:?}");
+    let median = (n > 0).then(|| {
+        let (lo, hi) = (to_f64(picked[(n - 1) / 2]), to_f64(picked[n / 2]));
+        numeric_value(ty, if n % 2 == 1 { hi } else { (lo + hi) / 2.0 })
+    });
+    let row = RowTable::from_table(t);
+    let backends: [&dyn Backend; 2] = [t, &row];
+    for b in backends {
+        prop_assert_eq!(
+            show(b.median("x", sel).unwrap()),
+            show(median.clone()),
+            "n={}",
+            n
+        );
+        for q in [0.0, 0.25, 0.5, 0.9, 1.0] {
+            let k = ((q * n as f64).ceil() as usize).clamp(1, n.max(1)) - 1;
+            let want = (n > 0).then(|| numeric_value(ty, to_f64(picked[k])));
+            prop_assert_eq!(
+                show(b.quantile("x", sel, q).unwrap()),
+                show(want),
+                "q={}",
+                q
+            );
+        }
+    }
+    let stats = t.cut_stats("x", sel).unwrap();
+    let want = (n > 0).then(|| {
+        let (min, max) = (picked[0], picked[n - 1]);
+        let constant = cmp(&min, &max).is_eq();
+        format!(
+            "{:?} {:?} {:?}",
+            wrap(min),
+            wrap(max),
+            median.filter(|_| !constant)
+        )
+    });
+    let got = stats.map(|s| format!("{:?} {:?} {:?}", s.min, s.max, s.median));
+    prop_assert_eq!(got, want);
+    Ok(())
+}
+
 fn arb_bitmap(len: usize) -> impl Strategy<Value = Bitmap> {
     proptest::collection::vec(any::<bool>(), len).prop_map(move |bits| {
         let mut bm = Bitmap::new(len);
@@ -242,7 +370,7 @@ proptest! {
 
     #[test]
     fn median_and_quantiles_match_sorted_reference(
-        mut values in proptest::collection::vec(
+        values in proptest::collection::vec(
             prop_oneof![
                 -1e6f64..1e6,
                 // Duplicates, both zeros and both infinities: where the
@@ -257,7 +385,7 @@ proptest! {
         let mut sorted = values.clone();
         sorted.sort_by(f64::total_cmp);
         // Median: equals the sorted definition, bit for bit.
-        let med = exact_median(&mut values.clone()).unwrap();
+        let med = exact_median(&values).unwrap();
         let n = sorted.len();
         let reference = if n % 2 == 1 {
             sorted[n / 2]
@@ -266,9 +394,49 @@ proptest! {
         };
         prop_assert_eq!(med.to_bits(), reference.to_bits(), "median {} vs {}", med, reference);
         // Quantile: nearest-rank definition.
-        let qv = quantile_value(&mut values, q).unwrap();
+        let qv = quantile_value(&values, q).unwrap();
         let k = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
         prop_assert_eq!(qv.to_bits(), sorted[k].to_bits(), "quantile {} vs {}", qv, sorted[k]);
+    }
+
+    #[test]
+    fn rank_selection_matches_sorted_reference(
+        seed in any::<u64>(),
+        n in prop_oneof![
+            1usize..700,
+            proptest::sample::select(vec![CUT_OVER - 1, CUT_OVER, CUT_OVER + 1]),
+        ],
+        shape in 0u8..6,
+    ) {
+        // Every rank the store reports comes out of one selection over
+        // `i64` order keys: it must be what sorting the values gives.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ints = int_keys(shape, n, &mut rng);
+        let floats = float_values(n, &mut rng);
+        let int_table = column_table(DataType::Int, ints.iter().map(|&x| Value::Int(x)));
+        // The same values and, last, one far below them that no
+        // selection picks: a column too wide to count, so the selected
+        // keys are gathered and bucket-selected whatever their range.
+        let guard = ints.iter().chain([&i64::MIN]).map(|&x| Value::Int(x));
+        let guarded = column_table(DataType::Int, guard);
+        let float_table = column_table(DataType::Float, floats.iter().map(|&x| Value::Float(x)));
+        let half = Bitmap::from_indices(n, (0..n).filter(|_| rng.gen_bool(0.5)));
+        for sel in [Bitmap::ones(n), half] {
+            let pick = |i: usize| sel.get(i);
+            let picked: Vec<i64> = (0..n).filter(|&i| pick(i)).map(|i| ints[i]).collect();
+            check_ranks(&int_table, &sel, picked.clone(), i64::cmp, |x| x as f64, Value::Int)?;
+            let unguarded = Bitmap::from_indices(n + 1, sel.iter_ones());
+            check_ranks(&guarded, &unguarded, picked, i64::cmp, |x| x as f64, Value::Int)?;
+            let picked: Vec<f64> = (0..n).filter(|&i| pick(i)).map(|i| floats[i]).collect();
+            check_ranks(&float_table, &sel, picked.clone(), f64::total_cmp, |x| x, Value::Float)?;
+            // The slice helpers take the same path.
+            if !picked.is_empty() {
+                let want = float_table.median("x", &sel).unwrap().unwrap();
+                prop_assert_eq!(format!("{:?}", Value::Float(exact_median(&picked).unwrap())), format!("{want:?}"));
+                let want = float_table.quantile("x", &sel, 0.9).unwrap().unwrap();
+                prop_assert_eq!(format!("{:?}", Value::Float(quantile_value(&picked, 0.9).unwrap())), format!("{want:?}"));
+            }
+        }
     }
 
     #[test]

@@ -541,42 +541,50 @@ mod contract_harness {
                 t.distinct_count("tonnage", &sel).unwrap(),
                 "{name}: distinct"
             );
-            // Frequencies compare as string→count maps: the row store
-            // builds its dictionary in selection order, so codes differ.
+            // Frequencies agree code for code: every backend codes a
+            // string by its first occurrence in the relation.
             let (wf, wd) = t.frequencies("type_of_boat", &sel).unwrap();
             let (gf, gd) = b.frequencies("type_of_boat", &sel).unwrap();
-            let to_map = |ft: &charles_store::FrequencyTable, dict: &[String]| {
-                let mut m: Vec<(String, usize)> = ft
-                    .entries()
-                    .iter()
-                    .map(|&(code, n)| (dict[code as usize].clone(), n))
-                    .collect();
-                m.sort();
-                m
-            };
-            assert_eq!(to_map(&gf, &gd), to_map(&wf, &wd), "{name}: frequencies");
+            assert_eq!(
+                (gf.entries(), &gd),
+                (wf.entries(), &wd),
+                "{name}: frequencies"
+            );
         }
     }
 
+    /// Rows of [`cut_stats_fixture`]: more than the 256 values below
+    /// which the store selects ranks without its histogram.
+    const CUT_ROWS: usize = 300;
+
     /// Six rows a cut's statistics must get right, then filler: a null
     /// and a NaN in `f` (first, so `poison_float_cell` finds it), both
-    /// zeros, nulls in `x`, a constant `c`, a nominal `k`. NaN cannot
-    /// enter a `Table` through its builder: the disk file is patched,
-    /// the table loaded from it, the row store built from the cells.
+    /// zeros, nulls in `x`, a constant `c`, integers beyond 2⁵³ in `big`
+    /// (where `f64` merges neighbours) and over all of `i64` in `wide`
+    /// (a range of 2⁶⁴ − 1), a nominal `k`. NaN cannot enter a `Table`
+    /// through its builder: the disk file is patched, the table loaded
+    /// from it, the row store built from the cells.
     fn cut_stats_fixture() -> (Backends, Vec<Row>) {
         const NAN_MARKER: f64 = 1.0e12;
         let mut cells: Vec<Row> = Vec::new();
         let floats = [Some(NAN_MARKER), None, Some(-0.0), Some(0.0), Some(2.5)];
-        for i in 0..70i64 {
+        for i in 0..CUT_ROWS as i64 {
             let f = floats
                 .get(i as usize)
                 .copied()
                 .unwrap_or(Some(i as f64 / 4.0));
+            let wide = match i % 5 {
+                0 => i64::MIN,
+                1 => i64::MAX,
+                _ => i.wrapping_mul(0x2545_f491_4f6c_dd1d),
+            };
             cells.push(vec![
                 f.map(Value::Float),
                 (i % 7 != 3).then_some(Value::Int(i * i % 23 - 9)),
                 Some(Value::Date(9_000 + i % 11)),
                 Some(Value::Int(7)),
+                Some(Value::Int((1 << 53) + i * 7_919 % 5_003)),
+                Some(Value::Int(wide)),
                 Some(Value::str(format!("k{}", i % 3))),
             ]);
         }
@@ -585,6 +593,8 @@ mod contract_harness {
             .add_column("x", DataType::Int)
             .add_column("d", DataType::Date)
             .add_column("c", DataType::Int)
+            .add_column("big", DataType::Int)
+            .add_column("wide", DataType::Int)
             .add_column("k", DataType::Str);
         for row in &cells {
             b.push_row_opt(row.clone()).unwrap();
@@ -609,12 +619,34 @@ mod contract_harness {
         (backends, cells)
     }
 
+    /// The median of the selected cells of a numeric column as sorting
+    /// them defines it: nulls and NaN skipped, ranks in `total_cmp`
+    /// order, the two middle ones averaged as `f64`s, folded back into
+    /// the column's value space.
+    fn sorted_median(cells: &[Row], col: usize, ty: DataType, sel: &Bitmap) -> Option<Value> {
+        let mut values: Vec<f64> = sel
+            .iter_ones()
+            .filter_map(|i| cells[i][col].as_ref()?.as_f64())
+            .filter(|x| !x.is_nan())
+            .collect();
+        if values.is_empty() {
+            return None;
+        }
+        values.sort_by(f64::total_cmp);
+        let n = values.len();
+        let (lo, hi) = (values[n.div_ceil(2) - 1], values[n / 2]);
+        let median = if n % 2 == 1 { hi } else { (lo + hi) / 2.0 };
+        Some(charles_store::value::numeric_value(ty, median))
+    }
+
     #[test]
     fn obligation_cut_stats_is_min_max_and_median_in_one_call() {
         // An override must be the provided body, value for value (down
         // to the sign of a zero, hence `Debug`) and median for median:
         // the body runs over the same backend behind a wrapper that
-        // forwards the required methods only.
+        // forwards the required methods only. Both medians are the
+        // sorted definition's, over every column's range — `wide` spans
+        // all of `i64`.
         let (backends, cells) = cut_stats_fixture();
         let n = cells.len();
         let sels = [
@@ -635,7 +667,7 @@ mod contract_harness {
         for (name, b) in &backends {
             let provided = FusedBackend::new(b.as_ref(), usize::MAX);
             let mut seen = Vec::new();
-            for (col, attr) in ["f", "x", "d", "c"].iter().enumerate() {
+            for (col, attr) in ["f", "x", "d", "c", "big", "wide"].iter().enumerate() {
                 for (label, sel) in &sels {
                     let what = format!("{name}: {attr} over {label}");
                     b.reset_stats();
@@ -656,6 +688,12 @@ mod contract_harness {
                             .map(|s| format!("{:?} {:?} {:?}", s.min, s.max, s.median))
                     };
                     assert_eq!(values(&got), values(&want), "{what}");
+                    let ty = b.schema().type_of(attr).unwrap();
+                    assert_eq!(
+                        format!("{:?}", b.median(attr, sel).unwrap()),
+                        format!("{:?}", sorted_median(&cells, col, ty, sel)),
+                        "{what}: median"
+                    );
                     if let Some(stats) = &got {
                         // No median where there is nothing to split.
                         let constant = format!("{:?}", stats.min) == format!("{:?}", stats.max);
@@ -918,9 +956,10 @@ mod contract_harness {
         for (name, b) in &backends {
             let ctx = Query::wildcard(&["f", "d"]);
             let ex = Explorer::new(b.as_ref(), Config::default(), ctx.clone()).unwrap();
-            assert_eq!(ex.context_size(), 69, "{name}");
+            assert_eq!(ex.context_size(), CUT_ROWS - 1, "{name}");
             let one_pass = if name == "rowstore" { 2 } else { 1 };
-            for (attr, covered, scans) in [("f", 68, 2), ("d", 69, one_pass)] {
+            let (valued, all) = (CUT_ROWS - 2, CUT_ROWS - 1);
+            for (attr, covered, scans) in [("f", valued, 2), ("d", all, one_pass)] {
                 b.reset_stats();
                 let (l, r) = cut_query(&ex, &ctx, attr).unwrap().unwrap();
                 let released = [&l, &r].map(|q| ex.selection(q).unwrap());
@@ -934,6 +973,83 @@ mod contract_harness {
                 let both = released[0].count_ones() + released[1].count_ones();
                 assert_eq!(both, covered, "{name}: {attr}");
             }
+        }
+    }
+
+    #[test]
+    fn nominal_count_ties_break_alike_on_every_backend() {
+        // Within `x: [10, 15]` each of a, b and c is picked twice, and
+        // each boolean three times. A count tie breaks by dictionary code,
+        // and every backend codes a string by its first occurrence in the
+        // relation (a, c, b), not in the selection (b, a, c), and a
+        // boolean as {false, true}, not as first seen — so a nominal cut
+        // splits the same values off everywhere.
+        let mut b = TableBuilder::new("t");
+        b.add_column("k", DataType::Str)
+            .add_column("x", DataType::Int)
+            .add_column("even", DataType::Bool);
+        let rows = [
+            ("a", 1),
+            ("c", 2),
+            ("b", 10),
+            ("b", 11),
+            ("a", 12),
+            ("a", 13),
+            ("c", 14),
+            ("c", 15),
+        ];
+        for (k, x) in rows {
+            b.push_row(vec![Value::str(k), Value::Int(x), Value::Bool(x % 2 == 0)])
+                .unwrap();
+        }
+        let t = b.finish();
+        let context = "(k: , x: [10, 15])";
+        let sel = t
+            .eval(&StorePredicate::range(
+                "x",
+                Value::Int(10),
+                Value::Int(15),
+                true,
+            ))
+            .unwrap();
+        let cut_k = |b: &dyn Backend| {
+            let ex = Explorer::new(
+                b,
+                Config::default(),
+                charles::parse_query(context, b.schema()).unwrap(),
+            )
+            .unwrap();
+            let base = Segmentation::singleton(ex.context().clone());
+            cut_segmentation(&ex, &base, "k")
+                .unwrap()
+                .unwrap()
+                .to_string()
+        };
+        let reference = cut_k(&t);
+        assert!(reference.contains("k: {a}"), "{reference}");
+        for (name, b) in backends(&t) {
+            for (col, order) in [
+                ("k", ["a", "c", "b"].as_slice()),
+                ("even", &["false", "true"]),
+            ] {
+                let (ft, dict) = b.frequencies(col, &sel).unwrap();
+                let ranked: Vec<&str> = ft
+                    .by_frequency()
+                    .iter()
+                    .map(|&(code, _)| dict[code as usize].as_str())
+                    .collect();
+                assert_eq!(ranked, order, "{name}: {col}");
+            }
+            assert_eq!(cut_k(b.as_ref()), reference, "{name}");
+            let ranked = |b: &dyn Backend| {
+                let advice = Advisor::new(b).advise_str(context).unwrap();
+                advice
+                    .ranked
+                    .iter()
+                    .map(|r| r.segmentation.to_string())
+                    .collect::<Vec<_>>()
+            };
+            assert_eq!(ranked(b.as_ref()), ranked(&t), "{name}");
         }
     }
 
