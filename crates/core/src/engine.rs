@@ -93,7 +93,7 @@ enum Half {
     /// `parent ∧ ¬left` once the left half has been materialised — no
     /// scan; until then it can only scan its own conjunct. Halves leave
     /// CUT left first and every walk of them keeps that order;
-    /// `Explorer::materialise_all` keeps it across a fan-out.
+    /// `Explorer::map_units` keeps a pair in one unit of its fan-out.
     Right,
 }
 
@@ -318,23 +318,24 @@ impl<'a> Explorer<'a> {
         Ok(sel)
     }
 
-    /// Every piece's selection, in order. The unit of fan-out is the
-    /// scan: a cut's right half follows from its left sibling's bitmap
-    /// once the scans are in, so a pair costs one scan at any worker
-    /// count — never two halves racing for it.
-    pub(crate) fn materialise_all(&self, pieces: &[Piece]) -> CoreResult<Vec<Arc<Bitmap>>> {
-        let scanned = crate::par::try_map(pieces, |p| {
-            if p.is_complement() {
-                Ok(None)
-            } else {
-                self.materialise(p).map(Some)
-            }
+    /// `f` of every piece and its selection, in order. The unit of
+    /// fan-out is a piece, or a cut's two halves where they partition
+    /// their parent — a left half and the complement after it. Within a
+    /// unit the left half is materialised first, so the right one is what
+    /// it leaves and the pair costs one scan at any worker count — never
+    /// two halves racing for it.
+    pub(crate) fn map_units<U, F>(&self, pieces: &[Piece], f: F) -> CoreResult<Vec<U>>
+    where
+        U: Send,
+        F: Fn(&Piece, Arc<Bitmap>) -> CoreResult<U> + Sync,
+    {
+        let units: Vec<&[Piece]> = pieces.chunk_by(|_, next| next.is_complement()).collect();
+        let mapped = crate::par::try_map(&units, |unit| {
+            unit.iter()
+                .map(|p| f(p, self.materialise(p)?))
+                .collect::<CoreResult<Vec<U>>>()
         })?;
-        pieces
-            .iter()
-            .zip(scanned)
-            .map(|(p, sel)| sel.map_or_else(|| self.materialise(p), Ok))
-            .collect()
+        Ok(mapped.into_iter().flatten().collect())
     }
 
     /// Hand a piece's query to a caller outside the crate. The selection
@@ -599,16 +600,17 @@ mod tests {
             }
             assert_eq!(sels[0].count_ones() + sels[1].count_ones(), 20);
         }
-        // Taken together the scans go first, in whatever order the
-        // halves stand.
-        for right_first in [false, true] {
+        // Taken together in CUT's order the halves are one unit, left
+        // first; a right half standing first is a unit of its own and
+        // scans, like one asked alone.
+        for (right_first, scans) in [(false, 1), (true, 2)] {
             let mut pair = halves(true);
             if right_first {
                 pair.reverse();
             }
-            let scans = t.stats().scans;
-            let sels = ex.materialise_all(&pair).unwrap();
-            assert_eq!(t.stats().scans, scans + 1);
+            let before = t.stats().scans;
+            let sels = ex.map_units(&pair, |_, sel| Ok(sel)).unwrap();
+            assert_eq!(t.stats().scans - before, scans);
             for (piece, sel) in pair.iter().zip(&sels) {
                 assert_eq!(**sel, evaluated(piece), "{}", piece.query);
             }

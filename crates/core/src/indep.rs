@@ -49,12 +49,12 @@ pub(crate) fn resolve(ex: &Explorer<'_>, seg: &Segmentation) -> CoreResult<Resol
 }
 
 /// Resolve the pieces CUT handed over into a candidate: the scans of
-/// those still derived fan out (`Explorer::materialise_all`).
+/// those still derived fan out (`Explorer::map_units`).
 pub(crate) fn resolve_pieces(
     ex: &Explorer<'_>,
     pieces: Vec<Piece>,
 ) -> CoreResult<(Segmentation, Resolved)> {
-    let sels = ex.materialise_all(&pieces)?;
+    let sels = ex.map_units(&pieces, |_, sel| Ok(sel))?;
     let queries = pieces.into_iter().map(|p| p.query).collect();
     Ok((
         Segmentation::new(queries),

@@ -14,12 +14,14 @@
 //! would have produced.
 //!
 //! The callers in the HB-cuts run are the seed fan-out (one CUT per
-//! context attribute, each resolved for INDEP) and the resolution of a
-//! new composition (one scan of its parent's rows per piece, or per pair
-//! of halves that partition their parent): few elements, each coarse, which is
-//! the shape this order-preserving map is for. The INDEP frontier itself is a plain loop: over resolved
-//! candidates a probe is a handful of bitmap AND-counts, far below what
-//! a thread spawn costs.
+//! context attribute, each resolved for INDEP), the cuts of a COMPOSE
+//! level and the resolution of a new composition — the last two one
+//! *unit* per item (`Explorer::map_units`): a piece, or a pair of halves
+//! that partition their parent. Few elements, each coarse, which is the
+//! shape this order-preserving map is for; any two of them thread. The
+//! INDEP frontier itself is a plain loop: over resolved candidates a
+//! probe is a handful of bitmap AND-counts, far below what a thread
+//! spawn costs.
 
 use crate::error::CoreResult;
 

@@ -11,7 +11,8 @@
 //! The cuts chain over pieces (`compose_pieces`): a level's halves carry
 //! their parent's bitmap into the next level, which materialises each
 //! (one scan per pair where the halves partition their parent, else one
-//! per half) before cutting it again, and the last level's halves
+//! per half) before cutting it again — the level's pieces fan out, a
+//! partitioning pair as one unit — and the last level's halves
 //! leave still derived — a composition that trips a stop criterion never
 //! scans them. The public [`compose`] looks S1's pieces up once and
 //! releases the result through the explorer's selection memo.

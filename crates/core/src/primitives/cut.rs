@@ -87,17 +87,20 @@ struct Split {
 
 /// Definition 6 over pieces: cut each along `attr`, carrying the ones
 /// with no valid split over unchanged (keeps the partition property).
-/// Also says whether any piece was cut.
+/// Also says whether any piece was cut. The pieces are materialised and
+/// cut unit by unit in one fan-out (`Explorer::map_units`).
 pub(crate) fn cut_pieces(
     ex: &Explorer<'_>,
     pieces: Vec<Piece>,
     attr: &str,
 ) -> CoreResult<(Vec<Piece>, bool)> {
+    let cuts = ex.map_units(&pieces, |piece, sel| {
+        Ok((cut_piece(ex, &piece.query, &sel, attr)?, sel))
+    })?;
     let mut out = Vec::with_capacity(pieces.len() * 2);
     let mut any = false;
-    for piece in pieces {
-        let sel = ex.materialise(&piece)?;
-        match cut_piece(ex, &piece.query, &sel, attr)? {
+    for (piece, (halves, sel)) in pieces.into_iter().zip(cuts) {
+        match halves {
             Some(halves) => {
                 any = true;
                 out.extend(halves);

@@ -14,11 +14,15 @@
 //! `charles-core` guarantee identical advisor output with and without
 //! threads.
 //!
-//! Work distribution is static chunking: the slice is split into
-//! `min(threads, len)` contiguous chunks, one worker thread per chunk.
-//! The advisor's units of work (cutting one seed attribute, scanning
-//! one segment's predicate) are coarse and uniform enough that static
-//! chunking is within noise of work stealing, without a dependency.
+//! Work distribution is dynamic: the caller and `threads − 1` scoped
+//! helpers claim items one at a time from one shared cursor until none
+//! is left, and each result is tagged with its item's index. So a map
+//! of uneven items (one date column's gather beside a counted integer
+//! column) keeps every thread busy, a fan-out spawns one thread fewer
+//! than it uses, and the caller works instead of waiting in a join.
+//!
+//! There is no cutoff: any input of two or more items threads, so a
+//! caller maps only work worth a spawn.
 
 #![forbid(unsafe_code)]
 
@@ -26,17 +30,6 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Inputs shorter than this run sequentially even with threads enabled.
-///
-/// Thread spawn costs tens of microseconds; the advisor's smallest
-/// fan-outs (`Explorer::covers` over a 2–3 segment segmentation, the
-/// two pieces of a seed cut) finish in single-digit microseconds, so
-/// spawning for them is pure overhead. Four is the smallest cutoff that
-/// keeps every genuinely coarse fan-out (candidate seeding over k
-/// attributes, the selections of a composed candidate's ≥ 4 pieces,
-/// adaptive restarts) on the threaded path.
-pub const PAR_THRESHOLD: usize = 4;
 
 /// Force the worker-thread count at runtime (`0` clears the override).
 /// `set_num_threads(1)` routes every `par_map` through the sequential
@@ -72,8 +65,9 @@ pub fn num_threads() -> usize {
 }
 
 thread_local! {
-    /// Set while executing inside a `par_map` worker. Nested `par_map`
-    /// calls (e.g. HB-cuts seeding → resolving the seed's two
+    /// Set while a thread works a `par_map` share: a helper for its
+    /// whole life, the caller for the length of its own share. Nested
+    /// `par_map` calls (e.g. HB-cuts seeding → resolving the seed's two
     /// selections) run sequentially instead of spawning
     /// threads-of-threads: only the outermost level parallelises, which
     /// bounds concurrency at [`num_threads`] and avoids paying thread
@@ -81,28 +75,47 @@ thread_local! {
     static IN_WORKER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+/// The caller's share of a map: `IN_WORKER` is set while it lasts and
+/// cleared when it ends, by return or by unwind — a thread that lives
+/// on after a panicking map (a `WorkerPool` worker does) must thread its
+/// next one.
+struct CallerShare;
+
+impl CallerShare {
+    fn enter() -> CallerShare {
+        IN_WORKER.with(|w| w.set(true));
+        CallerShare
+    }
+}
+
+impl Drop for CallerShare {
+    fn drop(&mut self) {
+        IN_WORKER.with(|w| w.set(false));
+    }
+}
+
 /// Order-preserving parallel map: equivalent to
 /// `items.iter().map(f).collect()`, computed on up to [`num_threads`]
-/// worker threads. Panics in `f` propagate to the caller. Calls nested
-/// inside a worker run sequentially (outermost-level parallelism only).
+/// threads — the caller and up to `num_threads() − 1` helpers it
+/// spawns, each claiming the next unclaimed item until none is left.
+/// Panics in `f` propagate to the caller once every helper has joined.
+/// Calls nested inside a share run sequentially (outermost-level
+/// parallelism only).
 ///
-/// Threads are spawned per call (no pool), so this is meant for coarse
+/// Helpers are spawned per call (no pool), so this is meant for coarse
 /// units of work — median scans, segment selections, whole advisor
 /// restarts — where per-item cost dwarfs the ~tens-of-µs spawn cost.
-/// Inputs shorter than [`PAR_THRESHOLD`] run sequentially on the
-/// calling thread, so tiny fan-outs (memoized cover lookups, a seed
-/// cut's two selections) don't pay spawn cost for microsecond work;
-/// callers with *long* inputs of µs-scale items should not come here at
-/// all (the HB-cuts INDEP frontier is a plain loop).
+/// Any input of two or more items threads, so *long* inputs of µs-scale
+/// items should not come here (the HB-cuts INDEP frontier is a plain
+/// loop).
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    // Nested calls and sub-threshold inputs short-circuit before
-    // touching num_threads(): spawn cost dwarfs microsecond work.
-    if items.len() <= 1 || items.len() < PAR_THRESHOLD || IN_WORKER.with(|w| w.get()) {
+    // Nested calls short-circuit before touching num_threads().
+    if items.len() <= 1 || IN_WORKER.with(|w| w.get()) {
         return items.iter().map(f).collect();
     }
     let threads = num_threads().min(items.len());
@@ -110,30 +123,54 @@ where
         return items.iter().map(f).collect();
     }
 
-    // Contiguous chunks, sized to cover all items. Each worker returns
-    // its chunk's results as one Vec; joining in spawn order and
-    // extending keeps the output in input order.
-    let chunk = items.len().div_ceil(threads);
-    let mut out: Vec<U> = Vec::with_capacity(items.len());
+    // Every thread claims the next index from one cursor and keeps its
+    // results tagged by index; placing them by tag restores input order.
+    // The cursor only hands out indices (`Relaxed`): results reach the
+    // caller through the joins.
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut slots: Vec<Option<U>> = std::iter::repeat_with(|| None).take(items.len()).collect();
+    let mut place = |done: Vec<(usize, U)>| {
+        for (i, out) in done {
+            slots[i] = Some(out);
+        }
+    };
     std::thread::scope(|scope| {
-        let fref = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|in_chunk| {
-                scope.spawn(move || {
+        let helpers: Vec<_> = (1..threads)
+            .map(|_| {
+                scope.spawn(|| {
                     IN_WORKER.with(|w| w.set(true));
-                    in_chunk.iter().map(fref).collect::<Vec<U>>()
+                    claim()
                 })
             })
             .collect();
-        for handle in handles {
-            match handle.join() {
-                Ok(chunk_out) => out.extend(chunk_out),
+        // A panic here unwinds out of the scope, which joins every
+        // helper before it lets the panic go on.
+        let mine = {
+            let _share = CallerShare::enter();
+            claim()
+        };
+        place(mine);
+        for helper in helpers {
+            match helper.join() {
+                Ok(done) => place(done),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
         }
     });
-    out
+    slots
+        .into_iter()
+        .map(|out| out.expect("every index is claimed once"))
+        .collect()
 }
 
 /// A fixed-size worker pool for long-lived concurrent tasks.
@@ -267,14 +304,14 @@ mod tests {
     fn nested_par_map_stays_sequential() {
         // The inner map must not spawn threads-of-threads; it still
         // computes the right answer in order. Force >1 worker so the
-        // outer map actually threads even on single-core machines; the
-        // inner map is at the cutoff, so it can't mask the nesting guard.
+        // outer map actually threads even on single-core machines. The
+        // caller's own share nests too.
         let got = with_threads(4, || {
             let outer: Vec<u64> = (0..8).collect();
             par_map(&outer, |&x| {
-                let inner: Vec<u64> = (0..PAR_THRESHOLD as u64).collect();
+                let inner: Vec<u64> = (0..4).collect();
                 let inner_ids = par_map(&inner, |_| std::thread::current().id());
-                // All inner work ran on this (worker) thread.
+                // All inner work ran on this thread.
                 assert!(inner_ids
                     .iter()
                     .all(|&id| id == std::thread::current().id()));
@@ -284,23 +321,85 @@ mod tests {
         assert_eq!(got, (0..8).map(|x| x * 10).collect::<Vec<_>>());
     }
 
+    /// Maps `n` items, each of which waits (up to five seconds) until
+    /// every item has started, and returns the ids of the threads that
+    /// ran them: distinct ids only if the items really ran at once. A
+    /// map that stays on one thread times out instead of hanging.
+    fn rendezvous_ids(n: usize) -> Vec<std::thread::ThreadId> {
+        let started = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..n).collect();
+        par_map(&items, |_| {
+            started.fetch_add(1, Ordering::SeqCst);
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+            while started.load(Ordering::SeqCst) < n && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            std::thread::current().id()
+        })
+    }
+
     #[test]
-    fn sub_threshold_inputs_stay_on_the_calling_thread() {
-        // Below the cutoff no worker threads spawn: every item is
-        // computed on the caller. At or above it, the map threads.
-        with_threads(4, || {
-            let me = std::thread::current().id();
-            let small: Vec<u64> = (0..PAR_THRESHOLD as u64 - 1).collect();
-            let ids = par_map(&small, |_| std::thread::current().id());
-            assert!(ids.iter().all(|&id| id == me), "below the cutoff");
-            let big: Vec<u64> = (0..64).collect();
-            let ids = par_map(&big, |&x| {
-                std::thread::sleep(std::time::Duration::from_millis(1 + x % 2));
-                std::thread::current().id()
-            });
-            let distinct: std::collections::HashSet<_> = ids.into_iter().collect();
-            assert!(distinct.len() > 1, "len 64 ≥ threshold must thread");
+    fn a_two_item_input_threads() {
+        // No item-count cutoff: two items are two threads, the caller
+        // working one of them.
+        let ids = with_threads(2, || rendezvous_ids(2));
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn uneven_items_come_back_in_input_order() {
+        // One slow item among fast ones: whoever claims it, the others
+        // drain the rest, and every result lands at its own index.
+        let items: Vec<u64> = (0..40).collect();
+        let got = with_threads(3, || {
+            par_map(&items, |&x| {
+                let ms = if x == 0 { 40 } else { x % 3 };
+                std::thread::sleep(std::time::Duration::from_millis(ms));
+                (x, x * x)
+            })
         });
+        assert_eq!(got, items.iter().map(|&x| (x, x * x)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_panic_in_the_callers_share_resumes_after_the_helpers_join() {
+        let caller = std::thread::current().id();
+        let caller_claimed = std::sync::atomic::AtomicBool::new(false);
+        let finished = AtomicUsize::new(0);
+        let items: Vec<u64> = (0..6).collect();
+        let outcome = with_threads(2, || {
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                par_map(&items, |_| {
+                    if std::thread::current().id() == caller {
+                        caller_claimed.store(true, Ordering::SeqCst);
+                        panic!("the caller's item blows up");
+                    }
+                    // The helper holds one item at a time: it cannot
+                    // claim them all before the caller claims one.
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
+                    while !caller_claimed.load(Ordering::SeqCst)
+                        && std::time::Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
+                    }
+                    std::thread::sleep(std::time::Duration::from_millis(10));
+                    finished.fetch_add(1, Ordering::SeqCst);
+                })
+            }))
+        });
+        let payload = outcome.expect_err("the caller's panic propagates");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"the caller's item blows up")
+        );
+        // The caller claimed exactly one item and died on it; the helper
+        // worked off the other five before the panic went on.
+        assert_eq!(finished.load(Ordering::SeqCst), items.len() - 1);
+
+        // And the thread is no worker now: its next map threads.
+        let ids = with_threads(2, || rendezvous_ids(2));
+        assert_ne!(ids[0], ids[1]);
     }
 
     #[test]
