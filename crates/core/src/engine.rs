@@ -112,31 +112,42 @@ impl Piece {
     /// that every row of `sel` satisfies exactly one of the two
     /// constraints — the statistics they were drawn from covered all of
     /// `sel` — and then the right half is what the left leaves of `sel`.
+    /// The left half refines a clone of `query`, the right half `query`
+    /// itself; when either refinement is provably empty there is no cut
+    /// and `query` comes back unspent.
     pub(crate) fn halves(
-        query: &Query,
+        query: Query,
         sel: &Arc<Bitmap>,
         attr: &str,
         (left, right): (Constraint, Constraint),
         partition: bool,
-    ) -> Option<[Piece; 2]> {
+    ) -> Result<[Piece; 2], Query> {
+        // The right half spends the query, so its refinement is checked
+        // before the left one is built.
+        let held = query.constraint(attr);
+        if held.is_some_and(|held| held.intersect(&right).is_none()) {
+            return Err(query);
+        }
         let shared = partition.then(LeftSelection::default);
         let pair = |half| shared.clone().map(|left| (half, left));
-        Some([
-            Piece::derived(query, sel, attr, left, pair(Half::Left))?,
-            Piece::derived(query, sel, attr, right, pair(Half::Right))?,
-        ])
+        let Some(left) = Piece::derived(query.clone(), sel, attr, left, pair(Half::Left)) else {
+            return Err(query);
+        };
+        let right = Piece::derived(query, sel, attr, right, pair(Half::Right))
+            .expect("the right refinement was checked satisfiable");
+        Ok([left, right])
     }
 
     /// `(Q, attr: constraint)` of Definition 5, derived from `Q`'s
     /// selection; `None` when the refinement is provably empty.
     fn derived(
-        query: &Query,
+        query: Query,
         sel: &Arc<Bitmap>,
         attr: &str,
         constraint: Constraint,
         pair: Option<(Half, LeftSelection)>,
     ) -> Option<Piece> {
-        let query = query.refined(attr, constraint)?;
+        let query = query.into_refined(attr, constraint)?;
         let conjunct = query.predicates().iter().position(|p| p.attr == attr)?;
         Some(Piece {
             query,
@@ -536,13 +547,13 @@ mod tests {
         let root = ex.context_piece();
         let root_sel = ex.materialise(&root).unwrap();
         let evens = Constraint::set(vec![Value::str("even")]).unwrap();
-        let piece = Piece::derived(&root.query, &root_sel, "k", evens, None).unwrap();
+        let piece = Piece::derived(root.query, &root_sel, "k", evens, None).unwrap();
         // Refining the attribute the context already constrains
         // intersects: the narrowed conjunct is the one scanned.
         let low = Constraint::range(Value::Int(4), Value::Int(99)).unwrap();
         let piece = {
             let sel = ex.materialise(&piece).unwrap();
-            Piece::derived(&piece.query, &sel, "x", low, None).unwrap()
+            Piece::derived(piece.query, &sel, "x", low, None).unwrap()
         };
         let scans = t.stats().scans;
         let derived = ex.materialise(&piece).unwrap();
@@ -571,7 +582,7 @@ mod tests {
         let range = |lo, hi| Constraint::range(Value::Int(lo), Value::Int(hi)).unwrap();
         let halves = |partition| {
             let split = (range(0, 6), range(7, 19));
-            Piece::halves(&root.query, &root_sel, "x", split, partition).unwrap()
+            Piece::halves(root.query.clone(), &root_sel, "x", split, partition).unwrap()
         };
         let evaluated = |piece: &Piece| {
             let mut sel = eval::selection(&piece.query, &t).unwrap();
@@ -613,6 +624,28 @@ mod tests {
             assert_eq!(t.stats().scans - before, scans);
             for (piece, sel) in pair.iter().zip(&sels) {
                 assert_eq!(**sel, evaluated(piece), "{}", piece.query);
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_with_an_empty_half_hands_its_query_back() {
+        // The context holds x ∈ [0, 9]: a half beyond it refines to
+        // nothing, whichever half it is, and the query comes back whole.
+        let t = table();
+        let ctx = Query::wildcard(&["x", "k"])
+            .refined(
+                "x",
+                Constraint::range(Value::Int(0), Value::Int(9)).unwrap(),
+            )
+            .unwrap();
+        let ex = Explorer::new(&t, Config::default(), ctx.clone()).unwrap();
+        let sel = Arc::clone(&ex.context_sel);
+        let range = |lo, hi| Constraint::range(Value::Int(lo), Value::Int(hi)).unwrap();
+        for split in [(range(20, 25), range(0, 4)), (range(0, 4), range(20, 25))] {
+            for partition in [true, false] {
+                let back = Piece::halves(ctx.clone(), &sel, "x", split.clone(), partition);
+                assert_eq!(back.err(), Some(ctx.clone()));
             }
         }
     }

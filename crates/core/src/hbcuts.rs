@@ -36,13 +36,15 @@
 //! as a plain array read: no render, no lock, no allocation. Every id
 //! pair is therefore evaluated exactly once per run. The operands are
 //! carried the same way: a candidate is *resolved* once, when it is
-//! created — its pieces' selections and its entropy (`indep::Resolved`;
-//! each piece arrives from CUT as its parent's bitmap plus the one
-//! conjunct that narrows it, so resolving it is one scan of the parent's
-//! rows, fanned out, and none for the right half of a cut that
-//! partitions its parent) —
-//! so an evaluation is two field reads and one AND-count grid, in a
-//! plain loop, the final scores read the same entropies, and COMPOSE
+//! created — its pieces' selections, their counts, whether they
+//! partition the context and its entropy (`indep::Resolved`; each piece
+//! arrives from CUT as its parent's bitmap plus the one conjunct that
+//! narrows it, so resolving it is one scan of the parent's rows, fanned
+//! out, and none for the right half of a cut that partitions its parent)
+//! — so an evaluation is two field reads and a grid of intersection
+//! counts of which only the free cells are AND-counted (one for a pair of
+//! seeds: the pieces of a partitioning operand fix the rest), in a plain
+//! loop; the final scores read the same entropies, and COMPOSE
 //! cuts on from the same bitmaps: the loop never asks the explorer for
 //! a selection by query, so it renders none. The argmin scans the
 //! matrix in the `(i, j)` enumeration order of the textbook nested loop,
@@ -265,8 +267,9 @@ pub(crate) fn seed_cut(
     ex: &Explorer<'_>,
     attr: &str,
 ) -> CoreResult<Option<(Segmentation, Resolved)>> {
-    let (halves, cut) = cut_pieces(ex, vec![ex.context_piece()], attr)?;
-    cut.then(|| resolve_pieces(ex, halves)).transpose()
+    let (halves, cut, partition) = cut_pieces(ex, vec![ex.context_piece()], attr)?;
+    cut.then(|| resolve_pieces(ex, halves, partition))
+        .transpose()
 }
 
 /// The one HB-cuts loop (Figure 4, lines 2–22), one iteration per
@@ -387,7 +390,7 @@ impl Stepper {
                 self.resolved[i].pieces(&self.cand[i]),
                 &self.cand[j].attributes(),
             )?;
-            let Some(pieces) = composed else {
+            let Some((pieces, partitions)) = composed else {
                 if ind >= max_indep {
                     self.trace.stop = Some(StopReason::IndependenceThreshold);
                     return Ok(false);
@@ -425,7 +428,10 @@ impl Stepper {
             // An accepted composition joins the candidates resolved — its
             // last level of pieces scanned only now, and the fallible
             // part, so it comes before the step is recorded.
-            let (new_seg, resolved) = resolve_pieces(ex, pieces)?;
+            // Its pieces partition the context where S1's did and every
+            // cut COMPOSE made partitioned its piece.
+            let partition = self.resolved[i].partition && partitions;
+            let (new_seg, resolved) = resolve_pieces(ex, pieces, partition)?;
             self.trace.steps.push(step);
             break (i, j, new_seg, resolved);
         };

@@ -15,8 +15,20 @@
 //! `S1 × S2` only needs the pairwise intersection cardinalities, which are
 //! bitmap AND-counts over the segment selections. There is one kernel and
 //! it works on *resolved* operands (`Resolved`: a segmentation's piece
-//! selections plus its entropy): the denominator is two field reads, the
-//! numerator one AND-count grid — no query is rendered, no lock taken.
+//! selections, their counts, whether they partition the context, and its
+//! entropy): the denominator is two field reads, the numerator a grid of
+//! intersection counts — no query is rendered, no lock taken.
+//!
+//! Only the grid's free cells are AND-counted. When an operand's pieces
+//! partition the context, the cells along it sum to the other operand's
+//! piece counts, so the last cell of each row (or the last row) is what
+//! the others leave: a 2 × 2 seed probe is one AND-count, a k × m grid of
+//! two partitions (k−1)(m−1). The flag is structural — a cut's right half
+//! was the complement of its left (CUT and COMPOSE report it), never
+//! `Σ counts = n`, which a cut whose halves overlap and one that drops
+//! rows can meet together — and the derived cells are the same integers,
+//! summed in the same row-major order, so `E(S1 × S2)` keeps its bits.
+//!
 //! The HB-cuts loop resolves each candidate once, when it is created —
 //! from the pieces CUT derived, one scan per piece or, where a cut's
 //! halves partition their parent, per pair (`resolve_pieces`) — and
@@ -24,53 +36,74 @@
 //! §5.1 reuse, see [`crate::hbcuts`]); COMPOSE starts its cuts from the
 //! same bitmaps. The public [`indep`] and [`product_entropy`] remember
 //! nothing — they look both operands' pieces up in the explorer
-//! (`resolve`) and call the same kernel.
+//! (`resolve`, which claims no partition, so every cell is counted) and
+//! call the same kernel.
 
 use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
-use crate::metrics::entropy_from_covers;
+use crate::metrics::entropy_from_counts;
 use charles_sdl::Segmentation;
 use charles_store::Bitmap;
 use std::sync::Arc;
 
 /// A segmentation as INDEP consumes it: its pieces' selections in
-/// `seg.queries()` order, and `E(S)`.
+/// `seg.queries()` order, their counts, whether they are known to
+/// partition the context, and `E(S)`.
 pub(crate) struct Resolved {
     sels: Vec<Arc<Bitmap>>,
+    counts: Vec<usize>,
+    /// The pieces partition the context, known by construction: every
+    /// cut that made them split its piece into a partitioning pair (the
+    /// right half `Piece::is_complement`). Never inferred from the
+    /// counts: halves that overlap (a `Float` bound on an `Int` attribute
+    /// beyond 2⁵³) and halves that drop rows (a NaN) can together still
+    /// count `n`.
+    pub(crate) partition: bool,
     pub(crate) entropy: f64,
 }
 
 /// Resolve a segmentation by its queries: one selection lookup per
 /// piece, each a whole conjunction when the explorer has not seen it.
-/// The pieces evaluate independently, so they fan out.
+/// The pieces evaluate independently, so they fan out. Nothing is known
+/// of how they were made, so nothing says they partition the context.
 pub(crate) fn resolve(ex: &Explorer<'_>, seg: &Segmentation) -> CoreResult<Resolved> {
     let sels = crate::par::try_map(seg.queries(), |q| ex.selection(q))?;
-    Ok(Resolved::new(sels, ex.context_size()))
+    Ok(Resolved::new(sels, false, ex.context_size()))
 }
 
 /// Resolve the pieces CUT handed over into a candidate: the scans of
-/// those still derived fan out (`Explorer::map_units`).
+/// those still derived fan out (`Explorer::map_units`). `partition`
+/// says the pieces partition the context, as CUT and COMPOSE report it.
 pub(crate) fn resolve_pieces(
     ex: &Explorer<'_>,
     pieces: Vec<Piece>,
+    partition: bool,
 ) -> CoreResult<(Segmentation, Resolved)> {
     let sels = ex.map_units(&pieces, |_, sel| Ok(sel))?;
     let queries = pieces.into_iter().map(|p| p.query).collect();
     Ok((
         Segmentation::new(queries),
-        Resolved::new(sels, ex.context_size()),
+        Resolved::new(sels, partition, ex.context_size()),
     ))
 }
 
+/// `total − Σ parts`: a grid cell the others fix. Where a wrong partition
+/// flag makes the parts outweigh the total this panics, in release too,
+/// instead of wrapping to a huge count.
+fn rest(total: usize, parts: impl Iterator<Item = usize>) -> usize {
+    total
+        .checked_sub(parts.sum())
+        .expect("the pieces of a partitioning operand cover each cell's row or column")
+}
+
 impl Resolved {
-    fn new(sels: Vec<Arc<Bitmap>>, n: usize) -> Resolved {
-        let covers: Vec<f64> = sels
-            .iter()
-            .map(|s| s.count_ones() as f64 / n as f64)
-            .collect();
+    fn new(sels: Vec<Arc<Bitmap>>, partition: bool, n: usize) -> Resolved {
+        let counts: Vec<usize> = sels.iter().map(|s| s.count_ones()).collect();
         Resolved {
-            entropy: entropy_from_covers(&covers),
+            entropy: entropy_from_counts(counts.iter().copied(), n),
             sels,
+            counts,
+            partition,
         }
     }
 
@@ -89,20 +122,35 @@ impl Resolved {
         &self.sels
     }
 
-    /// `E(S1 × S2)` from the AND-count grid, enumerated row-major — the
-    /// `(a, b)` order the entropy sum has always seen, so its value is
-    /// fixed down to the last bit.
+    /// `E(S1 × S2)` from the grid of cells `|a ∧ b|`, enumerated
+    /// row-major — the `(a, b)` order the entropy sum has always seen, so
+    /// its value is fixed down to the last bit. Only the free cells are
+    /// AND-counted. When `other` partitions the context, the cells of a
+    /// row sum to `|a|`, so its last cell is `|a|` minus the others; when
+    /// `self` does, the last row is `|b|` minus the rows above. A k × m
+    /// grid of two partitions costs (k−1)(m−1) AND-counts. The derived
+    /// cells are the same integers, so the sum sees the same terms.
     fn product_entropy(&self, other: &Resolved, n: usize) -> f64 {
-        let mut covers = Vec::with_capacity(self.sels.len() * other.sels.len());
-        for a in &self.sels {
-            for b in &other.sels {
-                let c = a.and_count(b);
-                if c > 0 {
-                    covers.push(c as f64 / n as f64);
-                }
+        let m = other.sels.len();
+        let rows = self.sels.len() - usize::from(self.partition);
+        let cols = m - usize::from(other.partition);
+        let mut grid = vec![0usize; self.sels.len() * m];
+        for (i, a) in self.sels[..rows].iter().enumerate() {
+            let row = &mut grid[i * m..(i + 1) * m];
+            for (cell, b) in row.iter_mut().zip(&other.sels[..cols]) {
+                *cell = a.and_count(b);
+            }
+            if other.partition {
+                row[cols] = rest(self.counts[i], row[..cols].iter().copied());
             }
         }
-        entropy_from_covers(&covers)
+        if self.partition {
+            for j in 0..m {
+                let last = rest(other.counts[j], (0..rows).map(|i| grid[i * m + j]));
+                grid[rows * m + j] = last;
+            }
+        }
+        entropy_from_counts(grid.into_iter(), n)
     }
 
     /// `INDEP(S1, S2)` over a context of `n` rows; see [`indep`].
@@ -136,8 +184,8 @@ pub fn indep(ex: &Explorer<'_>, s1: &Segmentation, s2: &Segmentation) -> CoreRes
 mod tests {
     use super::*;
     use crate::config::Config;
-    use crate::primitives::{cut_segmentation, product};
-    use charles_sdl::Query;
+    use crate::primitives::{compose_pieces, cut_segmentation, product};
+    use charles_sdl::{Constraint, Query};
     use charles_store::{DataType, TableBuilder, Value};
 
     fn two_cols(rows: &[(i64, i64)]) -> charles_store::Table {
@@ -230,6 +278,108 @@ mod tests {
         let single = Segmentation::singleton(ex.context().clone());
         let v = indep(&ex, &single, &single).unwrap();
         assert_eq!(v, 1.0);
+    }
+
+    /// `E(S1 × S2)` as two bit patterns: the grid with the free cells
+    /// only, and every cell AND-counted.
+    fn both_grids(a: &Resolved, b: &Resolved, n: usize) -> (u64, u64) {
+        let full = |r: &Resolved| Resolved::new(r.sels.clone(), false, n);
+        (
+            a.product_entropy(b, n).to_bits(),
+            full(a).product_entropy(&full(b), n).to_bits(),
+        )
+    }
+
+    #[test]
+    fn a_partition_grid_counts_its_free_cells_to_the_same_bits() {
+        // Seeds and compositions from depth 4 to 32 and beyond over
+        // nominal, integer and date attributes, paired every way — each
+        // with itself too — and with the same candidates resolved by
+        // query, which claim no partition: both operands derived, one,
+        // or none, each the same `f64` as the full grid.
+        let t = charles_datagen::voc_table(3000, 5);
+        let attrs = [
+            "type_of_boat",
+            "tonnage",
+            "built",
+            "yard",
+            "departure_date",
+            "trip",
+        ];
+        let ex = Explorer::new(&t, Config::default(), Query::wildcard(&attrs)).unwrap();
+        let n = ex.context_size();
+        let seed = |attr| crate::hbcuts::seed_cut(&ex, attr).unwrap().unwrap();
+        let compose = |(seg, r): &(Segmentation, Resolved), with: &Segmentation| {
+            let (pieces, partitions) = compose_pieces(&ex, r.pieces(seg), &with.attributes())
+                .unwrap()
+                .unwrap();
+            resolve_pieces(&ex, pieces, r.partition && partitions).unwrap()
+        };
+        let mut cands: Vec<(Segmentation, Resolved)> = attrs.iter().map(|a| seed(a)).collect();
+        // A chain: each composition is the last one cut on the next seed.
+        let mut last = 0;
+        for with in 1..attrs.len() {
+            let next = compose(&cands[last], &cands[with].0);
+            cands.push(next);
+            last = cands.len() - 1;
+        }
+        // One composition cuts on two attributes, level after level.
+        let pair = compose(&cands[0], &cands[1].0);
+        cands.push(compose(&cands[5], &pair.0));
+        let depths: Vec<usize> = cands.iter().map(|(s, _)| s.depth()).collect();
+        assert!(depths[last] >= 32 && depths[last + 1] >= 6, "{depths:?}");
+        assert!(cands.iter().all(|(_, r)| r.partition));
+        let by_query: Vec<Resolved> = cands
+            .iter()
+            .map(|(s, _)| resolve(&ex, s).unwrap())
+            .collect();
+        let operands: Vec<&Resolved> = cands.iter().map(|(_, r)| r).chain(&by_query).collect();
+        for a in &operands {
+            for b in &operands {
+                let (free, full) = both_grids(a, b, n);
+                assert_eq!(free, full, "{} × {}", a.sels.len(), b.sels.len());
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_whose_halves_overlap_claims_no_partition() {
+        // cut.rs's 2⁵³ context: under `Float` bounds the halves of `z`
+        // overlap (4 + 3 rows of 4) and are two scans; under `Int` bounds
+        // they partition. `w` always does.
+        let base = 1i64 << 53;
+        let rows: Vec<(i64, i64)> = [2, 3, 3, 4]
+            .into_iter()
+            .zip(0..)
+            .map(|(z, w)| (base + z, w))
+            .collect();
+        let mut b = TableBuilder::new("t");
+        b.add_column("z", DataType::Int)
+            .add_column("w", DataType::Int);
+        for (z, w) in rows {
+            b.push_row(vec![Value::Int(z), Value::Int(w)]).unwrap();
+        }
+        let t = b.finish();
+        let float = |i: i64| Value::Float((base + i) as f64);
+        let int = |i: i64| Value::Int(base + i);
+        for (lo, hi, partition) in [(int(2), int(4), true), (float(2), float(4), false)] {
+            let ctx = Query::wildcard(&["z", "w"])
+                .refined("z", Constraint::range(lo, hi).unwrap())
+                .unwrap();
+            let ex = Explorer::new(&t, Config::default(), ctx).unwrap();
+            let n = ex.context_size();
+            let seeds: Vec<Resolved> = ["z", "w"]
+                .map(|attr| crate::hbcuts::seed_cut(&ex, attr).unwrap().unwrap().1)
+                .into();
+            for a in &seeds {
+                for b in &seeds {
+                    let (free, full) = both_grids(a, b, n);
+                    assert_eq!(free, full, "partition {partition}");
+                }
+            }
+            assert_eq!(seeds[0].partition, partition);
+            assert!(seeds[1].partition);
+        }
     }
 
     #[test]

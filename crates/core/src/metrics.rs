@@ -37,11 +37,17 @@ pub fn breadth(seg: &Segmentation) -> usize {
 /// from 0 (a single piece) to `ln M` for `M` perfectly balanced segments
 /// (Principle 3: deeper and more balanced is better).
 pub fn entropy_from_covers(covers: &[f64]) -> f64 {
-    covers
-        .iter()
-        .filter(|&&c| c > 0.0)
-        .map(|&c| -c * c.ln())
-        .sum()
+    entropy_sum(covers.iter().copied())
+}
+
+/// [`entropy_from_covers`] of the covers `count / n`, without collecting
+/// them: the same terms, summed in the same order, so the same bits.
+pub(crate) fn entropy_from_counts(counts: impl Iterator<Item = usize>, n: usize) -> f64 {
+    entropy_sum(counts.map(|c| c as f64 / n as f64))
+}
+
+fn entropy_sum(covers: impl Iterator<Item = f64>) -> f64 {
+    covers.filter(|&c| c > 0.0).map(|c| -c * c.ln()).sum()
 }
 
 /// Entropy of a segmentation against an explorer's context.

@@ -23,20 +23,23 @@ use crate::error::CoreResult;
 use charles_sdl::Segmentation;
 
 /// Definition 7 over pieces: `pieces` cut on `attrs`, last attribute
-/// innermost. `None` when no cut succeeded at all.
+/// innermost, and whether every cut of every level split its piece into
+/// halves that partition it — then the result partitions whatever
+/// `pieces` did. `None` when no cut succeeded at all.
 pub(crate) fn compose_pieces(
     ex: &Explorer<'_>,
     mut pieces: Vec<Piece>,
     attrs: &[&str],
-) -> CoreResult<Option<Vec<Piece>>> {
-    let mut any = false;
+) -> CoreResult<Option<(Vec<Piece>, bool)>> {
+    let (mut any, mut partition) = (false, true);
     // Definition 7 nests CUT_attN innermost, so apply attN first.
     for attr in attrs.iter().rev() {
-        let (next, cut) = cut_pieces(ex, pieces, attr)?;
+        let (next, cut, partitions) = cut_pieces(ex, pieces, attr)?;
         pieces = next;
         any |= cut;
+        partition &= partitions;
     }
-    Ok(any.then_some(pieces))
+    Ok(any.then_some((pieces, partition)))
 }
 
 /// Compose two segmentations. Returns `None` when no cut succeeded at all
@@ -47,7 +50,7 @@ pub fn compose(
     s2: &Segmentation,
 ) -> CoreResult<Option<Segmentation>> {
     compose_pieces(ex, lookup_pieces(ex, s1)?, &s2.attributes())?
-        .map(|pieces| release_pieces(ex, pieces))
+        .map(|(pieces, _)| release_pieces(ex, pieces))
         .transpose()
 }
 

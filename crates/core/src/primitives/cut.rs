@@ -35,80 +35,88 @@
 //! exactly, and beyond 2⁵³ the two orders disagree on who is whose
 //! neighbour.
 //!
-//! `cut_piece` / `cut_pieces` are that implementation; the public
-//! [`cut_query`] / [`cut_segmentation`] look their operand up once and
-//! release the halves through the explorer's selection memo.
+//! `cut_piece` / `cut_pieces` are that implementation: `cut_piece` finds
+//! where a piece splits, and `cut_pieces`, which owns its pieces, builds
+//! each cut's halves from one clone of the piece's query — the left half
+//! refines the clone, the right half the query itself. It also reports
+//! whether every cut was a partitioning pair, which INDEP reads. The
+//! public [`cut_query`] / [`cut_segmentation`] look their operand up once
+//! and release the halves through the explorer's selection memo.
 
 use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
 use charles_sdl::{Constraint, Query, Segmentation};
 use charles_store::{Bitmap, DataType, FrequencyTable, Value};
-use std::sync::Arc;
 
-/// Definition 5 over a piece: its two halves along `attr`, each derived
-/// from the piece's selection, or `None` when no valid binary split
-/// exists.
-pub(crate) fn cut_piece(
+/// Definition 5 over a piece: where it splits along `attr`, or `None`
+/// when no valid binary split exists. The halves themselves are
+/// `Piece::halves` of the split.
+fn cut_piece(
     ex: &Explorer<'_>,
     query: &Query,
-    sel: &Arc<Bitmap>,
+    sel: &Bitmap,
     attr: &str,
-) -> CoreResult<Option<[Piece; 2]>> {
+) -> CoreResult<Option<Split>> {
     if sel.none() {
         return Ok(None);
     }
     let ty = ex.backend().schema().type_of(attr)?;
-    let split = if ty.is_numeric() {
-        numeric_split(ex, attr, query.constraint(attr), sel)?
+    if ty.is_numeric() {
+        numeric_split(ex, attr, query.constraint(attr), sel)
     } else {
-        nominal_split(ex, attr, ty, sel)?
-    };
-    let Some(split) = split else {
-        return Ok(None);
-    };
-    // Refine the query with each half; both refinements must stay
-    // satisfiable (they do by construction — the split points come from
-    // values inside the segment).
-    let partition = split.valued == Some(sel.count_ones());
-    Ok(Piece::halves(query, sel, attr, split.halves, partition))
+        nominal_split(ex, attr, ty, sel)
+    }
 }
 
 /// Where a segment splits along an attribute.
 struct Split {
     /// The two constraints. Every value the attribute takes in the
-    /// segment satisfies exactly one of them.
+    /// segment satisfies exactly one of them; both refinements stay
+    /// satisfiable by construction — the split points come from values
+    /// inside the segment.
     halves: (Constraint, Constraint),
-    /// How many of the segment's rows hold such a value — where the
-    /// backend said, and the store compares the refined constraints in
-    /// the one order they were drawn in. All of them: the halves
+    /// Whether every row of the segment holds such a value — the
+    /// backend said how many do, and the store compares the refined
+    /// constraints in the one order they were drawn in: then the halves
     /// partition the segment.
-    valued: Option<usize>,
+    partition: bool,
 }
 
 /// Definition 6 over pieces: cut each along `attr`, carrying the ones
 /// with no valid split over unchanged (keeps the partition property).
-/// Also says whether any piece was cut. The pieces are materialised and
-/// cut unit by unit in one fan-out (`Explorer::map_units`).
+/// Also says whether any piece was cut, and whether every piece that was
+/// cut was cut into halves that partition it — then the pieces out
+/// partition whatever the pieces in did. The pieces are materialised and
+/// their splits found unit by unit in one fan-out (`Explorer::map_units`);
+/// each cut's left half refines a clone of its piece's query, the right
+/// half that query itself.
 pub(crate) fn cut_pieces(
     ex: &Explorer<'_>,
     pieces: Vec<Piece>,
     attr: &str,
-) -> CoreResult<(Vec<Piece>, bool)> {
-    let cuts = ex.map_units(&pieces, |piece, sel| {
+) -> CoreResult<(Vec<Piece>, bool, bool)> {
+    let splits = ex.map_units(&pieces, |piece, sel| {
         Ok((cut_piece(ex, &piece.query, &sel, attr)?, sel))
     })?;
     let mut out = Vec::with_capacity(pieces.len() * 2);
-    let mut any = false;
-    for (piece, (halves, sel)) in pieces.into_iter().zip(cuts) {
-        match halves {
-            Some(halves) => {
+    let (mut any, mut partition) = (false, true);
+    for (piece, (split, sel)) in pieces.into_iter().zip(splits) {
+        let cut = match split {
+            Some(Split { halves, partition }) => {
+                Piece::halves(piece.query, &sel, attr, halves, partition).map(|h| (h, partition))
+            }
+            None => Err(piece.query),
+        };
+        match cut {
+            Ok((halves, partitions)) => {
                 any = true;
+                partition &= partitions;
                 out.extend(halves);
             }
-            None => out.push(Piece::ready(piece.query, sel)),
+            Err(uncut) => out.push(Piece::ready(uncut, sel)),
         }
     }
-    Ok((out, any))
+    Ok((out, any, partition))
 }
 
 /// The pieces of a segmentation a caller outside the crate handed in:
@@ -129,7 +137,12 @@ pub(crate) fn release_pieces(ex: &Explorer<'_>, pieces: Vec<Piece>) -> CoreResul
 /// Cut one query in two along `attr`. Returns `None` when no valid binary
 /// split exists.
 pub fn cut_query(ex: &Explorer<'_>, q: &Query, attr: &str) -> CoreResult<Option<(Query, Query)>> {
-    let Some([left, right]) = cut_piece(ex, q, &ex.selection(q)?, attr)? else {
+    let sel = ex.selection(q)?;
+    let Some(split) = cut_piece(ex, q, &sel, attr)? else {
+        return Ok(None);
+    };
+    let Ok([left, right]) = Piece::halves(q.clone(), &sel, attr, split.halves, split.partition)
+    else {
         return Ok(None);
     };
     Ok(Some((ex.release(left)?, ex.release(right)?)))
@@ -145,7 +158,7 @@ pub fn cut_segmentation(
     seg: &Segmentation,
     attr: &str,
 ) -> CoreResult<Option<Segmentation>> {
-    let (pieces, any) = cut_pieces(ex, lookup_pieces(ex, seg)?, attr)?;
+    let (pieces, any, _) = cut_pieces(ex, lookup_pieces(ex, seg)?, attr)?;
     if !any {
         return Ok(None);
     }
@@ -190,7 +203,7 @@ fn numeric_split(
         .filter(|_| !discrete || bounds_compare_exactly(held, &min));
     let split = |left, right| Split {
         halves: (left, right),
-        valued,
+        partition: valued == Some(sel.count_ones()),
     };
 
     // Discrete columns (Int/Date): closed integer pieces
@@ -269,7 +282,7 @@ fn nominal_split(
     match (Constraint::set(left), Constraint::set(right)) {
         (Ok(l), Ok(r)) => Ok(Some(Split {
             halves: (l, r),
-            valued: Some(ft.total()),
+            partition: ft.total() == sel.count_ones(),
         })),
         _ => Ok(None),
     }

@@ -109,15 +109,20 @@ impl Query {
     /// when the intersection is provably empty. Attributes not yet
     /// mentioned are appended (keeps PRODUCT general).
     pub fn refined(&self, attr: &str, constraint: Constraint) -> Option<Query> {
-        let mut predicates = self.predicates.clone();
-        match predicates.iter_mut().find(|p| p.attr == attr) {
+        self.clone().into_refined(attr, constraint)
+    }
+
+    /// [`Query::refined`] of an owned query, without cloning it. The
+    /// query is consumed either way: on `None` it is gone.
+    pub fn into_refined(mut self, attr: &str, constraint: Constraint) -> Option<Query> {
+        match self.predicates.iter_mut().find(|p| p.attr == attr) {
             Some(p) => {
                 let merged = p.constraint.intersect(&constraint)?;
                 p.constraint = merged;
             }
-            None => predicates.push(Predicate::new(attr, constraint)),
+            None => self.predicates.push(Predicate::new(attr, constraint)),
         }
-        Some(Query { predicates })
+        Some(self)
     }
 
     /// Conjunction of two whole queries — the cell `(Qi, Qj)` of the SDL
@@ -125,7 +130,7 @@ impl Query {
     pub fn conjoin(&self, other: &Query) -> Option<Query> {
         let mut out = self.clone();
         for p in &other.predicates {
-            out = out.refined(&p.attr, p.constraint.clone())?;
+            out = out.into_refined(&p.attr, p.constraint.clone())?;
         }
         Some(out)
     }
@@ -244,6 +249,12 @@ mod tests {
             Some(&Constraint::Set(vec![Value::str("fluit")]))
         );
         assert!(q.refined("type", set(&["galjoen"])).is_none());
+        // The owned form is the same refinement.
+        assert_eq!(
+            q.clone().into_refined("type", set(&["fluit", "pinas"])),
+            Some(q2)
+        );
+        assert!(q.into_refined("type", set(&["galjoen"])).is_none());
     }
 
     #[test]
