@@ -31,7 +31,7 @@ use charles_datagen::{
     astro_table, correlated_pair_table, sweep_table, voc_table, weblog_table, DependencyKind,
 };
 use charles_sdl::{eval, Query, Segmentation};
-use charles_store::{Backend, DataType, DiskTable, RowTable, Table, TableBuilder, Value};
+use charles_store::{Backend, DataType, RowTable, Table, TableBuilder, Value};
 use charles_viz::render_panel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -255,8 +255,8 @@ fn e4_figure1(dataset: Option<&Path>) {
             "synthetic VOC shipping data".into(),
         ),
         Some(path) => {
-            let disk = DiskTable::open(path)
-                .unwrap_or_else(|e| panic!("cannot open dataset {path:?}: {e}"));
+            let disk =
+                Table::open(path).unwrap_or_else(|e| panic!("cannot open dataset {path:?}: {e}"));
             let label = format!("{:?} ({} rows, from disk)", disk.name(), disk.len());
             (Box::new(disk), label)
         }
@@ -397,20 +397,19 @@ fn e6_vertical() {
 /// (plus, under `--dataset`, the lazily loaded `.charles` file itself).
 fn e7_backend(dataset: Option<&Path>) {
     banner("E7", "backend ablation: columnar vs row-store engine");
-    let (col, disk): (Table, Option<DiskTable>) = match dataset {
+    let (col, disk): (Table, Option<Table>) = match dataset {
         None => (voc_table(200_000, 7), None),
         Some(path) => {
-            let d = DiskTable::open(path)
-                .unwrap_or_else(|e| panic!("cannot open dataset {path:?}: {e}"));
-            let t = d.to_table().expect("materialise dataset");
-            // A fresh handle so the lazy engine's first-touch I/O is
-            // actually measured (the materialisation above already
-            // loaded every column of `d`).
-            let fresh = DiskTable::open(path).expect("reopen dataset");
-            (t, Some(fresh))
+            let open = || {
+                Table::open(path).unwrap_or_else(|e| panic!("cannot open dataset {path:?}: {e}"))
+            };
+            // Two handles: the row store below loads every column of the
+            // first, so only a fresh one measures the lazy engine's
+            // first-touch I/O.
+            (open(), Some(open()))
         }
     };
-    let rowstore = RowTable::from_table(&col);
+    let rowstore = RowTable::from_table(&col).expect("load the dataset into the row store");
     let context = match dataset {
         None => "(type_of_boat: , tonnage: , departure_harbour: , built: )".to_string(),
         Some(_) => charles_bench::context_over(&col, 4.min(col.schema().arity())).to_string(),

@@ -189,7 +189,7 @@ mod tests {
     use charles_core::config::Config;
     use charles_core::metrics::entropy;
     use charles_sdl::eval;
-    use charles_store::{Backend, DataType, DiskTable, RowTable, TableBuilder};
+    use charles_store::{Backend, DataType, RowTable, Table, TableBuilder};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -365,11 +365,11 @@ mod tests {
             b.push_row_opt(row.collect()).unwrap();
         }
         let table = b.finish();
-        let rows = RowTable::from_table(&table);
+        let rows = RowTable::from_table(&table).unwrap();
         let path =
             std::env::temp_dir().join(format!("charles-quantile-{}.charles", std::process::id()));
         charles_store::write_table(&table, &path).unwrap();
-        let disk = DiskTable::open(&path).unwrap();
+        let disk = Table::open(&path).unwrap();
         std::fs::remove_file(&path).unwrap();
 
         // The context already constrains `x`, and the query being cut is

@@ -6,7 +6,7 @@
 //!
 //! This is the first half of the persistence round trip the rest of the
 //! stack consumes: `charles-serve` boots sessions from the file
-//! (`@path` bodies or an `Arc<DiskTable>` backend), `charles-bench`
+//! (`@path` bodies or an `Arc<Table>` from `Table::open`), `charles-bench`
 //! experiments take it via `--dataset <path>`, and CI drives
 //! generate → save → serve as a smoke test.
 //!

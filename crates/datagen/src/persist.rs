@@ -7,7 +7,7 @@
 //! format exists to eliminate. This module is the bridge: name a
 //! generator, get a `.charles` file, boot anything — `charles-serve`
 //! sessions (`@path` bodies), `charles-bench` experiments
-//! (`--dataset <path>`), or a plain [`charles_store::DiskTable`].
+//! (`--dataset <path>`), or a plain [`charles_store::Table::open`].
 //!
 //! The `datagen` binary wraps [`generate_and_save`] for shell use:
 //!
@@ -102,7 +102,7 @@ pub fn generate_and_save(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charles_store::{write_table, Backend, DiskTable};
+    use charles_store::{write_table, Backend, Table};
 
     fn tmp_path(tag: &str, name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
@@ -116,7 +116,7 @@ mod tests {
         for name in DATASET_NAMES {
             let path = tmp_path("reload", name);
             generate_and_save(name, 500, 9, &path).unwrap();
-            let loaded = DiskTable::open(&path).unwrap();
+            let loaded = Table::open(&path).unwrap();
             assert_eq!(loaded.len(), 500, "{name}");
             let (table_name, schema) = dataset_schema(name).unwrap();
             assert_eq!(loaded.name(), table_name, "{name}");

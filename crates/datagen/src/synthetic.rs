@@ -133,8 +133,8 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = charles_store::write_csv_string(&sweep_table(50, 3, 9));
-        let b = charles_store::write_csv_string(&sweep_table(50, 3, 9));
+        let a = charles_store::write_csv_string(&sweep_table(50, 3, 9)).unwrap();
+        let b = charles_store::write_csv_string(&sweep_table(50, 3, 9)).unwrap();
         assert_eq!(a, b);
     }
 

@@ -162,9 +162,9 @@ mod tests {
 
     #[test]
     fn deterministic_per_seed() {
-        let a = charles_store::write_csv_string(&voc_table(50, 7));
-        let b = charles_store::write_csv_string(&voc_table(50, 7));
-        let c = charles_store::write_csv_string(&voc_table(50, 8));
+        let a = charles_store::write_csv_string(&voc_table(50, 7)).unwrap();
+        let b = charles_store::write_csv_string(&voc_table(50, 7)).unwrap();
+        let c = charles_store::write_csv_string(&voc_table(50, 8)).unwrap();
         assert_eq!(a, b);
         assert_ne!(a, c);
     }

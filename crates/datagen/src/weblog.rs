@@ -142,8 +142,8 @@ mod tests {
         let t = weblog_table(200, 1);
         assert_eq!(t.len(), 200);
         assert_eq!(t.schema().arity(), 7);
-        let a = charles_store::write_csv_string(&weblog_table(50, 3));
-        let b = charles_store::write_csv_string(&weblog_table(50, 3));
+        let a = charles_store::write_csv_string(&weblog_table(50, 3)).unwrap();
+        let b = charles_store::write_csv_string(&weblog_table(50, 3)).unwrap();
         assert_eq!(a, b);
     }
 

@@ -49,6 +49,4 @@ pub mod wire;
 pub use client::{http_request, Client, ClientConfig, Response};
 pub use http::{Method, Request};
 pub use server::{MetricsSnapshot, ServeConfig, Server, ServerHandle, ServerMetrics};
-pub use wire::{
-    wire_request, WireClient, WireConn, WireError, WireRequest, WireResponse, WireSummary,
-};
+pub use wire::{wire_request, WireConn, WireError, WireRequest, WireResponse, WireSummary};

@@ -29,7 +29,7 @@ use crate::wire::WireCacheStats;
 use charles_core::{Advice, AdviceCache, Config, CoreError, Session};
 use charles_parallel::WorkerPool;
 use charles_sdl::{Diagnostic, DiagnosticCode, SdlError};
-use charles_store::{Backend, DiskTable};
+use charles_store::{Backend, Table};
 use std::collections::HashMap;
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -757,7 +757,7 @@ fn split_dataset_directive(body: &str) -> (Option<&str>, &str) {
 impl ServerState {
     /// Resolve an `@path` dataset directive: confine the path to the
     /// configured root, then load (or reuse) the `.charles` file. The
-    /// registry lock is held across `DiskTable::open`, which reads only
+    /// registry lock is held across `Table::open`, which reads only
     /// header + footer — a few hundred bytes — so the hold is short and
     /// concurrent first requests for one dataset load it exactly once.
     fn dataset(&self, rel: &str) -> Result<Dataset, ApiError> {
@@ -790,7 +790,7 @@ impl ServerState {
         if let Some(d) = registry.get(&canonical) {
             return Ok(d.clone());
         }
-        match DiskTable::open(&canonical) {
+        match Table::open(&canonical) {
             Ok(table) => {
                 let dataset = Dataset {
                     backend: Arc::new(table),

@@ -1410,89 +1410,6 @@ impl WireConn {
     }
 }
 
-/// A pooled binary-protocol client mirroring the HTTP [`crate::Client`]
-/// semantics: one persistent connection, reconnect-and-retry-once when
-/// a *reused* connection fails (the server may have legitimately reaped
-/// it between requests), and request/connect counters.
-pub struct WireClient {
-    addr: SocketAddr,
-    config: ClientConfig,
-    conn: Option<WireConn>,
-    requests: u64,
-    connects: u64,
-}
-
-impl WireClient {
-    /// Client with default [`ClientConfig`] deadlines.
-    pub fn new(addr: SocketAddr) -> WireClient {
-        WireClient::with_config(addr, ClientConfig::default())
-    }
-
-    /// Client with explicit deadlines/options.
-    pub fn with_config(addr: SocketAddr, config: ClientConfig) -> WireClient {
-        WireClient {
-            addr,
-            config,
-            conn: None,
-            requests: 0,
-            connects: 0,
-        }
-    }
-
-    /// Requests attempted so far.
-    pub fn requests(&self) -> u64 {
-        self.requests
-    }
-
-    /// TCP connections opened so far (1 for a fully reused connection;
-    /// each server-side close or transport error adds one).
-    pub fn connects(&self) -> u64 {
-        self.connects
-    }
-
-    /// Issue one request over the persistent connection.
-    ///
-    /// A failure on a *reused* connection is retried once on a fresh
-    /// one — the same policy as the HTTP client, for the same reason:
-    /// the server closing an idle connection races with the next
-    /// request, and is only observable as a failure on use.
-    pub fn request(&mut self, req: &WireRequest<'_>) -> Result<WireResponse, WireError> {
-        let fresh = self.conn.is_none();
-        match self.exchange(req) {
-            Ok(resp) => Ok(resp),
-            Err(e) => {
-                self.conn = None;
-                if fresh {
-                    return Err(e);
-                }
-                match self.exchange(req) {
-                    Ok(resp) => Ok(resp),
-                    Err(e2) => {
-                        self.conn = None;
-                        Err(e2)
-                    }
-                }
-            }
-        }
-    }
-
-    fn exchange(&mut self, req: &WireRequest<'_>) -> Result<WireResponse, WireError> {
-        if self.conn.is_none() {
-            self.conn = Some(WireConn::connect(&self.addr, &self.config)?);
-            self.connects += 1;
-        }
-        let Some(conn) = self.conn.as_mut() else {
-            return Err(WireError::Io(std::io::Error::new(
-                std::io::ErrorKind::NotConnected,
-                "connection setup failed",
-            )));
-        };
-        self.requests += 1;
-        conn.send(req)?;
-        conn.recv()
-    }
-}
-
 /// One-shot helper: connect, issue one request, return the response.
 pub fn wire_request(
     addr: impl std::net::ToSocketAddrs,

@@ -88,257 +88,6 @@ impl CutStats {
     }
 }
 
-/// Implement [`Backend`] for a dense columnar type.
-///
-/// [`crate::Table`] (in-memory) and [`crate::DiskTable`] (lazily loaded
-/// from a `.charles` file) promise **bitwise-identical** behaviour for
-/// every operation; this macro makes that identity structural rather
-/// than hand-synchronized — both expand the exact same implementation.
-/// The target type must expose `column(&self, &str) -> StoreResult<&Column>`
-/// and `all_rows(&self) -> Bitmap`, a `schema: Schema` field, and
-/// `scans`/`counts`/`medians` `AtomicU64` counter fields. (The only
-/// behavioural difference between the two backends is that
-/// `DiskTable::column` may fault with `Io`/`Corrupt` on first touch.)
-macro_rules! impl_dense_backend {
-    ($ty:ty) => {
-        impl $ty {
-            /// `R(pred)`, or `within ∧ R(pred)` reading only the rows of
-            /// `within`: a conjunction evaluates its first leaf as it
-            /// stands and each later one within what the leaves before
-            /// it left, so a range or set leaf after the first walks
-            /// that selection instead of its whole column.
-            fn eval_within(
-                &self,
-                pred: &$crate::predicate::StorePredicate,
-                within: Option<$crate::bitmap::Bitmap>,
-            ) -> $crate::error::StoreResult<$crate::bitmap::Bitmap> {
-                use $crate::predicate::StorePredicate;
-                match pred {
-                    StorePredicate::True => Ok(within.unwrap_or_else(|| self.all_rows())),
-                    StorePredicate::Range(r) => {
-                        self.scans
-                            .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                        $crate::predicate::eval_range(self.column(&r.column)?, r, within)
-                    }
-                    StorePredicate::Set(s) => {
-                        self.scans
-                            .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                        $crate::predicate::eval_set(self.column(&s.column)?, s, within)
-                    }
-                    // A selection already held: no pass over any column.
-                    StorePredicate::Rows(rows) => {
-                        if rows.len() != self.rows {
-                            return Err($crate::error::StoreError::LengthMismatch {
-                                left: rows.len(),
-                                right: self.rows,
-                            });
-                        }
-                        Ok(match within {
-                            Some(mut sel) => {
-                                sel.and_inplace(rows);
-                                sel
-                            }
-                            None => $crate::bitmap::Bitmap::clone(rows),
-                        })
-                    }
-                    StorePredicate::And(ps) => {
-                        let mut acc = within;
-                        for p in ps {
-                            let sel = self.eval_within(p, acc.take())?;
-                            // Early exit on empty intermediate selections:
-                            // common in product cells of nearly dependent
-                            // segmentations.
-                            let empty = sel.none();
-                            acc = Some(sel);
-                            if empty {
-                                break;
-                            }
-                        }
-                        Ok(acc.unwrap_or_else(|| self.all_rows()))
-                    }
-                }
-            }
-        }
-
-        impl $crate::backend::Backend for $ty {
-            fn row_count(&self) -> usize {
-                self.rows
-            }
-
-            fn schema(&self) -> &$crate::schema::Schema {
-                &self.schema
-            }
-
-            fn eval(
-                &self,
-                pred: &$crate::predicate::StorePredicate,
-            ) -> $crate::error::StoreResult<$crate::bitmap::Bitmap> {
-                self.eval_within(pred, None)
-            }
-
-            fn count(
-                &self,
-                pred: &$crate::predicate::StorePredicate,
-            ) -> $crate::error::StoreResult<usize> {
-                // Counts get their own counter: delegating to `eval` used
-                // to record the paper's "counts over predicates" workload
-                // as plain scans, so the count metric never showed up in
-                // the experiment tables.
-                self.counts
-                    .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                Ok($crate::backend::Backend::eval(self, pred)?.count_ones())
-            }
-
-            fn not_null(&self, column: &str) -> $crate::error::StoreResult<$crate::bitmap::Bitmap> {
-                Ok(self.column(column)?.validity().clone())
-            }
-
-            fn median(
-                &self,
-                column: &str,
-                sel: &$crate::bitmap::Bitmap,
-            ) -> $crate::error::StoreResult<Option<$crate::value::Value>> {
-                self.medians
-                    .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                Ok(self.column(column)?.order_keys(sel)?.median())
-            }
-
-            fn sampled_median(
-                &self,
-                column: &str,
-                sel: &$crate::bitmap::Bitmap,
-                sample_size: usize,
-                seed: u64,
-            ) -> $crate::error::StoreResult<Option<$crate::value::Value>> {
-                use ::rand::SeedableRng;
-                self.medians
-                    .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                let col = self.column(column)?;
-                if !col.data_type().is_numeric() {
-                    return Err($crate::error::StoreError::TypeMismatch {
-                        column: column.to_string(),
-                        expected: "numeric".into(),
-                        found: col.data_type().name().into(),
-                    });
-                }
-                let mut rng = ::rand::rngs::StdRng::seed_from_u64(seed);
-                let rows = $crate::sample::reservoir_sample(sel, sample_size, &mut rng);
-                let keys = rows.into_iter().filter_map(|i| col.key_at(i));
-                Ok($crate::stats::OrderKeys::collect(col.data_type(), keys).median())
-            }
-
-            fn quantile(
-                &self,
-                column: &str,
-                sel: &$crate::bitmap::Bitmap,
-                q: f64,
-            ) -> $crate::error::StoreResult<Option<$crate::value::Value>> {
-                self.medians
-                    .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                self.column(column)?.order_keys(sel)?.quantile(q)
-            }
-
-            fn min_max(
-                &self,
-                column: &str,
-                sel: &$crate::bitmap::Bitmap,
-            ) -> $crate::error::StoreResult<Option<($crate::value::Value, $crate::value::Value)>>
-            {
-                Ok(self.column(column)?.min_max(sel))
-            }
-
-            fn cut_stats(
-                &self,
-                column: &str,
-                sel: &$crate::bitmap::Bitmap,
-            ) -> $crate::error::StoreResult<Option<$crate::backend::CutStats>> {
-                // One walk of the selection where `min_max` + `median`
-                // make two: the extremes are folded while the order keys
-                // the median is selected from are gathered.
-                let mut keys = self.column(column)?.order_keys(sel)?;
-                let Some((min, max)) = keys.extremes() else {
-                    return Ok(None);
-                };
-                let ranked = Some(keys.len());
-                let stats = $crate::backend::CutStats::over(min, max, ranked, || {
-                    self.medians
-                        .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                    Ok(keys.median())
-                })?;
-                Ok(Some(stats))
-            }
-
-            fn mean_and_var(
-                &self,
-                column: &str,
-                sel: &$crate::bitmap::Bitmap,
-            ) -> $crate::error::StoreResult<Option<(f64, f64)>> {
-                let col = self.column(column)?;
-                let mut buf = Vec::new();
-                col.gather_f64(sel, &mut buf)?;
-                Ok($crate::stats::mean_and_var_of(&buf))
-            }
-
-            fn next_above(
-                &self,
-                column: &str,
-                sel: &$crate::bitmap::Bitmap,
-                v: &$crate::value::Value,
-            ) -> $crate::error::StoreResult<Option<$crate::value::Value>> {
-                Ok(self.column(column)?.next_above(sel, v))
-            }
-
-            fn frequencies(
-                &self,
-                column: &str,
-                sel: &$crate::bitmap::Bitmap,
-            ) -> $crate::error::StoreResult<($crate::stats::FrequencyTable, Vec<String>)> {
-                self.scans
-                    .fetch_add(1, ::std::sync::atomic::Ordering::Relaxed);
-                self.column(column)?.frequencies(sel)
-            }
-
-            fn distinct_count(
-                &self,
-                column: &str,
-                sel: &$crate::bitmap::Bitmap,
-            ) -> $crate::error::StoreResult<usize> {
-                let col = self.column(column)?;
-                match col.data() {
-                    $crate::column::ColumnData::Str(_) | $crate::column::ColumnData::Bool(_) => {
-                        let (ft, _) = $crate::backend::Backend::frequencies(self, column, sel)?;
-                        Ok(ft.cardinality())
-                    }
-                    _ => {
-                        let mut buf = Vec::new();
-                        col.gather_f64(sel, &mut buf)?;
-                        buf.sort_by(f64::total_cmp);
-                        buf.dedup();
-                        Ok(buf.len())
-                    }
-                }
-            }
-
-            fn stats(&self) -> $crate::backend::BackendStats {
-                $crate::backend::BackendStats {
-                    scans: self.scans.load(::std::sync::atomic::Ordering::Relaxed),
-                    counts: self.counts.load(::std::sync::atomic::Ordering::Relaxed),
-                    medians: self.medians.load(::std::sync::atomic::Ordering::Relaxed),
-                }
-            }
-
-            fn reset_stats(&self) {
-                self.scans.store(0, ::std::sync::atomic::Ordering::Relaxed);
-                self.counts.store(0, ::std::sync::atomic::Ordering::Relaxed);
-                self.medians
-                    .store(0, ::std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-    };
-}
-
-pub(crate) use impl_dense_backend;
-
 /// The database operations the advisor needs.
 ///
 /// `Send + Sync` is a supertrait requirement: the advisor's parallel
@@ -392,7 +141,7 @@ pub trait Backend: Send + Sync {
     ///
     /// The provided body is those two calls and reports no
     /// [`CutStats::ranked`]. A backend that can take all three from one
-    /// pass over the selection overrides it (the columnar engines do) and
+    /// pass over the selection overrides it ([`crate::Table`] does) and
     /// must return the same values and count one median exactly when the
     /// provided body would.
     fn cut_stats(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<CutStats>> {

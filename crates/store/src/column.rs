@@ -49,8 +49,8 @@ pub struct Column {
     /// Bit set ⇔ row holds a valid (non-null) value.
     validity: Bitmap,
     /// String dictionary; empty for non-string columns. Codes index into
-    /// it. Behind an `Arc` so that clones of a column
-    /// (`DiskTable::to_table`) share one dictionary instead of copying it.
+    /// it. Behind an `Arc` so that clones of a column (a cloned
+    /// [`crate::Table`]) share one dictionary instead of copying it.
     dict: Arc<Vec<String>>,
     /// Least and greatest valid value of an `Int`/`Date` column (`None`
     /// for another type, or no valid row), folded on first use and
@@ -258,8 +258,8 @@ impl Column {
     }
 
     /// Gather the numeric values of the rows selected by `sel` (skipping
-    /// nulls) into `out`, in row order: what means and distinct counts
-    /// fold.
+    /// nulls) into `out`, in row order: what means and a `Float`
+    /// column's distinct count fold.
     ///
     /// NaN is treated as null, here and in [`Column::min_max`],
     /// `next_above` and the order keys every rank is selected from: one

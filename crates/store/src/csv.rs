@@ -104,12 +104,13 @@ pub fn read_csv_file(name: &str, path: impl AsRef<Path>) -> StoreResult<Table> {
 /// Overwrites any existing file.
 pub fn write_csv_file(table: &Table, path: impl AsRef<Path>) -> StoreResult<()> {
     let path = path.as_ref();
-    std::fs::write(path, write_csv_string(table))
+    std::fs::write(path, write_csv_string(table)?)
         .map_err(|e| StoreError::Io(format!("writing CSV {path:?}: {e}")))
 }
 
-/// Serialise a table back to the same CSV format.
-pub fn write_csv_string(table: &Table) -> String {
+/// Serialise a table back to the same CSV format. A column of an opened
+/// table that fails to load is that error.
+pub fn write_csv_string(table: &Table) -> StoreResult<String> {
     let mut out = String::new();
     let header: Vec<String> = table
         .schema()
@@ -119,11 +120,11 @@ pub fn write_csv_string(table: &Table) -> String {
         .collect();
     out.push_str(&header.join(","));
     out.push('\n');
-    let names = table.schema().names();
+    let columns = table.load_columns()?;
     for i in 0..table.len() {
-        let fields: Vec<String> = names
+        let fields: Vec<String> = columns
             .iter()
-            .map(|n| match table.value(i, n).expect("valid column") {
+            .map(|c| match c.get(i) {
                 None => String::new(),
                 Some(v) => quote_field(&v.render()),
             })
@@ -131,7 +132,7 @@ pub fn write_csv_string(table: &Table) -> String {
         out.push_str(&fields.join(","));
         out.push('\n');
     }
-    out
+    Ok(out)
 }
 
 /// Split one CSV line honouring double quotes (with `""` escapes).
@@ -208,7 +209,7 @@ tonnage:int,kind:str,built:date,score:float
     #[test]
     fn round_trip() {
         let t = read_csv_str("boats", DOC).unwrap();
-        let text = write_csv_string(&t);
+        let text = write_csv_string(&t).unwrap();
         let t2 = read_csv_str("boats2", &text).unwrap();
         assert_eq!(t.len(), t2.len());
         for i in 0..t.len() {
@@ -264,7 +265,7 @@ tonnage:int,kind:str,built:date,score:float
         let t = read_csv_str("t", doc).unwrap();
         assert_eq!(t.value(0, "s").unwrap(), None);
         // Round trip preserves the distinction.
-        let text = write_csv_string(&t);
+        let text = write_csv_string(&t).unwrap();
         let t2 = read_csv_str("t2", &text).unwrap();
         assert_eq!(t2.value(0, "s").unwrap(), None);
     }

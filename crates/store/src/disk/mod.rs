@@ -6,9 +6,9 @@
 //! gives tables a durable form: a versioned binary **columnar** layout
 //! (the natural shape for Charles' workload of counts and medians over
 //! single columns) written once by [`StreamWriter`] (or [`write_table`],
-//! which feeds it a whole table) and served lazily by
-//! [`DiskTable`], which fetches a column's segments on first touch via
-//! positioned reads instead of materialising the whole file.
+//! which feeds it a whole table) and opened lazily by
+//! [`crate::Table::open`]: the table fetches a column's segments on first
+//! touch via positioned reads instead of materialising the whole file.
 //!
 //! The byte-level layout is specified in `docs/FORMAT.md`; the constants
 //! below are the single source of truth the spec documents. In brief:
@@ -24,7 +24,7 @@
 //! Integrity is layered: the header is validated on open, the footer
 //! carries its own CRC (checked on open), each segment carries a CRC
 //! (checked when that segment is first loaded), and a whole-file CRC
-//! covers everything before the footer ([`DiskTable::verify`] checks it
+//! covers everything before the footer ([`crate::Table::verify`] checks it
 //! on demand — it is not checked on open, because reading the entire
 //! file eagerly would defeat lazy column loading). All failures surface
 //! as typed [`StoreError::Corrupt`] / [`StoreError::Io`] values, never
@@ -33,7 +33,6 @@
 pub mod reader;
 pub mod writer;
 
-pub use reader::DiskTable;
 pub use writer::{write_table, StreamWriter};
 
 use crate::error::{StoreError, StoreResult};

@@ -1,13 +1,13 @@
-//! Lazy reading of `.charles` files: [`DiskTable`].
+//! Lazy reading of `.charles` files: [`Table::open`].
 //!
 //! Opening a file reads only its fixed header, the schema block, and the
 //! footer index — a few hundred bytes regardless of data size. Column
 //! segments stay on disk until an operation first touches the column;
 //! then the validity bitmap, data vector and (for strings) dictionary
 //! are fetched with positioned reads, CRC-checked, decoded into a
-//! regular in-memory [`Column`], and cached for every later access.
-//! Untouched columns are never read, so advising on 3 attributes of a
-//! 50-column file pays for 3 columns of I/O.
+//! regular in-memory [`Column`], and kept in the table's slot for every
+//! later access. Untouched columns are never read, so advising on 3
+//! attributes of a 50-column file pays for 3 columns of I/O.
 
 use super::{
     io_err, type_from_code, ByteReader, ColumnSegments, Crc32, SegmentRef, ENDIAN_MARKER,
@@ -17,12 +17,11 @@ use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
 use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
-use crate::schema::Schema;
+use crate::schema::{ColumnMeta, Schema};
 use crate::table::Table;
 use std::fs::File;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::AtomicU64;
-use std::sync::{Arc, OnceLock};
+use std::path::Path;
+use std::sync::Arc;
 
 /// A file handle that supports concurrent positioned reads.
 ///
@@ -78,34 +77,19 @@ fn data_width(ty: DataType) -> u64 {
     }
 }
 
-/// A [`Table`]-equivalent backend served lazily from a `.charles` file.
-///
-/// Columns are loaded (and CRC-verified) on first touch and cached for
-/// the lifetime of the handle; the decoded column is the same in-memory
-/// [`Column`] a [`crate::TableBuilder`] would have produced, and every
-/// `Backend` operation runs the same code as [`Table`] — so advisor
-/// output over a `DiskTable` is **bitwise identical** to advisor output
-/// over the table that was written (pinned by `tests/backend_contract.rs`
-/// and `tests/disk_persistence.rs` at the workspace root).
+/// Where an opened [`Table`]'s columns live: the file, its segment
+/// index, and what [`Table::verify`] checks the file against.
 #[derive(Debug)]
-pub struct DiskTable {
-    name: String,
-    schema: Schema,
-    rows: usize,
-    path: PathBuf,
+pub(crate) struct ColumnFile {
     file: SharedFile,
     segments: Vec<ColumnSegments>,
-    cells: Vec<OnceLock<Result<Column, StoreError>>>,
-    /// Whole-file CRC recorded in the footer; checked by [`DiskTable::verify`].
+    /// Whole-file CRC recorded in the footer.
     file_crc: u32,
     /// First byte of the footer = end of the checksummed region.
     footer_start: u64,
-    scans: AtomicU64,
-    counts: AtomicU64,
-    medians: AtomicU64,
 }
 
-impl DiskTable {
+impl Table {
     /// Open a `.charles` file, validating its header, trailer, footer
     /// checksum and segment index — but reading **no column data** yet.
     ///
@@ -113,9 +97,9 @@ impl DiskTable {
     /// endianness, truncation, out-of-bounds segments, checksum
     /// mismatches) surface as [`StoreError::Corrupt`]; transport faults
     /// as [`StoreError::Io`]. Never panics on malformed input.
-    pub fn open(path: impl AsRef<Path>) -> StoreResult<DiskTable> {
-        let path = path.as_ref().to_path_buf();
-        let file = File::open(&path).map_err(|e| io_err(&format!("opening {path:?}"), e))?;
+    pub fn open(path: impl AsRef<Path>) -> StoreResult<Table> {
+        let path = path.as_ref();
+        let file = File::open(path).map_err(|e| io_err(&format!("opening {path:?}"), e))?;
         let file_len = file
             .metadata()
             .map_err(|e| io_err(&format!("stat {path:?}"), e))?
@@ -252,85 +236,38 @@ impl DiskTable {
             }
         }
 
-        let cells = (0..schema.arity()).map(|_| OnceLock::new()).collect();
-        Ok(DiskTable {
-            name,
-            schema,
-            rows,
-            path,
+        let file = ColumnFile {
             file,
             segments,
-            cells,
             file_crc,
             footer_start,
-            scans: AtomicU64::new(0),
-            counts: AtomicU64::new(0),
-            medians: AtomicU64::new(0),
-        })
+        };
+        Ok(Table::from_file(name, schema, rows, file))
     }
 
-    /// Table name recorded in the file.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The path the table was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// True when the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
-    /// Selection of all rows.
-    pub fn all_rows(&self) -> Bitmap {
-        Bitmap::ones(self.rows)
-    }
-
-    /// How many columns have been materialised so far — the observable
-    /// half of the lazy-loading contract (tests assert that touching one
-    /// column loads one column).
+    /// How many columns are loaded: the arity for a built table, and for
+    /// an opened one the columns touched so far — the observable half of
+    /// the lazy-loading contract (tests assert that touching one column
+    /// loads one column).
     pub fn columns_loaded(&self) -> usize {
-        self.cells.iter().filter(|c| c.get().is_some()).count()
+        self.slots.iter().filter(|c| c.get().is_some()).count()
     }
 
-    /// Column accessor by name, loading (and caching) it on first touch.
-    pub fn column(&self, name: &str) -> StoreResult<&Column> {
-        let idx = self
-            .schema
-            .index_of(name)
-            .ok_or_else(|| StoreError::UnknownColumn(name.to_string()))?;
-        match self.cells[idx].get_or_init(|| self.load_column(idx)) {
-            Ok(col) => Ok(col),
-            Err(e) => Err(e.clone()),
-        }
-    }
-
-    /// Load every column and assemble an in-memory [`Table`].
-    pub fn to_table(&self) -> StoreResult<Table> {
-        let mut columns = Vec::with_capacity(self.schema.arity());
-        for c in self.schema.columns() {
-            columns.push(self.column(&c.name)?.clone());
-        }
-        Ok(Table::from_parts(
-            self.name.clone(),
-            self.schema.clone(),
-            columns,
-        ))
-    }
-
-    /// Verify the whole-file checksum (everything before the footer)
-    /// against the value recorded in the footer. Streams the file in
-    /// chunks; loads no columns. This is the offline integrity check —
-    /// per-segment CRCs already guard every lazy load.
+    /// Verify an opened table's whole-file checksum (everything before
+    /// the footer) against the value recorded in the footer. Streams the
+    /// file in chunks; loads no columns. This is the offline integrity
+    /// check — per-segment CRCs already guard every lazy load. A built
+    /// table has no file to check: `Ok(())`.
     pub fn verify(&self) -> StoreResult<()> {
+        match &self.file {
+            Some(file) => file.verify(),
+            None => Ok(()),
+        }
+    }
+}
+
+impl ColumnFile {
+    fn verify(&self) -> StoreResult<()> {
         let mut crc = Crc32::new();
         let mut offset = 0u64;
         let mut buf = vec![0u8; 64 * 1024];
@@ -368,10 +305,15 @@ impl DiskTable {
         Ok(bytes)
     }
 
-    /// Decode column `idx` from its segments (the slow path behind the
-    /// `OnceLock`; runs at most once per column per handle).
-    fn load_column(&self, idx: usize) -> Result<Column, StoreError> {
-        let meta = &self.schema.columns()[idx];
+    /// Decode column `idx`, described by `meta`, of a table of `rows`
+    /// rows from its segments (the slow path behind a table's slot; runs
+    /// at most once per column per opened table).
+    pub(crate) fn load_column(
+        &self,
+        idx: usize,
+        meta: &ColumnMeta,
+        rows: usize,
+    ) -> Result<Column, StoreError> {
         let segs = &self.segments[idx];
 
         let validity_bytes = self.read_segment(&segs.validity, || {
@@ -381,10 +323,10 @@ impl DiskTable {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        let validity = Bitmap::from_words(words, self.rows).ok_or_else(|| {
+        let validity = Bitmap::from_words(words, rows).ok_or_else(|| {
             StoreError::Corrupt(format!(
-                "column {:?}: validity bitmap has bits set beyond row {}",
-                meta.name, self.rows
+                "column {:?}: validity bitmap has bits set beyond row {rows}",
+                meta.name
             ))
         })?;
 
@@ -553,21 +495,17 @@ fn check_segment(
     Ok(())
 }
 
-// The `Backend` implementation is expanded from the shared
-// `impl_dense_backend` macro — the exact same code `Table` expands, so
-// advisor output over a `DiskTable` is bitwise identical to advisor
-// output over the written table by construction. The only difference
-// is that `column()` may fault with `Io`/`Corrupt` on first touch.
-crate::backend::impl_dense_backend!(DiskTable);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::Backend;
     use crate::builder::TableBuilder;
+    use crate::csv::write_csv_string;
     use crate::disk::write_table;
     use crate::predicate::StorePredicate;
+    use crate::rowstore::RowTable;
     use crate::value::Value;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
@@ -622,7 +560,7 @@ mod tests {
         let t = fixture();
         let path = tmp_path("roundtrip");
         write_table(&t, &path).unwrap();
-        let d = DiskTable::open(&path).unwrap();
+        let d = Table::open(&path).unwrap();
         assert_eq!(d.name(), "mixed");
         assert_eq!(d.len(), t.len());
         assert_tables_equal(&d, &t);
@@ -633,15 +571,9 @@ mod tests {
                 assert_eq!(dc.get(i), tc.get(i), "cell ({i}, {})", c.name);
             }
         }
-        // Whole-file checksum holds.
+        // Whole-file checksum holds; a built table has none to check.
         d.verify().unwrap();
-        // And the materialised table matches too.
-        let mat = d.to_table().unwrap();
-        for c in t.schema().columns() {
-            for i in 0..t.len() {
-                assert_eq!(mat.value(i, &c.name).unwrap(), t.value(i, &c.name).unwrap());
-            }
-        }
+        t.verify().unwrap();
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -650,7 +582,7 @@ mod tests {
         let t = fixture();
         let path = tmp_path("ops");
         write_table(&t, &path).unwrap();
-        let d = DiskTable::open(&path).unwrap();
+        let d = Table::open(&path).unwrap();
         let pred = StorePredicate::and(vec![
             StorePredicate::range("i", Value::Int(-5), Value::Int(30), true),
             StorePredicate::set("s", vec![Value::str("fluit"), Value::str("")]),
@@ -720,7 +652,7 @@ mod tests {
         let t = fixture();
         let path = tmp_path("lazy");
         write_table(&t, &path).unwrap();
-        let d = DiskTable::open(&path).unwrap();
+        let d = Table::open(&path).unwrap();
         assert_eq!(d.columns_loaded(), 0, "open must not read column data");
         let pred = StorePredicate::range("i", Value::Int(0), Value::Int(10), true);
         let _ = d.eval(&pred).unwrap();
@@ -729,6 +661,11 @@ mod tests {
         assert_eq!(d.columns_loaded(), 1, "re-touch is cached");
         let _ = d.not_null("s").unwrap();
         assert_eq!(d.columns_loaded(), 2);
+        assert_eq!(
+            t.columns_loaded(),
+            t.schema().arity(),
+            "a built table is resident"
+        );
     }
 
     #[test]
@@ -744,7 +681,7 @@ mod tests {
         let t = Table::from_parts("poisoned".into(), schema, vec![col]);
         let path = tmp_path("nan");
         write_table(&t, &path).unwrap();
-        let d = DiskTable::open(&path).unwrap();
+        let d = Table::open(&path).unwrap();
         let loaded = d.column("x").unwrap();
         match loaded.data() {
             ColumnData::Float(v) => {
@@ -769,7 +706,7 @@ mod tests {
         let t = b.finish();
         let path = tmp_path("empty");
         write_table(&t, &path).unwrap();
-        let d = DiskTable::open(&path).unwrap();
+        let d = Table::open(&path).unwrap();
         assert_eq!(d.len(), 0);
         assert!(d.is_empty());
         assert_eq!(d.count(&StorePredicate::True).unwrap(), 0);
@@ -787,7 +724,7 @@ mod tests {
 
         let reject = |bytes: &[u8], what: &str| {
             std::fs::write(&path, bytes).unwrap();
-            match DiskTable::open(&path) {
+            match Table::open(&path) {
                 Err(StoreError::Corrupt(msg)) => msg,
                 Err(other) => panic!("{what}: expected Corrupt, got {other}"),
                 Ok(_) => panic!("{what}: corrupt file accepted"),
@@ -815,7 +752,7 @@ mod tests {
         // panic, never success.
         for keep in [0, 7, 16, 40, pristine.len() / 2, pristine.len() - 17] {
             std::fs::write(&path, &pristine[..keep]).unwrap();
-            match DiskTable::open(&path) {
+            match Table::open(&path) {
                 Err(StoreError::Corrupt(_)) | Err(StoreError::Io(_)) => {}
                 Err(other) => panic!("truncation at {keep}: unexpected error {other}"),
                 Ok(_) => panic!("truncation at {keep} accepted"),
@@ -851,7 +788,7 @@ mod tests {
             let mut bad = pristine.clone();
             bad[trailer_at..trailer_at + 8].copy_from_slice(&footer_start.to_le_bytes());
             std::fs::write(&path, &bad).unwrap();
-            match DiskTable::open(&path) {
+            match Table::open(&path) {
                 Err(StoreError::Corrupt(msg)) => {
                     assert!(msg.contains("out of bounds"), "{what}: {msg}")
                 }
@@ -884,7 +821,7 @@ mod tests {
             let mut bad = pristine.clone();
             bad[trailer_at + bit / 8] ^= 1 << (bit % 8);
             std::fs::write(&path, &bad).unwrap();
-            match DiskTable::open(&path) {
+            match Table::open(&path) {
                 Ok(_) => panic!("bit flip {bit} in footer offset accepted"),
                 Err(StoreError::Corrupt(_)) | Err(StoreError::Io(_)) => {}
                 Err(other) => panic!("bit flip {bit}: unexpected error {other}"),
@@ -910,10 +847,7 @@ mod tests {
         let off = bad.len() - TRAILER_LEN as usize;
         bad[off..off + 8].copy_from_slice(&(u64::MAX - 3).to_le_bytes());
         std::fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            DiskTable::open(&path),
-            Err(StoreError::Corrupt(_))
-        ));
+        assert!(matches!(Table::open(&path), Err(StoreError::Corrupt(_))));
 
         // Schema block claiming ~u64::MAX rows (rows * width would
         // overflow if unchecked). Rebuild the schema block with the
@@ -928,7 +862,7 @@ mod tests {
         let rows_at = 24 + name_len;
         bad[rows_at..rows_at + 8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
         std::fs::write(&path, &bad).unwrap();
-        match DiskTable::open(&path) {
+        match Table::open(&path) {
             Err(StoreError::Corrupt(msg)) => {
                 assert!(msg.contains("wrong for"), "{msg}")
             }
@@ -951,8 +885,9 @@ mod tests {
         let poke = 20 + schema_len + 20;
         bytes[poke] ^= 0x55;
         std::fs::write(&path, &bytes).unwrap();
-        let d = DiskTable::open(&path).unwrap(); // header/footer still fine
-                                                 // Touching the damaged column reports a checksum mismatch…
+        // The header and footer are still fine. Touching the damaged
+        // column reports a checksum mismatch…
+        let d = Table::open(&path).unwrap();
         let damaged = d
             .eval(&StorePredicate::range(
                 "i",
@@ -968,11 +903,61 @@ mod tests {
         // …and the error is sticky (cached, not retried into a panic).
         assert!(d.column("i").is_err());
         // Whole-file verification catches it too, without loading.
-        let d2 = DiskTable::open(&path).unwrap();
+        let d2 = Table::open(&path).unwrap();
         assert!(
             matches!(d2.verify(), Err(StoreError::Corrupt(m)) if m.contains("whole-file")),
             "verify must fail"
         );
+        // Every path that walks the columns passes the first-touch fault
+        // up as an error, not a panic…
+        let copy = tmp_path("segment-copy");
+        let written = write_table(&Table::open(&path).unwrap(), &copy);
+        assert!(
+            matches!(written, Err(StoreError::Corrupt(_))),
+            "{written:?}"
+        );
+        let csv = write_csv_string(&Table::open(&path).unwrap());
+        assert!(matches!(csv, Err(StoreError::Corrupt(_))), "{csv:?}");
+        let rows = RowTable::from_table(&Table::open(&path).unwrap());
+        assert!(matches!(rows, Err(StoreError::Corrupt(_))), "{rows:?}");
+        // …and a column that was not damaged still answers.
+        let all = t.all_rows();
+        assert_eq!(d.median("f", &all).unwrap(), t.median("f", &all).unwrap());
+        assert_eq!(d.value(3, "s").unwrap(), t.value(3, "s").unwrap());
+        std::fs::remove_file(&path).unwrap();
+        let _ = std::fs::remove_file(&copy);
+    }
+
+    #[test]
+    fn distinct_count_keeps_integers_beyond_f64_precision() {
+        // 2⁵³ and 2⁵³ + 1 are one `f64`: counted through floats they
+        // merge. ±0.0 stay one float value.
+        let big = 1i64 << 53;
+        let mut b = TableBuilder::new("wide");
+        b.add_column("i", DataType::Int)
+            .add_column("d", DataType::Date)
+            .add_column("f", DataType::Float);
+        for (v, f) in [(big, -0.0), (big + 1, 0.0), (big + 1, 1.0)] {
+            b.push_row(vec![Value::Int(v), Value::Date(v), Value::Float(f)])
+                .unwrap();
+        }
+        let t = b.finish();
+        let path = tmp_path("distinct");
+        write_table(&t, &path).unwrap();
+        let opened = Table::open(&path).unwrap();
+        let rows = RowTable::from_table(&t).unwrap();
+        let all = t.all_rows();
+        let backends: [(&str, &dyn Backend); 3] =
+            [("table", &t), ("opened", &opened), ("rowstore", &rows)];
+        for (name, backend) in backends {
+            for col in ["i", "d", "f"] {
+                assert_eq!(
+                    backend.distinct_count(col, &all).unwrap(),
+                    2,
+                    "{name}: {col}"
+                );
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -980,12 +965,9 @@ mod tests {
     fn opening_a_non_charles_file_is_a_typed_error() {
         let path = tmp_path("notcharles");
         std::fs::write(&path, b"tonnage:int\n1000\n").unwrap();
-        assert!(matches!(
-            DiskTable::open(&path),
-            Err(StoreError::Corrupt(_))
-        ));
+        assert!(matches!(Table::open(&path), Err(StoreError::Corrupt(_))));
         std::fs::remove_file(&path).unwrap();
         // Missing file → Io, with the path in the message.
-        assert!(matches!(DiskTable::open(&path), Err(StoreError::Io(_))));
+        assert!(matches!(Table::open(&path), Err(StoreError::Io(_))));
     }
 }

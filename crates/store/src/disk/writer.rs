@@ -169,9 +169,10 @@ fn encode_footer(columns: &[ColumnSegments], file_crc: u32) -> Vec<u8> {
 /// Write `table` to `path` in the `.charles` v1 format (see
 /// `docs/FORMAT.md`): a [`StreamWriter`] fed one whole column at a time.
 /// Overwrites any existing file. The written file round-trips bitwise:
-/// [`super::DiskTable::open`] on the result yields a backend whose every
-/// operation — and therefore the full advisor output — is identical to
-/// running against `table` directly.
+/// [`Table::open`] on the result yields a table whose every operation —
+/// and therefore the full advisor output — is identical to running
+/// against `table` directly. A column of an opened `table` that fails to
+/// load is that error, and no file is written.
 ///
 /// ```no_run
 /// use charles_store::{TableBuilder, DataType, Value, disk};
@@ -181,12 +182,13 @@ fn encode_footer(columns: &[ColumnSegments], file_crc: u32) -> Vec<u8> {
 /// b.push_row(vec![Value::Int(1000)]).unwrap();
 /// let table = b.finish();
 /// disk::write_table(&table, "boats.charles").unwrap();
-/// let loaded = disk::DiskTable::open("boats.charles").unwrap();
+/// let loaded = charles_store::Table::open("boats.charles").unwrap();
 /// assert_eq!(loaded.len(), 1);
 /// ```
 pub fn write_table(table: &Table, path: impl AsRef<Path>) -> StoreResult<()> {
+    let columns = table.load_columns()?;
     let mut w = StreamWriter::create(path, table.name(), table.schema().clone(), table.len())?;
-    for col in table.columns() {
+    for col in columns {
         w.append_column(col)?;
     }
     w.finish()
@@ -243,7 +245,7 @@ impl ColumnState {
 /// columns missing ([`StoreError::ArityMismatch`]).
 ///
 /// A streamed file is byte for byte the file [`write_table`] writes for
-/// the table of the same values, and [`super::DiskTable`] reads it back
+/// the table of the same values, and [`Table::open`] reads it back
 /// as that table — same schema, same values, same advisor output (pinned
 /// by this module's tests and `tests/disk_persistence.rs`).
 pub struct StreamWriter {
@@ -462,7 +464,6 @@ mod stream_tests {
     use super::*;
     use crate::backend::Backend;
     use crate::builder::TableBuilder;
-    use crate::disk::DiskTable;
     use crate::predicate::StorePredicate;
 
     fn tmp_path(tag: &str) -> std::path::PathBuf {
@@ -531,7 +532,7 @@ mod stream_tests {
         let t = eager_table(rows);
         let path = tmp_path("diff");
         stream_file(rows, &path);
-        let d = DiskTable::open(&path).unwrap();
+        let d = Table::open(&path).unwrap();
         d.verify().unwrap();
         assert_eq!(d.len(), rows);
         assert_eq!(d.schema(), t.schema());
@@ -582,7 +583,7 @@ mod stream_tests {
             w.end_column().unwrap();
         }
         w.finish().unwrap();
-        let d = DiskTable::open(&path).unwrap();
+        let d = Table::open(&path).unwrap();
         assert_eq!(d.len(), 0);
         d.verify().unwrap();
         std::fs::remove_file(&path).unwrap();

@@ -104,22 +104,15 @@ impl RowTable {
 
     /// Materialise a row-store copy of a columnar table — used by the
     /// backend-comparison experiments so both engines hold identical data.
-    pub fn from_table(table: &Table) -> RowTable {
+    /// A column of an opened `table` that fails to load is that error.
+    pub fn from_table(table: &Table) -> StoreResult<RowTable> {
         let schema = table.schema().clone();
-        let names: Vec<String> = schema.names().iter().map(|s| s.to_string()).collect();
-        let mut rows = Vec::with_capacity(table.len());
-        for i in 0..table.len() {
-            let mut row = Vec::with_capacity(schema.arity());
-            for name in &names {
-                row.push(table.value(i, name).expect("column exists"));
-            }
-            rows.push(row);
-        }
-        let dicts = names
-            .iter()
-            .map(|name| table.column(name).expect("column exists").dict().to_vec())
+        let columns = table.load_columns()?;
+        let rows = (0..table.len())
+            .map(|i| columns.iter().map(|c| c.get(i)).collect())
             .collect();
-        RowTable {
+        let dicts = columns.iter().map(|c| c.dict().to_vec()).collect();
+        Ok(RowTable {
             name: format!("{}_rowstore", table.name()),
             schema,
             rows,
@@ -127,7 +120,7 @@ impl RowTable {
             scans: AtomicU64::new(0),
             counts: AtomicU64::new(0),
             medians: AtomicU64::new(0),
-        }
+        })
     }
 
     /// Table name.
@@ -188,7 +181,7 @@ impl RowTable {
     }
 
     /// The selected non-null values of a numeric column, in row order:
-    /// what means and distinct counts fold.
+    /// what means and a `Float` column's distinct count fold.
     fn gather_f64(&self, column: &str, sel: &Bitmap) -> StoreResult<Vec<f64>> {
         let idx = self.numeric_index(column)?;
         Ok(sel
@@ -282,7 +275,7 @@ impl Backend for RowTable {
         seed: u64,
     ) -> StoreResult<Option<Value>> {
         self.medians.fetch_add(1, AtomicOrdering::Relaxed);
-        let idx = self.col_index(column)?;
+        let idx = self.numeric_index(column)?;
         let mut rng = StdRng::seed_from_u64(seed);
         let rows = reservoir_sample(sel, sample_size, &mut rng);
         let keys = rows
@@ -386,15 +379,28 @@ impl Backend for RowTable {
 
     fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
         let idx = self.col_index(column)?;
-        let ty = self.schema.columns()[idx].ty;
-        if ty.is_numeric() {
-            let mut buf = self.gather_f64(column, sel)?;
-            buf.sort_by(f64::total_cmp);
-            buf.dedup();
-            Ok(buf.len())
-        } else {
-            let (ft, _) = self.frequencies(column, sel)?;
-            Ok(ft.cardinality())
+        match self.schema.columns()[idx].ty {
+            DataType::Str | DataType::Bool => {
+                let (ft, _) = self.frequencies(column, sel)?;
+                Ok(ft.cardinality())
+            }
+            // `==` dedup: -0.0 and +0.0 are one value.
+            DataType::Float => {
+                let mut buf = self.gather_f64(column, sel)?;
+                buf.sort_by(f64::total_cmp);
+                buf.dedup();
+                Ok(buf.len())
+            }
+            // As `i64`: beyond 2⁵³ an `f64` would merge neighbours.
+            DataType::Int | DataType::Date => {
+                let mut keys: Vec<i64> = sel
+                    .iter_ones()
+                    .filter_map(|i| order_key(self.cell(i, idx)?))
+                    .collect();
+                keys.sort_unstable();
+                keys.dedup();
+                Ok(keys.len())
+            }
         }
     }
 
@@ -432,7 +438,7 @@ mod tests {
     #[test]
     fn row_and_column_engines_agree_on_counts() {
         let col = sample_table();
-        let row = RowTable::from_table(&col);
+        let row = RowTable::from_table(&col).unwrap();
         for pred in [
             StorePredicate::True,
             StorePredicate::range("x", Value::Int(2), Value::Int(4), true),
@@ -454,7 +460,7 @@ mod tests {
     #[test]
     fn row_and_column_engines_agree_on_medians() {
         let col = sample_table();
-        let row = RowTable::from_table(&col);
+        let row = RowTable::from_table(&col).unwrap();
         let sel_c = col
             .eval(&StorePredicate::set("k", vec![Value::str("a")]))
             .unwrap();
@@ -469,7 +475,7 @@ mod tests {
     #[test]
     fn row_and_column_engines_agree_on_frequencies() {
         let col = sample_table();
-        let row = RowTable::from_table(&col);
+        let row = RowTable::from_table(&col).unwrap();
         let (fc, dc) = col.frequencies("k", &col.all_rows()).unwrap();
         let (fr, dr) = row
             .frequencies("k", &Bitmap::ones(row.row_count()))
@@ -557,7 +563,7 @@ mod tests {
     #[test]
     fn count_counter_attribution() {
         let col = sample_table();
-        let row = RowTable::from_table(&col);
+        let row = RowTable::from_table(&col).unwrap();
         row.reset_stats();
         let _ = row.count(&StorePredicate::True);
         let _ = row.eval(&StorePredicate::True);
@@ -569,7 +575,7 @@ mod tests {
     #[test]
     fn min_max_and_distinct() {
         let col = sample_table();
-        let row = RowTable::from_table(&col);
+        let row = RowTable::from_table(&col).unwrap();
         let all = Bitmap::ones(row.row_count());
         let (lo, hi) = row.min_max("x", &all).unwrap().unwrap();
         assert_eq!((lo, hi), (Value::Int(1), Value::Int(5)));

@@ -1,22 +1,46 @@
-//! The columnar relation: schema + columns + the `Backend` operations.
+//! The columnar relation: a schema plus one slot per column, and the
+//! `Backend` operations over it.
 
+use crate::backend::{Backend, BackendStats, CutStats};
 use crate::bitmap::Bitmap;
-use crate::column::Column;
+use crate::column::{Column, ColumnData};
+use crate::disk::reader::ColumnFile;
 use crate::error::{StoreError, StoreResult};
+use crate::predicate::{eval_range, eval_set, StorePredicate};
+use crate::sample::reservoir_sample;
 use crate::schema::Schema;
+use crate::stats::{mean_and_var_of, FrequencyTable, OrderKeys};
 use crate::value::Value;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::{Arc, OnceLock};
 
-/// An immutable, in-memory columnar table.
+/// One column's slot: the decoded column, or the error its load failed
+/// with — kept, so a damaged segment fails fast on every touch.
+type Slot = OnceLock<Result<Column, StoreError>>;
+
+/// An immutable columnar table: a schema plus one slot per column.
 ///
-/// Built via [`crate::TableBuilder`]; once finished it only serves reads,
-/// which keeps the advisor loop free of interior mutability concerns.
+/// [`crate::TableBuilder::finish`] fills every slot. [`Table::open`]
+/// fills none: [`Table::column`] loads a column from the `.charles` file
+/// the first time it is touched, and keeps it. Either way every
+/// `Backend` operation runs the code below over the same [`Column`]s, so
+/// advice over an opened file is bitwise the advice over the table that
+/// was written (pinned by `tests/backend_contract.rs` and
+/// `tests/disk_persistence.rs` at the workspace root). The one difference
+/// is that an opened table's first touch of a column may fail with
+/// [`StoreError::Io`] or [`StoreError::Corrupt`].
 #[derive(Debug)]
 pub struct Table {
     name: String,
     schema: Schema,
-    columns: Vec<Column>,
     rows: usize,
+    /// One per schema column, in declaration order.
+    pub(crate) slots: Vec<Slot>,
+    /// The file an opened table fills its slots from; `None` for a table
+    /// whose slots were filled when it was built.
+    pub(crate) file: Option<Arc<ColumnFile>>,
     /// Operation counters for the experiments (scans / counts / medians).
     scans: AtomicU64,
     counts: AtomicU64,
@@ -28,8 +52,9 @@ impl Clone for Table {
         Table {
             name: self.name.clone(),
             schema: self.schema.clone(),
-            columns: self.columns.clone(),
             rows: self.rows,
+            slots: self.slots.clone(),
+            file: self.file.clone(),
             scans: AtomicU64::new(self.scans.load(AtomicOrdering::Relaxed)),
             counts: AtomicU64::new(self.counts.load(AtomicOrdering::Relaxed)),
             medians: AtomicU64::new(self.medians.load(AtomicOrdering::Relaxed)),
@@ -38,14 +63,33 @@ impl Clone for Table {
 }
 
 impl Table {
+    /// A table whose slots hold `columns`.
     pub(crate) fn from_parts(name: String, schema: Schema, columns: Vec<Column>) -> Table {
         let rows = columns.first().map_or(0, Column::len);
         debug_assert!(columns.iter().all(|c| c.len() == rows));
+        let slots = columns.into_iter().map(|c| Slot::from(Ok(c))).collect();
+        Table::with_slots(name, schema, rows, slots, None)
+    }
+
+    /// A table of `rows` rows whose columns are all still in `file`.
+    pub(crate) fn from_file(name: String, schema: Schema, rows: usize, file: ColumnFile) -> Table {
+        let slots = (0..schema.arity()).map(|_| Slot::new()).collect();
+        Table::with_slots(name, schema, rows, slots, Some(Arc::new(file)))
+    }
+
+    fn with_slots(
+        name: String,
+        schema: Schema,
+        rows: usize,
+        slots: Vec<Slot>,
+        file: Option<Arc<ColumnFile>>,
+    ) -> Table {
         Table {
             name,
             schema,
-            columns,
             rows,
+            slots,
+            file,
             scans: AtomicU64::new(0),
             counts: AtomicU64::new(0),
             medians: AtomicU64::new(0),
@@ -72,17 +116,40 @@ impl Table {
         self.rows == 0
     }
 
-    /// Column accessor by name.
+    /// Column accessor by name. An opened table loads (and keeps) the
+    /// column on first touch.
     pub fn column(&self, name: &str) -> StoreResult<&Column> {
-        self.schema
+        let idx = self
+            .schema
             .index_of(name)
-            .map(|i| &self.columns[i])
-            .ok_or_else(|| StoreError::UnknownColumn(name.to_string()))
+            .ok_or_else(|| StoreError::UnknownColumn(name.to_string()))?;
+        match self.slots[idx].get_or_init(|| self.load(idx)) {
+            Ok(col) => Ok(col),
+            Err(e) => Err(e.clone()),
+        }
     }
 
-    /// All columns in declaration order.
-    pub fn columns(&self) -> &[Column] {
-        &self.columns
+    /// Decode column `idx` from the file: the first touch of an opened
+    /// table's column. A built table's slots are all filled, so it never
+    /// gets here.
+    #[cold]
+    fn load(&self, idx: usize) -> Result<Column, StoreError> {
+        let meta = &self.schema.columns()[idx];
+        match &self.file {
+            Some(file) => file.load_column(idx, meta, self.rows),
+            None => Err(StoreError::Corrupt(format!(
+                "column {:?} holds no data and the table has no file",
+                meta.name
+            ))),
+        }
+    }
+
+    /// Every column in declaration order, an opened table loading those
+    /// not touched yet: what `write_table`, `write_csv_string` and
+    /// `RowTable::from_table` walk.
+    pub(crate) fn load_columns(&self) -> StoreResult<Vec<&Column>> {
+        let columns = self.schema.columns().iter();
+        columns.map(|c| self.column(&c.name)).collect()
     }
 
     /// Cell value at (`row`, `column`); `None` for nulls.
@@ -94,13 +161,193 @@ impl Table {
     pub fn all_rows(&self) -> Bitmap {
         Bitmap::ones(self.rows)
     }
+
+    /// `R(pred)`, or `within ∧ R(pred)` reading only the rows of
+    /// `within`: a conjunction evaluates its first leaf as it stands and
+    /// each later one within what the leaves before it left, so a range
+    /// or set leaf after the first walks that selection instead of its
+    /// whole column.
+    fn eval_within(&self, pred: &StorePredicate, within: Option<Bitmap>) -> StoreResult<Bitmap> {
+        match pred {
+            StorePredicate::True => Ok(within.unwrap_or_else(|| self.all_rows())),
+            StorePredicate::Range(r) => {
+                self.scans.fetch_add(1, AtomicOrdering::Relaxed);
+                eval_range(self.column(&r.column)?, r, within)
+            }
+            StorePredicate::Set(s) => {
+                self.scans.fetch_add(1, AtomicOrdering::Relaxed);
+                eval_set(self.column(&s.column)?, s, within)
+            }
+            // A selection already held: no pass over any column.
+            StorePredicate::Rows(rows) => {
+                if rows.len() != self.rows {
+                    return Err(StoreError::LengthMismatch {
+                        left: rows.len(),
+                        right: self.rows,
+                    });
+                }
+                Ok(match within {
+                    Some(mut sel) => {
+                        sel.and_inplace(rows);
+                        sel
+                    }
+                    None => Bitmap::clone(rows),
+                })
+            }
+            StorePredicate::And(ps) => {
+                let mut acc = within;
+                for p in ps {
+                    let sel = self.eval_within(p, acc.take())?;
+                    // Early exit on empty intermediate selections: common
+                    // in product cells of nearly dependent segmentations.
+                    let empty = sel.none();
+                    acc = Some(sel);
+                    if empty {
+                        break;
+                    }
+                }
+                Ok(acc.unwrap_or_else(|| self.all_rows()))
+            }
+        }
+    }
 }
 
-// The `Backend` implementation is expanded from the shared
-// `impl_dense_backend` macro, verbatim the same code as `DiskTable`'s —
-// the bitwise-equivalence guarantee between the in-memory and on-disk
-// backends is structural, not hand-synchronized.
-crate::backend::impl_dense_backend!(Table);
+impl Backend for Table {
+    fn row_count(&self) -> usize {
+        self.rows
+    }
+
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+
+    fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
+        self.eval_within(pred, None)
+    }
+
+    fn count(&self, pred: &StorePredicate) -> StoreResult<usize> {
+        // Counts get their own counter: delegating to `eval` used to
+        // record the paper's "counts over predicates" workload as plain
+        // scans, so the count metric never showed up in the experiment
+        // tables.
+        self.counts.fetch_add(1, AtomicOrdering::Relaxed);
+        Ok(self.eval(pred)?.count_ones())
+    }
+
+    fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
+        Ok(self.column(column)?.validity().clone())
+    }
+
+    fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
+        self.medians.fetch_add(1, AtomicOrdering::Relaxed);
+        Ok(self.column(column)?.order_keys(sel)?.median())
+    }
+
+    fn sampled_median(
+        &self,
+        column: &str,
+        sel: &Bitmap,
+        sample_size: usize,
+        seed: u64,
+    ) -> StoreResult<Option<Value>> {
+        self.medians.fetch_add(1, AtomicOrdering::Relaxed);
+        let col = self.column(column)?;
+        if !col.data_type().is_numeric() {
+            return Err(StoreError::TypeMismatch {
+                column: column.to_string(),
+                expected: "numeric".into(),
+                found: col.data_type().name().into(),
+            });
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = reservoir_sample(sel, sample_size, &mut rng);
+        let keys = rows.into_iter().filter_map(|i| col.key_at(i));
+        Ok(OrderKeys::collect(col.data_type(), keys).median())
+    }
+
+    fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
+        self.medians.fetch_add(1, AtomicOrdering::Relaxed);
+        self.column(column)?.order_keys(sel)?.quantile(q)
+    }
+
+    fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>> {
+        Ok(self.column(column)?.min_max(sel))
+    }
+
+    fn cut_stats(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<CutStats>> {
+        // One walk of the selection where `min_max` + `median` make two:
+        // the extremes are folded while the order keys the median is
+        // selected from are gathered.
+        let mut keys = self.column(column)?.order_keys(sel)?;
+        let Some((min, max)) = keys.extremes() else {
+            return Ok(None);
+        };
+        let ranked = Some(keys.len());
+        let stats = CutStats::over(min, max, ranked, || {
+            self.medians.fetch_add(1, AtomicOrdering::Relaxed);
+            Ok(keys.median())
+        })?;
+        Ok(Some(stats))
+    }
+
+    fn mean_and_var(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
+        let mut buf = Vec::new();
+        self.column(column)?.gather_f64(sel, &mut buf)?;
+        Ok(mean_and_var_of(&buf))
+    }
+
+    fn next_above(&self, column: &str, sel: &Bitmap, v: &Value) -> StoreResult<Option<Value>> {
+        Ok(self.column(column)?.next_above(sel, v))
+    }
+
+    fn frequencies(
+        &self,
+        column: &str,
+        sel: &Bitmap,
+    ) -> StoreResult<(FrequencyTable, Vec<String>)> {
+        self.scans.fetch_add(1, AtomicOrdering::Relaxed);
+        self.column(column)?.frequencies(sel)
+    }
+
+    fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
+        let col = self.column(column)?;
+        match col.data() {
+            ColumnData::Str(_) | ColumnData::Bool(_) => {
+                let (ft, _) = self.frequencies(column, sel)?;
+                Ok(ft.cardinality())
+            }
+            // `==` dedup: -0.0 and +0.0 are one value.
+            ColumnData::Float(_) => {
+                let mut buf = Vec::new();
+                col.gather_f64(sel, &mut buf)?;
+                buf.sort_by(f64::total_cmp);
+                buf.dedup();
+                Ok(buf.len())
+            }
+            // As `i64`: beyond 2⁵³ an `f64` would merge neighbours.
+            ColumnData::Int(_) | ColumnData::Date(_) => {
+                let mut keys: Vec<i64> = sel.iter_ones().filter_map(|i| col.key_at(i)).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                Ok(keys.len())
+            }
+        }
+    }
+
+    fn stats(&self) -> BackendStats {
+        BackendStats {
+            scans: self.scans.load(AtomicOrdering::Relaxed),
+            counts: self.counts.load(AtomicOrdering::Relaxed),
+            medians: self.medians.load(AtomicOrdering::Relaxed),
+        }
+    }
+
+    fn reset_stats(&self) {
+        self.scans.store(0, AtomicOrdering::Relaxed);
+        self.counts.store(0, AtomicOrdering::Relaxed);
+        self.medians.store(0, AtomicOrdering::Relaxed);
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -4,12 +4,12 @@
 //! every datatype, nulls everywhere, NaN-free floats spanning special
 //! values (±0.0, extremes), empty strings, and a small string pool that
 //! forces dictionary code reuse ("collisions") — writes it, reopens it
-//! through [`DiskTable`], and pins **bitwise** equality: every cell,
+//! with `Table::open`, and pins **bitwise** equality: every cell,
 //! float bit patterns included, and the order statistics the advisor
 //! depends on.
 
 use charles_store::disk::write_table;
-use charles_store::{Backend, DataType, DiskTable, StorePredicate, TableBuilder, Value};
+use charles_store::{Backend, DataType, StorePredicate, Table, TableBuilder, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -103,7 +103,7 @@ proptest! {
 
         let path = tmp_path();
         write_table(&t, &path).unwrap();
-        let d = DiskTable::open(&path).unwrap();
+        let d = Table::open(&path).unwrap();
 
         // Schema, shape, whole-file checksum.
         prop_assert_eq!(d.len(), t.len());
@@ -115,7 +115,7 @@ proptest! {
             let name = format!("c{i}");
             for row in 0..t.len() {
                 assert_value_bits_eq(
-                    &d.value_of(&name, row),
+                    &d.value(row, &name).unwrap(),
                     &t.value(row, &name).unwrap(),
                     &format!("cell ({row}, {name}) of type {ty:?}"),
                 );
@@ -145,17 +145,5 @@ proptest! {
         prop_assert_eq!(df.entries(), tf.entries());
 
         std::fs::remove_file(&path).unwrap();
-    }
-}
-
-/// Accessor shim: `DiskTable` has no `value()` helper like `Table`;
-/// reach through the lazily loaded column.
-trait ValueOf {
-    fn value_of(&self, column: &str, row: usize) -> Option<Value>;
-}
-
-impl ValueOf for DiskTable {
-    fn value_of(&self, column: &str, row: usize) -> Option<Value> {
-        self.column(column).unwrap().get(row)
     }
 }

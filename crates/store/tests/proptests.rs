@@ -140,7 +140,7 @@ fn check_scans_against_per_row_model(
             let mut rng = StdRng::seed_from_u64(seed ^ len as u64);
             let t = kernel_table(ty, len, &mut rng);
             let col = t.column("x").unwrap();
-            let row = RowTable::from_table(&t);
+            let row = RowTable::from_table(&t).unwrap();
             let predicates = predicates(ty, &mut rng);
             let selections = word_mixes(len, &mut rng);
             for pred in predicates {
@@ -285,7 +285,7 @@ fn check_ranks<T: Copy>(
         let (lo, hi) = (to_f64(picked[(n - 1) / 2]), to_f64(picked[n / 2]));
         numeric_value(ty, if n % 2 == 1 { hi } else { (lo + hi) / 2.0 })
     });
-    let row = RowTable::from_table(t);
+    let row = RowTable::from_table(t).unwrap();
     let backends: [&dyn Backend; 2] = [t, &row];
     for b in backends {
         prop_assert_eq!(
@@ -487,7 +487,7 @@ proptest! {
                     "{:?} x {} rows above {:?}", ty, len, &floor
                 );
                 // Second witness: the row store's per-tuple folds.
-                let row = RowTable::from_table(&t);
+                let row = RowTable::from_table(&t).unwrap();
                 prop_assert_eq!(row.min_max("x", &sel).unwrap(), extremes);
                 prop_assert_eq!(row.next_above("x", &sel, &floor).unwrap(), next);
             }
@@ -510,7 +510,7 @@ proptest! {
             b.push_row_opt(vec![Some(Value::Str(s)), x.map(Value::Int)]).unwrap();
         }
         let t = b.finish();
-        let text = write_csv_string(&t);
+        let text = write_csv_string(&t).unwrap();
         let t2 = read_csv_str("t2", &text).unwrap();
         prop_assert_eq!(t.len(), t2.len());
         for i in 0..t.len() {
@@ -533,7 +533,7 @@ proptest! {
             b.push_row(vec![Value::Int(x), Value::str(cats[c])]).unwrap();
         }
         let col = b.finish();
-        let row = RowTable::from_table(&col);
+        let row = RowTable::from_table(&col).unwrap();
         let pred = StorePredicate::and(vec![
             StorePredicate::range("x", Value::Int(lo), Value::Int(lo + width), true),
             StorePredicate::set("k", vec![Value::str(cats[cat])]),

@@ -14,7 +14,7 @@
 //!     CHARLES_DATASET=/tmp/voc.charles cargo run --release --example serve_client
 
 use charles::serve::http_request;
-use charles::{DiskTable, ServeConfig, Server};
+use charles::{ServeConfig, Server, Table};
 use std::sync::Arc;
 
 fn main() {
@@ -23,8 +23,8 @@ fn main() {
     // points at one.
     let backend: Arc<dyn charles::Backend> = match std::env::var("CHARLES_DATASET") {
         Ok(path) => {
-            let disk = DiskTable::open(&path)
-                .unwrap_or_else(|e| panic!("cannot open dataset {path:?}: {e}"));
+            let disk =
+                Table::open(&path).unwrap_or_else(|e| panic!("cannot open dataset {path:?}: {e}"));
             println!(
                 "serving saved dataset {path} ({:?}, {} rows)",
                 disk.name(),

@@ -54,7 +54,7 @@ pub use charles_sdl::{
 pub use charles_serve::{ServeConfig, Server};
 pub use charles_store::{
     read_csv_file, read_csv_str, write_csv_file, write_csv_string, write_table, Backend, DataType,
-    DiskTable, RowTable, Schema, Table, TableBuilder, Value,
+    RowTable, Schema, Table, TableBuilder, Value,
 };
 
 #[cfg(test)]

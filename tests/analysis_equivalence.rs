@@ -1,7 +1,7 @@
 //! Equivalence oracle for the admission-time static analyzer: on every
 //! *satisfiable* context, the advisor's output with analysis enabled is
 //! bitwise-identical to its output with analysis disabled — across the
-//! `Table` and `DiskTable` backends.
+//! `Table` built in memory and the same `Table` opened from a `.charles` file.
 //!
 //! This is the acceptance bar for the analysis stage: it may reject or
 //! prune, but it must never *change* an answer. Duplicate-free contexts
@@ -12,7 +12,7 @@
 
 use charles::{voc_table, Advisor, Config, Table};
 use charles_store::disk::write_table;
-use charles_store::{Backend, DiskTable};
+use charles_store::Backend;
 
 const ROWS: usize = 1_203;
 
@@ -20,7 +20,7 @@ fn fixture() -> Table {
     voc_table(ROWS, 2026)
 }
 
-fn disk_fixture(t: &Table) -> DiskTable {
+fn disk_fixture(t: &Table) -> Table {
     use std::sync::atomic::{AtomicUsize, Ordering};
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
     let path = std::env::temp_dir().join(format!(
@@ -29,7 +29,7 @@ fn disk_fixture(t: &Table) -> DiskTable {
         COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
     write_table(t, &path).expect("write .charles fixture");
-    let disk = DiskTable::open(&path).expect("open .charles fixture");
+    let disk = Table::open(&path).expect("open .charles fixture");
     #[cfg(unix)]
     let _ = std::fs::remove_file(&path);
     disk

@@ -8,8 +8,8 @@
 //!    surface every failure gracefully;
 //! 3. every shipped backend honours the same contract — the
 //!    [`contract_harness`] module runs each Backend obligation over
-//!    `Table`, `RowTable` and a `DiskTable` opened from a written
-//!    `.charles` file.
+//!    `Table`, `RowTable` and a `Table` opened from a written `.charles`
+//!    file.
 
 use charles::advisor::{hb_cuts, Explorer, LazyGenerator};
 use charles::{voc_table, AdviceCache, Advisor, Config, CoreError};
@@ -366,9 +366,9 @@ mod contract_harness {
     use charles_bench::quantile_cut_segmentation;
     use charles_store::disk::write_table;
     use charles_store::{
-        Backend, Bitmap, DataType, DiskTable, Row, RowTable, StoreError, StorePredicate,
-        TableBuilder, Value,
+        Backend, Bitmap, DataType, Row, RowTable, StoreError, StorePredicate, TableBuilder, Value,
     };
+    use std::path::Path;
     use std::sync::Arc;
 
     /// Not a multiple of 64, so every selection ends on a partial
@@ -382,7 +382,7 @@ mod contract_harness {
     /// Write the fixture to a unique `.charles` temp file and open it
     /// lazily. On unix the path is unlinked immediately (the open handle
     /// keeps the data alive), so tests never leak files.
-    fn disk_fixture(t: &Table) -> DiskTable {
+    fn disk_fixture(t: &Table) -> Table {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static COUNTER: AtomicUsize = AtomicUsize::new(0);
         let path = std::env::temp_dir().join(format!(
@@ -391,10 +391,20 @@ mod contract_harness {
             COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         write_table(t, &path).expect("write .charles fixture");
-        let disk = DiskTable::open(&path).expect("open .charles fixture");
+        let disk = Table::open(&path).expect("open .charles fixture");
         #[cfg(unix)]
         let _ = std::fs::remove_file(&path);
         disk
+    }
+
+    /// `path` opened with every column loaded — the built form of a
+    /// patched file, whose cells no builder accepts.
+    fn loaded(path: &Path) -> Table {
+        let t = Table::open(path).unwrap();
+        for c in t.schema().columns() {
+            t.column(&c.name).unwrap();
+        }
+        t
     }
 
     type Backends = Vec<(String, Box<dyn Backend>)>;
@@ -405,7 +415,10 @@ mod contract_harness {
     fn backends(t: &Table) -> Backends {
         vec![
             ("table".into(), Box::new(t.clone())),
-            ("rowstore".into(), Box::new(RowTable::from_table(t))),
+            (
+                "rowstore".into(),
+                Box::new(RowTable::from_table(t).unwrap()),
+            ),
             ("disk".into(), Box::new(disk_fixture(t))),
         ]
     }
@@ -606,8 +619,8 @@ mod contract_harness {
         ));
         write_table(&clean, &path).unwrap();
         common::poison_float_cell(&path, NAN_MARKER, f64::NAN);
-        let disk = DiskTable::open(&path).unwrap();
-        let table = disk.to_table().unwrap();
+        let disk = Table::open(&path).unwrap();
+        let table = loaded(&path);
         std::fs::remove_file(&path).unwrap();
         cells[0][0] = Some(Value::Float(f64::NAN));
         let rows = RowTable::new("t", Backend::schema(&clean).clone(), cells.clone()).unwrap();
@@ -712,6 +725,8 @@ mod contract_harness {
             assert!(matches!(err, StoreError::TypeMismatch { .. }), "{name}");
             assert_eq!(err, b.median("k", all).unwrap_err(), "{name}");
             assert_eq!(err, provided.cut_stats("k", all).unwrap_err(), "{name}");
+            let sampled = b.sampled_median("k", all, 16, 7).unwrap_err();
+            assert_eq!(sampled, err, "{name}: sampled_median");
             assert_eq!(
                 b.cut_stats("nope", all).unwrap_err(),
                 b.median("nope", all).unwrap_err(),
@@ -770,8 +785,8 @@ mod contract_harness {
         common::patch_cell(&path, 0, 3, &f64::NAN.to_bits().to_le_bytes());
         common::patch_cell(&path, 3, 7, &2u32.to_le_bytes());
         common::patch_cell(&path, 3, 11, &99u32.to_le_bytes());
-        let disk = DiskTable::open(&path).unwrap();
-        let table = disk.to_table().unwrap();
+        let disk = Table::open(&path).unwrap();
+        let table = loaded(&path);
         std::fs::remove_file(&path).unwrap();
         cells[3][0] = Some(Value::Float(f64::NAN));
         let rows = RowTable::new("t", Backend::schema(&clean).clone(), cells).unwrap();
@@ -1122,7 +1137,7 @@ mod contract_harness {
             .iter()
             .map(|r| (r.segmentation.to_string(), r.score.entropy.to_bits()))
             .collect();
-        assert_eq!(got, reference, "advisor output diverged on DiskTable");
+        assert_eq!(got, reference, "advisor output diverged on the opened file");
         // Only the three context attributes (plus any the advisor
         // touches) should have been materialised — the fixture has 9.
         assert!(

@@ -40,8 +40,8 @@ use charles::sdl::eval;
 use charles::store::disk::write_table;
 use charles::store::{Bitmap, RowTable};
 use charles::{
-    Backend, Config, Constraint, DataType, DiskTable, Predicate, Query, Segmentation, Table,
-    TableBuilder, Value,
+    Backend, Config, Constraint, DataType, Predicate, Query, Segmentation, Table, TableBuilder,
+    Value,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -64,7 +64,7 @@ const BEYOND_F64: i64 = 1 << 53;
 struct Dataset {
     table: Table,
     rows: RowTable,
-    disk: DiskTable,
+    disk: Table,
 }
 
 fn arb_dataset() -> impl Strategy<Value = Dataset> {
@@ -132,7 +132,7 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
             for i in 0..nans {
                 common::poison_float_cell(&path, marker(i), f64::NAN);
             }
-            let disk = DiskTable::open(&path).unwrap();
+            let disk = Table::open(&path).unwrap();
             disk.verify().unwrap();
             std::fs::remove_file(&path).unwrap();
 

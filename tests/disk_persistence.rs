@@ -1,7 +1,7 @@
 //! End-to-end persistence: generate → save → load → advise, pinned.
 //!
 //! The tentpole's promise is that a dataset written to a `.charles`
-//! file and served back through [`DiskTable`] is indistinguishable from
+//! file and opened with [`Table::open`] is indistinguishable from
 //! the in-memory table it came from — the advisor's ranked answers,
 //! entropies and traces are **byte-identical**, whether the file backs
 //! a plain backend or an HTTP serving session.
@@ -9,8 +9,8 @@
 use charles::serve::http_request;
 use charles::store::StorePredicate;
 use charles::{
-    voc_table, write_table, Advisor, Backend, DataType, DiskTable, ServeConfig, Server,
-    TableBuilder, Value,
+    voc_table, write_table, Advisor, Backend, DataType, ServeConfig, Server, Table, TableBuilder,
+    Value,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -50,12 +50,12 @@ fn generate_save_load_advise_round_trip() {
     assert!(!reference.ranked.is_empty());
 
     // Plain disk backend.
-    let disk = DiskTable::open(&path).unwrap();
+    let disk = Table::open(&path).unwrap();
     let from_disk = Advisor::new(&disk).advise_str(CONTEXT).unwrap();
     assert_eq!(fingerprint(&from_disk), fingerprint(&reference));
 
     // Re-opened handle (fresh lazy state) → same again.
-    let disk2 = DiskTable::open(&path).unwrap();
+    let disk2 = Table::open(&path).unwrap();
     let again = Advisor::new(&disk2).advise_str(CONTEXT).unwrap();
     assert_eq!(fingerprint(&again), fingerprint(&reference));
 
@@ -87,7 +87,7 @@ fn nan_cells_in_a_loaded_file_do_not_break_the_seed_cuts() {
     write_table(&b.finish(), &path).unwrap();
     poison_float_cell(&path, MARKER, f64::NAN);
 
-    let disk = DiskTable::open(&path).unwrap();
+    let disk = Table::open(&path).unwrap();
     disk.verify().unwrap();
     let all = disk.eval(&StorePredicate::True).unwrap();
     assert_eq!(
@@ -130,7 +130,7 @@ fn server_boots_from_a_saved_file() {
     let path = tmp_path("serve");
     write_table(&table, &path).unwrap();
 
-    let disk: Arc<dyn Backend> = Arc::new(DiskTable::open(&path).unwrap());
+    let disk: Arc<dyn Backend> = Arc::new(Table::open(&path).unwrap());
     let server = Server::bind("127.0.0.1:0", disk, ServeConfig::default()).unwrap();
     let addr = server.local_addr().unwrap();
     let handle = server.spawn().unwrap();

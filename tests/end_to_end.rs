@@ -43,7 +43,7 @@ fn advisor_works_on_all_three_demo_datasets() {
 #[test]
 fn row_store_and_column_store_agree_on_advice() {
     let col = voc_table(2_000, 4);
-    let row = RowTable::from_table(&col);
+    let row = RowTable::from_table(&col).unwrap();
     let ctx = "(type_of_boat: , tonnage: , departure_harbour: )";
     let a_col = Advisor::new(&col).advise_str(ctx).unwrap();
     let a_row = Advisor::new(&row).advise_str(ctx).unwrap();
@@ -63,7 +63,7 @@ fn row_store_and_column_store_agree_on_advice() {
 #[test]
 fn csv_round_trip_preserves_advice() {
     let t = voc_table(1_000, 5);
-    let csv = write_csv_string(&t);
+    let csv = write_csv_string(&t).unwrap();
     let t2 = read_csv_str("voc2", &csv).unwrap();
     let ctx = "(type_of_boat: , tonnage: )";
     let a1 = Advisor::new(&t).advise_str(ctx).unwrap();

@@ -20,7 +20,8 @@
 
 use charles::serve::http_request;
 use charles::serve::json::encode_advice;
-use charles::serve::wire::{wire_request, WireClient, WireRequest, WireResponse};
+use charles::serve::wire::{wire_request, WireConn, WireRequest, WireResponse};
+use charles::serve::ClientConfig;
 use charles::{Advisor, Backend, Query, ServeConfig, Server};
 use std::collections::HashSet;
 use std::sync::{Arc, Barrier};
@@ -178,6 +179,12 @@ fn client_script(addr: std::net::SocketAddr, spelling: &str, oracle: &Oracle) ->
     advised
 }
 
+/// One request and its response over `conn`.
+fn exchange(conn: &mut WireConn, req: &WireRequest<'_>) -> WireResponse {
+    conn.send(req).unwrap();
+    conn.recv().unwrap()
+}
+
 /// The binary-listener mirror of [`client_script`]: the same lifecycle
 /// over wire frames, every response rendered back to HTTP form via
 /// [`WireResponse::to_http`] and asserted byte-equal against the same
@@ -185,13 +192,11 @@ fn client_script(addr: std::net::SocketAddr, spelling: &str, oracle: &Oracle) ->
 /// the unparseable `"zero one"` drill body — has no wire analogue:
 /// drill indices are typed fields there and cannot be malformed.)
 fn wire_client_script(addr: std::net::SocketAddr, spelling: &str, oracle: &Oracle) -> usize {
-    let mut client = WireClient::new(addr);
+    let mut conn = WireConn::connect(&addr, &ClientConfig::default()).unwrap();
     let mut advised = 0;
     for _ in 0..ITERATIONS {
         // Start a session; the served advice must equal the oracle's.
-        let resp = client
-            .request(&WireRequest::Start { body: spelling })
-            .unwrap();
+        let resp = exchange(&mut conn, &WireRequest::Start { body: spelling });
         let WireResponse::Started { id, .. } = &resp else {
             panic!("start failed: {resp:?}");
         };
@@ -206,27 +211,26 @@ fn wire_client_script(addr: std::net::SocketAddr, spelling: &str, oracle: &Oracl
         advised += 1;
 
         // Bad SDL answers the same 4xx codes and bodies as HTTP.
-        let (status, err) = client
-            .request(&WireRequest::Start {
+        let (status, err) = exchange(
+            &mut conn,
+            &WireRequest::Start {
                 body: "(no_such_column: )",
-            })
-            .unwrap()
-            .to_http();
+            },
+        )
+        .to_http();
         assert_eq!(status, 422, "{err}");
         assert!(err.contains("\"code\":\"invalid_context\""), "{err}");
-        let (status, _) = client
-            .request(&WireRequest::Start {
+        let (status, _) = exchange(
+            &mut conn,
+            &WireRequest::Start {
                 body: "not sdl at all",
-            })
-            .unwrap()
-            .to_http();
+            },
+        )
+        .to_http();
         assert_eq!(status, 400);
 
         // Inspect: depth 1, canonical breadcrumb, same advice bytes.
-        let (status, info) = client
-            .request(&WireRequest::Inspect { id: &id })
-            .unwrap()
-            .to_http();
+        let (status, info) = exchange(&mut conn, &WireRequest::Inspect { id: &id }).to_http();
         assert_eq!(status, 200);
         assert_eq!(
             info,
@@ -238,33 +242,32 @@ fn wire_client_script(addr: std::net::SocketAddr, spelling: &str, oracle: &Oracl
         );
 
         // Out-of-range drill: stable 422, session state untouched.
-        let (status, err) = client
-            .request(&WireRequest::Drill {
+        let (status, err) = exchange(
+            &mut conn,
+            &WireRequest::Drill {
                 id: &id,
                 rank: 99,
                 seg: 424242,
-            })
-            .unwrap()
-            .to_http();
+            },
+        )
+        .to_http();
         assert_eq!(status, 422, "{err}");
         assert!(err.contains("(99, 424242)"), "{err}");
 
         // Back at root: stable 422.
-        let (status, err) = client
-            .request(&WireRequest::Back { id: &id })
-            .unwrap()
-            .to_http();
+        let (status, err) = exchange(&mut conn, &WireRequest::Back { id: &id }).to_http();
         assert_eq!(status, 422, "{err}");
 
         // Drill (0, 0): byte-equal to the oracle's drilled advice.
-        let (status, body) = client
-            .request(&WireRequest::Drill {
+        let (status, body) = exchange(
+            &mut conn,
+            &WireRequest::Drill {
                 id: &id,
                 rank: 0,
                 seg: 0,
-            })
-            .unwrap()
-            .to_http();
+            },
+        )
+        .to_http();
         assert_eq!(status, 200, "drill failed: {body}");
         assert_eq!(
             body,
@@ -274,10 +277,7 @@ fn wire_client_script(addr: std::net::SocketAddr, spelling: &str, oracle: &Oracl
         advised += 1;
 
         // Breadcrumbs now two deep, both canonical.
-        let (status, info) = client
-            .request(&WireRequest::Inspect { id: &id })
-            .unwrap()
-            .to_http();
+        let (status, info) = exchange(&mut conn, &WireRequest::Inspect { id: &id }).to_http();
         assert_eq!(status, 200);
         assert_eq!(
             info,
@@ -290,10 +290,7 @@ fn wire_client_script(addr: std::net::SocketAddr, spelling: &str, oracle: &Oracl
         );
 
         // Back out: the root advice again, bit for bit.
-        let (status, body) = client
-            .request(&WireRequest::Back { id: &id })
-            .unwrap()
-            .to_http();
+        let (status, body) = exchange(&mut conn, &WireRequest::Back { id: &id }).to_http();
         assert_eq!(status, 200);
         assert_eq!(
             body,
@@ -301,21 +298,12 @@ fn wire_client_script(addr: std::net::SocketAddr, spelling: &str, oracle: &Oracl
         );
 
         // Delete; the id is then gone for every verb.
-        let (status, body) = client
-            .request(&WireRequest::Delete { id: &id })
-            .unwrap()
-            .to_http();
+        let (status, body) = exchange(&mut conn, &WireRequest::Delete { id: &id }).to_http();
         assert_eq!(status, 204, "{body}");
         assert_eq!(body, "");
-        let (status, _) = client
-            .request(&WireRequest::Inspect { id: &id })
-            .unwrap()
-            .to_http();
+        let (status, _) = exchange(&mut conn, &WireRequest::Inspect { id: &id }).to_http();
         assert_eq!(status, 404);
-        let (status, _) = client
-            .request(&WireRequest::Delete { id: &id })
-            .unwrap()
-            .to_http();
+        let (status, _) = exchange(&mut conn, &WireRequest::Delete { id: &id }).to_http();
         assert_eq!(status, 404);
     }
     advised
@@ -435,9 +423,6 @@ fn concurrent_sessions_serve_oracle_bytes_and_share_one_cache() {
 /// order, each response byte-equal to what sequential requests produce.
 #[test]
 fn pipelined_wire_frames_answer_in_order() {
-    use charles::serve::wire::WireConn;
-    use charles::serve::ClientConfig;
-
     let backend: Arc<dyn Backend> = Arc::new(charles::voc_table(400, 7));
     let server = Server::bind("127.0.0.1:0", backend, ServeConfig::default())
         .unwrap()
