@@ -2,7 +2,9 @@
 //!
 //! A fixed set of contexts over `datagen`'s three tables — the shapes of
 //! the four benchmark workloads, one drill/back trail, one sampled-median
-//! config and the §5.1 memo ablation — is advised afresh and each advice
+//! config, the §5.1 ablations (memo off, analysis off, the row-store
+//! backend) and a repeated attribute merged at admission — is advised
+//! afresh and each advice
 //! is rendered the three ways it leaves the advisor: the JSON object both
 //! listeners serve, its CHRW payload (verbatim `f64` bits, in hex), and
 //! its `backend_ops` / `cache` counters. `tests/golden/<case>.txt` holds
@@ -20,7 +22,7 @@
 
 use charles::serve::json::encode_advice;
 use charles::serve::wire::{WireAdvice, WireResponse, HEADER_LEN};
-use charles::store::Backend;
+use charles::store::{Backend, RowTable};
 use charles::{astro_table, voc_table, weblog_table, Advice, Config, MedianStrategy, Session};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -61,6 +63,10 @@ fn sampled() -> Config {
 
 fn unmemoized() -> Config {
     Config::default().with_memoize(false)
+}
+
+fn unanalyzed() -> Config {
+    Config::default().with_analysis(false)
 }
 
 const fn case(name: &'static str, table: &'static str, steps: &'static [Step]) -> Case {
@@ -174,6 +180,34 @@ const CASES: &[Case] = &[
             "(type_of_boat: , tonnage: , departure_harbour: )",
         )],
     },
+    // §5.1's analysis ablation: the context reaches the advisor as
+    // parsed, canonicalized only by the cache.
+    Case {
+        name: "analysis_off",
+        table: "voc",
+        config: unanalyzed,
+        steps: &[Step::Start("(tonnage: [252,902], type_of_boat: , built: )")],
+    },
+    // Admission merges the two `tonnage` conjuncts into one before the
+    // cache keys the context; the drilled segment and the step back
+    // run on the merged form.
+    case(
+        "repeated_attrs",
+        "voc",
+        &[
+            Step::Start("(tonnage: [0,1500], type_of_boat: , tonnage: [252,902], built: )"),
+            Step::Drill(0, 0),
+            Step::Back,
+        ],
+    ),
+    // E7's backend ablation: the VOC table as a row store.
+    case(
+        "row_store",
+        "voc_rows",
+        &[Step::Start(
+            "(type_of_boat: , tonnage: , departure_harbour: , built: )",
+        )],
+    ),
 ];
 
 fn golden_dir() -> PathBuf {
@@ -226,8 +260,10 @@ fn render(case: &Case, backend: &Arc<dyn Backend>) -> String {
 
 /// Every case rendered at `threads` `par_map` threads.
 fn render_all(threads: usize) -> Vec<(&'static str, String)> {
-    let tables: [(&str, Arc<dyn Backend>); 3] = [
-        ("voc", Arc::new(voc_table(ROWS, SEED))),
+    let voc = voc_table(ROWS, SEED);
+    let tables: [(&str, Arc<dyn Backend>); 4] = [
+        ("voc_rows", Arc::new(RowTable::from_table(&voc).unwrap())),
+        ("voc", Arc::new(voc)),
         ("astro", Arc::new(astro_table(ROWS, SEED))),
         ("weblog", Arc::new(weblog_table(ROWS, SEED))),
     ];
