@@ -116,8 +116,9 @@ impl<'a> Advisor<'a> {
     }
 
     /// Admission gate shared by [`Advisor::advise`] and the advice
-    /// cache: analyze the context and decide what (if anything) the
-    /// expensive machinery should see.
+    /// cache: analyze the context ([`charles_sdl::admit`], which builds
+    /// a normal form only for repeated attributes) and decide what (if
+    /// anything) the expensive machinery should see.
     ///
     /// * ill-typed → [`CoreError::InvalidContext`] with the diagnostics;
     /// * provably empty → [`CoreError::UnsatisfiableContext`], before
@@ -131,19 +132,13 @@ impl<'a> Advisor<'a> {
         if !self.config.analysis {
             return Ok(context);
         }
-        let report = self.analyze(&context);
-        if !report.is_valid() {
-            return Err(CoreError::InvalidContext(report.into_errors()));
-        }
-        if !report.is_satisfiable() {
-            return Err(CoreError::UnsatisfiableContext);
-        }
-        if context.has_repeated_attributes() {
-            return Ok(report
-                .into_normalized()
-                .expect("valid satisfiable reports carry a normalized query"));
-        }
-        Ok(context)
+        charles_sdl::admit(context, self.backend.schema()).map_err(|report| {
+            if report.is_valid() {
+                CoreError::UnsatisfiableContext
+            } else {
+                CoreError::InvalidContext(report.into_errors())
+            }
+        })
     }
 
     /// Advise on a context given as an SDL query.

@@ -4,9 +4,16 @@
 //! concurrent sessions drilling into the same region of the data should
 //! pay for **one** HB-cuts run. [`AdviceCache`] provides that sharing as
 //! a sharded map in front of [`Advisor::advise`], keyed by the
-//! *canonical* context ([`charles_sdl::Query::cache_key`]) so contexts
-//! that differ only in conjunct order, set-literal order or surface
+//! *canonical* context's structure ([`CacheKey`]) so contexts that
+//! differ only in conjunct order, set-literal order or surface
 //! whitespace hit the same entry.
+//!
+//! A hit renders nothing: the key's one hash, computed when the key is
+//! made, picks the shard and is the shard map's hash too, and equal
+//! hashes are confirmed by comparing structure. Admission builds a
+//! normal form only for a repeated attribute, and canonicalization sorts
+//! the admitted context in place, so a hit clones no query
+//! (`docs/adr/0018-a-cache-hit-renders-nothing.md`).
 //!
 //! Two properties matter for serving:
 //!
@@ -36,11 +43,10 @@
 
 use crate::advisor::{Advice, Advisor};
 use crate::error::{CoreError, CoreResult};
-use charles_sdl::Query;
+use charles_sdl::{CacheKey, Query};
 use charles_store::StoreError;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -52,6 +58,28 @@ type Slot = Arc<OnceLock<Result<Arc<Advice>, CoreError>>>;
 struct Entry {
     slot: Slot,
     last_used: u64,
+}
+
+/// A shard's map: its keys arrive hashed ([`CacheKey`] writes its one
+/// `u64`), and [`KeyHash`] passes that on instead of hashing it again.
+type Shard = HashMap<CacheKey, Entry, BuildHasherDefault<KeyHash>>;
+
+/// The hasher of a [`Shard`]: the last `u64` written is the hash.
+#[derive(Default)]
+struct KeyHash(u64);
+
+impl Hasher for KeyHash {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("only a CacheKey hashes here, as one u64");
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// Counters describing cache effectiveness. `runs` is exact even under
@@ -76,7 +104,7 @@ pub struct AdviceCacheStats {
 
 /// A sharded, single-flight cache of advice keyed by canonical context.
 pub struct AdviceCache {
-    shards: Vec<Mutex<HashMap<String, Entry>>>,
+    shards: Vec<Mutex<Shard>>,
     /// Per-shard entry bound; `None` = unbounded.
     shard_capacity: Option<usize>,
     /// Logical clock driving LRU recency.
@@ -119,7 +147,7 @@ impl AdviceCache {
     fn build(shards: usize, shard_capacity: Option<usize>) -> AdviceCache {
         let n = shards.max(1);
         AdviceCache {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             shard_capacity,
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -178,8 +206,7 @@ impl AdviceCache {
     /// only ever be used with advisors over the same backend and config,
     /// otherwise keys would conflate answers from different sources.
     pub fn advise_cached(&self, advisor: &Advisor<'_>, context: Query) -> CoreResult<Arc<Advice>> {
-        let canonical = advisor.admit(context)?.canonicalized();
-        let key = canonical.to_string();
+        let key = CacheKey::new(advisor.admit(context)?);
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards[self.shard_index(&key)];
         let slot: Slot = {
@@ -208,16 +235,14 @@ impl AdviceCache {
         let result = slot
             .get_or_init(|| {
                 self.runs.fetch_add(1, Ordering::Relaxed);
-                advisor.advise(canonical.clone()).map(Arc::new)
+                advisor.advise(key.into_query()).map(Arc::new)
             })
             .clone();
         if matches!(result, Err(CoreError::Store(StoreError::Io(_)))) {
             // Transient, unlike every other error: forget this flight
             // (and only this one — the key may already hold a retry).
             let mut shard = shard.lock().expect("advice cache shard poisoned");
-            if shard.get(&key).is_some_and(|e| Arc::ptr_eq(&e.slot, &slot)) {
-                shard.remove(&key);
-            }
+            shard.retain(|_, e| !Arc::ptr_eq(&e.slot, &slot));
         }
         result
     }
@@ -228,7 +253,7 @@ impl AdviceCache {
     /// duplicate run for the same key while the first is still going.
     /// If every entry is in flight, nothing is evicted and the shard
     /// transiently exceeds its bound.
-    fn evict_lru(&self, shard: &mut HashMap<String, Entry>) {
+    fn evict_lru(&self, shard: &mut Shard) {
         let victim = shard
             .iter()
             .filter(|(_, e)| e.slot.get().is_some())
@@ -240,10 +265,13 @@ impl AdviceCache {
         }
     }
 
-    fn shard_index(&self, key: &str) -> usize {
-        let mut h = DefaultHasher::new();
+    /// The shard of a key, from bits 32 and up of its one hash: the
+    /// shard map takes its bucket index from the low bits (under 2³²
+    /// buckets) and its tag from the top seven.
+    fn shard_index(&self, key: &CacheKey) -> usize {
+        let mut h = KeyHash::default();
         key.hash(&mut h);
-        (h.finish() % self.shards.len() as u64) as usize
+        ((h.finish() >> 32) % self.shards.len() as u64) as usize
     }
 }
 
@@ -256,8 +284,18 @@ impl Default for AdviceCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charles_sdl::parse_query;
+    use charles_sdl::{parse_query, Constraint, Predicate};
     use charles_store::{Backend, DataType, TableBuilder, Value};
+
+    /// What a client sees of an advice: context and ranked answers.
+    fn encode(a: &Advice) -> String {
+        let ranked: Vec<String> = a
+            .ranked
+            .iter()
+            .map(|r| r.segmentation.to_string())
+            .collect();
+        format!("{} {} {ranked:?}", a.context, a.context_size)
+    }
 
     fn table() -> charles_store::Table {
         let mut b = TableBuilder::new("t");
@@ -332,6 +370,66 @@ mod tests {
         assert!(Arc::ptr_eq(&advices[0], &advices[2]));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.stats().runs, 1, "one run for all spellings");
+    }
+
+    #[test]
+    fn both_spellings_of_a_signed_zero_set_share_one_entry() {
+        let mut b = TableBuilder::new("w");
+        b.add_column("w", DataType::Float)
+            .add_column("size", DataType::Int);
+        for i in 0..16i64 {
+            let w = [-0.0, 0.0, 0.5, -0.5][i as usize % 4];
+            b.push_row(vec![Value::Float(w), Value::Int(i)]).unwrap();
+        }
+        let t = b.finish();
+        let advisor = Advisor::new(&t);
+        let cache = AdviceCache::with_shards(4);
+        let schema = Backend::schema(&t);
+        let q = |s: &str| parse_query(s, schema).unwrap();
+        let a1 = cache
+            .advise_cached(&advisor, q("(w: {0.0, -0.0}, size: )"))
+            .unwrap();
+        let a2 = cache
+            .advise_cached(&advisor, q("(w: {-0.0, 0.0}, size: )"))
+            .unwrap();
+        assert!(Arc::ptr_eq(&a1, &a2));
+        assert_eq!(cache.stats().runs, 1);
+        // The set keeps both zeros, so it selects both zeros' rows.
+        assert_eq!(a1.context_size, 8);
+        // Each zero alone is a context of its own.
+        let minus = cache
+            .advise_cached(&advisor, q("(w: {-0.0}, size: )"))
+            .unwrap();
+        assert_eq!(minus.context_size, 4);
+        assert_eq!(cache.stats().runs, 2);
+    }
+
+    #[test]
+    fn an_integral_float_from_1e15_keys_apart_from_its_int() {
+        // `Value::render` prints `Float(1e15)` like `Int(10¹⁵)`, so the
+        // two shared a rendered key; the structural key tells the literal
+        // types apart. (The parser types every literal by its column, so
+        // only a hand-built query can hold such a pair.)
+        let t = table();
+        let advisor = Advisor::new(&t);
+        let cache = AdviceCache::with_shards(2);
+        let context = |v: Value| {
+            Query::new(vec![
+                Predicate::any("kind"),
+                Predicate::new("size", Constraint::range(Value::Int(0), v).unwrap()),
+            ])
+            .unwrap()
+        };
+        let (int, float) = (
+            context(Value::Int(1_000_000_000_000_000)),
+            context(Value::Float(1e15)),
+        );
+        assert_eq!(int.to_string(), float.to_string());
+        let a1 = cache.advise_cached(&advisor, int).unwrap();
+        let a2 = cache.advise_cached(&advisor, float).unwrap();
+        assert!(!Arc::ptr_eq(&a1, &a2));
+        assert_eq!((cache.len(), cache.stats().runs), (2, 2));
+        assert_eq!(encode(&a1), encode(&a2), "the same answer, computed twice");
     }
 
     #[test]

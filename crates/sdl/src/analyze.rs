@@ -25,6 +25,13 @@
 //!   deliberately kept: they define the exploration scope, so dropping
 //!   them would change the advisor's answer, not just its key.
 //!
+//! [`analyze`] and [`admit`] are one pass. Its merge step — the
+//! normalized query and the verdict on an attribute's repeated
+//! conjuncts — always runs for [`analyze`]'s report; [`admit`], the
+//! advisor's gate on every request, runs it only when an attribute
+//! repeats, and otherwise hands the query back untouched without
+//! building a normal form it would drop.
+//!
 //! The split between *invalid* and *unsatisfiable* matters to
 //! consumers: error-class diagnostics mean the query is ill-typed for
 //! this schema and should be rejected (the server answers 422
@@ -199,6 +206,35 @@ impl QueryReport {
 /// the normalized (merged, canonical) form. Pure and row-free — cost is
 /// proportional to the query text, never to the data.
 pub fn analyze(query: &Query, schema: &Schema) -> QueryReport {
+    pass(query, schema, true)
+}
+
+/// Admission: `query` as the advisor should see it, or the report that
+/// rejects it (invalid, or provably empty).
+///
+/// The same pass as [`analyze`], but its merge step runs only when an
+/// attribute repeats — only then is the merged normal form what the
+/// advisor sees, and only then can the conjuncts of one attribute
+/// contradict each other. Otherwise the query comes back untouched and
+/// no normal form is built.
+pub fn admit(query: Query, schema: &Schema) -> Result<Query, QueryReport> {
+    let merge = query.has_repeated_attributes();
+    let report = pass(&query, schema, merge);
+    if !report.is_valid() || !report.is_satisfiable() {
+        return Err(report);
+    }
+    Ok(match report.normalized {
+        Some(normalized) => normalized,
+        None => query,
+    })
+}
+
+/// The analysis pass. The merge step — each attribute's conjuncts
+/// normalized and intersected into one constraint, and the normalized
+/// query built of those — runs when `merge` is set; without it the
+/// report has no normalized query, and its satisfiability verdict is
+/// complete only for a query whose attributes do not repeat.
+fn pass(query: &Query, schema: &Schema, merge: bool) -> QueryReport {
     let mut diagnostics = Vec::new();
     let mut provably_empty = false;
     let mut invalid = false;
@@ -206,20 +242,18 @@ pub fn analyze(query: &Query, schema: &Schema) -> QueryReport {
 
     // Attributes in first-occurrence order, each analyzed once over all
     // of its conjuncts.
-    let mut attrs: Vec<&str> = Vec::new();
-    for p in query.predicates() {
-        if !attrs.contains(&p.attr.as_str()) {
-            attrs.push(&p.attr);
+    let predicates = query.predicates();
+    for (i, first) in predicates.iter().enumerate() {
+        let attr = first.attr.as_str();
+        if predicates[..i].iter().any(|p| p.attr == attr) {
+            continue;
         }
-    }
-
-    for attr in attrs {
-        let conjuncts: Vec<&Constraint> = query
-            .predicates()
-            .iter()
-            .filter(|p| p.attr == attr)
-            .map(|p| &p.constraint)
-            .collect();
+        let conjuncts = || {
+            predicates[i..]
+                .iter()
+                .filter(move |p| p.attr == attr)
+                .map(|p| &p.constraint)
+        };
 
         let Ok(ty) = schema.type_of(attr) else {
             diagnostics.push(Diagnostic::new(
@@ -231,28 +265,26 @@ pub fn analyze(query: &Query, schema: &Schema) -> QueryReport {
             continue;
         };
 
-        let mut normals = Vec::with_capacity(conjuncts.len());
         let mut attr_ok = true;
-        for c in conjuncts {
-            match check_constraint(attr, ty, c, &mut diagnostics) {
-                Checked::Ok(normal) => normals.push(normal),
-                Checked::Invalid { provably_empty: e } => {
-                    attr_ok = false;
-                    invalid = true;
-                    provably_empty |= e;
-                }
+        for c in conjuncts() {
+            if let Checked::Invalid { provably_empty: e } =
+                check_constraint(attr, ty, c, &mut diagnostics)
+            {
+                attr_ok = false;
+                invalid = true;
+                provably_empty |= e;
             }
         }
-        if !attr_ok {
+        if !attr_ok || !merge {
             continue;
         }
 
-        // Fold the conjuncts into one constraint per attribute.
-        let mut iter = normals.into_iter();
-        let mut acc = iter.next().expect("every attribute has ≥ 1 conjunct");
+        // Fold the conjuncts' normal forms into one constraint.
+        let mut normals = conjuncts().map(normal_form);
+        let mut acc = normals.next().expect("every attribute has ≥ 1 conjunct");
         let mut count = 1usize;
         let mut empty = false;
-        for c in iter {
+        for c in normals {
             count += 1;
             match acc.intersect(&c) {
                 Some(next) => acc = next,
@@ -289,8 +321,8 @@ pub fn analyze(query: &Query, schema: &Schema) -> QueryReport {
     } else {
         Satisfiability::Satisfiable
     };
-    let normalized = if !invalid && !provably_empty {
-        Some(Query::conjunction(merged).canonicalized())
+    let normalized = if merge && !invalid && !provably_empty {
+        Some(Query::conjunction(merged).into_canonical())
     } else {
         None
     };
@@ -303,13 +335,27 @@ pub fn analyze(query: &Query, schema: &Schema) -> QueryReport {
 
 /// Outcome of linting a single constraint.
 enum Checked {
-    /// Structurally valid; carries the normalized form (de-duplicated
-    /// set, closed discrete range).
-    Ok(Constraint),
+    /// Structurally valid.
+    Ok,
     /// An error diagnostic was pushed; `provably_empty` is true when
     /// the constraint alone can match no value (empty range/set, or a
     /// uniformly type-mismatched literal list).
     Invalid { provably_empty: bool },
+}
+
+/// The normal form of a constraint [`check_constraint`] passed:
+/// de-duplicated set, closed discrete range.
+fn normal_form(c: &Constraint) -> Constraint {
+    let normal = match c {
+        Constraint::Any => Ok(Constraint::Any),
+        Constraint::Range {
+            lo,
+            hi,
+            hi_inclusive,
+        } => Constraint::range_with(lo.clone(), hi.clone(), *hi_inclusive),
+        Constraint::Set(vals) => Constraint::set(vals.clone()),
+    };
+    normal.expect("a checked constraint has a normal form")
 }
 
 fn type_of_value(v: &Value) -> DataType {
@@ -323,7 +369,7 @@ fn check_constraint(
     diagnostics: &mut Vec<Diagnostic>,
 ) -> Checked {
     match c {
-        Constraint::Any => Checked::Ok(Constraint::Any),
+        Constraint::Any => Checked::Ok,
         Constraint::Range {
             lo,
             hi,
@@ -351,23 +397,21 @@ fn check_constraint(
                 };
             }
             // Both bounds live in the column's family, so they are
-            // mutually comparable; re-running the validating constructor
-            // normalizes discrete half-open forms and flags `lo > hi`.
-            match Constraint::range_with(lo.clone(), hi.clone(), *hi_inclusive) {
-                Ok(normal) => Checked::Ok(normal),
-                Err(_) => {
-                    diagnostics.push(Diagnostic::new(
-                        DiagnosticCode::EmptyRange,
-                        attr,
-                        format!(
-                            "range [{lo}, {hi}{}] is empty",
-                            if *hi_inclusive { "" } else { "[" }
-                        ),
-                    ));
-                    Checked::Invalid {
-                        provably_empty: true,
-                    }
-                }
+            // mutually comparable; the validating constructor's check
+            // (discrete half-open forms closed first) flags `lo > hi`.
+            if Constraint::range_is_valid(lo, hi, *hi_inclusive) {
+                return Checked::Ok;
+            }
+            diagnostics.push(Diagnostic::new(
+                DiagnosticCode::EmptyRange,
+                attr,
+                format!(
+                    "range [{lo}, {hi}{}] is empty",
+                    if *hi_inclusive { "" } else { "[" }
+                ),
+            ));
+            Checked::Invalid {
+                provably_empty: true,
             }
         }
         Constraint::Set(vals) => {
@@ -419,14 +463,8 @@ fn check_constraint(
                     provably_empty: true,
                 };
             }
-            match Constraint::set(vals.clone()) {
-                Ok(normal) => Checked::Ok(normal),
-                // Unreachable (empty/mixed were excluded above), but a
-                // lint pass must not panic on adversarial input.
-                Err(_) => Checked::Invalid {
-                    provably_empty: false,
-                },
-            }
+            // Non-empty and family-uniform: `Constraint::set` accepts it.
+            Checked::Ok
         }
     }
 }
@@ -643,6 +681,33 @@ mod tests {
             Some(&Constraint::Set(vec![Value::Int(1), Value::Int(2)]))
         );
         assert!(well_formed(&n));
+    }
+
+    #[test]
+    fn admission_merges_only_repeated_attributes() {
+        let s = schema();
+        // Unrepeated: handed back as written, even where the normal
+        // form would differ (a direct-constructed duplicate).
+        let q = Query::conjunction(vec![
+            Predicate::new(
+                "size",
+                Constraint::Set(vec![Value::Int(2), Value::Int(1), Value::Int(2)]),
+            ),
+            Predicate::any("kind"),
+        ]);
+        assert_ne!(analyze(&q, &s).normalized(), Some(&q));
+        assert_eq!(admit(q.clone(), &s), Ok(q));
+        // Repeated: the merged, canonical normal form.
+        let r = crate::parse_query("(size: [0,100], kind: , size: [50,200])", &s).unwrap();
+        let merged = analyze(&r, &s).into_normalized().unwrap();
+        assert_eq!(merged.to_string(), "(kind: , size: [50,100])");
+        assert_eq!(admit(r, &s), Ok(merged));
+        // Rejected: the report says why.
+        let bad = admit(Query::wildcard(&["nope"]), &s).unwrap_err();
+        assert_eq!(codes(&bad), vec![DiagnosticCode::UnknownAttribute]);
+        let empty = crate::parse_query("(size: [0,10], size: [20,30])", &s).unwrap();
+        let unsat = admit(empty, &s).unwrap_err();
+        assert!(unsat.is_valid() && !unsat.is_satisfiable());
     }
 
     #[test]

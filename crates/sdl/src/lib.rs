@@ -42,11 +42,11 @@ pub mod query;
 pub mod segmentation;
 pub mod sql;
 
-pub use analyze::{analyze, Diagnostic, DiagnosticCode, QueryReport, Satisfiability};
+pub use analyze::{admit, analyze, Diagnostic, DiagnosticCode, QueryReport, Satisfiability};
 pub use error::{SdlError, SdlResult};
 pub use eval::{cover, selection};
 pub use parser::{parse_query, parse_segmentation};
 pub use predicate::{Constraint, Predicate};
-pub use query::Query;
+pub use query::{CacheKey, Query};
 pub use segmentation::Segmentation;
 pub use sql::{query_to_sql, segmentation_to_sql};

@@ -43,31 +43,32 @@ impl Constraint {
     /// `1151,1300`), and it makes the rendered syntax round-trip through
     /// the parser structurally.
     pub fn range_with(lo: Value, hi: Value, hi_inclusive: bool) -> SdlResult<Constraint> {
-        let (hi, hi_inclusive) = match (&lo, &hi, hi_inclusive) {
-            (Value::Int(_), Value::Int(h), false) => (Value::Int(*h - 1), true),
-            (Value::Date(_), Value::Date(h), false) => (Value::Date(*h - 1), true),
-            _ => (hi, hi_inclusive),
+        let (hi, hi_inclusive) = match closed_upper(&lo, &hi, hi_inclusive) {
+            Some(closed) => (closed, true),
+            None => (hi, hi_inclusive),
         };
-        match lo.try_cmp(&hi) {
-            Ok(Ordering::Greater) => Err(SdlError::Malformed(format!(
-                "range lower bound {lo} exceeds upper bound {hi}"
-            ))),
-            Ok(Ordering::Equal) if !hi_inclusive => Err(SdlError::Malformed(format!(
-                "half-open range [{lo},{hi}[ is empty"
-            ))),
-            Ok(_) => Ok(Constraint::Range {
-                lo,
-                hi,
-                hi_inclusive,
-            }),
-            Err(_) => Err(SdlError::Malformed(format!(
-                "range bounds {lo} and {hi} are not comparable"
-            ))),
+        check_bounds(&lo, &hi, hi_inclusive)?;
+        Ok(Constraint::Range {
+            lo,
+            hi,
+            hi_inclusive,
+        })
+    }
+
+    /// Whether [`Constraint::range_with`] accepts these bounds, without
+    /// building the range.
+    pub(crate) fn range_is_valid(lo: &Value, hi: &Value, hi_inclusive: bool) -> bool {
+        match closed_upper(lo, hi, hi_inclusive) {
+            Some(closed) => check_bounds(lo, &closed, true),
+            None => check_bounds(lo, hi, hi_inclusive),
         }
+        .is_ok()
     }
 
     /// Set constructor: de-duplicates while preserving first occurrence
-    /// order; rejects empty sets and mixed incomparable types.
+    /// order; rejects empty sets and mixed incomparable types. Two values
+    /// are duplicates when [`Value::try_cmp`] finds them equal — the order
+    /// set membership tests in — so `-0.0` and `0.0` both stay.
     pub fn set(values: Vec<Value>) -> SdlResult<Constraint> {
         if values.is_empty() {
             return Err(SdlError::Malformed("empty set constraint".into()));
@@ -81,7 +82,10 @@ impl Constraint {
                     )));
                 }
             }
-            if !out.iter().any(|w| w == &v) {
+            if !out
+                .iter()
+                .any(|w| matches!(w.try_cmp(&v), Ok(Ordering::Equal)))
+            {
                 out.push(v);
             }
         }
@@ -198,6 +202,34 @@ impl Constraint {
     }
 }
 
+/// The closed upper bound of a half-open range over a discrete type (two
+/// `Int` or two `Date` bounds): one below `hi`. `None` when the range is
+/// closed, continuous, or ends at `i64::MIN` — nothing lies below that,
+/// and [`check_bounds`] finds `[lo, i64::MIN[` empty as it stands.
+fn closed_upper(lo: &Value, hi: &Value, hi_inclusive: bool) -> Option<Value> {
+    match (lo, hi, hi_inclusive) {
+        (Value::Int(_), Value::Int(h), false) => h.checked_sub(1).map(Value::Int),
+        (Value::Date(_), Value::Date(h), false) => h.checked_sub(1).map(Value::Date),
+        _ => None,
+    }
+}
+
+/// `lo ≤ hi` (`lo < hi` when half-open), with comparable bounds.
+fn check_bounds(lo: &Value, hi: &Value, hi_inclusive: bool) -> SdlResult<()> {
+    match lo.try_cmp(hi) {
+        Ok(Ordering::Greater) => Err(SdlError::Malformed(format!(
+            "range lower bound {lo} exceeds upper bound {hi}"
+        ))),
+        Ok(Ordering::Equal) if !hi_inclusive => Err(SdlError::Malformed(format!(
+            "half-open range [{lo},{hi}[ is empty"
+        ))),
+        Ok(_) => Ok(()),
+        Err(_) => Err(SdlError::Malformed(format!(
+            "range bounds {lo} and {hi} are not comparable"
+        ))),
+    }
+}
+
 /// A named constraint: one conjunct of an SDL query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
@@ -237,6 +269,24 @@ mod tests {
         assert!(Constraint::range(Value::Int(1), Value::str("a")).is_err());
         assert!(Constraint::range_with(Value::Int(3), Value::Int(3), false).is_err());
         assert!(Constraint::range_with(Value::Int(3), Value::Int(3), true).is_ok());
+        // Nothing lies below `i64::MIN`: a half-open range ending there
+        // is empty, not wrapped round to `[lo, i64::MAX]`.
+        for lo in [i64::MIN, 0] {
+            assert!(Constraint::range_with(Value::Int(lo), Value::Int(i64::MIN), false).is_err());
+            assert!(!Constraint::range_is_valid(
+                &Value::Date(lo),
+                &Value::Date(i64::MIN),
+                false
+            ));
+        }
+        assert_eq!(
+            Constraint::range_with(Value::Int(i64::MIN), Value::Int(i64::MIN + 1), false),
+            Ok(Constraint::Range {
+                lo: Value::Int(i64::MIN),
+                hi: Value::Int(i64::MIN),
+                hi_inclusive: true
+            })
+        );
     }
 
     #[test]
@@ -245,6 +295,23 @@ mod tests {
         assert_eq!(c.literal_count(), 2);
         assert!(Constraint::set(vec![]).is_err());
         assert!(Constraint::set(vec![Value::Int(1), Value::str("x")]).is_err());
+    }
+
+    #[test]
+    fn set_keeps_both_signed_zeros() {
+        // Set membership compares in the total order, where -0.0 < 0.0:
+        // IEEE `==` would fold them and the set would stop matching the
+        // dropped one's rows.
+        let zeros = [Value::Float(0.0), Value::Float(-0.0)];
+        for spelling in [zeros.to_vec(), zeros.iter().rev().cloned().collect()] {
+            let c = Constraint::set(spelling).unwrap();
+            assert_eq!(c.literal_count(), 2, "{c}");
+            assert!(c.matches(&Value::Float(-0.0)) && c.matches(&Value::Float(0.0)));
+        }
+        // Values equal in that order are still one member.
+        let c = Constraint::set(vec![Value::Float(-0.0), Value::Float(-0.0)]).unwrap();
+        assert_eq!(c.literal_count(), 1);
+        assert!(!c.matches(&Value::Float(0.0)));
     }
 
     #[test]

@@ -2,6 +2,12 @@
 
 use crate::error::{SdlError, SdlResult};
 use crate::predicate::{Constraint, Predicate};
+use charles_store::Value;
+use std::cmp::Ordering;
+use std::collections::hash_map::{DefaultHasher, RandomState};
+use std::fmt;
+use std::hash::{BuildHasher, Hash, Hasher};
+use std::sync::OnceLock;
 
 /// An SDL query `Q = (C0, C1, …, CN)`.
 ///
@@ -146,30 +152,35 @@ impl Query {
     /// membership tests. It *does* fix a rendering (and hence an advisor
     /// attribute order), which is what makes cached advice reproducible.
     pub fn canonicalized(&self) -> Query {
-        let mut predicates = self.predicates.clone();
-        for p in &mut predicates {
+        self.clone().into_canonical()
+    }
+
+    /// [`Query::canonicalized`] of an owned query, sorted in place.
+    pub fn into_canonical(mut self) -> Query {
+        for p in &mut self.predicates {
             if let Constraint::Set(vals) = &mut p.constraint {
                 // Values within one set are comparable by construction;
                 // Equal fallback keeps the sort total regardless.
-                vals.sort_by(|a, b| a.try_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+                vals.sort_by(|a, b| a.try_cmp(b).unwrap_or(Ordering::Equal));
             }
         }
-        predicates.sort_by(|a, b| a.attr.cmp(&b.attr));
-        Query { predicates }
+        self.predicates.sort_by(|a, b| a.attr.cmp(&b.attr));
+        self
     }
 
-    /// Cache key: the rendered canonical form. Equal keys imply equal
-    /// selection semantics (the canonical forms are structurally equal),
-    /// and semantically distinct queries get distinct keys unless their
-    /// constraints are extensionally equal per attribute.
-    pub fn cache_key(&self) -> String {
-        self.canonicalized().to_string()
+    /// Cache key: the canonical form's structure, hashed once (see
+    /// [`CacheKey`]). Equal keys imply equal selection semantics, and
+    /// queries whose canonical forms differ in any attribute, constraint
+    /// kind, literal (by type and exact value) or bound inclusivity get
+    /// distinct keys.
+    pub fn cache_key(&self) -> CacheKey {
+        CacheKey::new(self.clone())
     }
 
     /// Whether a full tuple (attribute, value) assignment satisfies the
     /// query. Used by tests and the row-level fallback paths; bulk
     /// evaluation goes through [`crate::eval`].
-    pub fn matches_row(&self, lookup: impl Fn(&str) -> Option<charles_store::Value>) -> bool {
+    pub fn matches_row(&self, lookup: impl Fn(&str) -> Option<Value>) -> bool {
         self.predicates.iter().all(|p| {
             if !p.is_constraining() {
                 return true;
@@ -182,10 +193,161 @@ impl Query {
     }
 }
 
+/// The advice cache's key for a context: its canonical [`Query`], with
+/// one hash of that structure computed when the key is made.
+///
+/// * The hash covers every attribute, each constraint's kind, each
+///   literal by type and exact value (a `Float` by its bits) and a
+///   range's `hi_inclusive`. [`Hash`] writes that one `u64`, so a map
+///   keyed on `CacheKey` never walks the query again.
+/// * The hash is SipHash under keys drawn once per process, as a
+///   `HashMap`'s own are: contexts arrive from outside the program, and
+///   must not be craftable to collide.
+/// * Equality compares the structure, floats by their bits — the
+///   equality `Value::try_cmp`'s total order has within one type, so
+///   `-0.0` and `0.0` are different keys, as their renders are.
+///
+/// Two keys are equal exactly when the canonical queries render to the
+/// same text, with one exception: an integral `Float` of magnitude
+/// ≥ 10¹⁵ renders like the `Int` of the same value, yet a key tells the
+/// two literal types apart.
+#[derive(Clone)]
+pub struct CacheKey {
+    hash: u64,
+    query: Query,
+}
+
+impl CacheKey {
+    /// The key of `query`: canonicalized in place, hashed once, kept.
+    pub fn new(query: Query) -> CacheKey {
+        static KEYS: OnceLock<RandomState> = OnceLock::new();
+        let query = query.into_canonical();
+        let mut h = KEYS.get_or_init(RandomState::new).build_hasher();
+        h.write_usize(query.predicates.len());
+        for p in &query.predicates {
+            p.attr.hash(&mut h);
+            match &p.constraint {
+                Constraint::Any => h.write_u8(0),
+                Constraint::Range {
+                    lo,
+                    hi,
+                    hi_inclusive,
+                } => {
+                    h.write_u8(1);
+                    hash_value(lo, &mut h);
+                    hash_value(hi, &mut h);
+                    hi_inclusive.hash(&mut h);
+                }
+                Constraint::Set(vals) => {
+                    h.write_u8(2);
+                    h.write_usize(vals.len());
+                    for v in vals {
+                        hash_value(v, &mut h);
+                    }
+                }
+            }
+        }
+        CacheKey {
+            hash: h.finish(),
+            query,
+        }
+    }
+
+    /// The canonical query the key was made of.
+    pub fn query(&self) -> &Query {
+        &self.query
+    }
+
+    /// Consume the key into its canonical query.
+    pub fn into_query(self) -> Query {
+        self.query
+    }
+}
+
+fn hash_value(v: &Value, h: &mut DefaultHasher) {
+    match v {
+        Value::Int(x) => {
+            h.write_u8(0);
+            h.write_i64(*x);
+        }
+        Value::Float(x) => {
+            h.write_u8(1);
+            h.write_u64(x.to_bits());
+        }
+        Value::Str(s) => {
+            h.write_u8(2);
+            s.hash(h);
+        }
+        Value::Date(x) => {
+            h.write_u8(3);
+            h.write_i64(*x);
+        }
+        Value::Bool(b) => {
+            h.write_u8(4);
+            b.hash(h);
+        }
+    }
+}
+
+/// Same type and value, a `Float` by its bits.
+fn same_value(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    }
+}
+
+fn same_constraint(a: &Constraint, b: &Constraint) -> bool {
+    match (a, b) {
+        (Constraint::Any, Constraint::Any) => true,
+        (
+            Constraint::Range {
+                lo: lo1,
+                hi: hi1,
+                hi_inclusive: inc1,
+            },
+            Constraint::Range {
+                lo: lo2,
+                hi: hi2,
+                hi_inclusive: inc2,
+            },
+        ) => inc1 == inc2 && same_value(lo1, lo2) && same_value(hi1, hi2),
+        (Constraint::Set(a), Constraint::Set(b)) => {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| same_value(x, y))
+        }
+        _ => false,
+    }
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &CacheKey) -> bool {
+        let (a, b) = (&self.query.predicates, &other.query.predicates);
+        self.hash == other.hash
+            && a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|(p, q)| p.attr == q.attr && same_constraint(&p.constraint, &q.constraint))
+    }
+}
+
+impl Eq for CacheKey {}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// The rendered canonical query: what a failing assertion shows.
+impl fmt::Debug for CacheKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "CacheKey({})", self.query)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charles_store::Value;
 
     fn set(vals: &[&str]) -> Constraint {
         Constraint::set(vals.iter().map(|v| Value::str(*v)).collect()).unwrap()
@@ -324,9 +486,14 @@ mod tests {
         assert_ne!(q1, q2);
         assert_eq!(q1.canonicalized(), q2.canonicalized());
         assert_eq!(q1.cache_key(), q2.cache_key());
-        assert_eq!(q1.cache_key(), "(tonnage: , type: {fluit, jacht})");
-        // Canonicalization is idempotent.
+        assert_eq!(
+            q1.canonicalized().to_string(),
+            "(tonnage: , type: {fluit, jacht})"
+        );
+        assert_eq!(q1.cache_key().query(), &q1.canonicalized());
+        // Canonicalization is idempotent, and the owned form is the same.
         assert_eq!(q1.canonicalized().canonicalized(), q1.canonicalized());
+        assert_eq!(q1.clone().into_canonical(), q1.canonicalized());
     }
 
     #[test]
@@ -348,11 +515,12 @@ mod tests {
 
     #[test]
     fn cache_key_is_injective_for_metacharacter_strings() {
-        // The key is the canonical *render*, and rendering quotes any
-        // string literal that could not re-parse as a bare token — so
-        // values containing SDL metacharacters cannot splice: the
-        // two-value set {a, b} and the one-value set {"a, b"} must get
-        // different keys (and likewise for quote/brace-bearing values).
+        // The key is the canonical structure, and so is the render,
+        // which quotes any string literal that could not re-parse as a
+        // bare token — so values containing SDL metacharacters cannot
+        // splice: the two-value set {a, b} and the one-value set
+        // {"a, b"} get different keys and different texts (and likewise
+        // for quote/brace-bearing values).
         let two = Query::wildcard(&["k"])
             .refined("k", set(&["a", "b"]))
             .unwrap();
@@ -360,6 +528,7 @@ mod tests {
             .refined("k", set(&["a, b"]))
             .unwrap();
         assert_ne!(two.cache_key(), one.cache_key());
+        assert_ne!(two.to_string(), one.to_string());
         let q1 = Query::wildcard(&["k"])
             .refined("k", set(&["x'}", "y"]))
             .unwrap();
@@ -367,6 +536,70 @@ mod tests {
             .refined("k", set(&["x'}, y"]))
             .unwrap();
         assert_ne!(q1.cache_key(), q2.cache_key());
+        assert_ne!(q1.to_string(), q2.to_string());
+    }
+
+    fn key_hash(k: &CacheKey) -> u64 {
+        let mut h = DefaultHasher::new();
+        k.hash(&mut h);
+        h.finish()
+    }
+
+    fn one(attr: &str, c: Constraint) -> Query {
+        Query::new(vec![Predicate::new(attr, c)]).unwrap()
+    }
+
+    #[test]
+    fn cache_key_tells_signed_zeros_and_literal_types_apart() {
+        let range = |lo: f64, hi: f64| {
+            one(
+                "x",
+                Constraint::range(Value::Float(lo), Value::Float(hi)).unwrap(),
+            )
+        };
+        // ±0.0 are distinct in the total order every matcher uses, and
+        // render apart: distinct keys.
+        assert_ne!(range(-0.0, 1.0).cache_key(), range(0.0, 1.0).cache_key());
+        assert_eq!(range(-0.0, 1.0).cache_key(), range(-0.0, 1.0).cache_key());
+        assert_eq!(
+            key_hash(&range(-0.0, 1.0).cache_key()),
+            key_hash(&range(-0.0, 1.0).cache_key())
+        );
+        // `Int(3)` and `Float(3.0)` select the same rows but render
+        // apart ("3" vs "3.0"): distinct keys, as before.
+        let int = one("x", Constraint::set(vec![Value::Int(3)]).unwrap());
+        let float = one("x", Constraint::set(vec![Value::Float(3.0)]).unwrap());
+        assert_ne!(int.to_string(), float.to_string());
+        assert_ne!(int.cache_key(), float.cache_key());
+        // A half-open and a closed float range are different keys.
+        let open = one(
+            "x",
+            Constraint::range_with(Value::Float(0.0), Value::Float(1.0), false).unwrap(),
+        );
+        assert_ne!(open.cache_key(), range(0.0, 1.0).cache_key());
+    }
+
+    #[test]
+    fn integral_floats_from_1e15_render_like_ints_but_key_apart() {
+        // The one place the structural key splits what the rendered key
+        // shared: `Value::render` drops the ".0" of an integral float of
+        // magnitude ≥ 10¹⁵, so it prints like the `Int` of its value.
+        for x in [1e15, -1e15, 9_007_199_254_740_992.0] {
+            let int = one("x", Constraint::set(vec![Value::Int(x as i64)]).unwrap());
+            let float = one("x", Constraint::set(vec![Value::Float(x)]).unwrap());
+            assert_eq!(int.to_string(), float.to_string(), "{x}");
+            assert_ne!(int.cache_key(), float.cache_key(), "{x}");
+        }
+        // Just below the threshold the texts differ too.
+        let int = one(
+            "x",
+            Constraint::set(vec![Value::Int(999_999_999_999_999)]).unwrap(),
+        );
+        let float = one(
+            "x",
+            Constraint::set(vec![Value::Float(999_999_999_999_999.0)]).unwrap(),
+        );
+        assert_ne!(int.to_string(), float.to_string());
     }
 
     #[test]

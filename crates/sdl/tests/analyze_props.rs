@@ -10,8 +10,12 @@
 //! * **Normalization converges** — cache keys of all conjunct
 //!   permutations of one conjunction collapse to a single key, and
 //!   re-analyzing a normalized query is the identity.
+//! * **Admission is analysis** — `admit` accepts exactly what `analyze`
+//!   finds valid and satisfiable, handing back the normal form when an
+//!   attribute repeats and the query untouched otherwise, and rejects
+//!   with the same findings.
 
-use charles_sdl::{analyze, Constraint, Predicate, Query, Satisfiability};
+use charles_sdl::{admit, analyze, Constraint, Predicate, Query, Satisfiability};
 use charles_store::{DataType, Schema, TableBuilder, Value};
 use proptest::prelude::*;
 
@@ -124,6 +128,36 @@ proptest! {
         let report2 = analyze(&permuted, &schema());
         let n2 = report2.normalized().expect("permutation preserves satisfiability");
         prop_assert_eq!(normalized.cache_key(), n2.cache_key(), "from {}", q);
+    }
+
+    #[test]
+    fn admission_agrees_with_analysis(q in arb_conjunction(), ill_typed in any::<bool>()) {
+        // Sometimes one more conjunct no column of its type can match.
+        let q = if ill_typed {
+            let mut predicates = q.predicates().to_vec();
+            predicates.push(Predicate::new("k", Constraint::Set(vec![Value::Int(1)])));
+            Query::conjunction(predicates)
+        } else {
+            q
+        };
+        let report = analyze(&q, &schema());
+        match admit(q.clone(), &schema()) {
+            Ok(admitted) => {
+                prop_assert!(report.is_valid() && report.is_satisfiable(), "{}", q);
+                let want = if q.has_repeated_attributes() {
+                    report.normalized().expect("valid and satisfiable").clone()
+                } else {
+                    q.clone()
+                };
+                prop_assert_eq!(admitted, want);
+            }
+            Err(rejected) => {
+                prop_assert!(!(report.is_valid() && report.is_satisfiable()), "{}", q);
+                prop_assert_eq!(rejected.diagnostics, report.diagnostics);
+                prop_assert_eq!(rejected.satisfiability, report.satisfiability);
+                prop_assert!(rejected.normalized().is_none());
+            }
+        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
 use crate::error::{StoreError, StoreResult};
+use crate::stats::float_key;
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -181,17 +182,17 @@ fn verdicts<T: Copy>(chunk: &[T], keep: &impl Fn(T) -> bool) -> u64 {
 }
 
 /// [`scan`] for `lo ≤ x ≤ hi` (`lo ≤ x < hi` when half-open) over a
-/// numeric vector, each value compared as `key` maps it.
-fn scan_range<V: Copy, T: Copy + PartialOrd>(
+/// numeric vector, each value compared as the `i64` `key` maps it to.
+fn scan_range<V: Copy>(
     col: &Column,
     values: &[V],
     within: Option<Bitmap>,
-    key: impl Fn(V) -> T,
-    (lo, hi): (T, T),
+    key: impl Fn(V) -> i64,
+    (lo, hi): (i64, i64),
     hi_inclusive: bool,
 ) -> Bitmap {
-    let inside = |x: T| (x >= lo) & (x <= hi);
-    let below = |x: T| (x >= lo) & (x < hi);
+    let inside = |x: i64| (x >= lo) & (x <= hi);
+    let below = |x: i64| (x >= lo) & (x < hi);
     if hi_inclusive {
         scan(values, col.validity(), within, |v| inside(key(v)))
     } else {
@@ -199,12 +200,14 @@ fn scan_range<V: Copy, T: Copy + PartialOrd>(
     }
 }
 
-/// A range's bounds as `f64`, which every numeric type compares as —
-/// what lets an `Int` column take `Float` bounds.
-fn f64_bounds(col: &Column, pred: &RangePred) -> StoreResult<(f64, f64)> {
+/// A range's bounds as the order keys of their `f64` values, which
+/// every numeric type compares as — what lets an `Int` column take
+/// `Float` bounds. Keys order as `f64::total_cmp`, the order every other
+/// matcher compares in (`Value::try_cmp`): `-0.0` sorts below `0.0`.
+fn float_bounds(col: &Column, pred: &RangePred) -> StoreResult<(i64, i64)> {
     let lo = pred.lo.as_f64().ok_or_else(|| type_err(col, &pred.lo))?;
     let hi = pred.hi.as_f64().ok_or_else(|| type_err(col, &pred.hi))?;
-    Ok((lo, hi))
+    Ok((float_key(lo), float_key(hi)))
 }
 
 /// Evaluate a range scan over a column, producing a fresh selection
@@ -226,8 +229,8 @@ pub fn eval_range(col: &Column, pred: &RangePred, within: Option<Bitmap>) -> Sto
                 col,
                 vals,
                 within,
-                |v| v as f64,
-                f64_bounds(col, pred)?,
+                |v| float_key(v as f64),
+                float_bounds(col, pred)?,
                 pred.hi_inclusive,
             ),
         }),
@@ -235,8 +238,8 @@ pub fn eval_range(col: &Column, pred: &RangePred, within: Option<Bitmap>) -> Sto
             col,
             vals,
             within,
-            |v| v,
-            f64_bounds(col, pred)?,
+            float_key,
+            float_bounds(col, pred)?,
             pred.hi_inclusive,
         )),
         ColumnData::Str(codes) => {

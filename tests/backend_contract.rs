@@ -362,7 +362,7 @@ fn failed_resolution_of_a_composed_candidate_is_one_err_and_consumes_nothing() {
 mod contract_harness {
     use super::{common, FusedBackend};
     use charles::advisor::{cut_query, cut_segmentation, Explorer};
-    use charles::{voc_table, Advisor, Config, Query, Segmentation, Table};
+    use charles::{voc_table, Advisor, Config, Constraint, Query, Segmentation, Table};
     use charles_bench::quantile_cut_segmentation;
     use charles_store::disk::write_table;
     use charles_store::{
@@ -1066,6 +1066,53 @@ mod contract_harness {
             };
             assert_eq!(ranked(b.as_ref()), ranked(&t), "{name}");
         }
+    }
+
+    #[test]
+    fn signed_zero_bounds_select_what_constraint_matches_says() {
+        // Every matcher but one compared in `f64::total_cmp`'s order,
+        // where -0.0 < 0.0; `Table`'s range kernel compared `f64`s with
+        // IEEE `>=` / `<=`, where the two are equal. A `Float` column
+        // holding both zeros, and an `Int` column holding 0, under ±0.0
+        // bounds closed and half-open: every backend selects the rows
+        // `Constraint::matches` does.
+        let xs = [-0.0, 0.0, 0.5, -0.5, -0.0, 1.0];
+        let mut b = TableBuilder::new("t");
+        b.add_column("x", DataType::Float)
+            .add_column("n", DataType::Int);
+        for (i, x) in xs.iter().enumerate() {
+            b.push_row(vec![Value::Float(*x), Value::Int(i as i64 - 2)])
+                .unwrap();
+        }
+        let t = b.finish();
+        let cell = |col: &str, i: usize| match col {
+            "x" => Value::Float(xs[i]),
+            _ => Value::Int(i as i64 - 2),
+        };
+        let zeros = [-0.0, 0.0];
+        let mut bounds: Vec<(f64, f64)> = vec![(-1.0, 0.0), (-1.0, -0.0), (-0.0, 1.0), (0.0, 1.0)];
+        bounds.extend(zeros.iter().flat_map(|&lo| zeros.map(|hi| (lo, hi))));
+        let mut checked = 0;
+        for (name, b) in backends(&t) {
+            for col in ["x", "n"] {
+                for &(lo, hi) in &bounds {
+                    for closed in [true, false] {
+                        let (lo, hi) = (Value::Float(lo), Value::Float(hi));
+                        let Ok(c) = Constraint::range_with(lo.clone(), hi.clone(), closed) else {
+                            continue;
+                        };
+                        let pred = StorePredicate::range(col, lo, hi, closed);
+                        let got = b.eval(&pred).unwrap();
+                        for i in 0..xs.len() {
+                            let want = c.matches(&cell(col, i));
+                            assert_eq!(got.get(i), want, "{name}: {col} in {c}, row {i}");
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert!(checked > 30, "{checked}");
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //!    out-of-range drills, back-at-root, bad SDL and dead sessions,
 //!    interleaved with the happy paths.
 
+use charles::sdl::CacheKey;
 use charles::serve::http_request;
 use charles::serve::json::encode_advice;
 use charles::serve::wire::{wire_request, WireConn, WireRequest, WireResponse};
@@ -59,7 +60,7 @@ struct Oracle {
 
 /// Run the single-threaded oracle: direct `Advisor::advise` calls on
 /// the canonical contexts, no server, no cache.
-fn oracle(backend: &dyn Backend, sdl: &str, distinct: &mut HashSet<String>) -> Oracle {
+fn oracle(backend: &dyn Backend, sdl: &str, distinct: &mut HashSet<CacheKey>) -> Oracle {
     let advisor = Advisor::new(backend);
     let root_ctx: Query = charles::parse_query(sdl, backend.schema())
         .expect("pool contexts are valid")
