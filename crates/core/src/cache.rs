@@ -433,6 +433,36 @@ mod tests {
     }
 
     #[test]
+    fn an_ill_typed_literal_that_renders_like_a_number_keys_apart() {
+        // With analysis off nothing rejects the quoted string '-3' on an
+        // `Int` column, and it renders bare, like the number -3: the
+        // rendered key shared one entry between the two, so whichever
+        // came first decided the other's answer. The structural key
+        // tells `Str` from `Int`.
+        let mut b = TableBuilder::new("t");
+        b.add_column("kind", DataType::Str)
+            .add_column("size", DataType::Int);
+        for i in -8..8i64 {
+            b.push_row(vec![
+                Value::str(["a", "b"][i.rem_euclid(2) as usize]),
+                Value::Int(i),
+            ])
+            .unwrap();
+        }
+        let t = b.finish();
+        let advisor = Advisor::with_config(&t, crate::Config::default().with_analysis(false));
+        let cache = AdviceCache::with_shards(2);
+        let schema = Backend::schema(&t);
+        let quoted = parse_query("(size: {'-3'}, kind: )", schema).unwrap();
+        let number = parse_query("(size: {-3}, kind: )", schema).unwrap();
+        assert_eq!(quoted.to_string(), number.to_string());
+        assert!(cache.advise_cached(&advisor, quoted).is_err());
+        let advice = cache.advise_cached(&advisor, number).unwrap();
+        assert_eq!(advice.context_size, 1);
+        assert_eq!(cache.stats().runs, 2);
+    }
+
+    #[test]
     fn admission_failures_are_not_cached() {
         let t = table();
         let advisor = Advisor::new(&t);

@@ -82,10 +82,7 @@ impl Constraint {
                     )));
                 }
             }
-            if !out
-                .iter()
-                .any(|w| matches!(w.try_cmp(&v), Ok(Ordering::Equal)))
-            {
+            if !out.iter().any(|w| same_member(w, &v)) {
                 out.push(v);
             }
         }
@@ -199,6 +196,17 @@ impl Constraint {
             Constraint::Range { .. } => 2,
             Constraint::Set(v) => v.len(),
         }
+    }
+}
+
+/// `a.try_cmp(b) == Ok(Equal)`: whether a set holding `a` already holds
+/// `b`. Two strings, and two floats (equal in the total order exactly
+/// when their bits are), compare here without the call.
+fn same_member(a: &Value, b: &Value) -> bool {
+    match (a, b) {
+        (Value::Str(x), Value::Str(y)) => x == y,
+        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+        _ => matches!(a.try_cmp(b), Ok(Ordering::Equal)),
     }
 }
 

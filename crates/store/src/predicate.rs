@@ -182,17 +182,17 @@ fn verdicts<T: Copy>(chunk: &[T], keep: &impl Fn(T) -> bool) -> u64 {
 }
 
 /// [`scan`] for `lo ≤ x ≤ hi` (`lo ≤ x < hi` when half-open) over a
-/// numeric vector, each value compared as the `i64` `key` maps it to.
-fn scan_range<V: Copy>(
+/// numeric vector, each value compared as `key` maps it.
+fn scan_range<V: Copy, T: Copy + PartialOrd>(
     col: &Column,
     values: &[V],
     within: Option<Bitmap>,
-    key: impl Fn(V) -> i64,
-    (lo, hi): (i64, i64),
+    key: impl Fn(V) -> T,
+    (lo, hi): (T, T),
     hi_inclusive: bool,
 ) -> Bitmap {
-    let inside = |x: i64| (x >= lo) & (x <= hi);
-    let below = |x: i64| (x >= lo) & (x < hi);
+    let inside = |x: T| (x >= lo) & (x <= hi);
+    let below = |x: T| (x >= lo) & (x < hi);
     if hi_inclusive {
         scan(values, col.validity(), within, |v| inside(key(v)))
     } else {
@@ -200,14 +200,29 @@ fn scan_range<V: Copy>(
     }
 }
 
-/// A range's bounds as the order keys of their `f64` values, which
-/// every numeric type compares as — what lets an `Int` column take
-/// `Float` bounds. Keys order as `f64::total_cmp`, the order every other
-/// matcher compares in (`Value::try_cmp`): `-0.0` sorts below `0.0`.
-fn float_bounds(col: &Column, pred: &RangePred) -> StoreResult<(i64, i64)> {
+/// [`scan_range`] over values compared as `f64` — what lets an `Int`
+/// column take `Float` bounds — in `f64::total_cmp`'s order, the one
+/// every other matcher compares in (`Value::try_cmp`): `-0.0` sorts
+/// below `0.0`. IEEE `>=` / `<=` give the same verdicts unless a bound
+/// is a zero or a NaN, so only such bounds pay for comparing order keys
+/// ([`float_key`]).
+fn scan_float_range<V: Copy>(
+    col: &Column,
+    values: &[V],
+    within: Option<Bitmap>,
+    as_f64: impl Fn(V) -> f64,
+    pred: &RangePred,
+) -> StoreResult<Bitmap> {
     let lo = pred.lo.as_f64().ok_or_else(|| type_err(col, &pred.lo))?;
     let hi = pred.hi.as_f64().ok_or_else(|| type_err(col, &pred.hi))?;
-    Ok((float_key(lo), float_key(hi)))
+    let ieee = |bound: f64| bound != 0.0 && !bound.is_nan();
+    let inc = pred.hi_inclusive;
+    Ok(if ieee(lo) && ieee(hi) {
+        scan_range(col, values, within, as_f64, (lo, hi), inc)
+    } else {
+        let (key, keys) = (|v| float_key(as_f64(v)), (float_key(lo), float_key(hi)));
+        scan_range(col, values, within, key, keys, inc)
+    })
 }
 
 /// Evaluate a range scan over a column, producing a fresh selection
@@ -225,23 +240,9 @@ pub fn eval_range(col: &Column, pred: &RangePred, within: Option<Bitmap>) -> Sto
             (Value::Int(lo) | Value::Date(lo), Value::Int(hi) | Value::Date(hi)) => {
                 scan_range(col, vals, within, |v| v, (*lo, *hi), pred.hi_inclusive)
             }
-            _ => scan_range(
-                col,
-                vals,
-                within,
-                |v| float_key(v as f64),
-                float_bounds(col, pred)?,
-                pred.hi_inclusive,
-            ),
+            _ => scan_float_range(col, vals, within, |v| v as f64, pred)?,
         }),
-        ColumnData::Float(vals) => Ok(scan_range(
-            col,
-            vals,
-            within,
-            float_key,
-            float_bounds(col, pred)?,
-            pred.hi_inclusive,
-        )),
+        ColumnData::Float(vals) => scan_float_range(col, vals, within, |v| v, pred),
         ColumnData::Str(codes) => {
             // Lexicographic range over strings: precompute per-code verdicts
             // so the row loop is a table lookup.

@@ -1090,7 +1090,16 @@ mod contract_harness {
             _ => Value::Int(i as i64 - 2),
         };
         let zeros = [-0.0, 0.0];
-        let mut bounds: Vec<(f64, f64)> = vec![(-1.0, 0.0), (-1.0, -0.0), (-0.0, 1.0), (0.0, 1.0)];
+        // A bound that is a zero compares order keys; the others compare
+        // `f64`s, and must agree on the zeros in the column all the same.
+        let mut bounds: Vec<(f64, f64)> = vec![
+            (-1.0, 0.0),
+            (-1.0, -0.0),
+            (-0.0, 1.0),
+            (0.0, 1.0),
+            (-1.0, 1.0),
+            (-0.5, 0.5),
+        ];
         bounds.extend(zeros.iter().flat_map(|&lo| zeros.map(|hi| (lo, hi))));
         let mut checked = 0;
         for (name, b) in backends(&t) {
