@@ -12,7 +12,8 @@
 //! *segmentation* (Definition 3) is a set of queries that partitions a
 //! dataset. This crate provides the AST ([`Constraint`], [`Predicate`],
 //! [`Query`], [`Segmentation`]), a parser for the paper's textual syntax,
-//! paper-style pretty printing, evaluation against a
+//! paper-style pretty printing, canonicalization and the advice cache's
+//! key ([`CacheKey`]), evaluation against a
 //! [`charles_store::Backend`], and SQL `WHERE`-clause emission (Charles is
 //! "a front-end for SQL systems").
 //!
