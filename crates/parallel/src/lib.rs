@@ -76,9 +76,8 @@ thread_local! {
 }
 
 /// The caller's share of a map: `IN_WORKER` is set while it lasts and
-/// cleared when it ends, by return or by unwind — a thread that lives
-/// on after a panicking map (a `WorkerPool` worker does) must thread its
-/// next one.
+/// cleared when it ends, by return or by unwind — a thread that catches
+/// a panicking map and lives on must thread its next one.
 struct CallerShare;
 
 impl CallerShare {
@@ -171,90 +170,6 @@ where
         .into_iter()
         .map(|out| out.expect("every index is claimed once"))
         .collect()
-}
-
-/// A fixed-size worker pool for long-lived concurrent tasks.
-///
-/// [`par_map`] covers fork-join data parallelism; servers need the other
-/// shape — a bounded set of threads draining an unbounded queue of
-/// independent jobs (one per connection). Jobs are `FnOnce` closures
-/// pushed with [`WorkerPool::execute`]; a panicking job is caught and
-/// counted, never takes its worker down, and never propagates to the
-/// submitter. Dropping the pool closes the queue, drains the remaining
-/// jobs and joins every worker.
-pub struct WorkerPool {
-    sender: Option<std::sync::mpsc::Sender<Job>>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-    panics: std::sync::Arc<AtomicUsize>,
-}
-
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-impl WorkerPool {
-    /// Spawn a pool of `workers` threads (clamped to ≥ 1).
-    pub fn new(workers: usize) -> WorkerPool {
-        let (sender, receiver) = std::sync::mpsc::channel::<Job>();
-        let receiver = std::sync::Arc::new(std::sync::Mutex::new(receiver));
-        let panics = std::sync::Arc::new(AtomicUsize::new(0));
-        let workers = (0..workers.max(1))
-            .map(|_| {
-                let receiver = std::sync::Arc::clone(&receiver);
-                let panics = std::sync::Arc::clone(&panics);
-                std::thread::spawn(move || loop {
-                    // Hold the receiver lock only for the pop, not the job.
-                    let job = match receiver.lock() {
-                        Ok(rx) => rx.recv(),
-                        Err(_) => return, // a sibling panicked mid-recv; shut down
-                    };
-                    match job {
-                        Ok(job) => {
-                            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err()
-                            {
-                                panics.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                        Err(_) => return, // queue closed: pool is dropping
-                    }
-                })
-            })
-            .collect();
-        WorkerPool {
-            sender: Some(sender),
-            workers,
-            panics,
-        }
-    }
-
-    /// Submit a job. Never blocks: the queue is unbounded, jobs run as
-    /// workers free up, in submission order per worker pop.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.sender
-            .as_ref()
-            .expect("pool sender lives until drop")
-            .send(Box::new(job))
-            .expect("workers outlive the sender");
-    }
-
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Number of jobs that panicked (and were contained).
-    pub fn panic_count(&self) -> usize {
-        self.panics.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Closing the channel makes every idle worker's recv() fail once
-        // the queued jobs are drained.
-        drop(self.sender.take());
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -400,57 +315,5 @@ mod tests {
         // And the thread is no worker now: its next map threads.
         let ids = with_threads(2, || rendezvous_ids(2));
         assert_ne!(ids[0], ids[1]);
-    }
-
-    #[test]
-    fn worker_pool_runs_all_jobs() {
-        let pool = WorkerPool::new(4);
-        assert_eq!(pool.worker_count(), 4);
-        let sum = std::sync::Arc::new(AtomicUsize::new(0));
-        for i in 0..100 {
-            let sum = std::sync::Arc::clone(&sum);
-            pool.execute(move || {
-                sum.fetch_add(i, Ordering::Relaxed);
-            });
-        }
-        drop(pool); // joins after draining the queue
-        assert_eq!(sum.load(Ordering::Relaxed), (0..100).sum());
-    }
-
-    #[test]
-    fn worker_pool_survives_panicking_jobs() {
-        let pool = WorkerPool::new(2);
-        let done = std::sync::Arc::new(AtomicUsize::new(0));
-        for i in 0..20 {
-            let done = std::sync::Arc::clone(&done);
-            pool.execute(move || {
-                if i % 3 == 0 {
-                    panic!("job {i} blows up");
-                }
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        let panics = {
-            // Drop to drain + join, but read the panic count first via a
-            // clone of the counter the pool shares with its workers.
-            let counter = std::sync::Arc::clone(&pool.panics);
-            drop(pool);
-            counter.load(Ordering::Relaxed)
-        };
-        assert_eq!(done.load(Ordering::Relaxed), 13);
-        assert_eq!(panics, 7);
-    }
-
-    #[test]
-    fn worker_pool_zero_clamps_to_one() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.worker_count(), 1);
-        let flag = std::sync::Arc::new(AtomicUsize::new(0));
-        let f2 = std::sync::Arc::clone(&flag);
-        pool.execute(move || {
-            f2.store(7, Ordering::Relaxed);
-        });
-        drop(pool);
-        assert_eq!(flag.load(Ordering::Relaxed), 7);
     }
 }

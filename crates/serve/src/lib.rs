@@ -9,13 +9,15 @@
 //! ([`charles_core::AdviceCache`]).
 //!
 //! Everything is dependency-free by necessity (crates.io is unreachable
-//! in this build environment): a std `TcpListener` accept loop feeding
-//! a [`charles_parallel::WorkerPool`], a hand-rolled HTTP/1.1 request
-//! parser ([`http`]), and a deterministic JSON encoder ([`json`]) for
-//! `Advice`/`Ranked`/`Trace` payloads. A versioned, length-prefixed
-//! binary protocol ([`wire`]) can be served on a second listener for
-//! pipelined high-throughput clients; both listeners dispatch through
-//! the same API layer, so they differ only in framing.
+//! in this build environment): a std `TcpListener` accept loop that
+//! gives every connection a thread of its own, a hand-rolled HTTP/1.1
+//! request parser ([`http`]), and a deterministic JSON encoder
+//! ([`json`]) for `Advice`/`Ranked`/`Trace` payloads. A versioned,
+//! length-prefixed binary protocol ([`wire`]) can be served on a second
+//! listener for pipelined high-throughput clients; both listeners run
+//! one connection loop and dispatch through the same API layer, so they
+//! differ only in framing. Concurrent advisor work is bounded by
+//! [`ServeConfig::workers`] advice slots, not by connections.
 //!
 //! Determinism contract: served advice — cached or not, under any
 //! interleaving — is byte-identical to

@@ -12,36 +12,53 @@
 //! | `GET /metrics` | — | serving-layer counters |
 //! | `GET /healthz` | — | liveness probe |
 //!
-//! Requests are handled by a fixed [`WorkerPool`]; per-session state is
-//! a [`Session`] behind its own mutex, so requests to different
-//! sessions never serialize on each other and requests to the same
-//! session are ordered. All advice flows through the shared cache:
-//! N sessions asking for the same canonical context cost one HB-cuts
-//! run, and the payload served from the cache is byte-identical to a
-//! fresh advisor run on the same canonical context.
+//! Every accepted connection, HTTP or CHRW, owns a thread that runs
+//! the one connection loop (`handle_connection`): decode a request in
+//! its listener's framing, dispatch it through the shared `api_*`
+//! layer, and queue the encoded answer for the connection's in-order
+//! writer thread. An idle keep-alive connection parks a thread of its
+//! own, not a shared one. Compute is bounded apart from connections:
+//! starting a session and drilling — the two requests that may run the
+//! advisor — each hold one of [`ServeConfig::workers`] advice slots.
+//! Per-session state is a [`Session`] behind its own mutex, so requests
+//! to different sessions never serialize on each other and requests to
+//! the same session are ordered. All advice flows through the shared
+//! cache: N sessions asking for the same canonical context cost one
+//! HB-cuts run, and the payload served from the cache is byte-identical
+//! to a fresh advisor run on the same canonical context.
 
 use crate::http::{parse_request, write_response, HttpError, Method, Request};
 use crate::json::{
     cache_stats_body, encode_error, encode_error_with_diagnostics, info_body, metrics_body,
     served_advice, session_body, HEALTH_BODY,
 };
-use crate::wire::WireCacheStats;
+use crate::wire::{
+    api_status, dispatch, encode_api_result, encode_frame_error, read_frame, WireCacheStats,
+    WireRequest, MAX_REQUEST_PAYLOAD,
+};
 use charles_core::{Advice, AdviceCache, Config, CoreError, Session};
-use charles_parallel::WorkerPool;
 use charles_sdl::{Diagnostic, DiagnosticCode, SdlError};
 use charles_store::{Backend, Table};
 use std::collections::HashMap;
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::Scope;
 use std::time::Duration;
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Connection-handling worker threads.
+    /// Advice slots: how many session starts and drills may run at once
+    /// across both listeners (clamped to ≥ 1). A request of either kind
+    /// holds a slot for its whole length — a cold context's HB-cuts run
+    /// and each single-flight waiter behind it alike, a cache hit for
+    /// the moment it takes — and waits for one while all are held. No
+    /// other request takes a slot, and no connection holds one: each
+    /// connection has a thread of its own.
     pub workers: usize,
     /// Upper bound on cached advice entries (per cache — the default
     /// backend's and each loaded dataset's). Once full, the
@@ -51,18 +68,21 @@ pub struct ServeConfig {
     pub cache_capacity: usize,
     /// Whole-request read deadline, re-armed per request on persistent
     /// connections: a connection that has not delivered its complete
-    /// next request within this window — whether idle between requests
-    /// or trickling bytes — is dropped (anti-slowloris: a fixed worker
-    /// pool must not be pinnable by slow or idle clients).
+    /// next request (an HTTP message or a CHRW frame) within this window
+    /// — whether idle between requests or trickling bytes — is dropped
+    /// and its thread ends (anti-slowloris). It also bounds each write
+    /// to a client that stops reading.
     pub read_timeout: Duration,
-    /// Upper bound on requests served over one keep-alive connection;
-    /// the last allowed response is sent with `Connection: close`. Keeps
-    /// a single client from pinning a pool worker indefinitely — note
-    /// the bound this buys: a client pacing tiny requests just inside
-    /// the read deadline can hold one worker for up to
-    /// `max_requests_per_connection × read_timeout` (~21 min at the
-    /// defaults) before it must reconnect. Facing untrusted clients,
-    /// lower one or both (or raise `workers`).
+    /// Upper bound on requests served over one HTTP keep-alive
+    /// connection; the last allowed response is sent with `Connection:
+    /// close`. (A CHRW connection has no budget: it would have to fail
+    /// frames the client already pipelined out.) The bound this buys: a
+    /// client pacing tiny requests just inside the read deadline keeps
+    /// its connection's thread for up to `max_requests_per_connection ×
+    /// read_timeout` (~21 min at the defaults) before it must reconnect.
+    /// That thread is parked, not an advice slot, so such a client costs
+    /// memory, not other clients' service; facing untrusted clients,
+    /// lower one or both.
     pub max_requests_per_connection: usize,
     /// Upper bound on live sessions; `POST /session` answers 503 once
     /// reached (sessions are server-side state, so an uncapped registry
@@ -237,13 +257,32 @@ pub(crate) struct ServerState {
     datasets: Mutex<HashMap<PathBuf, Dataset>>,
     metrics: Arc<ServerMetrics>,
     /// Clones of every live connection's socket, so shutdown can
-    /// `shutdown(2)` them and unblock workers parked in reads. Without
-    /// this, draining the pool waits out the full read deadline of every
-    /// idle keep-alive connection — a stop that should take milliseconds
-    /// took `read_timeout` (10 s at the defaults); a caller that starts
-    /// and stops a server per scenario cannot ignore that stall.
+    /// `shutdown(2)` them and unblock connection threads parked in
+    /// reads. Without this, the end of `serve`'s thread scope waits out
+    /// the full read deadline of every idle keep-alive connection — a
+    /// stop that should take milliseconds took `read_timeout` (10 s at
+    /// the defaults); a caller that starts and stops a server per
+    /// scenario cannot ignore that stall.
     conns: Mutex<HashMap<u64, TcpStream>>,
     conn_seq: AtomicU64,
+    /// The advice slots (`ServeConfig::workers` of them).
+    slots: Mutex<Slots>,
+    slot_freed: Condvar,
+}
+
+/// The advice slots' count: free ones, and requests waiting for one.
+struct Slots {
+    free: usize,
+    waiting: usize,
+}
+
+impl Slots {
+    fn new(workers: usize) -> Slots {
+        Slots {
+            free: workers.max(1),
+            waiting: 0,
+        }
+    }
 }
 
 /// Shard count of every advice cache a server creates.
@@ -263,8 +302,8 @@ fn new_cache(capacity: usize) -> AdviceCache {
 pub struct Server {
     listener: TcpListener,
     /// Optional second listener speaking the binary wire protocol
-    /// (see [`crate::wire`]); both listeners share one worker pool,
-    /// session registry, advice cache, and metrics.
+    /// (see [`crate::wire`]); both listeners share one set of advice
+    /// slots, session registry, advice cache, and metrics.
     wire_listener: Option<TcpListener>,
     state: Arc<ServerState>,
     config: ServeConfig,
@@ -303,6 +342,8 @@ impl Server {
             metrics: Arc::new(ServerMetrics::default()),
             conns: Mutex::new(HashMap::new()),
             conn_seq: AtomicU64::new(0),
+            slots: Mutex::new(Slots::new(config.workers)),
+            slot_freed: Condvar::new(),
         });
         Ok(Server {
             listener,
@@ -313,10 +354,11 @@ impl Server {
     }
 
     /// Additionally listen for the binary wire protocol on `addr` (use
-    /// port 0 for an ephemeral port). Wire connections are served by
-    /// the same worker pool and operate on the same sessions, caches,
-    /// and metrics as HTTP ones — a session started over HTTP can be
-    /// drilled over the wire protocol and vice versa.
+    /// port 0 for an ephemeral port). Wire connections run the same
+    /// connection loop, hold the same advice slots and operate on the
+    /// same sessions, caches, and metrics as HTTP ones — a session
+    /// started over HTTP can be drilled over the wire protocol and vice
+    /// versa.
     pub fn with_wire_listener(mut self, addr: impl ToSocketAddrs) -> std::io::Result<Server> {
         self.wire_listener = Some(TcpListener::bind(addr)?);
         Ok(self)
@@ -346,45 +388,44 @@ impl Server {
 
     /// Serve connections until `shutdown` flips true (checked between
     /// accepts; connect once per listener after flipping to unblock the
-    /// accepts).
+    /// accepts). Every connection runs on a thread scoped to this call,
+    /// so it returns once the last connection has ended.
     fn serve(self, shutdown: Arc<AtomicBool>) {
-        let pool = Arc::new(WorkerPool::new(self.config.workers));
-        // The wire listener (if any) accepts on its own thread; both
-        // loops hand connections to the one shared pool.
-        let wire_thread = self.wire_listener.map(|listener| {
-            let state = Arc::clone(&self.state);
-            let pool = Arc::clone(&pool);
-            let config = self.config.clone();
-            let flag = Arc::clone(&shutdown);
-            std::thread::spawn(move || {
-                accept_loop(listener, &state, &pool, &config, &flag, ConnKind::Wire)
-            })
+        let Server {
+            listener,
+            wire_listener,
+            state,
+            config,
+        } = self;
+        let (state, config, shutdown) = (&*state, &config, &*shutdown);
+        std::thread::scope(|scope| {
+            // The wire listener (if any) accepts on a thread of its own.
+            // If the OS refuses that thread, the listener closes with the
+            // dropped closure and HTTP is served alone.
+            let wire_thread = wire_listener.and_then(|listener| {
+                std::thread::Builder::new()
+                    .spawn_scoped(scope, move || {
+                        accept_loop(scope, listener, state, config, shutdown, ConnKind::Wire)
+                    })
+                    .ok()
+            });
+            accept_loop(scope, listener, state, config, shutdown, ConnKind::Http);
+            if let Some(thread) = wire_thread {
+                let _ = thread.join();
+            }
+            // Force every live connection closed before the scope joins
+            // its threads: a thread blocked in a read returns at once
+            // instead of waiting out its deadline, so shutdown is bounded
+            // by in-flight *work*, not by idle keep-alive timers.
+            for (_, conn) in state
+                .conns
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .drain()
+            {
+                let _ = conn.shutdown(std::net::Shutdown::Both);
+            }
         });
-        accept_loop(
-            self.listener,
-            &self.state,
-            &pool,
-            &self.config,
-            &shutdown,
-            ConnKind::Http,
-        );
-        if let Some(thread) = wire_thread {
-            let _ = thread.join();
-        }
-        // Force every live connection closed before draining the pool:
-        // a worker blocked in a read returns immediately instead of
-        // waiting out its deadline, so shutdown is bounded by in-flight
-        // *work*, not by idle keep-alive timers.
-        for (_, conn) in self
-            .state
-            .conns
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .drain()
-        {
-            let _ = conn.shutdown(std::net::Shutdown::Both);
-        }
-        // Dropping the pool drains in-flight connections.
     }
 
     /// Run the accept loop on the calling thread, forever.
@@ -394,6 +435,7 @@ impl Server {
 
     /// Run the accept loop on a background thread; the returned handle
     /// stops the server when dropped (or via [`ServerHandle::shutdown`]).
+    /// Fails if the OS refuses that thread.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
         let addr = self.local_addr()?;
         let wire_addr = self.wire_addr();
@@ -401,7 +443,7 @@ impl Server {
         let metrics = self.metrics();
         let shutdown = Arc::new(AtomicBool::new(false));
         let flag = Arc::clone(&shutdown);
-        let thread = std::thread::spawn(move || self.serve(flag));
+        let thread = std::thread::Builder::new().spawn(move || self.serve(flag))?;
         Ok(ServerHandle {
             addr,
             wire_addr,
@@ -515,14 +557,14 @@ enum ConnKind {
     Wire,
 }
 
-/// Accept connections until `shutdown` flips true, handing each to the
-/// shared worker pool with the per-kind connection handler.
-fn accept_loop(
+/// Accept connections until `shutdown` flips true, giving each a
+/// thread of its own in `scope` that runs [`handle_connection`].
+fn accept_loop<'scope>(
+    scope: &'scope Scope<'scope, '_>,
     listener: TcpListener,
-    state: &Arc<ServerState>,
-    pool: &Arc<WorkerPool>,
-    config: &ServeConfig,
-    shutdown: &Arc<AtomicBool>,
+    state: &'scope ServerState,
+    config: &'scope ServeConfig,
+    shutdown: &AtomicBool,
     kind: ConnKind,
 ) {
     for stream in listener.incoming() {
@@ -545,11 +587,34 @@ fn accept_loop(
         // a socket that rejects the option still gets served.
         let _ = stream.set_nodelay(true);
         state.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        let state = Arc::clone(state);
-        let timeout = config.read_timeout;
-        let max_requests = config.max_requests_per_connection.max(1);
-        // Register the socket so shutdown can unblock the worker if
-        // it is parked reading this connection when the flag flips.
+        let registered = Registered::new(state, &stream);
+        // A refused thread drops the closure, and with it the socket and
+        // the registration: the client sees its connection close.
+        let _ = std::thread::Builder::new().spawn_scoped(scope, move || {
+            let _registered = registered;
+            // A handler panic ends its own connection and no other (the
+            // scope would otherwise re-raise it when the server stops).
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                handle_connection(stream, kind, state, config)
+            }));
+        });
+    }
+}
+
+/// A connection's entry in [`ServerState::conns`], removed when this
+/// drops: when its thread ends, by return or by a contained panic, and
+/// when a refused thread drops it unrun. A `remove` written after the
+/// handler would not run on unwind, and the cloned socket — one fd, one
+/// map entry — would stay until shutdown.
+struct Registered<'a> {
+    state: &'a ServerState,
+    conn_id: u64,
+}
+
+impl<'a> Registered<'a> {
+    /// Register a clone of `stream` so shutdown can unblock its thread
+    /// if it is parked reading when the flag flips.
+    fn new(state: &'a ServerState, stream: &TcpStream) -> Registered<'a> {
         let conn_id = state.conn_seq.fetch_add(1, Ordering::Relaxed);
         if let Ok(clone) = stream.try_clone() {
             state
@@ -558,27 +623,8 @@ fn accept_loop(
                 .unwrap_or_else(|p| p.into_inner())
                 .insert(conn_id, clone);
         }
-        pool.execute(move || {
-            let _registered = Registered {
-                state: &state,
-                conn_id,
-            };
-            match kind {
-                ConnKind::Http => handle_connection(stream, &state, timeout, max_requests),
-                ConnKind::Wire => crate::wire::handle_wire_connection(stream, &state, timeout),
-            }
-        });
+        Registered { state, conn_id }
     }
-}
-
-/// A connection's entry in [`ServerState::conns`], removed when this
-/// drops: on the handler's return and on its unwind alike. The pool
-/// contains a panicking job, so a `remove` written after the handler
-/// would not run and the cloned socket — one fd, one map entry — would
-/// stay until shutdown.
-struct Registered<'a> {
-    state: &'a ServerState,
-    conn_id: u64,
 }
 
 impl Drop for Registered<'_> {
@@ -591,50 +637,117 @@ impl Drop for Registered<'_> {
     }
 }
 
-/// Serve requests from one connection until the client closes, asks to
-/// close, errs, exhausts its request budget, or goes idle past the
-/// deadline (HTTP/1.1 keep-alive — the ROADMAP follow-up from the
-/// one-request-per-connection first cut).
-fn handle_connection(
-    stream: TcpStream,
-    state: &ServerState,
-    timeout: Duration,
-    max_requests: usize,
-) {
+/// Answers queued per connection before its reading thread blocks (the
+/// pipelining backpressure bound).
+const PIPELINE_DEPTH: usize = 32;
+/// The writer thread coalesces queued answers into one `write` syscall
+/// up to roughly this many bytes.
+const WRITE_BATCH_BYTES: usize = 256 * 1024;
+
+/// Serve one connection until the client closes, the read deadline
+/// passes between requests, or a request is malformed (answered, then
+/// closed: the framing is lost). An HTTP connection also ends when its
+/// request budget runs out or the client asks to close, the last answer
+/// saying `Connection: close`; a CHRW connection has no budget, since
+/// it would have to fail frames the client already pipelined out.
+///
+/// Read and write are decoupled: this thread reads, decodes and
+/// dispatches; a writer thread drains a bounded in-order queue of
+/// encoded answers, coalescing bursts into batched writes. Pipelined
+/// clients overlap their next request with the server's previous
+/// answer; the queue bound (not the socket) is the backpressure. Answer
+/// buffers cycle back through a return channel, so the steady-state
+/// request path allocates nothing.
+fn handle_connection(stream: TcpStream, kind: ConnKind, state: &ServerState, config: &ServeConfig) {
     use std::io::BufRead;
-    let reader = match stream.try_clone() {
-        Ok(s) => DeadlineStream::new(s, timeout),
-        Err(_) => return,
+    let timeout = config.read_timeout;
+    let Ok(read_half) = stream.try_clone() else {
+        return;
     };
-    let mut reader = BufReader::new(reader);
-    let mut writer = stream;
-    let _ = writer.set_write_timeout(Some(timeout));
-    for served in 1..=max_requests {
+    let mut reader = BufReader::new(DeadlineStream::new(read_half, timeout));
+    let _ = stream.set_write_timeout(Some(timeout));
+    let (answers, queued) = mpsc::sync_channel::<Vec<u8>>(PIPELINE_DEPTH);
+    let (recycle, recycled) = mpsc::channel::<Vec<u8>>();
+    // `std::thread::spawn` panics when the OS refuses a thread; a
+    // connection that cannot have its writer is closed instead (the
+    // refused closure drops the socket's write half with it).
+    let Ok(writer) =
+        std::thread::Builder::new().spawn(move || write_in_order(stream, &queued, &recycle))
+    else {
+        return;
+    };
+    let mut budget = config.max_requests_per_connection.max(1);
+    let mut scratch: Vec<u8> = Vec::new();
+    loop {
         // Each request gets a fresh whole-request deadline; the time a
         // persistent connection sits idle counts against it too.
         reader.get_mut().rearm(timeout);
-        // Peek before parsing: a connection closed (or idle-expired)
-        // between requests ends quietly, with no error response.
+        // Peek before decoding: a connection closed (or idle-expired)
+        // between requests ends quietly, with no error answer.
         match reader.fill_buf() {
-            Ok([]) => return, // clean EOF between requests
-            Ok(_) => {}       // next request has begun
-            Err(_) => return, // idle deadline or transport error
+            Ok([]) | Err(_) => break,
+            Ok(_) => {}
         }
-        let (status, body, keep_alive) = match parse_request(&mut reader) {
-            Ok(req) => {
-                let keep = req.keep_alive && served < max_requests;
-                let (status, body) = route(state, &req);
-                (status, body, keep)
-            }
-            // A malformed request poisons the framing: answer and close.
-            Err(e) => (
-                e.status(),
-                encode_error(http_error_code(&e), &e.to_string()),
-                false,
-            ),
+        let mut buf = recycled.try_recv().unwrap_or_default();
+        buf.clear();
+        let (status, keep_open) = match kind {
+            ConnKind::Http => match parse_request(&mut reader) {
+                Ok(req) => {
+                    budget -= 1;
+                    let keep_alive = req.keep_alive && budget > 0;
+                    let (status, body) = route(state, &req);
+                    let _ = write_response(&mut buf, status, &body, keep_alive);
+                    (status, keep_alive)
+                }
+                Err(e) => {
+                    let body = encode_error(http_error_code(&e), &e.to_string());
+                    let _ = write_response(&mut buf, e.status(), &body, false);
+                    (e.status(), false)
+                }
+            },
+            ConnKind::Wire => match read_frame(&mut reader, &mut scratch, MAX_REQUEST_PAYLOAD)
+                .and_then(|opcode| WireRequest::decode(opcode, &scratch))
+            {
+                Ok(req) => {
+                    let result = dispatch(state, &req);
+                    encode_api_result(&mut buf, &result);
+                    (api_status(&result), true)
+                }
+                Err(err) => {
+                    encode_frame_error(&mut buf, &err);
+                    (400, false)
+                }
+            },
         };
         state.metrics.record_response(status);
-        if write_response(&mut writer, status, &body, keep_alive).is_err() || !keep_alive {
+        if answers.send(buf).is_err() || !keep_open {
+            break; // the writer died (transport error), or we close
+        }
+    }
+    drop(answers);
+    let _ = writer.join();
+}
+
+/// A connection's writer: send each queued answer in order, together
+/// with whatever else is already queued, until the reading side hangs
+/// up or the transport fails.
+fn write_in_order(mut stream: TcpStream, queued: &Receiver<Vec<u8>>, recycle: &Sender<Vec<u8>>) {
+    let mut batch: Vec<u8> = Vec::new();
+    while let Ok(answer) = queued.recv() {
+        batch.clear();
+        batch.extend_from_slice(&answer);
+        let _ = recycle.send(answer);
+        while batch.len() < WRITE_BATCH_BYTES {
+            match queued.try_recv() {
+                Ok(next) => {
+                    batch.extend_from_slice(&next);
+                    let _ = recycle.send(next);
+                }
+                Err(_) => break,
+            }
+        }
+        if stream.write_all(&batch).is_err() {
+            // Transport gone: the reader notices its next send failing.
             return;
         }
     }
@@ -807,13 +920,40 @@ impl ServerState {
         }
     }
 
-    /// The serving-layer counters (for the binary listener's handler).
-    pub(crate) fn metrics(&self) -> &ServerMetrics {
-        &self.metrics
+    /// Take an advice slot, waiting while every one is held. The slot
+    /// goes back when the guard drops, on return and on unwind alike.
+    fn advice_slot(&self) -> AdviceSlot<'_> {
+        let mut slots = self.slots.lock().unwrap_or_else(|p| p.into_inner());
+        if slots.free == 0 {
+            slots.waiting += 1;
+            slots = self
+                .slot_freed
+                .wait_while(slots, |s| s.free == 0)
+                .unwrap_or_else(|p| p.into_inner());
+            slots.waiting -= 1;
+        }
+        slots.free -= 1;
+        AdviceSlot(self)
+    }
+}
+
+/// One held advice slot (see [`ServeConfig::workers`]).
+struct AdviceSlot<'a>(&'a ServerState);
+
+impl Drop for AdviceSlot<'_> {
+    fn drop(&mut self) {
+        let mut slots = self.0.slots.lock().unwrap_or_else(|p| p.into_inner());
+        slots.free += 1;
+        // `notify_one` is a syscall even when no one waits: a cache hit
+        // on a server with a slot to spare makes none.
+        if slots.waiting > 0 {
+            self.0.slot_freed.notify_one();
+        }
     }
 }
 
 pub(crate) fn api_create_session(state: &ServerState, body: &str) -> Result<ApiOk, ApiError> {
+    let _slot = state.advice_slot();
     let (dataset_path, sdl) = split_dataset_directive(body);
     if sdl.trim().is_empty() {
         return Err(ApiError::new(
@@ -886,6 +1026,7 @@ pub(crate) fn api_drill(
     rank: usize,
     seg: usize,
 ) -> Result<ApiOk, ApiError> {
+    let _slot = state.advice_slot();
     with_session(state, id, |id, session| match session.drill(rank, seg) {
         Ok(advice) => Ok(ApiOk::Advice {
             id: id.to_string(),
@@ -1044,6 +1185,8 @@ mod tests {
             metrics: Arc::new(ServerMetrics::default()),
             conns: Mutex::new(HashMap::new()),
             conn_seq: AtomicU64::new(0),
+            slots: Mutex::new(Slots::new(1)),
+            slot_freed: Condvar::new(),
         }
     }
 
@@ -1110,7 +1253,8 @@ mod tests {
         for (conn_id, panics) in [(1, false), (2, true)] {
             let stream = TcpStream::connect(addr).unwrap();
             st.conns.lock().unwrap().insert(conn_id, stream);
-            // What the pool does with a job: run it, contain its panic.
+            // What a connection's thread does: run the handler, contain
+            // its panic.
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let _registered = Registered {
                     state: &st,
@@ -1124,6 +1268,23 @@ mod tests {
             assert_eq!(outcome.is_err(), panics);
             assert!(st.conns.lock().unwrap().is_empty(), "panics: {panics}");
         }
+    }
+
+    #[test]
+    fn a_connection_whose_thread_is_refused_leaves_the_registry() {
+        let st = state();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let stream = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let registered = Registered::new(&st, &stream);
+        assert_eq!(st.conns.lock().unwrap().len(), 1);
+        // What a refused `spawn_scoped` does with its closure: drop it
+        // without running it.
+        let job = move || {
+            let _registered = registered;
+            drop(stream);
+        };
+        drop(job);
+        assert!(st.conns.lock().unwrap().is_empty());
     }
 
     #[test]

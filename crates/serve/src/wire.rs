@@ -34,10 +34,11 @@
 //! Responses are returned strictly in request order, so clients may
 //! write many frames before reading any response and match them up
 //! FIFO. The server decouples reading from writing per connection — the
-//! pool worker decodes and dispatches, a writer thread drains a bounded
-//! in-order queue — so a burst of pipelined frames is parsed and
+//! connection's thread decodes and dispatches, a writer thread drains a
+//! bounded in-order queue — so a burst of pipelined frames is parsed and
 //! answered without head-of-line blocking on the client's read pace
-//! (until the queue fills, which is the backpressure).
+//! (until the queue fills, which is the backpressure). HTTP connections
+//! run the same loop and writer; only the framing differs.
 //!
 //! # Relationship to the HTTP listener
 //!
@@ -55,15 +56,13 @@ use crate::json::{
 };
 use crate::server::{
     api_back, api_cache_stats, api_create_session, api_delete_session, api_drill, api_metrics,
-    api_session_info, ApiError, ApiOk, DeadlineStream, ServerState,
+    api_session_info, ApiError, ApiOk, ServerState,
 };
 use crate::MetricsSnapshot;
 use charles_core::hbcuts::StopReason;
 use charles_core::Advice;
 use std::io::{BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc;
-use std::time::Duration;
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"CHRW";
@@ -77,13 +76,6 @@ pub const MAX_REQUEST_PAYLOAD: u32 = 1 << 20;
 /// Largest response payload a client accepts (a deep advice trace is
 /// tens of kilobytes; this is headroom, not a target).
 pub const MAX_RESPONSE_PAYLOAD: u32 = 64 << 20;
-
-/// Response frames queued per connection before the decoding worker
-/// blocks (the pipelining backpressure bound).
-const PIPELINE_DEPTH: usize = 32;
-/// The writer thread coalesces queued frames into one `write` syscall
-/// up to roughly this many bytes.
-const WRITE_BATCH_BYTES: usize = 256 * 1024;
 
 const OP_START: u8 = 0x01;
 const OP_INSPECT: u8 = 0x02;
@@ -881,7 +873,7 @@ pub(crate) fn encode_api_result(buf: &mut Vec<u8>, result: &Result<ApiOk, ApiErr
 /// Append a transport-level error frame (malformed request framing:
 /// there is no request to dispatch, so this is built here, not in the
 /// API layer).
-fn encode_frame_error(buf: &mut Vec<u8>, err: &WireError) {
+pub(crate) fn encode_frame_error(buf: &mut Vec<u8>, err: &WireError) {
     let start = begin_frame(buf, RESP_ERROR);
     put_u16(buf, 400);
     put_str(buf, "bad_frame");
@@ -1236,110 +1228,14 @@ pub fn read_frame<R: Read>(
 }
 
 // ---------------------------------------------------------------------
-// Server: the pipelined per-connection handler.
+// Server side: the connection loop in `server.rs` decodes with
+// `read_frame` + `WireRequest::decode` and answers through these.
 // ---------------------------------------------------------------------
-
-/// Serve wire frames from one connection until the client closes, the
-/// read deadline passes between frames, or a malformed frame arrives
-/// (answered with one error frame, then close — framing is lost).
-///
-/// Read and write are decoupled: this pool worker reads, decodes, and
-/// dispatches; a writer thread drains a bounded in-order queue of
-/// encoded frames, coalescing bursts into batched writes. Pipelined
-/// clients overlap their next request with the server's previous
-/// response; the queue bound (not the socket) is the backpressure.
-/// Response buffers cycle back through a return channel, so the
-/// steady-state request path allocates nothing.
-///
-/// Unlike HTTP keep-alive there is no per-connection request budget: a
-/// budget would have to fail frames the client already pipelined out.
-/// The deadline still reaps idle or trickling connections; see the
-/// wire-format ADR for the trust tradeoff.
-pub(crate) fn handle_wire_connection(stream: TcpStream, state: &ServerState, timeout: Duration) {
-    use std::io::BufRead;
-    let reader = match stream.try_clone() {
-        Ok(s) => DeadlineStream::new(s, timeout),
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(reader);
-    let writer = stream;
-    let _ = writer.set_write_timeout(Some(timeout));
-
-    let (resp_tx, resp_rx) = mpsc::sync_channel::<Vec<u8>>(PIPELINE_DEPTH);
-    let (recycle_tx, recycle_rx) = mpsc::channel::<Vec<u8>>();
-    // `std::thread::spawn` panics when the OS refuses a thread; a
-    // connection that cannot have its writer is closed instead (the
-    // refused closure drops the socket's write half with it).
-    let spawned = std::thread::Builder::new().spawn(move || {
-        let mut writer = writer;
-        let mut batch: Vec<u8> = Vec::new();
-        while let Ok(frame) = resp_rx.recv() {
-            batch.clear();
-            batch.extend_from_slice(&frame);
-            let _ = recycle_tx.send(frame);
-            // Coalesce whatever else is already queued into this write.
-            while batch.len() < WRITE_BATCH_BYTES {
-                match resp_rx.try_recv() {
-                    Ok(f) => {
-                        batch.extend_from_slice(&f);
-                        let _ = recycle_tx.send(f);
-                    }
-                    Err(_) => break,
-                }
-            }
-            if writer.write_all(&batch).is_err() {
-                // Transport gone: draining stops; the reader notices
-                // via its send failing (receiver dropped with us).
-                return;
-            }
-        }
-    });
-    let Ok(writer_thread) = spawned else {
-        return;
-    };
-
-    let mut scratch: Vec<u8> = Vec::new();
-    loop {
-        // Each frame gets a fresh whole-frame deadline; idle time
-        // between frames counts against it too.
-        reader.get_mut().rearm(timeout);
-        match reader.fill_buf() {
-            Ok([]) => break, // clean EOF between frames
-            Ok(_) => {}      // next frame has begun
-            Err(_) => break, // idle deadline or transport error
-        }
-        let decoded = read_frame(&mut reader, &mut scratch, MAX_REQUEST_PAYLOAD)
-            .and_then(|opcode| WireRequest::decode(opcode, &scratch));
-        let mut buf = recycle_rx.try_recv().unwrap_or_default();
-        buf.clear();
-        match decoded {
-            Ok(req) => {
-                let result = dispatch(state, &req);
-                state.metrics().record_response(api_status(&result));
-                encode_api_result(&mut buf, &result);
-                if resp_tx.send(buf).is_err() {
-                    break; // writer died (transport error)
-                }
-            }
-            Err(err) => {
-                // A malformed frame poisons the framing: answer with
-                // one error frame and close, exactly like HTTP parse
-                // errors.
-                state.metrics().record_response(400);
-                encode_frame_error(&mut buf, &err);
-                let _ = resp_tx.send(buf);
-                break;
-            }
-        }
-    }
-    drop(resp_tx);
-    let _ = writer_thread.join();
-}
 
 /// Dispatch one decoded request through the shared API layer — the same
 /// functions the HTTP router calls, so both listeners' behaviour is one
 /// implementation.
-fn dispatch(state: &ServerState, req: &WireRequest<'_>) -> Result<ApiOk, ApiError> {
+pub(crate) fn dispatch(state: &ServerState, req: &WireRequest<'_>) -> Result<ApiOk, ApiError> {
     match req {
         WireRequest::Start { body } => api_create_session(state, body),
         WireRequest::Inspect { id } => api_session_info(state, id),

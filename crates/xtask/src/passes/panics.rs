@@ -3,19 +3,21 @@
 //!
 //! **Direct** (`panic`): the files every request or selection flows
 //! through must not contain a panicking call outside tests — a panic
-//! there kills a pool worker mid-connection (serve) or takes the whole
-//! advise down (store hot paths). The lexer makes this exact: a
+//! there drops a client's connection unanswered, and every request it
+//! had pipelined with it (serve), or takes the whole advise down (store
+//! hot paths). The lexer makes this exact: a
 //! `.unwrap()` inside a string literal, doc comment or `#[cfg(test)]`
 //! module is not a call.
 //!
 //! **Transitive** (`panic_reachable`): a panic does not need to live in
-//! `server.rs` to kill a worker — it only needs to be *called* from one.
+//! `server.rs` to drop a connection — it only needs to be *called* from
+//! its loop.
 //! This pass builds a conservative intra-crate call graph of
 //! `charles-serve` (call sites resolved by name: every fn with a
 //! matching name is a possible callee; indirect calls through fn
 //! pointers/closures are the documented blind spot — see
-//! `docs/adr/0002-token-level-lint.md`) and walks it from the two
-//! connection-handler entry points. Any panicking call in a reached fn
+//! `docs/adr/0002-token-level-lint.md`) and walks it from the one
+//! connection loop both listeners run, `handle_connection`. Any panicking call in a reached fn
 //! is flagged with its call chain.
 
 use super::{at, code_indices, code_indices_in};
@@ -33,8 +35,9 @@ pub const PROTECTED_FILES: &[&str] = &[
     "crates/store/src/bitmap.rs",
 ];
 
-/// The request-path entry fns of the serve crate: one per listener.
-pub const ENTRY_FNS: &[&str] = &["handle_connection", "handle_wire_connection"];
+/// The request-path entry fn of the serve crate: the one connection
+/// loop both listeners run.
+pub const ENTRY_FNS: &[&str] = &["handle_connection"];
 
 /// The crate whose call graph is walked.
 const GRAPH_CRATE: &str = "crates/serve/src";
