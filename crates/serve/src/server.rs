@@ -1775,8 +1775,7 @@ mod tests {
             .unwrap();
         let (_, connection, _) = read_framed_response(&mut stream);
         assert_eq!(connection, "keep-alive");
-        // Go idle: the server must hang up (quietly) at the deadline
-        // instead of pinning a pool worker forever.
+        // Go idle: the server must hang up (quietly) at the deadline.
         let start = std::time::Instant::now();
         let mut rest = Vec::new();
         stream.read_to_end(&mut rest).unwrap();

@@ -8,6 +8,12 @@
 //! row-store baseline ([`crate::RowTable`]) — which is exactly the
 //! comparison the paper's "column-based systems such as MonetDB are well
 //! suited for Charles' workloads" claim calls for (experiment E7).
+//!
+//! The two engines differ in layout only. Every statistic has one
+//! implementation, a [`crate::Column`] kernel: the row store first
+//! projects the column's cells of its selected tuples into a compact
+//! `Column`, then makes the call the columnar engine makes. So E7 times
+//! two access patterns, not two statistics codebases.
 
 use crate::bitmap::Bitmap;
 use crate::error::{StoreError, StoreResult};
@@ -15,6 +21,8 @@ use crate::predicate::StorePredicate;
 use crate::schema::Schema;
 use crate::stats::FrequencyTable;
 use crate::value::Value;
+use std::sync::atomic::AtomicU64;
+use std::sync::atomic::Ordering::Relaxed;
 
 /// Operation counters exposed by a backend, for the experiment harness.
 ///
@@ -45,6 +53,59 @@ pub struct BackendStats {
     pub counts: u64,
     /// Number of median/quantile computations executed.
     pub medians: u64,
+}
+
+/// The atomic counters behind a backend's [`BackendStats`], shared by
+/// both engines. A clone starts from the counts of the original.
+#[derive(Debug, Default)]
+pub(crate) struct OpCounters {
+    scans: AtomicU64,
+    counts: AtomicU64,
+    medians: AtomicU64,
+}
+
+impl OpCounters {
+    /// One column pass.
+    pub(crate) fn scan(&self) {
+        self.scans.fetch_add(1, Relaxed);
+    }
+
+    /// One `count` answered.
+    pub(crate) fn count(&self) {
+        self.counts.fetch_add(1, Relaxed);
+    }
+
+    /// One median or quantile computed.
+    pub(crate) fn median(&self) {
+        self.medians.fetch_add(1, Relaxed);
+    }
+
+    /// The counts so far.
+    pub(crate) fn stats(&self) -> BackendStats {
+        BackendStats {
+            scans: self.scans.load(Relaxed),
+            counts: self.counts.load(Relaxed),
+            medians: self.medians.load(Relaxed),
+        }
+    }
+
+    /// Zero every count.
+    pub(crate) fn reset(&self) {
+        for c in [&self.scans, &self.counts, &self.medians] {
+            c.store(0, Relaxed);
+        }
+    }
+}
+
+impl Clone for OpCounters {
+    fn clone(&self) -> OpCounters {
+        let s = self.stats();
+        OpCounters {
+            scans: AtomicU64::new(s.scans),
+            counts: AtomicU64::new(s.counts),
+            medians: AtomicU64::new(s.medians),
+        }
+    }
 }
 
 /// What a median CUT asks about a numeric column under a selection, as
@@ -128,7 +189,8 @@ pub trait Backend: Send + Sync {
     ) -> StoreResult<Option<Value>>;
 
     /// Value at an arbitrary quantile `q ∈ [0,1]` (§5.2 "support for other
-    /// quantiles").
+    /// quantiles"). Any other `q`, NaN included, is a
+    /// [`StoreError::Parse`] — over an empty selection too.
     fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>>;
 
     /// Minimum and maximum of a column over a selection.

@@ -9,8 +9,11 @@
 use crate::bitmap::Bitmap;
 use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
+use crate::sample::reservoir_sample;
 use crate::stats::{counters, float_key, FrequencyTable, OrderKeys, Ranked};
 use crate::value::Value;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
@@ -77,10 +80,12 @@ impl Column {
         }
     }
 
-    /// Assemble a column directly from its physical parts (disk load
-    /// path). The caller must guarantee `data.len() == validity.len()`
-    /// and, for string columns, that every code indexes into `dict`;
-    /// the disk reader validates both before calling.
+    /// Assemble a column directly from its physical parts (the disk load
+    /// path, and the row store's projection). The caller must guarantee
+    /// `data.len() == validity.len()` and, for string columns, that every
+    /// code indexes into `dict`: the disk reader validates both before
+    /// calling, and the projection codes each string by its position in
+    /// `dict`.
     pub(crate) fn from_parts(
         name: String,
         data: ColumnData,
@@ -140,6 +145,11 @@ impl Column {
 
     /// The string dictionary (string columns only).
     pub fn dict(&self) -> &[String] {
+        &self.dict
+    }
+
+    /// The string dictionary as the `Arc` columns share it.
+    pub(crate) fn shared_dict(&self) -> &Arc<Vec<String>> {
         &self.dict
     }
 
@@ -343,7 +353,7 @@ impl Column {
 
     /// Order key of row `i` as [`Column::order_keys`] would take it:
     /// `None` when null, NaN or not numeric. Panics if out of range.
-    pub(crate) fn key_at(&self, i: usize) -> Option<i64> {
+    fn key_at(&self, i: usize) -> Option<i64> {
         if !self.validity.get(i) {
             return None;
         }
@@ -351,6 +361,49 @@ impl Column {
             ColumnData::Int(v) | ColumnData::Date(v) => Some(v[i]),
             ColumnData::Float(v) => Some(v[i]).filter(|x| !x.is_nan()).map(float_key),
             _ => None,
+        }
+    }
+
+    /// Exact median of a reservoir sample of `sample_size` of the rows
+    /// `sel` selects, drawn with `seed`. Which rows are drawn depends only
+    /// on their positions in the walk of `sel`, so a compact projection
+    /// of the selection draws the same rows.
+    pub(crate) fn sampled_median(
+        &self,
+        sel: &Bitmap,
+        sample_size: usize,
+        seed: u64,
+    ) -> StoreResult<Option<Value>> {
+        if !self.data_type().is_numeric() {
+            return Err(self.type_err("numeric"));
+        }
+        let mut rng = StdRng::seed_from_u64(seed);
+        let rows = reservoir_sample(sel, sample_size, &mut rng);
+        let keys = rows.into_iter().filter_map(|i| self.key_at(i));
+        Ok(OrderKeys::collect(self.data_type(), keys).median())
+    }
+
+    /// Number of distinct selected, non-null, non-NaN values: a nominal
+    /// column's frequencies' cardinality, a `Float` column's under `==`
+    /// (-0.0 and +0.0 are one value), an `Int` or `Date` column's as
+    /// `i64` (beyond 2⁵³ an `f64` would merge neighbours).
+    pub(crate) fn distinct_count(&self, sel: &Bitmap) -> StoreResult<usize> {
+        match &self.data {
+            ColumnData::Str(_) | ColumnData::Bool(_) => Ok(self.frequencies(sel)?.0.cardinality()),
+            ColumnData::Float(_) => {
+                let mut buf = Vec::new();
+                self.gather_f64(sel, &mut buf)?;
+                buf.sort_by(f64::total_cmp);
+                buf.dedup();
+                Ok(buf.len())
+            }
+            ColumnData::Int(v) | ColumnData::Date(v) => {
+                let mut keys = Vec::new();
+                self.for_each_selected(sel, |i| keys.push(v[i]));
+                keys.sort_unstable();
+                keys.dedup();
+                Ok(keys.len())
+            }
         }
     }
 

@@ -6,53 +6,42 @@
 //! the columnar engine touches only the attribute under scan. This is the
 //! textbook access-pattern argument behind the paper's §5.1 claim that
 //! column stores suit Charles' workload; experiment E7 measures it.
+//!
+//! The layout is the only difference E7 measures: `eval` and `not_null`
+//! walk the tuples themselves, and every other operation makes one pass
+//! over the selected tuples to project the column's cells into a compact
+//! [`Column`], then runs the `Column` kernel the columnar engine runs.
+//! So the two engines share one implementation of every statistic, and
+//! the row store is a second witness for scans only.
 
-use crate::backend::{Backend, BackendStats};
+use crate::backend::{Backend, BackendStats, OpCounters};
 use crate::bitmap::Bitmap;
+use crate::column::{Column, ColumnData};
 use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
 use crate::predicate::{RangePred, SetPred, StorePredicate};
-use crate::sample::reservoir_sample;
 use crate::schema::Schema;
-use crate::stats::{mean_and_var_of, order_key, FrequencyTable, OrderKeys};
+use crate::stats::{mean_and_var_of, FrequencyTable};
 use crate::table::Table;
 use crate::value::Value;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
+use std::sync::Arc;
 
 /// One tuple; `None` encodes SQL NULL.
 pub type Row = Vec<Option<Value>>;
 
 /// A row-major relation.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RowTable {
     name: String,
     schema: Schema,
     rows: Vec<Row>,
-    /// Per column, the dictionary its frequency tables are coded in:
-    /// for a `Str` column its strings in order of first occurrence in
-    /// the relation — the columnar engine's interning order, so a count
-    /// tie breaks the same way on both — and empty for any other.
-    dicts: Vec<Vec<String>>,
-    scans: AtomicU64,
-    counts: AtomicU64,
-    medians: AtomicU64,
-}
-
-impl Clone for RowTable {
-    fn clone(&self) -> RowTable {
-        RowTable {
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            rows: self.rows.clone(),
-            dicts: self.dicts.clone(),
-            scans: AtomicU64::new(self.scans.load(AtomicOrdering::Relaxed)),
-            counts: AtomicU64::new(self.counts.load(AtomicOrdering::Relaxed)),
-            medians: AtomicU64::new(self.medians.load(AtomicOrdering::Relaxed)),
-        }
-    }
+    /// Per column, the dictionary a projection of it is coded in: for a
+    /// `Str` column its strings in order of first occurrence in the
+    /// relation — the columnar engine's interning order, so a count tie
+    /// breaks the same way on both — and empty for any other.
+    dicts: Vec<Arc<Vec<String>>>,
+    counters: OpCounters,
 }
 
 impl RowTable {
@@ -88,7 +77,7 @@ impl RowTable {
                         }
                     }
                 }
-                dict
+                Arc::new(dict)
             })
             .collect();
         Ok(RowTable {
@@ -96,9 +85,7 @@ impl RowTable {
             schema,
             rows,
             dicts,
-            scans: AtomicU64::new(0),
-            counts: AtomicU64::new(0),
-            medians: AtomicU64::new(0),
+            counters: OpCounters::default(),
         })
     }
 
@@ -111,15 +98,16 @@ impl RowTable {
         let rows = (0..table.len())
             .map(|i| columns.iter().map(|c| c.get(i)).collect())
             .collect();
-        let dicts = columns.iter().map(|c| c.dict().to_vec()).collect();
+        let dicts = columns
+            .iter()
+            .map(|c| Arc::clone(c.shared_dict()))
+            .collect();
         Ok(RowTable {
             name: format!("{}_rowstore", table.name()),
             schema,
             rows,
             dicts,
-            scans: AtomicU64::new(0),
-            counts: AtomicU64::new(0),
-            medians: AtomicU64::new(0),
+            counters: OpCounters::default(),
         })
     }
 
@@ -180,48 +168,70 @@ impl RowTable {
         })
     }
 
-    /// The selected non-null values of a numeric column, in row order:
-    /// what means and a `Float` column's distinct count fold.
-    fn gather_f64(&self, column: &str, sel: &Bitmap) -> StoreResult<Vec<f64>> {
-        let idx = self.numeric_index(column)?;
-        Ok(sel
-            .iter_ones()
-            .filter_map(|i| self.cell(i, idx)?.as_f64())
-            .collect())
-    }
-
-    /// The order keys of the selected non-null values of a numeric
-    /// column: what its medians and quantiles are selected from.
-    fn order_keys(&self, column: &str, sel: &Bitmap) -> StoreResult<OrderKeys> {
-        let idx = self.numeric_index(column)?;
-        let keys = sel
-            .iter_ones()
-            .filter_map(|i| order_key(self.cell(i, idx)?));
-        Ok(OrderKeys::collect(self.schema.columns()[idx].ty, keys))
-    }
-
-    fn numeric_index(&self, column: &str) -> StoreResult<usize> {
+    /// The cells of `column` in the rows `sel` selects, in row order, as
+    /// a compact column of the same name and type with one row per
+    /// selected tuple: the one pass over the tuples every statistic
+    /// makes before it runs the columnar kernel over the result (with
+    /// every row selected, [`all`]). Nulls stay null and NaN stays in the
+    /// data, where the kernels skip it; strings are coded in the
+    /// relation's dictionary.
+    fn project(&self, column: &str, sel: &Bitmap) -> StoreResult<Column> {
         let idx = self.col_index(column)?;
-        let ty = self.schema.columns()[idx].ty;
-        if !ty.is_numeric() {
-            return Err(StoreError::TypeMismatch {
-                column: column.to_string(),
-                expected: "numeric".into(),
-                found: ty.name().into(),
-            });
+        let meta = &self.schema.columns()[idx];
+        let dict = &self.dicts[idx];
+        let n = sel.count_ones();
+        let mut data = match meta.ty {
+            DataType::Int => ColumnData::Int(Vec::with_capacity(n)),
+            DataType::Float => ColumnData::Float(Vec::with_capacity(n)),
+            DataType::Str => ColumnData::Str(Vec::with_capacity(n)),
+            DataType::Date => ColumnData::Date(Vec::with_capacity(n)),
+            DataType::Bool => ColumnData::Bool(Vec::with_capacity(n)),
+        };
+        let mut validity = Bitmap::new(n);
+        for (at, i) in sel.iter_ones().enumerate() {
+            let cell = self.rows[i][idx].as_ref();
+            if cell.is_some() {
+                validity.set(at);
+            }
+            match (&mut data, cell) {
+                (ColumnData::Int(v), Some(Value::Int(x)))
+                | (ColumnData::Date(v), Some(Value::Date(x))) => v.push(*x),
+                (ColumnData::Int(v) | ColumnData::Date(v), None) => v.push(0),
+                (ColumnData::Float(v), Some(Value::Float(x))) => v.push(*x),
+                (ColumnData::Float(v), None) => v.push(0.0),
+                (ColumnData::Bool(v), Some(Value::Bool(x))) => v.push(*x),
+                (ColumnData::Bool(v), None) => v.push(false),
+                (ColumnData::Str(v), None) => v.push(0),
+                (ColumnData::Str(v), Some(Value::Str(s))) => {
+                    let code = dict.iter().position(|d| d == s);
+                    let code = code.and_then(|c| u32::try_from(c).ok()).ok_or_else(|| {
+                        StoreError::Corrupt(format!(
+                            "{s:?} is not in column {column:?}'s dictionary"
+                        ))
+                    })?;
+                    v.push(code);
+                }
+                (_, Some(v)) => {
+                    return Err(StoreError::TypeMismatch {
+                        column: column.to_string(),
+                        expected: meta.ty.name().into(),
+                        found: v.data_type().name().into(),
+                    })
+                }
+            }
         }
-        Ok(idx)
+        Ok(Column::from_parts(
+            meta.name.clone(),
+            data,
+            validity,
+            Arc::clone(dict),
+        ))
     }
+}
 
-    /// The cell at (`row`, `col`) unless it is null — or NaN, which every
-    /// order statistic treats as null, as the columnar engine does:
-    /// `RowTable::new` screens types only, so a poisoned Float row must
-    /// not yield NaN medians, bounds or split points.
-    fn cell(&self, row: usize, col: usize) -> Option<&Value> {
-        self.rows[row][col]
-            .as_ref()
-            .filter(|v| !matches!(v, Value::Float(x) if x.is_nan()))
-    }
+/// Every row of `col`: the selection a projection is read under.
+fn all(col: &Column) -> Bitmap {
+    Bitmap::ones(col.len())
 }
 
 impl Backend for RowTable {
@@ -234,7 +244,7 @@ impl Backend for RowTable {
     }
 
     fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
-        self.scans.fetch_add(1, AtomicOrdering::Relaxed);
+        self.counters.scan();
         let mut out = Bitmap::new(self.rows.len());
         for i in 0..self.rows.len() {
             if self.matches(i, pred)? {
@@ -247,7 +257,7 @@ impl Backend for RowTable {
     fn count(&self, pred: &StorePredicate) -> StoreResult<usize> {
         // See `Table::count`: logical counts are tallied in their own
         // counter on top of the physical scan `eval` records.
-        self.counts.fetch_add(1, AtomicOrdering::Relaxed);
+        self.counters.count();
         Ok(self.eval(pred)?.count_ones())
     }
 
@@ -263,8 +273,9 @@ impl Backend for RowTable {
     }
 
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
-        self.medians.fetch_add(1, AtomicOrdering::Relaxed);
-        Ok(self.order_keys(column, sel)?.median())
+        self.counters.median();
+        let col = self.project(column, sel)?;
+        Ok(col.order_keys(&all(&col))?.median())
     }
 
     fn sampled_median(
@@ -274,70 +285,32 @@ impl Backend for RowTable {
         sample_size: usize,
         seed: u64,
     ) -> StoreResult<Option<Value>> {
-        self.medians.fetch_add(1, AtomicOrdering::Relaxed);
-        let idx = self.numeric_index(column)?;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rows = reservoir_sample(sel, sample_size, &mut rng);
-        let keys = rows
-            .into_iter()
-            .filter_map(|i| order_key(self.cell(i, idx)?));
-        Ok(OrderKeys::collect(self.schema.columns()[idx].ty, keys).median())
+        self.counters.median();
+        let col = self.project(column, sel)?;
+        col.sampled_median(&all(&col), sample_size, seed)
     }
 
     fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
-        self.medians.fetch_add(1, AtomicOrdering::Relaxed);
-        self.order_keys(column, sel)?.quantile(q)
+        self.counters.median();
+        let col = self.project(column, sel)?;
+        col.order_keys(&all(&col))?.quantile(q)
     }
 
     fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>> {
-        let idx = self.col_index(column)?;
-        let mut min: Option<Value> = None;
-        let mut max: Option<Value> = None;
-        for i in sel.iter_ones() {
-            let Some(v) = self.cell(i, idx) else {
-                continue;
-            };
-            if min
-                .as_ref()
-                .map(|m| matches!(v.try_cmp(m), Ok(Ordering::Less)))
-                .unwrap_or(true)
-            {
-                min = Some(v.clone());
-            }
-            if max
-                .as_ref()
-                .map(|m| matches!(v.try_cmp(m), Ok(Ordering::Greater)))
-                .unwrap_or(true)
-            {
-                max = Some(v.clone());
-            }
-        }
-        Ok(min.zip(max))
+        let col = self.project(column, sel)?;
+        Ok(col.min_max(&all(&col)))
     }
 
     fn mean_and_var(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
-        Ok(mean_and_var_of(&self.gather_f64(column, sel)?))
+        let col = self.project(column, sel)?;
+        let mut buf = Vec::new();
+        col.gather_f64(&all(&col), &mut buf)?;
+        Ok(mean_and_var_of(&buf))
     }
 
     fn next_above(&self, column: &str, sel: &Bitmap, v: &Value) -> StoreResult<Option<Value>> {
-        let idx = self.col_index(column)?;
-        let mut best: Option<Value> = None;
-        for i in sel.iter_ones() {
-            let Some(x) = self.cell(i, idx) else {
-                continue;
-            };
-            if !matches!(x.try_cmp(v), Ok(Ordering::Greater)) {
-                continue;
-            }
-            if best
-                .as_ref()
-                .map(|b| matches!(x.try_cmp(b), Ok(Ordering::Less)))
-                .unwrap_or(true)
-            {
-                best = Some(x.clone());
-            }
-        }
-        Ok(best)
+        let col = self.project(column, sel)?;
+        Ok(col.next_above(&all(&col), v))
     }
 
     fn frequencies(
@@ -345,77 +318,26 @@ impl Backend for RowTable {
         column: &str,
         sel: &Bitmap,
     ) -> StoreResult<(FrequencyTable, Vec<String>)> {
-        self.scans.fetch_add(1, AtomicOrdering::Relaxed);
-        let idx = self.col_index(column)?;
-        let ty = self.schema.columns()[idx].ty;
-        if ty.is_numeric() {
-            return Err(StoreError::TypeMismatch {
-                column: column.to_string(),
-                expected: "nominal".into(),
-                found: ty.name().into(),
-            });
-        }
-        // Coded as the columnar engine codes them: strings by the
-        // relation's dictionary, booleans as {false, true}.
-        let dict = match ty {
-            DataType::Bool => vec!["false".into(), "true".into()],
-            _ => self.dicts[idx].clone(),
-        };
-        let mut counts = vec![0usize; dict.len()];
-        for i in sel.iter_ones() {
-            let code = match &self.rows[i][idx] {
-                None => continue,
-                Some(Value::Bool(b)) => usize::from(*b),
-                Some(Value::Str(s)) => dict
-                    .iter()
-                    .position(|d| d == s)
-                    .expect("every string of the relation is in its dictionary"),
-                Some(v) => unreachable!("{v:?} in a nominal column"),
-            };
-            counts[code] += 1;
-        }
-        Ok((FrequencyTable::from_counts(counts), dict))
+        self.counters.scan();
+        let col = self.project(column, sel)?;
+        col.frequencies(&all(&col))
     }
 
     fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
-        let idx = self.col_index(column)?;
-        match self.schema.columns()[idx].ty {
-            DataType::Str | DataType::Bool => {
-                let (ft, _) = self.frequencies(column, sel)?;
-                Ok(ft.cardinality())
-            }
-            // `==` dedup: -0.0 and +0.0 are one value.
-            DataType::Float => {
-                let mut buf = self.gather_f64(column, sel)?;
-                buf.sort_by(f64::total_cmp);
-                buf.dedup();
-                Ok(buf.len())
-            }
-            // As `i64`: beyond 2⁵³ an `f64` would merge neighbours.
-            DataType::Int | DataType::Date => {
-                let mut keys: Vec<i64> = sel
-                    .iter_ones()
-                    .filter_map(|i| order_key(self.cell(i, idx)?))
-                    .collect();
-                keys.sort_unstable();
-                keys.dedup();
-                Ok(keys.len())
-            }
+        let col = self.project(column, sel)?;
+        // A nominal column's are read off its frequencies: one scan.
+        if !col.data_type().is_numeric() {
+            self.counters.scan();
         }
+        col.distinct_count(&all(&col))
     }
 
     fn stats(&self) -> BackendStats {
-        BackendStats {
-            scans: self.scans.load(AtomicOrdering::Relaxed),
-            counts: self.counts.load(AtomicOrdering::Relaxed),
-            medians: self.medians.load(AtomicOrdering::Relaxed),
-        }
+        self.counters.stats()
     }
 
     fn reset_stats(&self) {
-        self.scans.store(0, AtomicOrdering::Relaxed);
-        self.counts.store(0, AtomicOrdering::Relaxed);
-        self.medians.store(0, AtomicOrdering::Relaxed);
+        self.counters.reset()
     }
 }
 
@@ -570,6 +492,23 @@ mod tests {
         let s = row.stats();
         assert_eq!(s.counts, 1);
         assert_eq!(s.scans, 2);
+    }
+
+    #[test]
+    fn a_string_missing_from_the_dictionary_is_corrupt_not_a_panic() {
+        let col = sample_table();
+        let mut row = RowTable::from_table(&col).unwrap();
+        row.dicts[1] = Arc::new(vec!["a".into(), "b".into()]);
+        let all = Bitmap::ones(row.row_count());
+        let err = row.frequencies("k", &all).unwrap_err();
+        assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");
+        assert!(matches!(
+            row.min_max("k", &all),
+            Err(StoreError::Corrupt(_))
+        ));
+        // A selection that skips the missing string does not reach it.
+        let ab = Bitmap::from_indices(row.row_count(), [0, 1, 2]);
+        assert_eq!(row.distinct_count("k", &ab).unwrap(), 2);
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub fn exact_median(values: &[f64]) -> StoreResult<f64> {
         .ok_or_else(|| StoreError::Empty("median of empty set".into()))
 }
 
-/// The value at quantile `q ∈ [0,1]` (nearest-rank).
+/// The value at quantile `q ∈ [0,1]` (nearest-rank). Any other `q`, NaN
+/// included, is a [`StoreError::Parse`], whether or not there are values.
 pub fn quantile_value(values: &[f64], q: f64) -> StoreResult<f64> {
     OrderKeys::of_floats(values)
         .quantile_f64(q)?
@@ -64,16 +65,6 @@ fn key_float(key: i64) -> f64 {
 /// IEEE 754 bit pattern into a two's-complement total order and back.
 fn flip(bits: i64) -> i64 {
     bits ^ (((bits >> 63) as u64) >> 1) as i64
-}
-
-/// The order key of a numeric value — `Int` and `Date` are their own,
-/// `Float` is [`float_key`]; `None` for a value with no numeric order.
-pub(crate) fn order_key(v: &Value) -> Option<i64> {
-    match *v {
-        Value::Int(x) | Value::Date(x) => Some(x),
-        Value::Float(x) => Some(float_key(x)),
-        Value::Str(_) | Value::Bool(_) => None,
-    }
 }
 
 /// Where a numeric column's selected values wait for their ranks to be
@@ -191,13 +182,15 @@ impl OrderKeys {
         })
     }
 
+    /// `q` is checked before anything else: a `q` outside `[0, 1]`, NaN
+    /// included, is an error over no value as over many.
     fn quantile_f64(&mut self, q: f64) -> StoreResult<Option<f64>> {
+        if !(0.0..=1.0).contains(&q) {
+            return Err(StoreError::Parse(format!("quantile {q} outside [0,1]")));
+        }
         let n = self.len();
         if n == 0 {
             return Ok(None);
-        }
-        if !(0.0..=1.0).contains(&q) {
-            return Err(StoreError::Parse(format!("quantile {q} outside [0,1]")));
         }
         let k = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
         let (key, _) = self.select(k, k);

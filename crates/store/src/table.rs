@@ -1,19 +1,15 @@
 //! The columnar relation: a schema plus one slot per column, and the
 //! `Backend` operations over it.
 
-use crate::backend::{Backend, BackendStats, CutStats};
+use crate::backend::{Backend, BackendStats, CutStats, OpCounters};
 use crate::bitmap::Bitmap;
-use crate::column::{Column, ColumnData};
+use crate::column::Column;
 use crate::disk::reader::ColumnFile;
 use crate::error::{StoreError, StoreResult};
 use crate::predicate::{eval_range, eval_set, StorePredicate};
-use crate::sample::reservoir_sample;
 use crate::schema::Schema;
-use crate::stats::{mean_and_var_of, FrequencyTable, OrderKeys};
+use crate::stats::{mean_and_var_of, FrequencyTable};
 use crate::value::Value;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 
 /// One column's slot: the decoded column, or the error its load failed
@@ -31,7 +27,7 @@ type Slot = OnceLock<Result<Column, StoreError>>;
 /// `tests/disk_persistence.rs` at the workspace root). The one difference
 /// is that an opened table's first touch of a column may fail with
 /// [`StoreError::Io`] or [`StoreError::Corrupt`].
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Table {
     name: String,
     schema: Schema,
@@ -42,24 +38,7 @@ pub struct Table {
     /// whose slots were filled when it was built.
     pub(crate) file: Option<Arc<ColumnFile>>,
     /// Operation counters for the experiments (scans / counts / medians).
-    scans: AtomicU64,
-    counts: AtomicU64,
-    medians: AtomicU64,
-}
-
-impl Clone for Table {
-    fn clone(&self) -> Table {
-        Table {
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            rows: self.rows,
-            slots: self.slots.clone(),
-            file: self.file.clone(),
-            scans: AtomicU64::new(self.scans.load(AtomicOrdering::Relaxed)),
-            counts: AtomicU64::new(self.counts.load(AtomicOrdering::Relaxed)),
-            medians: AtomicU64::new(self.medians.load(AtomicOrdering::Relaxed)),
-        }
-    }
+    counters: OpCounters,
 }
 
 impl Table {
@@ -90,9 +69,7 @@ impl Table {
             rows,
             slots,
             file,
-            scans: AtomicU64::new(0),
-            counts: AtomicU64::new(0),
-            medians: AtomicU64::new(0),
+            counters: OpCounters::default(),
         }
     }
 
@@ -171,11 +148,11 @@ impl Table {
         match pred {
             StorePredicate::True => Ok(within.unwrap_or_else(|| self.all_rows())),
             StorePredicate::Range(r) => {
-                self.scans.fetch_add(1, AtomicOrdering::Relaxed);
+                self.counters.scan();
                 eval_range(self.column(&r.column)?, r, within)
             }
             StorePredicate::Set(s) => {
-                self.scans.fetch_add(1, AtomicOrdering::Relaxed);
+                self.counters.scan();
                 eval_set(self.column(&s.column)?, s, within)
             }
             // A selection already held: no pass over any column.
@@ -230,7 +207,7 @@ impl Backend for Table {
         // record the paper's "counts over predicates" workload as plain
         // scans, so the count metric never showed up in the experiment
         // tables.
-        self.counts.fetch_add(1, AtomicOrdering::Relaxed);
+        self.counters.count();
         Ok(self.eval(pred)?.count_ones())
     }
 
@@ -239,7 +216,7 @@ impl Backend for Table {
     }
 
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
-        self.medians.fetch_add(1, AtomicOrdering::Relaxed);
+        self.counters.median();
         Ok(self.column(column)?.order_keys(sel)?.median())
     }
 
@@ -250,23 +227,12 @@ impl Backend for Table {
         sample_size: usize,
         seed: u64,
     ) -> StoreResult<Option<Value>> {
-        self.medians.fetch_add(1, AtomicOrdering::Relaxed);
-        let col = self.column(column)?;
-        if !col.data_type().is_numeric() {
-            return Err(StoreError::TypeMismatch {
-                column: column.to_string(),
-                expected: "numeric".into(),
-                found: col.data_type().name().into(),
-            });
-        }
-        let mut rng = StdRng::seed_from_u64(seed);
-        let rows = reservoir_sample(sel, sample_size, &mut rng);
-        let keys = rows.into_iter().filter_map(|i| col.key_at(i));
-        Ok(OrderKeys::collect(col.data_type(), keys).median())
+        self.counters.median();
+        self.column(column)?.sampled_median(sel, sample_size, seed)
     }
 
     fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
-        self.medians.fetch_add(1, AtomicOrdering::Relaxed);
+        self.counters.median();
         self.column(column)?.order_keys(sel)?.quantile(q)
     }
 
@@ -284,7 +250,7 @@ impl Backend for Table {
         };
         let ranked = Some(keys.len());
         let stats = CutStats::over(min, max, ranked, || {
-            self.medians.fetch_add(1, AtomicOrdering::Relaxed);
+            self.counters.median();
             Ok(keys.median())
         })?;
         Ok(Some(stats))
@@ -305,47 +271,25 @@ impl Backend for Table {
         column: &str,
         sel: &Bitmap,
     ) -> StoreResult<(FrequencyTable, Vec<String>)> {
-        self.scans.fetch_add(1, AtomicOrdering::Relaxed);
+        self.counters.scan();
         self.column(column)?.frequencies(sel)
     }
 
     fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
         let col = self.column(column)?;
-        match col.data() {
-            ColumnData::Str(_) | ColumnData::Bool(_) => {
-                let (ft, _) = self.frequencies(column, sel)?;
-                Ok(ft.cardinality())
-            }
-            // `==` dedup: -0.0 and +0.0 are one value.
-            ColumnData::Float(_) => {
-                let mut buf = Vec::new();
-                col.gather_f64(sel, &mut buf)?;
-                buf.sort_by(f64::total_cmp);
-                buf.dedup();
-                Ok(buf.len())
-            }
-            // As `i64`: beyond 2⁵³ an `f64` would merge neighbours.
-            ColumnData::Int(_) | ColumnData::Date(_) => {
-                let mut keys: Vec<i64> = sel.iter_ones().filter_map(|i| col.key_at(i)).collect();
-                keys.sort_unstable();
-                keys.dedup();
-                Ok(keys.len())
-            }
+        // A nominal column's are read off its frequencies: one scan.
+        if !col.data_type().is_numeric() {
+            self.counters.scan();
         }
+        col.distinct_count(sel)
     }
 
     fn stats(&self) -> BackendStats {
-        BackendStats {
-            scans: self.scans.load(AtomicOrdering::Relaxed),
-            counts: self.counts.load(AtomicOrdering::Relaxed),
-            medians: self.medians.load(AtomicOrdering::Relaxed),
-        }
+        self.counters.stats()
     }
 
     fn reset_stats(&self) {
-        self.scans.store(0, AtomicOrdering::Relaxed);
-        self.counts.store(0, AtomicOrdering::Relaxed);
-        self.medians.store(0, AtomicOrdering::Relaxed);
+        self.counters.reset()
     }
 }
 

@@ -486,10 +486,62 @@ proptest! {
                     t.next_above("x", &sel, &floor).unwrap(), next.clone(),
                     "{:?} x {} rows above {:?}", ty, len, &floor
                 );
-                // Second witness: the row store's per-tuple folds.
+                // The row store projects the selected tuples and runs
+                // the same kernels: these pin its projection.
                 let row = RowTable::from_table(&t).unwrap();
                 prop_assert_eq!(row.min_max("x", &sel).unwrap(), extremes);
                 prop_assert_eq!(row.next_above("x", &sel, &floor).unwrap(), next);
+
+                // Distinct values: numerics deduplicated in `total_cmp`
+                // order — `Float` under `==`, `Int` and `Date` as `i64` —
+                // strings and booleans as themselves.
+                let distinct = match ty {
+                    DataType::Float => {
+                        let mut xs: Vec<f64> = picked.iter().map(|v| v.as_f64().unwrap()).collect();
+                        xs.sort_by(f64::total_cmp);
+                        xs.dedup();
+                        xs.len()
+                    }
+                    DataType::Int | DataType::Date => {
+                        let mut xs: Vec<i64> = picked
+                            .iter()
+                            .map(|v| match v {
+                                Value::Int(x) | Value::Date(x) => *x,
+                                other => panic!("{other:?} in an integer column"),
+                            })
+                            .collect();
+                        xs.sort_unstable();
+                        xs.dedup();
+                        xs.len()
+                    }
+                    DataType::Str | DataType::Bool => {
+                        let mut xs: Vec<String> = picked.iter().map(Value::render).collect();
+                        xs.sort();
+                        xs.dedup();
+                        xs.len()
+                    }
+                };
+                prop_assert_eq!(t.distinct_count("x", &sel).unwrap(), distinct);
+                prop_assert_eq!(row.distinct_count("x", &sel).unwrap(), distinct);
+
+                // Mean and population variance of `picked`, in row order,
+                // to the bit.
+                let bits = |b: &dyn Backend| {
+                    b.mean_and_var("x", &sel).map(|mv| mv.map(|(m, v)| (m.to_bits(), v.to_bits())))
+                };
+                if ty.is_numeric() {
+                    let xs: Vec<f64> = picked.iter().map(|v| v.as_f64().unwrap()).collect();
+                    let model = (!xs.is_empty()).then(|| {
+                        let n = xs.len() as f64;
+                        let mean = xs.iter().sum::<f64>() / n;
+                        let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
+                        (mean.to_bits(), var.to_bits())
+                    });
+                    prop_assert_eq!(bits(&t).unwrap(), model);
+                    prop_assert_eq!(bits(&row).unwrap(), model);
+                } else {
+                    prop_assert!(bits(&t).is_err() && bits(&row).is_err());
+                }
             }
         }
     }

@@ -366,7 +366,8 @@ mod contract_harness {
     use charles_bench::quantile_cut_segmentation;
     use charles_store::disk::write_table;
     use charles_store::{
-        Backend, Bitmap, DataType, Row, RowTable, StoreError, StorePredicate, TableBuilder, Value,
+        Backend, Bitmap, DataType, Row, RowTable, StoreError, StorePredicate, StoreResult,
+        TableBuilder, Value,
     };
     use std::path::Path;
     use std::sync::Arc;
@@ -379,17 +380,24 @@ mod contract_harness {
         voc_table(ROWS, 2026)
     }
 
+    /// A `.charles` temp path no other call in this process gets: tests
+    /// run in parallel, and two that built, patched and opened one file
+    /// could read each other's patch.
+    fn unique_temp_path(kind: &str) -> std::path::PathBuf {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static COUNTER: AtomicUsize = AtomicUsize::new(0);
+        std::env::temp_dir().join(format!(
+            "charles-contract-{kind}-{}-{}.charles",
+            std::process::id(),
+            COUNTER.fetch_add(1, Ordering::Relaxed)
+        ))
+    }
+
     /// Write the fixture to a unique `.charles` temp file and open it
     /// lazily. On unix the path is unlinked immediately (the open handle
     /// keeps the data alive), so tests never leak files.
     fn disk_fixture(t: &Table) -> Table {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "charles-contract-{}-{}.charles",
-            std::process::id(),
-            COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
+        let path = unique_temp_path("voc");
         write_table(t, &path).expect("write .charles fixture");
         let disk = Table::open(&path).expect("open .charles fixture");
         #[cfg(unix)]
@@ -504,6 +512,8 @@ mod contract_harness {
                 let a = b.sampled_median("tonnage", &sel, 101, seed).unwrap();
                 let again = b.sampled_median("tonnage", &sel, 101, seed).unwrap();
                 assert_eq!(a, again, "{name}: fixed seed {seed} must be deterministic");
+                let want = t.sampled_median("tonnage", &sel, 101, seed).unwrap();
+                assert_eq!(a, want, "{name}: the table's sample for seed {seed}");
                 let v = a.unwrap().as_f64().unwrap();
                 assert!(
                     (lo..=hi).contains(&v),
@@ -522,6 +532,42 @@ mod contract_harness {
     }
 
     #[test]
+    fn obligation_quantile_checks_q_before_the_selection() {
+        // A `q` outside [0, 1], NaN included, is the same parse error
+        // over an empty selection as over a full one.
+        let t = fixture();
+        let sels = [("empty", Bitmap::new(t.len())), ("all", t.all_rows())];
+        for (name, b) in backends(&t) {
+            for (label, sel) in &sels {
+                for q in [-0.5, 1.5, f64::NAN] {
+                    let got = b.quantile("tonnage", sel, q);
+                    assert!(
+                        matches!(got, Err(StoreError::Parse(_))),
+                        "{name}: q={q} over {label}: {got:?}"
+                    );
+                }
+            }
+        }
+        for values in [&[][..], &[1.0, 2.0]] {
+            for q in [-0.5, 1.5, f64::NAN] {
+                let got = charles_store::quantile_value(values, q);
+                assert!(matches!(got, Err(StoreError::Parse(_))), "{values:?} q={q}");
+            }
+        }
+    }
+
+    /// `(mean, variance)` as bit patterns: every backend folds the same
+    /// values in the same order, so the two agree to the last bit.
+    fn mean_var_bits(
+        b: &dyn Backend,
+        column: &str,
+        sel: &Bitmap,
+    ) -> StoreResult<Option<(u64, u64)>> {
+        Ok(b.mean_and_var(column, sel)?
+            .map(|(m, v)| (m.to_bits(), v.to_bits())))
+    }
+
+    #[test]
     fn obligation_aggregates_agree() {
         let t = fixture();
         let sel = t
@@ -533,12 +579,11 @@ mod contract_harness {
             ))
             .unwrap();
         for (name, b) in backends(&t) {
-            let (wm, wv) = t.mean_and_var("tonnage", &sel).unwrap().unwrap();
-            let (gm, gv) = b.mean_and_var("tonnage", &sel).unwrap().unwrap();
-            assert!((wm - gm).abs() < 1e-9 && (wv - gv).abs() < 1e-6, "{name}");
-            if name.starts_with("disk") {
-                assert_eq!((gm.to_bits(), gv.to_bits()), (wm.to_bits(), wv.to_bits()));
-            }
+            assert_eq!(
+                mean_var_bits(b.as_ref(), "tonnage", &sel).unwrap(),
+                mean_var_bits(&t, "tonnage", &sel).unwrap(),
+                "{name}: mean_and_var"
+            );
             assert_eq!(
                 b.min_max("tonnage", &sel).unwrap(),
                 t.min_max("tonnage", &sel).unwrap(),
@@ -563,6 +608,104 @@ mod contract_harness {
                 (wf.entries(), &wd),
                 "{name}: frequencies"
             );
+        }
+    }
+
+    #[test]
+    fn obligation_aggregates_agree_on_every_column_of_the_cut_fixture() {
+        // NaN and a null in `f`, both zeros, nulls in `x`, a constant
+        // `c`, integers beyond 2⁵³ in `big` and over all of `i64` in
+        // `wide`, dates in `d`, strings in `k`: each aggregate, value or
+        // error, is the reference table's on every backend — down to
+        // the sign of a zero (hence `Debug`) and the bits of a mean.
+        let (backends, cells) = cut_stats_fixture();
+        let n = cells.len();
+        let sels = [
+            ("all", Bitmap::ones(n)),
+            ("none", Bitmap::new(n)),
+            ("nan and null", Bitmap::from_indices(n, [0, 1])),
+            ("both zeros", Bitmap::from_indices(n, [2, 3])),
+            ("zeros and a null", Bitmap::from_indices(n, [1, 2, 3])),
+            (
+                "odd",
+                Bitmap::from_indices(n, (0..n).filter(|i| i % 2 == 1)),
+            ),
+            ("x null", Bitmap::from_indices(n, [3, 10, 17])),
+            ("tail", Bitmap::from_indices(n, 60..n)),
+        ];
+        let floors = |attr: &str| -> Vec<Value> {
+            let own = match attr {
+                "f" => vec![Value::Float(-0.0), Value::Float(0.0), Value::Float(30.0)],
+                "x" => vec![Value::Int(-9), Value::Int(0), Value::Int(13)],
+                "d" => vec![Value::Date(9_000), Value::Date(9_005)],
+                "c" => vec![Value::Int(6), Value::Int(7)],
+                "big" => vec![Value::Int(1 << 53), Value::Int((1 << 53) + 2_500)],
+                "wide" => vec![
+                    Value::Int(i64::MIN),
+                    Value::Int(0),
+                    Value::Int(i64::MAX - 1),
+                ],
+                _ => vec![Value::str("k0"), Value::str("k1"), Value::str("")],
+            };
+            // An `Int` floor on a `Float` column compares; a floor of
+            // another kind (a string against numbers, a number against
+            // strings) compares with nothing, and finds nothing.
+            let other = match attr {
+                "f" => vec![Value::Int(0), Value::Int(40), Value::str("0")],
+                "k" => vec![Value::str("k"), Value::str("k2"), Value::Int(0)],
+                _ => vec![Value::str("0")],
+            };
+            own.into_iter().chain(other).collect()
+        };
+        let (_, reference) = &backends[0];
+        let reference = reference.as_ref();
+        for (name, b) in &backends[1..] {
+            let b = b.as_ref();
+            for attr in ["f", "x", "d", "c", "big", "wide", "k"] {
+                for (label, sel) in &sels {
+                    let what = format!("{name}: {attr} over {label}");
+                    let same = |op: &str, got: String, want: String| {
+                        assert_eq!(got, want, "{what}: {op}");
+                    };
+                    same(
+                        "min_max",
+                        format!("{:?}", b.min_max(attr, sel)),
+                        format!("{:?}", reference.min_max(attr, sel)),
+                    );
+                    for floor in floors(attr) {
+                        same(
+                            &format!("next_above {floor:?}"),
+                            format!("{:?}", b.next_above(attr, sel, &floor)),
+                            format!("{:?}", reference.next_above(attr, sel, &floor)),
+                        );
+                    }
+                    same(
+                        "distinct_count",
+                        format!("{:?}", b.distinct_count(attr, sel)),
+                        format!("{:?}", reference.distinct_count(attr, sel)),
+                    );
+                    same(
+                        "mean_and_var",
+                        format!("{:?}", mean_var_bits(b, attr, sel)),
+                        format!("{:?}", mean_var_bits(reference, attr, sel)),
+                    );
+                    let freqs = |b: &dyn Backend| {
+                        format!(
+                            "{:?}",
+                            b.frequencies(attr, sel)
+                                .map(|(f, d)| (f.entries().to_vec(), d))
+                        )
+                    };
+                    same("frequencies", freqs(b), freqs(reference));
+                    for (size, seed) in [(1, 0), (16, 7), (101, 42), (2 * n, 3)] {
+                        same(
+                            &format!("sampled_median({size}, {seed})"),
+                            format!("{:?}", b.sampled_median(attr, sel, size, seed)),
+                            format!("{:?}", reference.sampled_median(attr, sel, size, seed)),
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -613,10 +756,7 @@ mod contract_harness {
             b.push_row_opt(row.clone()).unwrap();
         }
         let clean = b.finish();
-        let path = std::env::temp_dir().join(format!(
-            "charles-contract-cut-stats-{}.charles",
-            std::process::id()
-        ));
+        let path = unique_temp_path("cut-stats");
         write_table(&clean, &path).unwrap();
         common::poison_float_cell(&path, NAN_MARKER, f64::NAN);
         let disk = Table::open(&path).unwrap();
@@ -777,10 +917,7 @@ mod contract_harness {
             b.push_row_opt(row.clone()).unwrap();
         }
         let clean = b.finish();
-        let path = std::env::temp_dir().join(format!(
-            "charles-contract-rows-{}.charles",
-            std::process::id()
-        ));
+        let path = unique_temp_path("rows");
         write_table(&clean, &path).unwrap();
         common::patch_cell(&path, 0, 3, &f64::NAN.to_bits().to_le_bytes());
         common::patch_cell(&path, 3, 7, &2u32.to_le_bytes());
