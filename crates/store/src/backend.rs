@@ -34,8 +34,12 @@ use std::sync::atomic::Ordering::Relaxed;
 /// and one per `frequencies` call, which walks the column under a
 /// selection just as a scan does. A leaf evaluated after others in a
 /// conjunction still counts one, though it reads only the rows they
-/// left — so `scans` counts passes, not rows read. A selection the
-/// advisor obtains without a column — a [`StorePredicate::Rows`] leaf,
+/// left — so `scans` counts passes, not rows read. A leaf or a
+/// `frequencies` call that a column of few values answers from its
+/// per-value bitmaps, reading words and no row, counts one too: the
+/// count is the operation's, whichever kernel answers it (as `medians`
+/// ticks once per median, its ranks counted off bitmaps or a walk). A
+/// selection the advisor obtains without a column — a [`StorePredicate::Rows`] leaf,
 /// or a cut's second half taken as what the first half leaves of their
 /// parent, an AND-NOT over words it already holds — is no pass over any
 /// column and counts as nothing here. (`RowTable` has no columns to pass
@@ -44,9 +48,10 @@ use std::sync::atomic::Ordering::Relaxed;
 pub struct BackendStats {
     /// Number of column passes executed: one per range or set leaf
     /// evaluated — over its whole column, or over the rows the leaves
-    /// before it in a conjunction left — and one per `frequencies` call;
-    /// none for a `Rows` leaf or a selection derived as the complement
-    /// of another.
+    /// before it in a conjunction left — and one per `frequencies` call,
+    /// also when a column of few values answers it from its per-value
+    /// bitmaps; none for a `Rows` leaf or a selection derived as the
+    /// complement of another.
     pub scans: u64,
     /// Number of `count` operations answered (the paper's "counts over
     /// predicates" metric).

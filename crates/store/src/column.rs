@@ -9,6 +9,7 @@
 use crate::bitmap::Bitmap;
 use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
+use crate::index::ValueIndex;
 use crate::sample::reservoir_sample;
 use crate::stats::{counters, float_key, FrequencyTable, OrderKeys, Ranked};
 use crate::value::Value;
@@ -59,6 +60,9 @@ pub struct Column {
     /// for another type, or no valid row), folded on first use and
     /// forgotten by `push`.
     span: OnceLock<Option<(i64, i64)>>,
+    /// One bitmap per value, for a column of few values that a table
+    /// holds ([`Column::indexed`]); forgotten by `push`.
+    index: Option<ValueIndex>,
 }
 
 impl Column {
@@ -77,6 +81,7 @@ impl Column {
             validity: Bitmap::new(0),
             dict: Arc::new(Vec::new()),
             span: OnceLock::new(),
+            index: None,
         }
     }
 
@@ -99,7 +104,35 @@ impl Column {
             validity,
             dict,
             span: OnceLock::new(),
+            index: None,
         }
+    }
+
+    /// This column with one bitmap per value ([`crate::index`]) when its
+    /// values fit in few enough slots: its dictionary codes, its two
+    /// booleans, or the integers of an `Int`/`Date` column's span. A
+    /// table builds them when it fills the column's slot; the row
+    /// store's projections never do.
+    pub(crate) fn indexed(mut self) -> Column {
+        let valid = &self.validity;
+        self.index = match &self.data {
+            ColumnData::Str(codes) => {
+                let slots = (0, self.dict.len());
+                ValueIndex::build(codes, valid, slots, |c| usize::try_from(c).ok())
+            }
+            ColumnData::Bool(v) => ValueIndex::build(v, valid, (0, 2), |b| Some(usize::from(b))),
+            ColumnData::Int(v) | ColumnData::Date(v) => self.span().and_then(|(lo, hi)| {
+                let slot = |x: i64| usize::try_from(x.wrapping_sub(lo) as u64).ok();
+                ValueIndex::build(v, valid, (lo, slot(hi)?.checked_add(1)?), slot)
+            }),
+            ColumnData::Float(_) => None,
+        };
+        self
+    }
+
+    /// The column's per-value bitmaps, if it has them.
+    pub(crate) fn index(&self) -> Option<&ValueIndex> {
+        self.index.as_ref()
     }
 
     /// Column name.
@@ -156,6 +189,7 @@ impl Column {
     /// Append a value. `None` appends a null.
     pub fn push(&mut self, value: Option<Value>) -> StoreResult<()> {
         self.span.take();
+        self.index = None;
         match value {
             None => {
                 self.push_physical_default();
@@ -308,12 +342,24 @@ impl Column {
         if let (ColumnData::Int(v) | ColumnData::Date(v), Some((base, mut counts))) =
             (&self.data, counters(n, self.span()))
         {
-            self.for_each_selected(sel, |i| {
-                let k = v[i];
-                counts[k.wrapping_sub(base) as usize] += 1;
-                min = min.min(k);
-                max = max.max(k);
-            });
+            match self.index.as_ref().and_then(|index| index.counts(sel, n)) {
+                // The index's slots are the counters' integers: `base`
+                // and up. Each count is at most `n`, which fits a `u32`.
+                Some(per_slot) => {
+                    for (count, k) in counts.iter_mut().zip(per_slot) {
+                        *count = k as u32;
+                    }
+                    let at = |k: Option<usize>| k.map_or(base, |k| base.wrapping_add(k as i64));
+                    min = at(counts.iter().position(|&c| c > 0));
+                    max = at(counts.iter().rposition(|&c| c > 0));
+                }
+                None => self.for_each_selected(sel, |i| {
+                    let k = v[i];
+                    counts[k.wrapping_sub(base) as usize] += 1;
+                    min = min.min(k);
+                    max = max.max(k);
+                }),
+            }
             let ranked = Ranked::Counts { base, counts, n };
             return Ok(OrderKeys::from_parts(self.data_type(), ranked, (min, max)));
         }
@@ -410,16 +456,30 @@ impl Column {
     /// Per-code counts of a nominal column over the selected, non-null
     /// rows, plus the dictionary that decodes the codes. Booleans count
     /// as the two-entry dictionary {false, true}.
+    ///
+    /// A column with per-value bitmaps AND-counts each value's bitmap
+    /// with `sel` where that costs less than walking the rows
+    /// ([`ValueIndex::counts`]): the same counts.
     pub(crate) fn frequencies(&self, sel: &Bitmap) -> StoreResult<(FrequencyTable, Vec<String>)> {
+        let indexed = || {
+            let index = self.index.as_ref()?;
+            index.counts(sel, sel.and_count(&self.validity))
+        };
         let (counts, dict) = match &self.data {
             ColumnData::Str(codes) => {
-                let mut counts = vec![0usize; self.dict.len()];
-                self.for_each_selected(sel, |i| counts[codes[i] as usize] += 1);
+                let counts = indexed().unwrap_or_else(|| {
+                    let mut counts = vec![0usize; self.dict.len()];
+                    self.for_each_selected(sel, |i| counts[codes[i] as usize] += 1);
+                    counts
+                });
                 (counts, self.dict.to_vec())
             }
             ColumnData::Bool(vals) => {
-                let mut counts = vec![0usize; 2];
-                self.for_each_selected(sel, |i| counts[vals[i] as usize] += 1);
+                let counts = indexed().unwrap_or_else(|| {
+                    let mut counts = vec![0usize; 2];
+                    self.for_each_selected(sel, |i| counts[vals[i] as usize] += 1);
+                    counts
+                });
                 (counts, vec!["false".into(), "true".into()])
             }
             _ => return Err(self.type_err("nominal")),
@@ -588,6 +648,7 @@ mod tests {
             validity: Bitmap::ones(5),
             dict: Arc::new(Vec::new()),
             span: OnceLock::new(),
+            index: None,
         };
         let mut out = Vec::new();
         c.gather_f64(&Bitmap::ones(5), &mut out).unwrap();
@@ -610,6 +671,7 @@ mod tests {
             validity: Bitmap::ones(5),
             dict: Arc::new(Vec::new()),
             span: OnceLock::new(),
+            index: None,
         };
         let all = Bitmap::ones(5);
         assert_eq!(

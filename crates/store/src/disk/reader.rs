@@ -19,6 +19,7 @@ use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
 use crate::schema::{ColumnMeta, Schema};
 use crate::table::Table;
+use std::collections::HashSet;
 use std::fs::File;
 use std::path::Path;
 use std::sync::Arc;
@@ -379,6 +380,16 @@ impl ColumnFile {
                 if r.remaining() != 0 {
                     return Err(StoreError::Corrupt(format!(
                         "column {:?}: trailing bytes after dictionary",
+                        meta.name
+                    )));
+                }
+                // One code per string: a set predicate looks a string's
+                // code up, and a column's per-value bitmaps are keyed by
+                // code, so a second code for it would go unmatched.
+                let mut seen = HashSet::with_capacity(dict.len());
+                if let Some(twice) = dict.iter().find(|s| !seen.insert(s.as_str())) {
+                    return Err(StoreError::Corrupt(format!(
+                        "column {:?}: dictionary holds {twice:?} twice",
                         meta.name
                     )));
                 }
@@ -926,6 +937,30 @@ mod tests {
         assert_eq!(d.value(3, "s").unwrap(), t.value(3, "s").unwrap());
         std::fs::remove_file(&path).unwrap();
         let _ = std::fs::remove_file(&copy);
+    }
+
+    #[test]
+    fn a_dictionary_holding_a_string_twice_is_corrupt_on_first_touch() {
+        // Only a column assembled from parts can hold such a dictionary:
+        // the writer stores it as given, and the reader must refuse it,
+        // or a set on "a" would miss the rows coded 2.
+        let dict = Arc::new(vec!["a".to_string(), "b".to_string(), "a".to_string()]);
+        let data = ColumnData::Str(vec![0, 1, 2, 2]);
+        let col = Column::from_parts("s".into(), data, Bitmap::ones(4), dict);
+        let mut schema = Schema::new();
+        schema.add("s", DataType::Str).unwrap();
+        let t = Table::from_parts("twice".into(), schema, vec![col]);
+        let path = tmp_path("dict-twice");
+        write_table(&t, &path).unwrap();
+        let d = Table::open(&path).unwrap();
+        let err = d.column("s").unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(m) if m.contains("\"a\" twice")),
+            "{err}"
+        );
+        let set = StorePredicate::set("s", vec![Value::str("a")]);
+        assert!(matches!(d.eval(&set), Err(StoreError::Corrupt(_))));
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]

@@ -19,10 +19,14 @@
 //! outlive the process, plus CSV import/export, sampling, and order
 //! statistics.
 //!
-//! Everything is deliberately index-free: the paper points out that the
-//! advisor cannot know ahead of time which columns will be queried, so
-//! a-priori index creation is impossible and scans are the natural cost
-//! model.
+//! No index is built for a query: the paper points out that the advisor
+//! cannot know ahead of time which columns will be queried, so a-priori
+//! index creation is impossible and scans are the natural cost model.
+//! What a table does keep is decided by the data alone: a column of at
+//! most 16 values keeps one bitmap per value, built when the table fills
+//! the column's slot, and its scans, frequencies and counted ranks read
+//! those words instead of its rows
+//! (`docs/adr/0021-per-value-bitmaps-for-few-valued-columns.md`).
 //!
 //! # Quick tour
 //!
@@ -58,6 +62,7 @@ pub mod csv;
 pub mod datatype;
 pub mod disk;
 pub mod error;
+mod index;
 pub mod predicate;
 pub mod rowstore;
 pub mod sample;

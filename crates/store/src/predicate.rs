@@ -88,11 +88,10 @@ impl StorePredicate {
                 other => flat.push(other),
             }
         }
-        match flat.len() {
-            0 => StorePredicate::True,
-            1 => flat.pop().expect("len checked"),
-            _ => StorePredicate::And(flat),
+        if flat.len() > 1 {
+            return StorePredicate::And(flat);
         }
+        flat.pop().unwrap_or(StorePredicate::True)
     }
 
     /// Column names referenced by the predicate, in first-occurrence order.
@@ -131,7 +130,46 @@ impl StorePredicate {
 /// not a setting.
 const DENSE_WORD: u32 = 32;
 
+/// A physical value type the scan kernel reads, and which value a slot
+/// of a column's per-value bitmaps ([`crate::index`]) stands for.
+trait Slot: Copy {
+    /// The value of slot `k` of bitmaps whose slot 0 holds `base` (an
+    /// `Int`/`Date` column's least value); `None` for a type no column
+    /// keeps such bitmaps of.
+    fn slot(base: i64, k: usize) -> Option<Self>;
+}
+
+impl Slot for u32 {
+    fn slot(_: i64, k: usize) -> Option<u32> {
+        u32::try_from(k).ok()
+    }
+}
+
+impl Slot for bool {
+    fn slot(_: i64, k: usize) -> Option<bool> {
+        [false, true].get(k).copied()
+    }
+}
+
+impl Slot for i64 {
+    fn slot(base: i64, k: usize) -> Option<i64> {
+        i64::try_from(k).ok().map(|k| base.wrapping_add(k))
+    }
+}
+
+impl Slot for f64 {
+    fn slot(_: i64, _: usize) -> Option<f64> {
+        None
+    }
+}
+
 /// The scan kernel, over the whole column or within a selection.
+///
+/// A column with per-value bitmaps asks `keep` once per value instead of
+/// once per row, and ORs the bitmaps of the values it keeps
+/// ([`crate::index::ValueIndex::select`]): the same verdicts, so the
+/// same bits. The rest of this describes the row walk every other
+/// column takes.
 ///
 /// Without `within` it makes one selection word per 64-row chunk of
 /// `values`: bit `b` of word `w` is `keep(values[64 * w + b])`, folded in
@@ -145,12 +183,18 @@ const DENSE_WORD: u32 = 32;
 /// a word with fewer than [`DENSE_WORD`] selected, non-null rows asks
 /// `keep` about those rows alone, a trailing-zeros walk; a denser one is
 /// folded whole like a chunk above and masked.
-fn scan<T: Copy>(
+fn scan<T: Slot>(
+    col: &Column,
     values: &[T],
-    validity: &Bitmap,
     within: Option<Bitmap>,
     keep: impl Fn(T) -> bool,
 ) -> Bitmap {
+    let validity = col.validity();
+    if let Some(index) = col.index() {
+        return index.select(validity, within, |k| {
+            T::slot(index.base(), k).is_some_and(&keep)
+        });
+    }
     let Some(mut sel) = within else {
         return validity.and_words(values.chunks(64).map(|chunk| verdicts(chunk, &keep)));
     };
@@ -183,7 +227,7 @@ fn verdicts<T: Copy>(chunk: &[T], keep: &impl Fn(T) -> bool) -> u64 {
 
 /// [`scan`] for `lo ≤ x ≤ hi` (`lo ≤ x < hi` when half-open) over a
 /// numeric vector, each value compared as `key` maps it.
-fn scan_range<V: Copy, T: Copy + PartialOrd>(
+fn scan_range<V: Slot, T: Copy + PartialOrd>(
     col: &Column,
     values: &[V],
     within: Option<Bitmap>,
@@ -194,9 +238,9 @@ fn scan_range<V: Copy, T: Copy + PartialOrd>(
     let inside = |x: T| (x >= lo) & (x <= hi);
     let below = |x: T| (x >= lo) & (x < hi);
     if hi_inclusive {
-        scan(values, col.validity(), within, |v| inside(key(v)))
+        scan(col, values, within, |v| inside(key(v)))
     } else {
-        scan(values, col.validity(), within, |v| below(key(v)))
+        scan(col, values, within, |v| below(key(v)))
     }
 }
 
@@ -206,7 +250,7 @@ fn scan_range<V: Copy, T: Copy + PartialOrd>(
 /// below `0.0`. IEEE `>=` / `<=` give the same verdicts unless a bound
 /// is a zero or a NaN, so only such bounds pay for comparing order keys
 /// ([`float_key`]).
-fn scan_float_range<V: Copy>(
+fn scan_float_range<V: Slot>(
     col: &Column,
     values: &[V],
     within: Option<Bitmap>,
@@ -256,9 +300,7 @@ pub fn eval_range(col: &Column, pred: &RangePred, within: Option<Bitmap>) -> Sto
                     s >= lo && if pred.hi_inclusive { s <= hi } else { s < hi }
                 })
                 .collect();
-            Ok(scan(codes, col.validity(), within, |code| {
-                listed(&verdict, code)
-            }))
+            Ok(scan(col, codes, within, |code| listed(&verdict, code)))
         }
         ColumnData::Bool(vals) => {
             let lo = bool_of(col, &pred.lo)?;
@@ -266,7 +308,7 @@ pub fn eval_range(col: &Column, pred: &RangePred, within: Option<Bitmap>) -> Sto
             // `!v & hi` is `v < hi` on booleans.
             let under = |v: bool| if pred.hi_inclusive { v <= hi } else { !v & hi };
             let verdict = [false, true].map(|v| v >= lo && under(v));
-            Ok(scan(vals, col.validity(), within, |v| verdict[v as usize]))
+            Ok(scan(col, vals, within, |v| verdict[v as usize]))
         }
     }
 }
@@ -274,7 +316,6 @@ pub fn eval_range(col: &Column, pred: &RangePred, within: Option<Bitmap>) -> Sto
 /// Evaluate a set-membership scan over a column, or within a selection
 /// as [`eval_range`] does.
 pub fn eval_set(col: &Column, pred: &SetPred, within: Option<Bitmap>) -> StoreResult<Bitmap> {
-    let validity = col.validity();
     Ok(match col.data() {
         ColumnData::Str(codes) => {
             // Translate wanted strings into dictionary codes once; rows then
@@ -286,11 +327,16 @@ pub fn eval_set(col: &Column, pred: &SetPred, within: Option<Bitmap>) -> StoreRe
                     wanted[code as usize] = true;
                 }
             }
-            scan(codes, validity, within, |code| listed(&wanted, code))
+            scan(col, codes, within, |code| listed(&wanted, code))
         }
         ColumnData::Int(vals) | ColumnData::Date(vals) => {
-            let wanted = int_set(col, &pred.values)?;
-            scan(vals, validity, within, |v| wanted.binary_search(&v).is_ok())
+            let (ints, floats) = int_set(col, &pred.values)?;
+            scan(col, vals, within, |v| {
+                ints.binary_search(&v).is_ok()
+                    || floats
+                        .binary_search_by(|w| w.total_cmp(&(v as f64)))
+                        .is_ok()
+            })
         }
         ColumnData::Float(vals) => {
             let mut wanted: Vec<f64> = Vec::with_capacity(pred.values.len());
@@ -298,7 +344,7 @@ pub fn eval_set(col: &Column, pred: &SetPred, within: Option<Bitmap>) -> StoreRe
                 wanted.push(v.as_f64().ok_or_else(|| type_err(col, v))?);
             }
             wanted.sort_by(f64::total_cmp);
-            scan(vals, validity, within, |v| {
+            scan(col, vals, within, |v| {
                 wanted.binary_search_by(|w| w.total_cmp(&v)).is_ok()
             })
         }
@@ -307,7 +353,7 @@ pub fn eval_set(col: &Column, pred: &SetPred, within: Option<Bitmap>) -> StoreRe
             for v in &pred.values {
                 wanted[bool_of(col, v)? as usize] = true;
             }
-            scan(vals, validity, within, |v| wanted[v as usize])
+            scan(col, vals, within, |v| wanted[v as usize])
         }
     })
 }
@@ -326,18 +372,24 @@ fn bool_of(col: &Column, v: &Value) -> StoreResult<bool> {
     }
 }
 
-fn int_set(col: &Column, values: &[Value]) -> StoreResult<Vec<i64>> {
-    let mut out = Vec::with_capacity(values.len());
+/// The members of a set on an `Int`/`Date` column, sorted: the `Int`
+/// and `Date` ones as integers, matched exactly, and the `Float` ones as
+/// `f64`s, which a value matches when it is the same `f64` in
+/// `total_cmp`'s order — as `Value::try_cmp` compares the two, so beyond
+/// 2⁵³ one member matches every integer that rounds to it.
+fn int_set(col: &Column, values: &[Value]) -> StoreResult<(Vec<i64>, Vec<f64>)> {
+    let (mut ints, mut floats) = (Vec::new(), Vec::new());
     for v in values {
-        let x = match v {
-            Value::Int(x) | Value::Date(x) => *x,
+        match v {
+            Value::Int(x) | Value::Date(x) => ints.push(*x),
+            Value::Float(x) => floats.push(*x),
             other => return Err(type_err(col, other)),
-        };
-        out.push(x);
+        }
     }
-    out.sort_unstable();
-    out.dedup();
-    Ok(out)
+    ints.sort_unstable();
+    ints.dedup();
+    floats.sort_by(f64::total_cmp);
+    Ok((ints, floats))
 }
 
 fn type_err(col: &Column, v: &Value) -> StoreError {
@@ -530,6 +582,36 @@ mod tests {
             values: vec![Value::Float(2.5)],
         };
         assert_eq!(eval_set(&f, &p, None).unwrap().count_ones(), 1);
+    }
+
+    #[test]
+    fn float_members_of_an_integer_set_compare_as_f64() {
+        // As `Value::try_cmp` compares them: 2⁵³ + 1 rounds to 2⁵³, so
+        // a `Float` 2⁵³ matches both; an `Int` member stays exact.
+        let base = 1i64 << 53;
+        let c = int_col(&[2, 5, 7, base, base + 1, base + 2]);
+        let rows = |values: Vec<Value>| {
+            let p = SetPred {
+                column: "x".into(),
+                values,
+            };
+            eval_set(&c, &p, None)
+                .unwrap()
+                .iter_ones()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(vec![Value::Float(2.0), Value::Int(5)]), [0, 1]);
+        assert_eq!(
+            rows(vec![Value::Float(2.5), Value::Float(-0.0)]),
+            [0usize; 0]
+        );
+        assert_eq!(rows(vec![Value::Float(base as f64)]), [3, 4]);
+        assert_eq!(rows(vec![Value::Int(base + 1)]), [4]);
+        let p = SetPred {
+            column: "x".into(),
+            values: vec![Value::str("2")],
+        };
+        assert!(eval_set(&c, &p, None).is_err());
     }
 
     #[test]

@@ -42,11 +42,15 @@ pub struct Table {
 }
 
 impl Table {
-    /// A table whose slots hold `columns`.
+    /// A table whose slots hold `columns`, each with its per-value
+    /// bitmaps where it has few enough values ([`Column::indexed`]).
     pub(crate) fn from_parts(name: String, schema: Schema, columns: Vec<Column>) -> Table {
         let rows = columns.first().map_or(0, Column::len);
         debug_assert!(columns.iter().all(|c| c.len() == rows));
-        let slots = columns.into_iter().map(|c| Slot::from(Ok(c))).collect();
+        let slots = columns
+            .into_iter()
+            .map(|c| Slot::from(Ok(c.indexed())))
+            .collect();
         Table::with_slots(name, schema, rows, slots, None)
     }
 
@@ -106,14 +110,15 @@ impl Table {
         }
     }
 
-    /// Decode column `idx` from the file: the first touch of an opened
+    /// Decode column `idx` from the file, with its per-value bitmaps
+    /// where it has few enough values: the first touch of an opened
     /// table's column. A built table's slots are all filled, so it never
     /// gets here.
     #[cold]
     fn load(&self, idx: usize) -> Result<Column, StoreError> {
         let meta = &self.schema.columns()[idx];
         match &self.file {
-            Some(file) => file.load_column(idx, meta, self.rows),
+            Some(file) => file.load_column(idx, meta, self.rows).map(Column::indexed),
             None => Err(StoreError::Corrupt(format!(
                 "column {:?} holds no data and the table has no file",
                 meta.name
@@ -522,6 +527,92 @@ mod tests {
             t.next_above("tonnage", &jacht, &Value::Int(0)).unwrap(),
             Some(Value::Int(2500))
         );
+    }
+
+    #[test]
+    fn the_contract_fixtures_columns_straddle_the_bitmap_cut_over() {
+        // `tests/backend_contract.rs` holds a table to the row store's
+        // walks over the columns of its `rows_fixture` and
+        // `cut_stats_fixture`; these are those columns' shapes. A column
+        // compares bitmaps against walks there only if it is indexed
+        // here, so a change of the cut-over that moves one across must
+        // change this test too.
+        const BASE: i64 = (1 << 53) - 4;
+        type Cell = fn(i64) -> Option<Value>;
+        let columns: [(&str, DataType, Cell, i64, bool); 9] = [
+            (
+                "rows_fixture f",
+                DataType::Float,
+                |n| Some(Value::Float(n as f64)),
+                200,
+                false,
+            ),
+            (
+                "rows_fixture i: 13 integers",
+                DataType::Int,
+                |n| (n % 6 != 2).then_some(Value::Int(BASE + n * 7 % 13)),
+                200,
+                true,
+            ),
+            (
+                "rows_fixture d: 17 dates",
+                DataType::Date,
+                |n| (n % 7 != 4).then_some(Value::Date(9_000 + n % 17)),
+                200,
+                false,
+            ),
+            (
+                "rows_fixture s: 5 strings",
+                DataType::Str,
+                |n| (n % 4 != 3).then(|| Value::str(format!("s{}", n % 5))),
+                200,
+                true,
+            ),
+            (
+                "rows_fixture b",
+                DataType::Bool,
+                |n| (n % 8 != 5).then_some(Value::Bool(n % 3 == 0)),
+                200,
+                true,
+            ),
+            (
+                "cut_stats_fixture x: 23 integers",
+                DataType::Int,
+                |n| (n % 7 != 3).then_some(Value::Int(n * n % 23 - 9)),
+                300,
+                false,
+            ),
+            (
+                "cut_stats_fixture d: 11 dates",
+                DataType::Date,
+                |n| Some(Value::Date(9_000 + n % 11)),
+                300,
+                true,
+            ),
+            (
+                "cut_stats_fixture c: constant",
+                DataType::Int,
+                |_| Some(Value::Int(7)),
+                300,
+                true,
+            ),
+            (
+                "cut_stats_fixture k: 3 strings",
+                DataType::Str,
+                |n| Some(Value::str(format!("k{}", n % 3))),
+                300,
+                true,
+            ),
+        ];
+        for (what, ty, cell, rows, want) in columns {
+            let mut b = TableBuilder::new("t");
+            b.add_column("x", ty);
+            for n in 0..rows {
+                b.push_row_opt(vec![cell(n)]).unwrap();
+            }
+            let t = b.finish();
+            assert_eq!(t.column("x").unwrap().index().is_some(), want, "{what}");
+        }
     }
 
     #[test]

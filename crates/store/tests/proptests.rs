@@ -25,7 +25,14 @@ const ALL_TYPES: [DataType; 5] = [
 /// row.
 const WORD_SEAMS: [usize; 8] = [0, 1, 63, 64, 65, 127, 128, 129];
 
-/// The `k`-th value (`k ∈ -8..8`) of a small per-type domain, so that
+/// How many values a [`kernel_table`] column draws from: on both sides
+/// of the 16 below which the store keeps one bitmap per value of a
+/// dictionary or of an integer span, and scans, counts frequencies and
+/// counts ranks off those bitmaps instead of walking rows
+/// (`docs/adr/0021-per-value-bitmaps-for-few-valued-columns.md`).
+const WIDTHS: [i64; 5] = [2, 15, 16, 17, 24];
+
+/// The `k`-th value (`k ∈ -8..16`) of a small per-type domain, so that
 /// range bounds and set members both hit and miss rows. No `-0.0`: it is
 /// the one float the dense scan (`>=` on `f64`) and `RowTable`
 /// (`total_cmp`) order differently.
@@ -39,22 +46,26 @@ fn domain_value(ty: DataType, k: i64) -> Value {
     }
 }
 
-/// A one-column table `x` of `len` rows over [`domain_value`], about one
-/// row in five null.
-fn kernel_table(ty: DataType, len: usize, rng: &mut StdRng) -> Table {
+/// A one-column table `x` of `len` rows over the first `width` values
+/// of [`domain_value`] (`width` drawn from [`WIDTHS`]), about one row in
+/// five null, and that width.
+fn kernel_table(ty: DataType, len: usize, rng: &mut StdRng) -> (Table, i64) {
+    let width = WIDTHS[rng.gen_range(0..WIDTHS.len())];
     let mut b = TableBuilder::new("t");
     b.add_column("x", ty);
     for _ in 0..len {
-        let cell = (!rng.gen_bool(0.2)).then(|| domain_value(ty, rng.gen_range(-8..8)));
+        let cell = (!rng.gen_bool(0.2)).then(|| domain_value(ty, rng.gen_range(-8..width - 8)));
         b.push_row_opt(vec![cell]).unwrap();
     }
-    b.finish()
+    (b.finish(), width)
 }
 
 /// Range predicates, inclusive and half-open, with both bounds drawn
-/// from just around the domain — and `Float` bounds on an `Int` column.
-fn range_predicates(ty: DataType, rng: &mut StdRng) -> Vec<StorePredicate> {
-    let (a, b): (i64, i64) = (rng.gen_range(-9..9), rng.gen_range(-9..9));
+/// from just around a domain of `width` values — and `Float` bounds on an
+/// `Int` column.
+fn range_predicates(ty: DataType, width: i64, rng: &mut StdRng) -> Vec<StorePredicate> {
+    let ends = -9..width - 7;
+    let (a, b): (i64, i64) = (rng.gen_range(ends.clone()), rng.gen_range(ends));
     let (lo, hi) = (a.min(b), a.max(b));
     let mut preds = Vec::new();
     for inclusive in [true, false] {
@@ -71,10 +82,10 @@ fn range_predicates(ty: DataType, rng: &mut StdRng) -> Vec<StorePredicate> {
     preds
 }
 
-/// Set predicates: a random subset of the domain, the same plus a
-/// member no row holds, and the empty set.
-fn set_predicates(ty: DataType, rng: &mut StdRng) -> Vec<StorePredicate> {
-    let mut members: Vec<Value> = (-8..8)
+/// Set predicates: a random subset of a domain of `width` values, the
+/// same plus a member no row holds, and the empty set.
+fn set_predicates(ty: DataType, width: i64, rng: &mut StdRng) -> Vec<StorePredicate> {
+    let mut members: Vec<Value> = (-8..width - 8)
         .filter(|_| rng.gen_bool(0.3))
         .map(|k| domain_value(ty, k))
         .collect();
@@ -133,15 +144,15 @@ fn word_mixes(len: usize, rng: &mut StdRng) -> Vec<Bitmap> {
 fn check_scans_against_per_row_model(
     seed: u64,
     random_len: usize,
-    predicates: fn(DataType, &mut StdRng) -> Vec<StorePredicate>,
+    predicates: fn(DataType, i64, &mut StdRng) -> Vec<StorePredicate>,
 ) -> Result<(), TestCaseError> {
     for ty in ALL_TYPES {
         for len in WORD_SEAMS.into_iter().chain([random_len]) {
             let mut rng = StdRng::seed_from_u64(seed ^ len as u64);
-            let t = kernel_table(ty, len, &mut rng);
+            let (t, width) = kernel_table(ty, len, &mut rng);
             let col = t.column("x").unwrap();
             let row = RowTable::from_table(&t).unwrap();
-            let predicates = predicates(ty, &mut rng);
+            let predicates = predicates(ty, width, &mut rng);
             let selections = word_mixes(len, &mut rng);
             for pred in predicates {
                 let got = t.eval(&pred).unwrap();
@@ -205,7 +216,10 @@ const CUT_OVER: usize = 256;
 ///   `i64::MAX` in the same set — a range of 2⁶⁴ − 1;
 /// * spanning exactly 2¹² − 1, 2¹² and 2¹² + 1 values' worth of range;
 /// * one bucket holding all but the two extremes;
-/// * a handful of values, heavily duplicated.
+/// * a handful of values, heavily duplicated, over a span of 15;
+/// * spans of exactly 16 and 17 integers, one on each side of the cut-over
+///   below which a column keeps a bitmap per integer of its span and
+///   counts its ranks off them ([`WIDTHS`]).
 ///
 /// Apart from the first shape they lie within ±2⁴¹, where every integer
 /// is its own `f64`: a rank off by one shows in the median.
@@ -215,8 +229,11 @@ fn int_keys(shape: u8, n: usize, rng: &mut StdRng) -> Vec<i64> {
         0 => (0..n)
             .map(|_| (1 << 53) + rng.gen_range(-50i64..50))
             .collect(),
-        1..=3 => {
-            let range = BUCKETS - 2 + i64::from(shape);
+        1..=3 | 6 | 7 => {
+            let range = match shape {
+                1..=3 => BUCKETS - 2 + i64::from(shape),
+                _ => i64::from(shape) + 9,
+            };
             let mut v: Vec<i64> = (0..n).map(|_| base + rng.gen_range(0..=range)).collect();
             v[0] = base;
             v[n - 1] = base + range;
@@ -406,7 +423,7 @@ proptest! {
             1usize..700,
             proptest::sample::select(vec![CUT_OVER - 1, CUT_OVER, CUT_OVER + 1]),
         ],
-        shape in 0u8..6,
+        shape in 0u8..8,
     ) {
         // Every rank the store reports comes out of one selection over
         // `i64` order keys: it must be what sorting the values gives.
@@ -452,9 +469,11 @@ proptest! {
     #[test]
     fn selection_aggregates_match_filter_then_sort(seed in any::<u64>(), random_len in 0usize..400) {
         for ty in ALL_TYPES {
-            for len in WORD_SEAMS.into_iter().chain([random_len]) {
+            // 700 rows select more than the 256 values from which a
+            // column of narrow span counts its ranks.
+            for len in WORD_SEAMS.into_iter().chain([random_len, 700]) {
                 let mut rng = StdRng::seed_from_u64(seed ^ len as u64);
-                let t = kernel_table(ty, len, &mut rng);
+                let (t, width) = kernel_table(ty, len, &mut rng);
                 let col = t.column("x").unwrap();
                 let sel = Bitmap::from_indices(len, (0..len).filter(|_| rng.gen_bool(0.5)));
                 // Reference: filter the selected, non-null rows (row
@@ -480,7 +499,7 @@ proptest! {
 
                 let extremes = sorted.first().cloned().zip(sorted.last().cloned());
                 prop_assert_eq!(col.min_max(&sel), extremes.clone(), "{:?} x {} rows", ty, len);
-                let floor = domain_value(ty, rng.gen_range(-9..9));
+                let floor = domain_value(ty, rng.gen_range(-9..width - 7));
                 let next = sorted.iter().find(|v| v.try_cmp(&floor).unwrap().is_gt()).cloned();
                 prop_assert_eq!(
                     t.next_above("x", &sel, &floor).unwrap(), next.clone(),
@@ -523,6 +542,20 @@ proptest! {
                 };
                 prop_assert_eq!(t.distinct_count("x", &sel).unwrap(), distinct);
                 prop_assert_eq!(row.distinct_count("x", &sel).unwrap(), distinct);
+
+                // Ranks of an integer column: counted, off its bitmaps or
+                // by a walk, when it spans few values and many are picked.
+                if let DataType::Int | DataType::Date = ty {
+                    let ints: Vec<i64> = picked
+                        .iter()
+                        .map(|v| match v {
+                            Value::Int(x) | Value::Date(x) => *x,
+                            other => panic!("{other:?} in an integer column"),
+                        })
+                        .collect();
+                    let wrap: fn(i64) -> Value = if ty == DataType::Int { Value::Int } else { Value::Date };
+                    check_ranks(&t, &sel, ints, i64::cmp, |x| x as f64, wrap)?;
+                }
 
                 // Mean and population variance of `picked`, in row order,
                 // to the bit.

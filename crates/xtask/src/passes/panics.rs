@@ -34,6 +34,8 @@ pub const PROTECTED_FILES: &[&str] = &[
     "crates/serve/src/wire.rs",
     "crates/serve/src/json.rs",
     "crates/store/src/bitmap.rs",
+    "crates/store/src/index.rs",
+    "crates/store/src/predicate.rs",
     "crates/store/src/rowstore.rs",
 ];
 

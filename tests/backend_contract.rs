@@ -657,16 +657,55 @@ mod contract_harness {
             };
             own.into_iter().chain(other).collect()
         };
+        let attrs = ["f", "x", "d", "c", "big", "wide", "k"];
+        assert_aggregates_agree(&backends, &attrs, &sels, floors);
+    }
+
+    #[test]
+    fn obligation_aggregates_agree_on_every_column_of_the_rows_fixture() {
+        // Placeholder codes 2 and 99 and `false` under nulls, a NaN in
+        // `f`, 13 integers beyond 2⁵³ in `i`, 17 dates in `d`: `s`, `b`
+        // and `i` count frequencies off per-value bitmaps on the table
+        // and by walks on the row store, `d` and `f` walk on both.
+        const BASE: i64 = (1 << 53) - 4;
+        let (backends, n) = rows_fixture();
+        let floors = |attr: &str| match attr {
+            "f" => vec![Value::Float(-0.0), Value::Float(10.0), Value::Int(0)],
+            "i" => vec![Value::Int(BASE + 3), Value::Float((BASE + 4) as f64)],
+            "d" => vec![Value::Date(9_005), Value::Int(9_016)],
+            "s" => vec![Value::str("s1"), Value::str("s"), Value::Int(0)],
+            _ => vec![Value::Bool(false), Value::Bool(true), Value::str("0")],
+        };
+        let attrs = ["f", "i", "d", "s", "b"];
+        assert_aggregates_agree(&backends, &attrs, &selections(n), floors);
+    }
+
+    /// Each aggregate of each of `attrs` over each selection, value or
+    /// error, is the reference table's (the first backend's) on every
+    /// backend — down to the sign of a zero (hence `Debug`) and the bits
+    /// of a mean. `next_above` is asked about each of `floors(attr)`.
+    fn assert_aggregates_agree(
+        backends: &Backends,
+        attrs: &[&str],
+        sels: &[(&str, Bitmap)],
+        floors: impl Fn(&str) -> Vec<Value>,
+    ) {
         let (_, reference) = &backends[0];
         let reference = reference.as_ref();
         for (name, b) in &backends[1..] {
             let b = b.as_ref();
-            for attr in ["f", "x", "d", "c", "big", "wide", "k"] {
-                for (label, sel) in &sels {
+            for &attr in attrs {
+                for (label, sel) in sels {
+                    let n = sel.len();
                     let what = format!("{name}: {attr} over {label}");
                     let same = |op: &str, got: String, want: String| {
                         assert_eq!(got, want, "{what}: {op}");
                     };
+                    same(
+                        "median",
+                        format!("{:?}", b.median(attr, sel)),
+                        format!("{:?}", reference.median(attr, sel)),
+                    );
                     same(
                         "min_max",
                         format!("{:?}", b.min_max(attr, sel)),
@@ -966,6 +1005,18 @@ mod contract_harness {
             StorePredicate::set("f", floats.to_vec()),
             StorePredicate::set("i", ints.to_vec()),
             StorePredicate::set("d", vec![Value::Date(9_000), Value::Date(9_016)]),
+            // An `Int` member matches exactly; a `Float` one as the `f64`
+            // it is, so beyond 2⁵³ it matches every integer rounding to
+            // it (2⁵³ and 2⁵³ + 1; 2⁵³ + 3 to 2⁵³ + 5).
+            StorePredicate::set(
+                "i",
+                vec![
+                    Value::Float((BASE + 4) as f64),
+                    Value::Int(BASE + 1),
+                    Value::Float((BASE + 8) as f64),
+                ],
+            ),
+            StorePredicate::set("d", vec![Value::Float(9_005.0), Value::Date(9_010)]),
             StorePredicate::set("s", strs.to_vec()),
             StorePredicate::set("b", vec![Value::Bool(true)]),
             StorePredicate::set("s", Vec::new()),
