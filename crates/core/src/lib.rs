@@ -49,6 +49,8 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// A suppression names its lint and says why: `#[expect(.., reason = "..")]`.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod advisor;
 pub mod cache;

@@ -230,13 +230,14 @@ impl Client {
     }
 
     fn ensure_conn(&mut self) -> std::io::Result<(&mut BufReader<TcpStream>, bool)> {
-        let fresh = self.conn.is_none();
-        if fresh {
-            let stream = connect(&self.addr, &self.config)?;
-            self.connects += 1;
-            self.conn = Some(BufReader::new(stream));
+        match self.conn {
+            Some(ref mut conn) => Ok((conn, false)),
+            None => {
+                let stream = connect(&self.addr, &self.config)?;
+                self.connects += 1;
+                Ok((self.conn.insert(BufReader::new(stream)), true))
+            }
         }
-        Ok((self.conn.as_mut().expect("just ensured"), fresh))
     }
 
     /// Issue one request over the persistent connection.

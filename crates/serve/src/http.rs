@@ -12,6 +12,7 @@
 //! — never a panic — which the proptest suite pins by feeding the
 //! parser arbitrary bytes.
 
+use crate::codes::ErrorCode;
 use std::io::{BufRead, Write};
 
 /// Upper bound on the request line plus all headers.
@@ -91,18 +92,24 @@ pub enum HttpError {
 impl HttpError {
     /// The response status this error maps to.
     pub fn status(&self) -> u16 {
-        match self {
-            HttpError::BadRequestLine(_)
-            | HttpError::BadHeader(_)
-            | HttpError::BadContentLength(_)
-            | HttpError::BodyNotUtf8
-            | HttpError::UnexpectedEof
-            | HttpError::Io(_) => 400,
-            HttpError::UnsupportedMethod(_) | HttpError::UnsupportedTransferEncoding(_) => 501,
-            HttpError::UnsupportedVersion(_) => 505,
-            HttpError::HeadTooLarge => 431,
-            HttpError::BodyTooLarge(_) => 413,
-        }
+        http_error_code(self).status()
+    }
+}
+
+/// The stable machine-readable code for a transport-layer error.
+pub(crate) fn http_error_code(e: &HttpError) -> ErrorCode {
+    match e {
+        HttpError::UnsupportedMethod(_) => ErrorCode::UnsupportedMethod,
+        HttpError::UnsupportedVersion(_) => ErrorCode::UnsupportedHttpVersion,
+        HttpError::UnsupportedTransferEncoding(_) => ErrorCode::UnsupportedTransferEncoding,
+        HttpError::HeadTooLarge => ErrorCode::HeadTooLarge,
+        HttpError::BodyTooLarge(_) => ErrorCode::BodyTooLarge,
+        HttpError::BadRequestLine(_)
+        | HttpError::BadHeader(_)
+        | HttpError::BadContentLength(_)
+        | HttpError::BodyNotUtf8
+        | HttpError::UnexpectedEof
+        | HttpError::Io(_) => ErrorCode::BadRequest,
     }
 }
 

@@ -41,8 +41,24 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// No call outside the tests may panic: a panic drops a connection, and
+// every request pipelined on it, unanswered.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+// A suppression names its lint and says why: `#[expect(.., reason = "..")]`.
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
 pub mod client;
+mod codes;
 pub mod http;
 pub mod json;
 pub mod server;

@@ -27,7 +27,8 @@
 //! HB-cuts run, and the payload served from the cache is byte-identical
 //! to a fresh advisor run on the same canonical context.
 
-use crate::http::{parse_request, write_response, HttpError, Method, Request};
+use crate::codes::ErrorCode;
+use crate::http::{http_error_code, parse_request, write_response, Method, Request};
 use crate::json::{
     cache_stats_body, encode_error, encode_error_with_diagnostics, info_body, metrics_body,
     served_advice, session_body, HEALTH_BODY,
@@ -218,11 +219,10 @@ pub(crate) enum ApiOk {
     Health,
 }
 
-/// One failed API outcome: status, stable snake_case code, human
+/// One failed API outcome: stable code (which fixes the status), human
 /// detail, and (for admission rejections) the static-analysis findings.
 pub(crate) struct ApiError {
-    pub status: u16,
-    pub code: &'static str,
+    pub code: ErrorCode,
     pub message: String,
     /// `Some` ⇒ the JSON rendering attaches a `diagnostics` array
     /// (even when empty, matching the established wire shape).
@@ -230,9 +230,8 @@ pub(crate) struct ApiError {
 }
 
 impl ApiError {
-    fn new(status: u16, code: &'static str, message: impl Into<String>) -> ApiError {
+    fn new(code: ErrorCode, message: impl Into<String>) -> ApiError {
         ApiError {
-            status,
             code,
             message: message.into(),
             diagnostics: None,
@@ -700,9 +699,10 @@ fn handle_connection(stream: TcpStream, kind: ConnKind, state: &ServerState, con
                     (status, keep_alive)
                 }
                 Err(e) => {
-                    let body = encode_error(http_error_code(&e), &e.to_string());
-                    let _ = write_response(&mut buf, e.status(), &body, false);
-                    (e.status(), false)
+                    let code = http_error_code(&e);
+                    let body = encode_error(code.as_str(), &e.to_string());
+                    let _ = write_response(&mut buf, code.status(), &body, false);
+                    (code.status(), false)
                 }
             },
             ConnKind::Wire => match read_frame(&mut reader, &mut scratch, MAX_REQUEST_PAYLOAD)
@@ -715,7 +715,7 @@ fn handle_connection(stream: TcpStream, kind: ConnKind, state: &ServerState, con
                 }
                 Err(err) => {
                     encode_frame_error(&mut buf, &err);
-                    (400, false)
+                    (ErrorCode::BadFrame.status(), false)
                 }
             },
         };
@@ -753,18 +753,6 @@ fn write_in_order(mut stream: TcpStream, queued: &Receiver<Vec<u8>>, recycle: &S
     }
 }
 
-/// The stable machine-readable code for a transport-layer error.
-fn http_error_code(e: &HttpError) -> &'static str {
-    match e {
-        HttpError::UnsupportedMethod(_) => "unsupported_method",
-        HttpError::UnsupportedVersion(_) => "unsupported_http_version",
-        HttpError::UnsupportedTransferEncoding(_) => "unsupported_transfer_encoding",
-        HttpError::HeadTooLarge => "head_too_large",
-        HttpError::BodyTooLarge(_) => "body_too_large",
-        _ => "bad_request",
-    }
-}
-
 /// Split a request target's path component into non-empty segments.
 /// The query (everything from the first `?`) is ignored: a load
 /// balancer's `GET /healthz?probe=lb` is a health probe, not a 404.
@@ -787,21 +775,20 @@ fn route(state: &ServerState, req: &Request) -> (u16, String) {
         (Method::Delete, ["session", id]) => render(api_delete_session(state, id)),
         (Method::Post, ["session", id, "drill"]) => match parse_drill_body(&req.body) {
             Some((rank, seg)) => render(api_drill(state, id, rank, seg)),
-            None => (
-                400,
-                encode_error(
-                    "bad_request",
-                    "drill body must be two indices: \"rank seg\"",
-                ),
-            ),
+            None => render(Err(ApiError::new(
+                ErrorCode::BadRequest,
+                "drill body must be two indices: \"rank seg\"",
+            ))),
         },
         (Method::Post, ["session", id, "back"]) => render(api_back(state, id)),
         // Known paths with the wrong method get a 405, the rest 404.
-        (_, ["session"]) | (_, ["session", _]) | (_, ["session", _, "drill" | "back"]) => (
-            405,
-            encode_error("method_not_allowed", "method not allowed for this route"),
-        ),
-        _ => (404, encode_error("no_such_route", "no such route")),
+        (_, ["session"]) | (_, ["session", _]) | (_, ["session", _, "drill" | "back"]) => {
+            render(Err(ApiError::new(
+                ErrorCode::MethodNotAllowed,
+                "method not allowed for this route",
+            )))
+        }
+        _ => render(Err(ApiError::new(ErrorCode::NoSuchRoute, "no such route"))),
     }
 }
 
@@ -848,10 +835,10 @@ fn render_ok(ok: &ApiOk) -> (u16, String) {
 
 fn render_err(e: &ApiError) -> (u16, String) {
     let body = match &e.diagnostics {
-        Some(diags) => encode_error_with_diagnostics(e.code, &e.message, diags),
-        None => encode_error(e.code, &e.message),
+        Some(diags) => encode_error_with_diagnostics(e.code.as_str(), &e.message, diags),
+        None => encode_error(e.code.as_str(), &e.message),
     };
-    (e.status, body)
+    (e.code.status(), body)
 }
 
 /// Split an optional leading `@<path>` line off a session body,
@@ -876,26 +863,23 @@ impl ServerState {
     fn dataset(&self, rel: &str) -> Result<Dataset, ApiError> {
         let Some(root) = &self.dataset_root else {
             return Err(ApiError::new(
-                403,
-                "dataset_disabled",
+                ErrorCode::DatasetDisabled,
                 "this server has no dataset root; '@path' session bodies are disabled",
             ));
         };
         let root = root.canonicalize().map_err(|e| {
             ApiError::new(
-                500,
-                "backend_failure",
+                ErrorCode::BackendFailure,
                 format!("dataset root unavailable: {e}"),
             )
         })?;
         let joined = root.join(rel);
-        let canonical = joined
-            .canonicalize()
-            .map_err(|_| ApiError::new(404, "no_such_dataset", format!("no dataset at {rel:?}")))?;
+        let canonical = joined.canonicalize().map_err(|_| {
+            ApiError::new(ErrorCode::NoSuchDataset, format!("no dataset at {rel:?}"))
+        })?;
         if !canonical.starts_with(&root) {
             return Err(ApiError::new(
-                403,
-                "dataset_forbidden",
+                ErrorCode::DatasetForbidden,
                 format!("dataset path {rel:?} escapes the dataset root"),
             ));
         }
@@ -913,8 +897,7 @@ impl ServerState {
                 Ok(dataset)
             }
             Err(e) => Err(ApiError::new(
-                422,
-                "bad_dataset",
+                ErrorCode::BadDataset,
                 format!("failed to load dataset {rel:?}: {e}"),
             )),
         }
@@ -957,8 +940,7 @@ pub(crate) fn api_create_session(state: &ServerState, body: &str) -> Result<ApiO
     let (dataset_path, sdl) = split_dataset_directive(body);
     if sdl.trim().is_empty() {
         return Err(ApiError::new(
-            400,
-            "bad_request",
+            ErrorCode::BadRequest,
             "request body must be an SDL context",
         ));
     }
@@ -983,8 +965,7 @@ pub(crate) fn api_create_session(state: &ServerState, body: &str) -> Result<ApiO
         let mut sessions = state.sessions.lock().unwrap_or_else(|p| p.into_inner());
         if sessions.len() >= state.max_sessions {
             return Err(ApiError::new(
-                503,
-                "capacity_exhausted",
+                ErrorCode::CapacityExhausted,
                 "session capacity exhausted; DELETE finished sessions and retry",
             ));
         }
@@ -1063,7 +1044,7 @@ pub(crate) fn api_metrics(state: &ServerState) -> ApiOk {
 }
 
 fn no_such_session(id: &str) -> ApiError {
-    ApiError::new(404, "no_such_session", format!("no session {id:?}"))
+    ApiError::new(ErrorCode::NoSuchSession, format!("no session {id:?}"))
 }
 
 /// Look a session up and run `f` on it under its own lock (the registry
@@ -1091,14 +1072,13 @@ where
 /// are 4xx, backend faults are the only 500s.
 fn core_error(e: &CoreError) -> ApiError {
     let message = e.to_string();
-    let (status, code) = match e {
+    let code = match e {
         // Static-analysis rejections: the context parsed but is
         // ill-typed for this dataset's schema. 422 with the findings
         // attached, so clients see every problem at once.
         CoreError::InvalidContext(diags) => {
             return ApiError {
-                status: 422,
-                code: "invalid_context",
+                code: ErrorCode::InvalidContext,
                 message,
                 diagnostics: Some(diags.clone()),
             };
@@ -1113,30 +1093,29 @@ fn core_error(e: &CoreError) -> ApiError {
                 format!("the dataset's schema has no attribute {attr:?}"),
             );
             return ApiError {
-                status: 422,
-                code: "invalid_context",
+                code: ErrorCode::InvalidContext,
                 message,
                 diagnostics: Some(vec![diag]),
             };
         }
         // Provably-empty conjunction: valid, but answered without any
         // backend work.
-        CoreError::UnsatisfiableContext => (422, "unsatisfiable_context"),
+        CoreError::UnsatisfiableContext => ErrorCode::UnsatisfiableContext,
         // The context didn't parse or validate: the request was wrong.
-        CoreError::Sdl(_) => (400, "bad_context"),
-        CoreError::BadConfig(_) => (400, "bad_config"),
+        CoreError::Sdl(_) => ErrorCode::BadContext,
+        CoreError::BadConfig(_) => ErrorCode::BadConfig,
         // Stable session-state errors: the request is well-formed but
         // cannot apply to the current state.
-        CoreError::SessionNotStarted => (409, "session_not_started"),
-        CoreError::NoSuchSegment { .. } => (422, "no_such_segment"),
-        CoreError::AtRoot => (422, "at_root"),
+        CoreError::SessionNotStarted => ErrorCode::SessionNotStarted,
+        CoreError::NoSuchSegment { .. } => ErrorCode::NoSuchSegment,
+        CoreError::AtRoot => ErrorCode::AtRoot,
         // Semantically empty/uniform contexts are client-visible dead
         // ends, not server faults.
-        CoreError::EmptyContext => (422, "empty_context"),
-        CoreError::NoCuttableAttribute => (422, "no_cuttable_attribute"),
-        CoreError::Store(_) => (500, "backend_failure"),
+        CoreError::EmptyContext => ErrorCode::EmptyContext,
+        CoreError::NoCuttableAttribute => ErrorCode::NoCuttableAttribute,
+        CoreError::Store(_) => ErrorCode::BackendFailure,
     };
-    ApiError::new(status, code, message)
+    ApiError::new(code, message)
 }
 
 /// [`core_error`] for the two operations that advise (start and drill),

@@ -50,6 +50,7 @@
 //! equivalence oracle in `tests/serve_concurrency.rs` leans on this.
 
 use crate::client::ClientConfig;
+use crate::codes::ErrorCode;
 use crate::json::{
     cache_stats_body, error_body, info_body, json_array, json_f64, json_string, json_string_array,
     metrics_body, session_body, stop_reason_name, HEALTH_BODY,
@@ -77,23 +78,23 @@ pub const MAX_REQUEST_PAYLOAD: u32 = 1 << 20;
 /// tens of kilobytes; this is headroom, not a target).
 pub const MAX_RESPONSE_PAYLOAD: u32 = 64 << 20;
 
-const OP_START: u8 = 0x01;
-const OP_INSPECT: u8 = 0x02;
-const OP_DRILL: u8 = 0x03;
-const OP_BACK: u8 = 0x04;
-const OP_DELETE: u8 = 0x05;
-const OP_CACHE_STATS: u8 = 0x06;
-const OP_METRICS: u8 = 0x07;
-const OP_HEALTH: u8 = 0x08;
+pub(crate) const OP_START: u8 = 0x01;
+pub(crate) const OP_INSPECT: u8 = 0x02;
+pub(crate) const OP_DRILL: u8 = 0x03;
+pub(crate) const OP_BACK: u8 = 0x04;
+pub(crate) const OP_DELETE: u8 = 0x05;
+pub(crate) const OP_CACHE_STATS: u8 = 0x06;
+pub(crate) const OP_METRICS: u8 = 0x07;
+pub(crate) const OP_HEALTH: u8 = 0x08;
 
-const RESP_STARTED: u8 = 0x81;
-const RESP_ADVICE: u8 = 0x82;
-const RESP_INFO: u8 = 0x83;
-const RESP_DELETED: u8 = 0x84;
-const RESP_CACHE_STATS: u8 = 0x85;
-const RESP_METRICS: u8 = 0x86;
-const RESP_HEALTH: u8 = 0x87;
-const RESP_ERROR: u8 = 0xEE;
+pub(crate) const RESP_STARTED: u8 = 0x81;
+pub(crate) const RESP_ADVICE: u8 = 0x82;
+pub(crate) const RESP_INFO: u8 = 0x83;
+pub(crate) const RESP_DELETED: u8 = 0x84;
+pub(crate) const RESP_CACHE_STATS: u8 = 0x85;
+pub(crate) const RESP_METRICS: u8 = 0x86;
+pub(crate) const RESP_HEALTH: u8 = 0x87;
+pub(crate) const RESP_ERROR: u8 = 0xEE;
 
 /// Everything that can go wrong speaking the protocol. Decoding
 /// arbitrary bytes yields one of these — never a panic.
@@ -792,7 +793,7 @@ pub(crate) fn api_status(result: &Result<ApiOk, ApiError>) -> u16 {
         Ok(ApiOk::Created { .. }) => 201,
         Ok(ApiOk::Deleted) => 204,
         Ok(_) => 200,
-        Err(e) => e.status,
+        Err(e) => e.code.status(),
     }
 }
 
@@ -850,8 +851,8 @@ pub(crate) fn encode_api_result(buf: &mut Vec<u8>, result: &Result<ApiOk, ApiErr
         }
         Err(e) => {
             let start = begin_frame(buf, RESP_ERROR);
-            put_u16(buf, e.status);
-            put_str(buf, e.code);
+            put_u16(buf, e.code.status());
+            put_str(buf, e.code.as_str());
             put_str(buf, &e.message);
             match &e.diagnostics {
                 None => put_u8(buf, 0),
@@ -875,8 +876,8 @@ pub(crate) fn encode_api_result(buf: &mut Vec<u8>, result: &Result<ApiOk, ApiErr
 /// API layer).
 pub(crate) fn encode_frame_error(buf: &mut Vec<u8>, err: &WireError) {
     let start = begin_frame(buf, RESP_ERROR);
-    put_u16(buf, 400);
-    put_str(buf, "bad_frame");
+    put_u16(buf, ErrorCode::BadFrame.status());
+    put_str(buf, ErrorCode::BadFrame.as_str());
     put_display(buf, err);
     put_u8(buf, 0);
     end_frame(buf, start);

@@ -13,6 +13,21 @@
 //! records why the Roaring-style compressed twin was removed and what
 //! measurement would bring a second layout back.
 
+// No call outside the tests may panic: every selection flows through
+// this file.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use std::fmt;
 
 const WORD_BITS: usize = 64;

@@ -19,6 +19,21 @@
 //! (`docs/adr/0021-per-value-bitmaps-for-few-valued-columns.md`); not a
 //! setting.
 
+// No call outside the tests may panic: every scan, frequency and
+// counted rank of a few-valued column reads these bitmaps.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use crate::bitmap::Bitmap;
 
 /// The most slots a column is indexed with (ADR 0021).

@@ -12,6 +12,21 @@
 //! from its parent (`And[Rows(parent), conjunct]`) costs what the parent
 //! holds, not what the table does.
 
+// No call outside the tests may panic: every range and set scan runs
+// its kernel here.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
 use crate::error::{StoreError, StoreResult};

@@ -14,6 +14,21 @@
 //! So the two engines share one implementation of every statistic, and
 //! the row store is a second witness for scans only.
 
+// No call outside the tests may panic: `RowTable::new` takes rows the
+// caller built, and a bad one is a `StoreError`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::todo,
+        clippy::unimplemented
+    )
+)]
+#![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
+
 use crate::backend::{Backend, BackendStats, OpCounters};
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};

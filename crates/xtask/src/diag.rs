@@ -8,22 +8,9 @@ use std::fmt;
 /// Codes are stable API: CI artefacts, suppression comments and
 /// `docs/LINTS.md` all key on them. Add, never rename.
 pub mod codes {
-    /// Direct panicking call (`.unwrap()` / `.expect(` / `panic!` /
-    /// `unreachable!` / `todo!` / `unimplemented!`) in a protected file.
-    pub const PANIC: &str = "panic";
-    /// Panicking call transitively reachable from a request-path entry
-    /// fn through the conservative intra-crate call graph.
-    pub const PANIC_REACHABLE: &str = "panic_reachable";
-    /// Ambient clock read (`Instant::now` / `SystemTime::now`) in the
-    /// deterministic core.
-    pub const CLOCK: &str = "clock";
     /// Mutex guard binding live across a blocking I/O call in the same
     /// block scope.
     pub const LOCK_IO: &str = "lock_io";
-    /// Source constant/code disagrees with `docs/lint/registry.txt`.
-    pub const SPEC_DRIFT: &str = "spec_drift";
-    /// README table missing a registry entry.
-    pub const README_DRIFT: &str = "readme_drift";
     /// Public API surface differs from the committed snapshot in
     /// `docs/api/<crate>.txt`.
     pub const API_SNAPSHOT: &str = "api_snapshot";
@@ -36,12 +23,7 @@ pub mod codes {
 
     /// All codes, for validation of `lint:allow(<code>)` comments.
     pub const ALL: &[&str] = &[
-        PANIC,
-        PANIC_REACHABLE,
-        CLOCK,
         LOCK_IO,
-        SPEC_DRIFT,
-        README_DRIFT,
         API_SNAPSHOT,
         ALLOW_UNREASONED,
         ALLOW_UNKNOWN,
@@ -137,10 +119,10 @@ mod tests {
 
     #[test]
     fn json_escapes_and_shapes() {
-        let d = Diagnostic::new(codes::PANIC, "a/b.rs", 7, "call \"x\"\nhere");
+        let d = Diagnostic::new(codes::LOCK_IO, "a/b.rs", 7, "call \"x\"\nhere");
         assert_eq!(
             d.to_json(),
-            "{\"code\":\"panic\",\"file\":\"a/b.rs\",\"line\":7,\"detail\":\"call \\\"x\\\"\\nhere\"}"
+            "{\"code\":\"lock_io\",\"file\":\"a/b.rs\",\"line\":7,\"detail\":\"call \\\"x\\\"\\nhere\"}"
         );
         assert_eq!(to_json_array(&[]), "[]");
         assert!(to_json_array(&[d.clone(), d]).starts_with("[{"));

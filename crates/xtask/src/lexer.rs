@@ -61,46 +61,6 @@ impl Tok {
     pub fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == 1 && self.text.starts_with(c)
     }
-
-    /// The value of a `Str` token with prefixes/quotes/hashes stripped
-    /// and common escapes (`\"`, `\\`, `\n`, `\t`, `\r`, `\0`, `\'`)
-    /// decoded. Unrecognized escapes are kept verbatim — good enough
-    /// for the snake_case registry strings the passes compare.
-    pub fn str_value(&self) -> String {
-        debug_assert_eq!(self.kind, TokKind::Str);
-        let t = self.text.as_str();
-        let t = t.strip_prefix('b').unwrap_or(t);
-        if let Some(raw) = t.strip_prefix('r') {
-            let hashes = raw.chars().take_while(|&c| c == '#').count();
-            let inner = &raw[hashes..];
-            let inner = inner.strip_prefix('"').unwrap_or(inner);
-            let inner = &inner[..inner.len().saturating_sub(1 + hashes)];
-            return inner.to_string();
-        }
-        let inner = t.strip_prefix('"').unwrap_or(t);
-        let inner = inner.strip_suffix('"').unwrap_or(inner);
-        let mut out = String::with_capacity(inner.len());
-        let mut chars = inner.chars();
-        while let Some(c) = chars.next() {
-            if c != '\\' {
-                out.push(c);
-                continue;
-            }
-            match chars.next() {
-                Some('n') => out.push('\n'),
-                Some('t') => out.push('\t'),
-                Some('r') => out.push('\r'),
-                Some('0') => out.push('\0'),
-                Some(e @ ('"' | '\\' | '\'')) => out.push(e),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
-            }
-        }
-        out
-    }
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -427,21 +387,6 @@ mod tests {
         let s = toks.iter().find(|(k, _)| *k == TokKind::Str).unwrap();
         assert!(s.1.contains("quoted"));
         assert!(toks.iter().any(|(k, t)| *k == TokKind::Ident && t == "x"));
-    }
-
-    #[test]
-    fn str_value_strips_and_unescapes() {
-        let toks = lex(r#"("no_such_session", "a\"b\\c")"#);
-        let strs: Vec<_> = toks
-            .iter()
-            .filter(|t| t.kind == TokKind::Str)
-            .map(|t| t.str_value())
-            .collect();
-        assert_eq!(strs, ["no_such_session", "a\"b\\c"]);
-        let raw = lex(r##"r#"x"y"#"##);
-        assert_eq!(raw[0].str_value(), "x\"y");
-        let byte = lex(r#"b"CHRW""#);
-        assert_eq!(byte[0].str_value(), "CHRW");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! A lightweight item model on top of the lexer.
 //!
 //! The model answers the structural questions the passes ask — *which
-//! fn does this token belong to*, *is this span `#[cfg(test)]`-scoped*,
+//! fn does this token belong to*, *is this item `#[cfg(test)]`-scoped*,
 //! *what `pub` items does this file declare*, *which lines carry a
 //! `lint:allow` suppression* — without being a Rust parser. It
 //! recognizes item heads (`fn`/`struct`/`enum`/`trait`/`impl`/`mod`/
@@ -100,8 +100,6 @@ pub struct SourceFile {
     pub items: Vec<Item>,
     /// All `lint:allow` comments found.
     pub suppressions: Vec<Suppression>,
-    /// Per-token: inside a test-scoped item.
-    in_test: Vec<bool>,
 }
 
 impl SourceFile {
@@ -111,10 +109,9 @@ impl SourceFile {
         let mut p = Parser {
             toks: &toks,
             items: Vec::new(),
-            in_test: vec![false; toks.len()],
         };
         p.items(0, toks.len(), &[], false, None);
-        let Parser { items, in_test, .. } = p;
+        let items = p.items;
         // A suppression is a plain `//` line comment whose body *starts*
         // with the marker — doc comments or prose that merely mention
         // `lint:allow(...)` mid-sentence are not suppressions.
@@ -142,13 +139,7 @@ impl SourceFile {
             toks,
             items,
             suppressions,
-            in_test,
         }
-    }
-
-    /// Is token `i` inside a `#[cfg(test)]` / `#[test]` scope?
-    pub fn is_test_tok(&self, i: usize) -> bool {
-        self.in_test.get(i).copied().unwrap_or(false)
     }
 
     /// The suppression on `line` for `code`, if any.
@@ -162,7 +153,6 @@ impl SourceFile {
 struct Parser<'a> {
     toks: &'a [Tok],
     items: Vec<Item>,
-    in_test: Vec<bool>,
 }
 
 impl<'a> Parser<'a> {
@@ -251,12 +241,12 @@ impl<'a> Parser<'a> {
         if i >= end {
             return end;
         }
-        let head_start = i;
         // Attributes: `#[…]` (outer) and `#![…]` (inner).
         let mut attr_test = false;
         while i < end && self.toks[i].is_punct('#') {
             let after = self.code_at(i + 1, end);
-            let bracket_at = if self.tok(after).is_some_and(|t| t.is_punct('!')) {
+            let inner = self.tok(after).is_some_and(|t| t.is_punct('!'));
+            let bracket_at = if inner {
                 self.code_at(after + 1, end)
             } else {
                 after
@@ -267,10 +257,13 @@ impl<'a> Parser<'a> {
             }
             let past = self.skip_matched(bracket_at, end, '[', ']');
             // `#[test]`, `#[cfg(test)]`, `#[cfg(all(test, …))]` — any
-            // `test` ident inside the attribute marks the item.
-            attr_test |= self.toks[i..past]
-                .iter()
-                .any(|t| t.kind == TokKind::Ident && t.text == "test");
+            // `test` ident inside an outer attribute marks the item. An
+            // inner one (`#![cfg_attr(not(test), …)]`) is about the
+            // enclosing module, not the item after it.
+            attr_test |= !inner
+                && self.toks[i..past]
+                    .iter()
+                    .any(|t| t.kind == TokKind::Ident && t.text == "test");
             i = self.code_at(past, end);
         }
         if i >= end {
@@ -309,28 +302,23 @@ impl<'a> Parser<'a> {
                     if self.tok(after).is_some_and(|t| t.is_punct('{')) {
                         // `extern "C" { … }` foreign block: recurse.
                         let close = self.skip_matched(after, end, '{', '}');
-                        self.mark_test(head_start, close, in_test || attr_test);
                         self.items(after + 1, close - 1, mod_path, in_test || attr_test, owner);
                         return close;
                     }
                     i = after; // `extern "C" fn`
                 } else {
                     // `extern crate name;`
-                    return self.finish_simple(
-                        head_start,
-                        i,
-                        end,
-                        Item {
-                            kind: ItemKind::Use,
-                            name: String::new(),
-                            mod_path: mod_path.to_vec(),
-                            owner: None,
-                            vis,
-                            line: self.toks[i].line,
-                            is_test: in_test || attr_test,
-                            body: None,
-                        },
-                    );
+                    self.items.push(Item {
+                        kind: ItemKind::Use,
+                        name: String::new(),
+                        mod_path: mod_path.to_vec(),
+                        owner: None,
+                        vis,
+                        line: self.toks[i].line,
+                        is_test: in_test || attr_test,
+                        body: None,
+                    });
+                    return self.skip_to_semi(i, end);
                 }
             } else {
                 break;
@@ -359,7 +347,6 @@ impl<'a> Parser<'a> {
                     .collect::<Vec<_>>()
                     .join("");
                 self.items.push(mk(ItemKind::Use, name, None));
-                self.mark_test(head_start, past, is_test);
                 past
             }
             "mod" => {
@@ -370,7 +357,6 @@ impl<'a> Parser<'a> {
                     let close = self.skip_matched(after, end, '{', '}');
                     self.items
                         .push(mk(ItemKind::Mod, name.clone(), Some((after, close - 1))));
-                    self.mark_test(head_start, close, is_test);
                     let mut child_path = mod_path.to_vec();
                     child_path.push(name);
                     self.items(after + 1, close - 1, &child_path, is_test, None);
@@ -378,7 +364,6 @@ impl<'a> Parser<'a> {
                 } else {
                     let past = self.skip_to_semi(i, end);
                     self.items.push(mk(ItemKind::Mod, name, None));
-                    self.mark_test(head_start, past, is_test);
                     past
                 }
             }
@@ -414,7 +399,6 @@ impl<'a> Parser<'a> {
                     j += 1;
                 }
                 self.items.push(mk(ItemKind::Fn, name, body));
-                self.mark_test(head_start, j, is_test);
                 j
             }
             "struct" | "union" => {
@@ -440,7 +424,6 @@ impl<'a> Parser<'a> {
                     j += 1;
                 }
                 self.items.push(mk(ItemKind::Struct, name, None));
-                self.mark_test(head_start, past, is_test);
                 past
             }
             "enum" => {
@@ -448,7 +431,6 @@ impl<'a> Parser<'a> {
                 let name = self.ident_text(name_at);
                 let past = self.body_from(name_at + 1, end);
                 self.items.push(mk(ItemKind::Enum, name, None));
-                self.mark_test(head_start, past, is_test);
                 past
             }
             "trait" => {
@@ -456,7 +438,6 @@ impl<'a> Parser<'a> {
                 let name = self.ident_text(name_at);
                 let (open, past) = self.brace_span_from(name_at + 1, end);
                 self.items.push(mk(ItemKind::Trait, name.clone(), None));
-                self.mark_test(head_start, past, is_test);
                 if let Some(open) = open {
                     self.items(open + 1, past - 1, mod_path, is_test, Some(&name));
                 }
@@ -470,7 +451,6 @@ impl<'a> Parser<'a> {
                     target.clone(),
                     open.map(|o| (o, past - 1)),
                 ));
-                self.mark_test(head_start, past, is_test);
                 if let Some(open) = open {
                     self.items(open + 1, past - 1, mod_path, is_test, Some(&target));
                 }
@@ -489,7 +469,6 @@ impl<'a> Parser<'a> {
                 let name = self.ident_text(name_at);
                 let past = self.skip_to_semi(name_at, end);
                 self.items.push(mk(kind, name, None));
-                self.mark_test(head_start, past, is_test);
                 past
             }
             "type" => {
@@ -497,7 +476,6 @@ impl<'a> Parser<'a> {
                 let name = self.ident_text(name_at);
                 let past = self.skip_to_semi(name_at, end);
                 self.items.push(mk(ItemKind::TypeAlias, name, None));
-                self.mark_test(head_start, past, is_test);
                 past
             }
             "macro_rules" => {
@@ -507,7 +485,6 @@ impl<'a> Parser<'a> {
                 let name = self.ident_text(name_at);
                 let past = self.body_from(name_at + 1, end);
                 self.items.push(mk(ItemKind::MacroRules, name, None));
-                self.mark_test(head_start, past, is_test);
                 past
             }
             _ => i + 1, // not an item head we model: skip one token
@@ -619,21 +596,6 @@ impl<'a> Parser<'a> {
             .map(|t| t.text.clone())
             .unwrap_or_default()
     }
-
-    fn mark_test(&mut self, from: usize, to: usize, is_test: bool) {
-        if is_test {
-            for j in from..to.min(self.in_test.len()) {
-                self.in_test[j] = true;
-            }
-        }
-    }
-
-    fn finish_simple(&mut self, head_start: usize, i: usize, end: usize, item: Item) -> usize {
-        let past = self.skip_to_semi(i, end);
-        self.mark_test(head_start, past, item.is_test);
-        self.items.push(item);
-        past
-    }
 }
 
 /// The whole workspace's modeled sources.
@@ -723,37 +685,39 @@ mod tests {
         assert_eq!(fns[1].vis, Vis::Private);
     }
 
+    fn is_test(f: &SourceFile, name: &str) -> bool {
+        f.items
+            .iter()
+            .find(|i| i.name == name)
+            .expect("item present")
+            .is_test
+    }
+
     #[test]
-    fn cfg_test_mod_scopes_every_token_inside() {
+    fn cfg_test_mod_scopes_every_item_inside() {
         let f = SourceFile::parse(
             "x.rs",
             "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n",
         );
-        let unwrap_at = f
-            .toks
-            .iter()
-            .position(|t| t.is_ident("unwrap"))
-            .expect("token present");
-        assert!(f.is_test_tok(unwrap_at));
-        let live_at = f
-            .toks
-            .iter()
-            .position(|t| t.is_ident("live"))
-            .expect("present");
-        assert!(!f.is_test_tok(live_at));
+        assert!(is_test(&f, "tests"));
+        assert!(is_test(&f, "t"));
+        assert!(!is_test(&f, "live"));
+    }
+
+    #[test]
+    fn an_inner_attribute_does_not_mark_the_next_item() {
+        let f = SourceFile::parse(
+            "lib.rs",
+            "#![cfg_attr(not(test), deny(clippy::unwrap_used))]\npub mod client;\n",
+        );
+        assert!(!is_test(&f, "client"));
     }
 
     #[test]
     fn test_attr_marks_single_fn() {
         let f = SourceFile::parse("x.rs", "#[test]\nfn t() { a.unwrap(); }\nfn live() {}\n");
-        let unwrap_at = f
-            .toks
-            .iter()
-            .position(|t| t.is_ident("unwrap"))
-            .expect("present");
-        assert!(f.is_test_tok(unwrap_at));
-        let live = f.items.iter().find(|i| i.name == "live").expect("present");
-        assert!(!live.is_test);
+        assert!(is_test(&f, "t"));
+        assert!(!is_test(&f, "live"));
     }
 
     #[test]
@@ -798,11 +762,11 @@ mod tests {
     fn suppressions_parse_code_and_reason() {
         let f = SourceFile::parse(
             "x.rs",
-            "fn f() {\n    x.unwrap(); // lint:allow(panic) startup only, before serving\n    y.unwrap(); // lint:allow(panic)\n}\n",
+            "fn f() {\n    x.write_all(b); // lint:allow(lock_io) startup only, before serving\n    y.flush(); // lint:allow(lock_io)\n}\n",
         );
         assert_eq!(f.suppressions.len(), 2);
         assert_eq!(f.suppressions[0].line, 2);
-        assert_eq!(f.suppressions[0].code, "panic");
+        assert_eq!(f.suppressions[0].code, "lock_io");
         assert_eq!(f.suppressions[0].reason, "startup only, before serving");
         assert_eq!(f.suppressions[1].reason, "");
     }

@@ -16,8 +16,8 @@
 //! and plain `.lock()`). A binding like `….lock()….get(id).cloned()`
 //! drops its guard at the end of the statement and is not tracked.
 //! Guards die at the end of their block or at `drop(name)`. Blocking
-//! calls reached *through another fn* are not seen — the reachability
-//! ban and code review carry that residue.
+//! calls reached *through another fn* are not seen — code review
+//! carries that residue.
 
 use super::{at, code_indices_in};
 use crate::diag::{codes, Diagnostic};

@@ -3,27 +3,14 @@
 //! suppressions centrally.
 
 pub mod api;
-pub mod clocks;
 pub mod locks;
-pub mod panics;
-pub mod spec;
 
 use crate::lexer::{Tok, TokKind};
 use crate::model::SourceFile;
 
-/// Indices of the non-comment tokens of `file`, in order — the pattern
-/// matchers work on this view so comments can never split a match.
-pub(crate) fn code_indices(file: &SourceFile) -> Vec<usize> {
-    file.toks
-        .iter()
-        .enumerate()
-        .filter(|(_, t)| t.kind != TokKind::Comment)
-        .map(|(i, _)| i)
-        .collect()
-}
-
 /// Indices of the non-comment tokens inside a body token span
-/// (exclusive of the braces themselves).
+/// (exclusive of the braces themselves) — the pattern matchers work on
+/// this view so comments can never split a match.
 pub(crate) fn code_indices_in(file: &SourceFile, span: (usize, usize)) -> Vec<usize> {
     (span.0 + 1..span.1)
         .filter(|&i| file.toks[i].kind != TokKind::Comment)

@@ -1,30 +1,36 @@
 //! Fixture: the false-positive regression file. Everything in here
-//! *looks* like a violation to a substring scanner and must produce
-//! ZERO diagnostics from the token-level engine. The harness places it
-//! at a protected serve path AND at a core path.
+//! *looks* like a `lock_io` finding to a substring scanner and must
+//! produce ZERO diagnostics from the token-level engine. The harness
+//! places it in the serve crate, where the lock discipline applies.
 //!
-//! Doc-comment mentions: call `.unwrap()` or `Instant::now()` — not code.
-//! Doc-comment suppression mention: `lint:allow(panic)` — not a suppression.
+//! Doc-comment mention: `let g = m.lock().unwrap(); s.write_all(&g)` — not code.
+//! Doc-comment suppression mention: `lint:allow(lock_io)` — not a suppression.
+use std::io::Write;
 
-/// Returns the message, never calls `.unwrap()` despite saying so.
-pub fn handle(input: Option<u32>) -> u32 {
-    // A comment may say x.unwrap() or .expect("boom") or panic!("x").
-    // A comment may also say Instant::now() without reading a clock.
-    let s = "error: .unwrap() failed at Instant::now(), SystemTime::now()";
-    let r = r#"raw: .expect("oops") unreachable!() todo!()"#;
-    let c = '!';
-    input.unwrap_or(s.len() as u32 + r.len() as u32 + c as u32)
+/// Locks and writes, but no guard is live at any write.
+pub fn respond(stream: &mut std::net::TcpStream, lock: &std::sync::Mutex<Vec<u8>>) {
+    // A comment may say `let g = lock.lock().unwrap(); stream.write_all(&g)`.
+    let s = "let g = lock.lock().unwrap(); stream.write_all(&g)";
+    // The guard dies with its statement: `len` is a number, not a guard.
+    let len = lock.lock().unwrap_or_else(|p| p.into_inner()).len();
+    // The guard dies with its block.
+    let copy = {
+        let held = lock.lock().unwrap_or_else(|p| p.into_inner());
+        held.clone()
+    };
+    stream.write_all(&copy).ok();
+    stream.write_all(&s.as_bytes()[..len.min(s.len())]).ok();
 }
 
 #[cfg(test)]
 mod tests {
+    use std::io::Write;
+
     #[test]
-    fn test_code_may_panic_freely() {
-        let v: Option<u32> = Some(1);
-        assert_eq!(v.unwrap(), 1);
-        let _t = std::time::Instant::now();
-        let g = std::sync::Mutex::new(0u32);
-        let held = g.lock().unwrap();
-        assert_eq!(*held, 0);
+    fn test_code_may_hold_a_guard_across_io() {
+        let g = std::sync::Mutex::new(Vec::<u8>::new());
+        let mut held = g.lock().unwrap();
+        held.write_all(b"x").unwrap();
+        held.flush().unwrap();
     }
 }
