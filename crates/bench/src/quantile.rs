@@ -13,6 +13,7 @@
 //! wants to expose; experiment E10 measures the balance gain over
 //! iterated median cuts on skewed data.
 
+use charles_core::config::NOMINAL_FREQ_SORT_LIMIT;
 use charles_core::engine::Explorer;
 use charles_core::error::CoreResult;
 use charles_sdl::{Constraint, Query, Segmentation};
@@ -141,7 +142,7 @@ fn nominal_quantile_pieces(
     if ft.cardinality() < 2 {
         return Ok(None);
     }
-    let ordered = if ft.cardinality() <= ex.config().nominal_freq_sort_limit {
+    let ordered = if ft.cardinality() <= NOMINAL_FREQ_SORT_LIMIT {
         ft.by_frequency()
     } else {
         ft.alphabetical(&dict)

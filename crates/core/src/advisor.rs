@@ -31,10 +31,11 @@ pub struct Advice {
     pub ranked: Vec<Ranked>,
     /// HB-cuts execution trace (the Figure 3 tree).
     pub trace: Trace,
-    /// Backend operations performed while answering: the same counts at
-    /// any worker count, since every selection the run needs is derived
-    /// from its parent's exactly once (no memo two workers could both
-    /// miss). Assumes the backend served no one else meanwhile.
+    /// Backend operations this run asked for, counted by the run itself
+    /// ([`Explorer::backend_ops`] has the rule), so other runs on the
+    /// same backend never move them. The same counts at any worker
+    /// count, since every selection the run needs is derived from its
+    /// parent's exactly once (no memo two workers could both miss).
     pub backend_ops: BackendStats,
     /// Selections materialised and INDEP pairs evaluated while
     /// answering; as deterministic as [`Advice::backend_ops`].
@@ -154,6 +155,9 @@ impl<'a> Advisor<'a> {
     /// (bad config, empty context, backend failures) propagate.
     pub fn advise(&self, context: Query) -> CoreResult<Advice> {
         let context = self.admit(context)?;
+        // The run counts its own store work (`Explorer::backend_ops`);
+        // these two calls only bracket it for a backend that times the
+        // interval between them, as the benchmark's tracing backend does.
         self.backend.reset_stats();
         let ex = Explorer::new(self.backend, self.config.clone(), context.clone())?;
         let (ranked, trace) = match hb_cuts(&ex) {
@@ -173,12 +177,13 @@ impl<'a> Advisor<'a> {
             }
             Err(other) => return Err(other),
         };
+        let _ = self.backend.stats();
         Ok(Advice {
             context,
             context_size: ex.context_size(),
             ranked,
             trace,
-            backend_ops: self.backend.stats(),
+            backend_ops: ex.backend_ops(),
             cache: ex.cache_stats(),
             encoded: Encoded::default(),
         })
@@ -205,7 +210,72 @@ impl Advice {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charles_store::{DataType, TableBuilder, Value};
+    use charles_store::{
+        Bitmap, DataType, FrequencyTable, Schema, StoreError, StorePredicate, StoreResult,
+        TableBuilder, Value,
+    };
+
+    /// A backend that knows its schema and size and fails every call
+    /// that would read a row: advice that gets past admission errs.
+    struct SchemaOnly(Schema);
+
+    fn no_rows<T>() -> StoreResult<T> {
+        Err(StoreError::Io(
+            "the schema-only backend reads no rows".into(),
+        ))
+    }
+
+    impl Backend for SchemaOnly {
+        fn row_count(&self) -> usize {
+            8
+        }
+        fn schema(&self) -> &Schema {
+            &self.0
+        }
+        fn eval(&self, _: &StorePredicate) -> StoreResult<Bitmap> {
+            no_rows()
+        }
+        fn not_null(&self, _: &str) -> StoreResult<Bitmap> {
+            no_rows()
+        }
+        fn count(&self, _: &StorePredicate) -> StoreResult<usize> {
+            no_rows()
+        }
+        fn median(&self, _: &str, _: &Bitmap) -> StoreResult<Option<Value>> {
+            no_rows()
+        }
+        fn sampled_median(
+            &self,
+            _: &str,
+            _: &Bitmap,
+            _: usize,
+            _: u64,
+        ) -> StoreResult<Option<Value>> {
+            no_rows()
+        }
+        fn quantile(&self, _: &str, _: &Bitmap, _: f64) -> StoreResult<Option<Value>> {
+            no_rows()
+        }
+        fn min_max(&self, _: &str, _: &Bitmap) -> StoreResult<Option<(Value, Value)>> {
+            no_rows()
+        }
+        fn next_above(&self, _: &str, _: &Bitmap, _: &Value) -> StoreResult<Option<Value>> {
+            no_rows()
+        }
+        fn mean_and_var(&self, _: &str, _: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
+            no_rows()
+        }
+        fn frequencies(&self, _: &str, _: &Bitmap) -> StoreResult<(FrequencyTable, Vec<String>)> {
+            no_rows()
+        }
+        fn distinct_count(&self, _: &str, _: &Bitmap) -> StoreResult<usize> {
+            no_rows()
+        }
+    }
+
+    fn schema_only() -> SchemaOnly {
+        SchemaOnly(voc_like().schema().clone())
+    }
 
     fn voc_like() -> charles_store::Table {
         let mut b = TableBuilder::new("boats");
@@ -344,7 +414,9 @@ mod tests {
     fn ill_typed_contexts_are_rejected_with_diagnostics() {
         use charles_sdl::DiagnosticCode;
         use charles_sdl::{Constraint, Predicate};
-        let t = voc_like();
+        // Over a backend that reads no row: every rejection below comes
+        // from analysis, none from a failed read.
+        let t = schema_only();
         let advisor = Advisor::new(&t);
         // A quoted literal on an int column is the one ill-typed form
         // the parser lets through (a quoted literal is always a string).
@@ -392,27 +464,22 @@ mod tests {
                 other => panic!("{q}: expected InvalidContext, got {other:?}"),
             }
         }
-        assert_eq!(
-            t.stats(),
-            BackendStats::default(),
-            "rejection reads no rows"
-        );
     }
 
     #[test]
     fn unsatisfiable_context_costs_zero_backend_ops() {
-        let t = voc_like();
-        // Warm the stats with a real run so the test proves `advise`
-        // resets nothing and reads nothing on the pruned path.
+        // Any read would be an `Io` error instead of the prune.
+        let t = schema_only();
         let advisor = Advisor::new(&t);
-        advisor.advise_str("(type: , tonnage: )").unwrap();
-        let before = t.stats();
-        assert!(before.scans > 0);
         let err = advisor
             .advise_str("(tonnage: [0,100], tonnage: [200,300])")
             .unwrap_err();
         assert_eq!(err, CoreError::UnsatisfiableContext);
-        assert_eq!(t.stats(), before, "pruning must not touch the backend");
+        // A satisfiable context does reach the backend.
+        assert!(matches!(
+            advisor.advise_str("(tonnage: [0,100])"),
+            Err(CoreError::Store(StoreError::Io(_)))
+        ));
     }
 
     #[test]
@@ -441,16 +508,14 @@ mod tests {
             .advise_str("(tonnage: [0,100], tonnage: [200,300])")
             .unwrap_err();
         assert_eq!(err, CoreError::EmptyContext);
-        assert!(t.stats().scans > 0, "backend was consulted");
     }
 
     #[test]
     fn analyze_is_pure_reporting() {
-        let t = voc_like();
+        let t = schema_only();
         let advisor = Advisor::new(&t);
         let q = parse_query("(tonnage: [0,100])", t.schema()).unwrap();
         let report = advisor.analyze(&q);
         assert!(report.is_valid() && report.is_satisfiable());
-        assert_eq!(t.stats(), BackendStats::default());
     }
 }

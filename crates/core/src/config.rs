@@ -18,28 +18,25 @@ pub enum MedianStrategy {
     },
 }
 
+/// Nominal columns with at most this many distinct values in a segment
+/// are ordered by descending frequency for cutting, larger ones
+/// alphabetically: "we choose to sort the values by order of occurrence
+/// for columns with low cardinality, and alphabetically otherwise" (§4.1).
+pub const NOMINAL_FREQ_SORT_LIMIT: usize = 20;
+
 /// Tuning knobs for segmentation generation.
 ///
 /// The defaults mirror the paper: `max_indep = 0.99` ("a threshold of 0.99
-/// gave satisfying results with most data sets"), `max_depth = 12` ("a pie
-/// chart with more than a dozen slices is hard to read"), and nominal
-/// columns are frequency-ordered up to 20 distinct values ("we choose to
-/// sort the values by order of occurrence for columns with low
-/// cardinality, and alphabetically otherwise").
+/// gave satisfying results with most data sets") and `max_depth = 12` ("a
+/// pie chart with more than a dozen slices is hard to read").
 #[derive(Debug, Clone, PartialEq)]
 pub struct Config {
     /// Stop composing once the most dependent pair has `INDEP ≥ max_indep`.
     pub max_indep: f64,
     /// Stop composing once a composition would reach this many queries.
     pub max_depth: usize,
-    /// Nominal columns with at most this many distinct values are ordered
-    /// by descending frequency for cutting; larger ones alphabetically.
-    pub nominal_freq_sort_limit: usize,
     /// Split-point strategy for numeric cuts.
     pub median: MedianStrategy,
-    /// Drop provably/actually empty cells when *returning* products as
-    /// segmentations (Definition 8 keeps them; they never affect entropy).
-    pub prune_empty_products: bool,
     /// Upper bound on the number of segmentations returned to the user
     /// ("a large number of candidates is overwhelming", §5.1).
     pub max_results: usize,
@@ -67,9 +64,7 @@ impl Default for Config {
         Config {
             max_indep: 0.99,
             max_depth: 12,
-            nominal_freq_sort_limit: 20,
             median: MedianStrategy::Exact,
-            prune_empty_products: true,
             max_results: 64,
             memoize: true,
             analysis: true,
@@ -148,7 +143,6 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.max_indep, 0.99);
         assert_eq!(c.max_depth, 12);
-        assert_eq!(c.nominal_freq_sort_limit, 20);
         assert_eq!(c.median, MedianStrategy::Exact);
         assert!(c.analysis, "analysis is on by default");
         assert!(!c.with_analysis(false).analysis);

@@ -30,7 +30,7 @@
 use crate::config::{Config, MedianStrategy};
 use crate::error::{CoreError, CoreResult};
 use charles_sdl::{eval, Constraint, Query, Segmentation};
-use charles_store::{Backend, Bitmap, CutStats, StorePredicate};
+use charles_store::{Backend, BackendStats, Bitmap, CutStats, FrequencyTable, StorePredicate};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -63,6 +63,17 @@ impl CacheStats {
 struct Caches {
     selections: HashMap<String, Arc<Bitmap>>,
     stats: CacheStats,
+    ops: BackendStats,
+}
+
+/// The column passes `eval` makes of `pred`: one per range or set leaf.
+/// A `Rows` leaf is a selection already held and reads no column.
+fn scans(pred: &StorePredicate) -> u64 {
+    match pred {
+        StorePredicate::Range(_) | StorePredicate::Set(_) => 1,
+        StorePredicate::And(leaves) => leaves.iter().map(scans).sum(),
+        StorePredicate::True | StorePredicate::Rows(_) => 0,
+    }
 }
 
 /// A query with its selection inside the explorer's context — what CUT
@@ -196,19 +207,22 @@ impl<'a> Explorer<'a> {
         context: Query,
     ) -> CoreResult<Explorer<'a>> {
         config.validate()?;
-        let mut sel = eval::selection(&context, backend)?;
+        let pred = eval::lower(&context);
+        let mut sel = backend.eval(&pred)?;
         for attr in context.attributes() {
             sel.and_inplace(&backend.not_null(attr)?);
         }
         if sel.none() {
             return Err(CoreError::EmptyContext);
         }
+        let mut caches = Caches::default();
+        caches.ops.scans = scans(&pred);
         Ok(Explorer {
             backend,
             config,
             context,
             context_sel: Arc::new(sel),
-            caches: Mutex::new(Caches::default()),
+            caches: Mutex::new(caches),
         })
     }
 
@@ -249,6 +263,24 @@ impl<'a> Explorer<'a> {
         self.caches().stats
     }
 
+    /// The store work this explorer has asked for so far — what
+    /// [`crate::Advice::backend_ops`] reports for a run. It counts the
+    /// calls this explorer makes, not what the backend did for anyone
+    /// else, so runs sharing a backend do not see each other's work:
+    ///
+    /// * `scans`: one per range or set conjunct of each predicate handed
+    ///   to `eval` (the context, a looked-up query's conjunction, a
+    ///   piece's narrowing conjunct), however few rows it reads, and one
+    ///   per `frequencies` call. A selection already held — the
+    ///   context's own, a memo hit, a cut's right half taken as what the
+    ///   left leaves of their parent — costs none;
+    /// * `medians`: one per cut statistic that carries a median, exact
+    ///   or sampled;
+    /// * `counts`: none — the advisor never asks the store to count.
+    pub fn backend_ops(&self) -> BackendStats {
+        self.caches().ops
+    }
+
     /// The memo and the counters. A panic under this lock leaves both
     /// valid (an insert or an increment either happened or did not), so
     /// a poisoned guard is recovered, not propagated.
@@ -286,6 +318,7 @@ impl<'a> Explorer<'a> {
         let arc = Arc::new(self.backend.eval(&within)?);
         let mut caches = self.caches();
         caches.stats.sel_misses += 1;
+        caches.ops.scans += scans(&within);
         if let Some(key) = key {
             caches.selections.insert(key, Arc::clone(&arc));
         }
@@ -310,14 +343,14 @@ impl<'a> Explorer<'a> {
             Some((Half::Right, left)) => left.get(),
             _ => None,
         };
-        let sel = match left {
-            Some(left) => parent.and_not(left),
+        let (sel, scanned) = match left {
+            Some(left) => (parent.and_not(left), 0),
             None => {
-                let narrowing = &piece.query.predicates()[conjunct];
-                self.backend.eval(&StorePredicate::and(vec![
+                let within = StorePredicate::and(vec![
                     StorePredicate::Rows(Arc::clone(parent)),
-                    eval::lower_predicate(narrowing),
-                ]))?
+                    eval::lower_predicate(&piece.query.predicates()[conjunct]),
+                ]);
+                (self.backend.eval(&within)?, scans(&within))
             }
         };
         let sel = Arc::new(sel);
@@ -325,7 +358,9 @@ impl<'a> Explorer<'a> {
             // A second materialisation finds the same bits already there.
             let _ = shared.set(Arc::clone(&sel));
         }
-        self.caches().stats.sel_misses += 1;
+        let mut caches = self.caches();
+        caches.stats.sel_misses += 1;
+        caches.ops.scans += scanned;
         Ok(sel)
     }
 
@@ -392,15 +427,31 @@ impl<'a> Explorer<'a> {
     /// extremes from one pass where the backend has one
     /// ([`Backend::cut_stats`]); a sampled one is its own call.
     pub(crate) fn cut_stats(&self, attr: &str, sel: &Bitmap) -> CoreResult<Option<CutStats>> {
-        let (size, seed) = match self.config.median {
-            MedianStrategy::Exact => return Ok(self.backend.cut_stats(attr, sel)?),
-            MedianStrategy::Sampled { size, seed } => (size, seed),
+        let stats = match self.config.median {
+            MedianStrategy::Exact => self.backend.cut_stats(attr, sel)?,
+            MedianStrategy::Sampled { size, seed } => {
+                let sampled = || self.backend.sampled_median(attr, sel, size, seed);
+                let extremes = self.backend.min_max(attr, sel)?;
+                extremes
+                    .map(|(min, max)| CutStats::over(min, max, None, sampled))
+                    .transpose()?
+            }
         };
-        let Some((min, max)) = self.backend.min_max(attr, sel)? else {
-            return Ok(None);
-        };
-        let sampled = || self.backend.sampled_median(attr, sel, size, seed);
-        Ok(Some(CutStats::over(min, max, None, sampled)?))
+        if stats.as_ref().is_some_and(|s| s.median.is_some()) {
+            self.caches().ops.medians += 1;
+        }
+        Ok(stats)
+    }
+
+    /// The frequency table of a nominal `attr` over `sel`: one scan.
+    pub(crate) fn frequencies(
+        &self,
+        attr: &str,
+        sel: &Bitmap,
+    ) -> CoreResult<(FrequencyTable, Vec<String>)> {
+        let table = self.backend.frequencies(attr, sel)?;
+        self.caches().ops.scans += 1;
+        Ok(table)
     }
 
     /// Count `n` INDEP evaluations.
@@ -525,10 +576,10 @@ mod tests {
         for memoize in [true, false] {
             let cfg = Config::default().with_memoize(memoize);
             let ex = Explorer::new(&t, cfg, ctx.clone()).unwrap();
-            let scans = t.stats().scans;
+            let scans = ex.backend_ops().scans;
             let sel = ex.selection(&ctx).unwrap();
             assert_eq!(*sel, *ex.context_selection());
-            assert_eq!(t.stats().scans, scans);
+            assert_eq!(ex.backend_ops().scans, scans);
             let stats = ex.cache_stats();
             assert_eq!((stats.sel_hits, stats.sel_misses), (1, 0));
         }
@@ -555,9 +606,9 @@ mod tests {
             let sel = ex.materialise(&piece).unwrap();
             Piece::derived(piece.query, &sel, "x", low, None).unwrap()
         };
-        let scans = t.stats().scans;
+        let scans = ex.backend_ops().scans;
         let derived = ex.materialise(&piece).unwrap();
-        assert_eq!(t.stats().scans, scans + 1);
+        assert_eq!(ex.backend_ops().scans, scans + 1);
         assert_eq!(
             derived.iter_ones().collect::<Vec<_>>(),
             [4, 6, 8, 10, 12, 14]
@@ -602,9 +653,9 @@ mod tests {
             if right_first {
                 pair.reverse();
             }
-            let before = (t.stats().scans, ex.cache_stats().sel_misses);
+            let before = (ex.backend_ops().scans, ex.cache_stats().sel_misses);
             let sels = pair.each_ref().map(|p| ex.materialise(p).unwrap());
-            assert_eq!(t.stats().scans - before.0, scans);
+            assert_eq!(ex.backend_ops().scans - before.0, scans);
             assert_eq!(ex.cache_stats().sel_misses - before.1, 2);
             for (piece, sel) in pair.iter().zip(&sels) {
                 assert_eq!(**sel, evaluated(piece), "{}", piece.query);
@@ -619,9 +670,9 @@ mod tests {
             if right_first {
                 pair.reverse();
             }
-            let before = t.stats().scans;
+            let before = ex.backend_ops().scans;
             let sels = ex.map_units(&pair, |_, sel| Ok(sel)).unwrap();
-            assert_eq!(t.stats().scans - before, scans);
+            assert_eq!(ex.backend_ops().scans - before, scans);
             for (piece, sel) in pair.iter().zip(&sels) {
                 assert_eq!(**sel, evaluated(piece), "{}", piece.query);
             }

@@ -43,6 +43,7 @@
 //! public [`cut_query`] / [`cut_segmentation`] look their operand up once
 //! and release the halves through the explorer's selection memo.
 
+use crate::config::NOMINAL_FREQ_SORT_LIMIT;
 use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
 use charles_sdl::{Constraint, Query, Segmentation};
@@ -250,13 +251,11 @@ fn nominal_split(
     ty: DataType,
     sel: &Bitmap,
 ) -> CoreResult<Option<Split>> {
-    let (ft, dict) = ex.backend().frequencies(attr, sel)?;
+    let (ft, dict) = ex.frequencies(attr, sel)?;
     if ft.cardinality() < 2 {
         return Ok(None);
     }
-    // "We choose to sort the values by order of occurrence for columns
-    // with low cardinality, and alphabetically otherwise."
-    let ordered = if ft.cardinality() <= ex.config().nominal_freq_sort_limit {
+    let ordered = if ft.cardinality() <= NOMINAL_FREQ_SORT_LIMIT {
         ft.by_frequency()
     } else {
         ft.alphabetical(&dict)
@@ -292,7 +291,7 @@ fn nominal_split(
 mod tests {
     use super::*;
     use crate::config::{Config, MedianStrategy};
-    use charles_store::{Backend, DataType, TableBuilder};
+    use charles_store::{DataType, TableBuilder};
 
     /// The Figure 2 boats: 4 fluits (1000–2000, 2000–5000 tonnage) and 4
     /// jachts, with departure years correlated with the type.
@@ -367,13 +366,13 @@ mod tests {
         let ex = explorer(&t);
         let ctx = ex.context().clone();
         for (attr, scans) in [("tonnage", 1), ("type", 2)] {
-            t.reset_stats();
+            let before = ex.backend_ops().scans;
             let (l, r) = cut_query(&ex, &ctx, attr).unwrap().unwrap();
-            assert_eq!(t.stats().scans, scans, "{attr}");
+            assert_eq!(ex.backend_ops().scans - before, scans, "{attr}");
             // Both halves were released into the memo: counting them
             // evaluates nothing.
             assert_eq!(ex.count(&l).unwrap() + ex.count(&r).unwrap(), 8);
-            assert_eq!(t.stats().scans, scans, "{attr}");
+            assert_eq!(ex.backend_ops().scans - before, scans, "{attr}");
         }
     }
 
@@ -399,13 +398,13 @@ mod tests {
         let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["x"])).unwrap();
         assert_eq!(ex.context_size(), 12);
         for (attr, valued, scans) in [("y", 9, 2), ("k", 8, 3)] {
-            t.reset_stats();
+            let before = ex.backend_ops().scans;
             let (l, r) = cut_query(&ex, ex.context(), attr).unwrap().unwrap();
-            assert_eq!(t.stats().scans, scans, "{attr}");
+            assert_eq!(ex.backend_ops().scans - before, scans, "{attr}");
             assert!(l.mentions(attr) && r.mentions(attr));
             // Released into the memo, not re-evaluated on lookup.
             let released = [&l, &r].map(|q| ex.selection(q).unwrap());
-            assert_eq!(t.stats().scans, scans, "{attr}");
+            assert_eq!(ex.backend_ops().scans - before, scans, "{attr}");
             let mut covered = 0;
             for (q, released) in [&l, &r].into_iter().zip(released) {
                 let mut evaluated = charles_sdl::eval::selection(q, &t).unwrap();
@@ -440,9 +439,9 @@ mod tests {
                 .unwrap();
             let ex = Explorer::new(&t, Config::default(), ctx).unwrap();
             assert_eq!(ex.context_size(), 4);
-            t.reset_stats();
+            let before = ex.backend_ops().scans;
             let (l, r) = cut_query(&ex, ex.context(), "z").unwrap().unwrap();
-            assert_eq!(t.stats().scans, scans, "{l} | {r}");
+            assert_eq!(ex.backend_ops().scans - before, scans, "{l} | {r}");
             for (q, count) in [&l, &r].into_iter().zip(counts) {
                 let mut evaluated = charles_sdl::eval::selection(q, &t).unwrap();
                 evaluated.and_inplace(ex.context_selection());
@@ -623,23 +622,29 @@ mod tests {
 
     #[test]
     fn alphabetical_ordering_beyond_cardinality_limit() {
-        let mut b = TableBuilder::new("t");
-        b.add_column("k", DataType::Str);
-        // Three categories, limit forced to 2 → alphabetical ordering.
-        for k in ["zeta", "alpha", "alpha", "mid"] {
-            b.push_row(vec![Value::str(k)]).unwrap();
+        // `n` values once each and "zz" `n` times: by frequency "zz" is
+        // half the rows on its own, alphabetically it is last and the
+        // other `n` make the half. 20 distinct values still sort by
+        // frequency, 21 alphabetically.
+        for (n, by_frequency) in [(19, true), (20, false)] {
+            let mut b = TableBuilder::new("t");
+            b.add_column("k", DataType::Str);
+            let once: Vec<Value> = (1..=n).map(|i| Value::str(format!("a{i:02}"))).collect();
+            for v in &once {
+                b.push_row(vec![v.clone()]).unwrap();
+                b.push_row(vec![Value::str("zz")]).unwrap();
+            }
+            let t = b.finish();
+            let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["k"])).unwrap();
+            let distinct = n + 1;
+            assert_eq!(distinct <= NOMINAL_FREQ_SORT_LIMIT, by_frequency);
+            let (l, _r) = cut_query(&ex, &ex.context().clone(), "k").unwrap().unwrap();
+            let left = if by_frequency {
+                vec![Value::str("zz")]
+            } else {
+                once
+            };
+            assert_eq!(l.constraint("k"), Some(&Constraint::Set(left)), "{n}");
         }
-        let t = b.finish();
-        let cfg = Config {
-            nominal_freq_sort_limit: 2,
-            ..Config::default()
-        };
-        let ex = Explorer::new(&t, cfg, Query::wildcard(&["k"])).unwrap();
-        let (l, _r) = cut_query(&ex, &ex.context().clone(), "k").unwrap().unwrap();
-        // Alphabetical: alpha(2), mid(1), zeta(1) → left = {alpha} (closest to 50%).
-        assert_eq!(
-            l.constraint("k"),
-            Some(&Constraint::Set(vec![Value::str("alpha")]))
-        );
     }
 }

@@ -12,10 +12,9 @@ use crate::error::CoreResult;
 use charles_sdl::Segmentation;
 
 /// The SDL product, pruned: cells whose constraints are provably
-/// incompatible are dropped, and — when
-/// [`crate::Config::prune_empty_products`] is set — cells that select no
-/// row are dropped too. Empty cells contribute `0·log 0 = 0` to entropy,
-/// so pruning never changes any metric.
+/// incompatible are dropped, and so are cells that select no row
+/// (Definition 8 keeps them). Empty cells contribute `0·log 0 = 0` to
+/// entropy, so pruning never changes any metric.
 pub fn product(
     ex: &Explorer<'_>,
     s1: &Segmentation,
@@ -25,7 +24,7 @@ pub fn product(
     for q1 in s1.queries() {
         for q2 in s2.queries() {
             if let Some(cell) = q1.conjoin(q2) {
-                if ex.config().prune_empty_products && ex.count(&cell)? == 0 {
+                if ex.count(&cell)? == 0 {
                     continue;
                 }
                 cells.push(cell);
@@ -109,26 +108,6 @@ mod tests {
         // With b = a, off-diagonal cells are empty and pruned: 2 cells left.
         let p = product(&ex, &sa, &sb).unwrap();
         assert_eq!(p.depth(), 2);
-    }
-
-    #[test]
-    fn pruning_config_controls_empty_cells() {
-        let t = dependent();
-        let cfg = Config {
-            prune_empty_products: false,
-            ..Config::default()
-        };
-        let ex = Explorer::new(&t, cfg, charles_sdl::Query::wildcard(&["a", "b"])).unwrap();
-        let sa = halves(&ex, "a");
-        let sb = halves(&ex, "b");
-        let p = product(&ex, &sa, &sb).unwrap();
-        assert_eq!(p.depth(), 4);
-        // Even with empty cells retained the set is still a partition
-        // (empty segments are vacuously disjoint).
-        assert!(p
-            .check_partition(ex.backend(), ex.context_selection())
-            .unwrap()
-            .is_partition());
     }
 
     #[test]

@@ -5,7 +5,7 @@
 
 use charles_serve::wire::{wire_request, WireConn, WireRequest};
 use charles_serve::{http_request, Client, ClientConfig, ServeConfig, Server, ServerHandle};
-use charles_store::{Backend, BackendStats, Bitmap, CutStats, FrequencyTable, Schema};
+use charles_store::{Backend, Bitmap, CutStats, FrequencyTable, Schema};
 use charles_store::{DataType, StorePredicate, StoreResult, Table, TableBuilder, Value};
 use std::mem::ManuallyDrop;
 use std::net::TcpStream;
@@ -101,12 +101,6 @@ where
     }
     fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
         self.inner.distinct_count(column, sel)
-    }
-    fn stats(&self) -> BackendStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
     }
 }
 

@@ -21,96 +21,28 @@ use crate::predicate::StorePredicate;
 use crate::schema::Schema;
 use crate::stats::FrequencyTable;
 use crate::value::Value;
-use std::sync::atomic::AtomicU64;
-use std::sync::atomic::Ordering::Relaxed;
 
-/// Operation counters exposed by a backend, for the experiment harness.
+/// Store work counted in the paper's §5.1 terms, "counts over predicates
+/// and median calculations": what an advice run asked its backend for.
 ///
-/// The paper's workload taxonomy (§5.1) is "counts over predicates and
-/// median calculations": `counts` tallies the former as a logical
-/// operation in its own right, while `scans` counts physical passes
-/// over a column: one per range or set leaf evaluated (a `count` issues
-/// those too, so the two move together but measure different layers)
-/// and one per `frequencies` call, which walks the column under a
-/// selection just as a scan does. A leaf evaluated after others in a
-/// conjunction still counts one, though it reads only the rows they
-/// left — so `scans` counts passes, not rows read. A leaf or a
-/// `frequencies` call that a column of few values answers from its
-/// per-value bitmaps, reading words and no row, counts one too: the
-/// count is the operation's, whichever kernel answers it (as `medians`
-/// ticks once per median, its ranks counted off bitmaps or a walk). A
-/// selection the advisor obtains without a column — a [`StorePredicate::Rows`] leaf,
-/// or a cut's second half taken as what the first half leaves of their
-/// parent, an AND-NOT over words it already holds — is no pass over any
-/// column and counts as nothing here. (`RowTable` has no columns to pass
-/// over: it counts one scan per `eval`, whatever the conjunction.)
+/// The store does not count. The one module that calls it during a run,
+/// `charles-core`'s `Explorer`, decides what an operation is and counts
+/// the calls it makes, so two runs sharing a backend never see each
+/// other's work. `scans` are column passes, `medians` median
+/// computations, and `counts` the `count` calls, which the advisor never
+/// makes. [`Backend::stats`] returns this type too, for a backend that
+/// keeps counts of its own; the store's two engines keep none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
-    /// Number of column passes executed: one per range or set leaf
-    /// evaluated — over its whole column, or over the rows the leaves
-    /// before it in a conjunction left — and one per `frequencies` call,
-    /// also when a column of few values answers it from its per-value
-    /// bitmaps; none for a `Rows` leaf or a selection derived as the
-    /// complement of another.
+    /// Column passes: one per range or set leaf a run hands to `eval` —
+    /// however few rows the leaves before it left — and one per
+    /// `frequencies` call. A `Rows` leaf, or a selection derived as the
+    /// complement of another, is none.
     pub scans: u64,
-    /// Number of `count` operations answered (the paper's "counts over
-    /// predicates" metric).
+    /// `count` operations (the paper's "counts over predicates").
     pub counts: u64,
-    /// Number of median/quantile computations executed.
+    /// Median computations, exact or sampled.
     pub medians: u64,
-}
-
-/// The atomic counters behind a backend's [`BackendStats`], shared by
-/// both engines. A clone starts from the counts of the original.
-#[derive(Debug, Default)]
-pub(crate) struct OpCounters {
-    scans: AtomicU64,
-    counts: AtomicU64,
-    medians: AtomicU64,
-}
-
-impl OpCounters {
-    /// One column pass.
-    pub(crate) fn scan(&self) {
-        self.scans.fetch_add(1, Relaxed);
-    }
-
-    /// One `count` answered.
-    pub(crate) fn count(&self) {
-        self.counts.fetch_add(1, Relaxed);
-    }
-
-    /// One median or quantile computed.
-    pub(crate) fn median(&self) {
-        self.medians.fetch_add(1, Relaxed);
-    }
-
-    /// The counts so far.
-    pub(crate) fn stats(&self) -> BackendStats {
-        BackendStats {
-            scans: self.scans.load(Relaxed),
-            counts: self.counts.load(Relaxed),
-            medians: self.medians.load(Relaxed),
-        }
-    }
-
-    /// Zero every count.
-    pub(crate) fn reset(&self) {
-        for c in [&self.scans, &self.counts, &self.medians] {
-            c.store(0, Relaxed);
-        }
-    }
-}
-
-impl Clone for OpCounters {
-    fn clone(&self) -> OpCounters {
-        let s = self.stats();
-        OpCounters {
-            scans: AtomicU64::new(s.scans),
-            counts: AtomicU64::new(s.counts),
-            medians: AtomicU64::new(s.medians),
-        }
-    }
 }
 
 /// What a median CUT asks about a numeric column under a selection, as
@@ -158,8 +90,8 @@ impl CutStats {
 ///
 /// `Send + Sync` is a supertrait requirement: the advisor's parallel
 /// evaluation path shares one backend reference across worker threads.
-/// Backends are immutable after construction (their op counters are
-/// atomic), so this costs implementors nothing.
+/// Backends are immutable after construction, so this costs implementors
+/// nothing.
 pub trait Backend: Send + Sync {
     /// Total number of rows in the relation.
     fn row_count(&self) -> usize;
@@ -209,8 +141,7 @@ pub trait Backend: Send + Sync {
     /// The provided body is those two calls and reports no
     /// [`CutStats::ranked`]. A backend that can take all three from one
     /// pass over the selection overrides it ([`crate::Table`] does) and
-    /// must return the same values and count one median exactly when the
-    /// provided body would.
+    /// must return the same values.
     fn cut_stats(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<CutStats>> {
         let ty = self.schema().type_of(column)?;
         if !ty.is_numeric() {
@@ -245,9 +176,13 @@ pub trait Backend: Send + Sync {
     /// Number of distinct non-null values of a column over a selection.
     fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize>;
 
-    /// Operation counters accumulated since the last reset.
-    fn stats(&self) -> BackendStats;
+    /// Operation counters accumulated since the last reset: none here.
+    /// `Advisor::advise` calls this and [`Backend::reset_stats`] around
+    /// each run and ignores both, so a wrapping backend can time the run.
+    fn stats(&self) -> BackendStats {
+        BackendStats::default()
+    }
 
-    /// Reset the operation counters.
-    fn reset_stats(&self);
+    /// Reset the operation counters: nothing to reset here.
+    fn reset_stats(&self) {}
 }

@@ -29,7 +29,7 @@
 )]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
-use crate::backend::{Backend, BackendStats, OpCounters};
+use crate::backend::Backend;
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
 use crate::datatype::DataType;
@@ -56,7 +56,6 @@ pub struct RowTable {
     /// relation — the columnar engine's interning order, so a count tie
     /// breaks the same way on both — and empty for any other.
     dicts: Vec<Arc<Vec<String>>>,
-    counters: OpCounters,
 }
 
 impl RowTable {
@@ -100,7 +99,6 @@ impl RowTable {
             schema,
             rows,
             dicts,
-            counters: OpCounters::default(),
         })
     }
 
@@ -122,7 +120,6 @@ impl RowTable {
             schema,
             rows,
             dicts,
-            counters: OpCounters::default(),
         })
     }
 
@@ -259,7 +256,6 @@ impl Backend for RowTable {
     }
 
     fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
-        self.counters.scan();
         let mut out = Bitmap::new(self.rows.len());
         for i in 0..self.rows.len() {
             if self.matches(i, pred)? {
@@ -270,9 +266,6 @@ impl Backend for RowTable {
     }
 
     fn count(&self, pred: &StorePredicate) -> StoreResult<usize> {
-        // See `Table::count`: logical counts are tallied in their own
-        // counter on top of the physical scan `eval` records.
-        self.counters.count();
         Ok(self.eval(pred)?.count_ones())
     }
 
@@ -288,7 +281,6 @@ impl Backend for RowTable {
     }
 
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
-        self.counters.median();
         let col = self.project(column, sel)?;
         Ok(col.order_keys(&all(&col))?.median())
     }
@@ -300,13 +292,11 @@ impl Backend for RowTable {
         sample_size: usize,
         seed: u64,
     ) -> StoreResult<Option<Value>> {
-        self.counters.median();
         let col = self.project(column, sel)?;
         col.sampled_median(&all(&col), sample_size, seed)
     }
 
     fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
-        self.counters.median();
         let col = self.project(column, sel)?;
         col.order_keys(&all(&col))?.quantile(q)
     }
@@ -333,26 +323,13 @@ impl Backend for RowTable {
         column: &str,
         sel: &Bitmap,
     ) -> StoreResult<(FrequencyTable, Vec<String>)> {
-        self.counters.scan();
         let col = self.project(column, sel)?;
         col.frequencies(&all(&col))
     }
 
     fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
         let col = self.project(column, sel)?;
-        // A nominal column's are read off its frequencies: one scan.
-        if !col.data_type().is_numeric() {
-            self.counters.scan();
-        }
         col.distinct_count(&all(&col))
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.counters.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.counters.reset()
     }
 }
 
@@ -495,18 +472,6 @@ mod tests {
             Some((Value::Float(1.0), Value::Float(5.0)))
         );
         assert_eq!(t.next_above("x", &all, &Value::Float(5.0)).unwrap(), None);
-    }
-
-    #[test]
-    fn count_counter_attribution() {
-        let col = sample_table();
-        let row = RowTable::from_table(&col).unwrap();
-        row.reset_stats();
-        let _ = row.count(&StorePredicate::True);
-        let _ = row.eval(&StorePredicate::True);
-        let s = row.stats();
-        assert_eq!(s.counts, 1);
-        assert_eq!(s.scans, 2);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The columnar relation: a schema plus one slot per column, and the
 //! `Backend` operations over it.
 
-use crate::backend::{Backend, BackendStats, CutStats, OpCounters};
+use crate::backend::{Backend, CutStats};
 use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::disk::reader::ColumnFile;
@@ -37,8 +37,6 @@ pub struct Table {
     /// The file an opened table fills its slots from; `None` for a table
     /// whose slots were filled when it was built.
     pub(crate) file: Option<Arc<ColumnFile>>,
-    /// Operation counters for the experiments (scans / counts / medians).
-    counters: OpCounters,
 }
 
 impl Table {
@@ -73,7 +71,6 @@ impl Table {
             rows,
             slots,
             file,
-            counters: OpCounters::default(),
         }
     }
 
@@ -152,14 +149,8 @@ impl Table {
     fn eval_within(&self, pred: &StorePredicate, within: Option<Bitmap>) -> StoreResult<Bitmap> {
         match pred {
             StorePredicate::True => Ok(within.unwrap_or_else(|| self.all_rows())),
-            StorePredicate::Range(r) => {
-                self.counters.scan();
-                eval_range(self.column(&r.column)?, r, within)
-            }
-            StorePredicate::Set(s) => {
-                self.counters.scan();
-                eval_set(self.column(&s.column)?, s, within)
-            }
+            StorePredicate::Range(r) => eval_range(self.column(&r.column)?, r, within),
+            StorePredicate::Set(s) => eval_set(self.column(&s.column)?, s, within),
             // A selection already held: no pass over any column.
             StorePredicate::Rows(rows) => {
                 if rows.len() != self.rows {
@@ -208,11 +199,6 @@ impl Backend for Table {
     }
 
     fn count(&self, pred: &StorePredicate) -> StoreResult<usize> {
-        // Counts get their own counter: delegating to `eval` used to
-        // record the paper's "counts over predicates" workload as plain
-        // scans, so the count metric never showed up in the experiment
-        // tables.
-        self.counters.count();
         Ok(self.eval(pred)?.count_ones())
     }
 
@@ -221,7 +207,6 @@ impl Backend for Table {
     }
 
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
-        self.counters.median();
         Ok(self.column(column)?.order_keys(sel)?.median())
     }
 
@@ -232,12 +217,10 @@ impl Backend for Table {
         sample_size: usize,
         seed: u64,
     ) -> StoreResult<Option<Value>> {
-        self.counters.median();
         self.column(column)?.sampled_median(sel, sample_size, seed)
     }
 
     fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
-        self.counters.median();
         self.column(column)?.order_keys(sel)?.quantile(q)
     }
 
@@ -254,10 +237,7 @@ impl Backend for Table {
             return Ok(None);
         };
         let ranked = Some(keys.len());
-        let stats = CutStats::over(min, max, ranked, || {
-            self.counters.median();
-            Ok(keys.median())
-        })?;
+        let stats = CutStats::over(min, max, ranked, || Ok(keys.median()))?;
         Ok(Some(stats))
     }
 
@@ -276,32 +256,18 @@ impl Backend for Table {
         column: &str,
         sel: &Bitmap,
     ) -> StoreResult<(FrequencyTable, Vec<String>)> {
-        self.counters.scan();
         self.column(column)?.frequencies(sel)
     }
 
     fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
-        let col = self.column(column)?;
-        // A nominal column's are read off its frequencies: one scan.
-        if !col.data_type().is_numeric() {
-            self.counters.scan();
-        }
-        col.distinct_count(sel)
-    }
-
-    fn stats(&self) -> BackendStats {
-        self.counters.stats()
-    }
-
-    fn reset_stats(&self) {
-        self.counters.reset()
+        self.column(column)?.distinct_count(sel)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{Backend, BackendStats};
+    use crate::backend::Backend;
     use crate::builder::TableBuilder;
     use crate::datatype::DataType;
     use crate::predicate::StorePredicate;
@@ -613,24 +579,5 @@ mod tests {
             let t = b.finish();
             assert_eq!(t.column("x").unwrap().index().is_some(), want, "{what}");
         }
-    }
-
-    #[test]
-    fn stats_counters_track_operations() {
-        let t = boats();
-        t.reset_stats();
-        let _ = t.count(&StorePredicate::set("kind", vec![Value::str("fluit")]));
-        let _ = t.median("tonnage", &t.all_rows());
-        let s = t.stats();
-        // The count is tallied as a logical count AND as the physical scan
-        // it performs — previously it was recorded as an eval only.
-        assert_eq!(s.scans, 1);
-        assert_eq!(s.counts, 1);
-        assert_eq!(s.medians, 1);
-        let _ = t.eval(&StorePredicate::set("kind", vec![Value::str("jacht")]));
-        assert_eq!(t.stats().scans, 2);
-        assert_eq!(t.stats().counts, 1, "plain eval must not tally a count");
-        t.reset_stats();
-        assert_eq!(t.stats(), BackendStats::default());
     }
 }

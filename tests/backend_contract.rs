@@ -14,8 +14,7 @@
 use charles::advisor::{hb_cuts, Explorer, LazyGenerator};
 use charles::{voc_table, AdviceCache, Advisor, Config, CoreError};
 use charles_store::{
-    Backend, BackendStats, Bitmap, FrequencyTable, Schema, StoreError, StorePredicate, StoreResult,
-    Value,
+    Backend, Bitmap, FrequencyTable, Schema, StoreError, StorePredicate, StoreResult, Value,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -140,12 +139,6 @@ impl Backend for FusedBackend<'_> {
     fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
         self.spend()?;
         self.inner.distinct_count(column, sel)
-    }
-    fn stats(&self) -> BackendStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
     }
 }
 
@@ -834,8 +827,8 @@ mod contract_harness {
     #[test]
     fn obligation_cut_stats_is_min_max_and_median_in_one_call() {
         // An override must be the provided body, value for value (down
-        // to the sign of a zero, hence `Debug`) and median for median:
-        // the body runs over the same backend behind a wrapper that
+        // to the sign of a zero, hence `Debug`): the body runs over the
+        // same backend behind a wrapper that
         // forwards the required methods only. Both medians are the
         // sorted definition's, over every column's range — `wide` spans
         // all of `i64`.
@@ -862,13 +855,8 @@ mod contract_harness {
             for (col, attr) in ["f", "x", "d", "c", "big", "wide"].iter().enumerate() {
                 for (label, sel) in &sels {
                     let what = format!("{name}: {attr} over {label}");
-                    b.reset_stats();
                     let got = b.cut_stats(attr, sel).unwrap();
-                    let medians = b.stats().medians;
-                    b.reset_stats();
                     let want = provided.cut_stats(attr, sel).unwrap();
-                    assert_eq!(medians, b.stats().medians, "{what}: medians");
-
                     let valued = sel
                         .iter_ones()
                         .filter_map(|i| cells[i][col].as_ref())
@@ -890,7 +878,6 @@ mod contract_harness {
                         // No median where there is nothing to split.
                         let constant = format!("{:?}", stats.min) == format!("{:?}", stats.max);
                         assert_eq!(stats.median.is_none(), constant, "{what}");
-                        assert_eq!(medians, u64::from(!constant), "{what}");
                         // A count, when given, is of the values ranked.
                         assert!(stats.ranked.is_none_or(|r| r == valued), "{what}");
                         assert_eq!(stats.ranked.is_some(), name != "rowstore", "{what}");
@@ -1073,38 +1060,16 @@ mod contract_harness {
         for (name, b) in &backends {
             for (label, sel) in selections(n) {
                 let rows = StorePredicate::Rows(Arc::new(sel.clone()));
-                b.reset_stats();
                 assert_eq!(b.eval(&rows).unwrap(), sel, "{name}: {label}");
-                let scans = if name == "rowstore" { 1 } else { 0 };
-                assert_eq!(
-                    b.stats().scans,
-                    scans,
-                    "{name}: {label}: rows read no column"
-                );
                 for leaf in leaves(n) {
                     let what = format!("{name}: {leaf:?} within {label}");
                     let want = whole_leaves(reference.as_ref(), &leaf).and(&sel);
                     assert_eq!(whole_leaves(b.as_ref(), &leaf).and(&sel), want, "{what}");
-                    b.reset_stats();
                     let within = StorePredicate::and(vec![rows.clone(), leaf.clone()]);
                     let got = b.eval(&within).unwrap();
                     assert_eq!(got, want, "{what}");
                     // No bit beyond the last row: the words round-trip.
                     assert_eq!(Bitmap::from_words(got.words().to_vec(), n), Some(got));
-                    // A range or set leaf within a selection is one scan
-                    // of the rows it holds, and none when it holds none;
-                    // the row store counts one per `eval`.
-                    let scans = match &leaf {
-                        _ if name == "rowstore" => Some(1),
-                        StorePredicate::Range(_) | StorePredicate::Set(_) => {
-                            Some(u64::from(!sel.none()))
-                        }
-                        StorePredicate::True | StorePredicate::Rows(_) => Some(0),
-                        _ => None,
-                    };
-                    if let Some(scans) = scans {
-                        assert_eq!(b.stats().scans, scans, "{what}: scans");
-                    }
                     // Order does not matter to the bits.
                     let after = StorePredicate::and(vec![leaf.clone(), rows.clone()]);
                     assert_eq!(b.eval(&after).unwrap(), want, "{what}, rows last");
@@ -1154,7 +1119,7 @@ mod contract_harness {
         // the columnar engines' one-pass statistics count as many values
         // as the parent has rows, and the pair costs one scan; the row
         // store takes the provided `cut_stats`, counts nothing, and scans
-        // twice (one scan per `eval` is also how it counts).
+        // twice.
         let (backends, _) = cut_stats_fixture();
         for (name, b) in &backends {
             let ctx = Query::wildcard(&["f", "d"]);
@@ -1163,10 +1128,10 @@ mod contract_harness {
             let one_pass = if name == "rowstore" { 2 } else { 1 };
             let (valued, all) = (CUT_ROWS - 2, CUT_ROWS - 1);
             for (attr, covered, scans) in [("f", valued, 2), ("d", all, one_pass)] {
-                b.reset_stats();
+                let before = ex.backend_ops().scans;
                 let (l, r) = cut_query(&ex, &ctx, attr).unwrap().unwrap();
                 let released = [&l, &r].map(|q| ex.selection(q).unwrap());
-                assert_eq!(b.stats().scans, scans, "{name}: {attr}");
+                assert_eq!(ex.backend_ops().scans - before, scans, "{name}: {attr}");
                 for (q, released) in [&l, &r].into_iter().zip(&released) {
                     let mut evaluated = charles::sdl::eval::selection(q, b.as_ref()).unwrap();
                     evaluated.and_inplace(ex.context_selection());

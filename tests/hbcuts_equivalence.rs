@@ -429,14 +429,13 @@ fn replay_cost(ctx: &Query, trace: &Trace, nominal: &dyn Fn(&str) -> bool) -> Re
     cost
 }
 
-/// Run HB-cuts with and without the §5.1 reuse and hold the backend's
-/// scan count and the explorer's selection counters to the replay.
+/// Run HB-cuts with and without the §5.1 reuse and hold the run's scan
+/// count and the explorer's selection counters to the replay.
 fn assert_scans_follow_the_trace(table: &Table, ctx: &Query, cfg: &Config) -> Trace {
     let run = |memoize: bool| {
-        table.reset_stats();
         let ex = Explorer::new(table, cfg.clone().with_memoize(memoize), ctx.clone()).unwrap();
         let out = hb_cuts(&ex).unwrap();
-        (out.trace, ex.cache_stats(), table.stats().scans)
+        (out.trace, ex.cache_stats(), ex.backend_ops().scans)
     };
     let (trace, memo, scans) = run(true);
     let schema = Backend::schema(table);

@@ -14,7 +14,7 @@
 //! the core, store and facade suites whole under `CHARLES_NUM_THREADS=1`.
 
 use charles::advisor::{hb_cuts, Explorer};
-use charles::store::{Backend, BackendStats, Bitmap, CutStats, FrequencyTable, Schema};
+use charles::store::{Backend, Bitmap, CutStats, FrequencyTable, Schema};
 use charles::store::{StorePredicate, StoreResult};
 use charles::{voc_table, weblog_table, Advisor, Config, Constraint, Query, Ranked, Table, Value};
 use charles_bench::{adaptive_segmentations, AdaptiveOptions};
@@ -169,12 +169,6 @@ impl Backend for ThreadRecorder<'_> {
     fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
         self.inner.distinct_count(column, sel)
     }
-    fn stats(&self) -> BackendStats {
-        self.inner.stats()
-    }
-    fn reset_stats(&self) {
-        self.inner.reset_stats()
-    }
 }
 
 #[test]
@@ -270,6 +264,46 @@ fn backend_ops_and_cache_counters_identical_with_and_without_threads() {
                 "{ctx} at {threads} threads"
             );
         }
+    }
+}
+
+#[test]
+fn concurrent_runs_on_one_table_count_only_their_own_backend_ops() {
+    // Two advice runs on different contexts share one table, started
+    // together round after round: each reports the counts it reports
+    // alone. The counts belong to the run, not to the backend, so one
+    // run can neither zero nor inflate the other's.
+    let t = &voc_table(4_000, 99);
+    let ctxs = contexts(t);
+    let ctxs = [&ctxs[0], &ctxs[1]];
+    let advise = |ctx: &Query| {
+        let advice = Advisor::new(t).advise(ctx.clone()).unwrap();
+        (advice.backend_ops, advice.cache)
+    };
+    for threads in [1, 4] {
+        with_threads(threads, || {
+            let solo = ctxs.map(advise);
+            let start = std::sync::Barrier::new(2);
+            let raced = std::thread::scope(|scope| {
+                let rounds = ctxs.map(|ctx| {
+                    let start = &start;
+                    scope.spawn(move || {
+                        (0..8)
+                            .map(|_| {
+                                start.wait();
+                                advise(ctx)
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                });
+                rounds.map(|run| run.join().unwrap())
+            });
+            for ((ctx, solo), raced) in ctxs.into_iter().zip(solo).zip(raced) {
+                for (round, ops) in raced.into_iter().enumerate() {
+                    assert_eq!(ops, solo, "{ctx}, round {round}, {threads} threads");
+                }
+            }
+        });
     }
 }
 
