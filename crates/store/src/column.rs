@@ -9,18 +9,19 @@
 use crate::bitmap::Bitmap;
 use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
-use crate::index::ValueIndex;
+use crate::index::{ValueIndex, MAX_BINS};
 use crate::sample::reservoir_sample;
-use crate::stats::{counters, float_key, FrequencyTable, OrderKeys, Ranked};
+use crate::stats::{counters, float_key, FrequencyTable, OrderKeys, Ranked, Wanted};
 use crate::value::Value;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Physical storage for a column's values.
 #[derive(Debug, Clone)]
-pub enum ColumnData {
+pub(crate) enum ColumnData {
     /// 64-bit integers.
     Int(Vec<i64>),
     /// Finite 64-bit floats.
@@ -60,9 +61,13 @@ pub struct Column {
     /// for another type, or no valid row), folded on first use and
     /// forgotten by `push`.
     span: OnceLock<Option<(i64, i64)>>,
-    /// One bitmap per value, for a column of few values that a table
-    /// holds ([`Column::indexed`]); forgotten by `push`.
+    /// One bitmap per bin of its values, for a column that a table holds
+    /// ([`Column::indexed`]); forgotten by `push`.
     index: Option<ValueIndex>,
+    /// Each string of `dict` to its code, while the column is being
+    /// pushed to: filled from `dict` by the first push that needs it,
+    /// dropped by [`Column::indexed`], so a table's columns hold none.
+    codes: HashMap<String, u32>,
 }
 
 impl Column {
@@ -82,6 +87,7 @@ impl Column {
             dict: Arc::new(Vec::new()),
             span: OnceLock::new(),
             index: None,
+            codes: HashMap::new(),
         }
     }
 
@@ -105,32 +111,38 @@ impl Column {
             dict,
             span: OnceLock::new(),
             index: None,
+            codes: HashMap::new(),
         }
     }
 
-    /// This column with one bitmap per value ([`crate::index`]) when its
-    /// values fit in few enough slots: its dictionary codes, its two
-    /// booleans, or the integers of an `Int`/`Date` column's span. A
-    /// table builds them when it fills the column's slot; the row
-    /// store's projections never do.
+    /// This column with one bitmap per bin of its values
+    /// ([`crate::index`]): one per dictionary code of a dictionary of few
+    /// strings, one per boolean, and for an `Int`/`Date` column one per
+    /// integer of a narrow span or equi-depth bins over a wide one
+    /// ([`ValueIndex::ints`]). A table builds them when it fills the
+    /// column's slot; the row store's projections never do. The pushes
+    /// are over, so the interning map goes.
     pub(crate) fn indexed(mut self) -> Column {
+        self.codes = HashMap::new();
         let valid = &self.validity;
+        // One bin per code; past `MAX_BINS` of them, `build` declines.
+        let exact = |n: usize| (0..n as i64).take(MAX_BINS + 1).map(|k| (k, k)).collect();
         self.index = match &self.data {
             ColumnData::Str(codes) => {
-                let slots = (0, self.dict.len());
-                ValueIndex::build(codes, valid, slots, |c| usize::try_from(c).ok())
+                ValueIndex::build(codes, valid, exact(self.dict.len()), |c| {
+                    usize::try_from(c).ok()
+                })
             }
-            ColumnData::Bool(v) => ValueIndex::build(v, valid, (0, 2), |b| Some(usize::from(b))),
-            ColumnData::Int(v) | ColumnData::Date(v) => self.span().and_then(|(lo, hi)| {
-                let slot = |x: i64| usize::try_from(x.wrapping_sub(lo) as u64).ok();
-                ValueIndex::build(v, valid, (lo, slot(hi)?.checked_add(1)?), slot)
-            }),
+            ColumnData::Bool(v) => ValueIndex::build(v, valid, exact(2), |b| Some(usize::from(b))),
+            ColumnData::Int(v) | ColumnData::Date(v) => self
+                .span()
+                .and_then(|span| ValueIndex::ints(v, valid, span, valid.count_ones())),
             ColumnData::Float(_) => None,
         };
         self
     }
 
-    /// The column's per-value bitmaps, if it has them.
+    /// The column's binned bitmaps, if it has them.
     pub(crate) fn index(&self) -> Option<&ValueIndex> {
         self.index.as_ref()
     }
@@ -172,7 +184,7 @@ impl Column {
     }
 
     /// Raw physical data.
-    pub fn data(&self) -> &ColumnData {
+    pub(crate) fn data(&self) -> &ColumnData {
         &self.data
     }
 
@@ -217,7 +229,7 @@ impl Column {
                     (ColumnData::Date(vec), Value::Date(x)) => vec.push(x),
                     (ColumnData::Bool(vec), Value::Bool(x)) => vec.push(x),
                     (ColumnData::Str(vec), Value::Str(s)) => {
-                        let code = Self::intern(Arc::make_mut(&mut self.dict), s);
+                        let code = Self::intern(Arc::make_mut(&mut self.dict), &mut self.codes, s);
                         vec.push(code);
                     }
                     _ => unreachable!("type checked above"),
@@ -255,17 +267,24 @@ impl Column {
         self.dict.iter().position(|d| d == s).map(|p| p as u32)
     }
 
-    /// Intern a string into the dictionary and return its code.
-    fn intern(dict: &mut Vec<String>, s: String) -> u32 {
-        // Linear scan is fine: dictionaries for nominal columns are small
-        // by definition (the paper treats ≲20 distinct values as the common
-        // case) and interning happens only at load time.
-        if let Some(pos) = dict.iter().position(|d| *d == s) {
-            pos as u32
-        } else {
-            dict.push(s);
-            (dict.len() - 1) as u32
+    /// Intern a string into the dictionary and return its code: the
+    /// code it was first given, or the next one. `codes` maps the
+    /// dictionary's strings to their codes; a column that has none yet
+    /// (a new one, or one assembled from parts) fills it from `dict`.
+    fn intern(dict: &mut Vec<String>, codes: &mut HashMap<String, u32>, s: String) -> u32 {
+        if codes.len() != dict.len() {
+            codes.clear();
+            for (code, d) in dict.iter().enumerate() {
+                codes.entry(d.clone()).or_insert(code as u32);
+            }
         }
+        if let Some(&code) = codes.get(&s) {
+            return code;
+        }
+        let code = dict.len() as u32;
+        dict.push(s.clone());
+        codes.insert(s, code);
+        code
     }
 
     fn push_physical_default(&mut self) {
@@ -331,35 +350,34 @@ impl Column {
 
     /// The order keys of the selected, non-null, non-NaN values, their
     /// extremes folded in the same walk of the selection: what every
-    /// median, quantile and cut statistic is taken from. Where the
-    /// column's span and the count allow (`stats::counters`), the walk
-    /// counts each value instead of gathering it.
-    pub(crate) fn order_keys(&self, sel: &Bitmap) -> StoreResult<OrderKeys> {
+    /// median, quantile and cut statistic is taken from, the `wanted`
+    /// ranks read from them. A column with binned bitmaps selects those
+    /// ranks and the extremes off its bins where that costs less than
+    /// the walk ([`ValueIndex::ranks`]); where the column's span and the
+    /// count allow (`stats::counters`), the walk counts each value
+    /// instead of gathering it.
+    pub(crate) fn order_keys(&self, sel: &Bitmap, wanted: Wanted) -> StoreResult<OrderKeys> {
         let n = sel.and_count(&self.validity);
+        if let (ColumnData::Int(v) | ColumnData::Date(v), Some(index)) = (&self.data, &self.index) {
+            let binned = wanted
+                .ranks(n)
+                .and_then(|ranks| index.ranks(v, sel, n, ranks));
+            if let Some((ranked, extremes)) = binned {
+                return Ok(OrderKeys::from_parts(self.data_type(), ranked, extremes));
+            }
+        }
         // The extremes fold in locals: as fields beside the buffer they
         // would be reloaded after every store through it.
         let (mut min, mut max) = (i64::MAX, i64::MIN);
         if let (ColumnData::Int(v) | ColumnData::Date(v), Some((base, mut counts))) =
             (&self.data, counters(n, self.span()))
         {
-            match self.index.as_ref().and_then(|index| index.counts(sel, n)) {
-                // The index's slots are the counters' integers: `base`
-                // and up. Each count is at most `n`, which fits a `u32`.
-                Some(per_slot) => {
-                    for (count, k) in counts.iter_mut().zip(per_slot) {
-                        *count = k as u32;
-                    }
-                    let at = |k: Option<usize>| k.map_or(base, |k| base.wrapping_add(k as i64));
-                    min = at(counts.iter().position(|&c| c > 0));
-                    max = at(counts.iter().rposition(|&c| c > 0));
-                }
-                None => self.for_each_selected(sel, |i| {
-                    let k = v[i];
-                    counts[k.wrapping_sub(base) as usize] += 1;
-                    min = min.min(k);
-                    max = max.max(k);
-                }),
-            }
+            self.for_each_selected(sel, |i| {
+                let k = v[i];
+                counts[k.wrapping_sub(base) as usize] += 1;
+                min = min.min(k);
+                max = max.max(k);
+            });
             let ranked = Ranked::Counts { base, counts, n };
             return Ok(OrderKeys::from_parts(self.data_type(), ranked, (min, max)));
         }
@@ -463,7 +481,7 @@ impl Column {
     pub(crate) fn frequencies(&self, sel: &Bitmap) -> StoreResult<(FrequencyTable, Vec<String>)> {
         let indexed = || {
             let index = self.index.as_ref()?;
-            index.counts(sel, sel.and_count(&self.validity))
+            index.counts(sel, sel.and_count(&self.validity), 2)
         };
         let (counts, dict) = match &self.data {
             ColumnData::Str(codes) => {
@@ -618,6 +636,27 @@ mod tests {
     }
 
     #[test]
+    fn interning_resumes_from_the_dictionary_a_column_holds() {
+        // Assembled from parts, or indexed by a table: no map yet, and
+        // the next push must still find the codes the dictionary gives.
+        let dict = Arc::new(vec!["fluit".to_string(), "jacht".to_string()]);
+        let parts = Column::from_parts(
+            "k".into(),
+            ColumnData::Str(vec![1, 0]),
+            Bitmap::ones(2),
+            dict,
+        );
+        for mut c in [parts.clone(), parts.indexed()] {
+            for s in ["jacht", "pinas", "fluit", "pinas"] {
+                c.push(Some(Value::str(s))).unwrap();
+            }
+            let codes: Vec<_> = (0..6).map(|i| c.code(i).unwrap()).collect();
+            assert_eq!(codes, [1, 0, 1, 2, 0, 2]);
+            assert_eq!(c.dict(), ["fluit", "jacht", "pinas"]);
+        }
+    }
+
+    #[test]
     fn gather_skips_nulls_and_unselected() {
         let mut c = Column::new("x", DataType::Int);
         for v in [Some(10), None, Some(30), Some(40)] {
@@ -649,6 +688,7 @@ mod tests {
             dict: Arc::new(Vec::new()),
             span: OnceLock::new(),
             index: None,
+            codes: HashMap::new(),
         };
         let mut out = Vec::new();
         c.gather_f64(&Bitmap::ones(5), &mut out).unwrap();
@@ -672,6 +712,7 @@ mod tests {
             dict: Arc::new(Vec::new()),
             span: OnceLock::new(),
             index: None,
+            codes: HashMap::new(),
         };
         let all = Bitmap::ones(5);
         assert_eq!(

@@ -74,7 +74,7 @@ pub mod value;
 pub use backend::{Backend, BackendStats, CutStats};
 pub use bitmap::Bitmap;
 pub use builder::TableBuilder;
-pub use column::{Column, ColumnData};
+pub use column::Column;
 pub use csv::{read_csv_file, read_csv_str, write_csv_file, write_csv_string};
 pub use datatype::DataType;
 pub use disk::{write_table, StreamWriter};

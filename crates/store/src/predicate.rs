@@ -30,6 +30,7 @@
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
 use crate::error::{StoreError, StoreResult};
+use crate::index::Verdict;
 use crate::stats::float_key;
 use crate::value::Value;
 use std::sync::Arc;
@@ -145,91 +146,110 @@ impl StorePredicate {
 /// not a setting.
 const DENSE_WORD: u32 = 32;
 
-/// A physical value type the scan kernel reads, and which value a slot
-/// of a column's per-value bitmaps ([`crate::index`]) stands for.
+/// A physical value type the scan kernel reads, and which value an
+/// exact bin of a column's binned bitmaps ([`crate::index`]) stands for.
 trait Slot: Copy {
-    /// The value of slot `k` of bitmaps whose slot 0 holds `base` (an
-    /// `Int`/`Date` column's least value); `None` for a type no column
-    /// keeps such bitmaps of.
-    fn slot(base: i64, k: usize) -> Option<Self>;
+    /// The value an exact bin bounded by `key` holds — a dictionary
+    /// code, a boolean as 0 or 1, an `Int`/`Date` value; `None` for a
+    /// type no column keeps bins of.
+    fn slot(key: i64) -> Option<Self>;
 }
 
 impl Slot for u32 {
-    fn slot(_: i64, k: usize) -> Option<u32> {
-        u32::try_from(k).ok()
+    fn slot(key: i64) -> Option<u32> {
+        u32::try_from(key).ok()
     }
 }
 
 impl Slot for bool {
-    fn slot(_: i64, k: usize) -> Option<bool> {
-        [false, true].get(k).copied()
+    fn slot(key: i64) -> Option<bool> {
+        [false, true].get(usize::try_from(key).ok()?).copied()
     }
 }
 
 impl Slot for i64 {
-    fn slot(base: i64, k: usize) -> Option<i64> {
-        i64::try_from(k).ok().map(|k| base.wrapping_add(k))
+    fn slot(key: i64) -> Option<i64> {
+        Some(key)
     }
 }
 
 impl Slot for f64 {
-    fn slot(_: i64, _: usize) -> Option<f64> {
+    fn slot(_: i64) -> Option<f64> {
         None
     }
 }
 
+/// The verdict of a predicate that can say nothing about a bin of more
+/// than one value without asking its rows: a set, a nominal range.
+fn ask_rows(_: (i64, i64)) -> Verdict {
+    Verdict::Partial
+}
+
 /// The scan kernel, over the whole column or within a selection.
 ///
-/// A column with per-value bitmaps asks `keep` once per value instead of
-/// once per row, and ORs the bitmaps of the values it keeps
-/// ([`crate::index::ValueIndex::select`]): the same verdicts, so the
-/// same bits. The rest of this describes the row walk every other
-/// column takes.
+/// A column with binned bitmaps asks for a verdict once per bin instead
+/// of once per row ([`crate::index::ValueIndex::select`]): an exact bin
+/// gets `keep`'s verdict on its value, a wider one what `covers` says
+/// of its bounds. The bins that pass whole are ORed, and only the rows
+/// of [`Verdict::Partial`] ones are asked, word by word as below: the
+/// same verdicts, so the same bits. Where that costs more than walking
+/// `within` ([`crate::index::ValueIndex::pays`]), the column is walked
+/// as if it had no bins.
 ///
-/// Without `within` it makes one selection word per 64-row chunk of
-/// `values`: bit `b` of word `w` is `keep(values[64 * w + b])`, folded in
-/// without a branch ([`verdicts`]), and each word is masked with the
-/// matching validity word — so nulls never match and no bit beyond the
-/// last row is ever set. `keep` is asked about null rows too and must
-/// tolerate their placeholders.
+/// The row walk: without `within` it makes one selection word per
+/// 64-row chunk of `values`: bit `b` of word `w` is
+/// `keep(values[64 * w + b])`, folded in without a branch ([`verdicts`]),
+/// and each word is masked with the matching validity word — so nulls
+/// never match and no bit beyond the last row is ever set. `keep` is
+/// asked about null rows too and must tolerate their placeholders.
 ///
 /// Given `within` (as long as the column), it narrows that selection to
-/// `within ∧ validity ∧ keep` and reads only the words it has rows in:
-/// a word with fewer than [`DENSE_WORD`] selected, non-null rows asks
-/// `keep` about those rows alone, a trailing-zeros walk; a denser one is
-/// folded whole like a chunk above and masked.
+/// `within ∧ validity ∧ keep` and reads only the words it has rows in
+/// ([`keep_word`]).
 fn scan<T: Slot>(
     col: &Column,
     values: &[T],
     within: Option<Bitmap>,
     keep: impl Fn(T) -> bool,
+    covers: impl Fn((i64, i64)) -> Verdict,
 ) -> Bitmap {
     let validity = col.validity();
     if let Some(index) = col.index() {
-        return index.select(validity, within, |k| {
-            T::slot(index.base(), k).is_some_and(&keep)
-        });
+        let verdict = |&(lo, hi): &(i64, i64)| match T::slot(lo) {
+            Some(value) if lo == hi => [Verdict::Nothing, Verdict::All][keep(value) as usize],
+            _ => covers((lo, hi)),
+        };
+        let verdicts: Vec<Verdict> = index.bounds().iter().map(verdict).collect();
+        if index.pays(&verdicts, within.as_ref()) {
+            let walk = |w, rows| keep_word(values, w, rows, &keep);
+            return index.select(validity, within, &verdicts, walk);
+        }
     }
     let Some(mut sel) = within else {
         return validity.and_words(values.chunks(64).map(|chunk| verdicts(chunk, &keep)));
     };
     assert_eq!(sel.len(), values.len(), "selection length mismatch");
     let valid = validity.words();
-    sel.narrow_words(|w, picked| {
-        let live = picked & valid[w];
-        let base = w * 64;
-        if live.count_ones() >= DENSE_WORD {
-            return live & verdicts(&values[base..values.len().min(base + 64)], &keep);
-        }
-        let (mut kept, mut rest) = (0u64, live);
-        while rest != 0 {
-            let b = rest.trailing_zeros();
-            kept |= (keep(values[base + b as usize]) as u64) << b;
-            rest &= rest - 1; // clear lowest set bit
-        }
-        kept
-    });
+    sel.narrow_words(|w, picked| keep_word(values, w, picked & valid[w], &keep));
     sel
+}
+
+/// The rows of `live` (word `w`'s selected, non-null rows) whose value
+/// `keep` passes. A word with fewer than [`DENSE_WORD`] of them asks
+/// `keep` about those rows alone, a trailing-zeros walk; a denser one
+/// is folded whole like a chunk of the unrestricted scan and masked.
+fn keep_word<T: Copy>(values: &[T], w: usize, live: u64, keep: &impl Fn(T) -> bool) -> u64 {
+    let base = w * 64;
+    if live.count_ones() >= DENSE_WORD {
+        return live & verdicts(&values[base..values.len().min(base + 64)], keep);
+    }
+    let (mut kept, mut rest) = (0u64, live);
+    while rest != 0 {
+        let b = rest.trailing_zeros();
+        kept |= (keep(values[base + b as usize]) as u64) << b;
+        rest &= rest - 1; // clear lowest set bit
+    }
+    kept
 }
 
 /// Bit `b` is `keep(chunk[b])`, for a chunk of at most 64 values.
@@ -241,7 +261,11 @@ fn verdicts<T: Copy>(chunk: &[T], keep: &impl Fn(T) -> bool) -> u64 {
 }
 
 /// [`scan`] for `lo ≤ x ≤ hi` (`lo ≤ x < hi` when half-open) over a
-/// numeric vector, each value compared as `key` maps it.
+/// numeric vector, each value compared as `key` maps it. `key` is
+/// monotone on an `Int`/`Date` column's values (the identity, `as f64`,
+/// or an order key of that), so a bin passes whole when both its bounds
+/// do, and fails whole when its greatest value lies below `lo` or its
+/// least at or above the upper bound.
 fn scan_range<V: Slot, T: Copy + PartialOrd>(
     col: &Column,
     values: &[V],
@@ -252,10 +276,29 @@ fn scan_range<V: Slot, T: Copy + PartialOrd>(
 ) -> Bitmap {
     let inside = |x: T| (x >= lo) & (x <= hi);
     let below = |x: T| (x >= lo) & (x < hi);
+    let covers = |(least, greatest): (i64, i64)| {
+        let (Some(least), Some(greatest)) = (V::slot(least), V::slot(greatest)) else {
+            return Verdict::Partial;
+        };
+        let (least, greatest) = (key(least), key(greatest));
+        let pass = |x: T| if hi_inclusive { inside(x) } else { below(x) };
+        let under = if hi_inclusive {
+            least <= hi
+        } else {
+            least < hi
+        };
+        if pass(least) && pass(greatest) {
+            Verdict::All
+        } else if greatest < lo || !under {
+            Verdict::Nothing
+        } else {
+            Verdict::Partial
+        }
+    };
     if hi_inclusive {
-        scan(col, values, within, |v| inside(key(v)))
+        scan(col, values, within, |v| inside(key(v)), covers)
     } else {
-        scan(col, values, within, |v| below(key(v)))
+        scan(col, values, within, |v| below(key(v)), covers)
     }
 }
 
@@ -290,7 +333,11 @@ fn scan_float_range<V: Slot>(
 ///
 /// The scan is specialised per physical type so the hot loop works on the
 /// native vector without per-row `Value` boxing.
-pub fn eval_range(col: &Column, pred: &RangePred, within: Option<Bitmap>) -> StoreResult<Bitmap> {
+pub(crate) fn eval_range(
+    col: &Column,
+    pred: &RangePred,
+    within: Option<Bitmap>,
+) -> StoreResult<Bitmap> {
     match col.data() {
         ColumnData::Int(vals) | ColumnData::Date(vals) => Ok(match (&pred.lo, &pred.hi) {
             // Integer bounds compare as integers, exactly: as `f64` two
@@ -315,7 +362,13 @@ pub fn eval_range(col: &Column, pred: &RangePred, within: Option<Bitmap>) -> Sto
                     s >= lo && if pred.hi_inclusive { s <= hi } else { s < hi }
                 })
                 .collect();
-            Ok(scan(col, codes, within, |code| listed(&verdict, code)))
+            Ok(scan(
+                col,
+                codes,
+                within,
+                |code| listed(&verdict, code),
+                ask_rows,
+            ))
         }
         ColumnData::Bool(vals) => {
             let lo = bool_of(col, &pred.lo)?;
@@ -323,14 +376,18 @@ pub fn eval_range(col: &Column, pred: &RangePred, within: Option<Bitmap>) -> Sto
             // `!v & hi` is `v < hi` on booleans.
             let under = |v: bool| if pred.hi_inclusive { v <= hi } else { !v & hi };
             let verdict = [false, true].map(|v| v >= lo && under(v));
-            Ok(scan(col, vals, within, |v| verdict[v as usize]))
+            Ok(scan(col, vals, within, |v| verdict[v as usize], ask_rows))
         }
     }
 }
 
 /// Evaluate a set-membership scan over a column, or within a selection
 /// as [`eval_range`] does.
-pub fn eval_set(col: &Column, pred: &SetPred, within: Option<Bitmap>) -> StoreResult<Bitmap> {
+pub(crate) fn eval_set(
+    col: &Column,
+    pred: &SetPred,
+    within: Option<Bitmap>,
+) -> StoreResult<Bitmap> {
     Ok(match col.data() {
         ColumnData::Str(codes) => {
             // Translate wanted strings into dictionary codes once; rows then
@@ -342,16 +399,17 @@ pub fn eval_set(col: &Column, pred: &SetPred, within: Option<Bitmap>) -> StoreRe
                     wanted[code as usize] = true;
                 }
             }
-            scan(col, codes, within, |code| listed(&wanted, code))
+            scan(col, codes, within, |code| listed(&wanted, code), ask_rows)
         }
         ColumnData::Int(vals) | ColumnData::Date(vals) => {
             let (ints, floats) = int_set(col, &pred.values)?;
-            scan(col, vals, within, |v| {
+            let member = |v: i64| {
                 ints.binary_search(&v).is_ok()
                     || floats
                         .binary_search_by(|w| w.total_cmp(&(v as f64)))
                         .is_ok()
-            })
+            };
+            scan(col, vals, within, member, ask_rows)
         }
         ColumnData::Float(vals) => {
             let mut wanted: Vec<f64> = Vec::with_capacity(pred.values.len());
@@ -359,16 +417,15 @@ pub fn eval_set(col: &Column, pred: &SetPred, within: Option<Bitmap>) -> StoreRe
                 wanted.push(v.as_f64().ok_or_else(|| type_err(col, v))?);
             }
             wanted.sort_by(f64::total_cmp);
-            scan(col, vals, within, |v| {
-                wanted.binary_search_by(|w| w.total_cmp(&v)).is_ok()
-            })
+            let member = |v: f64| wanted.binary_search_by(|w| w.total_cmp(&v)).is_ok();
+            scan(col, vals, within, member, ask_rows)
         }
         ColumnData::Bool(vals) => {
             let mut wanted = [false; 2];
             for v in &pred.values {
                 wanted[bool_of(col, v)? as usize] = true;
             }
-            scan(col, vals, within, |v| wanted[v as usize])
+            scan(col, vals, within, |v| wanted[v as usize], ask_rows)
         }
     })
 }

@@ -36,7 +36,7 @@ use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
 use crate::predicate::{RangePred, SetPred, StorePredicate};
 use crate::schema::Schema;
-use crate::stats::{mean_and_var_of, FrequencyTable};
+use crate::stats::{mean_and_var_of, FrequencyTable, Wanted};
 use crate::table::Table;
 use crate::value::Value;
 use std::cmp::Ordering;
@@ -282,7 +282,7 @@ impl Backend for RowTable {
 
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
         let col = self.project(column, sel)?;
-        Ok(col.order_keys(&all(&col))?.median())
+        Ok(col.order_keys(&all(&col), Wanted::Median)?.median())
     }
 
     fn sampled_median(
@@ -298,7 +298,7 @@ impl Backend for RowTable {
 
     fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
         let col = self.project(column, sel)?;
-        col.order_keys(&all(&col))?.quantile(q)
+        col.order_keys(&all(&col), Wanted::Quantile(q))?.quantile(q)
     }
 
     fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>> {

@@ -80,6 +80,43 @@ pub(crate) enum Ranked {
         counts: Vec<u32>,
         n: usize,
     },
+    /// Of `n` values, only the keys of `ranks`, already selected (a
+    /// column's binned bitmaps, `crate::index`): what was [`Wanted`].
+    Selected {
+        ranks: (usize, usize),
+        keys: (i64, i64),
+        n: usize,
+    },
+}
+
+/// Which ranks a caller of [`OrderKeys`] reads: a median's two, or one
+/// quantile's. A kernel that can select them without gathering every
+/// value is told this up front.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Wanted {
+    /// The lower and upper median.
+    Median,
+    /// The nearest rank of `q`.
+    Quantile(f64),
+}
+
+impl Wanted {
+    /// The 0-based ranks `(lo, hi)` of `n` values this reads (`hi` is
+    /// `lo` or `lo + 1`); `None` when there is no value or `q` lies
+    /// outside `[0, 1]`.
+    pub(crate) fn ranks(self, n: usize) -> Option<(usize, usize)> {
+        if n == 0 {
+            return None;
+        }
+        match self {
+            Wanted::Median => Some((n.div_ceil(2) - 1, n / 2)),
+            Wanted::Quantile(q) if (0.0..=1.0).contains(&q) => {
+                let k = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
+                Some((k, k))
+            }
+            Wanted::Quantile(_) => None,
+        }
+    }
 }
 
 /// Zeroed counters, one per integer of `span` from its least, for `n`
@@ -136,7 +173,7 @@ impl OrderKeys {
     pub(crate) fn len(&self) -> usize {
         match &self.ranked {
             Ranked::Keys(keys) => keys.len(),
-            Ranked::Counts { n, .. } => *n,
+            Ranked::Counts { n, .. } | Ranked::Selected { n, .. } => *n,
         }
     }
 
@@ -171,10 +208,7 @@ impl OrderKeys {
 
     fn median_f64(&mut self) -> Option<f64> {
         let n = self.len();
-        if n == 0 {
-            return None;
-        }
-        let (lo, hi) = self.select(n.div_ceil(2) - 1, n / 2);
+        let (lo, hi) = self.select(Wanted::Median.ranks(n)?);
         Some(if n % 2 == 1 {
             self.to_f64(hi)
         } else {
@@ -188,21 +222,23 @@ impl OrderKeys {
         if !(0.0..=1.0).contains(&q) {
             return Err(StoreError::Parse(format!("quantile {q} outside [0,1]")));
         }
-        let n = self.len();
-        if n == 0 {
+        let Some(ranks) = Wanted::Quantile(q).ranks(self.len()) else {
             return Ok(None);
-        }
-        let k = ((q * n as f64).ceil() as usize).clamp(1, n) - 1;
-        let (key, _) = self.select(k, k);
+        };
+        let (key, _) = self.select(ranks);
         Ok(Some(self.to_f64(key)))
     }
 
     /// The keys of ranks `lo` and `hi` (0-based, ascending; `hi` is `lo`
     /// or `lo + 1`). Reorders the keys.
-    fn select(&mut self, lo: usize, hi: usize) -> (i64, i64) {
+    fn select(&mut self, (lo, hi): (usize, usize)) -> (i64, i64) {
         debug_assert!(lo <= hi && hi <= lo + 1 && hi < self.len());
         match &mut self.ranked {
-            Ranked::Keys(keys) => select_keys(keys, (self.min, self.max), lo, hi),
+            Ranked::Selected { ranks, keys, .. } => {
+                assert_eq!(*ranks, (lo, hi), "the ranks selected are the ranks read");
+                *keys
+            }
+            Ranked::Keys(keys) => select_ranks(keys, (self.min, self.max), lo, hi),
             Ranked::Counts { base, counts, .. } => {
                 // No count below the least value is set.
                 let least = self.min.wrapping_sub(*base) as usize;
@@ -226,7 +262,12 @@ impl OrderKeys {
 ///   of the first and the least of the second, one more pass;
 /// * otherwise the one bucket holding both is compacted to the front and
 ///   selected in.
-fn select_keys(keys: &mut [i64], (min, max): (i64, i64), lo: usize, hi: usize) -> (i64, i64) {
+pub(crate) fn select_ranks(
+    keys: &mut [i64],
+    (min, max): (i64, i64),
+    lo: usize,
+    hi: usize,
+) -> (i64, i64) {
     let n = keys.len();
     if n < SMALL_N || u32::try_from(n).is_err() {
         return select_in(keys, lo, hi);
@@ -457,9 +498,9 @@ mod tests {
             for hi in [lo, lo + 1] {
                 let want = (sorted[lo], sorted[hi]);
                 let mut ok = OrderKeys::collect(DataType::Int, keys.iter().copied());
-                assert_eq!(ok.select(lo, hi), want, "keys: n={n} {lo} {hi}");
+                assert_eq!(ok.select((lo, hi)), want, "keys: n={n} {lo} {hi}");
                 if let Some(mut ok) = counted() {
-                    assert_eq!(ok.select(lo, hi), want, "counts: n={n} {lo} {hi}");
+                    assert_eq!(ok.select((lo, hi)), want, "counts: n={n} {lo} {hi}");
                 }
             }
         }

@@ -8,7 +8,7 @@ use crate::disk::reader::ColumnFile;
 use crate::error::{StoreError, StoreResult};
 use crate::predicate::{eval_range, eval_set, StorePredicate};
 use crate::schema::Schema;
-use crate::stats::{mean_and_var_of, FrequencyTable};
+use crate::stats::{mean_and_var_of, FrequencyTable, Wanted};
 use crate::value::Value;
 use std::sync::{Arc, OnceLock};
 
@@ -207,7 +207,10 @@ impl Backend for Table {
     }
 
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
-        Ok(self.column(column)?.order_keys(sel)?.median())
+        Ok(self
+            .column(column)?
+            .order_keys(sel, Wanted::Median)?
+            .median())
     }
 
     fn sampled_median(
@@ -221,7 +224,9 @@ impl Backend for Table {
     }
 
     fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
-        self.column(column)?.order_keys(sel)?.quantile(q)
+        self.column(column)?
+            .order_keys(sel, Wanted::Quantile(q))?
+            .quantile(q)
     }
 
     fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>> {
@@ -232,7 +237,7 @@ impl Backend for Table {
         // One walk of the selection where `min_max` + `median` make two:
         // the extremes are folded while the order keys the median is
         // selected from are gathered.
-        let mut keys = self.column(column)?.order_keys(sel)?;
+        let mut keys = self.column(column)?.order_keys(sel, Wanted::Median)?;
         let Some((min, max)) = keys.extremes() else {
             return Ok(None);
         };
@@ -501,11 +506,12 @@ mod tests {
         // walks over the columns of its `rows_fixture` and
         // `cut_stats_fixture`; these are those columns' shapes. A column
         // compares bitmaps against walks there only if it is indexed
-        // here, so a change of the cut-over that moves one across must
+        // here, so a change of the cut-overs — 16 exact bins, 1 024
+        // valid rows for equi-depth ones — that moves one across must
         // change this test too.
         const BASE: i64 = (1 << 53) - 4;
         type Cell = fn(i64) -> Option<Value>;
-        let columns: [(&str, DataType, Cell, i64, bool); 9] = [
+        let columns: [(&str, DataType, Cell, i64, bool); 11] = [
             (
                 "rows_fixture f",
                 DataType::Float,
@@ -542,31 +548,51 @@ mod tests {
                 true,
             ),
             (
-                "cut_stats_fixture x: 23 integers",
+                "cut_stats_fixture x: 23 integers, 1 200 valid rows",
                 DataType::Int,
                 |n| (n % 7 != 3).then_some(Value::Int(n * n % 23 - 9)),
-                300,
-                false,
+                1_400,
+                true,
             ),
             (
                 "cut_stats_fixture d: 11 dates",
                 DataType::Date,
                 |n| Some(Value::Date(9_000 + n % 11)),
-                300,
+                1_400,
                 true,
             ),
             (
                 "cut_stats_fixture c: constant",
                 DataType::Int,
                 |_| Some(Value::Int(7)),
-                300,
+                1_400,
+                true,
+            ),
+            (
+                "cut_stats_fixture big: 5 003 integers beyond 2⁵³",
+                DataType::Int,
+                |n| Some(Value::Int((1 << 53) + n * 7_919 % 5_003)),
+                1_400,
+                true,
+            ),
+            (
+                "cut_stats_fixture wide: all of i64",
+                DataType::Int,
+                |n| {
+                    Some(Value::Int(match n % 5 {
+                        0 => i64::MIN,
+                        1 => i64::MAX,
+                        _ => n.wrapping_mul(0x2545_f491_4f6c_dd1d),
+                    }))
+                },
+                1_400,
                 true,
             ),
             (
                 "cut_stats_fixture k: 3 strings",
                 DataType::Str,
                 |n| Some(Value::str(format!("k{}", n % 3))),
-                300,
+                1_400,
                 true,
             ),
         ];

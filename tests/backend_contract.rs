@@ -742,8 +742,11 @@ mod contract_harness {
     }
 
     /// Rows of [`cut_stats_fixture`]: more than the 256 values below
-    /// which the store selects ranks without its histogram.
-    const CUT_ROWS: usize = 300;
+    /// which the store selects ranks without its histogram, and enough
+    /// that `x` (1 200 valid rows of 23 values), `big` and `wide` hold
+    /// the 1 024 valid rows from which a table bins a wide `Int` column:
+    /// their statistics are read off bins here, walked in the row store.
+    const CUT_ROWS: usize = 1_400;
 
     /// Six rows a cut's statistics must get right, then filler: a null
     /// and a NaN in `f` (first, so `poison_float_cell` finds it), both
