@@ -67,7 +67,7 @@ pub struct Column {
     /// Each string of `dict` to its code, while the column is being
     /// pushed to: filled from `dict` by the first push that needs it,
     /// dropped by [`Column::indexed`], so a table's columns hold none.
-    codes: HashMap<String, u32>,
+    interned: HashMap<String, u32>,
 }
 
 impl Column {
@@ -87,7 +87,7 @@ impl Column {
             dict: Arc::new(Vec::new()),
             span: OnceLock::new(),
             index: None,
-            codes: HashMap::new(),
+            interned: HashMap::new(),
         }
     }
 
@@ -111,7 +111,7 @@ impl Column {
             dict,
             span: OnceLock::new(),
             index: None,
-            codes: HashMap::new(),
+            interned: HashMap::new(),
         }
     }
 
@@ -123,7 +123,7 @@ impl Column {
     /// column's slot; the row store's projections never do. The pushes
     /// are over, so the interning map goes.
     pub(crate) fn indexed(mut self) -> Column {
-        self.codes = HashMap::new();
+        self.interned = HashMap::new();
         let valid = &self.validity;
         // One bin per code; past `MAX_BINS` of them, `build` declines.
         let exact = |n: usize| (0..n as i64).take(MAX_BINS + 1).map(|k| (k, k)).collect();
@@ -229,7 +229,8 @@ impl Column {
                     (ColumnData::Date(vec), Value::Date(x)) => vec.push(x),
                     (ColumnData::Bool(vec), Value::Bool(x)) => vec.push(x),
                     (ColumnData::Str(vec), Value::Str(s)) => {
-                        let code = Self::intern(Arc::make_mut(&mut self.dict), &mut self.codes, s);
+                        let code =
+                            Self::intern(Arc::make_mut(&mut self.dict), &mut self.interned, s);
                         vec.push(code);
                     }
                     _ => unreachable!("type checked above"),
@@ -688,7 +689,7 @@ mod tests {
             dict: Arc::new(Vec::new()),
             span: OnceLock::new(),
             index: None,
-            codes: HashMap::new(),
+            interned: HashMap::new(),
         };
         let mut out = Vec::new();
         c.gather_f64(&Bitmap::ones(5), &mut out).unwrap();
@@ -712,7 +713,7 @@ mod tests {
             dict: Arc::new(Vec::new()),
             span: OnceLock::new(),
             index: None,
-            codes: HashMap::new(),
+            interned: HashMap::new(),
         };
         let all = Bitmap::ones(5);
         assert_eq!(
