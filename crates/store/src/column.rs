@@ -476,7 +476,7 @@ impl Column {
     /// rows, plus the dictionary that decodes the codes. Booleans count
     /// as the two-entry dictionary {false, true}.
     ///
-    /// A column with per-value bitmaps AND-counts each value's bitmap
+    /// A column with exact bins, one per value, AND-counts each bin
     /// with `sel` where that costs less than walking the rows
     /// ([`ValueIndex::counts`]): the same counts.
     pub(crate) fn frequencies(&self, sel: &Bitmap) -> StoreResult<(FrequencyTable, Vec<String>)> {

@@ -40,8 +40,8 @@ pub struct Table {
 }
 
 impl Table {
-    /// A table whose slots hold `columns`, each with its per-value
-    /// bitmaps where it has few enough values ([`Column::indexed`]).
+    /// A table whose slots hold `columns`, each with its binned bitmaps
+    /// where it gets any ([`Column::indexed`]).
     pub(crate) fn from_parts(name: String, schema: Schema, columns: Vec<Column>) -> Table {
         let rows = columns.first().map_or(0, Column::len);
         debug_assert!(columns.iter().all(|c| c.len() == rows));
@@ -107,8 +107,8 @@ impl Table {
         }
     }
 
-    /// Decode column `idx` from the file, with its per-value bitmaps
-    /// where it has few enough values: the first touch of an opened
+    /// Decode column `idx` from the file, with its binned bitmaps where
+    /// it gets any: the first touch of an opened
     /// table's column. A built table's slots are all filled, so it never
     /// gets here.
     #[cold]

@@ -22,18 +22,23 @@
 //! wildcard context is the whole table (no context scan):
 //!
 //! * Every cut costs one median (its one-pass statistics) and, once its
-//!   pieces are resolved, one scan: the left half, the right half being
-//!   what the left leaves of its parent (ADR 0009). Seeding cuts each
-//!   attribute once: `k` scans and `k` medians.
-//! * A compose step cuts the right operand's attribute in each piece of
-//!   the left. An accepted step resolves those pieces; the step that
-//!   hits `max_depth` = 12 does not, so its cuts cost medians only — the
-//!   8 cuts of an 8-piece left operand whose composition would hold 16.
-//! * Measured over the grid, the accepted steps' cuts add up to
-//!   `2 + 2·steps`, so `scans = k + 2 + 2·steps` and
-//!   `medians = scans + 8` for every cell with k ≥ 4. At k = 2 the one
-//!   step composes two 2-piece seeds and is the last (no candidate pair
-//!   is left): 4 scans, 4 medians.
+//!   pieces are needed as bitmaps, one scan: the left half, the right
+//!   half being what the left leaves of its parent (ADR 0009). Seeding
+//!   cuts each attribute once: `k` scans and `k` medians.
+//! * COMPOSE cuts each attribute of the right operand, in turn, in every
+//!   piece the left operand and the attributes before it made. The
+//!   pieces of every level but the last are scanned on the way; the
+//!   last level is scanned only when the composition is accepted.
+//! * On a sweep table every accepted step composes two seeds: a 2-piece
+//!   left operand cut on one attribute, 2 cuts, 2 scans and 2 medians,
+//!   4 pieces. The step that stops the loop composes two such 4-piece
+//!   compositions: 4 + 8 cuts, 16 pieces, past `max_depth` = 12, so it is
+//!   rejected unresolved — 12 medians and the 4 scans of its first
+//!   level. With `steps − 1` accepted steps that is
+//!   `scans = k + 2·(steps − 1) + 4 = k + 2 + 2·steps` and
+//!   `medians = k + 2·(steps − 1) + 12 = scans + 8` for k ≥ 4. At k = 2
+//!   the one step composes the two seeds, is accepted and leaves no
+//!   pair (`ExhaustedCandidates`): 4 scans, 4 medians.
 //! * `sel_misses = 2·scans`: each scan's left half and its complement.
 //! * Each accepted step replaces two candidates by one and at most one
 //!   more step is recorded (the one that stops the loop), so
