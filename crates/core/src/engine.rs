@@ -30,7 +30,9 @@
 use crate::config::{Config, MedianStrategy};
 use crate::error::{CoreError, CoreResult};
 use charles_sdl::{eval, Constraint, Query, Segmentation};
-use charles_store::{Backend, BackendStats, Bitmap, CutStats, FrequencyTable, StorePredicate};
+use charles_store::{
+    Backend, BackendStats, Bitmap, CutStats, DataType, FrequencyTable, StorePredicate, Value,
+};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
@@ -441,6 +443,32 @@ impl<'a> Explorer<'a> {
             self.caches().ops.medians += 1;
         }
         Ok(stats)
+    }
+
+    /// The type of the column `attr`.
+    pub(crate) fn type_of(&self, attr: &str) -> CoreResult<DataType> {
+        Ok(self.backend.schema().type_of(attr)?)
+    }
+
+    /// Whether `sel` holds two distinct values of `attr`
+    /// ([`Backend::varies`]): what a cut that is only counted asks
+    /// instead of its statistics. Neither a scan nor a median: it reads
+    /// the selection only until the second distinct value.
+    pub(crate) fn varies(&self, attr: &str, sel: &Bitmap) -> CoreResult<bool> {
+        Ok(self.backend.varies(attr, sel)?)
+    }
+
+    /// The least value of `attr` above `v` in `sel`
+    /// ([`Backend::next_above`]): a continuous cut's split point where
+    /// its median is its minimum. Counted as no op, like
+    /// [`Explorer::varies`].
+    pub(crate) fn next_above(
+        &self,
+        attr: &str,
+        sel: &Bitmap,
+        v: &Value,
+    ) -> CoreResult<Option<Value>> {
+        Ok(self.backend.next_above(attr, sel, v)?)
     }
 
     /// The frequency table of a nominal `attr` over `sel`: one scan.

@@ -71,7 +71,7 @@ use crate::engine::Explorer;
 use crate::error::{CoreError, CoreResult};
 use crate::indep::{resolve, resolve_pieces, Resolved};
 use crate::metrics::{score_with, Score};
-use crate::primitives::{compose_pieces, cut_pieces};
+use crate::primitives::{compose_pieces, cut_pieces, Composed};
 use crate::ranking::{rank, Ranked};
 use charles_sdl::Segmentation;
 use std::collections::HashSet;
@@ -385,12 +385,22 @@ impl Stepper {
             // past-threshold pairs, burning compose work and misreporting
             // ComposeFailed.
             // COMPOSE cuts on from the bitmaps the left operand carries.
+            // Line 15 throws away every composition of a pair past the
+            // threshold, and otherwise one of `max_depth` pieces or
+            // more: COMPOSE counts such a composition's last level
+            // instead of cutting it.
+            let reject_at = if ind >= max_indep {
+                0
+            } else {
+                ex.config().max_depth
+            };
             let composed = compose_pieces(
                 ex,
                 self.resolved[i].pieces(&self.cand[i]),
                 &self.cand[j].attributes(),
+                reject_at,
             )?;
-            let Some((pieces, partitions)) = composed else {
+            let Some(composed) = composed else {
                 if ind >= max_indep {
                     self.trace.stop = Some(StopReason::IndependenceThreshold);
                     return Ok(false);
@@ -403,28 +413,28 @@ impl Stepper {
                 });
                 continue;
             };
-            let dep = pieces.len();
-
-            // Lines 15–16: stopping criteria.
-            let stop = if ind >= max_indep {
-                Some(StopReason::IndependenceThreshold)
-            } else if dep >= ex.config().max_depth {
-                Some(StopReason::DepthLimit)
-            } else {
-                None
-            };
-            let step = ComposeStep {
+            let step = |depth, accepted| ComposeStep {
                 left_attrs: attrs_of(&self.cand[i]),
                 right_attrs: attrs_of(&self.cand[j]),
                 indep: ind,
-                depth: dep,
-                accepted: stop.is_none(),
+                depth,
+                accepted,
             };
-            if stop.is_some() {
-                self.trace.steps.push(step);
-                self.trace.stop = stop;
-                return Ok(false);
-            }
+
+            // Lines 15–16: stopping criteria — what COMPOSE rejected.
+            let (pieces, partitions) = match composed {
+                Composed::Pieces(pieces, partitions) => (pieces, partitions),
+                Composed::Rejected(depth) => {
+                    self.trace.steps.push(step(depth, false));
+                    self.trace.stop = Some(if ind >= max_indep {
+                        StopReason::IndependenceThreshold
+                    } else {
+                        StopReason::DepthLimit
+                    });
+                    return Ok(false);
+                }
+            };
+            let step = step(pieces.len(), true);
             // An accepted composition joins the candidates resolved — its
             // last level of pieces scanned only now, and the fallible
             // part, so it comes before the step is recorded.

@@ -184,7 +184,7 @@ pub fn indep(ex: &Explorer<'_>, s1: &Segmentation, s2: &Segmentation) -> CoreRes
 mod tests {
     use super::*;
     use crate::config::Config;
-    use crate::primitives::{compose_pieces, cut_segmentation, product};
+    use crate::primitives::{compose_pieces, cut_segmentation, product, Composed};
     use charles_sdl::{Constraint, Query};
     use charles_store::{DataType, TableBuilder, Value};
 
@@ -310,9 +310,10 @@ mod tests {
         let n = ex.context_size();
         let seed = |attr| crate::hbcuts::seed_cut(&ex, attr).unwrap().unwrap();
         let compose = |(seg, r): &(Segmentation, Resolved), with: &Segmentation| {
-            let (pieces, partitions) = compose_pieces(&ex, r.pieces(seg), &with.attributes())
-                .unwrap()
-                .unwrap();
+            let composed = compose_pieces(&ex, r.pieces(seg), &with.attributes(), usize::MAX);
+            let Some(Composed::Pieces(pieces, partitions)) = composed.unwrap() else {
+                panic!("nothing is rejected at usize::MAX pieces");
+            };
             resolve_pieces(&ex, pieces, r.partition && partitions).unwrap()
         };
         let mut cands: Vec<(Segmentation, Resolved)> = attrs.iter().map(|a| seed(a)).collect();

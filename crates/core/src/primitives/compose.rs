@@ -12,34 +12,77 @@
 //! their parent's bitmap into the next level, which materialises each
 //! (one scan per pair where the halves partition their parent, else one
 //! per half) before cutting it again — the level's pieces fan out, a
-//! partitioning pair as one unit — and the last level's halves
-//! leave still derived — a composition that trips a stop criterion never
-//! scans them. The public [`compose`] looks S1's pieces up once and
-//! releases the result through the explorer's selection memo.
+//! partitioning pair as one unit — and the last level's halves leave
+//! still derived.
+//!
+//! A caller that throws a composition of `reject_at` pieces or more away
+//! — HB-cuts at its stop test, Figure 4's line 15 — can learn that from
+//! the last level without cutting it. Where twice that level's input
+//! pieces reach `reject_at`, COMPOSE materialises them, as the cut would,
+//! and counts their cut instead (`count_cuts`): each piece that holds two
+//! distinct values of the last attribute cuts in two, each other one
+//! stays whole, so the count is the depth the cut would give. A
+//! composition that reaches `reject_at` is that depth alone, with no
+//! median and no frequency table taken on its last level; one that stays
+//! below is cut from the selections the count holds, no piece scanned
+//! twice. The public [`compose`] rejects nothing: it looks S1's pieces up
+//! once, cuts every level and releases the result through the explorer's
+//! selection memo.
 
-use super::cut::{cut_pieces, lookup_pieces, release_pieces};
+use super::cut::{count_cuts, cut_pieces, lookup_pieces, release_pieces};
 use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
 use charles_sdl::Segmentation;
 
+/// What [`compose_pieces`] made of its operands.
+pub(crate) enum Composed {
+    /// The composition's pieces, and whether every cut of every level
+    /// split its piece into halves that partition it — then they
+    /// partition whatever the operand's pieces did.
+    Pieces(Vec<Piece>, bool),
+    /// The depth of a composition that reached `reject_at`: its last
+    /// level was counted, not cut.
+    Rejected(usize),
+}
+
 /// Definition 7 over pieces: `pieces` cut on `attrs`, last attribute
-/// innermost, and whether every cut of every level split its piece into
-/// halves that partition it — then the result partitions whatever
-/// `pieces` did. `None` when no cut succeeded at all.
+/// innermost. A composition of `reject_at` pieces or more is only
+/// counted, where the last level can tell (`Composed::Rejected`; 0
+/// rejects whatever the depth, `usize::MAX` nothing). `None` when no
+/// piece of any level cuts.
 pub(crate) fn compose_pieces(
     ex: &Explorer<'_>,
     mut pieces: Vec<Piece>,
     attrs: &[&str],
-) -> CoreResult<Option<(Vec<Piece>, bool)>> {
+    reject_at: usize,
+) -> CoreResult<Option<Composed>> {
+    // Definition 7 nests CUT_attN innermost, so apply attN first and
+    // att1 last.
+    let Some((last, inner)) = attrs.split_first() else {
+        return Ok(None);
+    };
     let (mut any, mut partition) = (false, true);
-    // Definition 7 nests CUT_attN innermost, so apply attN first.
-    for attr in attrs.iter().rev() {
+    for attr in inner.iter().rev() {
         let (next, cut, partitions) = cut_pieces(ex, pieces, attr)?;
         pieces = next;
         any |= cut;
         partition &= partitions;
     }
-    Ok(any.then_some((pieces, partition)))
+    let (pieces, cut, partitions) = if pieces.len() < reject_at.div_ceil(2) {
+        // Even a cut of every piece stays below `reject_at`.
+        cut_pieces(ex, pieces, last)?
+    } else {
+        let inputs = pieces.len();
+        let counted = count_cuts(ex, pieces, last)?;
+        let depth = counted.depth();
+        if depth >= reject_at {
+            return Ok((any || depth > inputs).then_some(Composed::Rejected(depth)));
+        }
+        counted.cut(ex)?
+    };
+    any |= cut;
+    partition &= partitions;
+    Ok(any.then_some(Composed::Pieces(pieces, partition)))
 }
 
 /// Compose two segmentations. Returns `None` when no cut succeeded at all
@@ -49,9 +92,12 @@ pub fn compose(
     s1: &Segmentation,
     s2: &Segmentation,
 ) -> CoreResult<Option<Segmentation>> {
-    compose_pieces(ex, lookup_pieces(ex, s1)?, &s2.attributes())?
-        .map(|(pieces, _)| release_pieces(ex, pieces))
-        .transpose()
+    let composed = compose_pieces(ex, lookup_pieces(ex, s1)?, &s2.attributes(), usize::MAX)?;
+    match composed {
+        None => Ok(None),
+        Some(Composed::Pieces(pieces, _)) => release_pieces(ex, pieces).map(Some),
+        Some(Composed::Rejected(_)) => unreachable!("no composition reaches usize::MAX pieces"),
+    }
 }
 
 #[cfg(test)]
@@ -138,6 +184,69 @@ mod tests {
         for a in ["a", "b", "c"] {
             assert!(attrs.contains(&a), "missing {a} in {attrs:?}");
         }
+    }
+
+    #[test]
+    fn a_counted_level_below_the_bound_is_cut_from_the_selections_it_holds() {
+        // S1 cuts `a` at 19 | 20. Composed with a segmentation on `g`
+        // and `b`, its inner level cuts each half on `b`: four pieces,
+        // the two below 20 holding one value of `g`, the two above three.
+        // The last level cuts them on `g` into 4 + 2 = 6 pieces. Twice
+        // its inputs, 8, reach a bound of 7 or 8 that the 6 stay below:
+        // the level is counted — its derived inputs materialised — then
+        // cut from the selections the count holds: the pieces, scans,
+        // selections and medians of the public `compose`, which never
+        // counts. At a bound of 6 the count is the answer: the inputs'
+        // scans, and no median on the level.
+        let mut b = TableBuilder::new("t");
+        b.add_column("a", DataType::Int)
+            .add_column("b", DataType::Int)
+            .add_column("g", DataType::Int);
+        for i in 0..80i64 {
+            let a = i % 40;
+            let g = if a < 20 { 0 } else { a % 3 };
+            b.push_row(vec![Value::Int(a), Value::Int(i % 11), Value::Int(g)])
+                .unwrap();
+        }
+        let t = b.finish();
+        let run = |reject_at: usize| {
+            let ctx = Query::wildcard(&["g", "a", "b"]);
+            let ex = Explorer::new(&t, Config::default(), ctx).unwrap();
+            let base = Segmentation::singleton(ex.context().clone());
+            let s1 = cut_segmentation(&ex, &base, "a").unwrap().unwrap();
+            let by_g = cut_segmentation(&ex, &base, "g").unwrap().unwrap();
+            let s2 = cut_segmentation(&ex, &by_g, "b").unwrap().unwrap();
+            assert_eq!(s2.attributes(), ["g", "b"]);
+            let before = (ex.backend_ops(), ex.cache_stats().sel_misses);
+            let composed = if reject_at == usize::MAX {
+                compose(&ex, &s1, &s2).unwrap().map(|seg| seg.to_string())
+            } else {
+                let pieces = lookup_pieces(&ex, &s1).unwrap();
+                match compose_pieces(&ex, pieces, &s2.attributes(), reject_at).unwrap() {
+                    Some(Composed::Pieces(pieces, _)) => {
+                        Some(release_pieces(&ex, pieces).unwrap().to_string())
+                    }
+                    Some(Composed::Rejected(depth)) => Some(format!("rejected at {depth}")),
+                    None => None,
+                }
+            };
+            let (ops, misses) = (ex.backend_ops(), ex.cache_stats().sel_misses);
+            let spent = (
+                ops.scans - before.0.scans,
+                ops.medians - before.0.medians,
+                misses - before.1,
+            );
+            (composed.unwrap(), spent)
+        };
+        let (public, spent) = run(usize::MAX);
+        assert_eq!(public.lines().count(), 6, "{public}");
+        // Four cuts: a median, a scan (the right half is what the left
+        // leaves) and two selections each.
+        assert_eq!(spent, (4, 4, 8));
+        for reject_at in [7, 8] {
+            assert_eq!(run(reject_at), (public.clone(), spent), "{reject_at}");
+        }
+        assert_eq!(run(6), ("rejected at 6".to_string(), (2, 2, 4)));
     }
 
     #[test]

@@ -43,11 +43,12 @@
 //! public [`cut_query`] / [`cut_segmentation`] look their operand up once
 //! and release the halves through the explorer's selection memo.
 
-use crate::config::NOMINAL_FREQ_SORT_LIMIT;
+use crate::config::{MedianStrategy, NOMINAL_FREQ_SORT_LIMIT};
 use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
 use charles_sdl::{Constraint, Query, Segmentation};
 use charles_store::{Bitmap, DataType, FrequencyTable, Value};
+use std::sync::Arc;
 
 /// Definition 5 over a piece: where it splits along `attr`, or `None`
 /// when no valid binary split exists. The halves themselves are
@@ -61,7 +62,7 @@ fn cut_piece(
     if sel.none() {
         return Ok(None);
     }
-    let ty = ex.backend().schema().type_of(attr)?;
+    let ty = ex.type_of(attr)?;
     if ty.is_numeric() {
         numeric_split(ex, attr, query.constraint(attr), sel)
     } else {
@@ -88,9 +89,7 @@ struct Split {
 /// Also says whether any piece was cut, and whether every piece that was
 /// cut was cut into halves that partition it — then the pieces out
 /// partition whatever the pieces in did. The pieces are materialised and
-/// their splits found unit by unit in one fan-out (`Explorer::map_units`);
-/// each cut's left half refines a clone of its piece's query, the right
-/// half that query itself.
+/// their splits found unit by unit in one fan-out (`Explorer::map_units`).
 pub(crate) fn cut_pieces(
     ex: &Explorer<'_>,
     pieces: Vec<Piece>,
@@ -99,6 +98,18 @@ pub(crate) fn cut_pieces(
     let splits = ex.map_units(&pieces, |piece, sel| {
         Ok((cut_piece(ex, &piece.query, &sel, attr)?, sel))
     })?;
+    Ok(halve(pieces, splits, attr))
+}
+
+/// Each piece with a split as its two halves — the left half refines a
+/// clone of the piece's query, the right half that query itself — and
+/// each piece without one as it is; whether any was cut, and whether
+/// every cut's halves partition their piece.
+fn halve(
+    pieces: Vec<Piece>,
+    splits: Vec<(Option<Split>, Arc<Bitmap>)>,
+    attr: &str,
+) -> (Vec<Piece>, bool, bool) {
     let mut out = Vec::with_capacity(pieces.len() * 2);
     let (mut any, mut partition) = (false, true);
     for (piece, (split, sel)) in pieces.into_iter().zip(splits) {
@@ -117,7 +128,99 @@ pub(crate) fn cut_pieces(
             Err(uncut) => out.push(Piece::ready(uncut, sel)),
         }
     }
-    Ok((out, any, partition))
+    (out, any, partition)
+}
+
+/// A level of pieces whose cut along one attribute was counted, not
+/// made: each piece materialised, with what the count learnt of it
+/// ([`count_cuts`]).
+pub(crate) struct Counted<'a> {
+    attr: &'a str,
+    level: Vec<(Piece, Probe, Arc<Bitmap>)>,
+}
+
+/// What counting a piece's cut learnt of it.
+enum Probe {
+    /// It holds two distinct values: it cuts in two, where is not yet
+    /// known.
+    Varies,
+    /// Its cut, found the way CUT finds it — `None` when it has none,
+    /// as for a piece of one value or none.
+    Found(Option<Split>),
+}
+
+/// How many pieces cutting `pieces` along `attr` would give, found
+/// without cutting them where that is exact: a piece that varies cuts
+/// into two, one that does not stays whole (`Explorer::varies`, neither
+/// a median nor a frequency table). Two pieces are cut as CUT cuts them,
+/// because there a varying piece is not sure to cut: a numeric one under
+/// a sampled median (a sample may hold no value), and an `Int`/`Date`
+/// one whose query holds a bound of another type on `attr` (see
+/// [`bounds_compare_exactly`]). The pieces are materialised unit by unit
+/// in one fan-out, as [`cut_pieces`] does.
+pub(crate) fn count_cuts<'a>(
+    ex: &Explorer<'_>,
+    pieces: Vec<Piece>,
+    attr: &'a str,
+) -> CoreResult<Counted<'a>> {
+    let ty = ex.type_of(attr)?;
+    let sampled = matches!(ex.config().median, MedianStrategy::Sampled { .. });
+    let probes = ex.map_units(&pieces, |piece, sel| {
+        let vouched = match ty {
+            DataType::Int | DataType::Date => {
+                !sampled && bounds_compare_exactly(piece.query.constraint(attr), ty)
+            }
+            DataType::Float => !sampled,
+            DataType::Str | DataType::Bool => true,
+        };
+        let probe = if !vouched {
+            Probe::Found(cut_piece(ex, &piece.query, &sel, attr)?)
+        } else if ex.varies(attr, &sel)? {
+            Probe::Varies
+        } else {
+            Probe::Found(None)
+        };
+        Ok((probe, sel))
+    })?;
+    let level = pieces
+        .into_iter()
+        .zip(probes)
+        .map(|(piece, (probe, sel))| (piece, probe, sel))
+        .collect();
+    Ok(Counted { attr, level })
+}
+
+impl Counted<'_> {
+    /// The number of pieces the level's cut makes: two for each piece
+    /// that cuts, one for each that does not.
+    pub(crate) fn depth(&self) -> usize {
+        let cuts = |probe: &Probe| match probe {
+            Probe::Varies | Probe::Found(Some(_)) => 2,
+            Probe::Found(None) => 1,
+        };
+        self.level.iter().map(|(_, probe, _)| cuts(probe)).sum()
+    }
+
+    /// The level's cut, as [`cut_pieces`] reports it. Only the pieces
+    /// that vary are cut now, from the selections the count holds — in
+    /// one fan-out, no piece scanned again.
+    pub(crate) fn cut(self, ex: &Explorer<'_>) -> CoreResult<(Vec<Piece>, bool, bool)> {
+        let attr = self.attr;
+        let found = crate::par::try_map(&self.level, |(piece, probe, sel)| match probe {
+            Probe::Varies => cut_piece(ex, &piece.query, sel, attr),
+            Probe::Found(_) => Ok(None),
+        })?;
+        let (pieces, splits) = self
+            .level
+            .into_iter()
+            .zip(found)
+            .map(|((piece, probe, sel), found)| match probe {
+                Probe::Varies => (piece, (found, sel)),
+                Probe::Found(split) => (piece, (split, sel)),
+            })
+            .unzip();
+        Ok(halve(pieces, splits, attr))
+    }
 }
 
 /// The pieces of a segmentation a caller outside the crate handed in:
@@ -172,8 +275,8 @@ pub fn cut_segmentation(
 /// a bound of another type (a `Float` on an `Int` column) survives
 /// refinement where it ties and compares as `f64`, in which `s` and
 /// `s + 1` are one value beyond 2⁵³ — halves that may overlap.
-fn bounds_compare_exactly(held: Option<&Constraint>, like: &Value) -> bool {
-    let exact = |v: &Value| v.data_type() == like.data_type();
+fn bounds_compare_exactly(held: Option<&Constraint>, ty: DataType) -> bool {
+    let exact = |v: &Value| v.data_type() == ty;
     match held {
         None | Some(Constraint::Any) => true,
         Some(Constraint::Range { lo, hi, .. }) => exact(lo) && exact(hi),
@@ -201,7 +304,7 @@ fn numeric_split(
     let discrete = matches!(min, Value::Int(_) | Value::Date(_));
     let valued = stats
         .ranked
-        .filter(|_| !discrete || bounds_compare_exactly(held, &min));
+        .filter(|_| !discrete || bounds_compare_exactly(held, min.data_type()));
     let split = |left, right| Split {
         halves: (left, right),
         partition: valued == Some(sel.count_ones()),
@@ -229,7 +332,7 @@ fn numeric_split(
     let med_f = med.as_f64().expect("numeric median");
     let min_f = min.as_f64().expect("numeric bound");
     let at = if med_f <= min_f {
-        match ex.backend().next_above(attr, sel, &min)? {
+        match ex.next_above(attr, sel, &min)? {
             Some(v) => v,
             None => return Ok(None), // single distinct value
         }

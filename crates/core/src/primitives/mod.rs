@@ -10,7 +10,7 @@ mod cut;
 mod product;
 
 pub use compose::compose;
-pub(crate) use compose::compose_pieces;
+pub(crate) use compose::{compose_pieces, Composed};
 pub(crate) use cut::cut_pieces;
 pub use cut::{cut_query, cut_segmentation};
 pub use product::product;

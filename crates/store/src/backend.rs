@@ -158,6 +158,21 @@ pub trait Backend: Send + Sync {
         Ok(Some(stats))
     }
 
+    /// Whether the selection holds two distinct values of `column`: the
+    /// two [`Backend::min_max`] returns differ under [`Value::try_cmp`]
+    /// (nulls and NaN skipped, `-0.0` below `+0.0`). It is what a cut
+    /// that is only counted asks instead of its statistics: a segment
+    /// that varies cuts, one that does not has no cut.
+    ///
+    /// The provided body is that `min_max` call. A backend that can stop
+    /// at the second distinct value overrides it ([`crate::Table`] does)
+    /// and must return the same answer.
+    fn varies(&self, column: &str, sel: &Bitmap) -> StoreResult<bool> {
+        let extremes = self.min_max(column, sel)?;
+        Ok(extremes
+            .is_some_and(|(lo, hi)| !matches!(lo.try_cmp(&hi), Ok(std::cmp::Ordering::Equal))))
+    }
+
     /// Smallest value strictly greater than `v` within a selection
     /// (`SELECT MIN(col) WHERE col > v`): the fallback split point for
     /// degenerate cuts where the median equals the minimum.

@@ -517,6 +517,50 @@ impl Column {
         self.extremes(sel, Some(floor)).map(|(least, _)| least)
     }
 
+    /// Whether the selected, non-null, non-NaN values hold two that
+    /// [`Column::min_max`] tells apart: a walk that stops at the first
+    /// value differing from the first one, usually the second row.
+    /// Floats differ by their bits (`-0.0` and `+0.0` are two values in
+    /// the total order the extremes are folded in), strings by their
+    /// text.
+    pub(crate) fn varies(&self, sel: &Bitmap) -> bool {
+        fn differs<T: Copy>(
+            mut values: impl Iterator<Item = T>,
+            differ: impl Fn(T, T) -> bool,
+        ) -> bool {
+            let Some(first) = values.next() else {
+                return false;
+            };
+            values.any(|x| differ(first, x))
+        }
+        let rows = self.selected(sel);
+        match &self.data {
+            ColumnData::Int(v) | ColumnData::Date(v) => differs(rows.map(|i| v[i]), |a, b| a != b),
+            ColumnData::Bool(v) => differs(rows.map(|i| v[i]), |a, b| a != b),
+            ColumnData::Float(v) => differs(rows.map(|i| v[i]).filter(|x| !x.is_nan()), |a, b| {
+                a.to_bits() != b.to_bits()
+            }),
+            ColumnData::Str(codes) => differs(rows.map(|i| codes[i]), |a, b| {
+                a != b && self.dict[a as usize] != self.dict[b as usize]
+            }),
+        }
+    }
+
+    /// The rows [`Column::for_each_selected`] visits, as an iterator a
+    /// caller can stop early.
+    fn selected<'s>(&'s self, sel: &'s Bitmap) -> impl Iterator<Item = usize> + 's {
+        debug_assert_eq!(sel.len(), self.len(), "selection length mismatch");
+        let words = sel.words().iter().zip(self.validity.words());
+        words.enumerate().flat_map(|(w, (&picked, &valid))| {
+            let mut word = picked & valid;
+            std::iter::from_fn(move || {
+                let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+                word &= word - 1; // clear lowest set bit
+                Some(w * 64 + bit)
+            })
+        })
+    }
+
     /// Least and greatest of the selected, non-null, non-NaN values —
     /// only those strictly above `floor` when one is given — folded over
     /// the native vector (strings through the dictionary).

@@ -246,6 +246,10 @@ impl Backend for Table {
         Ok(Some(stats))
     }
 
+    fn varies(&self, column: &str, sel: &Bitmap) -> StoreResult<bool> {
+        Ok(self.column(column)?.varies(sel))
+    }
+
     fn mean_and_var(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
         let mut buf = Vec::new();
         self.column(column)?.gather_f64(sel, &mut buf)?;

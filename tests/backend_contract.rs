@@ -916,6 +916,126 @@ mod contract_harness {
         );
     }
 
+    /// Rows of every column type for `Backend::varies`, 1 400 of them so
+    /// that `i` and `d` (over 1 024 valid rows, wide spans) are binned on
+    /// a table: a NaN (row 0, patched into the file), a null (row 1) and
+    /// both zeros (rows 2 and 3) in `f`, nulls in `i`, `d`, `s` and `w`,
+    /// `s` of five strings (one bin each), `w` of forty (past the bins, a
+    /// plain dictionary), `b` boolean. Row 4 repeats every 50 rows in
+    /// every column.
+    fn varies_fixture() -> (Backends, Vec<Row>) {
+        const N: i64 = 1_400;
+        const NAN_MARKER: f64 = 1.0e12;
+        let mut cells: Vec<Row> = Vec::new();
+        let floats = [Some(NAN_MARKER), None, Some(-0.0), Some(0.0)];
+        for r in 0..N {
+            // Rows 4, 54, 104, … share every value.
+            let n = if r % 50 == 4 { 4 } else { r };
+            let f = floats
+                .get(r as usize)
+                .copied()
+                .unwrap_or(Some(n as f64 / 8.0));
+            cells.push(vec![
+                f.map(Value::Float),
+                (r % 7 != 5).then_some(Value::Int(n * 7_919 % 100_003 - 50_000)),
+                (r % 9 != 6).then_some(Value::Date(9_000 + n * 13 % 5_000)),
+                (r % 11 != 7).then(|| Value::str(format!("s{}", n % 5))),
+                (r % 13 != 8).then(|| Value::str(format!("w{}", n % 40))),
+                Some(Value::Bool(n % 3 == 1)),
+            ]);
+        }
+        let mut b = TableBuilder::new("t");
+        b.add_column("f", DataType::Float)
+            .add_column("i", DataType::Int)
+            .add_column("d", DataType::Date)
+            .add_column("s", DataType::Str)
+            .add_column("w", DataType::Str)
+            .add_column("b", DataType::Bool);
+        for row in &cells {
+            b.push_row_opt(row.clone()).unwrap();
+        }
+        let clean = b.finish();
+        let path = unique_temp_path("varies");
+        write_table(&clean, &path).unwrap();
+        common::poison_float_cell(&path, NAN_MARKER, f64::NAN);
+        let disk = Table::open(&path).unwrap();
+        let table = loaded(&path);
+        std::fs::remove_file(&path).unwrap();
+        cells[0][0] = Some(Value::Float(f64::NAN));
+        let rows = RowTable::new("t", Backend::schema(&clean).clone(), cells.clone()).unwrap();
+        let backends: Backends = vec![
+            ("table".into(), Box::new(table)),
+            ("rowstore".into(), Box::new(rows)),
+            ("disk".into(), Box::new(disk)),
+        ];
+        (backends, cells)
+    }
+
+    #[test]
+    fn obligation_varies_is_min_max_telling_two_values_apart() {
+        // `varies(c, sel)` is what its provided body says — `min_max`
+        // returns two values that differ under `try_cmp` — on every
+        // backend, overriding or not, and what the cells say: two
+        // selected values, nulls and NaN skipped, `-0.0` and `+0.0` two,
+        // strings by their text.
+        let (backends, cells) = varies_fixture();
+        let n = cells.len();
+        let pick =
+            |keep: &dyn Fn(usize) -> bool| Bitmap::from_indices(n, (0..n).filter(|&i| keep(i)));
+        let mut seen = [false; 2];
+        for (col, attr) in ["f", "i", "d", "s", "w", "b"].into_iter().enumerate() {
+            let sels = [
+                ("empty", Bitmap::new(n)),
+                ("full", Bitmap::ones(n)),
+                ("nan", pick(&|r| r == 0)),
+                ("nan and null", pick(&|r| r < 2)),
+                ("both zeros", pick(&|r| r == 2 || r == 3)),
+                ("one row", pick(&|r| r == 4)),
+                // Row 4's value, with the nulls and the NaN beside it.
+                ("one value", pick(&|r| r % 50 == 4 || r < 2)),
+                (
+                    "one value, then another",
+                    pick(&|r| r % 50 == 4 || r == n - 1),
+                ),
+                ("odd", pick(&|r| r % 2 == 1)),
+                ("tail", pick(&|r| r >= 1_340)),
+            ];
+            for (label, sel) in &sels {
+                let mut distinct: Vec<&Value> = Vec::new();
+                for v in sel.iter_ones().filter_map(|r| cells[r][col].as_ref()) {
+                    let nan = matches!(v, Value::Float(x) if x.is_nan());
+                    let same = |w: &&Value| match (v, *w) {
+                        (Value::Float(a), Value::Float(b)) => a.to_bits() == b.to_bits(),
+                        _ => v == *w,
+                    };
+                    if !nan && !distinct.iter().any(same) {
+                        distinct.push(v);
+                    }
+                }
+                let want = distinct.len() >= 2;
+                seen[usize::from(want)] = true;
+                for (name, b) in &backends {
+                    let what = format!("{name}: {attr} over {label}");
+                    let by_extremes = b
+                        .min_max(attr, sel)
+                        .unwrap()
+                        .is_some_and(|(lo, hi)| lo.try_cmp(&hi).unwrap().is_ne());
+                    let provided = FusedBackend::new(b.as_ref(), usize::MAX);
+                    assert_eq!(b.varies(attr, sel).unwrap(), by_extremes, "{what}");
+                    assert_eq!(provided.varies(attr, sel).unwrap(), by_extremes, "{what}");
+                    assert_eq!(by_extremes, want, "{what}: {distinct:?}");
+                }
+            }
+        }
+        assert_eq!(seen, [true, true]);
+        // Not there: `min_max`'s error.
+        for (name, b) in &backends {
+            let all = Bitmap::ones(n);
+            let err = b.varies("nope", &all).unwrap_err();
+            assert_eq!(err, b.min_max("nope", &all).unwrap_err(), "{name}");
+        }
+    }
+
     /// 200 rows — three whole bitmap words and an 8-row tail — of every
     /// column type, each with nulls: a NaN in `f` (row 3), `i` straddling
     /// 2⁵³, and string placeholder codes under nulls that are not 0 (row

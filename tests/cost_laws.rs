@@ -27,16 +27,28 @@
 //!   cuts each attribute once: `k` scans and `k` medians.
 //! * COMPOSE cuts each attribute of the right operand, in turn, in every
 //!   piece the left operand and the attributes before it made. The
-//!   pieces of every level but the last are scanned on the way; the
-//!   last level is scanned only when the composition is accepted.
+//!   pieces of every level but the last are scanned on the way. Where
+//!   twice the last level's input pieces reach `max_depth` (or the pair
+//!   is past `max_indep`), the last level is counted before it is cut:
+//!   its inputs are scanned, as the cut would scan them, and each is
+//!   asked whether it holds two distinct values (`Backend::varies`,
+//!   neither a scan nor a median). A composition the count puts at
+//!   `max_depth` or more stops the loop with no median and no frequency
+//!   table taken on its last level; one below it is cut from the
+//!   selections the count holds. An accepted composition's last level is
+//!   scanned when it is resolved.
 //! * On a sweep table every accepted step composes two seeds: a 2-piece
 //!   left operand cut on one attribute, 2 cuts, 2 scans and 2 medians,
-//!   4 pieces. The step that stops the loop composes two such 4-piece
-//!   compositions: 4 + 8 cuts, 16 pieces, past `max_depth` = 12, so it is
-//!   rejected unresolved — 12 medians and the 4 scans of its first
-//!   level. With `steps − 1` accepted steps that is
+//!   4 pieces (2 · 2 < `max_depth` = 12: nothing is counted). The step
+//!   that stops the loop composes two such 4-piece compositions: its
+//!   first level cuts 4 pieces (4 medians) into 8, which are scanned (4
+//!   scans, one per partitioning pair); 2 · 8 ≥ 12, so its last level is
+//!   counted — every piece varies, depth 16 — and rejected. With
+//!   `steps − 1` accepted steps that is
 //!   `scans = k + 2·(steps − 1) + 4 = k + 2 + 2·steps` and
-//!   `medians = k + 2·(steps − 1) + 12 = scans + 8` for k ≥ 4. At k = 2
+//!   `medians = k + 2·(steps − 1) + 4 = scans` for k ≥ 4: the stopping
+//!   step costs the medians of its first level and the scans that
+//!   materialise its last level's inputs, and nothing more. At k = 2
 //!   the one step composes the two seeds, is accepted and leaves no
 //!   pair (`ExhaustedCandidates`): 4 scans, 4 medians.
 //! * `sel_misses = 2·scans`: each scan's left half and its complement.
@@ -174,7 +186,7 @@ fn op_counts_match_the_golden_and_follow_the_affine_law() {
         let (scans, medians) = if k == 2 {
             (4, 4)
         } else {
-            (k + 2 + 2 * c.steps, k + 10 + 2 * c.steps)
+            (k + 2 + 2 * c.steps, k + 2 + 2 * c.steps)
         };
         assert_eq!(
             (c.scans, c.medians),

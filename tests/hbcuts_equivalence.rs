@@ -21,7 +21,8 @@
 //! are a closed form of the trace (the context's conjuncts, one per cut
 //! pair materialised — two where the cut could not tell that its halves
 //! partition their parent — and one per frequency table; none for the
-//! last level of a rejected composition).
+//! last level of a rejected composition, which is counted, not cut: its
+//! pieces are never scanned and take no frequency table).
 
 use charles::advisor::{
     compose, cut_segmentation, fingerprint, hb_cuts, indep, rank, score, ComposeStep, CoreError,
@@ -403,13 +404,16 @@ fn replay_cost(ctx: &Query, trace: &Trace, nominal: &dyn Fn(&str) -> bool) -> Re
         let (l, r) = (at(&step.left_attrs), at(&step.right_attrs));
         let mut pieces = live[l].1;
         let mut handed: Option<&String> = None;
-        for attr in step.right_attrs.iter().rev() {
+        for (level, attr) in step.right_attrs.iter().rev().enumerate() {
             // The first level cuts the bitmaps the left operand carries;
             // every later one first materialises the halves it was handed.
             if let Some(cut_on) = handed {
                 materialise(&mut cost, nominal(cut_on), pieces);
             }
-            if nominal(attr) {
+            // A rejected composition's last level is counted, not cut:
+            // no frequency table.
+            let counted = !step.accepted && level + 1 == step.right_attrs.len();
+            if nominal(attr) && !counted {
                 cost.frequency_tables += pieces;
             }
             pieces *= 2;
@@ -531,55 +535,76 @@ fn selection_lookups_follow_the_trace_not_the_pair_count() {
     }
 }
 
-/// Random small table in the spirit of `partition_properties.rs`: two
-/// numeric columns with a correlation dial plus a nominal column, so
-/// runs hit compositions, threshold stops and uncuttable attributes.
+/// A small table in the spirit of `partition_properties.rs`: two
+/// numeric columns with a correlation dial, a nominal column that the
+/// dial ties to `x` too, and `g`, `levels` bands of `x` — a
+/// low-cardinality column that every piece cut narrowly enough on `x` or
+/// `y` holds one value of. So runs hit compositions, both stops,
+/// uncuttable attributes, and rejected compositions whose last level
+/// holds pieces constant in the attribute it would be cut on.
+fn small_table(n: usize, domain: i64, cats: usize, corr: f64, levels: i64, seed: u64) -> Table {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut b = charles::TableBuilder::new("t");
+    b.add_column("x", charles_store::DataType::Int)
+        .add_column("y", charles_store::DataType::Int)
+        .add_column("k", charles_store::DataType::Str)
+        .add_column("g", charles_store::DataType::Int);
+    for _ in 0..n {
+        let x = rng.gen_range(0..domain);
+        let y = if rng.gen_bool(corr) {
+            x + rng.gen_range(-2i64..=2)
+        } else {
+            rng.gen_range(0..domain)
+        };
+        let k = if rng.gen_bool(corr) {
+            x as usize * cats / domain as usize
+        } else {
+            rng.gen_range(0..cats)
+        };
+        b.push_row(vec![
+            charles::Value::Int(x),
+            charles::Value::Int(y),
+            charles::Value::Str(format!("c{k}")),
+            charles::Value::Int(x * levels / domain),
+        ])
+        .unwrap();
+    }
+    b.finish()
+}
+
+/// [`small_table`] with random dials.
 fn arb_table() -> impl Strategy<Value = Table> {
     (
         30usize..150, // rows
         2i64..40,     // numeric domain
         1usize..5,    // categories
         0.0f64..1.0,  // correlation dial
+        1i64..4,      // bands of `x` in `g`
         any::<u64>(), // seed
     )
-        .prop_map(|(n, domain, cats, corr, seed)| {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut b = charles::TableBuilder::new("t");
-            b.add_column("x", charles_store::DataType::Int)
-                .add_column("y", charles_store::DataType::Int)
-                .add_column("k", charles_store::DataType::Str);
-            for _ in 0..n {
-                let x = rng.gen_range(0..domain);
-                let y = if rng.gen_bool(corr) {
-                    x + rng.gen_range(-2i64..=2)
-                } else {
-                    rng.gen_range(0..domain)
-                };
-                let k = format!("c{}", rng.gen_range(0..cats));
-                b.push_row(vec![
-                    charles::Value::Int(x),
-                    charles::Value::Int(y),
-                    charles::Value::Str(k),
-                ])
-                .unwrap();
-            }
-            b.finish()
+        .prop_map(|(n, domain, cats, corr, levels, seed)| {
+            small_table(n, domain, cats, corr, levels, seed)
         })
 }
+
+/// The wildcard context over every column of [`small_table`].
+const SMALL_CONTEXT: [&str; 4] = ["x", "y", "k", "g"];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Property: for arbitrary small tables, the reference and production
-    /// HB-cuts produce identical compose traces (same pairs, same
-    /// skipped pairs, same StopReason) and identical ranked output,
-    /// across the memoize × median-strategy matrix.
+    /// Property: for arbitrary small tables and depth bounds, the
+    /// reference and production HB-cuts produce identical compose traces
+    /// (same pairs, same skipped pairs, same StopReason, same depths)
+    /// and identical ranked output, across the memoize × median-strategy
+    /// matrix.
     #[test]
-    fn naive_and_incremental_traces_match(t in arb_table()) {
-        let ctx = Query::wildcard(&["x", "y", "k"]);
+    fn naive_and_incremental_traces_match(t in arb_table(), max_depth in 3usize..13) {
+        let ctx = Query::wildcard(&SMALL_CONTEXT);
         // Contexts can be degenerate (all-constant columns): both paths
         // must then fail identically too.
         for (cfg_label, cfg) in config_matrix() {
+            let cfg = cfg.with_max_depth(max_depth);
             let run = |reference: bool| {
                 let ex = Explorer::new(&t, cfg.clone(), ctx.clone()).unwrap();
                 if reference { figure4_reference(&ex) } else { hb_cuts(&ex) }
@@ -588,7 +613,7 @@ proptest! {
                 (Ok(inc), Ok(reference)) => prop_assert_eq!(
                     run_fingerprint(&inc),
                     run_fingerprint(&reference),
-                    "diverged under {}", cfg_label
+                    "diverged under {} at max_depth {}", cfg_label, max_depth
                 ),
                 (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
                 (a, b) => return Err(TestCaseError::fail(format!(
@@ -597,4 +622,67 @@ proptest! {
             }
         }
     }
+}
+
+#[test]
+fn rejected_steps_with_constant_last_level_pieces_match_under_both_stops() {
+    // The property above is not vacuous where HB-cuts counts instead of
+    // cutting: over a fixed grid of small tables, compositions are
+    // rejected on either stop with a last level holding a piece of one
+    // value of the attribute it would be cut on — whose count must still
+    // be the cut's depth — and the reference agrees on every run.
+    let mut seen = Vec::new();
+    let ctx = Query::wildcard(&SMALL_CONTEXT);
+    for seed in 0..24u64 {
+        let t = small_table(60 + 5 * seed as usize, 24, 3, 0.8, 2, seed);
+        for max_depth in [4, 6, 12] {
+            for max_indep in [0.9, 0.99] {
+                let cfg = Config::default()
+                    .with_max_depth(max_depth)
+                    .with_max_indep(max_indep)
+                    .with_max_results(usize::MAX);
+                let ex = Explorer::new(&t, cfg.clone(), ctx.clone()).unwrap();
+                let out = hb_cuts(&ex).unwrap();
+                let reference = {
+                    let ex = Explorer::new(&t, cfg, ctx.clone()).unwrap();
+                    figure4_reference(&ex).unwrap()
+                };
+                assert_eq!(
+                    run_fingerprint(&out),
+                    run_fingerprint(&reference),
+                    "seed {seed}"
+                );
+                if let Some(step) = out.trace.steps.last().filter(|s| !s.accepted) {
+                    seen.extend(constant_last_level(&ex, &out, step).then_some(out.trace.stop));
+                }
+            }
+        }
+    }
+    for stop in [StopReason::DepthLimit, StopReason::IndependenceThreshold] {
+        assert!(
+            seen.contains(&Some(stop)),
+            "{stop:?} never stopped on one: {seen:?}"
+        );
+    }
+}
+
+/// Whether a step's last level held a piece of one value of the
+/// attribute it was cut on: the composition has fewer than twice the
+/// pieces of that level's input, which is the left operand — the
+/// output's segmentation on its attributes (the live candidates'
+/// attribute sets are disjoint) — cut on the right operand's other
+/// attributes, innermost first, as COMPOSE cuts it.
+fn constant_last_level(ex: &Explorer<'_>, out: &HbCutsOutput, step: &ComposeStep) -> bool {
+    let left = out
+        .ranked
+        .iter()
+        .find(|r| attrs_of(&r.segmentation) == step.left_attrs)
+        .expect("the left operand is in the output");
+    let mut input = left.segmentation.clone();
+    for attr in step.right_attrs[1..].iter().rev() {
+        if let Some(cut) = cut_segmentation(ex, &input, attr).unwrap() {
+            input = cut;
+        }
+    }
+    step.depth < 2 * input.depth()
 }
