@@ -279,6 +279,10 @@ impl<'a> Explorer<'a> {
     /// * `medians`: one per cut statistic that carries a median, exact
     ///   or sampled;
     /// * `counts`: none — the advisor never asks the store to count.
+    ///
+    /// `varies` (a counted cut's question) and `next_above` (a
+    /// continuous cut's fallback split point) count as neither: each
+    /// reads a selection only until it has its answer.
     pub fn backend_ops(&self) -> BackendStats {
         self.caches().ops
     }

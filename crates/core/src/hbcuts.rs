@@ -57,6 +57,22 @@
 //! in one parallel fan-out and steps it to the stop; [`crate::lazy`]
 //! seeds it one attribute per call and steps it on demand.
 //!
+//! # A rejected composition is counted, not cut
+//!
+//! Line 12 runs before line 15, so the figure builds every composition
+//! its stop test then throws away — the one that ends every run on a
+//! stop criterion. A step here first decides whether line 15 *could*
+//! reject the composition: always when the pair is past `max_indep`,
+//! otherwise when twice the last level's input pieces reach
+//! `max_depth`. Then COMPOSE counts that level before it cuts it: each
+//! input piece that holds two distinct values of the last attribute
+//! cuts in two, each other one stays whole, which is the depth the cut
+//! would give. A rejected composition records that depth and stops,
+//! with no median and no frequency table taken on its last level; an
+//! accepted one is cut from the selections the count holds. The trace
+//! and the advice are the figure's, bit for bit
+//! (`docs/adr/0025-a-rejected-composition-is-counted-not-cut.md`).
+//!
 //! A best pair whose composition fails (no attribute cuttable) does not
 //! abort the run: it is recorded in [`Trace::skipped_pairs`], banned for
 //! as long as both candidates live, and the loop falls back to the

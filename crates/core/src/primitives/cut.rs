@@ -48,6 +48,7 @@ use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
 use charles_sdl::{Constraint, Query, Segmentation};
 use charles_store::{Bitmap, DataType, FrequencyTable, Value};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Definition 5 over a piece: where it splits along `attr`, or `None`
@@ -150,30 +151,21 @@ enum Probe {
 }
 
 /// How many pieces cutting `pieces` along `attr` would give, found
-/// without cutting them where that is exact: a piece that varies cuts
-/// into two, one that does not stays whole (`Explorer::varies`, neither
-/// a median nor a frequency table). Two pieces are cut as CUT cuts them,
-/// because there a varying piece is not sure to cut: a numeric one under
-/// a sampled median (a sample may hold no value), and an `Int`/`Date`
-/// one whose query holds a bound of another type on `attr` (see
-/// [`bounds_compare_exactly`]). The pieces are materialised unit by unit
-/// in one fan-out, as [`cut_pieces`] does.
+/// without cutting them: a piece that varies cuts into two, one that
+/// does not stays whole (`Explorer::varies`, neither a median nor a
+/// frequency table). Under a sampled median a numeric piece is cut as
+/// CUT cuts it instead: a sample may hold no value, and then a piece
+/// that varies has no cut. The pieces are materialised unit by unit in
+/// one fan-out, as [`cut_pieces`] does.
 pub(crate) fn count_cuts<'a>(
     ex: &Explorer<'_>,
     pieces: Vec<Piece>,
     attr: &'a str,
 ) -> CoreResult<Counted<'a>> {
-    let ty = ex.type_of(attr)?;
     let sampled = matches!(ex.config().median, MedianStrategy::Sampled { .. });
+    let counts = !(sampled && ex.type_of(attr)?.is_numeric());
     let probes = ex.map_units(&pieces, |piece, sel| {
-        let vouched = match ty {
-            DataType::Int | DataType::Date => {
-                !sampled && bounds_compare_exactly(piece.query.constraint(attr), ty)
-            }
-            DataType::Float => !sampled,
-            DataType::Str | DataType::Bool => true,
-        };
-        let probe = if !vouched {
+        let probe = if !counts {
             Probe::Found(cut_piece(ex, &piece.query, &sel, attr)?)
         } else if ex.varies(attr, &sel)? {
             Probe::Varies
@@ -275,8 +267,8 @@ pub fn cut_segmentation(
 /// a bound of another type (a `Float` on an `Int` column) survives
 /// refinement where it ties and compares as `f64`, in which `s` and
 /// `s + 1` are one value beyond 2⁵³ — halves that may overlap.
-fn bounds_compare_exactly(held: Option<&Constraint>, ty: DataType) -> bool {
-    let exact = |v: &Value| v.data_type() == ty;
+fn bounds_compare_exactly(held: Option<&Constraint>, like: &Value) -> bool {
+    let exact = |v: &Value| v.data_type() == like.data_type();
     match held {
         None | Some(Constraint::Any) => true,
         Some(Constraint::Range { lo, hi, .. }) => exact(lo) && exact(hi),
@@ -304,7 +296,7 @@ fn numeric_split(
     let discrete = matches!(min, Value::Int(_) | Value::Date(_));
     let valued = stats
         .ranked
-        .filter(|_| !discrete || bounds_compare_exactly(held, min.data_type()));
+        .filter(|_| !discrete || bounds_compare_exactly(held, &min));
     let split = |left, right| Split {
         halves: (left, right),
         partition: valued == Some(sel.count_ones()),
@@ -329,15 +321,18 @@ fn numeric_split(
     // Continuous columns: the paper's half-open split [min, med[ / [med, max].
     // When duplicates drag the median down to the minimum the left piece
     // would be empty; fall back to the smallest value above the minimum.
+    // So does a median outside ]min, max]: ∞ from two middle values whose
+    // sum overflows, NaN from −∞ and +∞.
     let med_f = med.as_f64().expect("numeric median");
     let min_f = min.as_f64().expect("numeric bound");
-    let at = if med_f <= min_f {
+    let inside = med_f > min_f && matches!(med.try_cmp(&max), Ok(Ordering::Less | Ordering::Equal));
+    let at = if inside {
+        med
+    } else {
         match ex.next_above(attr, sel, &min)? {
             Some(v) => v,
             None => return Ok(None), // single distinct value
         }
-    } else {
-        med
     };
     let left = Constraint::range_with(min.clone(), at.clone(), false);
     let right = Constraint::range_with(at, max, true);
@@ -552,6 +547,91 @@ mod tests {
                 assert_eq!(evaluated.count_ones(), count, "{q}");
             }
         }
+    }
+
+    #[test]
+    fn a_count_is_the_depth_of_its_cut_and_cuts_the_same() {
+        // Counting a level of pieces gives the depth cutting it gives, and
+        // cutting the counted level gives the same pieces, over pieces of
+        // one value and none, both zeros, medians of ∞ (two middle values
+        // whose sum overflows) and of NaN (−∞ and +∞), a `Float` bound
+        // held on an `Int` attribute beyond 2⁵³, strings and booleans.
+        let base = 1i64 << 53;
+        let big = f64::MAX;
+        let inf = f64::INFINITY;
+        let floats = [
+            [1.0, big, big, big],
+            [-inf, inf, -inf, inf],
+            [-0.0, 0.0, -0.0, 0.0],
+            [2.0; 4],
+        ];
+        let strs = [
+            ["a"; 4],
+            ["a", "b", "a", "b"],
+            ["b"; 4],
+            ["a", "c", "c", "c"],
+        ];
+        let mut b = TableBuilder::new("t");
+        b.add_column("g", DataType::Int)
+            .add_column("f", DataType::Float)
+            .add_column("z", DataType::Int)
+            .add_column("k", DataType::Str)
+            .add_column("b", DataType::Bool);
+        for g in 0..4 {
+            for r in 0..4 {
+                b.push_row(vec![
+                    Value::Int(g as i64),
+                    Value::Float(floats[g][r]),
+                    Value::Int(base + [2, 3, 3, 4][r]),
+                    Value::str(strs[g][r]),
+                    Value::Bool(g % 2 == 1 && r % 2 == 0),
+                ])
+                .unwrap();
+            }
+        }
+        let t = b.finish();
+        let attrs = ["g", "f", "z", "k", "b"];
+        let float = |i: i64| Value::Float((base + i) as f64);
+        let mut contexts = vec![Query::wildcard(&attrs)
+            .refined("z", Constraint::range(float(2), float(4)).unwrap())
+            .unwrap()];
+        for g in 0..4 {
+            let group = Constraint::range(Value::Int(g), Value::Int(g)).unwrap();
+            contexts.push(Query::wildcard(&attrs).refined("g", group).unwrap());
+        }
+        let (mut counted, mut uncut) = (0, 0);
+        for ctx in contexts {
+            let ex = Explorer::new(&t, Config::default(), ctx).unwrap();
+            // The context alone, and its halves on each attribute.
+            let levels = |ex: &Explorer<'_>| {
+                let mut levels = vec![vec![ex.context_piece()]];
+                for by in attrs {
+                    levels.push(cut_pieces(ex, vec![ex.context_piece()], by).unwrap().0);
+                }
+                levels
+            };
+            for attr in attrs {
+                let cut = levels(&ex)
+                    .into_iter()
+                    .map(|pieces| cut_pieces(&ex, pieces, attr).unwrap());
+                let count = levels(&ex)
+                    .into_iter()
+                    .map(|pieces| count_cuts(&ex, pieces, attr).unwrap());
+                for (cut, count) in cut.zip(count) {
+                    let queries = |pieces: &[Piece]| -> Vec<String> {
+                        pieces.iter().map(|p| p.query.to_string()).collect()
+                    };
+                    assert_eq!(count.depth(), cut.0.len(), "{attr}: {:?}", queries(&cut.0));
+                    let depth = count.depth();
+                    uncut += 2 * count.level.len() - depth;
+                    counted += count.level.len();
+                    let recut = count.cut(&ex).unwrap();
+                    assert_eq!(queries(&recut.0), queries(&cut.0), "{attr}");
+                    assert_eq!((recut.1, recut.2), (cut.1, cut.2), "{attr}");
+                }
+            }
+        }
+        assert!(uncut > 0 && uncut < counted, "{uncut} of {counted}");
     }
 
     #[test]

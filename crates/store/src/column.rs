@@ -518,47 +518,64 @@ impl Column {
     }
 
     /// Whether the selected, non-null, non-NaN values hold two that
-    /// [`Column::min_max`] tells apart: a walk that stops at the first
-    /// value differing from the first one, usually the second row.
-    /// Floats differ by their bits (`-0.0` and `+0.0` are two values in
+    /// [`Column::min_max`] tells apart: read off the bins where they
+    /// tell ([`ValueIndex::varies`]), else usually found at the second
+    /// row of a walk. Floats differ by their bits (`-0.0` and `+0.0` are two values in
     /// the total order the extremes are folded in), strings by their
     /// text.
     pub(crate) fn varies(&self, sel: &Bitmap) -> bool {
-        fn differs<T: Copy>(
-            mut values: impl Iterator<Item = T>,
-            differ: impl Fn(T, T) -> bool,
-        ) -> bool {
-            let Some(first) = values.next() else {
-                return false;
-            };
-            values.any(|x| differ(first, x))
+        let binned = self
+            .index
+            .as_ref()
+            .and_then(|i| i.varies(sel, &self.validity));
+        if let Some(varies) = binned {
+            return varies;
         }
-        let rows = self.selected(sel);
         match &self.data {
-            ColumnData::Int(v) | ColumnData::Date(v) => differs(rows.map(|i| v[i]), |a, b| a != b),
-            ColumnData::Bool(v) => differs(rows.map(|i| v[i]), |a, b| a != b),
-            ColumnData::Float(v) => differs(rows.map(|i| v[i]).filter(|x| !x.is_nan()), |a, b| {
-                a.to_bits() != b.to_bits()
-            }),
-            ColumnData::Str(codes) => differs(rows.map(|i| codes[i]), |a, b| {
-                a != b && self.dict[a as usize] != self.dict[b as usize]
-            }),
+            ColumnData::Int(v) | ColumnData::Date(v) => {
+                self.differs(sel, v, |_| true, |a, b| a != b)
+            }
+            ColumnData::Bool(v) => self.differs(sel, v, |_| true, |a, b| a != b),
+            ColumnData::Float(v) => {
+                self.differs(sel, v, |x| !x.is_nan(), |a, b| a.to_bits() != b.to_bits())
+            }
+            ColumnData::Str(codes) => self.differs(
+                sel,
+                codes,
+                |_| true,
+                |a, b| a != b && self.dict[a as usize] != self.dict[b as usize],
+            ),
         }
     }
 
-    /// The rows [`Column::for_each_selected`] visits, as an iterator a
-    /// caller can stop early.
-    fn selected<'s>(&'s self, sel: &'s Bitmap) -> impl Iterator<Item = usize> + 's {
+    /// Whether two of the `values` at the selected, non-null rows that
+    /// `admit` lets through `differ`: the walk of
+    /// [`Column::for_each_selected`], stopped at the first value that
+    /// differs from the first one.
+    fn differs<T: Copy>(
+        &self,
+        sel: &Bitmap,
+        values: &[T],
+        admit: impl Fn(T) -> bool,
+        differ: impl Fn(T, T) -> bool,
+    ) -> bool {
         debug_assert_eq!(sel.len(), self.len(), "selection length mismatch");
+        let mut first = None;
         let words = sel.words().iter().zip(self.validity.words());
-        words.enumerate().flat_map(|(w, (&picked, &valid))| {
+        for (w, (&picked, &valid)) in words.enumerate() {
             let mut word = picked & valid;
-            std::iter::from_fn(move || {
-                let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+            while word != 0 {
+                let x = values[w * 64 + word.trailing_zeros() as usize];
                 word &= word - 1; // clear lowest set bit
-                Some(w * 64 + bit)
-            })
-        })
+                match first {
+                    _ if !admit(x) => {}
+                    None => first = Some(x),
+                    Some(f) if differ(f, x) => return true,
+                    Some(_) => {}
+                }
+            }
+        }
+        false
     }
 
     /// Least and greatest of the selected, non-null, non-NaN values —

@@ -238,6 +238,24 @@ impl ValueIndex {
         Some(counts)
     }
 
+    /// Whether the rows a selection holds (selected and `valid`) hold two
+    /// values, where the bins tell: when the bin of the first row is one
+    /// value's, the rows hold another exactly where one lies outside it.
+    /// One AND-NOT per word and no row read, where a walk reads every row
+    /// of a selection of one value. `None` when the first row's bin is a
+    /// wider one.
+    pub(crate) fn varies(&self, sel: &Bitmap, valid: &Bitmap) -> Option<bool> {
+        let live = sel.words().iter().zip(valid.words()).map(|(s, v)| s & v);
+        let Some((w, word)) = live.clone().enumerate().find(|&(_, word)| word != 0) else {
+            return Some(false);
+        };
+        let row = w * 64 + word.trailing_zeros() as usize;
+        let at = self.bins.iter().position(|bin| bin.get(row))?;
+        let (lo, hi) = self.bounds[at];
+        let mut others = live.zip(self.bins[at].words()).map(|(l, b)| l & !b);
+        (lo == hi).then(|| others.any(|word| word != 0))
+    }
+
     /// The ranks `lo` and `hi` (`hi` is `lo` or `lo + 1`) and the least
     /// and greatest of the `live` values of `values` that a selection
     /// holds, read off the bins — or `None` where [`ValueIndex::counts`]

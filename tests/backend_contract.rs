@@ -991,8 +991,10 @@ mod contract_harness {
                 ("nan and null", pick(&|r| r < 2)),
                 ("both zeros", pick(&|r| r == 2 || r == 3)),
                 ("one row", pick(&|r| r == 4)),
-                // Row 4's value, with the nulls and the NaN beside it.
-                ("one value", pick(&|r| r % 50 == 4 || r < 2)),
+                // Row 4's value and the nulls among its repeats; in `f`
+                // with the NaN and the null of rows 0 and 1 too.
+                ("one value", pick(&|r| r % 50 == 4)),
+                ("one value, nan and null", pick(&|r| r % 50 == 4 || r < 2)),
                 (
                     "one value, then another",
                     pick(&|r| r % 50 == 4 || r == n - 1),
