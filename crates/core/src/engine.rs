@@ -457,7 +457,8 @@ impl<'a> Explorer<'a> {
     /// Whether `sel` holds two distinct values of `attr`
     /// ([`Backend::varies`]): what a cut that is only counted asks
     /// instead of its statistics. Neither a scan nor a median: it reads
-    /// the selection only until the second distinct value.
+    /// the selection only until it has its answer, usually at the second
+    /// row.
     pub(crate) fn varies(&self, attr: &str, sel: &Bitmap) -> CoreResult<bool> {
         Ok(self.backend.varies(attr, sel)?)
     }
