@@ -290,9 +290,8 @@ fn e4_figure1(dataset: Option<&Path>) {
         render_panel(ships, &advice, 0, 110).expect("panel renders")
     );
     println!(
-        "backend ops: {} scans, {} counts, {} medians; cache: {} hits / {} misses",
+        "backend ops: {} scans, {} medians; cache: {} hits / {} misses",
         advice.backend_ops.scans,
-        advice.backend_ops.counts,
         advice.backend_ops.medians,
         advice.cache.sel_hits,
         advice.cache.sel_misses
@@ -419,7 +418,7 @@ fn e7_backend(dataset: Option<&Path>) {
         engines.push(("disk (lazy)", d));
     }
 
-    header(&["engine", "advise time", "scans", "counts", "medians"]);
+    header(&["engine", "advise time", "scans", "medians"]);
     for (name, backend) in &engines {
         let advisor = Advisor::new(*backend);
         let (d, advice) = time_once(|| advisor.advise_str(&context));
@@ -428,18 +427,11 @@ fn e7_backend(dataset: Option<&Path>) {
                 name.to_string(),
                 fmt_duration(d),
                 format!("{}", advice.backend_ops.scans),
-                format!("{}", advice.backend_ops.counts),
                 format!("{}", advice.backend_ops.medians),
             ]),
             // Degenerate datasets (empty, uniform) are advisor errors,
             // not harness crashes — report and move on.
-            Err(e) => row(&[
-                name.to_string(),
-                format!("({e})"),
-                "—".into(),
-                "—".into(),
-                "—".into(),
-            ]),
+            Err(e) => row(&[name.to_string(), format!("({e})"), "—".into(), "—".into()]),
         }
     }
 

@@ -277,8 +277,7 @@ impl<'a> Explorer<'a> {
     ///   context's own, a memo hit, a cut's right half taken as what the
     ///   left leaves of their parent — costs none;
     /// * `medians`: one per cut statistic that carries a median, exact
-    ///   or sampled;
-    /// * `counts`: none — the advisor never asks the store to count.
+    ///   or sampled.
     ///
     /// `varies` (a counted cut's question) and `next_above` (a
     /// continuous cut's fallback split point) count as neither: each

@@ -43,7 +43,7 @@
 //! public [`cut_query`] / [`cut_segmentation`] look their operand up once
 //! and release the halves through the explorer's selection memo.
 
-use crate::config::{MedianStrategy, NOMINAL_FREQ_SORT_LIMIT};
+use crate::config::NOMINAL_FREQ_SORT_LIMIT;
 use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
 use charles_sdl::{Constraint, Query, Segmentation};
@@ -133,64 +133,38 @@ fn halve(
 }
 
 /// A level of pieces whose cut along one attribute was counted, not
-/// made: each piece materialised, with what the count learnt of it
+/// made: each piece materialised, with whether it varies
 /// ([`count_cuts`]).
 pub(crate) struct Counted<'a> {
     attr: &'a str,
-    level: Vec<(Piece, Probe, Arc<Bitmap>)>,
-}
-
-/// What counting a piece's cut learnt of it.
-enum Probe {
-    /// It holds two distinct values: it cuts in two, where is not yet
-    /// known.
-    Varies,
-    /// Its cut, found the way CUT finds it — `None` when it has none,
-    /// as for a piece of one value or none.
-    Found(Option<Split>),
+    level: Vec<(Piece, bool, Arc<Bitmap>)>,
 }
 
 /// How many pieces cutting `pieces` along `attr` would give, found
 /// without cutting them: a piece that varies cuts into two, one that
 /// does not stays whole (`Explorer::varies`, neither a median nor a
-/// frequency table). Under a sampled median a numeric piece is cut as
-/// CUT cuts it instead: a sample may hold no value, and then a piece
-/// that varies has no cut. The pieces are materialised unit by unit in
-/// one fan-out, as [`cut_pieces`] does.
+/// frequency table), under either median strategy. The pieces are
+/// materialised unit by unit in one fan-out, as [`cut_pieces`] does.
 pub(crate) fn count_cuts<'a>(
     ex: &Explorer<'_>,
     pieces: Vec<Piece>,
     attr: &'a str,
 ) -> CoreResult<Counted<'a>> {
-    let sampled = matches!(ex.config().median, MedianStrategy::Sampled { .. });
-    let counts = !(sampled && ex.type_of(attr)?.is_numeric());
-    let probes = ex.map_units(&pieces, |piece, sel| {
-        let probe = if !counts {
-            Probe::Found(cut_piece(ex, &piece.query, &sel, attr)?)
-        } else if ex.varies(attr, &sel)? {
-            Probe::Varies
-        } else {
-            Probe::Found(None)
-        };
-        Ok((probe, sel))
-    })?;
+    let probes = ex.map_units(&pieces, |_, sel| Ok((ex.varies(attr, &sel)?, sel)))?;
     let level = pieces
         .into_iter()
         .zip(probes)
-        .map(|(piece, (probe, sel))| (piece, probe, sel))
+        .map(|(piece, (varies, sel))| (piece, varies, sel))
         .collect();
     Ok(Counted { attr, level })
 }
 
 impl Counted<'_> {
     /// The number of pieces the level's cut makes: two for each piece
-    /// that cuts, one for each that does not.
+    /// that varies, one for each that does not.
     pub(crate) fn depth(&self) -> usize {
-        let cuts = |probe: &Probe| match probe {
-            Probe::Varies | Probe::Found(Some(_)) => 2,
-            Probe::Found(None) => 1,
-        };
-        self.level.iter().map(|(_, probe, _)| cuts(probe)).sum()
+        let cuts = |varies: bool| if varies { 2 } else { 1 };
+        self.level.iter().map(|(_, varies, _)| cuts(*varies)).sum()
     }
 
     /// The level's cut, as [`cut_pieces`] reports it. Only the pieces
@@ -198,18 +172,18 @@ impl Counted<'_> {
     /// one fan-out, no piece scanned again.
     pub(crate) fn cut(self, ex: &Explorer<'_>) -> CoreResult<(Vec<Piece>, bool, bool)> {
         let attr = self.attr;
-        let found = crate::par::try_map(&self.level, |(piece, probe, sel)| match probe {
-            Probe::Varies => cut_piece(ex, &piece.query, sel, attr),
-            Probe::Found(_) => Ok(None),
+        let found = crate::par::try_map(&self.level, |(piece, varies, sel)| {
+            if *varies {
+                cut_piece(ex, &piece.query, sel, attr)
+            } else {
+                Ok(None)
+            }
         })?;
         let (pieces, splits) = self
             .level
             .into_iter()
             .zip(found)
-            .map(|((piece, probe, sel), found)| match probe {
-                Probe::Varies => (piece, (found, sel)),
-                Probe::Found(split) => (piece, (split, sel)),
-            })
+            .map(|((piece, _, sel), found)| (piece, (found, sel)))
             .unzip();
         Ok(halve(pieces, splits, attr))
     }
@@ -288,9 +262,13 @@ fn numeric_split(
         return Ok(None);
     };
     let (min, max) = (stats.min, stats.max);
-    let Some(med) = stats.median else {
+    if matches!(min.try_cmp(&max), Ok(Ordering::Equal)) {
         return Ok(None); // constant within the segment
-    };
+    }
+    // A sampled median is missing where the sample held no value: the
+    // piece still varies, so it splits where a median at its minimum
+    // would — `[lo, lo]` / `[lo+1, hi]`, or above the minimum.
+    let med = stats.median.unwrap_or_else(|| min.clone());
     // Continuous columns compare as `f64` whatever the bound: one order,
     // no overlap. Discrete ones partition only under exact comparison.
     let discrete = matches!(min, Value::Int(_) | Value::Date(_));
@@ -555,7 +533,10 @@ mod tests {
         // cutting the counted level gives the same pieces, over pieces of
         // one value and none, both zeros, medians of ∞ (two middle values
         // whose sum overflows) and of NaN (−∞ and +∞), a `Float` bound
-        // held on an `Int` attribute beyond 2⁵³, strings and booleans.
+        // held on an `Int` attribute beyond 2⁵³, strings and booleans —
+        // under the exact median and under a one-row sample, which on the
+        // half-null `n` and `h` often draws no value: such a piece still
+        // varies, so it still cuts, with no median taken.
         let base = 1i64 << 53;
         let big = f64::MAX;
         let inf = f64::INFINITY;
@@ -576,21 +557,29 @@ mod tests {
             .add_column("f", DataType::Float)
             .add_column("z", DataType::Int)
             .add_column("k", DataType::Str)
-            .add_column("b", DataType::Bool);
+            .add_column("b", DataType::Bool)
+            .add_column("n", DataType::Int)
+            .add_column("h", DataType::Float);
         for g in 0..4 {
             for r in 0..4 {
-                b.push_row(vec![
-                    Value::Int(g as i64),
-                    Value::Float(floats[g][r]),
-                    Value::Int(base + [2, 3, 3, 4][r]),
-                    Value::str(strs[g][r]),
-                    Value::Bool(g % 2 == 1 && r % 2 == 0),
+                let valued = (g + r) % 2 == 1;
+                b.push_row_opt(vec![
+                    Some(Value::Int(g as i64)),
+                    Some(Value::Float(floats[g][r])),
+                    Some(Value::Int(base + [2, 3, 3, 4][r])),
+                    Some(Value::str(strs[g][r])),
+                    Some(Value::Bool(g % 2 == 1 && r % 2 == 0)),
+                    valued.then_some(Value::Int(r as i64)),
+                    valued.then_some(Value::Float(r as f64 / 2.0)),
                 ])
                 .unwrap();
             }
         }
         let t = b.finish();
+        // `n` and `h` are cut along but stay out of the contexts, whose
+        // extents would screen their nulls.
         let attrs = ["g", "f", "z", "k", "b"];
+        let cut_along = ["g", "f", "z", "k", "b", "n", "h"];
         let float = |i: i64| Value::Float((base + i) as f64);
         let mut contexts = vec![Query::wildcard(&attrs)
             .refined("z", Constraint::range(float(2), float(4)).unwrap())
@@ -599,39 +588,52 @@ mod tests {
             let group = Constraint::range(Value::Int(g), Value::Int(g)).unwrap();
             contexts.push(Query::wildcard(&attrs).refined("g", group).unwrap());
         }
-        let (mut counted, mut uncut) = (0, 0);
-        for ctx in contexts {
-            let ex = Explorer::new(&t, Config::default(), ctx).unwrap();
-            // The context alone, and its halves on each attribute.
-            let levels = |ex: &Explorer<'_>| {
-                let mut levels = vec![vec![ex.context_piece()]];
-                for by in attrs {
-                    levels.push(cut_pieces(ex, vec![ex.context_piece()], by).unwrap().0);
-                }
-                levels
-            };
-            for attr in attrs {
-                let cut = levels(&ex)
-                    .into_iter()
-                    .map(|pieces| cut_pieces(&ex, pieces, attr).unwrap());
-                let count = levels(&ex)
-                    .into_iter()
-                    .map(|pieces| count_cuts(&ex, pieces, attr).unwrap());
-                for (cut, count) in cut.zip(count) {
-                    let queries = |pieces: &[Piece]| -> Vec<String> {
-                        pieces.iter().map(|p| p.query.to_string()).collect()
-                    };
-                    assert_eq!(count.depth(), cut.0.len(), "{attr}: {:?}", queries(&cut.0));
-                    let depth = count.depth();
-                    uncut += 2 * count.level.len() - depth;
-                    counted += count.level.len();
-                    let recut = count.cut(&ex).unwrap();
-                    assert_eq!(queries(&recut.0), queries(&cut.0), "{attr}");
-                    assert_eq!((recut.1, recut.2), (cut.1, cut.2), "{attr}");
+        for sampled in [false, true] {
+            let (mut counted, mut uncut, mut unsampled) = (0, 0, 0);
+            for (seed, ctx) in (0..).zip(&contexts) {
+                let median = if sampled {
+                    MedianStrategy::Sampled { size: 1, seed }
+                } else {
+                    MedianStrategy::Exact
+                };
+                let config = Config::default().with_median(median);
+                let ex = Explorer::new(&t, config, ctx.clone()).unwrap();
+                // The context alone, and its halves on each attribute.
+                let levels = |ex: &Explorer<'_>| {
+                    let mut levels = vec![vec![ex.context_piece()]];
+                    for by in cut_along {
+                        levels.push(cut_pieces(ex, vec![ex.context_piece()], by).unwrap().0);
+                    }
+                    levels
+                };
+                for attr in cut_along {
+                    let numeric = t.schema().type_of(attr).unwrap().is_numeric();
+                    for (to_cut, to_count) in levels(&ex).into_iter().zip(levels(&ex)) {
+                        let (level, medians) = (to_cut.len(), ex.backend_ops().medians);
+                        let cut = cut_pieces(&ex, to_cut, attr).unwrap();
+                        // A numeric cut made with no median taken.
+                        let medians = (ex.backend_ops().medians - medians) as usize;
+                        if numeric {
+                            unsampled += cut.0.len() - level - medians;
+                        }
+                        let count = count_cuts(&ex, to_count, attr).unwrap();
+                        let queries = |pieces: &[Piece]| -> Vec<String> {
+                            pieces.iter().map(|p| p.query.to_string()).collect()
+                        };
+                        let what = format!("{attr}, sampled: {sampled}");
+                        assert_eq!(count.depth(), cut.0.len(), "{what}: {:?}", queries(&cut.0));
+                        let depth = count.depth();
+                        uncut += 2 * count.level.len() - depth;
+                        counted += count.level.len();
+                        let recut = count.cut(&ex).unwrap();
+                        assert_eq!(queries(&recut.0), queries(&cut.0), "{what}");
+                        assert_eq!((recut.1, recut.2), (cut.1, cut.2), "{what}");
+                    }
                 }
             }
+            assert!(uncut > 0 && uncut < counted, "{uncut} of {counted}");
+            assert_eq!(unsampled > 0, sampled, "{unsampled}");
         }
-        assert!(uncut > 0 && uncut < counted, "{uncut} of {counted}");
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl Segmentation {
         self.queries.iter()
     }
 
-    /// Consume into the query vector.
-    pub fn into_queries(self) -> Vec<Query> {
-        self.queries
-    }
-
     /// Materialise the selection bitmap of every segment.
     pub fn selections(&self, backend: &dyn Backend) -> StoreResult<Vec<Bitmap>> {
         self.queries.iter().map(|q| selection(q, backend)).collect()

@@ -9,17 +9,22 @@
 //! comparison the paper's "column-based systems such as MonetDB are well
 //! suited for Charles' workloads" claim calls for (experiment E7).
 //!
-//! The two engines differ in layout only. Every statistic has one
-//! implementation, a [`crate::Column`] kernel: the row store first
-//! projects the column's cells of its selected tuples into a compact
-//! `Column`, then makes the call the columnar engine makes. So E7 times
-//! two access patterns, not two statistics codebases.
+//! The two engines differ in layout only. `Backend` is implemented once,
+//! over the crate-private [`Layout`] an engine supplies: its row count,
+//! its schema, its own predicate scan and not-null mask, and one column
+//! under a selection. Every statistic is then one [`crate::Column`]
+//! kernel: the columnar engine hands over its stored column and the
+//! selection as given, the row store a projection of the column's cells
+//! of its selected tuples and every row of it. So E7 times two access
+//! patterns, not two statistics codebases, and both engines make the
+//! same calls and report the same op counts.
 
 use crate::bitmap::Bitmap;
+use crate::column::Column;
 use crate::error::{StoreError, StoreResult};
 use crate::predicate::StorePredicate;
 use crate::schema::Schema;
-use crate::stats::FrequencyTable;
+use crate::stats::{mean_and_var_of, FrequencyTable, Wanted};
 use crate::value::Value;
 
 /// Store work counted in the paper's §5.1 terms, "counts over predicates
@@ -28,10 +33,9 @@ use crate::value::Value;
 /// The store does not count. The one module that calls it during a run,
 /// `charles-core`'s `Explorer`, decides what an operation is and counts
 /// the calls it makes, so two runs sharing a backend never see each
-/// other's work. `scans` are column passes, `medians` median
-/// computations, and `counts` the `count` calls, which the advisor never
-/// makes. [`Backend::stats`] returns this type too, for a backend that
-/// keeps counts of its own; the store's two engines keep none.
+/// other's work. `scans` are column passes and `medians` median
+/// computations. [`Backend::stats`] returns this type too, for a backend
+/// that keeps counts of its own; the store's two engines keep none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
     /// Column passes: one per range or set leaf a run hands to `eval` —
@@ -39,8 +43,6 @@ pub struct BackendStats {
     /// `frequencies` call. A `Rows` leaf, or a selection derived as the
     /// complement of another, is none.
     pub scans: u64,
-    /// `count` operations (the paper's "counts over predicates").
-    pub counts: u64,
     /// Median computations, exact or sampled.
     pub medians: u64,
 }
@@ -140,8 +142,8 @@ pub trait Backend: Send + Sync {
     ///
     /// The provided body is those two calls and reports no
     /// [`CutStats::ranked`]. A backend that can take all three from one
-    /// pass over the selection overrides it ([`crate::Table`] does) and
-    /// must return the same values.
+    /// pass over the selection overrides it (the store's two engines do)
+    /// and must return the same values.
     fn cut_stats(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<CutStats>> {
         let ty = self.schema().type_of(column)?;
         if !ty.is_numeric() {
@@ -165,8 +167,8 @@ pub trait Backend: Send + Sync {
     /// that varies cuts, one that does not has no cut.
     ///
     /// The provided body is that `min_max` call. A backend that can stop
-    /// at the second distinct value overrides it ([`crate::Table`] does)
-    /// and must return the same answer.
+    /// at the second distinct value overrides it (the store's two engines
+    /// do) and must return the same answer.
     fn varies(&self, column: &str, sel: &Bitmap) -> StoreResult<bool> {
         let extremes = self.min_max(column, sel)?;
         Ok(extremes
@@ -200,4 +202,126 @@ pub trait Backend: Send + Sync {
 
     /// Reset the operation counters: nothing to reset here.
     fn reset_stats(&self) {}
+}
+
+/// What an engine supplies of its relation: the layout the one
+/// [`Backend`] implementation below runs over. Crate-private, so the
+/// store's two engines are its only layouts; the public trait keeps its
+/// shape for the backends outside the crate.
+pub(crate) trait Layout: Send + Sync {
+    /// Total number of rows.
+    fn rows(&self) -> usize;
+
+    /// The relation's schema.
+    fn relation(&self) -> &Schema;
+
+    /// `R(pred)`, by the engine's own walk.
+    fn scan(&self, pred: &StorePredicate) -> StoreResult<Bitmap>;
+
+    /// The rows where `column` is not null.
+    fn valid(&self, column: &str) -> StoreResult<Bitmap>;
+
+    /// `f` of one column and the selection to read it under, standing
+    /// for `column` under `sel`.
+    fn with_column<R>(
+        &self,
+        column: &str,
+        sel: &Bitmap,
+        f: impl FnOnce(&Column, &Bitmap) -> StoreResult<R>,
+    ) -> StoreResult<R>;
+}
+
+/// Every statistic over a layout: one [`Column`] kernel each. `cut_stats`
+/// and `varies` are the one-pass and bin-aware kernels, not the trait's
+/// provided bodies, on either engine.
+impl<L: Layout> Backend for L {
+    fn row_count(&self) -> usize {
+        self.rows()
+    }
+
+    fn schema(&self) -> &Schema {
+        self.relation()
+    }
+
+    fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
+        self.scan(pred)
+    }
+
+    fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
+        self.valid(column)
+    }
+
+    fn count(&self, pred: &StorePredicate) -> StoreResult<usize> {
+        Ok(self.scan(pred)?.count_ones())
+    }
+
+    fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
+        self.with_column(column, sel, |col, sel| {
+            Ok(col.order_keys(sel, Wanted::Median)?.median())
+        })
+    }
+
+    fn sampled_median(
+        &self,
+        column: &str,
+        sel: &Bitmap,
+        sample_size: usize,
+        seed: u64,
+    ) -> StoreResult<Option<Value>> {
+        self.with_column(column, sel, |col, sel| {
+            col.sampled_median(sel, sample_size, seed)
+        })
+    }
+
+    fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
+        self.with_column(column, sel, |col, sel| {
+            col.order_keys(sel, Wanted::Quantile(q))?.quantile(q)
+        })
+    }
+
+    fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>> {
+        self.with_column(column, sel, |col, sel| Ok(col.min_max(sel)))
+    }
+
+    fn cut_stats(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<CutStats>> {
+        // One walk of the selection where `min_max` + `median` make two:
+        // the extremes are folded while the order keys the median is
+        // selected from are gathered.
+        self.with_column(column, sel, |col, sel| {
+            let mut keys = col.order_keys(sel, Wanted::Median)?;
+            let Some((min, max)) = keys.extremes() else {
+                return Ok(None);
+            };
+            let ranked = Some(keys.len());
+            CutStats::over(min, max, ranked, || Ok(keys.median())).map(Some)
+        })
+    }
+
+    fn varies(&self, column: &str, sel: &Bitmap) -> StoreResult<bool> {
+        self.with_column(column, sel, |col, sel| Ok(col.varies(sel)))
+    }
+
+    fn next_above(&self, column: &str, sel: &Bitmap, v: &Value) -> StoreResult<Option<Value>> {
+        self.with_column(column, sel, |col, sel| Ok(col.next_above(sel, v)))
+    }
+
+    fn mean_and_var(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
+        self.with_column(column, sel, |col, sel| {
+            let mut buf = Vec::new();
+            col.gather_f64(sel, &mut buf)?;
+            Ok(mean_and_var_of(&buf))
+        })
+    }
+
+    fn frequencies(
+        &self,
+        column: &str,
+        sel: &Bitmap,
+    ) -> StoreResult<(FrequencyTable, Vec<String>)> {
+        self.with_column(column, sel, |col, sel| col.frequencies(sel))
+    }
+
+    fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
+        self.with_column(column, sel, |col, sel| col.distinct_count(sel))
+    }
 }

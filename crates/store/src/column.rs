@@ -178,11 +178,6 @@ impl Column {
         &self.validity
     }
 
-    /// Number of null rows.
-    pub fn null_count(&self) -> usize {
-        self.len() - self.validity.count_ones()
-    }
-
     /// Raw physical data.
     pub(crate) fn data(&self) -> &ColumnData {
         &self.data
@@ -264,7 +259,7 @@ impl Column {
     }
 
     /// Look up the dictionary code for a string, if it occurs.
-    pub fn code_of(&self, s: &str) -> Option<u32> {
+    pub(crate) fn code_of(&self, s: &str) -> Option<u32> {
         self.dict.iter().position(|d| d == s).map(|p| p as u32)
     }
 
@@ -657,7 +652,7 @@ mod tests {
         let c = int_col(&[5, 3, 9]);
         assert_eq!(c.len(), 3);
         assert_eq!(c.get(1), Some(Value::Int(3)));
-        assert_eq!(c.null_count(), 0);
+        assert_eq!(c.validity().count_ones(), 3);
     }
 
     #[test]
@@ -666,7 +661,7 @@ mod tests {
         c.push(Some(Value::Int(1))).unwrap();
         c.push(None).unwrap();
         c.push(Some(Value::Int(3))).unwrap();
-        assert_eq!(c.null_count(), 1);
+        assert_eq!(c.validity().count_ones(), 2);
         assert_eq!(c.get(1), None);
         assert_eq!(c.get(2), Some(Value::Int(3)));
     }

@@ -33,11 +33,6 @@ impl DataType {
         matches!(self, DataType::Int | DataType::Float | DataType::Date)
     }
 
-    /// Whether this is a nominal (categorical) type.
-    pub fn is_nominal(self) -> bool {
-        !self.is_numeric()
-    }
-
     /// Whether values of this type and `other` belong to the same
     /// comparison family: the numerics (`Int`, `Float`, `Date`) compare
     /// with each other, every other type only with itself. This is the
@@ -90,19 +85,6 @@ mod tests {
         assert!(DataType::Date.is_numeric());
         assert!(!DataType::Str.is_numeric());
         assert!(!DataType::Bool.is_numeric());
-    }
-
-    #[test]
-    fn nominal_is_complement_of_numeric() {
-        for t in [
-            DataType::Int,
-            DataType::Float,
-            DataType::Str,
-            DataType::Date,
-            DataType::Bool,
-        ] {
-            assert_ne!(t.is_numeric(), t.is_nominal());
-        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub mod error;
 mod index;
 pub mod predicate;
 pub mod rowstore;
-pub mod sample;
+mod sample;
 pub mod schema;
 pub mod stats;
 pub mod table;
@@ -81,7 +81,6 @@ pub use disk::{write_table, StreamWriter};
 pub use error::{StoreError, StoreResult};
 pub use predicate::{RangePred, SetPred, StorePredicate};
 pub use rowstore::{Row, RowTable};
-pub use sample::reservoir_sample;
 pub use schema::{ColumnMeta, Schema};
 pub use stats::{exact_median, quantile_value, FrequencyTable};
 pub use table::Table;

@@ -10,9 +10,10 @@
 //! The layout is the only difference E7 measures: `eval` and `not_null`
 //! walk the tuples themselves, and every other operation makes one pass
 //! over the selected tuples to project the column's cells into a compact
-//! [`Column`], then runs the `Column` kernel the columnar engine runs.
-//! So the two engines share one implementation of every statistic, and
-//! the row store is a second witness for scans only.
+//! [`Column`], then runs the `Column` kernel the columnar engine runs
+//! (the store's one `Backend` implementation, over [`Layout`]). So the
+//! two engines share one implementation of every statistic and make the
+//! same calls, and the row store is a second witness for scans only.
 
 // No call outside the tests may panic: `RowTable::new` takes rows the
 // caller built, and a bad one is a `StoreError`.
@@ -29,17 +30,17 @@
 )]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
-use crate::backend::Backend;
+use crate::backend::Layout;
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
 use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
 use crate::predicate::{RangePred, SetPred, StorePredicate};
 use crate::schema::Schema;
-use crate::stats::{mean_and_var_of, FrequencyTable, Wanted};
 use crate::table::Table;
 use crate::value::Value;
 use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One tuple; `None` encodes SQL NULL.
@@ -56,9 +57,28 @@ pub struct RowTable {
     /// relation — the columnar engine's interning order, so a count tie
     /// breaks the same way on both — and empty for any other.
     dicts: Vec<Arc<Vec<String>>>,
+    /// Per column, each string of its dictionary to its code there: a
+    /// projection codes a cell in one lookup.
+    codes: Vec<HashMap<String, u32>>,
 }
 
 impl RowTable {
+    /// A relation of `rows` whose columns are coded in `dicts`, each of
+    /// which holds a string once.
+    fn coded(name: String, schema: Schema, rows: Vec<Row>, dicts: Vec<Arc<Vec<String>>>) -> Self {
+        let codes = dicts
+            .iter()
+            .map(|d| d.iter().cloned().zip(0..).collect())
+            .collect();
+        RowTable {
+            name,
+            schema,
+            rows,
+            dicts,
+            codes,
+        }
+    }
+
     /// Build directly from a schema and rows (validated).
     pub fn new(name: impl Into<String>, schema: Schema, rows: Vec<Row>) -> StoreResult<RowTable> {
         for row in &rows {
@@ -94,12 +114,7 @@ impl RowTable {
                 Arc::new(dict)
             })
             .collect();
-        Ok(RowTable {
-            name: name.into(),
-            schema,
-            rows,
-            dicts,
-        })
+        Ok(RowTable::coded(name.into(), schema, rows, dicts))
     }
 
     /// Materialise a row-store copy of a columnar table — used by the
@@ -115,12 +130,8 @@ impl RowTable {
             .iter()
             .map(|c| Arc::clone(c.shared_dict()))
             .collect();
-        Ok(RowTable {
-            name: format!("{}_rowstore", table.name()),
-            schema,
-            rows,
-            dicts,
-        })
+        let name = format!("{}_rowstore", table.name());
+        Ok(RowTable::coded(name, schema, rows, dicts))
     }
 
     /// Table name.
@@ -184,13 +195,13 @@ impl RowTable {
     /// a compact column of the same name and type with one row per
     /// selected tuple: the one pass over the tuples every statistic
     /// makes before it runs the columnar kernel over the result (with
-    /// every row selected, [`all`]). Nulls stay null and NaN stays in the
+    /// every row selected). Nulls stay null and NaN stays in the
     /// data, where the kernels skip it; strings are coded in the
     /// relation's dictionary.
     fn project(&self, column: &str, sel: &Bitmap) -> StoreResult<Column> {
         let idx = self.col_index(column)?;
         let meta = &self.schema.columns()[idx];
-        let dict = &self.dicts[idx];
+        let (dict, codes) = (&self.dicts[idx], &self.codes[idx]);
         let n = sel.count_ones();
         let mut data = match meta.ty {
             DataType::Int => ColumnData::Int(Vec::with_capacity(n)),
@@ -215,13 +226,12 @@ impl RowTable {
                 (ColumnData::Bool(v), None) => v.push(false),
                 (ColumnData::Str(v), None) => v.push(0),
                 (ColumnData::Str(v), Some(Value::Str(s))) => {
-                    let code = dict.iter().position(|d| d == s);
-                    let code = code.and_then(|c| u32::try_from(c).ok()).ok_or_else(|| {
+                    let code = codes.get(s).ok_or_else(|| {
                         StoreError::Corrupt(format!(
                             "{s:?} is not in column {column:?}'s dictionary"
                         ))
                     })?;
-                    v.push(code);
+                    v.push(*code);
                 }
                 (_, Some(v)) => {
                     return Err(StoreError::TypeMismatch {
@@ -241,21 +251,16 @@ impl RowTable {
     }
 }
 
-/// Every row of `col`: the selection a projection is read under.
-fn all(col: &Column) -> Bitmap {
-    Bitmap::ones(col.len())
-}
-
-impl Backend for RowTable {
-    fn row_count(&self) -> usize {
+impl Layout for RowTable {
+    fn rows(&self) -> usize {
         self.rows.len()
     }
 
-    fn schema(&self) -> &Schema {
+    fn relation(&self) -> &Schema {
         &self.schema
     }
 
-    fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
+    fn scan(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
         let mut out = Bitmap::new(self.rows.len());
         for i in 0..self.rows.len() {
             if self.matches(i, pred)? {
@@ -265,11 +270,7 @@ impl Backend for RowTable {
         Ok(out)
     }
 
-    fn count(&self, pred: &StorePredicate) -> StoreResult<usize> {
-        Ok(self.eval(pred)?.count_ones())
-    }
-
-    fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
+    fn valid(&self, column: &str) -> StoreResult<Bitmap> {
         let idx = self.col_index(column)?;
         let mut out = Bitmap::new(self.rows.len());
         for (i, row) in self.rows.iter().enumerate() {
@@ -280,62 +281,22 @@ impl Backend for RowTable {
         Ok(out)
     }
 
-    fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
-        let col = self.project(column, sel)?;
-        Ok(col.order_keys(&all(&col), Wanted::Median)?.median())
-    }
-
-    fn sampled_median(
+    /// The column's projection, under every row of it.
+    fn with_column<R>(
         &self,
         column: &str,
         sel: &Bitmap,
-        sample_size: usize,
-        seed: u64,
-    ) -> StoreResult<Option<Value>> {
+        f: impl FnOnce(&Column, &Bitmap) -> StoreResult<R>,
+    ) -> StoreResult<R> {
         let col = self.project(column, sel)?;
-        col.sampled_median(&all(&col), sample_size, seed)
-    }
-
-    fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
-        let col = self.project(column, sel)?;
-        col.order_keys(&all(&col), Wanted::Quantile(q))?.quantile(q)
-    }
-
-    fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>> {
-        let col = self.project(column, sel)?;
-        Ok(col.min_max(&all(&col)))
-    }
-
-    fn mean_and_var(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
-        let col = self.project(column, sel)?;
-        let mut buf = Vec::new();
-        col.gather_f64(&all(&col), &mut buf)?;
-        Ok(mean_and_var_of(&buf))
-    }
-
-    fn next_above(&self, column: &str, sel: &Bitmap, v: &Value) -> StoreResult<Option<Value>> {
-        let col = self.project(column, sel)?;
-        Ok(col.next_above(&all(&col), v))
-    }
-
-    fn frequencies(
-        &self,
-        column: &str,
-        sel: &Bitmap,
-    ) -> StoreResult<(FrequencyTable, Vec<String>)> {
-        let col = self.project(column, sel)?;
-        col.frequencies(&all(&col))
-    }
-
-    fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
-        let col = self.project(column, sel)?;
-        col.distinct_count(&all(&col))
+        f(&col, &Bitmap::ones(col.len()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::Backend;
     use crate::builder::TableBuilder;
     use crate::datatype::DataType;
 
@@ -478,7 +439,7 @@ mod tests {
     fn a_string_missing_from_the_dictionary_is_corrupt_not_a_panic() {
         let col = sample_table();
         let mut row = RowTable::from_table(&col).unwrap();
-        row.dicts[1] = Arc::new(vec!["a".into(), "b".into()]);
+        row.codes[1].remove("c");
         let all = Bitmap::ones(row.row_count());
         let err = row.frequencies("k", &all).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");

@@ -8,7 +8,7 @@ use rand::Rng;
 
 /// Algorithm R reservoir sampling over the set bits of a selection:
 /// returns up to `k` row indices drawn uniformly without replacement.
-pub fn reservoir_sample(sel: &Bitmap, k: usize, rng: &mut impl Rng) -> Vec<usize> {
+pub(crate) fn reservoir_sample(sel: &Bitmap, k: usize, rng: &mut impl Rng) -> Vec<usize> {
     let mut reservoir: Vec<usize> = Vec::with_capacity(k);
     if k == 0 {
         return reservoir;

@@ -57,7 +57,7 @@ impl Schema {
     }
 
     /// Position of a column by name.
-    pub fn index_of(&self, name: &str) -> Option<usize> {
+    pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
     }
 

@@ -342,7 +342,7 @@ fn select_in(keys: &mut [i64], lo: usize, hi: usize) -> (i64, i64) {
 /// Mean and population variance of a slice, in index order. `None` for an
 /// empty slice. Shared by every backend: each gathers in row order and
 /// folds here, which is what makes the results bitwise identical.
-pub fn mean_and_var_of(values: &[f64]) -> Option<(f64, f64)> {
+pub(crate) fn mean_and_var_of(values: &[f64]) -> Option<(f64, f64)> {
     if values.is_empty() {
         return None;
     }

@@ -1,14 +1,13 @@
 //! The columnar relation: a schema plus one slot per column, and the
-//! `Backend` operations over it.
+//! layout the `Backend` operations run over.
 
-use crate::backend::{Backend, CutStats};
+use crate::backend::Layout;
 use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::disk::reader::ColumnFile;
 use crate::error::{StoreError, StoreResult};
 use crate::predicate::{eval_range, eval_set, StorePredicate};
 use crate::schema::Schema;
-use crate::stats::{mean_and_var_of, FrequencyTable, Wanted};
 use crate::value::Value;
 use std::sync::{Arc, OnceLock};
 
@@ -21,7 +20,7 @@ type Slot = OnceLock<Result<Column, StoreError>>;
 /// [`crate::TableBuilder::finish`] fills every slot. [`Table::open`]
 /// fills none: [`Table::column`] loads a column from the `.charles` file
 /// the first time it is touched, and keeps it. Either way every
-/// `Backend` operation runs the code below over the same [`Column`]s, so
+/// `Backend` operation runs the same kernels over the same [`Column`]s, so
 /// advice over an opened file is bitwise the advice over the table that
 /// was written (pinned by `tests/backend_contract.rs` and
 /// `tests/disk_persistence.rs` at the workspace root). The one difference
@@ -185,91 +184,31 @@ impl Table {
     }
 }
 
-impl Backend for Table {
-    fn row_count(&self) -> usize {
+impl Layout for Table {
+    fn rows(&self) -> usize {
         self.rows
     }
 
-    fn schema(&self) -> &Schema {
+    fn relation(&self) -> &Schema {
         &self.schema
     }
 
-    fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
+    fn scan(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
         self.eval_within(pred, None)
     }
 
-    fn count(&self, pred: &StorePredicate) -> StoreResult<usize> {
-        Ok(self.eval(pred)?.count_ones())
-    }
-
-    fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
+    fn valid(&self, column: &str) -> StoreResult<Bitmap> {
         Ok(self.column(column)?.validity().clone())
     }
 
-    fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
-        Ok(self
-            .column(column)?
-            .order_keys(sel, Wanted::Median)?
-            .median())
-    }
-
-    fn sampled_median(
+    /// The stored column, under the selection as given.
+    fn with_column<R>(
         &self,
         column: &str,
         sel: &Bitmap,
-        sample_size: usize,
-        seed: u64,
-    ) -> StoreResult<Option<Value>> {
-        self.column(column)?.sampled_median(sel, sample_size, seed)
-    }
-
-    fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
-        self.column(column)?
-            .order_keys(sel, Wanted::Quantile(q))?
-            .quantile(q)
-    }
-
-    fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>> {
-        Ok(self.column(column)?.min_max(sel))
-    }
-
-    fn cut_stats(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<CutStats>> {
-        // One walk of the selection where `min_max` + `median` make two:
-        // the extremes are folded while the order keys the median is
-        // selected from are gathered.
-        let mut keys = self.column(column)?.order_keys(sel, Wanted::Median)?;
-        let Some((min, max)) = keys.extremes() else {
-            return Ok(None);
-        };
-        let ranked = Some(keys.len());
-        let stats = CutStats::over(min, max, ranked, || Ok(keys.median()))?;
-        Ok(Some(stats))
-    }
-
-    fn varies(&self, column: &str, sel: &Bitmap) -> StoreResult<bool> {
-        Ok(self.column(column)?.varies(sel))
-    }
-
-    fn mean_and_var(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
-        let mut buf = Vec::new();
-        self.column(column)?.gather_f64(sel, &mut buf)?;
-        Ok(mean_and_var_of(&buf))
-    }
-
-    fn next_above(&self, column: &str, sel: &Bitmap, v: &Value) -> StoreResult<Option<Value>> {
-        Ok(self.column(column)?.next_above(sel, v))
-    }
-
-    fn frequencies(
-        &self,
-        column: &str,
-        sel: &Bitmap,
-    ) -> StoreResult<(FrequencyTable, Vec<String>)> {
-        self.column(column)?.frequencies(sel)
-    }
-
-    fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
-        self.column(column)?.distinct_count(sel)
+        f: impl FnOnce(&Column, &Bitmap) -> StoreResult<R>,
+    ) -> StoreResult<R> {
+        f(self.column(column)?, sel)
     }
 }
 

@@ -881,9 +881,9 @@ mod contract_harness {
                         // No median where there is nothing to split.
                         let constant = format!("{:?}", stats.min) == format!("{:?}", stats.max);
                         assert_eq!(stats.median.is_none(), constant, "{what}");
-                        // A count, when given, is of the values ranked.
-                        assert!(stats.ranked.is_none_or(|r| r == valued), "{what}");
-                        assert_eq!(stats.ranked.is_some(), name != "rowstore", "{what}");
+                        // Every engine counts the values ranked, in the
+                        // one pass.
+                        assert_eq!(stats.ranked, Some(valued), "{what}");
                     }
                     seen.push(values(&got));
                 }
@@ -1241,18 +1241,15 @@ mod contract_harness {
         // extent screens the null and keeps the NaN, which no range
         // holds — so a cut on `f` does not partition its parent and its
         // halves scan one conjunct each. `d` holds a value in every row:
-        // the columnar engines' one-pass statistics count as many values
-        // as the parent has rows, and the pair costs one scan; the row
-        // store takes the provided `cut_stats`, counts nothing, and scans
-        // twice.
+        // every engine's one-pass statistics count as many values as the
+        // parent has rows, and the pair costs one scan.
         let (backends, _) = cut_stats_fixture();
         for (name, b) in &backends {
             let ctx = Query::wildcard(&["f", "d"]);
             let ex = Explorer::new(b.as_ref(), Config::default(), ctx.clone()).unwrap();
             assert_eq!(ex.context_size(), CUT_ROWS - 1, "{name}");
-            let one_pass = if name == "rowstore" { 2 } else { 1 };
             let (valued, all) = (CUT_ROWS - 2, CUT_ROWS - 1);
-            for (attr, covered, scans) in [("f", valued, 2), ("d", all, one_pass)] {
+            for (attr, covered, scans) in [("f", valued, 2), ("d", all, 1)] {
                 let before = ex.backend_ops().scans;
                 let (l, r) = cut_query(&ex, &ctx, attr).unwrap().unwrap();
                 let released = [&l, &r].map(|q| ex.selection(q).unwrap());

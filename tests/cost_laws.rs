@@ -9,7 +9,10 @@
 //! `Advice::cache`) and how HB-cuts ended (its steps and stop reason).
 //! `tests/golden/cost_laws.txt` holds the committed table; the test
 //! renders it at one and at two `par_map` threads and compares byte for
-//! byte, so a change that moves one op of one cell shows there. Re-bless
+//! byte, so a change that moves one op of one cell shows there. The
+//! n = 10³ cells and the datasets run on a `RowTable` copy too, whose
+//! every line must be the column store's: the two engines differ in
+//! layout only, not in the calls a run makes. Re-bless
 //! a deliberate change like the other goldens:
 //!
 //! ```sh
@@ -63,7 +66,9 @@
 //! their cells are recorded, and the law is not asserted of them.
 
 use charles::advisor::StopReason;
-use charles::{astro_table, sweep_table, voc_table, weblog_table, Advice, Advisor, Table};
+use charles::{
+    astro_table, sweep_table, voc_table, weblog_table, Advice, Advisor, Backend, RowTable, Table,
+};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -82,6 +87,7 @@ type Make = fn(usize, u64) -> Table;
 const BLESS_VAR: &str = "CHARLES_BLESS_GOLDEN";
 
 /// The counts of one cell.
+#[derive(Clone)]
 struct Cell {
     name: String,
     k: usize,
@@ -94,7 +100,7 @@ struct Cell {
 }
 
 /// Advise the wildcard context over every column of `table`.
-fn advise(table: &Table) -> Advice {
+fn advise(table: &dyn Backend) -> Advice {
     let columns: Vec<String> = table
         .schema()
         .columns()
@@ -108,7 +114,7 @@ fn advise(table: &Table) -> Advice {
 }
 
 /// `table`'s counts, advised at one and at two `par_map` threads.
-fn cell(name: String, table: &Table) -> [Cell; 2] {
+fn cell(name: String, table: &dyn Backend) -> [Cell; 2] {
     [1, 2].map(|threads| {
         charles_parallel::set_num_threads(threads);
         let advice = advise(table);
@@ -126,15 +132,30 @@ fn cell(name: String, table: &Table) -> [Cell; 2] {
     })
 }
 
+/// A cell of the column store and the same cell of its row-store copy.
+type Twins = ([Cell; 2], [Cell; 2]);
+
 /// Every sweep cell, then the three datasets, each at one and at two
-/// threads.
-fn cells() -> (Vec<[Cell; 2]>, Vec<[Cell; 2]>) {
+/// threads; and the n = 10³ cells and the datasets on both engines.
+fn cells() -> (Vec<[Cell; 2]>, Vec<[Cell; 2]>, Vec<Twins>) {
+    let mut twins = Vec::new();
+    let mut both = |name: String, table: &Table| {
+        let column = cell(name.clone(), table);
+        let rows = RowTable::from_table(table).unwrap();
+        twins.push((column.clone(), cell(name, &rows)));
+        column
+    };
     let mut sweep = Vec::new();
     for &n in &NS {
         for &k in &KS {
             for &seed in &SEEDS {
                 let name = format!("sweep n={n} k={k} seed={seed}");
-                sweep.push(cell(name, &sweep_table(n, k, seed)));
+                let table = sweep_table(n, k, seed);
+                sweep.push(if n == NS[0] {
+                    both(name, &table)
+                } else {
+                    cell(name, &table)
+                });
             }
         }
     }
@@ -144,19 +165,23 @@ fn cells() -> (Vec<[Cell; 2]>, Vec<[Cell; 2]>) {
         ("weblog", weblog_table),
     ];
     let datasets = datasets
-        .map(|(name, make)| cell(format!("{name} n={ROWS} seed={SEED}"), &make(ROWS, SEED)));
-    (sweep, datasets.into())
+        .map(|(name, make)| both(format!("{name} n={ROWS} seed={SEED}"), &make(ROWS, SEED)));
+    (sweep, datasets.into(), twins)
+}
+
+/// One cell's line of the golden table.
+fn line(c: &Cell) -> String {
+    format!(
+        "{}: scans={} medians={} sel_misses={} indep_probes={} steps={} stop={:?}",
+        c.name, c.scans, c.medians, c.sel_misses, c.indep_probes, c.steps, c.stop
+    )
 }
 
 /// The golden table, from the cells at `threads` (1 or 2).
 fn render<'a>(cells: impl Iterator<Item = &'a [Cell; 2]>, threads: usize) -> String {
     let mut out = String::from("# cell: scans medians sel_misses indep_probes steps stop\n");
     for c in cells.map(|c| &c[threads - 1]) {
-        let _ = writeln!(
-            out,
-            "{}: scans={} medians={} sel_misses={} indep_probes={} steps={} stop={:?}",
-            c.name, c.scans, c.medians, c.sel_misses, c.indep_probes, c.steps, c.stop
-        );
+        let _ = writeln!(out, "{}", line(c));
     }
     out
 }
@@ -164,7 +189,7 @@ fn render<'a>(cells: impl Iterator<Item = &'a [Cell; 2]>, threads: usize) -> Str
 #[test]
 fn op_counts_match_the_golden_and_follow_the_affine_law() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cost_laws.txt");
-    let (sweep, datasets) = cells();
+    let (sweep, datasets, twins) = cells();
     let all = || sweep.iter().chain(&datasets);
     if std::env::var_os(BLESS_VAR).is_some() {
         std::fs::write(&path, render(all(), 1)).unwrap();
@@ -197,5 +222,17 @@ fn op_counts_match_the_golden_and_follow_the_affine_law() {
         assert_eq!(c.sel_misses, 2 * c.scans, "{}", c.name);
         assert!(1 <= c.steps && c.steps <= k, "{}: steps ≤ k", c.name);
         assert!(c.indep_probes <= k * k, "{}: INDEP probes ≤ k²", c.name);
+    }
+
+    // One layout or the other, the same calls.
+    assert_eq!(twins.len(), KS.len() * SEEDS.len() + 3);
+    for (column, rows) in &twins {
+        for threads in 0..2 {
+            assert_eq!(
+                line(&rows[threads]),
+                line(&column[threads]),
+                "the row store"
+            );
+        }
     }
 }

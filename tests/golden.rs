@@ -43,6 +43,7 @@ enum Step {
     Back,
 }
 
+#[derive(Clone, Copy)]
 struct Case {
     name: &'static str,
     table: &'static str,
@@ -258,8 +259,8 @@ fn render(case: &Case, backend: &Arc<dyn Backend>) -> String {
     out
 }
 
-/// Every case rendered at `threads` `par_map` threads.
-fn render_all(threads: usize) -> Vec<(&'static str, String)> {
+/// Every case of `cases` rendered at `threads` `par_map` threads.
+fn render_all(cases: &[Case], threads: usize) -> Vec<(&'static str, String)> {
     let voc = voc_table(ROWS, SEED);
     let tables: [(&str, Arc<dyn Backend>); 4] = [
         ("voc_rows", Arc::new(RowTable::from_table(&voc).unwrap())),
@@ -268,7 +269,7 @@ fn render_all(threads: usize) -> Vec<(&'static str, String)> {
         ("weblog", Arc::new(weblog_table(ROWS, SEED))),
     ];
     charles_parallel::set_num_threads(threads);
-    let rendered = CASES
+    let rendered = cases
         .iter()
         .map(|case| {
             let (_, backend) = tables
@@ -307,7 +308,7 @@ fn first_difference(got: &str, want: &str) -> String {
 #[test]
 fn advice_bytes_match_the_goldens_at_one_and_two_threads() {
     let dir = golden_dir();
-    let one = render_all(1);
+    let one = render_all(CASES, 1);
     if std::env::var_os(BLESS_VAR).is_some() {
         std::fs::create_dir_all(&dir).unwrap();
         for (name, text) in &one {
@@ -328,7 +329,7 @@ fn advice_bytes_match_the_goldens_at_one_and_two_threads() {
         "tests/golden/ holds exactly one file per case, and cost_laws.txt"
     );
 
-    let two = render_all(2);
+    let two = render_all(CASES, 2);
     for (threads, rendered) in [(1, &one), (2, &two)] {
         for (name, got) in rendered {
             let path = dir.join(format!("{name}.txt"));
@@ -341,5 +342,30 @@ fn advice_bytes_match_the_goldens_at_one_and_two_threads() {
                 first_difference(got, &want)
             );
         }
+    }
+
+    // E7's ablation swaps the layout only: the row-store case renders
+    // byte for byte like the same case over the column store — answers
+    // and op counts — bar the `table:` line that names its table.
+    let rows = CASES.iter().find(|c| c.name == "row_store").unwrap();
+    let columns = [Case {
+        table: "voc",
+        ..*rows
+    }];
+    let untabled = |text: &str| -> String {
+        let lines = text.lines().filter(|l| !l.starts_with("table: "));
+        lines.collect::<Vec<_>>().join("\n")
+    };
+    for (threads, rendered) in [(1, &one), (2, &two)] {
+        let (_, got) = rendered
+            .iter()
+            .find(|(name, _)| *name == rows.name)
+            .unwrap();
+        let (got, want) = (untabled(got), untabled(&render_all(&columns, threads)[0].1));
+        assert!(
+            got == want,
+            "row_store differs from its case over voc at {threads} thread(s), {}",
+            first_difference(&got, &want)
+        );
     }
 }
