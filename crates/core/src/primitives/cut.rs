@@ -367,7 +367,7 @@ fn nominal_split(
 mod tests {
     use super::*;
     use crate::config::{Config, MedianStrategy};
-    use charles_store::{DataType, TableBuilder};
+    use charles_store::{Backend, DataType, RowTable, TableBuilder};
 
     /// The Figure 2 boats: 4 fluits (1000–2000, 2000–5000 tonnage) and 4
     /// jachts, with departure years correlated with the type.
@@ -534,9 +534,13 @@ mod tests {
         // one value and none, both zeros, medians of ∞ (two middle values
         // whose sum overflows) and of NaN (−∞ and +∞), a `Float` bound
         // held on an `Int` attribute beyond 2⁵³, strings and booleans —
-        // under the exact median and under a one-row sample, which on the
-        // half-null `n` and `h` often draws no value: such a piece still
-        // varies, so it still cuts, with no median taken.
+        // under the exact median and under a one-row sample, on both
+        // engines. A one-row sample of `h` on the row store, which holds
+        // NaN where the table holds null, often draws only NaN: such a
+        // piece still varies, so it still cuts, with no median taken. The
+        // half-null `n` (and `h` on the table) draws no value too, but
+        // only while the sampler draws null rows, so there the test asserts
+        // the cut only through its depth.
         let base = 1i64 << 53;
         let big = f64::MAX;
         let inf = f64::INFINITY;
@@ -552,6 +556,21 @@ mod tests {
             ["b"; 4],
             ["a", "c", "c", "c"],
         ];
+        let mut rows = Vec::new();
+        for g in 0..4 {
+            for r in 0..4 {
+                let valued = (g + r) % 2 == 1;
+                rows.push(vec![
+                    Some(Value::Int(g as i64)),
+                    Some(Value::Float(floats[g][r])),
+                    Some(Value::Int(base + [2, 3, 3, 4][r])),
+                    Some(Value::str(strs[g][r])),
+                    Some(Value::Bool(g % 2 == 1 && r % 2 == 0)),
+                    valued.then_some(Value::Int(r as i64)),
+                    Some(Value::Float(if valued { r as f64 / 2.0 } else { f64::NAN })),
+                ]);
+            }
+        }
         let mut b = TableBuilder::new("t");
         b.add_column("g", DataType::Int)
             .add_column("f", DataType::Float)
@@ -560,24 +579,15 @@ mod tests {
             .add_column("b", DataType::Bool)
             .add_column("n", DataType::Int)
             .add_column("h", DataType::Float);
-        for g in 0..4 {
-            for r in 0..4 {
-                let valued = (g + r) % 2 == 1;
-                b.push_row_opt(vec![
-                    Some(Value::Int(g as i64)),
-                    Some(Value::Float(floats[g][r])),
-                    Some(Value::Int(base + [2, 3, 3, 4][r])),
-                    Some(Value::str(strs[g][r])),
-                    Some(Value::Bool(g % 2 == 1 && r % 2 == 0)),
-                    valued.then_some(Value::Int(r as i64)),
-                    valued.then_some(Value::Float(r as f64 / 2.0)),
-                ])
-                .unwrap();
-            }
+        let not_nan =
+            |v: &Option<Value>| v.clone().filter(|v| v.as_f64().is_none_or(|x| !x.is_nan()));
+        for row in &rows {
+            b.push_row_opt(row.iter().map(not_nan).collect()).unwrap();
         }
         let t = b.finish();
+        let row_store = RowTable::new("t", t.schema().clone(), rows).unwrap();
         // `n` and `h` are cut along but stay out of the contexts, whose
-        // extents would screen their nulls.
+        // extents would screen their nulls and NaNs.
         let attrs = ["g", "f", "z", "k", "b"];
         let cut_along = ["g", "f", "z", "k", "b", "n", "h"];
         let float = |i: i64| Value::Float((base + i) as f64);
@@ -588,6 +598,7 @@ mod tests {
             let group = Constraint::range(Value::Int(g), Value::Int(g)).unwrap();
             contexts.push(Query::wildcard(&attrs).refined("g", group).unwrap());
         }
+        let engines: [(&dyn Backend, bool); 2] = [(&t, false), (&row_store, true)];
         for sampled in [false, true] {
             let (mut counted, mut uncut, mut unsampled) = (0, 0, 0);
             for (seed, ctx) in (0..).zip(&contexts) {
@@ -597,37 +608,38 @@ mod tests {
                     MedianStrategy::Exact
                 };
                 let config = Config::default().with_median(median);
-                let ex = Explorer::new(&t, config, ctx.clone()).unwrap();
-                // The context alone, and its halves on each attribute.
-                let levels = |ex: &Explorer<'_>| {
-                    let mut levels = vec![vec![ex.context_piece()]];
-                    for by in cut_along {
-                        levels.push(cut_pieces(ex, vec![ex.context_piece()], by).unwrap().0);
-                    }
-                    levels
-                };
-                for attr in cut_along {
-                    let numeric = t.schema().type_of(attr).unwrap().is_numeric();
-                    for (to_cut, to_count) in levels(&ex).into_iter().zip(levels(&ex)) {
-                        let (level, medians) = (to_cut.len(), ex.backend_ops().medians);
-                        let cut = cut_pieces(&ex, to_cut, attr).unwrap();
-                        // A numeric cut made with no median taken.
-                        let medians = (ex.backend_ops().medians - medians) as usize;
-                        if numeric {
-                            unsampled += cut.0.len() - level - medians;
+                for (backend, holds_nan) in engines {
+                    let ex = Explorer::new(backend, config.clone(), ctx.clone()).unwrap();
+                    // The context alone, and its halves on each attribute.
+                    let levels = |ex: &Explorer<'_>| {
+                        let mut levels = vec![vec![ex.context_piece()]];
+                        for by in cut_along {
+                            levels.push(cut_pieces(ex, vec![ex.context_piece()], by).unwrap().0);
                         }
-                        let count = count_cuts(&ex, to_count, attr).unwrap();
-                        let queries = |pieces: &[Piece]| -> Vec<String> {
-                            pieces.iter().map(|p| p.query.to_string()).collect()
-                        };
-                        let what = format!("{attr}, sampled: {sampled}");
-                        assert_eq!(count.depth(), cut.0.len(), "{what}: {:?}", queries(&cut.0));
-                        let depth = count.depth();
-                        uncut += 2 * count.level.len() - depth;
-                        counted += count.level.len();
-                        let recut = count.cut(&ex).unwrap();
-                        assert_eq!(queries(&recut.0), queries(&cut.0), "{what}");
-                        assert_eq!((recut.1, recut.2), (cut.1, cut.2), "{what}");
+                        levels
+                    };
+                    for attr in cut_along {
+                        for (to_cut, to_count) in levels(&ex).into_iter().zip(levels(&ex)) {
+                            let (level, medians) = (to_cut.len(), ex.backend_ops().medians);
+                            let cut = cut_pieces(&ex, to_cut, attr).unwrap();
+                            // A cut along `h` made with no median taken.
+                            let medians = (ex.backend_ops().medians - medians) as usize;
+                            if holds_nan && attr == "h" {
+                                unsampled += cut.0.len() - level - medians;
+                            }
+                            let count = count_cuts(&ex, to_count, attr).unwrap();
+                            let queries = |pieces: &[Piece]| -> Vec<String> {
+                                pieces.iter().map(|p| p.query.to_string()).collect()
+                            };
+                            let what = format!("{attr}, sampled: {sampled}, NaN: {holds_nan}");
+                            assert_eq!(count.depth(), cut.0.len(), "{what}: {:?}", queries(&cut.0));
+                            let depth = count.depth();
+                            uncut += 2 * count.level.len() - depth;
+                            counted += count.level.len();
+                            let recut = count.cut(&ex).unwrap();
+                            assert_eq!(queries(&recut.0), queries(&cut.0), "{what}");
+                            assert_eq!((recut.1, recut.2), (cut.1, cut.2), "{what}");
+                        }
                     }
                 }
             }

@@ -207,19 +207,19 @@ pub trait Backend: Send + Sync {
 /// What an engine supplies of its relation: the layout the one
 /// [`Backend`] implementation below runs over. Crate-private, so the
 /// store's two engines are its only layouts; the public trait keeps its
-/// shape for the backends outside the crate.
+/// shape for the backends outside the crate. Its first four methods are
+/// the `Backend` methods of the same names, which the blanket impl
+/// forwards; an engine names the trait in its `impl` without importing
+/// it, so a call by those names resolves to `Backend` alone.
 pub(crate) trait Layout: Send + Sync {
-    /// Total number of rows.
-    fn rows(&self) -> usize;
+    fn row_count(&self) -> usize;
 
-    /// The relation's schema.
-    fn relation(&self) -> &Schema;
+    fn schema(&self) -> &Schema;
 
     /// `R(pred)`, by the engine's own walk.
-    fn scan(&self, pred: &StorePredicate) -> StoreResult<Bitmap>;
+    fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap>;
 
-    /// The rows where `column` is not null.
-    fn valid(&self, column: &str) -> StoreResult<Bitmap>;
+    fn not_null(&self, column: &str) -> StoreResult<Bitmap>;
 
     /// `f` of one column and the selection to read it under, standing
     /// for `column` under `sel`.
@@ -236,23 +236,23 @@ pub(crate) trait Layout: Send + Sync {
 /// provided bodies, on either engine.
 impl<L: Layout> Backend for L {
     fn row_count(&self) -> usize {
-        self.rows()
+        Layout::row_count(self)
     }
 
     fn schema(&self) -> &Schema {
-        self.relation()
+        Layout::schema(self)
     }
 
     fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
-        self.scan(pred)
+        Layout::eval(self, pred)
     }
 
     fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
-        self.valid(column)
+        Layout::not_null(self, column)
     }
 
     fn count(&self, pred: &StorePredicate) -> StoreResult<usize> {
-        Ok(self.scan(pred)?.count_ones())
+        Ok(Layout::eval(self, pred)?.count_ones())
     }
 
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {

@@ -11,9 +11,10 @@
 //! walk the tuples themselves, and every other operation makes one pass
 //! over the selected tuples to project the column's cells into a compact
 //! [`Column`], then runs the `Column` kernel the columnar engine runs
-//! (the store's one `Backend` implementation, over [`Layout`]). So the
-//! two engines share one implementation of every statistic and make the
-//! same calls, and the row store is a second witness for scans only.
+//! (the store's one `Backend` implementation, over
+//! [`crate::backend::Layout`]). So the two engines share one
+//! implementation of every statistic and make the same calls, and the
+//! row store is a second witness for scans only.
 
 // No call outside the tests may panic: `RowTable::new` takes rows the
 // caller built, and a bad one is a `StoreError`.
@@ -30,7 +31,6 @@
 )]
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
-use crate::backend::Layout;
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
 use crate::datatype::DataType;
@@ -40,7 +40,6 @@ use crate::schema::Schema;
 use crate::table::Table;
 use crate::value::Value;
 use std::cmp::Ordering;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One tuple; `None` encodes SQL NULL.
@@ -57,28 +56,9 @@ pub struct RowTable {
     /// relation — the columnar engine's interning order, so a count tie
     /// breaks the same way on both — and empty for any other.
     dicts: Vec<Arc<Vec<String>>>,
-    /// Per column, each string of its dictionary to its code there: a
-    /// projection codes a cell in one lookup.
-    codes: Vec<HashMap<String, u32>>,
 }
 
 impl RowTable {
-    /// A relation of `rows` whose columns are coded in `dicts`, each of
-    /// which holds a string once.
-    fn coded(name: String, schema: Schema, rows: Vec<Row>, dicts: Vec<Arc<Vec<String>>>) -> Self {
-        let codes = dicts
-            .iter()
-            .map(|d| d.iter().cloned().zip(0..).collect())
-            .collect();
-        RowTable {
-            name,
-            schema,
-            rows,
-            dicts,
-            codes,
-        }
-    }
-
     /// Build directly from a schema and rows (validated).
     pub fn new(name: impl Into<String>, schema: Schema, rows: Vec<Row>) -> StoreResult<RowTable> {
         for row in &rows {
@@ -114,7 +94,12 @@ impl RowTable {
                 Arc::new(dict)
             })
             .collect();
-        Ok(RowTable::coded(name.into(), schema, rows, dicts))
+        Ok(RowTable {
+            name: name.into(),
+            schema,
+            rows,
+            dicts,
+        })
     }
 
     /// Materialise a row-store copy of a columnar table — used by the
@@ -130,8 +115,12 @@ impl RowTable {
             .iter()
             .map(|c| Arc::clone(c.shared_dict()))
             .collect();
-        let name = format!("{}_rowstore", table.name());
-        Ok(RowTable::coded(name, schema, rows, dicts))
+        Ok(RowTable {
+            name: format!("{}_rowstore", table.name()),
+            schema,
+            rows,
+            dicts,
+        })
     }
 
     /// Table name.
@@ -201,7 +190,7 @@ impl RowTable {
     fn project(&self, column: &str, sel: &Bitmap) -> StoreResult<Column> {
         let idx = self.col_index(column)?;
         let meta = &self.schema.columns()[idx];
-        let (dict, codes) = (&self.dicts[idx], &self.codes[idx]);
+        let dict = &self.dicts[idx];
         let n = sel.count_ones();
         let mut data = match meta.ty {
             DataType::Int => ColumnData::Int(Vec::with_capacity(n)),
@@ -226,12 +215,13 @@ impl RowTable {
                 (ColumnData::Bool(v), None) => v.push(false),
                 (ColumnData::Str(v), None) => v.push(0),
                 (ColumnData::Str(v), Some(Value::Str(s))) => {
-                    let code = codes.get(s).ok_or_else(|| {
+                    let code = dict.iter().position(|d| d == s);
+                    let code = code.and_then(|c| u32::try_from(c).ok()).ok_or_else(|| {
                         StoreError::Corrupt(format!(
                             "{s:?} is not in column {column:?}'s dictionary"
                         ))
                     })?;
-                    v.push(*code);
+                    v.push(code);
                 }
                 (_, Some(v)) => {
                     return Err(StoreError::TypeMismatch {
@@ -251,16 +241,16 @@ impl RowTable {
     }
 }
 
-impl Layout for RowTable {
-    fn rows(&self) -> usize {
+impl crate::backend::Layout for RowTable {
+    fn row_count(&self) -> usize {
         self.rows.len()
     }
 
-    fn relation(&self) -> &Schema {
+    fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    fn scan(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
+    fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
         let mut out = Bitmap::new(self.rows.len());
         for i in 0..self.rows.len() {
             if self.matches(i, pred)? {
@@ -270,7 +260,7 @@ impl Layout for RowTable {
         Ok(out)
     }
 
-    fn valid(&self, column: &str) -> StoreResult<Bitmap> {
+    fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
         let idx = self.col_index(column)?;
         let mut out = Bitmap::new(self.rows.len());
         for (i, row) in self.rows.iter().enumerate() {
@@ -439,7 +429,7 @@ mod tests {
     fn a_string_missing_from_the_dictionary_is_corrupt_not_a_panic() {
         let col = sample_table();
         let mut row = RowTable::from_table(&col).unwrap();
-        row.codes[1].remove("c");
+        row.dicts[1] = Arc::new(vec!["a".into(), "b".into()]);
         let all = Bitmap::ones(row.row_count());
         let err = row.frequencies("k", &all).unwrap_err();
         assert!(matches!(err, StoreError::Corrupt(_)), "{err:?}");

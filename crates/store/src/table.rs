@@ -1,7 +1,6 @@
 //! The columnar relation: a schema plus one slot per column, and the
 //! layout the `Backend` operations run over.
 
-use crate::backend::Layout;
 use crate::bitmap::Bitmap;
 use crate::column::Column;
 use crate::disk::reader::ColumnFile;
@@ -184,20 +183,20 @@ impl Table {
     }
 }
 
-impl Layout for Table {
-    fn rows(&self) -> usize {
+impl crate::backend::Layout for Table {
+    fn row_count(&self) -> usize {
         self.rows
     }
 
-    fn relation(&self) -> &Schema {
+    fn schema(&self) -> &Schema {
         &self.schema
     }
 
-    fn scan(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
+    fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
         self.eval_within(pred, None)
     }
 
-    fn valid(&self, column: &str) -> StoreResult<Bitmap> {
+    fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
         Ok(self.column(column)?.validity().clone())
     }
 
