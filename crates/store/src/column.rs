@@ -424,10 +424,13 @@ impl Column {
         }
     }
 
-    /// Exact median of a reservoir sample of `sample_size` of the rows
-    /// `sel` selects, drawn with `seed`. Which rows are drawn depends only
-    /// on their positions in the walk of `sel`, so a compact projection
-    /// of the selection draws the same rows.
+    /// Exact median of a reservoir sample of `sample_size` of the valid
+    /// rows `sel` selects, drawn with `seed`: a null row is never drawn,
+    /// so the sample ranks `sample_size` values wherever the selection
+    /// holds that many (a NaN drawn is skipped like a null). Which rows
+    /// are drawn depends only on their positions in the walk of
+    /// `sel ∧ validity`, so a compact projection of the selection draws
+    /// the same rows.
     pub(crate) fn sampled_median(
         &self,
         sel: &Bitmap,
@@ -438,7 +441,7 @@ impl Column {
             return Err(self.type_err("numeric"));
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let rows = reservoir_sample(sel, sample_size, &mut rng);
+        let rows = reservoir_sample(&sel.and(&self.validity), sample_size, &mut rng);
         let keys = rows.into_iter().filter_map(|i| self.key_at(i));
         Ok(OrderKeys::collect(self.data_type(), keys).median())
     }
@@ -477,7 +480,7 @@ impl Column {
     pub(crate) fn frequencies(&self, sel: &Bitmap) -> StoreResult<(FrequencyTable, Vec<String>)> {
         let indexed = || {
             let index = self.index.as_ref()?;
-            index.counts(sel, sel.and_count(&self.validity), 2)
+            index.counts(sel, sel.and_count(&self.validity))
         };
         let (counts, dict) = match &self.data {
             ColumnData::Str(codes) => {
@@ -501,15 +504,48 @@ impl Column {
         Ok((FrequencyTable::from_counts(counts), dict))
     }
 
-    /// Minimum and maximum value among the selected, non-null rows.
+    /// Minimum and maximum value among the selected, non-null rows. An
+    /// `Int`/`Date` column with binned bitmaps reads them off its bins
+    /// where that costs less than the walk ([`ValueIndex::extremes`]).
     pub fn min_max(&self, sel: &Bitmap) -> Option<(Value, Value)> {
+        if let Some((values, index)) = self.binned() {
+            if let Some((least, greatest)) = index.extremes(values, sel) {
+                return Some((self.int_value(least), self.int_value(greatest)));
+            }
+        }
         self.extremes(sel, None)
     }
 
     /// Smallest selected, non-null value strictly greater than `floor`
     /// under [`Value::try_cmp`] — `None` too when the two do not compare.
+    /// Off the bins like [`Column::min_max`] ([`ValueIndex::next_above`]):
+    /// a value lies above `floor` from some value on, whatever `floor`'s
+    /// type, since `try_cmp` is monotone in it.
     pub(crate) fn next_above(&self, sel: &Bitmap, floor: &Value) -> Option<Value> {
+        if let Some((values, index)) = self.binned() {
+            let above = |v| matches!(self.int_value(v).try_cmp(floor), Ok(Ordering::Greater));
+            if let Some(next) = index.next_above(values, sel, above) {
+                return next.map(|v| self.int_value(v));
+            }
+        }
         self.extremes(sel, Some(floor)).map(|(least, _)| least)
+    }
+
+    /// An `Int`/`Date` column's values and binned bitmaps — `None` for
+    /// any other column, or one without bins.
+    fn binned(&self) -> Option<(&[i64], &ValueIndex)> {
+        match (&self.data, &self.index) {
+            (ColumnData::Int(v) | ColumnData::Date(v), Some(index)) => Some((v, index)),
+            _ => None,
+        }
+    }
+
+    /// `v` as a value of this `Int`/`Date` column.
+    fn int_value(&self, v: i64) -> Value {
+        match self.data {
+            ColumnData::Date(_) => Value::Date(v),
+            _ => Value::Int(v),
+        }
     }
 
     /// Whether the selected, non-null, non-NaN values hold two that

@@ -33,6 +33,7 @@ use crate::error::{StoreError, StoreResult};
 use crate::index::Verdict;
 use crate::stats::float_key;
 use crate::value::Value;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A range constraint `lo ≤ x ≤ hi` (or `lo ≤ x < hi` when
@@ -185,14 +186,22 @@ fn ask_rows(_: (i64, i64)) -> Verdict {
     Verdict::Partial
 }
 
+/// The stretch of a bin's run that passes, for a predicate whose passing
+/// values are no interval of the order the run is sorted in: none.
+fn no_run(_: &[u32]) -> Option<Range<usize>> {
+    None
+}
+
 /// The scan kernel, over the whole column or within a selection.
 ///
 /// A column with binned bitmaps asks for a verdict once per bin instead
 /// of once per row ([`crate::index::ValueIndex::select`]): an exact bin
 /// gets `keep`'s verdict on its value, a wider one what `covers` says
-/// of its bounds. The bins that pass whole are ORed, and only the rows
-/// of [`Verdict::Partial`] ones are asked, word by word as below: the
-/// same verdicts, so the same bits. Where that costs more than walking
+/// of its bounds. The bins that pass whole are ORed. Of a
+/// [`Verdict::Partial`] one, the stretch of its value-ordered run that
+/// `cut` finds is scattered in — or, where that costs more or `cut`
+/// finds none, its rows are asked, word by word as below: the same
+/// verdicts, so the same bits. Where the bins cost more than walking
 /// `within` ([`crate::index::ValueIndex::pays`]), the column is walked
 /// as if it had no bins.
 ///
@@ -212,6 +221,7 @@ fn scan<T: Slot>(
     within: Option<Bitmap>,
     keep: impl Fn(T) -> bool,
     covers: impl Fn((i64, i64)) -> Verdict,
+    cut: impl Fn(&[u32]) -> Option<Range<usize>>,
 ) -> Bitmap {
     let validity = col.validity();
     if let Some(index) = col.index() {
@@ -220,9 +230,9 @@ fn scan<T: Slot>(
             _ => covers((lo, hi)),
         };
         let verdicts: Vec<Verdict> = index.bounds().iter().map(verdict).collect();
-        if index.pays(&verdicts, within.as_ref()) {
+        if let Some(rows) = index.pays(&verdicts, within.as_ref()) {
             let walk = |w, rows| keep_word(values, w, rows, &keep);
-            return index.select(validity, within, &verdicts, walk);
+            return index.select(validity, (within, rows), &verdicts, walk, cut);
         }
     }
     let Some(mut sel) = within else {
@@ -265,7 +275,8 @@ fn verdicts<T: Copy>(chunk: &[T], keep: &impl Fn(T) -> bool) -> u64 {
 /// monotone on an `Int`/`Date` column's values (the identity, `as f64`,
 /// or an order key of that), so a bin passes whole when both its bounds
 /// do, and fails whole when its greatest value lies below `lo` or its
-/// least at or above the upper bound.
+/// least at or above the upper bound; and the rows of a run that pass
+/// are the stretch between two binary searches of it.
 fn scan_range<V: Slot, T: Copy + PartialOrd>(
     col: &Column,
     values: &[V],
@@ -295,10 +306,17 @@ fn scan_range<V: Slot, T: Copy + PartialOrd>(
             Verdict::Partial
         }
     };
+    let cut = |run: &[u32]| {
+        let key_at = |row: &u32| values.get(*row as usize).map(|&v| key(v));
+        let from = run.partition_point(|row| key_at(row).is_some_and(|x| x < lo));
+        let under = |x: T| if hi_inclusive { x <= hi } else { x < hi };
+        let to = run.partition_point(|row| key_at(row).is_some_and(under));
+        Some(from..to.max(from))
+    };
     if hi_inclusive {
-        scan(col, values, within, |v| inside(key(v)), covers)
+        scan(col, values, within, |v| inside(key(v)), covers, cut)
     } else {
-        scan(col, values, within, |v| below(key(v)), covers)
+        scan(col, values, within, |v| below(key(v)), covers, cut)
     }
 }
 
@@ -368,6 +386,7 @@ pub(crate) fn eval_range(
                 within,
                 |code| listed(&verdict, code),
                 ask_rows,
+                no_run,
             ))
         }
         ColumnData::Bool(vals) => {
@@ -376,7 +395,14 @@ pub(crate) fn eval_range(
             // `!v & hi` is `v < hi` on booleans.
             let under = |v: bool| if pred.hi_inclusive { v <= hi } else { !v & hi };
             let verdict = [false, true].map(|v| v >= lo && under(v));
-            Ok(scan(col, vals, within, |v| verdict[v as usize], ask_rows))
+            Ok(scan(
+                col,
+                vals,
+                within,
+                |v| verdict[v as usize],
+                ask_rows,
+                no_run,
+            ))
         }
     }
 }
@@ -399,7 +425,14 @@ pub(crate) fn eval_set(
                     wanted[code as usize] = true;
                 }
             }
-            scan(col, codes, within, |code| listed(&wanted, code), ask_rows)
+            scan(
+                col,
+                codes,
+                within,
+                |code| listed(&wanted, code),
+                ask_rows,
+                no_run,
+            )
         }
         ColumnData::Int(vals) | ColumnData::Date(vals) => {
             let (ints, floats) = int_set(col, &pred.values)?;
@@ -409,7 +442,7 @@ pub(crate) fn eval_set(
                         .binary_search_by(|w| w.total_cmp(&(v as f64)))
                         .is_ok()
             };
-            scan(col, vals, within, member, ask_rows)
+            scan(col, vals, within, member, ask_rows, no_run)
         }
         ColumnData::Float(vals) => {
             let mut wanted: Vec<f64> = Vec::with_capacity(pred.values.len());
@@ -418,14 +451,14 @@ pub(crate) fn eval_set(
             }
             wanted.sort_by(f64::total_cmp);
             let member = |v: f64| wanted.binary_search_by(|w| w.total_cmp(&v)).is_ok();
-            scan(col, vals, within, member, ask_rows)
+            scan(col, vals, within, member, ask_rows, no_run)
         }
         ColumnData::Bool(vals) => {
             let mut wanted = [false; 2];
             for v in &pred.values {
                 wanted[bool_of(col, v)? as usize] = true;
             }
-            scan(col, vals, within, |v| wanted[v as usize], ask_rows)
+            scan(col, vals, within, |v| wanted[v as usize], ask_rows, no_run)
         }
     })
 }

@@ -443,6 +443,39 @@ mod tests {
     }
 
     #[test]
+    fn a_one_row_sample_of_a_half_null_column_draws_a_valid_row() {
+        // Every other row null: a sample drawn from every selected row
+        // would miss the values half the time.
+        let schema = Schema::from_pairs(&[("x", DataType::Int)]).unwrap();
+        let cells: Vec<Row> = (0..200)
+            .map(|i| vec![(i % 2 == 0).then_some(Value::Int(i * 7 % 61))])
+            .collect();
+        let mut b = TableBuilder::new("t");
+        b.add_column("x", DataType::Int);
+        for row in &cells {
+            b.push_row_opt(row.clone()).unwrap();
+        }
+        let table = b.finish();
+        let rows = RowTable::new("t", schema, cells).unwrap();
+        for (picked, valued) in [
+            (Bitmap::ones(200), true),
+            (
+                Bitmap::from_indices(200, (0..200).filter(|i| i % 3 == 0)),
+                true,
+            ),
+            (Bitmap::from_indices(200, [7, 9, 10, 11]), true),
+            (Bitmap::from_indices(200, [1, 3, 5]), false),
+        ] {
+            for seed in 0..16 {
+                let t = table.sampled_median("x", &picked, 1, seed).unwrap();
+                let r = rows.sampled_median("x", &picked, 1, seed).unwrap();
+                assert_eq!(t, r, "seed {seed}");
+                assert_eq!(t.is_some(), valued, "seed {seed}: {picked:?}");
+            }
+        }
+    }
+
+    #[test]
     fn min_max_and_distinct() {
         let col = sample_table();
         let row = RowTable::from_table(&col).unwrap();

@@ -262,12 +262,7 @@ impl OrderKeys {
 ///   of the first and the least of the second, one more pass;
 /// * otherwise the one bucket holding both is compacted to the front and
 ///   selected in.
-pub(crate) fn select_ranks(
-    keys: &mut [i64],
-    (min, max): (i64, i64),
-    lo: usize,
-    hi: usize,
-) -> (i64, i64) {
+fn select_ranks(keys: &mut [i64], (min, max): (i64, i64), lo: usize, hi: usize) -> (i64, i64) {
     let n = keys.len();
     if n < SMALL_N || u32::try_from(n).is_err() {
         return select_in(keys, lo, hi);

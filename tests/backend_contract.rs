@@ -1203,6 +1203,152 @@ mod contract_harness {
         }
     }
 
+    /// Rows of [`runs_fixture`]: past the 1 024 valid rows from which a
+    /// table bins a wide `Int`/`Date` column, and not a multiple of 64.
+    const RUN_ROWS: usize = 4_099;
+
+    /// Four wide columns a table bins and orders by value, each bin's
+    /// rows a run (ADR 0027), and the row store walks: `t` over 3 000
+    /// integers (counted edges) with every ninth row null, `d` over
+    /// 70 000 days (sampled edges), `w` clustered at both ends of `i64`
+    /// (bins wider than 2³² values), and `h` a third of whose rows hold
+    /// one value (collapsed edges, an exact bin among wide ones).
+    fn runs_fixture() -> Backends {
+        let scatter = |i: usize, m: u64| (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 20 & m;
+        let mut cells: Vec<Row> = Vec::new();
+        for i in 0..RUN_ROWS {
+            let w = match scatter(i, 1) {
+                0 => i64::MIN + scatter(i, 0x3ff) as i64,
+                _ => i64::MAX - scatter(i, 0x3ff) as i64,
+            };
+            let h = if i % 3 == 0 {
+                500
+            } else {
+                scatter(i, 1023) as i64
+            };
+            cells.push(vec![
+                (i % 9 != 4).then_some(Value::Int(scatter(i, 4095) as i64 % 3_000 - 1_500)),
+                Some(Value::Date(scatter(i, 0x1_ffff) as i64 % 70_000)),
+                Some(Value::Int(w)),
+                Some(Value::Int(h)),
+            ]);
+        }
+        let mut b = TableBuilder::new("t");
+        b.add_column("t", DataType::Int)
+            .add_column("d", DataType::Date)
+            .add_column("w", DataType::Int)
+            .add_column("h", DataType::Int);
+        for row in &cells {
+            b.push_row_opt(row.clone()).unwrap();
+        }
+        let table = b.finish();
+        let disk = disk_fixture(&table);
+        let rows = RowTable::new("t", Backend::schema(&table).clone(), cells).unwrap();
+        vec![
+            ("rowstore".into(), Box::new(rows)),
+            ("table".into(), Box::new(table)),
+            ("disk".into(), Box::new(disk)),
+        ]
+    }
+
+    #[test]
+    fn obligation_value_ordered_runs_answer_what_the_walks_answer() {
+        // The row store's projections have no bins: every answer there
+        // is a walk. The binned engines read ranks, extremes, the next
+        // value up and a range's boundary bins off their runs at these
+        // densities, and walk below each cut-over — so the selections
+        // run from every row to one in 512, then one row and none, and
+        // two confined to a range of values.
+        let backends = runs_fixture();
+        let n = RUN_ROWS;
+        let every = |k: usize| {
+            Bitmap::from_indices(
+                n,
+                (0..n).filter(|&i| (i * 2_654_435_761) % 4_096 < 4_096 / k),
+            )
+        };
+        let reference = &backends[0].1;
+        for col in ["t", "d", "w", "h"] {
+            let all = Bitmap::ones(n);
+            let (lo, hi) = reference.min_max(col, &all).unwrap().unwrap();
+            let quarter = reference.quantile(col, &all, 0.25).unwrap().unwrap();
+            let low = reference.eval(&StorePredicate::range(col, lo, quarter, true));
+            let mut sels: Vec<(String, Bitmap)> = [1, 2, 4, 8, 16, 32, 64, 128, 512]
+                .map(|k| (format!("1/{k}"), every(k)))
+                .to_vec();
+            sels.push(("one row".into(), Bitmap::from_indices(n, [n / 3])));
+            sels.push(("none".into(), Bitmap::new(n)));
+            sels.push(("lowest quarter".into(), low.unwrap()));
+            let confined = sels[11].1.and(&every(2));
+            sels.push(("its even rows".into(), confined));
+            for (label, sel) in &sels {
+                let what = |name: &str, op: &str| format!("{name}: {col} {op} over {label}");
+                let stats = reference.cut_stats(col, sel).unwrap();
+                let mut floors = vec![Value::Float(f64::NEG_INFINITY), hi.clone()];
+                let mut ranges = Vec::new();
+                if let Some(s) = &stats {
+                    // A cut's pieces, with the bounds of one type: the
+                    // integers, or all as `Float`s (a median between two
+                    // integers is one) and a bound between values.
+                    let med = s.median.clone().unwrap_or(s.max.clone());
+                    let float = |v: &Value| Value::Float(v.as_f64().unwrap());
+                    let half = Value::Float(med.as_f64().unwrap() + 0.5);
+                    floors.extend([s.min.clone(), med.clone(), half.clone()]);
+                    let mut bounds = vec![
+                        (float(&s.min), float(&med)),
+                        (float(&med), float(&s.max)),
+                        (float(&s.min), half),
+                    ];
+                    if !matches!(med, Value::Float(_)) {
+                        bounds.extend([(s.min.clone(), med.clone()), (med, s.max.clone())]);
+                    }
+                    for (lo, hi) in bounds {
+                        for closed in [false, true] {
+                            ranges.push(StorePredicate::range(col, lo.clone(), hi.clone(), closed));
+                        }
+                    }
+                }
+                let rows = StorePredicate::Rows(Arc::new(sel.clone()));
+                for (name, b) in &backends[1..] {
+                    let got = b.cut_stats(col, sel).unwrap();
+                    assert_eq!(got, stats, "{}", what(name, "cut_stats"));
+                    for q in [0.0, 0.1, 0.25, 0.5, 0.9, 1.0] {
+                        let op = format!("quantile {q}");
+                        let want = reference.quantile(col, sel, q).unwrap();
+                        assert_eq!(
+                            b.quantile(col, sel, q).unwrap(),
+                            want,
+                            "{}",
+                            what(name, &op)
+                        );
+                    }
+                    let want = reference.min_max(col, sel).unwrap();
+                    assert_eq!(
+                        b.min_max(col, sel).unwrap(),
+                        want,
+                        "{}",
+                        what(name, "min_max")
+                    );
+                    for floor in &floors {
+                        let op = format!("next_above {floor:?}");
+                        let want = reference.next_above(col, sel, floor).unwrap();
+                        let got = b.next_above(col, sel, floor).unwrap();
+                        assert_eq!(got, want, "{}", what(name, &op));
+                    }
+                    for range in &ranges {
+                        let within = StorePredicate::and(vec![rows.clone(), range.clone()]);
+                        let op = format!("{range:?}");
+                        let want = reference.eval(&within).unwrap();
+                        assert_eq!(b.eval(&within).unwrap(), want, "{}", what(name, &op));
+                        let op = format!("{range:?} alone");
+                        let want = reference.eval(range).unwrap();
+                        assert_eq!(b.eval(range).unwrap(), want, "{}", what(name, &op));
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn obligation_an_unknown_column_errs_only_where_it_is_reached() {
         // A conjunction stops at its first empty prefix on every backend:
