@@ -354,7 +354,7 @@ impl Column {
     /// instead of gathering it.
     pub(crate) fn order_keys(&self, sel: &Bitmap, wanted: Wanted) -> StoreResult<OrderKeys> {
         let n = sel.and_count(&self.validity);
-        if let (ColumnData::Int(v) | ColumnData::Date(v), Some(index)) = (&self.data, &self.index) {
+        if let Some((v, index)) = self.binned() {
             let binned = wanted
                 .ranks(n)
                 .and_then(|ranks| index.ranks(v, sel, n, ranks));

@@ -517,21 +517,19 @@ impl ValueIndex {
             return None;
         }
         let (first, last) = self.ends(sel)?;
-        let (mut at, mut below) = (first, 0);
-        let count = loop {
+        let mut below = 0;
+        let (at, count) = (first..=last).find_map(|at| {
             let count = if at == last {
                 live.checked_sub(below)?
             } else {
                 sel.and_count(self.bins.get(at)?)
             };
             if below + count > lo {
-                break count;
+                return Some((at, count));
             }
-            (below, at) = (below + count, at + 1);
-            if at > last {
-                return None;
-            }
-        };
+            below += count;
+            None
+        })?;
         let (least, greatest) = *self.bounds.get(at)?;
         let exact = least == greatest;
         let (key_lo, rest) = if exact {
