@@ -387,13 +387,16 @@ impl ValueIndex {
         }
     }
 
-    /// Whether walking the `live` rows a selection holds (selected and
-    /// valid) costs less than a kernel that makes `passes` passes over
-    /// the bins' words for every `per_row` rows' worth of walk: the
+    /// Whether walking `live` rows at `per_row` units a row costs less
+    /// than `passes` passes over the bins' words at a unit a word: the
     /// cut-overs below, each measured (ADRs 0021, 0024 and 0027).
     fn walks(&self, live: usize, per_row: usize, passes: usize) -> bool {
-        let words = self.bins.first().map_or(0, |bin| bin.words().len());
-        per_row * live < passes * words
+        self.words() * passes > per_row * live
+    }
+
+    /// Words per bitmap.
+    fn words(&self) -> usize {
+        self.bins.first().map_or(0, |bin| bin.words().len())
     }
 
     /// How many of the `live` rows a selection holds (selected and valid)
@@ -589,9 +592,8 @@ impl ValueIndex {
     /// each row of the bin that `within`'s `rows` hold, estimated at
     /// their share of the valid rows. Measured (ADR 0027).
     fn scatters(&self, hits: usize, run: usize, rows: Option<usize>) -> bool {
-        let words = self.bins.first().map_or(0, |bin| bin.words().len());
         let walked = rows.map_or(run, |rows| rows.saturating_mul(run) / self.valid.max(1));
-        hits <= words + 2 * walked
+        hits <= self.words() + 2 * walked
     }
 
     /// The rows whose bin `verdict` passes — all of a bin's rows when it
