@@ -190,7 +190,7 @@ mod tests {
             assert_eq!(r.segmentation.depth(), 6);
             assert!(r
                 .segmentation
-                .check_partition(ex.backend(), ex.context_selection())
+                .check_partition(&t, ex.context_selection())
                 .unwrap()
                 .is_partition());
         }

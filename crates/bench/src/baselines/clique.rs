@@ -64,12 +64,12 @@ pub fn clique_clusters(ex: &Explorer<'_>, opts: CliqueOptions) -> CoreResult<Vec
     let mut frontier: Vec<(Query, Bitmap)> = Vec::new();
     let mut all: Vec<DenseCell> = Vec::new();
     for attr in ex.attributes() {
-        let ty = ex.backend().schema().type_of(attr)?;
+        let ty = ex.type_of(attr)?;
         if !ty.is_numeric() {
             continue; // original CLIQUE is numeric-only
         }
         let sel = ex.selection(&ctx)?;
-        let Some((min, max)) = ex.backend().min_max(attr, &sel)? else {
+        let Some((min, max)) = ex.min_max(attr, &sel)? else {
             continue;
         };
         let (lo, hi) = (min.as_f64().expect("num"), max.as_f64().expect("num"));

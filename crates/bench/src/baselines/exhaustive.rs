@@ -116,7 +116,7 @@ mod tests {
         for r in &ranked {
             assert!(r
                 .segmentation
-                .check_partition(ex.backend(), ex.context_selection())
+                .check_partition(&t, ex.context_selection())
                 .unwrap()
                 .is_partition());
         }

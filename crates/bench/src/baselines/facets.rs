@@ -33,11 +33,11 @@ pub fn facet_segmentations(ex: &Explorer<'_>, bins: usize) -> CoreResult<Vec<Ran
 }
 
 fn facet_for(ex: &Explorer<'_>, attr: &str, bins: usize) -> CoreResult<Option<Segmentation>> {
-    let ty = ex.backend().schema().type_of(attr)?;
+    let ty = ex.type_of(attr)?;
     let ctx = ex.context().clone();
     let sel = ex.selection(&ctx)?;
     if ty.is_numeric() {
-        let Some((min, max)) = ex.backend().min_max(attr, &sel)? else {
+        let Some((min, max)) = ex.min_max(attr, &sel)? else {
             return Ok(None);
         };
         let (lo, hi) = (
@@ -71,7 +71,7 @@ fn facet_for(ex: &Explorer<'_>, attr: &str, bins: usize) -> CoreResult<Option<Se
         }
         Ok(Some(Segmentation::new(pieces)))
     } else {
-        let (ft, dict) = ex.backend().frequencies(attr, &sel)?;
+        let (ft, dict) = ex.frequencies(attr, &sel)?;
         if ft.cardinality() < 2 {
             return Ok(None);
         }
@@ -140,7 +140,7 @@ mod tests {
             assert_eq!(breadth(&f.segmentation), 1, "facets are single-attribute");
             assert!(f
                 .segmentation
-                .check_partition(ex.backend(), ex.context_selection())
+                .check_partition(&t, ex.context_selection())
                 .unwrap()
                 .is_partition());
         }
@@ -171,7 +171,7 @@ mod tests {
         assert_eq!(facets[0].segmentation.depth(), 6);
         assert!(facets[0]
             .segmentation
-            .check_partition(ex.backend(), ex.context_selection())
+            .check_partition(&t, ex.context_selection())
             .unwrap()
             .is_partition());
     }

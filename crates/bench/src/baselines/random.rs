@@ -82,9 +82,9 @@ fn random_split(
     if sel.none() {
         return Ok(None);
     }
-    let ty = ex.backend().schema().type_of(attr)?;
+    let ty = ex.type_of(attr)?;
     if ty.is_numeric() {
-        let Some((min, max)) = ex.backend().min_max(attr, &sel)? else {
+        let Some((min, max)) = ex.min_max(attr, &sel)? else {
             return Ok(None);
         };
         let (lo, hi) = (min.as_f64().expect("num"), max.as_f64().expect("num"));
@@ -131,7 +131,7 @@ fn random_split(
             _ => Ok(None),
         }
     } else {
-        let (ft, dict) = ex.backend().frequencies(attr, &sel)?;
+        let (ft, dict) = ex.frequencies(attr, &sel)?;
         if ft.cardinality() < 2 {
             return Ok(None);
         }
@@ -188,7 +188,7 @@ mod tests {
         for r in &ranked {
             assert!(r
                 .segmentation
-                .check_partition(ex.backend(), ex.context_selection())
+                .check_partition(&t, ex.context_selection())
                 .unwrap()
                 .is_partition());
         }

@@ -20,12 +20,12 @@ use charles_bench::baselines::{
     CliqueOptions, ExhaustiveOptions, RandomOptions,
 };
 use charles_bench::{
-    adaptive_segmentations, explorer_over, fmt_duration, header, homogeneity, quantile_cut_query,
-    rank_by_surprise, row, surprise, time_once, AdaptiveOptions,
+    adaptive_segmentations, homogeneity, quantile_cut_query, rank_by_surprise, surprise,
+    AdaptiveOptions,
 };
 use charles_core::{
     compose, cut_segmentation, hb_cuts, indep, product, Advisor, Config, Explorer, LazyGenerator,
-    MedianStrategy,
+    MedianStrategy, Ranked,
 };
 use charles_datagen::{
     astro_table, correlated_pair_table, sweep_table, voc_table, weblog_table, DependencyKind,
@@ -36,6 +36,7 @@ use charles_viz::render_panel;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -88,6 +89,57 @@ fn main() {
     }
 }
 
+/// A wildcard context over the first `k` columns of a backend.
+fn context_over(backend: &dyn Backend, k: usize) -> Query {
+    let names = backend.schema().names();
+    Query::wildcard(&names[..k.min(names.len())])
+}
+
+/// An explorer over the first `k` columns.
+fn explorer_over(backend: &dyn Backend, config: Config, k: usize) -> Explorer<'_> {
+    Explorer::new(backend, config, context_over(backend, k)).expect("non-empty context")
+}
+
+/// Time a closure once, returning (elapsed, result).
+fn time_once<T>(f: impl FnOnce() -> T) -> (Duration, T) {
+    let start = Instant::now();
+    let out = f();
+    (start.elapsed(), out)
+}
+
+/// Time a closure over `reps` repetitions and report the mean duration.
+fn time_mean<T>(reps: u32, mut f: impl FnMut() -> T) -> Duration {
+    let start = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(f());
+    }
+    start.elapsed() / reps
+}
+
+/// Format a duration in adaptive units for table rows.
+fn fmt_duration(d: Duration) -> String {
+    let us = d.as_micros();
+    if us < 1_000 {
+        format!("{us}µs")
+    } else if us < 1_000_000 {
+        format!("{:.2}ms", us as f64 / 1e3)
+    } else {
+        format!("{:.2}s", us as f64 / 1e6)
+    }
+}
+
+/// Print a fixed-width table row.
+fn row(cells: &[String]) {
+    let line: Vec<String> = cells.iter().map(|c| format!("{c:>14}")).collect();
+    println!("{}", line.join("  "));
+}
+
+/// Print a header row followed by a separator.
+fn header(cells: &[&str]) {
+    row(&cells.iter().map(|c| c.to_string()).collect::<Vec<_>>());
+    println!("{}", "-".repeat(16 * cells.len()));
+}
+
 fn banner(id: &str, title: &str) {
     println!("\n==================================================================");
     println!("{id} — {title}");
@@ -136,7 +188,7 @@ fn e1_figure2() {
         println!(
             "  E = {:.3}, partition = {}",
             charles_core::entropy(&ex, s).unwrap(),
-            s.check_partition(ex.backend(), ex.context_selection())
+            s.check_partition(&t, ex.context_selection())
                 .unwrap()
                 .is_partition()
         );
@@ -273,7 +325,7 @@ fn e4_figure1(dataset: Option<&Path>) {
             ships.schema(),
         )
         .unwrap(),
-        Some(_) => charles_bench::context_over(ships, 5.min(ships.schema().arity())),
+        Some(_) => context_over(ships, 5.min(ships.schema().arity())),
     };
     let advisor = Advisor::new(ships);
     let advice = match advisor.advise(context) {
@@ -394,6 +446,10 @@ fn e6_vertical() {
 
 /// E7 — §5.1 "column stores suit Charles' workload": column vs row engine
 /// (plus, under `--dataset`, the lazily loaded `.charles` file itself).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "its microbenchmark times the engines' own count and median, outside any explorer"
+)]
 fn e7_backend(dataset: Option<&Path>) {
     banner("E7", "backend ablation: columnar vs row-store engine");
     let (col, disk): (Table, Option<Table>) = match dataset {
@@ -411,7 +467,7 @@ fn e7_backend(dataset: Option<&Path>) {
     let rowstore = RowTable::from_table(&col).expect("load the dataset into the row store");
     let context = match dataset {
         None => "(type_of_boat: , tonnage: , departure_harbour: , built: )".to_string(),
-        Some(_) => charles_bench::context_over(&col, 4.min(col.schema().arity())).to_string(),
+        Some(_) => context_over(&col, 4.min(col.schema().arity())).to_string(),
     };
     let mut engines: Vec<(&str, &dyn Backend)> = vec![("columnar", &col), ("row-store", &rowstore)];
     if let Some(d) = &disk {
@@ -464,9 +520,9 @@ fn e7_backend(dataset: Option<&Path>) {
         let q = charles_sdl::parse_query(&pred_text, col.schema()).unwrap();
         let pred = eval::lower(&q);
         for (name, backend) in &engines {
-            let d_count = charles_bench::time_mean(20, || backend.count(&pred).unwrap());
+            let d_count = time_mean(20, || backend.count(&pred).unwrap());
             let sel = backend.eval(&pred).unwrap();
-            let d_median = charles_bench::time_mean(20, || backend.median(&attr, &sel).unwrap());
+            let d_median = time_mean(20, || backend.median(&attr, &sel).unwrap());
             row(&[
                 name.to_string(),
                 fmt_duration(d_count),
@@ -506,7 +562,9 @@ fn e8_indep() {
     }
 }
 
-/// E9 — quality comparison across methods and datasets.
+/// E9 — quality comparison across methods and datasets. Each method
+/// runs on an explorer of its own, so `ops` (scans + medians, ADR 0023's
+/// rule) is that method's store work alone.
 fn e9_quality() {
     banner("E9", "quality: HB-cuts vs baselines (20k rows per dataset)");
     let datasets: Vec<(&str, Table, usize)> = vec![
@@ -519,17 +577,26 @@ fn e9_quality() {
         header(&[
             "method",
             "time",
+            "ops",
             "best E",
             "balance",
             "breadth",
             "simplicity",
             "answers",
         ]);
-        let describe = |label: &str, d: std::time::Duration, ranked: &[charles_core::Ranked]| {
+        // Run one method on a fresh explorer: its time, its ops, its output.
+        let run = |method: &dyn Fn(&Explorer<'_>) -> Vec<Ranked>| {
+            let ex = explorer_over(t, Config::default(), *k);
+            let (d, out) = time_once(|| method(&ex));
+            let ops = ex.backend_ops();
+            (fmt_duration(d), format!("{}", ops.scans + ops.medians), out)
+        };
+        let describe = |label: &str, (time, ops, ranked): (String, String, Vec<Ranked>)| {
             if let Some(best) = ranked.first() {
                 row(&[
                     label.to_string(),
-                    fmt_duration(d),
+                    time,
+                    ops,
                     format!("{:.3}", best.score.entropy),
                     format!("{:.3}", best.score.balance()),
                     format!("{}", best.score.breadth),
@@ -538,74 +605,48 @@ fn e9_quality() {
                 ]);
             }
         };
-        {
-            let ex = explorer_over(t, Config::default(), *k);
-            let (d, out) = time_once(|| hb_cuts(&ex).unwrap());
-            describe("hb-cuts", d, &out.ranked);
-        }
-        {
-            let ex = explorer_over(t, Config::default(), *k);
-            let (d, out) = time_once(|| facet_segmentations(&ex, 8).unwrap());
-            describe("facets", d, &out);
-        }
-        {
-            let ex = explorer_over(t, Config::default(), *k);
-            let (d, out) = time_once(|| {
-                random_segmentations(
-                    &ex,
-                    RandomOptions {
-                        count: 8,
-                        target_depth: 8,
-                        seed: 3,
-                    },
-                )
-                .unwrap()
-            });
-            describe("random", d, &out);
-        }
-        {
-            let ex = explorer_over(t, Config::default(), *k);
-            let (d, out) = time_once(|| {
-                adaptive_segmentations(
-                    &ex,
-                    AdaptiveOptions {
-                        restarts: 8,
-                        target_depth: 8,
-                        exploration: 0.9,
-                        seed: 4,
-                    },
-                )
-                .unwrap()
-            });
-            describe("adaptive", d, &out);
-        }
-        {
-            let ex = explorer_over(t, Config::default(), *k);
-            let (d, out) = time_once(|| {
-                exhaustive_segmentations(
-                    &ex,
-                    ExhaustiveOptions {
-                        max_subset: 3,
-                        max_depth: 16,
-                    },
-                )
-                .unwrap()
-            });
-            describe("exhaustive≤3", d, &out);
-        }
-        {
-            let ex = explorer_over(t, Config::default(), *k);
-            let (d, cells) = time_once(|| clique_clusters(&ex, CliqueOptions::default()).unwrap());
-            row(&[
-                "clique".to_string(),
-                fmt_duration(d),
-                "—".into(),
-                "—".into(),
-                format!("{}", cells.iter().map(|c| c.dims).max().unwrap_or(0)),
-                "—".into(),
-                format!("{} cells", cells.len()),
-            ]);
-        }
+        describe("hb-cuts", run(&|ex| hb_cuts(ex).unwrap().ranked));
+        describe("facets", run(&|ex| facet_segmentations(ex, 8).unwrap()));
+        let random = RandomOptions {
+            count: 8,
+            target_depth: 8,
+            seed: 3,
+        };
+        describe(
+            "random",
+            run(&|ex| random_segmentations(ex, random).unwrap()),
+        );
+        let adaptive = AdaptiveOptions {
+            restarts: 8,
+            target_depth: 8,
+            exploration: 0.9,
+            seed: 4,
+        };
+        describe(
+            "adaptive",
+            run(&|ex| adaptive_segmentations(ex, adaptive).unwrap()),
+        );
+        let exhaustive = ExhaustiveOptions {
+            max_subset: 3,
+            max_depth: 16,
+        };
+        describe(
+            "exhaustive≤3",
+            run(&|ex| exhaustive_segmentations(ex, exhaustive).unwrap()),
+        );
+        let ex = explorer_over(t, Config::default(), *k);
+        let (d, cells) = time_once(|| clique_clusters(&ex, CliqueOptions::default()).unwrap());
+        let ops = ex.backend_ops();
+        row(&[
+            "clique".to_string(),
+            fmt_duration(d),
+            format!("{}", ops.scans + ops.medians),
+            "—".into(),
+            "—".into(),
+            format!("{}", cells.iter().map(|c| c.dims).max().unwrap_or(0)),
+            "—".into(),
+            format!("{} cells", cells.len()),
+        ]);
     }
 }
 
@@ -638,7 +679,7 @@ fn e10_quantile() {
     // bounds. Jaccard overlap with the middle third [1/3, 2/3].
     let rank_band = |q: &Query| -> (f64, f64) {
         let sel = ex.selection(q).unwrap();
-        let (lo, hi) = ex.backend().min_max("size", &sel).unwrap().unwrap();
+        let (lo, hi) = ex.min_max("size", &sel).unwrap().unwrap();
         let below = |v: &Value| {
             let p = charles_sdl::Constraint::range_with(
                 Value::Float(f64::NEG_INFINITY),
@@ -660,7 +701,7 @@ fn e10_quantile() {
     };
     let piece_width = |q: &Query| -> f64 {
         let sel = ex.selection(q).unwrap();
-        let (lo, hi) = ex.backend().min_max("size", &sel).unwrap().unwrap();
+        let (lo, hi) = ex.min_max("size", &sel).unwrap().unwrap();
         hi.as_f64().unwrap() - lo.as_f64().unwrap()
     };
 
@@ -809,12 +850,12 @@ fn e11_lazy() {
     header(&["attrs", "first answer", "full run", "answers", "speedup"]);
     for k in [4usize, 6, 8, 10] {
         let t = sweep_table(50_000, k, 8);
-        let ex = Explorer::new(&t, Config::default(), charles_bench::context_over(&t, k)).unwrap();
+        let ex = Explorer::new(&t, Config::default(), context_over(&t, k)).unwrap();
         let (d_first, _) = time_once(|| {
             let mut gen = LazyGenerator::new(&ex);
             gen.next_segmentation().unwrap()
         });
-        let ex2 = Explorer::new(&t, Config::default(), charles_bench::context_over(&t, k)).unwrap();
+        let ex2 = Explorer::new(&t, Config::default(), context_over(&t, k)).unwrap();
         let (d_full, out) = time_once(|| hb_cuts(&ex2).unwrap());
         row(&[
             format!("{k}"),

@@ -52,7 +52,7 @@ pub fn homogeneity(ex: &Explorer<'_>, seg: &Segmentation) -> CoreResult<Homogene
 
     let mut per_attribute = Vec::new();
     for attr in ex.attributes() {
-        let ty = ex.backend().schema().type_of(attr)?;
+        let ty = ex.type_of(attr)?;
         let gain = if ty.is_numeric() {
             numeric_gain(ex, attr, &context_sel, &piece_sels, n)?
         } else {
@@ -80,7 +80,7 @@ fn numeric_gain(
     pieces: &[std::sync::Arc<Bitmap>],
     n: f64,
 ) -> CoreResult<Option<f64>> {
-    let Some((_, total_var)) = ex.backend().mean_and_var(attr, context)? else {
+    let Some((_, total_var)) = ex.mean_and_var(attr, context)? else {
         return Ok(None);
     };
     if total_var <= 0.0 {
@@ -92,7 +92,7 @@ fn numeric_gain(
         if nj == 0.0 {
             continue;
         }
-        if let Some((_, var)) = ex.backend().mean_and_var(attr, sel)? {
+        if let Some((_, var)) = ex.mean_and_var(attr, sel)? {
             within += nj / n * var;
         }
     }
@@ -107,7 +107,7 @@ fn nominal_gain(
     n: f64,
 ) -> CoreResult<Option<f64>> {
     let gini = |sel: &Bitmap| -> CoreResult<Option<f64>> {
-        let (ft, _) = ex.backend().frequencies(attr, sel)?;
+        let (ft, _) = ex.frequencies(attr, sel)?;
         let total = ft.total() as f64;
         if total == 0.0 {
             return Ok(None);

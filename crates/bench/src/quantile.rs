@@ -38,7 +38,7 @@ pub fn quantile_cut_query(
     if sel.none() {
         return Ok(None);
     }
-    let ty = ex.backend().schema().type_of(attr)?;
+    let ty = ex.type_of(attr)?;
     let constraints = if ty.is_numeric() {
         numeric_quantile_pieces(ex, attr, k, &sel)?
     } else {
@@ -85,7 +85,7 @@ fn numeric_quantile_pieces(
     k: usize,
     sel: &Bitmap,
 ) -> CoreResult<Option<Vec<Constraint>>> {
-    let Some((min, max)) = ex.backend().min_max(attr, sel)? else {
+    let Some((min, max)) = ex.min_max(attr, sel)? else {
         return Ok(None);
     };
     if matches!(min.try_cmp(&max), Ok(std::cmp::Ordering::Equal)) {
@@ -96,7 +96,6 @@ fn numeric_quantile_pieces(
     let mut splits: Vec<Value> = Vec::with_capacity(k - 1);
     for i in 1..k {
         let qv = ex
-            .backend()
             .quantile(attr, sel, i as f64 / k as f64)?
             .expect("non-empty selection");
         let dominated = splits.iter().any(|s| {
@@ -138,7 +137,7 @@ fn nominal_quantile_pieces(
     k: usize,
     sel: &Bitmap,
 ) -> CoreResult<Option<Vec<Constraint>>> {
-    let (ft, dict) = ex.backend().frequencies(attr, sel)?;
+    let (ft, dict) = ex.frequencies(attr, sel)?;
     if ft.cardinality() < 2 {
         return Ok(None);
     }
@@ -218,7 +217,7 @@ mod tests {
         }
         let seg = Segmentation::new(pieces);
         assert!(seg
-            .check_partition(ex.backend(), ex.context_selection())
+            .check_partition(&t, ex.context_selection())
             .unwrap()
             .is_partition());
     }
@@ -302,7 +301,7 @@ mod tests {
         assert!(pieces.len() >= 2 && pieces.len() <= 3, "{}", pieces.len());
         let seg = Segmentation::new(pieces);
         assert!(seg
-            .check_partition(ex.backend(), ex.context_selection())
+            .check_partition(&t, ex.context_selection())
             .unwrap()
             .is_partition());
     }
@@ -340,12 +339,16 @@ mod tests {
             .unwrap();
         assert_eq!(s.depth(), 5);
         assert!(s
-            .check_partition(ex.backend(), ex.context_selection())
+            .check_partition(&t, ex.context_selection())
             .unwrap()
             .is_partition());
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the oracle scans the narrowing conjunct on the store itself"
+    )]
     fn pieces_select_their_conjunctions_within_the_context_on_every_backend() {
         // A piece is the cut query refined on one attribute and nothing
         // else: looked up, its selection is its whole conjunction inside

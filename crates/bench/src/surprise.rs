@@ -72,20 +72,17 @@ fn segment_surprise(
         if constrained.contains(&attr) {
             continue; // the query already says so — not a surprise
         }
-        let ty = ex.backend().schema().type_of(attr)?;
+        let ty = ex.type_of(attr)?;
         let dev = if ty.is_numeric() {
-            match (
-                ex.backend().mean_and_var(attr, sel)?,
-                ex.backend().mean_and_var(attr, context)?,
-            ) {
+            match (ex.mean_and_var(attr, sel)?, ex.mean_and_var(attr, context)?) {
                 (Some((m_seg, _)), Some((m_ctx, var_ctx))) if var_ctx > 0.0 => {
                     (m_seg - m_ctx).abs() / var_ctx.sqrt()
                 }
                 _ => 0.0,
             }
         } else {
-            let (ft_seg, dict) = ex.backend().frequencies(attr, sel)?;
-            let (ft_ctx, _) = ex.backend().frequencies(attr, context)?;
+            let (ft_seg, dict) = ex.frequencies(attr, sel)?;
+            let (ft_ctx, _) = ex.frequencies(attr, context)?;
             total_variation(&ft_seg, &ft_ctx, dict.len())
         };
         max_dev = max_dev.max(dev);

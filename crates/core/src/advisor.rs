@@ -10,7 +10,7 @@ use crate::engine::{CacheStats, Explorer};
 use crate::error::{CoreError, CoreResult};
 use crate::hbcuts::{hb_cuts, Trace};
 use crate::ranking::Ranked;
-use charles_sdl::{parse_query, Query, QueryReport};
+use charles_sdl::{parse_query, Query};
 use charles_store::{Backend, BackendStats};
 use std::sync::OnceLock;
 
@@ -97,23 +97,6 @@ impl<'a> Advisor<'a> {
     /// Advisor with an explicit configuration.
     pub fn with_config(backend: &'a dyn Backend, config: Config) -> Advisor<'a> {
         Advisor { backend, config }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &Config {
-        &self.config
-    }
-
-    /// The backend this advisor consults.
-    pub fn backend(&self) -> &'a dyn Backend {
-        self.backend
-    }
-
-    /// Statically analyze a context against this advisor's backend
-    /// schema, without advising on it. Pure and row-free; see
-    /// [`charles_sdl::analyze()`] for the report's contents.
-    pub fn analyze(&self, context: &Query) -> QueryReport {
-        charles_sdl::analyze(context, self.backend.schema())
     }
 
     /// Admission gate shared by [`Advisor::advise`] and the advice
@@ -407,7 +390,6 @@ mod tests {
         let advisor = Advisor::with_config(&t, Config::default().with_max_results(1));
         let advice = advisor.advise_str("(type: , tonnage: )").unwrap();
         assert_eq!(advice.ranked.len(), 1);
-        assert_eq!(advisor.config().max_results, 1);
     }
 
     #[test]
@@ -508,14 +490,5 @@ mod tests {
             .advise_str("(tonnage: [0,100], tonnage: [200,300])")
             .unwrap_err();
         assert_eq!(err, CoreError::EmptyContext);
-    }
-
-    #[test]
-    fn analyze_is_pure_reporting() {
-        let t = schema_only();
-        let advisor = Advisor::new(&t);
-        let q = parse_query("(tonnage: [0,100])", t.schema()).unwrap();
-        let report = advisor.analyze(&q);
-        assert!(report.is_valid() && report.is_satisfiable());
     }
 }

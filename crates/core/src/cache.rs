@@ -157,11 +157,6 @@ impl AdviceCache {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Number of settled or in-flight entries.
     pub fn len(&self) -> usize {
         self.shards
@@ -556,7 +551,7 @@ mod tests {
         // entries: the shard count clamps to the capacity.
         let cache = AdviceCache::bounded(16, 4);
         assert_eq!(cache.capacity(), Some(4));
-        assert_eq!(cache.shard_count(), 4);
+        assert_eq!(cache.shards.len(), 4);
         let t = table();
         let advisor = Advisor::new(&t);
         let schema = Backend::schema(&t);

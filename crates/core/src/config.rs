@@ -74,7 +74,7 @@ impl Default for Config {
 
 impl Config {
     /// Validate the configuration before use.
-    pub fn validate(&self) -> CoreResult<()> {
+    pub(crate) fn validate(&self) -> CoreResult<()> {
         if !(0.0..=1.0).contains(&self.max_indep) {
             return Err(CoreError::BadConfig(format!(
                 "max_indep must lie in [0,1], got {}",

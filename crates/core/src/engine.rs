@@ -5,6 +5,12 @@
 //! panel) and its materialised extent. All primitives, metrics and the
 //! HB-cuts algorithm operate through it.
 //!
+//! It is also the one door to the store: it does not hand its backend
+//! out, and every store call made through it — core's own, and those of
+//! callers outside the crate ([`Explorer::min_max`],
+//! [`Explorer::quantile`], …) — is counted in [`Explorer::backend_ops`]
+//! by one rule (`docs/adr/0028-one-door-to-the-store.md`).
+//!
 //! Selections reach their consumers two ways. A query that CUT has just
 //! derived travels as a `Piece`: the query plus its derivation — the
 //! parent's bitmap and the one conjunct that narrows it — so its bitmap
@@ -228,11 +234,6 @@ impl<'a> Explorer<'a> {
         })
     }
 
-    /// The backend under exploration.
-    pub fn backend(&self) -> &dyn Backend {
-        self.backend
-    }
-
     /// The configuration in force.
     pub fn config(&self) -> &Config {
         &self.config
@@ -273,15 +274,19 @@ impl<'a> Explorer<'a> {
     /// * `scans`: one per range or set conjunct of each predicate handed
     ///   to `eval` (the context, a looked-up query's conjunction, a
     ///   piece's narrowing conjunct), however few rows it reads, and one
-    ///   per `frequencies` call. A selection already held — the
+    ///   per [`Explorer::frequencies`], [`Explorer::min_max`] and
+    ///   [`Explorer::mean_and_var`] call. A selection already held — the
     ///   context's own, a memo hit, a cut's right half taken as what the
     ///   left leaves of their parent — costs none;
     /// * `medians`: one per cut statistic that carries a median, exact
-    ///   or sampled.
+    ///   or sampled, and one per [`Explorer::quantile`] call.
     ///
     /// `varies` (a counted cut's question) and `next_above` (a
     /// continuous cut's fallback split point) count as neither: each
-    /// reads a selection only until it has its answer.
+    /// reads a selection only until it has its answer. Nor does
+    /// [`Explorer::type_of`], a schema lookup. The explorer has no other
+    /// door to its backend, so these are all the store calls a caller
+    /// of this crate can make through it.
     pub fn backend_ops(&self) -> BackendStats {
         self.caches().ops
     }
@@ -448,8 +453,8 @@ impl<'a> Explorer<'a> {
         Ok(stats)
     }
 
-    /// The type of the column `attr`.
-    pub(crate) fn type_of(&self, attr: &str) -> CoreResult<DataType> {
+    /// The type of the column `attr`: a schema lookup, no op.
+    pub fn type_of(&self, attr: &str) -> CoreResult<DataType> {
         Ok(self.backend.schema().type_of(attr)?)
     }
 
@@ -475,8 +480,9 @@ impl<'a> Explorer<'a> {
         Ok(self.backend.next_above(attr, sel, v)?)
     }
 
-    /// The frequency table of a nominal `attr` over `sel`: one scan.
-    pub(crate) fn frequencies(
+    /// The frequency table of a nominal `attr` over `sel`
+    /// ([`Backend::frequencies`]): one scan.
+    pub fn frequencies(
         &self,
         attr: &str,
         sel: &Bitmap,
@@ -484,6 +490,34 @@ impl<'a> Explorer<'a> {
         let table = self.backend.frequencies(attr, sel)?;
         self.caches().ops.scans += 1;
         Ok(table)
+    }
+
+    /// The least and greatest value of `attr` over `sel`
+    /// ([`Backend::min_max`]): one scan, a pass over the selected values
+    /// like [`Explorer::frequencies`]. A cut's extremes come with its
+    /// median from [`Backend::cut_stats`] instead, and are not counted
+    /// here.
+    pub fn min_max(&self, attr: &str, sel: &Bitmap) -> CoreResult<Option<(Value, Value)>> {
+        let extremes = self.backend.min_max(attr, sel)?;
+        self.caches().ops.scans += 1;
+        Ok(extremes)
+    }
+
+    /// Mean and population variance of a numeric `attr` over `sel`
+    /// ([`Backend::mean_and_var`]): one scan.
+    pub fn mean_and_var(&self, attr: &str, sel: &Bitmap) -> CoreResult<Option<(f64, f64)>> {
+        let moments = self.backend.mean_and_var(attr, sel)?;
+        self.caches().ops.scans += 1;
+        Ok(moments)
+    }
+
+    /// The value of `attr` at quantile `q` of `sel`
+    /// ([`Backend::quantile`]): one median, an order statistic like a
+    /// cut's.
+    pub fn quantile(&self, attr: &str, sel: &Bitmap, q: f64) -> CoreResult<Option<Value>> {
+        let value = self.backend.quantile(attr, sel, q)?;
+        self.caches().ops.medians += 1;
+        Ok(value)
     }
 
     /// Count `n` INDEP evaluations.

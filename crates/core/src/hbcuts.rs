@@ -160,18 +160,6 @@ pub struct HbCutsOutput {
     pub trace: Trace,
 }
 
-impl HbCutsOutput {
-    /// The segmentations alone, best-first.
-    pub fn segmentations(&self) -> impl Iterator<Item = &Segmentation> {
-        self.ranked.iter().map(|r| &r.segmentation)
-    }
-
-    /// Best segmentation, if any.
-    pub fn best(&self) -> Option<&Ranked> {
-        self.ranked.first()
-    }
-}
-
 /// Per-run incremental pair state over interned candidate ids — the
 /// §5.1 reuse, and the crate's only INDEP memo.
 ///
@@ -633,7 +621,7 @@ pub(crate) mod tests {
         for r in &out.ranked {
             let report = r
                 .segmentation
-                .check_partition(ex.backend(), ex.context_selection())
+                .check_partition(&t, ex.context_selection())
                 .unwrap();
             assert!(report.is_partition(), "{}: {report:?}", r.segmentation);
         }

@@ -70,7 +70,7 @@ pub struct Score {
 
 impl Score {
     /// The theoretical entropy ceiling for this depth (`ln M`).
-    pub fn max_entropy(&self) -> f64 {
+    pub(crate) fn max_entropy(&self) -> f64 {
         if self.depth == 0 {
             0.0
         } else {

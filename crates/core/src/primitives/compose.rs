@@ -146,7 +146,7 @@ mod tests {
             assert_eq!(ex.count(q).unwrap(), 2, "{q}");
         }
         assert!(composed
-            .check_partition(ex.backend(), ex.context_selection())
+            .check_partition(&t, ex.context_selection())
             .unwrap()
             .is_partition());
     }
@@ -176,7 +176,7 @@ mod tests {
         // 2 pieces × cut on b × cut on a = 8.
         assert_eq!(composed.depth(), 8);
         assert!(composed
-            .check_partition(ex.backend(), ex.context_selection())
+            .check_partition(&t, ex.context_selection())
             .unwrap()
             .is_partition());
         // Composed queries carry constraints on all three attributes.

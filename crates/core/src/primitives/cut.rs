@@ -413,9 +413,7 @@ mod tests {
         assert_eq!(ex.count(&r).unwrap(), 4);
         // Pieces partition the context.
         let seg = Segmentation::new(vec![l, r]);
-        let report = seg
-            .check_partition(ex.backend(), ex.context_selection())
-            .unwrap();
+        let report = seg.check_partition(&t, ex.context_selection()).unwrap();
         assert!(report.is_partition(), "{report:?}");
     }
 
@@ -496,8 +494,10 @@ mod tests {
     fn a_float_bound_on_an_integer_attribute_costs_two_scans() {
         // 2⁵³ + 3 and 2⁵³ + 4 are one `f64`. The context's `Float` upper
         // bound ties with the split point 2⁵³ + 3, both refined halves
-        // keep it and compare as `f64`: they overlap, and the right one
-        // is its own conjunction, not what the left one leaves.
+        // keep it and compare it as `f64`: they overlap, and the right
+        // one is its own conjunction, not what the left one leaves. Its
+        // `Int` lower bound compares exactly, so it holds one row, as on
+        // the row store (`Value::try_cmp`).
         let base = 1i64 << 53;
         let mut b = TableBuilder::new("t");
         b.add_column("z", DataType::Int);
@@ -508,7 +508,7 @@ mod tests {
         let float = |i: i64| Value::Float((base + i) as f64);
         let int = |i: i64| Value::Int(base + i);
         for (lo, hi, scans, counts) in
-            [(int(2), int(4), 1, [3, 1]), (float(2), float(4), 2, [4, 3])]
+            [(int(2), int(4), 1, [3, 1]), (float(2), float(4), 2, [4, 1])]
         {
             let ctx = Query::wildcard(&["z"])
                 .refined("z", Constraint::range(lo, hi).unwrap())
@@ -585,7 +585,7 @@ mod tests {
             b.push_row_opt(row.iter().map(not_nan).collect()).unwrap();
         }
         let t = b.finish();
-        let row_store = RowTable::new("t", t.schema().clone(), rows).unwrap();
+        let row_store = RowTable::new(t.schema().clone(), rows).unwrap();
         // `n` and `h` are cut along but stay out of the contexts, whose
         // extents would screen their nulls and NaNs.
         let attrs = ["g", "f", "z", "k", "b"];
@@ -716,9 +716,7 @@ mod tests {
         assert_eq!(s1.depth(), 2);
         let s2 = cut_segmentation(&ex, &s1, "tonnage").unwrap().unwrap();
         assert_eq!(s2.depth(), 4);
-        let report = s2
-            .check_partition(ex.backend(), ex.context_selection())
-            .unwrap();
+        let report = s2.check_partition(&t, ex.context_selection()).unwrap();
         assert!(report.is_partition(), "{report:?}");
         // Each type-half is cut at its own median, so all four pieces hold
         // two boats ("this creates semantically coherent segmentations").
@@ -745,9 +743,7 @@ mod tests {
         let by_kx = cut_segmentation(&ex, &by_k, "x").unwrap().unwrap();
         // "a" piece is constant on x → kept; "b" piece splits → 3 total.
         assert_eq!(by_kx.depth(), 3);
-        let report = by_kx
-            .check_partition(ex.backend(), ex.context_selection())
-            .unwrap();
+        let report = by_kx.check_partition(&t, ex.context_selection()).unwrap();
         assert!(report.is_partition(), "{report:?}");
     }
 
@@ -768,7 +764,7 @@ mod tests {
         let (l, r) = cut_query(&ex, &ex.context().clone(), "x").unwrap().unwrap();
         let seg = Segmentation::new(vec![l.clone(), r]);
         assert!(seg
-            .check_partition(ex.backend(), ex.context_selection())
+            .check_partition(&t, ex.context_selection())
             .unwrap()
             .is_partition());
         // Sampled split should still be roughly balanced.

@@ -89,7 +89,7 @@ mod tests {
             assert_eq!(ex.count(q).unwrap(), 4, "{q}");
         }
         assert!(p
-            .check_partition(ex.backend(), ex.context_selection())
+            .check_partition(&t, ex.context_selection())
             .unwrap()
             .is_partition());
     }

@@ -132,11 +132,6 @@ impl Session {
         self.trail.last()
     }
 
-    /// The current (canonical) context query.
-    pub fn context(&self) -> Option<&Query> {
-        self.current().map(|advice| &advice.context)
-    }
-
     /// Depth of the trail (1 = initial context).
     pub fn depth(&self) -> usize {
         self.trail.len()
@@ -153,6 +148,11 @@ impl Session {
 mod tests {
     use super::*;
     use charles_store::{DataType, TableBuilder, Value};
+
+    /// The session's current (canonical) context query.
+    fn context(s: &Session) -> Option<&Query> {
+        s.current().map(|advice| &advice.context)
+    }
 
     fn table() -> Arc<dyn Backend> {
         let mut b = TableBuilder::new("t");
@@ -172,7 +172,7 @@ mod tests {
         assert_eq!(first.context_size, 64);
         assert_eq!(s.depth(), 1);
         // Contexts are canonicalized: attribute order is sorted.
-        assert_eq!(s.context().unwrap().to_string(), "(kind: , size: )");
+        assert_eq!(context(&s).unwrap().to_string(), "(kind: , size: )");
 
         let drilled = s.drill(0, 0).unwrap();
         assert!(drilled.context_size < 64);
@@ -245,7 +245,7 @@ mod tests {
         let mut s = Session::new(table());
         assert_eq!(s.drill(0, 0).unwrap_err(), CoreError::SessionNotStarted);
         assert!(s.current().is_none());
-        assert!(s.context().is_none());
+        assert!(context(&s).is_none());
     }
 
     #[test]
@@ -290,7 +290,7 @@ mod tests {
         assert_eq!(Some(crumbs[1]), s.trail[0].segment(0, 0));
         assert_eq!(Some(crumbs[2]), s.trail[1].segment(0, 1));
         assert_ne!(*crumbs[2], abandoned);
-        assert_eq!(s.context(), Some(crumbs[2]));
+        assert_eq!(context(&s), Some(crumbs[2]));
     }
 
     #[test]
@@ -335,8 +335,8 @@ mod tests {
         let mut s = Session::new(table());
         s.start("(size: [0,40], size: [10,99], kind: )").unwrap();
         // The breadcrumb is the analyzed context: merged and canonical.
-        assert_eq!(s.context().unwrap().to_string(), "(kind: , size: [10,40])");
-        assert!(!s.context().unwrap().has_repeated_attributes());
+        assert_eq!(context(&s).unwrap().to_string(), "(kind: , size: [10,40])");
+        assert!(!context(&s).unwrap().has_repeated_attributes());
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl DiagnosticCode {
     /// Whether this code is an error (the query is ill-typed for the
     /// schema and must be rejected) rather than a warning (the query is
     /// valid; the code annotates normalization or satisfiability).
-    pub fn is_error(self) -> bool {
+    pub(crate) fn is_error(self) -> bool {
         !matches!(
             self,
             DiagnosticCode::RedundantConjunct | DiagnosticCode::UnsatisfiableConjunction
@@ -174,14 +174,6 @@ impl QueryReport {
         self.satisfiability == Satisfiability::Satisfiable
     }
 
-    /// The error-class diagnostics only.
-    pub fn errors(&self) -> Vec<&Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.code.is_error())
-            .collect()
-    }
-
     /// Consume the report into its error-class diagnostics.
     pub fn into_errors(self) -> Vec<Diagnostic> {
         self.diagnostics
@@ -193,11 +185,6 @@ impl QueryReport {
     /// The normalized query, when the query is valid and satisfiable.
     pub fn normalized(&self) -> Option<&Query> {
         self.normalized.as_ref()
-    }
-
-    /// Consume the report into the normalized query.
-    pub fn into_normalized(self) -> Option<Query> {
-        self.normalized
     }
 }
 
@@ -472,7 +459,8 @@ fn check_constraint(
 /// Schema-free structural well-formedness: no repeated attributes, every
 /// range non-empty with comparable bounds, every set non-empty and
 /// family-uniform. This is the invariant [`analyze`]'s normalized output
-/// guarantees, and the precondition [`crate::sql::where_clause`] debug-asserts
+/// guarantees, and the precondition the SQL renderers
+/// ([`crate::query_to_sql`], [`crate::segmentation_to_sql`]) debug-assert
 /// before rendering SQL for an external engine.
 pub fn well_formed(query: &Query) -> bool {
     if query.has_repeated_attributes() {
@@ -648,8 +636,8 @@ mod tests {
         let s = schema();
         let scoped = crate::parse_query("(kind: , size: [0,10])", &s).unwrap();
         let bare = crate::parse_query("(size: [0,10])", &s).unwrap();
-        let rk = analyze(&scoped, &s).into_normalized().unwrap();
-        let rb = analyze(&bare, &s).into_normalized().unwrap();
+        let rk = analyze(&scoped, &s).normalized.unwrap();
+        let rb = analyze(&bare, &s).normalized.unwrap();
         assert_ne!(rk.cache_key(), rb.cache_key());
         assert!(rk.mentions("kind"));
     }
@@ -675,7 +663,7 @@ mod tests {
         ]);
         let r = analyze(&q, &schema());
         assert!(r.is_valid());
-        let n = r.into_normalized().unwrap();
+        let n = r.normalized.unwrap();
         assert_eq!(
             n.constraint("size"),
             Some(&Constraint::Set(vec![Value::Int(1), Value::Int(2)]))
@@ -699,7 +687,7 @@ mod tests {
         assert_eq!(admit(q.clone(), &s), Ok(q));
         // Repeated: the merged, canonical normal form.
         let r = crate::parse_query("(size: [0,100], kind: , size: [50,200])", &s).unwrap();
-        let merged = analyze(&r, &s).into_normalized().unwrap();
+        let merged = analyze(&r, &s).normalized.unwrap();
         assert_eq!(merged.to_string(), "(kind: , size: [50,100])");
         assert_eq!(admit(r, &s), Ok(merged));
         // Rejected: the report says why.
@@ -772,7 +760,6 @@ mod tests {
                 DiagnosticCode::EmptyRange,
             ]
         );
-        assert_eq!(r.errors().len(), 3);
-        assert_eq!(r.clone().into_errors().len(), 3);
+        assert_eq!(r.into_errors().len(), 3);
     }
 }

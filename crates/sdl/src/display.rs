@@ -15,7 +15,7 @@ use std::fmt;
 
 /// Render a literal, quoting strings that would not survive re-parsing as
 /// bare tokens (spaces, punctuation, or an all-digit spelling).
-pub fn render_literal(v: &Value) -> String {
+pub(crate) fn render_literal(v: &Value) -> String {
     match v {
         Value::Str(s) => {
             let bare_safe = !s.is_empty()

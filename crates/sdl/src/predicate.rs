@@ -90,7 +90,7 @@ impl Constraint {
     }
 
     /// True when this is the unconstrained form.
-    pub fn is_any(&self) -> bool {
+    pub(crate) fn is_any(&self) -> bool {
         matches!(self, Constraint::Any)
     }
 
@@ -185,16 +185,6 @@ impl Constraint {
                     Some(Constraint::Set(kept))
                 }
             }
-        }
-    }
-
-    /// Number of literals this constraint carries (0 for `Any`): a proxy
-    /// for textual complexity used in diagnostics.
-    pub fn literal_count(&self) -> usize {
-        match self {
-            Constraint::Any => 0,
-            Constraint::Range { .. } => 2,
-            Constraint::Set(v) => v.len(),
         }
     }
 }
@@ -297,10 +287,18 @@ mod tests {
         );
     }
 
+    /// The members of a set constraint.
+    fn members(c: &Constraint) -> usize {
+        match c {
+            Constraint::Set(v) => v.len(),
+            _ => 0,
+        }
+    }
+
     #[test]
     fn set_validation_dedups() {
         let c = Constraint::set(vec![Value::Int(1), Value::Int(2), Value::Int(1)]).unwrap();
-        assert_eq!(c.literal_count(), 2);
+        assert_eq!(members(&c), 2);
         assert!(Constraint::set(vec![]).is_err());
         assert!(Constraint::set(vec![Value::Int(1), Value::str("x")]).is_err());
     }
@@ -313,12 +311,12 @@ mod tests {
         let zeros = [Value::Float(0.0), Value::Float(-0.0)];
         for spelling in [zeros.to_vec(), zeros.iter().rev().cloned().collect()] {
             let c = Constraint::set(spelling).unwrap();
-            assert_eq!(c.literal_count(), 2, "{c}");
+            assert_eq!(members(&c), 2, "{c}");
             assert!(c.matches(&Value::Float(-0.0)) && c.matches(&Value::Float(0.0)));
         }
         // Values equal in that order are still one member.
         let c = Constraint::set(vec![Value::Float(-0.0), Value::Float(-0.0)]).unwrap();
-        assert_eq!(c.literal_count(), 1);
+        assert_eq!(members(&c), 1);
         assert!(!c.matches(&Value::Float(0.0)));
     }
 

@@ -156,7 +156,7 @@ impl Query {
     }
 
     /// [`Query::canonicalized`] of an owned query, sorted in place.
-    pub fn into_canonical(mut self) -> Query {
+    pub(crate) fn into_canonical(mut self) -> Query {
         for p in &mut self.predicates {
             if let Constraint::Set(vals) = &mut p.constraint {
                 // Values within one set are comparable by construction;

@@ -42,11 +42,6 @@ impl Segmentation {
         self.queries.len()
     }
 
-    /// True when there are no queries.
-    pub fn is_empty(&self) -> bool {
-        self.queries.is_empty()
-    }
-
     /// Distinct constrained attributes across all queries, in first-
     /// occurrence order — the basis of the breadth metric (§3 BREADTH).
     pub fn attributes(&self) -> Vec<&str> {
@@ -61,13 +56,8 @@ impl Segmentation {
         out
     }
 
-    /// Iterate over the queries.
-    pub fn iter(&self) -> std::slice::Iter<'_, Query> {
-        self.queries.iter()
-    }
-
     /// Materialise the selection bitmap of every segment.
-    pub fn selections(&self, backend: &dyn Backend) -> StoreResult<Vec<Bitmap>> {
+    pub(crate) fn selections(&self, backend: &dyn Backend) -> StoreResult<Vec<Bitmap>> {
         self.queries.iter().map(|q| selection(q, backend)).collect()
     }
 

@@ -13,7 +13,7 @@ use charles_store::Value;
 
 /// Render a value as a SQL literal (strings quoted with `''` escaping,
 /// dates quoted in ISO form).
-pub fn sql_literal(v: &Value) -> String {
+pub(crate) fn sql_literal(v: &Value) -> String {
     match v {
         Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
         Value::Date(_) => format!("DATE '{}'", v.render()),
@@ -23,7 +23,7 @@ pub fn sql_literal(v: &Value) -> String {
 }
 
 /// Quote an identifier defensively (double quotes, doubled to escape).
-pub fn sql_ident(name: &str) -> String {
+pub(crate) fn sql_ident(name: &str) -> String {
     if name
         .chars()
         .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_')
@@ -41,7 +41,7 @@ pub fn sql_ident(name: &str) -> String {
 /// attributes, no empty ranges or mixed-type sets. Rendering a malformed
 /// query would ship the inconsistency into an external SQL engine where
 /// it fails far from its cause, so this is debug-asserted here.
-pub fn where_clause(query: &Query) -> String {
+pub(crate) fn where_clause(query: &Query) -> String {
     debug_assert!(
         crate::analyze::well_formed(query),
         "where_clause expects an analyzed query; run charles_sdl::analyze first: {query}"

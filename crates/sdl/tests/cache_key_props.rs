@@ -98,7 +98,7 @@ fn query() -> impl Strategy<Value = Query> {
     (next(), next(), next(), next(), next()).prop_map(|(b, d, f, i, s)| {
         Query::new([b, d, f, i, s].into_iter().flatten().collect())
             .expect("distinct attributes")
-            .into_canonical()
+            .canonicalized()
     })
 }
 
@@ -274,7 +274,7 @@ fn the_twists_reach_every_outcome() {
         ),
     ])
     .unwrap()
-    .into_canonical();
+    .canonicalized();
     let same = twist(&q, (0, 5, 0));
     assert_eq!(q.cache_key(), same.cache_key());
     let zero = twist(&q, (0, 1, 0));

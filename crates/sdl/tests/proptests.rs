@@ -147,8 +147,8 @@ proptest! {
         let q = Query::wildcard(&["x"])
             .refined("x", Constraint::range(Value::Int(lo), Value::Int(lo + w)).unwrap())
             .unwrap();
-        let clause = charles_sdl::sql::where_clause(&q);
-        prop_assert_eq!(clause, format!("x BETWEEN {} AND {}", lo, lo + w));
+        let sql = charles_sdl::query_to_sql(&q, "t");
+        prop_assert_eq!(sql, format!("SELECT * FROM t WHERE x BETWEEN {} AND {};", lo, lo + w));
     }
 
     #[test]

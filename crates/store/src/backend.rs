@@ -10,7 +10,7 @@
 //! suited for Charles' workloads" claim calls for (experiment E7).
 //!
 //! The two engines differ in layout only. `Backend` is implemented once,
-//! over the crate-private [`Layout`] an engine supplies: its row count,
+//! over the crate-private `Layout` an engine supplies: its row count,
 //! its schema, its own predicate scan and not-null mask, and one column
 //! under a selection. Every statistic is then one [`crate::Column`]
 //! kernel: the columnar engine hands over its stored column and the
@@ -33,17 +33,19 @@ use crate::value::Value;
 /// The store does not count. The one module that calls it during a run,
 /// `charles-core`'s `Explorer`, decides what an operation is and counts
 /// the calls it makes, so two runs sharing a backend never see each
-/// other's work. `scans` are column passes and `medians` median
-/// computations. [`Backend::stats`] returns this type too, for a backend
+/// other's work. It hands no backend out, so the experiments' extensions
+/// and baselines reach the store through it too, counted by the same
+/// rule. `scans` are column passes and `medians` median computations. [`Backend::stats`] returns this type too, for a backend
 /// that keeps counts of its own; the store's two engines keep none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
     /// Column passes: one per range or set leaf a run hands to `eval` —
     /// however few rows the leaves before it left — and one per
-    /// `frequencies` call. A `Rows` leaf, or a selection derived as the
-    /// complement of another, is none.
+    /// `frequencies`, `min_max` and `mean_and_var` call made through the
+    /// explorer. A `Rows` leaf, a selection derived as the complement of
+    /// another, or a cut's extremes (they come with its median) are none.
     pub scans: u64,
-    /// Median computations, exact or sampled.
+    /// Median computations, exact or sampled, and quantiles.
     pub medians: u64,
 }
 

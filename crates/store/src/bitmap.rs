@@ -84,12 +84,6 @@ impl Bitmap {
         self.words[i / WORD_BITS] |= 1u64 << (i % WORD_BITS);
     }
 
-    /// Clear bit `i`.
-    pub fn unset(&mut self, i: usize) {
-        assert!(i < self.len, "bit {i} out of range {}", self.len);
-        self.words[i / WORD_BITS] &= !(1u64 << (i % WORD_BITS));
-    }
-
     /// Read bit `i`.
     pub fn get(&self, i: usize) -> bool {
         assert!(i < self.len, "bit {i} out of range {}", self.len);
@@ -195,15 +189,6 @@ impl Bitmap {
     pub fn is_disjoint(&self, other: &Bitmap) -> bool {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
         self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
-    }
-
-    /// True if every set bit of `self` is set in `other`.
-    pub fn is_subset_of(&self, other: &Bitmap) -> bool {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .all(|(a, b)| a & !b == 0)
     }
 
     /// Append one bit, growing the bitmap by one row (amortized O(1)).
@@ -347,7 +332,7 @@ mod tests {
     }
 
     #[test]
-    fn set_get_unset() {
+    fn set_get() {
         let mut bm = Bitmap::new(100);
         bm.set(0);
         bm.set(63);
@@ -355,9 +340,7 @@ mod tests {
         bm.set(99);
         assert!(bm.get(0) && bm.get(63) && bm.get(64) && bm.get(99));
         assert!(!bm.get(1));
-        bm.unset(64);
-        assert!(!bm.get(64));
-        assert_eq!(bm.count_ones(), 3);
+        assert_eq!(bm.count_ones(), 4);
     }
 
     #[test]
@@ -388,15 +371,6 @@ mod tests {
         assert_eq!(a.count_ones() + c.count_ones(), 77);
         assert!(a.is_disjoint(&c));
         assert_eq!(a.or(&c).count_ones(), 77);
-    }
-
-    #[test]
-    fn subset_checks() {
-        let a = Bitmap::from_indices(20, [1, 2]);
-        let b = Bitmap::from_indices(20, [1, 2, 3]);
-        assert!(a.is_subset_of(&b));
-        assert!(!b.is_subset_of(&a));
-        assert!(Bitmap::new(20).is_subset_of(&a));
     }
 
     #[test]

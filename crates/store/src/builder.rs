@@ -38,16 +38,6 @@ impl TableBuilder {
         self
     }
 
-    /// Number of rows pushed so far.
-    pub fn len(&self) -> usize {
-        self.rows
-    }
-
-    /// True when no rows were pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.rows == 0
-    }
-
     /// Append a fully populated row.
     pub fn push_row(&mut self, values: Vec<Value>) -> StoreResult<()> {
         self.push_row_opt(values.into_iter().map(Some).collect())
@@ -110,9 +100,8 @@ mod tests {
         b.add_column("a", DataType::Int);
         assert!(b.push_row(vec![]).is_err());
         assert!(b.push_row(vec![Value::Int(1), Value::Int(2)]).is_err());
-        assert_eq!(b.len(), 0);
         b.push_row(vec![Value::Int(1)]).unwrap();
-        assert_eq!(b.len(), 1);
+        assert_eq!(b.finish().len(), 1);
     }
 
     #[test]

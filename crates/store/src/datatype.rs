@@ -56,7 +56,7 @@ impl DataType {
     }
 
     /// Parse a type name as produced by [`DataType::name`].
-    pub fn parse(name: &str) -> Option<DataType> {
+    pub(crate) fn parse(name: &str) -> Option<DataType> {
         match name.trim().to_ascii_lowercase().as_str() {
             "int" | "integer" | "i64" => Some(DataType::Int),
             "float" | "real" | "double" | "f64" => Some(DataType::Float),

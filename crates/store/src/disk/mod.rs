@@ -38,17 +38,17 @@ pub use writer::{write_table, StreamWriter};
 use crate::error::{StoreError, StoreResult};
 
 /// Leading magic: identifies a `.charles` file from its first 8 bytes.
-pub const MAGIC: [u8; 8] = *b"CHARLES\0";
+pub(crate) const MAGIC: [u8; 8] = *b"CHARLES\0";
 /// Trailing magic: the last 8 bytes of a complete file. A missing
 /// trailer is the cheapest truncation detector.
-pub const TRAILER_MAGIC: [u8; 8] = *b"CHARLEND";
+pub(crate) const TRAILER_MAGIC: [u8; 8] = *b"CHARLEND";
 /// Format version written by this build and the only one it reads.
-pub const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 1;
 /// Endianness marker: written as a little-endian `u32`. A reader that
 /// decodes it as anything else is byte-swapping and must reject the file.
-pub const ENDIAN_MARKER: u32 = 0x1A2B_3C4D;
+pub(crate) const ENDIAN_MARKER: u32 = 0x1A2B_3C4D;
 /// Size of the fixed header (magic + version + endianness marker).
-pub const HEADER_LEN: u64 = 16;
+pub(crate) const HEADER_LEN: u64 = 16;
 /// Size of the fixed trailer (footer offset + trailing magic).
 pub const TRAILER_LEN: u64 = 16;
 
@@ -104,12 +104,12 @@ pub struct Crc32 {
 
 impl Crc32 {
     /// Start a fresh checksum.
-    pub fn new() -> Crc32 {
+    pub(crate) fn new() -> Crc32 {
         Crc32 { state: 0xFFFF_FFFF }
     }
 
     /// Feed bytes into the checksum.
-    pub fn update(&mut self, bytes: &[u8]) {
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
         let mut s = self.state;
         for &b in bytes {
             s ^= b as u32;
@@ -121,7 +121,7 @@ impl Crc32 {
     }
 
     /// The checksum of everything fed so far.
-    pub fn finish(&self) -> u32 {
+    pub(crate) fn finish(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
     }
 
@@ -159,11 +159,11 @@ pub(crate) struct ByteReader<'a> {
 }
 
 impl<'a> ByteReader<'a> {
-    pub fn new(buf: &'a [u8], what: &'static str) -> ByteReader<'a> {
+    pub(crate) fn new(buf: &'a [u8], what: &'static str) -> ByteReader<'a> {
         ByteReader { buf, pos: 0, what }
     }
 
-    pub fn remaining(&self) -> usize {
+    pub(crate) fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -181,20 +181,20 @@ impl<'a> ByteReader<'a> {
         Ok(out)
     }
 
-    pub fn u8(&mut self) -> StoreResult<u8> {
+    pub(crate) fn u8(&mut self) -> StoreResult<u8> {
         Ok(self.take(1)?[0])
     }
 
-    pub fn u32(&mut self) -> StoreResult<u32> {
+    pub(crate) fn u32(&mut self) -> StoreResult<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    pub fn u64(&mut self) -> StoreResult<u64> {
+    pub(crate) fn u64(&mut self) -> StoreResult<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
     /// A `u32`-length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> StoreResult<String> {
+    pub(crate) fn string(&mut self) -> StoreResult<String> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
         String::from_utf8(bytes.to_vec())
@@ -209,28 +209,28 @@ pub(crate) struct ByteWriter {
 }
 
 impl ByteWriter {
-    pub fn new() -> ByteWriter {
+    pub(crate) fn new() -> ByteWriter {
         ByteWriter::default()
     }
 
-    pub fn u8(&mut self, v: u8) {
+    pub(crate) fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub fn u32(&mut self, v: u32) {
+    pub(crate) fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn u64(&mut self, v: u64) {
+    pub(crate) fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub fn string(&mut self, s: &str) {
+    pub(crate) fn string(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.buf.extend_from_slice(s.as_bytes());
     }
 
-    pub fn into_bytes(self) -> Vec<u8> {
+    pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 }

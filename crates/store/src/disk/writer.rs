@@ -238,7 +238,7 @@ impl ColumnState {
 ///
 /// Every protocol violation is a typed error, not a panic: appending a
 /// value of the wrong type ([`StoreError::TypeMismatch`]), a NaN float
-/// ([`StoreError::Parse`], matching [`Column::push`]), more values than
+/// ([`StoreError::Parse`], matching `Column::push`), more values than
 /// the declared row count ([`StoreError::LengthMismatch`]), ending a
 /// column early ([`StoreError::LengthMismatch`]), appending past the
 /// last column ([`StoreError::ArityMismatch`]), or finishing with

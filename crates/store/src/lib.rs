@@ -10,7 +10,7 @@
 //! 3. **frequency histograms** — the split points for nominal attributes.
 //!
 //! This crate provides those operations over an in-memory **columnar**
-//! engine ([`Table`] + [`ColumnData`] + [`Bitmap`] selection vectors), a
+//! engine ([`Table`] + `ColumnData` + [`Bitmap`] selection vectors), a
 //! **row-oriented** baseline engine ([`rowstore::RowTable`]) behind the same
 //! [`Backend`] trait (so the paper's "column stores are well suited for
 //! Charles' workloads" claim can be measured), a **persistent on-disk
@@ -82,7 +82,7 @@ pub use error::{StoreError, StoreResult};
 pub use predicate::{RangePred, SetPred, StorePredicate};
 pub use rowstore::{Row, RowTable};
 pub use schema::{ColumnMeta, Schema};
-pub use stats::{exact_median, quantile_value, FrequencyTable};
+pub use stats::{quantile_value, FrequencyTable};
 pub use table::Table;
 pub use value::Value;
 

@@ -29,10 +29,12 @@
 
 use crate::bitmap::Bitmap;
 use crate::column::{Column, ColumnData};
+use crate::datatype::DataType;
 use crate::error::{StoreError, StoreResult};
 use crate::index::Verdict;
 use crate::stats::float_key;
 use crate::value::Value;
+use std::cmp::Ordering;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -109,34 +111,6 @@ impl StorePredicate {
             return StorePredicate::And(flat);
         }
         flat.pop().unwrap_or(StorePredicate::True)
-    }
-
-    /// Column names referenced by the predicate, in first-occurrence order.
-    pub fn columns(&self) -> Vec<&str> {
-        let mut out = Vec::new();
-        self.collect_columns(&mut out);
-        out
-    }
-
-    fn collect_columns<'a>(&'a self, out: &mut Vec<&'a str>) {
-        match self {
-            StorePredicate::True | StorePredicate::Rows(_) => {}
-            StorePredicate::Range(r) => {
-                if !out.contains(&r.column.as_str()) {
-                    out.push(&r.column);
-                }
-            }
-            StorePredicate::Set(s) => {
-                if !out.contains(&s.column.as_str()) {
-                    out.push(&s.column);
-                }
-            }
-            StorePredicate::And(ps) => {
-                for p in ps {
-                    p.collect_columns(out);
-                }
-            }
-        }
     }
 }
 
@@ -320,17 +294,15 @@ fn scan_range<V: Slot, T: Copy + PartialOrd>(
     }
 }
 
-/// [`scan_range`] over values compared as `f64` — what lets an `Int`
-/// column take `Float` bounds — in `f64::total_cmp`'s order, the one
-/// every other matcher compares in (`Value::try_cmp`): `-0.0` sorts
+/// [`scan_range`] over a `Float` column in `f64::total_cmp`'s order, the
+/// one every other matcher compares in (`Value::try_cmp`): `-0.0` sorts
 /// below `0.0`. IEEE `>=` / `<=` give the same verdicts unless a bound
 /// is a zero or a NaN, so only such bounds pay for comparing order keys
 /// ([`float_key`]).
-fn scan_float_range<V: Slot>(
+fn scan_float_range(
     col: &Column,
-    values: &[V],
+    values: &[f64],
     within: Option<Bitmap>,
-    as_f64: impl Fn(V) -> f64,
     pred: &RangePred,
 ) -> StoreResult<Bitmap> {
     let lo = pred.lo.as_f64().ok_or_else(|| type_err(col, &pred.lo))?;
@@ -338,11 +310,70 @@ fn scan_float_range<V: Slot>(
     let ieee = |bound: f64| bound != 0.0 && !bound.is_nan();
     let inc = pred.hi_inclusive;
     Ok(if ieee(lo) && ieee(hi) {
-        scan_range(col, values, within, as_f64, (lo, hi), inc)
+        scan_range(col, values, within, |v| v, (lo, hi), inc)
     } else {
-        let (key, keys) = (|v| float_key(as_f64(v)), (float_key(lo), float_key(hi)));
-        scan_range(col, values, within, key, keys, inc)
+        let keys = (float_key(lo), float_key(hi));
+        scan_range(col, values, within, float_key, keys, inc)
     })
+}
+
+/// An `Int`/`Date` range as the least and greatest integer it passes,
+/// each bound compared as `Value::try_cmp` compares it with a cell. A
+/// bound of the column's own type compares exactly; any other numeric
+/// bound `b` compares a value `v` as `(v as f64).total_cmp(&b)` — so past
+/// 2⁵³ an integer bound keeps every row it names, while a `Float` one
+/// (a cut's fractional median) passes the rows `f64` cannot tell from
+/// it. Either way the passing values are those on one side of an
+/// integer, since `v as f64` never decreases with `v`, and bisection
+/// finds it. A range that passes no integer is `(1, 0)`.
+fn int_bounds(col: &Column, pred: &RangePred) -> StoreResult<(i64, i64)> {
+    let exact = |bound: &Value| match (col.data_type(), bound) {
+        (DataType::Int, Value::Int(v)) | (DataType::Date, Value::Date(v)) => Some(*v),
+        _ => None,
+    };
+    let ordered = |bound: &Value| {
+        let b = bound.as_f64().ok_or_else(|| type_err(col, bound))?;
+        Ok(move |v: i64| (v as f64).total_cmp(&b))
+    };
+    let lo = match exact(&pred.lo) {
+        Some(lo) => Some(lo),
+        None => {
+            let cmp = ordered(&pred.lo)?;
+            least_int(|v| cmp(v).is_ge())
+        }
+    };
+    let hi = match exact(&pred.hi) {
+        Some(hi) if pred.hi_inclusive => Some(hi),
+        Some(hi) => hi.checked_sub(1),
+        None => {
+            let cmp = ordered(&pred.hi)?;
+            let above = |v| match cmp(v) {
+                Ordering::Less => false,
+                Ordering::Equal => !pred.hi_inclusive,
+                Ordering::Greater => true,
+            };
+            least_int(above).map_or(Some(i64::MAX), |first| first.checked_sub(1))
+        }
+    };
+    Ok(lo.zip(hi).unwrap_or((1, 0)))
+}
+
+/// The least `i64` at which `holds` — false up to some integer, true
+/// from it on — holds; `None` where it holds for none.
+fn least_int(holds: impl Fn(i64) -> bool) -> Option<i64> {
+    let (mut lo, mut hi) = (i64::MIN, i64::MAX);
+    if !holds(hi) {
+        return None;
+    }
+    while lo < hi {
+        let mid = ((i128::from(lo) + i128::from(hi)) >> 1) as i64;
+        if holds(mid) {
+            hi = mid;
+        } else {
+            lo = mid + 1;
+        }
+    }
+    Some(lo)
 }
 
 /// Evaluate a range scan over a column, producing a fresh selection
@@ -357,16 +388,11 @@ pub(crate) fn eval_range(
     within: Option<Bitmap>,
 ) -> StoreResult<Bitmap> {
     match col.data() {
-        ColumnData::Int(vals) | ColumnData::Date(vals) => Ok(match (&pred.lo, &pred.hi) {
-            // Integer bounds compare as integers, exactly: as `f64` two
-            // values beyond 2⁵³ can round to one, and a cut's `[lo, s]` /
-            // `[s+1, hi]` halves would overlap.
-            (Value::Int(lo) | Value::Date(lo), Value::Int(hi) | Value::Date(hi)) => {
-                scan_range(col, vals, within, |v| v, (*lo, *hi), pred.hi_inclusive)
-            }
-            _ => scan_float_range(col, vals, within, |v| v as f64, pred)?,
-        }),
-        ColumnData::Float(vals) => scan_float_range(col, vals, within, |v| v, pred),
+        ColumnData::Int(vals) | ColumnData::Date(vals) => {
+            let bounds = int_bounds(col, pred)?;
+            Ok(scan_range(col, vals, within, |v| v, bounds, true))
+        }
+        ColumnData::Float(vals) => scan_float_range(col, vals, within, pred),
         ColumnData::Str(codes) => {
             // Lexicographic range over strings: precompute per-code verdicts
             // so the row loop is a table lookup.
@@ -746,7 +772,6 @@ mod tests {
             StorePredicate::And(ps) => assert_eq!(ps.len(), 2),
             other => panic!("expected And, got {other:?}"),
         }
-        assert_eq!(p.columns(), vec!["a", "b"]);
     }
 
     #[test]

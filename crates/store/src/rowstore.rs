@@ -1,6 +1,6 @@
 //! Row-oriented baseline engine.
 //!
-//! Implements the same [`Backend`] contract as the columnar [`Table`], but
+//! Implements the same [`crate::Backend`] contract as the columnar [`Table`], but
 //! stores tuples as `Vec<Row>` — each row an owned vector of values. Every
 //! predicate scan therefore touches entire tuples (all attributes), while
 //! the columnar engine touches only the attribute under scan. This is the
@@ -12,7 +12,7 @@
 //! over the selected tuples to project the column's cells into a compact
 //! [`Column`], then runs the `Column` kernel the columnar engine runs
 //! (the store's one `Backend` implementation, over
-//! [`crate::backend::Layout`]). So the two engines share one
+//! `Layout`). So the two engines share one
 //! implementation of every statistic and make the same calls, and the
 //! row store is a second witness for scans only.
 
@@ -48,7 +48,6 @@ pub type Row = Vec<Option<Value>>;
 /// A row-major relation.
 #[derive(Debug, Clone)]
 pub struct RowTable {
-    name: String,
     schema: Schema,
     rows: Vec<Row>,
     /// Per column, the dictionary a projection of it is coded in: for a
@@ -60,7 +59,7 @@ pub struct RowTable {
 
 impl RowTable {
     /// Build directly from a schema and rows (validated).
-    pub fn new(name: impl Into<String>, schema: Schema, rows: Vec<Row>) -> StoreResult<RowTable> {
+    pub fn new(schema: Schema, rows: Vec<Row>) -> StoreResult<RowTable> {
         for row in &rows {
             if row.len() != schema.arity() {
                 return Err(StoreError::ArityMismatch {
@@ -95,7 +94,6 @@ impl RowTable {
             })
             .collect();
         Ok(RowTable {
-            name: name.into(),
             schema,
             rows,
             dicts,
@@ -116,16 +114,10 @@ impl RowTable {
             .map(|c| Arc::clone(c.shared_dict()))
             .collect();
         Ok(RowTable {
-            name: format!("{}_rowstore", table.name()),
             schema,
             rows,
             dicts,
         })
-    }
-
-    /// Table name.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     fn col_index(&self, name: &str) -> StoreResult<usize> {
@@ -363,7 +355,7 @@ mod tests {
     #[test]
     fn nulls_never_match() {
         let schema = Schema::from_pairs(&[("x", DataType::Int)]).unwrap();
-        let t = RowTable::new("t", schema, vec![vec![Some(Value::Int(1))], vec![None]]).unwrap();
+        let t = RowTable::new(schema, vec![vec![Some(Value::Int(1))], vec![None]]).unwrap();
         let sel = t
             .eval(&StorePredicate::range(
                 "x",
@@ -378,8 +370,8 @@ mod tests {
     #[test]
     fn constructor_validates_rows() {
         let schema = Schema::from_pairs(&[("x", DataType::Int)]).unwrap();
-        assert!(RowTable::new("t", schema.clone(), vec![vec![Some(Value::str("bad"))]]).is_err());
-        assert!(RowTable::new("t", schema, vec![vec![]]).is_err());
+        assert!(RowTable::new(schema.clone(), vec![vec![Some(Value::str("bad"))]]).is_err());
+        assert!(RowTable::new(schema, vec![vec![]]).is_err());
     }
 
     #[test]
@@ -391,7 +383,7 @@ mod tests {
             .iter()
             .map(|&v| vec![Some(Value::Float(v))])
             .collect();
-        let t = RowTable::new("t", schema, rows).unwrap();
+        let t = RowTable::new(schema, rows).unwrap();
         let all = Bitmap::ones(t.row_count());
         let med = t.median("x", &all).unwrap().unwrap().as_f64().unwrap();
         assert_eq!(med, 3.0, "NaN must be skipped like null");
@@ -416,7 +408,7 @@ mod tests {
             .iter()
             .map(|&v| vec![Some(Value::Float(v))])
             .collect();
-        let t = RowTable::new("t", schema, rows).unwrap();
+        let t = RowTable::new(schema, rows).unwrap();
         let all = Bitmap::ones(t.row_count());
         assert_eq!(
             t.min_max("x", &all).unwrap(),
@@ -456,7 +448,7 @@ mod tests {
             b.push_row_opt(row.clone()).unwrap();
         }
         let table = b.finish();
-        let rows = RowTable::new("t", schema, cells).unwrap();
+        let rows = RowTable::new(schema, cells).unwrap();
         for (picked, valued) in [
             (Bitmap::ones(200), true),
             (

@@ -51,26 +51,14 @@ impl Schema {
         self.columns.len()
     }
 
-    /// True when the schema has no columns.
-    pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
-    }
-
     /// Position of a column by name.
     pub(crate) fn index_of(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|c| c.name == name)
     }
 
     /// Metadata of a column by name.
-    pub fn column(&self, name: &str) -> Option<&ColumnMeta> {
+    pub(crate) fn column(&self, name: &str) -> Option<&ColumnMeta> {
         self.columns.iter().find(|c| c.name == name)
-    }
-
-    /// Whether the schema has a column of this name. Convenience for
-    /// admission-time validation (the SDL analyzer asks this for every
-    /// attribute a context mentions).
-    pub fn contains(&self, name: &str) -> bool {
-        self.index_of(name).is_some()
     }
 
     /// Type of a column, as a result (for operations that require it).
@@ -115,8 +103,7 @@ mod tests {
         assert_eq!(s.index_of("kind"), Some(1));
         assert_eq!(s.type_of("tonnage").unwrap(), DataType::Int);
         assert!(s.type_of("nope").is_err());
-        assert!(s.contains("kind"));
-        assert!(!s.contains("nope"));
+        assert_eq!(s.index_of("nope"), None);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! medians are "a major bottleneck" for which sampling is the proposed
 //! remedy (§5.2). This module provides:
 //!
-//! * [`exact_median`] / [`quantile_value`] — the one rank selection every
+//! * `OrderKeys` and [`quantile_value`] — the one rank selection every
 //!   median and quantile in the store goes through: `i64` order keys, one
 //!   histogram pass over their top bits, then at most one more pass — or,
 //!   for a column of narrow integer span, a count per value, no keys;
@@ -28,18 +28,6 @@ const BUCKET_BITS: u32 = 12;
 /// Below this many values neither the histogram nor the counters pay for
 /// themselves, and the ranks are selected directly (ADR 0014).
 const SMALL_N: usize = 256;
-
-/// Exact median of a slice.
-///
-/// For even counts this returns the lower-median/upper-median midpoint,
-/// i.e. the conventional arithmetic median the paper calls for. The two
-/// ranks are taken in `f64::total_cmp` order — one bit pattern each,
-/// -0.0 and +0.0 included.
-pub fn exact_median(values: &[f64]) -> StoreResult<f64> {
-    OrderKeys::of_floats(values)
-        .median_f64()
-        .ok_or_else(|| StoreError::Empty("median of empty set".into()))
-}
 
 /// The value at quantile `q ∈ [0,1]` (nearest-rank). Any other `q`, NaN
 /// included, is a [`StoreError::Parse`], whether or not there are values.
@@ -432,24 +420,30 @@ impl FrequencyTable {
 mod tests {
     use super::*;
 
+    /// The median of a slice: for even counts the midpoint of the two
+    /// middle values, each taken in `f64::total_cmp` order.
+    fn median(values: &[f64]) -> Option<f64> {
+        OrderKeys::of_floats(values).median_f64()
+    }
+
     #[test]
     fn median_odd_even() {
-        assert_eq!(exact_median(&[5.0, 1.0, 3.0]).unwrap(), 3.0);
-        assert_eq!(exact_median(&[4.0, 1.0, 3.0, 2.0]).unwrap(), 2.5);
+        assert_eq!(median(&[5.0, 1.0, 3.0]), Some(3.0));
+        assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), Some(2.5));
     }
 
     #[test]
     fn median_empty_errors() {
-        assert!(exact_median(&[]).is_err());
+        assert_eq!(median(&[]), None);
         assert!(quantile_value(&[], 0.5).is_err());
     }
 
     #[test]
     fn median_with_duplicates() {
-        assert_eq!(exact_median(&[7.0; 100]).unwrap(), 7.0);
-        assert_eq!(exact_median(&[1.0, 1.0, 1.0, 9.0]).unwrap(), 1.0);
+        assert_eq!(median(&[7.0; 100]), Some(7.0));
+        assert_eq!(median(&[1.0, 1.0, 1.0, 9.0]), Some(1.0));
         // Two equal middle values still average: f64::MAX twice is ∞.
-        assert_eq!(exact_median(&[f64::MAX; 2]).unwrap(), f64::INFINITY);
+        assert_eq!(median(&[f64::MAX; 2]), Some(f64::INFINITY));
     }
 
     #[test]

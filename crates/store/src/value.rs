@@ -24,7 +24,7 @@ const DAYS_PER_MONTH: i64 = 31;
 pub enum Value {
     /// 64-bit integer.
     Int(i64),
-    /// Finite 64-bit float (NaN is rejected by [`Value::float`]).
+    /// Finite 64-bit float (NaN is rejected by `Value::float`).
     Float(f64),
     /// UTF-8 string (nominal).
     Str(String),
@@ -56,7 +56,7 @@ impl Value {
     }
 
     /// Build a float value, rejecting NaN (which would break ordering).
-    pub fn float(v: f64) -> StoreResult<Value> {
+    pub(crate) fn float(v: f64) -> StoreResult<Value> {
         if v.is_nan() {
             Err(StoreError::Parse("NaN is not a valid Float value".into()))
         } else {
@@ -91,7 +91,7 @@ impl Value {
     }
 
     /// String view, if nominal.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,

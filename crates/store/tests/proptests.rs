@@ -4,8 +4,8 @@
 
 use charles_store::value::numeric_value;
 use charles_store::{
-    exact_median, quantile_value, read_csv_str, write_csv_string, Backend, Bitmap, DataType,
-    RowTable, StorePredicate, Table, TableBuilder, Value,
+    quantile_value, read_csv_str, write_csv_string, Backend, Bitmap, DataType, RowTable,
+    StorePredicate, Table, TableBuilder, Value,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -150,14 +150,17 @@ fn check_scans_against_per_row_model(
         for len in WORD_SEAMS.into_iter().chain([random_len]) {
             let mut rng = StdRng::seed_from_u64(seed ^ len as u64);
             let (t, width) = kernel_table(ty, len, &mut rng);
-            let col = t.column("x").unwrap();
             let row = RowTable::from_table(&t).unwrap();
             let predicates = predicates(ty, width, &mut rng);
             let selections = word_mixes(len, &mut rng);
             for pred in predicates {
                 let got = t.eval(&pred).unwrap();
                 let expected: Vec<usize> = (0..len)
-                    .filter(|&i| col.get(i).is_some_and(|v| model_matches(&v, &pred)))
+                    .filter(|&i| {
+                        t.value(i, "x")
+                            .unwrap()
+                            .is_some_and(|v| model_matches(&v, &pred))
+                    })
                     .collect();
                 prop_assert_eq!(
                     got.iter_ones().collect::<Vec<_>>(),
@@ -402,7 +405,10 @@ proptest! {
         let mut sorted = values.clone();
         sorted.sort_by(f64::total_cmp);
         // Median: equals the sorted definition, bit for bit.
-        let med = exact_median(&values).unwrap();
+        let table = column_table(DataType::Float, values.iter().map(|&x| Value::Float(x)));
+        let Some(Value::Float(med)) = table.median("x", &table.all_rows()).unwrap() else {
+            panic!("a float column's median is a float");
+        };
         let n = sorted.len();
         let reference = if n % 2 == 1 {
             sorted[n / 2]
@@ -448,8 +454,6 @@ proptest! {
             check_ranks(&float_table, &sel, picked.clone(), f64::total_cmp, |x| x, Value::Float)?;
             // The slice helpers take the same path.
             if !picked.is_empty() {
-                let want = float_table.median("x", &sel).unwrap().unwrap();
-                prop_assert_eq!(format!("{:?}", Value::Float(exact_median(&picked).unwrap())), format!("{want:?}"));
                 let want = float_table.quantile("x", &sel, 0.9).unwrap().unwrap();
                 prop_assert_eq!(format!("{:?}", Value::Float(quantile_value(&picked, 0.9).unwrap())), format!("{want:?}"));
             }
@@ -474,21 +478,24 @@ proptest! {
             for len in WORD_SEAMS.into_iter().chain([random_len, 700]) {
                 let mut rng = StdRng::seed_from_u64(seed ^ len as u64);
                 let (t, width) = kernel_table(ty, len, &mut rng);
-                let col = t.column("x").unwrap();
                 let sel = Bitmap::from_indices(len, (0..len).filter(|_| rng.gen_bool(0.5)));
                 // Reference: filter the selected, non-null rows (row
                 // order), then sort.
-                let picked: Vec<Value> = sel.iter_ones().filter_map(|i| col.get(i)).collect();
+                let picked: Vec<Value> =
+                    sel.iter_ones().filter_map(|i| t.value(i, "x").unwrap()).collect();
                 let mut sorted = picked.clone();
                 sorted.sort_by(|a, b| a.try_cmp(b).unwrap());
 
-                let mut gathered = Vec::new();
                 if ty.is_numeric() {
-                    col.gather_f64(&sel, &mut gathered).unwrap();
+                    // Two passes over the selected values in row order.
                     let reference: Vec<f64> = picked.iter().map(|v| v.as_f64().unwrap()).collect();
-                    prop_assert_eq!(&gathered, &reference);
+                    let n = reference.len() as f64;
+                    let mean = reference.iter().sum::<f64>() / n;
+                    let var = reference.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+                    let want = (!reference.is_empty()).then_some((mean, var));
+                    prop_assert_eq!(t.mean_and_var("x", &sel).unwrap(), want);
                 } else {
-                    prop_assert!(col.gather_f64(&sel, &mut gathered).is_err());
+                    prop_assert!(t.mean_and_var("x", &sel).is_err());
                     let (table, dict) = t.frequencies("x", &sel).unwrap();
                     for &(code, n) in table.entries() {
                         let of_code = picked.iter().filter(|v| v.render() == dict[code as usize]);
@@ -498,7 +505,7 @@ proptest! {
                 }
 
                 let extremes = sorted.first().cloned().zip(sorted.last().cloned());
-                prop_assert_eq!(col.min_max(&sel), extremes.clone(), "{:?} x {} rows", ty, len);
+                prop_assert_eq!(t.min_max("x", &sel).unwrap(), extremes.clone(), "{:?} x {} rows", ty, len);
                 let floor = domain_value(ty, rng.gen_range(-9..width - 7));
                 let next = sorted.iter().find(|v| v.try_cmp(&floor).unwrap().is_gt()).cloned();
                 prop_assert_eq!(

@@ -14,7 +14,8 @@
 use charles::advisor::{hb_cuts, Explorer, LazyGenerator};
 use charles::{voc_table, AdviceCache, Advisor, Config, CoreError};
 use charles_store::{
-    Backend, Bitmap, FrequencyTable, Schema, StoreError, StorePredicate, StoreResult, Value,
+    Backend, BackendStats, Bitmap, CutStats, FrequencyTable, Schema, StoreError, StorePredicate,
+    StoreResult, Value,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
@@ -29,14 +30,60 @@ mod common;
 /// third, `leader_gate`, is one-shot: the first `eval` that finds it set
 /// takes it, waits at its barrier twice and panics.
 ///
-/// It forwards the *required* methods only: `cut_stats` is the trait's
-/// provided body over them, so the advisor runs here as it would over
-/// any backend written before that method existed.
+/// It forwards the *required* methods only: `cut_stats` and `varies` are
+/// the trait's provided bodies over them, so the advisor runs here as it
+/// would over any backend written before those methods existed. The two
+/// are restated below only so that their `min_max` and `median` calls
+/// reach the [`Tally`] as theirs, not as an explorer's own.
 struct FusedBackend<'a> {
     inner: &'a dyn Backend,
     budget: AtomicUsize,
     scan_budget: AtomicUsize,
     leader_gate: Mutex<Option<Arc<Barrier>>>,
+    tally: Mutex<Tally>,
+}
+
+/// What a [`FusedBackend`] was asked, per method: `eval` by the range and
+/// set leaves of its predicates, every other method by its calls.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    eval_leaves: u64,
+    not_null: u64,
+    count: u64,
+    median: u64,
+    sampled_median: u64,
+    quantile: u64,
+    min_max: u64,
+    cut_stats: u64,
+    varies: u64,
+    next_above: u64,
+    mean_and_var: u64,
+    frequencies: u64,
+    distinct_count: u64,
+}
+
+impl Tally {
+    /// The ops the explorer's rule (ADRs 0023, 0028) makes of these
+    /// calls: a scan per leaf handed to `eval` and per `frequencies`,
+    /// `min_max` and `mean_and_var`; a median per median a cut took (its
+    /// `median` call), per `sampled_median` and per `quantile`.
+    /// `not_null`, `varies`, `next_above` and a cut's extremes are none.
+    fn ops(&self) -> BackendStats {
+        BackendStats {
+            scans: self.eval_leaves + self.frequencies + self.min_max + self.mean_and_var,
+            medians: self.median + self.sampled_median + self.quantile,
+        }
+    }
+}
+
+/// The range and set leaves of a predicate: `Rows` and `True` read no
+/// column.
+fn leaves(pred: &StorePredicate) -> u64 {
+    match pred {
+        StorePredicate::Range(_) | StorePredicate::Set(_) => 1,
+        StorePredicate::And(preds) => preds.iter().map(leaves).sum(),
+        StorePredicate::True | StorePredicate::Rows(_) => 0,
+    }
 }
 
 impl<'a> FusedBackend<'a> {
@@ -46,11 +93,23 @@ impl<'a> FusedBackend<'a> {
             budget: AtomicUsize::new(budget),
             scan_budget: AtomicUsize::new(usize::MAX),
             leader_gate: Mutex::new(None),
+            tally: Mutex::default(),
         }
     }
 
     fn spend(&self) -> StoreResult<()> {
         spend(&self.budget, "backend")
+    }
+
+    /// Spend the fuse and count one call in the tally.
+    fn call(&self, count: impl FnOnce(&mut Tally)) -> StoreResult<()> {
+        self.spend()?;
+        count(&mut self.tally.lock().unwrap());
+        Ok(())
+    }
+
+    fn tally(&self) -> Tally {
+        *self.tally.lock().unwrap()
     }
 }
 
@@ -80,7 +139,7 @@ impl Backend for FusedBackend<'_> {
         self.inner.schema()
     }
     fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
-        self.spend()?;
+        self.call(|t| t.eval_leaves += leaves(pred))?;
         spend(&self.scan_budget, "scan")?;
         let gate = self.leader_gate.lock().unwrap().take();
         if let Some(gate) = gate {
@@ -91,15 +150,15 @@ impl Backend for FusedBackend<'_> {
         self.inner.eval(pred)
     }
     fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
-        self.spend()?;
+        self.call(|t| t.not_null += 1)?;
         self.inner.not_null(column)
     }
     fn count(&self, pred: &StorePredicate) -> StoreResult<usize> {
-        self.spend()?;
+        self.call(|t| t.count += 1)?;
         self.inner.count(pred)
     }
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
-        self.spend()?;
+        self.call(|t| t.median += 1)?;
         self.inner.median(column, sel)
     }
     fn sampled_median(
@@ -109,23 +168,46 @@ impl Backend for FusedBackend<'_> {
         sample_size: usize,
         seed: u64,
     ) -> StoreResult<Option<Value>> {
-        self.spend()?;
+        self.call(|t| t.sampled_median += 1)?;
         self.inner.sampled_median(column, sel, sample_size, seed)
     }
     fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
-        self.spend()?;
+        self.call(|t| t.quantile += 1)?;
         self.inner.quantile(column, sel, q)
     }
     fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>> {
-        self.spend()?;
+        self.call(|t| t.min_max += 1)?;
         self.inner.min_max(column, sel)
     }
-    fn next_above(&self, column: &str, sel: &Bitmap, v: &Value) -> StoreResult<Option<Value>> {
+    fn cut_stats(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<CutStats>> {
+        self.tally.lock().unwrap().cut_stats += 1;
+        let ty = self.schema().type_of(column)?;
+        if !ty.is_numeric() {
+            return Err(StoreError::TypeMismatch {
+                column: column.to_string(),
+                expected: "numeric".into(),
+                found: ty.name().into(),
+            });
+        }
         self.spend()?;
+        let Some((min, max)) = self.inner.min_max(column, sel)? else {
+            return Ok(None);
+        };
+        let stats = CutStats::over(min, max, None, || self.median(column, sel))?;
+        Ok(Some(stats))
+    }
+    fn varies(&self, column: &str, sel: &Bitmap) -> StoreResult<bool> {
+        self.call(|t| t.varies += 1)?;
+        let extremes = self.inner.min_max(column, sel)?;
+        Ok(extremes
+            .is_some_and(|(lo, hi)| !matches!(lo.try_cmp(&hi), Ok(std::cmp::Ordering::Equal))))
+    }
+    fn next_above(&self, column: &str, sel: &Bitmap, v: &Value) -> StoreResult<Option<Value>> {
+        self.call(|t| t.next_above += 1)?;
         self.inner.next_above(column, sel, v)
     }
     fn mean_and_var(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
-        self.spend()?;
+        self.call(|t| t.mean_and_var += 1)?;
         self.inner.mean_and_var(column, sel)
     }
     fn frequencies(
@@ -133,11 +215,11 @@ impl Backend for FusedBackend<'_> {
         column: &str,
         sel: &Bitmap,
     ) -> StoreResult<(FrequencyTable, Vec<String>)> {
-        self.spend()?;
+        self.call(|t| t.frequencies += 1)?;
         self.inner.frequencies(column, sel)
     }
     fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
-        self.spend()?;
+        self.call(|t| t.distinct_count += 1)?;
         self.inner.distinct_count(column, sel)
     }
 }
@@ -798,7 +880,7 @@ mod contract_harness {
         let table = loaded(&path);
         std::fs::remove_file(&path).unwrap();
         cells[0][0] = Some(Value::Float(f64::NAN));
-        let rows = RowTable::new("t", Backend::schema(&clean).clone(), cells.clone()).unwrap();
+        let rows = RowTable::new(Backend::schema(&clean).clone(), cells.clone()).unwrap();
         let backends: Backends = vec![
             ("table".into(), Box::new(table)),
             ("rowstore".into(), Box::new(rows)),
@@ -962,7 +1044,7 @@ mod contract_harness {
         let table = loaded(&path);
         std::fs::remove_file(&path).unwrap();
         cells[0][0] = Some(Value::Float(f64::NAN));
-        let rows = RowTable::new("t", Backend::schema(&clean).clone(), cells.clone()).unwrap();
+        let rows = RowTable::new(Backend::schema(&clean).clone(), cells.clone()).unwrap();
         let backends: Backends = vec![
             ("table".into(), Box::new(table)),
             ("rowstore".into(), Box::new(rows)),
@@ -1077,7 +1159,7 @@ mod contract_harness {
         let table = loaded(&path);
         std::fs::remove_file(&path).unwrap();
         cells[3][0] = Some(Value::Float(f64::NAN));
-        let rows = RowTable::new("t", Backend::schema(&clean).clone(), cells).unwrap();
+        let rows = RowTable::new(Backend::schema(&clean).clone(), cells).unwrap();
         let backends: Backends = vec![
             ("table".into(), Box::new(table)),
             ("rowstore".into(), Box::new(rows)),
@@ -1243,7 +1325,7 @@ mod contract_harness {
         }
         let table = b.finish();
         let disk = disk_fixture(&table);
-        let rows = RowTable::new("t", Backend::schema(&table).clone(), cells).unwrap();
+        let rows = RowTable::new(Backend::schema(&table).clone(), cells).unwrap();
         vec![
             ("rowstore".into(), Box::new(rows)),
             ("table".into(), Box::new(table)),
@@ -1571,7 +1653,7 @@ mod contract_harness {
                 let rows: usize = seg.queries().iter().map(|q| ex.count(q).unwrap()).sum();
                 assert_eq!(rows, 4, "{name}: {seg}");
                 let report = seg
-                    .check_partition(ex.backend(), ex.context_selection())
+                    .check_partition(b.as_ref(), ex.context_selection())
                     .unwrap();
                 assert!(report.is_partition(), "{name}: {report:?}");
             }
@@ -1589,6 +1671,111 @@ mod contract_harness {
                 "{name}"
             );
         }
+    }
+
+    #[test]
+    fn obligation_mixed_integer_and_float_bounds_select_what_try_cmp_selects() {
+        // A range on an `Int`/`Date` column may hold one bound of each
+        // kind: a cut builds `[Int min, Float median[` where the median
+        // falls between two integers. `RowTable` compares each bound by
+        // its own type (`Value::try_cmp`): an integer exactly, a `Float`
+        // as `f64`. Past 2⁵³ the two differ, and `Table` used to compare
+        // both as `f64`: `w ∈ [i64::MAX − 700, Float(i64::MAX)]` counted
+        // 1 535 rows there and 701 here. Every backend, whole column and
+        // within a selection, selects the rows `try_cmp` passes — across
+        // the binned kernel's wide bins (2 400 rows, four dense runs).
+        const BIG: i64 = 1 << 53;
+        let starts = [i64::MIN, -300, BIG - 300, i64::MAX - 599];
+        let ints: Vec<i64> = starts
+            .iter()
+            .flat_map(|&s| (0..600).map(move |i| s + i))
+            .collect();
+        let mut b = TableBuilder::new("t");
+        b.add_column("w", DataType::Int)
+            .add_column("day", DataType::Date);
+        for &v in &ints {
+            b.push_row(vec![Value::Int(v), Value::Date(v)]).unwrap();
+        }
+        let t = b.finish();
+        let int_bounds = [
+            i64::MIN,
+            -1,
+            0,
+            1,
+            BIG - 1,
+            BIG,
+            BIG + 1,
+            i64::MAX - 700,
+            i64::MAX,
+        ];
+        let float_bounds = [
+            -0.0,
+            0.0,
+            -0.5,
+            0.5,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            (BIG - 1) as f64,
+            BIG as f64,
+            (BIG + 2) as f64,
+            BIG as f64 - 0.5,
+            i64::MAX as f64,
+            i64::MIN as f64,
+        ];
+        let bounds: Vec<Value> = (int_bounds.iter().map(|&v| Value::Int(v)))
+            .chain(float_bounds.iter().map(|&v| Value::Float(v)))
+            .collect();
+        let passes = |v: &Value, lo: &Value, hi: &Value, closed: bool| {
+            use std::cmp::Ordering::*;
+            matches!(v.try_cmp(lo), Ok(Greater | Equal))
+                && match v.try_cmp(hi) {
+                    Ok(Less) => true,
+                    Ok(Equal) => closed,
+                    _ => false,
+                }
+        };
+        let within = Arc::new(Bitmap::from_indices(ints.len(), (0..ints.len()).step_by(3)));
+        let mut checked = 0;
+        for (name, b) in backends(&t) {
+            for (col, cell) in [("w", Value::Int as fn(i64) -> Value), ("day", Value::Date)] {
+                for lo in &bounds {
+                    for hi in &bounds {
+                        if !matches!((lo, hi), (Value::Float(_), _) | (_, Value::Float(_))) {
+                            continue;
+                        }
+                        for closed in [true, false] {
+                            let pred = StorePredicate::range(col, lo.clone(), hi.clone(), closed);
+                            let got = b.eval(&pred).unwrap();
+                            let narrowed = StorePredicate::and(vec![
+                                StorePredicate::Rows(Arc::clone(&within)),
+                                pred,
+                            ]);
+                            let got_within = b.eval(&narrowed).unwrap();
+                            let want: Vec<usize> = (ints.iter().enumerate())
+                                .filter(|&(_, &v)| passes(&cell(v), lo, hi, closed))
+                                .map(|(i, _)| i)
+                                .collect();
+                            let want_within: Vec<usize> =
+                                want.iter().copied().filter(|i| i % 3 == 0).collect();
+                            for (got, want, how) in
+                                [(got, want, "whole"), (got_within, want_within, "within")]
+                            {
+                                let got: Vec<usize> = got.iter_ones().collect();
+                                assert!(
+                                    got == want,
+                                    "{name}: {col} in [{lo:?}, {hi:?}] ({closed}), {how}: \
+                                     {} rows where try_cmp passes {}",
+                                    got.len(),
+                                    want.len()
+                                );
+                            }
+                            checked += 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(checked > 1_000, "{checked}");
     }
 
     #[test]
@@ -1682,4 +1869,69 @@ fn homogeneity_and_surprise_propagate_backend_errors() {
         h.is_err() || s.is_err(),
         "diagnostics ignored a dead backend"
     );
+}
+
+#[test]
+fn the_explorer_counts_every_store_call_made_through_it() {
+    // The explorer is the one door to the store (ADR 0028): each method
+    // below runs on an explorer of its own over a tallying backend, and
+    // the explorer's `backend_ops` must be what the backend was asked,
+    // read under its rule — no call went round the door uncounted.
+    use charles::advisor::cut_segmentation;
+    use charles::Segmentation;
+    use charles_bench::baselines::{
+        clique_clusters, exhaustive_segmentations, facet_segmentations, random_segmentations,
+    };
+    use charles_bench::{adaptive_segmentations, quantile_cut_segmentation};
+    let table = voc_table(2_000, 58);
+    let ctx = charles::parse_query(CONTEXT, Backend::schema(&table)).unwrap();
+    let best = {
+        let ex = Explorer::new(&table, Config::default(), ctx.clone()).unwrap();
+        hb_cuts(&ex).unwrap().ranked[0].segmentation.clone()
+    };
+    type Run<'r> = &'r dyn Fn(&Explorer<'_>);
+    let methods: [(&str, Run); 9] = [
+        ("hb-cuts", &|ex| drop(hb_cuts(ex).unwrap())),
+        ("facets", &|ex| drop(facet_segmentations(ex, 8).unwrap())),
+        ("random", &|ex| {
+            drop(random_segmentations(ex, Default::default()).unwrap())
+        }),
+        ("clique", &|ex| {
+            drop(clique_clusters(ex, Default::default()).unwrap())
+        }),
+        ("exhaustive", &|ex| {
+            drop(exhaustive_segmentations(ex, Default::default()).unwrap())
+        }),
+        ("adaptive", &|ex| {
+            drop(adaptive_segmentations(ex, Default::default()).unwrap())
+        }),
+        ("quantile cuts", &|ex| {
+            let base = Segmentation::singleton(ex.context().clone());
+            let seg = cut_segmentation(ex, &base, "type_of_boat")
+                .unwrap()
+                .unwrap();
+            for attr in ["tonnage", "type_of_boat"] {
+                quantile_cut_segmentation(ex, &seg, attr, 3)
+                    .unwrap()
+                    .unwrap();
+            }
+        }),
+        ("homogeneity", &|ex| {
+            drop(charles_bench::homogeneity(ex, &best).unwrap())
+        }),
+        ("surprise", &|ex| {
+            drop(charles_bench::surprise(ex, &best).unwrap())
+        }),
+    ];
+    for (name, run) in methods {
+        let backend = FusedBackend::new(&table, usize::MAX);
+        let ex = Explorer::new(&backend, Config::default(), ctx.clone()).unwrap();
+        run(&ex);
+        let tally = backend.tally();
+        assert_eq!(ex.backend_ops(), tally.ops(), "{name}: {tally:?}");
+        // The explorer asks for selections and statistics, never for a
+        // bare count or a distinct count.
+        assert_eq!((tally.count, tally.distinct_count), (0, 0), "{name}");
+        assert!(tally.ops().scans > 1, "{name} asked nothing: {tally:?}");
+    }
 }

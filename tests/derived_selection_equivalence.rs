@@ -120,7 +120,7 @@ fn arb_dataset() -> impl Strategy<Value = Dataset> {
             for row in cells.iter_mut().take(nans) {
                 row[0] = Some(Value::Float(f64::NAN));
             }
-            let rows = RowTable::new("t", Backend::schema(&table).clone(), cells).unwrap();
+            let rows = RowTable::new(Backend::schema(&table).clone(), cells).unwrap();
 
             static FILES: AtomicUsize = AtomicUsize::new(0);
             let path = std::env::temp_dir().join(format!(
@@ -241,17 +241,22 @@ fn contexts(domain_hi: i64) -> Vec<Query> {
 /// plain `eval` of each, ANDed — the way every piece was materialised
 /// before derivation, and before a conjunct could be evaluated within a
 /// selection: the reference shares no code path with the one it checks.
-fn evaluated(ex: &Explorer<'_>, q: &Query) -> Bitmap {
+fn evaluated(backend: &dyn Backend, ex: &Explorer<'_>, q: &Query) -> Bitmap {
     let mut sel = ex.context_selection().clone();
     for p in q.predicates() {
-        sel.and_inplace(&ex.backend().eval(&eval::lower_predicate(p)).unwrap());
+        sel.and_inplace(&backend.eval(&eval::lower_predicate(p)).unwrap());
     }
     sel
 }
 
 /// Every piece of `seg` must be in the memo already (released there by
 /// the primitive that derived it) and equal its conjunction bit for bit.
-fn check_released(ex: &Explorer<'_>, seg: &Segmentation, what: &str) -> Result<(), TestCaseError> {
+fn check_released(
+    backend: &dyn Backend,
+    ex: &Explorer<'_>,
+    seg: &Segmentation,
+    what: &str,
+) -> Result<(), TestCaseError> {
     for q in seg.queries() {
         let before = ex.cache_stats();
         let derived = ex.selection(q).unwrap();
@@ -262,7 +267,7 @@ fn check_released(ex: &Explorer<'_>, seg: &Segmentation, what: &str) -> Result<(
             what,
             q
         );
-        prop_assert_eq!(&*derived, &evaluated(ex, q), "{}: {}", what, q);
+        prop_assert_eq!(&*derived, &evaluated(backend, ex, q), "{}: {}", what, q);
     }
     Ok(())
 }
@@ -282,7 +287,7 @@ fn check_backend(backend: &dyn Backend, ctx: &Query, label: &str) -> Result<usiz
     let mut seeds_in_context = 0;
     for attr in ATTRS {
         if let Some(seed) = cut_segmentation(&ex, &base, attr).unwrap() {
-            check_released(&ex, &seed, &what(&format!("CUT_{attr}")))?;
+            check_released(backend, &ex, &seed, &what(&format!("CUT_{attr}")))?;
             seeds.push(seed);
             seeds_in_context += usize::from(ctx.mentions(attr));
         }
@@ -296,11 +301,11 @@ fn check_backend(backend: &dyn Backend, ctx: &Query, label: &str) -> Result<usiz
             let Some(composed) = compose(&ex, s1, s2).unwrap() else {
                 continue;
             };
-            check_released(&ex, &composed, &what("COMPOSE"))?;
+            check_released(backend, &ex, &composed, &what("COMPOSE"))?;
             checked += 1;
             let third = &seeds[(j + 1) % seeds.len()];
             if let Some(deeper) = compose(&ex, &composed, third).unwrap() {
-                check_released(&ex, &deeper, &what("COMPOSE∘COMPOSE"))?;
+                check_released(backend, &ex, &deeper, &what("COMPOSE∘COMPOSE"))?;
                 checked += 1;
             }
         }
@@ -317,7 +322,7 @@ fn check_backend(backend: &dyn Backend, ctx: &Query, label: &str) -> Result<usiz
                     .segmentation
                     .queries()
                     .iter()
-                    .map(|q| evaluated(&ex, q).count_ones() as f64 / n)
+                    .map(|q| evaluated(backend, &ex, q).count_ones() as f64 / n)
                     .collect();
                 prop_assert_eq!(
                     r.score.entropy.to_bits(),

@@ -118,7 +118,7 @@ fn quantile_segmentation_composes_with_median_cuts() {
         .unwrap();
     assert_eq!(mixed.depth(), 6);
     assert!(mixed
-        .check_partition(ex.backend(), ex.context_selection())
+        .check_partition(&t, ex.context_selection())
         .unwrap()
         .is_partition());
 }
@@ -201,7 +201,7 @@ fn adaptive_cuts_produce_valid_heterogeneous_partitions_on_voc() {
     for r in &ranked {
         assert!(r
             .segmentation
-            .check_partition(ex.backend(), ex.context_selection())
+            .check_partition(&t, ex.context_selection())
             .unwrap()
             .is_partition());
     }

@@ -127,7 +127,7 @@ fn cut_tonnage_of_a_adapts_medians_per_type() {
         "per-type medians must differ"
     );
     assert!(cut
-        .check_partition(ex.backend(), ex.context_selection())
+        .check_partition(&t, ex.context_selection())
         .unwrap()
         .is_partition());
 }
@@ -171,7 +171,7 @@ fn compose_a_b_recuts_years_per_type() {
         "jacht early piece must end after 1750, got {jacht}"
     );
     assert!(composed
-        .check_partition(ex.backend(), ex.context_selection())
+        .check_partition(&t, ex.context_selection())
         .unwrap()
         .is_partition());
 }
@@ -212,7 +212,7 @@ fn product_a_b_uses_global_year_boundary() {
         "global boundary {interior:?} must separate fluits from jachts"
     );
     assert!(prod
-        .check_partition(ex.backend(), ex.context_selection())
+        .check_partition(&t, ex.context_selection())
         .unwrap()
         .is_partition());
 }

@@ -162,7 +162,7 @@ fn all_outputs_partition_the_context_on_real_data() {
     for r in &out.ranked {
         let report = r
             .segmentation
-            .check_partition(ex.backend(), ex.context_selection())
+            .check_partition(&t, ex.context_selection())
             .unwrap();
         assert!(report.is_partition(), "{}: {report:?}", r.segmentation);
     }

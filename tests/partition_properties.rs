@@ -56,7 +56,7 @@ proptest! {
         let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["x", "y", "k"])).unwrap();
         let base = Segmentation::singleton(ex.context().clone());
         if let Some(seg) = cut_segmentation(&ex, &base, attr).unwrap() {
-            let report = seg.check_partition(ex.backend(), ex.context_selection()).unwrap();
+            let report = seg.check_partition(&t, ex.context_selection()).unwrap();
             prop_assert!(report.is_partition(), "{report:?}");
             // A successful cut makes exactly two non-empty pieces.
             prop_assert_eq!(seg.depth(), 2);
@@ -77,7 +77,7 @@ proptest! {
                 seg = next;
             }
         }
-        let report = seg.check_partition(ex.backend(), ex.context_selection()).unwrap();
+        let report = seg.check_partition(&t, ex.context_selection()).unwrap();
         prop_assert!(report.is_partition(), "{report:?}");
         // Covers over a partition sum to 1.
         let covers = ex.covers(&seg).unwrap();
@@ -90,7 +90,7 @@ proptest! {
         let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["x", "y", "k"])).unwrap();
         let base = Segmentation::singleton(ex.context().clone());
         if let Some(seg) = quantile_cut_segmentation(&ex, &base, "x", k).unwrap() {
-            let report = seg.check_partition(ex.backend(), ex.context_selection()).unwrap();
+            let report = seg.check_partition(&t, ex.context_selection()).unwrap();
             prop_assert!(report.is_partition(), "{report:?}");
             prop_assert!(seg.depth() <= k);
         }
@@ -103,7 +103,7 @@ proptest! {
             Ok(out) => {
                 for r in &out.ranked {
                     let report = r.segmentation
-                        .check_partition(ex.backend(), ex.context_selection())
+                        .check_partition(&t, ex.context_selection())
                         .unwrap();
                     prop_assert!(report.is_partition(), "{report:?}");
                     let bound = (r.segmentation.depth().max(1) as f64).ln();
@@ -142,7 +142,7 @@ proptest! {
     fn parser_round_trips_generated_queries(t in arb_table()) {
         let ex = Explorer::new(&t, Config::default(), Query::wildcard(&["x", "y", "k"])).unwrap();
         if let Ok(out) = hb_cuts(&ex) {
-            let schema = ex.backend().schema();
+            let schema = t.schema();
             for r in out.ranked.iter().take(4) {
                 for q in r.segmentation.queries() {
                     let printed = q.to_string();
