@@ -869,3 +869,38 @@ fn e11_lazy() {
         ]);
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn context_over_takes_prefix() {
+        let t = sweep_table(100, 5, 1);
+        assert_eq!(context_over(&t, 3).attributes(), vec!["c0", "c1", "c2"]);
+        assert_eq!(context_over(&t, 9).attributes().len(), 5);
+    }
+
+    #[test]
+    fn explorer_over_builds() {
+        let t = sweep_table(100, 4, 2);
+        let ex = explorer_over(&t, Config::default(), 2);
+        assert_eq!(ex.context_size(), 100);
+    }
+
+    #[test]
+    fn timing_helpers() {
+        let (d, v) = time_once(|| 21 * 2);
+        assert_eq!(v, 42);
+        assert!(d < Duration::from_secs(1));
+        let mean = time_mean(3, || 1 + 1);
+        assert!(mean < Duration::from_secs(1));
+    }
+
+    #[test]
+    fn duration_formatting() {
+        assert_eq!(fmt_duration(Duration::from_micros(5)), "5µs");
+        assert_eq!(fmt_duration(Duration::from_micros(1500)), "1.50ms");
+        assert_eq!(fmt_duration(Duration::from_secs(2)), "2.00s");
+    }
+}

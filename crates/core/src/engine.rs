@@ -9,7 +9,11 @@
 //! out, and every store call made through it — core's own, and those of
 //! callers outside the crate ([`Explorer::min_max`],
 //! [`Explorer::quantile`], …) — is counted in [`Explorer::backend_ops`]
-//! by one rule (`docs/adr/0028-one-door-to-the-store.md`).
+//! by one rule (`docs/adr/0028-one-door-to-the-store.md`). Under that
+//! rule a cut's extremes are part of its median, not a scan of their
+//! own: under the exact strategy they come from the same `cut_stats`
+//! call, under the sampled one from a `min_max` call that is not
+//! counted.
 //!
 //! Selections reach their consumers two ways. A query that CUT has just
 //! derived travels as a `Piece`: the query plus its derivation — the
@@ -283,7 +287,9 @@ impl<'a> Explorer<'a> {
     ///
     /// `varies` (a counted cut's question) and `next_above` (a
     /// continuous cut's fallback split point) count as neither: each
-    /// reads a selection only until it has its answer. Nor does
+    /// reads a selection only until it has its answer. Nor do a cut's
+    /// extremes, exact or sampled: they come with its median, and a
+    /// sampled cut's own `min_max` call is not counted. Nor does
     /// [`Explorer::type_of`], a schema lookup. The explorer has no other
     /// door to its backend, so these are all the store calls a caller
     /// of this crate can make through it.
@@ -495,8 +501,9 @@ impl<'a> Explorer<'a> {
     /// The least and greatest value of `attr` over `sel`
     /// ([`Backend::min_max`]): one scan, a pass over the selected values
     /// like [`Explorer::frequencies`]. A cut's extremes come with its
-    /// median from [`Backend::cut_stats`] instead, and are not counted
-    /// here.
+    /// median instead — from [`Backend::cut_stats`], or under a sampled
+    /// median from a `min_max` call of the cut's own — and are not
+    /// counted here.
     pub fn min_max(&self, attr: &str, sel: &Bitmap) -> CoreResult<Option<(Value, Value)>> {
         let extremes = self.backend.min_max(attr, sel)?;
         self.caches().ops.scans += 1;

@@ -35,15 +35,17 @@ use crate::value::Value;
 /// the calls it makes, so two runs sharing a backend never see each
 /// other's work. It hands no backend out, so the experiments' extensions
 /// and baselines reach the store through it too, counted by the same
-/// rule. `scans` are column passes and `medians` median computations. [`Backend::stats`] returns this type too, for a backend
-/// that keeps counts of its own; the store's two engines keep none.
+/// rule. `scans` are column passes and `medians` median computations.
+/// [`Backend::stats`] returns this type too, for a backend that keeps
+/// counts of its own; the store's two engines keep none.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BackendStats {
     /// Column passes: one per range or set leaf a run hands to `eval` —
     /// however few rows the leaves before it left — and one per
     /// `frequencies`, `min_max` and `mean_and_var` call made through the
     /// explorer. A `Rows` leaf, a selection derived as the complement of
-    /// another, or a cut's extremes (they come with its median) are none.
+    /// another, or a cut's extremes, exact or sampled (they come with its
+    /// median), are none.
     pub scans: u64,
     /// Median computations, exact or sampled, and quantiles.
     pub medians: u64,
