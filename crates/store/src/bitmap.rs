@@ -4,7 +4,9 @@
 //! the table. Conjunctions are bitwise ANDs, segment disjointness checks
 //! are AND + count, covers are popcounts. Keeping selections as bitmaps is
 //! what makes the advisor's inner loop (thousands of intersection counts
-//! during INDEP search) cheap.
+//! during INDEP search) cheap. The word loops are plain iterator code; the
+//! build's `target-cpu` (`.cargo/config.toml`, ADR 0029) is what turns
+//! their counts into `popcnt` and their ANDs into AVX2.
 //!
 //! There is one layout: a flat `Vec<u64>`, bit `i` at word `i / 64`, and
 //! no bit set beyond `len`. `docs/FORMAT.md` serialises it verbatim, and
@@ -91,6 +93,9 @@ impl Bitmap {
     }
 
     /// Number of set bits (the *count over a predicate* of the paper).
+    /// ≈ 1 µs at 2·10⁵ rows on the x86-64-v3 build, where the word loop
+    /// counts in hardware (`popcnt`, AVX2); ≈ 3 µs on a build without
+    /// `popcnt`, which counts bits in software (ADR 0029).
     pub fn count_ones(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
     }
@@ -175,7 +180,10 @@ impl Bitmap {
     }
 
     /// `|self ∩ other|` without materialising the intersection — the hot
-    /// operation of INDEP search (pairwise product cell counts).
+    /// operation of INDEP search (pairwise product cell counts), and of
+    /// the binned bitmaps' ranks and frequencies. ≈ 1.0–1.4 µs at 2·10⁵
+    /// rows on the x86-64-v3 build (AVX2 and `popcnt`), against
+    /// ≈ 3.1–3.8 µs on a build without `popcnt` (ADR 0029).
     pub fn and_count(&self, other: &Bitmap) -> usize {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
         self.words

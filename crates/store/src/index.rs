@@ -389,7 +389,7 @@ impl ValueIndex {
 
     /// Whether walking `live` rows at `per_row` units a row costs less
     /// than `passes` passes over the bins' words at a unit a word: the
-    /// cut-overs below, each measured (ADRs 0021, 0024 and 0027).
+    /// cut-overs below, each measured (ADRs 0021, 0024, 0027 and 0029).
     fn walks(&self, live: usize, per_row: usize, passes: usize) -> bool {
         self.words() * passes > per_row * live
     }
@@ -401,13 +401,15 @@ impl ValueIndex {
 
     /// How many of the `live` rows a selection holds (selected and valid)
     /// fall in each bin — or `None` when walking those rows is cheaper
-    /// than an AND-count per bin over every word. The walk that counts
-    /// frequencies pays about twice per row what an AND-count pays per
-    /// word (ADR 0021), so the counts win once `2 · live ≥ bins · words`.
-    /// The last bin's count is what the others leave of `live`.
+    /// than an AND-count per bin over every word. With hardware popcount
+    /// an AND-count of 2·10⁵ rows takes ≈ 1 µs, and the walk that counts
+    /// frequencies pays about six times per row what the AND-count pays
+    /// per word, so the counts win once `6 · live ≥ bins · words` (ADRs
+    /// 0021 and 0029). The last bin's count is what the others leave of
+    /// `live`.
     pub(crate) fn counts(&self, sel: &Bitmap, live: usize) -> Option<Vec<usize>> {
         let (_, rest) = self.bins.split_last()?;
-        if self.walks(live, 2, self.bins.len()) {
+        if self.walks(live, 6, self.bins.len()) {
             return None;
         }
         let mut counts: Vec<usize> = rest.iter().map(|bin| sel.and_count(bin)).collect();
@@ -443,8 +445,9 @@ impl ValueIndex {
     /// ([`ValueIndex::holds`]); the least value is the first selected
     /// row of the first one's run, the greatest the last of the last
     /// one's, or an exact bin's value. At worst — rows of one bin only —
-    /// that is a test of every bin, each a whole pass: from four rows
-    /// per word up, still no more than the walk (ADR 0027).
+    /// that is a test of every bin, each a whole pass (≈ 15–25 µs in
+    /// all at 2·10⁵ rows): from four rows per word up, still no more
+    /// than the walk (ADRs 0027 and 0029).
     pub(crate) fn extremes(&self, values: &[i64], sel: &Bitmap) -> Option<(i64, i64)> {
         if self.walks(about(sel), 1, 4) {
             return None;
@@ -497,9 +500,12 @@ impl ValueIndex {
     /// The ranks `lo` and `hi` (`hi` is `lo` or `lo + 1`) and the least
     /// and greatest of the `live` values of `values` that a selection
     /// holds, read off the bins — or `None` where walking the selection
-    /// costs less, or there is no value. The walk gathers and selects
-    /// order keys at about four times what an AND-count pays per word,
-    /// so the bins run once `4 · live ≥ bins · words` (ADRs 0024, 0027).
+    /// costs less, or there is no value. The bins' path costs ≈ 10–35 µs
+    /// at 2·10⁵ rows whatever the density, a handful of ≈ 1 µs
+    /// AND-counts among it; the walk gathers and selects order keys at
+    /// about eight times what an AND-count pays per word (≈ 30–95 µs
+    /// just below 1/16), so the bins run once `8 · live ≥ bins · words`
+    /// (ADRs 0024, 0027 and 0029).
     ///
     /// The first and last bins the selection holds a row of give the
     /// extremes, as in [`ValueIndex::extremes`]. The selection is AND-counted
@@ -516,7 +522,7 @@ impl ValueIndex {
         live: usize,
         (lo, hi): (usize, usize),
     ) -> Option<(Ranked, (i64, i64))> {
-        if self.walks(live, 4, self.bins.len()) {
+        if self.walks(live, 8, self.bins.len()) {
             return None;
         }
         let (first, last) = self.ends(sel)?;
@@ -1077,7 +1083,7 @@ mod tests {
                 for (lo, hi) in pairs {
                     let ranked = index.ranks(&values, &sel, n, (lo, hi));
                     prop_assert!(
-                        ranked.is_some() || 4 * n < MAX_BINS * words,
+                        ranked.is_some() || 8 * n < MAX_BINS * words,
                         "{} {}",
                         what,
                         label
