@@ -2,22 +2,6 @@
 
 use crate::error::{CoreError, CoreResult};
 
-/// How CUT chooses split points on numeric attributes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MedianStrategy {
-    /// Exact median over the full segment extent (the paper's default).
-    Exact,
-    /// Median of a reservoir sample of the given size (§5.2 "sampling
-    /// strategies"; "not all tuples are necessary to give good results").
-    /// Deterministic for a fixed seed.
-    Sampled {
-        /// Reservoir size.
-        size: usize,
-        /// RNG seed, so experiments are reproducible.
-        seed: u64,
-    },
-}
-
 /// Nominal columns with at most this many distinct values in a segment
 /// are ordered by descending frequency for cutting, larger ones
 /// alphabetically: "we choose to sort the values by order of occurrence
@@ -35,8 +19,6 @@ pub struct Config {
     pub max_indep: f64,
     /// Stop composing once a composition would reach this many queries.
     pub max_depth: usize,
-    /// Split-point strategy for numeric cuts.
-    pub median: MedianStrategy,
     /// Upper bound on the number of segmentations returned to the user
     /// ("a large number of candidates is overwhelming", §5.1).
     pub max_results: usize,
@@ -64,7 +46,6 @@ impl Default for Config {
         Config {
             max_indep: 0.99,
             max_depth: 12,
-            median: MedianStrategy::Exact,
             max_results: 64,
             memoize: true,
             analysis: true,
@@ -86,11 +67,6 @@ impl Config {
                 "max_depth must be at least 2 (a segmentation needs two pieces)".into(),
             ));
         }
-        if let MedianStrategy::Sampled { size, .. } = self.median {
-            if size == 0 {
-                return Err(CoreError::BadConfig("sample size must be positive".into()));
-            }
-        }
         if self.max_results == 0 {
             return Err(CoreError::BadConfig("max_results must be positive".into()));
         }
@@ -106,12 +82,6 @@ impl Config {
     /// Builder-style setter for the depth bound.
     pub fn with_max_depth(mut self, v: usize) -> Config {
         self.max_depth = v;
-        self
-    }
-
-    /// Builder-style setter for the median strategy.
-    pub fn with_median(mut self, m: MedianStrategy) -> Config {
-        self.median = m;
         self
     }
 
@@ -143,7 +113,6 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.max_indep, 0.99);
         assert_eq!(c.max_depth, 12);
-        assert_eq!(c.median, MedianStrategy::Exact);
         assert!(c.analysis, "analysis is on by default");
         assert!(!c.with_analysis(false).analysis);
         assert!(Config::default().validate().is_ok());
@@ -153,22 +122,12 @@ mod tests {
     fn validation_catches_bad_values() {
         assert!(Config::default().with_max_indep(1.5).validate().is_err());
         assert!(Config::default().with_max_depth(1).validate().is_err());
-        assert!(Config::default()
-            .with_median(MedianStrategy::Sampled { size: 0, seed: 0 })
-            .validate()
-            .is_err());
         assert!(Config::default().with_max_results(0).validate().is_err());
     }
 
     #[test]
     fn builder_chain() {
-        let c = Config::default()
-            .with_max_depth(8)
-            .with_median(MedianStrategy::Sampled { size: 256, seed: 1 });
-        assert_eq!(c.max_depth, 8);
-        assert!(matches!(
-            c.median,
-            MedianStrategy::Sampled { size: 256, .. }
-        ));
+        let c = Config::default().with_max_depth(8).with_max_results(5);
+        assert_eq!((c.max_depth, c.max_results), (8, 5));
     }
 }

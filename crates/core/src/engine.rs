@@ -11,9 +11,7 @@
 //! [`Explorer::quantile`], …) — is counted in [`Explorer::backend_ops`]
 //! by one rule (`docs/adr/0028-one-door-to-the-store.md`). Under that
 //! rule a cut's extremes are part of its median, not a scan of their
-//! own: under the exact strategy they come from the same `cut_stats`
-//! call, under the sampled one from a `min_max` call that is not
-//! counted.
+//! own: they come from the same `cut_stats` call.
 //!
 //! Selections reach their consumers two ways. A query that CUT has just
 //! derived travels as a `Piece`: the query plus its derivation — the
@@ -37,7 +35,7 @@
 //! loop itself ([`crate::hbcuts`]). Both halves can be switched off
 //! ([`crate::Config::memoize`]) to measure their effect.
 
-use crate::config::{Config, MedianStrategy};
+use crate::config::Config;
 use crate::error::{CoreError, CoreResult};
 use charles_sdl::{eval, Constraint, Query, Segmentation};
 use charles_store::{
@@ -282,14 +280,13 @@ impl<'a> Explorer<'a> {
     ///   [`Explorer::mean_and_var`] call. A selection already held — the
     ///   context's own, a memo hit, a cut's right half taken as what the
     ///   left leaves of their parent — costs none;
-    /// * `medians`: one per cut statistic that carries a median, exact
-    ///   or sampled, and one per [`Explorer::quantile`] call.
+    /// * `medians`: one per cut statistic that carries a median, and one
+    ///   per [`Explorer::quantile`] call.
     ///
     /// `varies` (a counted cut's question) and `next_above` (a
     /// continuous cut's fallback split point) count as neither: each
     /// reads a selection only until it has its answer. Nor do a cut's
-    /// extremes, exact or sampled: they come with its median, and a
-    /// sampled cut's own `min_max` call is not counted. Nor does
+    /// extremes: they come with its median. Nor does
     /// [`Explorer::type_of`], a schema lookup. The explorer has no other
     /// door to its backend, so these are all the store calls a caller
     /// of this crate can make through it.
@@ -438,21 +435,11 @@ impl<'a> Explorer<'a> {
         crate::par::try_map(seg.queries(), |q| self.cover(q))
     }
 
-    /// What a numeric cut needs of `attr` over `sel`, honouring the
-    /// configured median strategy: the exact median comes with the
-    /// extremes from one pass where the backend has one
-    /// ([`Backend::cut_stats`]); a sampled one is its own call.
+    /// What a numeric cut needs of `attr` over `sel`
+    /// ([`Backend::cut_stats`]): the exact median with the extremes, from
+    /// one pass where the backend has one.
     pub(crate) fn cut_stats(&self, attr: &str, sel: &Bitmap) -> CoreResult<Option<CutStats>> {
-        let stats = match self.config.median {
-            MedianStrategy::Exact => self.backend.cut_stats(attr, sel)?,
-            MedianStrategy::Sampled { size, seed } => {
-                let sampled = || self.backend.sampled_median(attr, sel, size, seed);
-                let extremes = self.backend.min_max(attr, sel)?;
-                extremes
-                    .map(|(min, max)| CutStats::over(min, max, None, sampled))
-                    .transpose()?
-            }
-        };
+        let stats = self.backend.cut_stats(attr, sel)?;
         if stats.as_ref().is_some_and(|s| s.median.is_some()) {
             self.caches().ops.medians += 1;
         }
@@ -501,9 +488,8 @@ impl<'a> Explorer<'a> {
     /// The least and greatest value of `attr` over `sel`
     /// ([`Backend::min_max`]): one scan, a pass over the selected values
     /// like [`Explorer::frequencies`]. A cut's extremes come with its
-    /// median instead — from [`Backend::cut_stats`], or under a sampled
-    /// median from a `min_max` call of the cut's own — and are not
-    /// counted here.
+    /// median instead, from [`Backend::cut_stats`], and are not counted
+    /// here.
     pub fn min_max(&self, attr: &str, sel: &Bitmap) -> CoreResult<Option<(Value, Value)>> {
         let extremes = self.backend.min_max(attr, sel)?;
         self.caches().ops.scans += 1;

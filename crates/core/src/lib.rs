@@ -19,9 +19,10 @@
 //! * [`ranking`] — the paper's entropy-first order;
 //! * [`advisor`] / [`cache`] / [`session`] — the user-facing facade, the
 //!   cross-session advice cache and the drill-down exploration loop;
-//! * the §5.2 extensions the advisor itself runs: [`lazy`] (generate
-//!   answers on demand, over the same stepper) and sampled medians
-//!   ([`config::MedianStrategy`]).
+//! * the §5.2 extension the advisor itself runs: [`lazy`] (generate
+//!   answers on demand, over the same stepper). §5.2's sampled medians
+//!   are not one: an exact median costs less at every size measured
+//!   (`docs/adr/0030-one-median.md`).
 //!
 //! This crate is what the server, the sessions and Figure 4 need. The
 //! other §5.2 extensions (quantile and adaptive cuts, homogeneity,
@@ -68,7 +69,7 @@ pub mod session;
 
 pub use advisor::{Advice, Advisor, Encoded};
 pub use cache::{AdviceCache, AdviceCacheStats};
-pub use config::{Config, MedianStrategy};
+pub use config::Config;
 pub use engine::{fingerprint, CacheStats, Explorer};
 pub use error::{CoreError, CoreResult};
 pub use hbcuts::{hb_cuts, ComposeStep, HbCutsOutput, SkippedPair, StopReason, Trace};

@@ -1,7 +1,7 @@
 //! CUT (Definitions 5 & 6): split a query — and by extension a whole
 //! segmentation — in two halves along one attribute.
 //!
-//! * numeric attributes: split at the (exact or sampled) median —
+//! * numeric attributes: split at the median —
 //!   `CUT_att(Q) = {(Q, att: [min, med[), (Q, att: [med, max])}`;
 //! * nominal attributes: order the values by descending frequency (low
 //!   cardinality) or alphabetically (high cardinality), then split where
@@ -47,7 +47,7 @@ use crate::config::NOMINAL_FREQ_SORT_LIMIT;
 use crate::engine::{Explorer, Piece};
 use crate::error::CoreResult;
 use charles_sdl::{Constraint, Query, Segmentation};
-use charles_store::{Bitmap, DataType, FrequencyTable, Value};
+use charles_store::{Bitmap, DataType, FrequencyTable, StoreError, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -265,10 +265,15 @@ fn numeric_split(
     if matches!(min.try_cmp(&max), Ok(Ordering::Equal)) {
         return Ok(None); // constant within the segment
     }
-    // A sampled median is missing where the sample held no value: the
-    // piece still varies, so it splits where a median at its minimum
-    // would — `[lo, lo]` / `[lo+1, hi]`, or above the minimum.
-    let med = stats.median.unwrap_or_else(|| min.clone());
+    // Two distinct values have a median. A backend that answers none
+    // disagrees with itself about what `sel` holds: an error, not a cut
+    // at a split point no median chose.
+    let Some(med) = stats.median else {
+        return Err(StoreError::Empty(format!(
+            "median of {attr:?}: none over a selection whose extremes differ"
+        ))
+        .into());
+    };
     // Continuous columns compare as `f64` whatever the bound: one order,
     // no overlap. Discrete ones partition only under exact comparison.
     let discrete = matches!(min, Value::Int(_) | Value::Date(_));
@@ -366,7 +371,7 @@ fn nominal_split(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{Config, MedianStrategy};
+    use crate::config::Config;
     use charles_store::{Backend, DataType, RowTable, TableBuilder};
 
     /// The Figure 2 boats: 4 fluits (1000–2000, 2000–5000 tonnage) and 4
@@ -533,14 +538,9 @@ mod tests {
         // cutting the counted level gives the same pieces, over pieces of
         // one value and none, both zeros, medians of ∞ (two middle values
         // whose sum overflows) and of NaN (−∞ and +∞), a `Float` bound
-        // held on an `Int` attribute beyond 2⁵³, strings and booleans —
-        // under the exact median and under a one-row sample, on both
-        // engines. A one-row sample of `h` on the row store, which holds
-        // NaN where the table holds null, often draws only NaN: such a
-        // piece still varies, so it still cuts, with no median taken. The
-        // half-null `n` (and `h` on the table) draws no value too, but
-        // only while the sampler draws null rows, so there the test asserts
-        // the cut only through its depth.
+        // held on an `Int` attribute beyond 2⁵³, strings and booleans,
+        // and the half-null `n` and half-NaN `h` — on both engines (the
+        // row store holds NaN where the table holds null).
         let base = 1i64 << 53;
         let big = f64::MAX;
         let inf = f64::INFINITY;
@@ -599,53 +599,38 @@ mod tests {
             contexts.push(Query::wildcard(&attrs).refined("g", group).unwrap());
         }
         let engines: [(&dyn Backend, bool); 2] = [(&t, false), (&row_store, true)];
-        for sampled in [false, true] {
-            let (mut counted, mut uncut, mut unsampled) = (0, 0, 0);
-            for (seed, ctx) in (0..).zip(&contexts) {
-                let median = if sampled {
-                    MedianStrategy::Sampled { size: 1, seed }
-                } else {
-                    MedianStrategy::Exact
+        let (mut counted, mut uncut) = (0, 0);
+        for ctx in &contexts {
+            for (backend, holds_nan) in engines {
+                let ex = Explorer::new(backend, Config::default(), ctx.clone()).unwrap();
+                // The context alone, and its halves on each attribute.
+                let levels = |ex: &Explorer<'_>| {
+                    let mut levels = vec![vec![ex.context_piece()]];
+                    for by in cut_along {
+                        levels.push(cut_pieces(ex, vec![ex.context_piece()], by).unwrap().0);
+                    }
+                    levels
                 };
-                let config = Config::default().with_median(median);
-                for (backend, holds_nan) in engines {
-                    let ex = Explorer::new(backend, config.clone(), ctx.clone()).unwrap();
-                    // The context alone, and its halves on each attribute.
-                    let levels = |ex: &Explorer<'_>| {
-                        let mut levels = vec![vec![ex.context_piece()]];
-                        for by in cut_along {
-                            levels.push(cut_pieces(ex, vec![ex.context_piece()], by).unwrap().0);
-                        }
-                        levels
-                    };
-                    for attr in cut_along {
-                        for (to_cut, to_count) in levels(&ex).into_iter().zip(levels(&ex)) {
-                            let (level, medians) = (to_cut.len(), ex.backend_ops().medians);
-                            let cut = cut_pieces(&ex, to_cut, attr).unwrap();
-                            // A cut along `h` made with no median taken.
-                            let medians = (ex.backend_ops().medians - medians) as usize;
-                            if holds_nan && attr == "h" {
-                                unsampled += cut.0.len() - level - medians;
-                            }
-                            let count = count_cuts(&ex, to_count, attr).unwrap();
-                            let queries = |pieces: &[Piece]| -> Vec<String> {
-                                pieces.iter().map(|p| p.query.to_string()).collect()
-                            };
-                            let what = format!("{attr}, sampled: {sampled}, NaN: {holds_nan}");
-                            assert_eq!(count.depth(), cut.0.len(), "{what}: {:?}", queries(&cut.0));
-                            let depth = count.depth();
-                            uncut += 2 * count.level.len() - depth;
-                            counted += count.level.len();
-                            let recut = count.cut(&ex).unwrap();
-                            assert_eq!(queries(&recut.0), queries(&cut.0), "{what}");
-                            assert_eq!((recut.1, recut.2), (cut.1, cut.2), "{what}");
-                        }
+                for attr in cut_along {
+                    for (to_cut, to_count) in levels(&ex).into_iter().zip(levels(&ex)) {
+                        let cut = cut_pieces(&ex, to_cut, attr).unwrap();
+                        let count = count_cuts(&ex, to_count, attr).unwrap();
+                        let queries = |pieces: &[Piece]| -> Vec<String> {
+                            pieces.iter().map(|p| p.query.to_string()).collect()
+                        };
+                        let what = format!("{attr}, NaN: {holds_nan}");
+                        assert_eq!(count.depth(), cut.0.len(), "{what}: {:?}", queries(&cut.0));
+                        let depth = count.depth();
+                        uncut += 2 * count.level.len() - depth;
+                        counted += count.level.len();
+                        let recut = count.cut(&ex).unwrap();
+                        assert_eq!(queries(&recut.0), queries(&cut.0), "{what}");
+                        assert_eq!((recut.1, recut.2), (cut.1, cut.2), "{what}");
                     }
                 }
             }
-            assert!(uncut > 0 && uncut < counted, "{uncut} of {counted}");
-            assert_eq!(unsampled > 0, sampled, "{unsampled}");
         }
+        assert!(uncut > 0 && uncut < counted, "{uncut} of {counted}");
     }
 
     #[test]
@@ -745,31 +730,6 @@ mod tests {
         assert_eq!(by_kx.depth(), 3);
         let report = by_kx.check_partition(&t, ex.context_selection()).unwrap();
         assert!(report.is_partition(), "{report:?}");
-    }
-
-    #[test]
-    fn cut_with_sampled_median_still_partitions() {
-        let mut b = TableBuilder::new("t");
-        b.add_column("x", DataType::Int);
-        for i in 0..1000 {
-            b.push_row(vec![Value::Int(i % 97)]).unwrap();
-        }
-        let t = b.finish();
-        let ex = Explorer::new(
-            &t,
-            Config::default().with_median(MedianStrategy::Sampled { size: 64, seed: 3 }),
-            Query::wildcard(&["x"]),
-        )
-        .unwrap();
-        let (l, r) = cut_query(&ex, &ex.context().clone(), "x").unwrap().unwrap();
-        let seg = Segmentation::new(vec![l.clone(), r]);
-        assert!(seg
-            .check_partition(&t, ex.context_selection())
-            .unwrap()
-            .is_partition());
-        // Sampled split should still be roughly balanced.
-        let c = ex.cover(&l).unwrap();
-        assert!((0.25..=0.75).contains(&c), "cover {c}");
     }
 
     #[test]

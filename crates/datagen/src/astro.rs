@@ -21,7 +21,7 @@ fn gauss(rng: &mut StdRng) -> f64 {
 
 /// The sky-survey relation's schema, shared by the eager and streaming
 /// paths.
-pub fn astro_schema() -> Schema {
+pub(crate) fn astro_schema() -> Schema {
     let mut s = Schema::new();
     for (name, ty) in [
         ("ra", DataType::Float),
@@ -83,7 +83,7 @@ fn astro_row(rng: &mut StdRng) -> Vec<Value> {
 
 /// The `n` objects of `astro_table(n, seed)` as a replayable row
 /// iterator (the streaming producer).
-pub fn astro_rows(n: usize, seed: u64) -> impl Iterator<Item = Vec<Value>> {
+pub(crate) fn astro_rows(n: usize, seed: u64) -> impl Iterator<Item = Vec<Value>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(move |_| astro_row(&mut rng))
 }

@@ -10,32 +10,31 @@
 //!
 //! All generators are deterministic for a fixed seed.
 //!
-//! * [`voc::voc_table`] — nine-column VOC shipping relation with
+//! * [`voc_table`] — nine-column VOC shipping relation with
 //!   boat-type↔tonnage, route↔harbour and era↔yard dependencies;
-//! * [`astro::astro_table`] — sky-survey catalogue with class-conditional
+//! * [`astro_table`] — sky-survey catalogue with class-conditional
 //!   magnitude/redshift distributions;
-//! * [`weblog::weblog_table`] — sessionised web log with Zipfian paths
-//!   and heavy-tailed latencies;
-//! * [`synthetic`] — parametric tables with *controlled* pairwise
-//!   dependency for calibrating INDEP (experiment E8) and scalability
-//!   sweeps (E5/E6);
-//! * [`zipf`] — a small Zipf sampler shared by the generators;
-//! * [`persist`] — save any named dataset as a `.charles` file (and the
-//!   `datagen` binary that does it from the shell), so a dataset is
-//!   generated once and served from disk forever after.
-//!   [`persist::generate_and_save`] writes it with one generator pass
-//!   per column through the store's `StreamWriter`, keeping peak memory
-//!   independent of the row count — what makes 10⁸-row files
-//!   producible.
+//! * [`weblog_table`] — sessionised web log with Zipfian paths and
+//!   heavy-tailed latencies;
+//! * [`sweep_table`] and [`correlated_pair_table`] — parametric tables
+//!   with *controlled* pairwise dependency for calibrating INDEP
+//!   (experiment E8) and scalability sweeps (E5/E6);
+//! * [`Zipf`] — a small Zipf sampler shared by the generators;
+//! * [`generate_and_save`] — save any named dataset as a `.charles` file
+//!   (and the `datagen` binary that does it from the shell), so a
+//!   dataset is generated once and served from disk forever after. It
+//!   writes one generator pass per column through the store's
+//!   `StreamWriter`, keeping peak memory independent of the row count —
+//!   what makes 10⁸-row files producible.
 
 #![forbid(unsafe_code)]
 
-pub mod astro;
-pub mod persist;
-pub mod synthetic;
-pub mod voc;
-pub mod weblog;
-pub mod zipf;
+mod astro;
+mod persist;
+mod synthetic;
+mod voc;
+mod weblog;
+mod zipf;
 
 pub use astro::astro_table;
 pub use persist::{

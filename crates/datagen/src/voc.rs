@@ -47,7 +47,7 @@ const YARDS: [(&str, i64, i64); 4] = [
 ];
 
 /// The VOC relation's schema, shared by the eager and streaming paths.
-pub fn voc_schema() -> Schema {
+pub(crate) fn voc_schema() -> Schema {
     let mut s = Schema::new();
     for (name, ty) in [
         ("type_of_boat", DataType::Str),
@@ -104,7 +104,7 @@ fn voc_row(rng: &mut StdRng) -> Vec<Value> {
 /// streaming producer: re-creating this iterator replays the identical
 /// rows, which is what lets `generate_and_save` make one pass
 /// per column without materialising the table.
-pub fn voc_rows(n: usize, seed: u64) -> impl Iterator<Item = Vec<Value>> {
+pub(crate) fn voc_rows(n: usize, seed: u64) -> impl Iterator<Item = Vec<Value>> {
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n).map(move |_| voc_row(&mut rng))
 }

@@ -25,7 +25,7 @@ const SECTIONS: [&str; 6] = ["home", "search", "product", "cart", "api", "admin"
 
 /// The web-log relation's schema, shared by the eager and streaming
 /// paths.
-pub fn weblog_schema() -> Schema {
+pub(crate) fn weblog_schema() -> Schema {
     let mut s = Schema::new();
     for (name, ty) in [
         ("section", DataType::Str),
@@ -101,7 +101,7 @@ fn weblog_row(rng: &mut StdRng, paths: &Zipf) -> Vec<Value> {
 
 /// The `n` log lines of `weblog_table(n, seed)` as a replayable row
 /// iterator (the streaming producer).
-pub fn weblog_rows(n: usize, seed: u64) -> impl Iterator<Item = Vec<Value>> {
+pub(crate) fn weblog_rows(n: usize, seed: u64) -> impl Iterator<Item = Vec<Value>> {
     let mut rng = StdRng::seed_from_u64(seed);
     let paths = Zipf::new(SECTIONS.len(), 1.1);
     (0..n).map(move |_| weblog_row(&mut rng, &paths))

@@ -44,10 +44,10 @@ pub struct BackendStats {
     /// however few rows the leaves before it left — and one per
     /// `frequencies`, `min_max` and `mean_and_var` call made through the
     /// explorer. A `Rows` leaf, a selection derived as the complement of
-    /// another, or a cut's extremes, exact or sampled (they come with its
-    /// median), are none.
+    /// another, or a cut's extremes (they come with its median), are
+    /// none.
     pub scans: u64,
-    /// Median computations, exact or sampled, and quantiles.
+    /// Median computations and quantiles.
     pub medians: u64,
 }
 
@@ -122,7 +122,9 @@ pub trait Backend: Send + Sync {
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>>;
 
     /// Approximate median from a reservoir sample of `sample_size` rows
-    /// (§5.2 sampling strategies). Deterministic for a fixed `seed`.
+    /// (§5.2 sampling strategies). Deterministic for a fixed `seed`. The
+    /// advisor takes exact medians only (`docs/adr/0030-one-median.md`):
+    /// nothing outside the store's tests and test wrappers calls this.
     fn sampled_median(
         &self,
         column: &str,

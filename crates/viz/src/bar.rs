@@ -58,7 +58,7 @@ pub fn stacked_bar(weights: &[f64], width: usize) -> String {
 }
 
 /// A legend line per segment: glyph, percentage, label.
-pub fn bar_legend(labels: &[String], weights: &[f64]) -> String {
+pub(crate) fn bar_legend(labels: &[String], weights: &[f64]) -> String {
     let total: f64 = weights.iter().sum();
     let mut out = String::new();
     for (i, (label, w)) in labels.iter().zip(weights).enumerate() {

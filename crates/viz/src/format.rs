@@ -31,7 +31,7 @@ pub fn truncate_label(s: &str, max: usize) -> String {
 }
 
 /// The glyph used for slice `i` in pies, bars and legends. Cycles after 16.
-pub fn slice_glyph(i: usize) -> char {
+pub(crate) fn slice_glyph(i: usize) -> char {
     const GLYPHS: [char; 16] = [
         '█', '▓', '▒', '░', '◆', '◇', '●', '○', '▲', '△', '■', '□', '★', '☆', '◼', '◻',
     ];

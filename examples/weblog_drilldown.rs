@@ -8,11 +8,11 @@
 //! This example plays out an incident-triage session: segment the whole
 //! log, notice the error-dominated slice, drill into the 500s, and let
 //! Charles reveal which section and country the slowness concentrates in.
-//! It also compares the exact-median configuration against the §5.2
-//! sampled-median configuration on the same context and reports the
-//! agreement plus the operation counts.
+//! It ends with what one advice on a numeric context asked of the store:
+//! the run's own count of column scans and medians, §5.1's "counts over
+//! predicates and median calculations".
 
-use charles::{weblog_table, Advisor, Config, MedianStrategy, Session};
+use charles::{weblog_table, Advisor, Session};
 use std::sync::Arc;
 
 fn main() {
@@ -55,34 +55,17 @@ fn main() {
         }
     }
 
-    // Step 3: exact vs sampled medians (§5.2) on the same context.
-    println!("\n=== exact vs sampled medians ===");
+    // Step 3: the store work of one advice on a numeric context.
+    println!("\n=== store work of one advice ===");
     let context = "(latency_ms: , bytes: , hour: )";
-    let exact_advisor = Advisor::new(log.as_ref());
-    let exact = exact_advisor.advise_str(context).expect("parses");
-    let sampled_advisor = Advisor::with_config(
-        log.as_ref(),
-        Config::default().with_median(MedianStrategy::Sampled {
-            size: 1024,
-            seed: 7,
-        }),
-    );
-    let sampled = sampled_advisor.advise_str(context).expect("parses");
+    let advice = Advisor::new(log.as_ref())
+        .advise_str(context)
+        .expect("parses");
     println!(
-        "exact:   best E={:.3}, {} scans, {} medians",
-        exact.ranked[0].score.entropy, exact.backend_ops.scans, exact.backend_ops.medians
-    );
-    println!(
-        "sampled: best E={:.3}, {} scans, {} medians (reservoir of 1024)",
-        sampled.ranked[0].score.entropy, sampled.backend_ops.scans, sampled.backend_ops.medians
-    );
-    let delta = (exact.ranked[0].score.entropy - sampled.ranked[0].score.entropy).abs();
-    println!(
-        "entropy difference of best answers: {delta:.4} — sampling {}",
-        if delta < 0.1 {
-            "preserves the answer quality"
-        } else {
-            "visibly changes the answers on this data"
-        }
+        "{context}: best E={:.3}, {} scans, {} medians over {} rows",
+        advice.ranked[0].score.entropy,
+        advice.backend_ops.scans,
+        advice.backend_ops.medians,
+        advice.context_size
     );
 }

@@ -45,7 +45,7 @@ pub use charles_viz as viz;
 
 pub use charles_core::{
     hb_cuts, Advice, AdviceCache, AdviceCacheStats, Advisor, Config, CoreError, CoreResult,
-    Explorer, LazyGenerator, MedianStrategy, Ranked, Score, Session,
+    Explorer, LazyGenerator, Ranked, Score, Session,
 };
 pub use charles_datagen::{astro_table, sweep_table, voc_table, weblog_table};
 pub use charles_sdl::{

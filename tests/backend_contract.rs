@@ -28,7 +28,9 @@ mod common;
 /// `scan_budget`, is spent by `eval` alone: it fails the k-th predicate
 /// evaluation and every one after it, whatever the first fuse says. A
 /// third, `leader_gate`, is one-shot: the first `eval` that finds it set
-/// takes it, waits at its barrier twice and panics.
+/// takes it, waits at its barrier twice and panics. Set, `no_median`
+/// answers every `median` with none, as a backend whose statistics
+/// disagree with themselves would.
 ///
 /// It forwards the *required* methods only: `cut_stats` is the trait's
 /// provided body over them, so the advisor runs here as it would over
@@ -38,6 +40,7 @@ struct FusedBackend<'a> {
     budget: AtomicUsize,
     scan_budget: AtomicUsize,
     leader_gate: Mutex<Option<Arc<Barrier>>>,
+    no_median: bool,
 }
 
 impl<'a> FusedBackend<'a> {
@@ -47,6 +50,7 @@ impl<'a> FusedBackend<'a> {
             budget: AtomicUsize::new(budget),
             scan_budget: AtomicUsize::new(usize::MAX),
             leader_gate: Mutex::new(None),
+            no_median: false,
         }
     }
 
@@ -101,6 +105,9 @@ impl Backend for FusedBackend<'_> {
     }
     fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
         self.spend()?;
+        if self.no_median {
+            return Ok(None);
+        }
         self.inner.median(column, sel)
     }
     fn sampled_median(
@@ -183,6 +190,23 @@ fn every_failure_point_surfaces_as_err_not_panic() {
         }
     }
     assert!(succeeded, "advisor never succeeded within the op budget");
+}
+
+#[test]
+fn no_median_over_a_selection_that_varies_is_an_error() {
+    // The obligation `cut_stats` states (`CutStats::median`) and every
+    // engine keeps (`obligation_cut_stats_is_min_max_and_median_in_one_call`):
+    // a selection whose extremes differ has a median. A backend that
+    // finds none there disagrees with itself about what the selection
+    // holds, and the advisor says so rather than cut without one.
+    let table = voc_table(500, 56);
+    let mut broken = FusedBackend::new(&table, usize::MAX);
+    broken.no_median = true;
+    let err = Advisor::new(&broken).advise_str(CONTEXT).unwrap_err();
+    assert!(
+        matches!(&err, CoreError::Store(StoreError::Empty(what)) if what.contains("extremes differ")),
+        "{err}"
+    );
 }
 
 #[test]
@@ -879,7 +903,9 @@ mod contract_harness {
                         "{what}: median"
                     );
                     if let Some(stats) = &got {
-                        // No median where there is nothing to split.
+                        // No median where there is nothing to split, and
+                        // one wherever there is: CUT errs without it
+                        // (`no_median_over_a_selection_that_varies_is_an_error`).
                         let constant = format!("{:?}", stats.min) == format!("{:?}", stats.max);
                         assert_eq!(stats.median.is_none(), constant, "{what}");
                         // Every engine counts the values ranked, in the
@@ -1389,26 +1415,33 @@ mod contract_harness {
         // holds — so a cut on `f` does not partition its parent and its
         // halves scan one conjunct each. `d` holds a value in every row:
         // every engine's one-pass statistics count as many values as the
-        // parent has rows, and the pair costs one scan.
+        // parent has rows, and the pair costs one scan. Behind the trait's
+        // provided `cut_stats`, which counts nothing, it costs two.
         let (backends, _) = cut_stats_fixture();
-        for (name, b) in &backends {
-            let ctx = Query::wildcard(&["f", "d"]);
-            let ex = Explorer::new(b.as_ref(), Config::default(), ctx.clone()).unwrap();
-            assert_eq!(ex.context_size(), CUT_ROWS - 1, "{name}");
-            let (valued, all) = (CUT_ROWS - 2, CUT_ROWS - 1);
-            for (attr, covered, scans) in [("f", valued, 2), ("d", all, 1)] {
-                let before = ex.backend_ops().scans;
-                let (l, r) = cut_query(&ex, &ctx, attr).unwrap().unwrap();
-                let released = [&l, &r].map(|q| ex.selection(q).unwrap());
-                assert_eq!(ex.backend_ops().scans - before, scans, "{name}: {attr}");
-                for (q, released) in [&l, &r].into_iter().zip(&released) {
-                    let mut evaluated = charles::sdl::eval::selection(q, b.as_ref()).unwrap();
-                    evaluated.and_inplace(ex.context_selection());
-                    assert_eq!(**released, evaluated, "{name}: {q}");
+        for (name, engine) in &backends {
+            let provided = FusedBackend::new(engine.as_ref(), usize::MAX);
+            let own = engine.as_ref();
+            for (label, b, d_scans) in [("own", own, 1), ("provided", &provided as &dyn Backend, 2)]
+            {
+                let name = format!("{name}, {label} cut_stats");
+                let ctx = Query::wildcard(&["f", "d"]);
+                let ex = Explorer::new(b, Config::default(), ctx.clone()).unwrap();
+                assert_eq!(ex.context_size(), CUT_ROWS - 1, "{name}");
+                let (valued, all) = (CUT_ROWS - 2, CUT_ROWS - 1);
+                for (attr, covered, scans) in [("f", valued, 2), ("d", all, d_scans)] {
+                    let before = ex.backend_ops().scans;
+                    let (l, r) = cut_query(&ex, &ctx, attr).unwrap().unwrap();
+                    let released = [&l, &r].map(|q| ex.selection(q).unwrap());
+                    assert_eq!(ex.backend_ops().scans - before, scans, "{name}: {attr}");
+                    for (q, released) in [&l, &r].into_iter().zip(&released) {
+                        let mut evaluated = charles::sdl::eval::selection(q, b).unwrap();
+                        evaluated.and_inplace(ex.context_selection());
+                        assert_eq!(**released, evaluated, "{name}: {q}");
+                    }
+                    assert!(released[0].is_disjoint(&released[1]), "{name}: {attr}");
+                    let both = released[0].count_ones() + released[1].count_ones();
+                    assert_eq!(both, covered, "{name}: {attr}");
                 }
-                assert!(released[0].is_disjoint(&released[1]), "{name}: {attr}");
-                let both = released[0].count_ones() + released[1].count_ones();
-                assert_eq!(both, covered, "{name}: {attr}");
             }
         }
     }
@@ -1821,11 +1854,8 @@ impl Tally {
     /// calls: a scan per leaf handed to `eval` and per `frequencies`,
     /// `min_max` and `mean_and_var`; a median per cut statistic that
     /// carries one and per `median`, `sampled_median` and `quantile`.
-    /// `not_null`, `varies`, `next_above` and a cut's extremes are none.
-    ///
-    /// Under `MedianStrategy::Sampled` a cut takes its extremes with a
-    /// `min_max` call of its own, which this would score as a scan: the
-    /// rule read here is the exact strategy's.
+    /// `not_null`, `varies`, `next_above` and a cut's extremes, which come
+    /// from the cut's one `cut_stats` call, are none.
     fn ops(&self) -> BackendStats {
         BackendStats {
             scans: self.eval_leaves + self.frequencies + self.min_max + self.mean_and_var,
@@ -1937,9 +1967,7 @@ fn the_explorer_counts_every_store_call_made_through_it() {
     // The explorer is the one door to the store (ADR 0028): each method
     // below runs on an explorer of its own over a tallying backend, and
     // the explorer's `backend_ops` must be what the backend was asked,
-    // read under its rule — no call went round the door uncounted. The
-    // explorers run the exact median strategy, whose cuts take their
-    // extremes inside `cut_stats` (see `Tally::ops`).
+    // read under its rule — no call went round the door uncounted.
     use charles::advisor::cut_segmentation;
     use charles::Segmentation;
     use charles_bench::baselines::{

@@ -4,7 +4,7 @@
 
 use charles::advisor::{Explorer, LazyGenerator};
 use charles::viz::{multi_level_pie, segment_sparklines, PieLevel};
-use charles::{astro_table, voc_table, Config, MedianStrategy, Query, Segmentation};
+use charles::{astro_table, voc_table, Config, Query, Segmentation};
 use charles_bench::baselines::{random_segmentations, RandomOptions};
 use charles_bench::{
     adaptive_segmentations, homogeneity, quantile_cut_segmentation, rank_by_surprise, surprise,
@@ -121,38 +121,6 @@ fn quantile_segmentation_composes_with_median_cuts() {
         .check_partition(&t, ex.context_selection())
         .unwrap()
         .is_partition());
-}
-
-#[test]
-fn sampled_median_advisor_agrees_with_exact_on_shape() {
-    let t = voc_table(20_000, 35);
-    let ctx = "(type_of_boat: , tonnage: , built: )";
-    let exact = charles::Advisor::new(&t).advise_str(ctx).unwrap();
-    let sampled = charles::Advisor::with_config(
-        &t,
-        Config::default().with_median(MedianStrategy::Sampled { size: 512, seed: 1 }),
-    )
-    .advise_str(ctx)
-    .unwrap();
-    assert_eq!(exact.ranked.len(), sampled.ranked.len());
-    // The same multiset of attribute structures is produced (near-tied
-    // entropies may swap ranks, so compare unordered).
-    let structures = |a: &charles::Advice| {
-        let mut v: Vec<String> = a
-            .ranked
-            .iter()
-            .map(|r| {
-                let mut attrs: Vec<&str> = r.segmentation.attributes();
-                attrs.sort();
-                attrs.join("+")
-            })
-            .collect();
-        v.sort();
-        v
-    };
-    assert_eq!(structures(&exact), structures(&sampled));
-    let d = (exact.ranked[0].score.entropy - sampled.ranked[0].score.entropy).abs();
-    assert!(d < 0.05, "entropy drift {d}");
 }
 
 #[test]

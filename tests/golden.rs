@@ -1,8 +1,7 @@
 //! Golden advice bytes: "advice bytes unchanged" as a committed check.
 //!
 //! A fixed set of contexts over `datagen`'s three tables — the shapes of
-//! the four benchmark workloads, one drill/back trail, one sampled-median
-//! config, the §5.1 ablations (memo off, analysis off, the row-store
+//! the four benchmark workloads, one drill/back trail, the §5.1 ablations (memo off, analysis off, the row-store
 //! backend) and a repeated attribute merged at admission — is advised
 //! afresh and each advice
 //! is rendered the three ways it leaves the advisor: the JSON object both
@@ -23,7 +22,7 @@
 use charles::serve::json::encode_advice;
 use charles::serve::wire::{WireAdvice, WireResponse, HEADER_LEN};
 use charles::store::{Backend, RowTable};
-use charles::{astro_table, voc_table, weblog_table, Advice, Config, MedianStrategy, Session};
+use charles::{astro_table, voc_table, weblog_table, Advice, Config, Session};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -53,13 +52,6 @@ struct Case {
 
 fn paper() -> Config {
     Config::default()
-}
-
-fn sampled() -> Config {
-    Config::default().with_median(MedianStrategy::Sampled {
-        size: 256,
-        seed: 11,
-    })
 }
 
 fn unmemoized() -> Config {
@@ -167,12 +159,6 @@ const CASES: &[Case] = &[
         "voc",
         &[Step::Start("(type_of_boat: {jacht})")],
     ),
-    Case {
-        name: "sampled_median",
-        table: "voc",
-        config: sampled,
-        steps: &[Step::Start("(type_of_boat: , tonnage: , built: , trip: )")],
-    },
     Case {
         name: "memo_off",
         table: "voc",

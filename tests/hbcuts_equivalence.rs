@@ -14,22 +14,25 @@
 //! the f64 score bits, across:
 //!
 //! * memoization on and off,
-//! * `MedianStrategy::Exact` and `::Sampled`,
+//! * the store's own one-pass `Backend::cut_stats` and `varies`, and
+//!   the trait's provided bodies of both ([`Provided`]), whose answers
+//!   must also be the store's,
 //!
 //! plus two count assertions: with memoization on, production evaluates
 //! every candidate pair exactly once, and the predicate scans it issues
 //! are a closed form of the trace (the context's conjuncts, one per cut
 //! pair materialised — two where the cut could not tell that its halves
-//! partition their parent — and one per frequency table; none for the
-//! last level of a rejected composition, which is counted, not cut: its
+//! partition their parent, as behind the provided `cut_stats`, which
+//! counts no values — and one per frequency table; none for the last
+//! level of a rejected composition, which is counted, not cut: its
 //! pieces are never scanned and take no frequency table).
 
 use charles::advisor::{
     compose, cut_segmentation, fingerprint, hb_cuts, indep, rank, score, ComposeStep, CoreError,
     CoreResult, Explorer, HbCutsOutput, SkippedPair, StopReason, Trace,
 };
-use charles::{sweep_table, voc_table, Config, MedianStrategy, Query, Segmentation, Table};
-use charles_store::Backend;
+use charles::{sweep_table, voc_table, Config, Query, Segmentation, Table};
+use charles_store::{Backend, Bitmap, FrequencyTable, Schema, StorePredicate, StoreResult, Value};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -191,44 +194,104 @@ fn run_fingerprint(out: &HbCutsOutput) -> (Vec<RankedFingerprint>, String) {
 /// The configuration matrix the equivalence must hold over.
 fn config_matrix() -> Vec<(&'static str, Config)> {
     vec![
-        ("memo+exact", Config::default()),
-        ("nomemo+exact", Config::default().with_memoize(false)),
-        (
-            "memo+sampled",
-            Config::default().with_median(MedianStrategy::Sampled { size: 256, seed: 7 }),
-        ),
-        (
-            "nomemo+sampled",
-            Config::default()
-                .with_memoize(false)
-                .with_median(MedianStrategy::Sampled { size: 256, seed: 7 }),
-        ),
+        ("memo", Config::default()),
+        ("nomemo", Config::default().with_memoize(false)),
     ]
 }
 
+/// A backend's required methods and nothing else: `cut_stats` and
+/// `varies` are the trait's provided bodies over them. The provided
+/// `cut_stats` is `min_max` then `median` and counts no values, so no
+/// cut over it can tell that its halves partition their parent: each
+/// half scans for itself, as over any backend written without a
+/// `cut_stats` of its own.
+struct Provided<'a>(&'a dyn Backend);
+
+impl Backend for Provided<'_> {
+    fn row_count(&self) -> usize {
+        self.0.row_count()
+    }
+    fn schema(&self) -> &Schema {
+        self.0.schema()
+    }
+    fn eval(&self, pred: &StorePredicate) -> StoreResult<Bitmap> {
+        self.0.eval(pred)
+    }
+    fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
+        self.0.not_null(column)
+    }
+    fn count(&self, pred: &StorePredicate) -> StoreResult<usize> {
+        self.0.count(pred)
+    }
+    fn median(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<Value>> {
+        self.0.median(column, sel)
+    }
+    fn sampled_median(
+        &self,
+        column: &str,
+        sel: &Bitmap,
+        sample_size: usize,
+        seed: u64,
+    ) -> StoreResult<Option<Value>> {
+        self.0.sampled_median(column, sel, sample_size, seed)
+    }
+    fn quantile(&self, column: &str, sel: &Bitmap, q: f64) -> StoreResult<Option<Value>> {
+        self.0.quantile(column, sel, q)
+    }
+    fn min_max(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(Value, Value)>> {
+        self.0.min_max(column, sel)
+    }
+    fn next_above(&self, column: &str, sel: &Bitmap, v: &Value) -> StoreResult<Option<Value>> {
+        self.0.next_above(column, sel, v)
+    }
+    fn mean_and_var(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
+        self.0.mean_and_var(column, sel)
+    }
+    fn frequencies(
+        &self,
+        column: &str,
+        sel: &Bitmap,
+    ) -> StoreResult<(FrequencyTable, Vec<String>)> {
+        self.0.frequencies(column, sel)
+    }
+    fn distinct_count(&self, column: &str, sel: &Bitmap) -> StoreResult<usize> {
+        self.0.distinct_count(column, sel)
+    }
+}
+
 /// Assert reference ⇔ production equality for one backend + context over
-/// the whole configuration matrix. Returns the number of configurations
-/// that produced at least one composition (so callers can assert the
-/// comparison was not vacuous).
+/// the whole configuration matrix, on the backend and on its provided
+/// bodies, and that the two answer alike. Returns the number of
+/// configurations that produced at least one composition (so callers can
+/// assert the comparison was not vacuous).
 fn assert_equivalent(backend: &dyn Backend, ctx: &Query, label: &str) -> usize {
+    let provided = Provided(backend);
     let mut composed = 0;
     for (cfg_label, cfg) in config_matrix() {
-        let inc = {
-            let ex = Explorer::new(backend, cfg.clone(), ctx.clone()).unwrap();
-            hb_cuts(&ex).unwrap()
-        };
-        let reference = {
-            let ex = Explorer::new(backend, cfg, ctx.clone()).unwrap();
-            figure4_reference(&ex).unwrap()
-        };
-        assert_eq!(
-            run_fingerprint(&inc),
-            run_fingerprint(&reference),
-            "reference and production HB-cuts diverged ({label}, {cfg_label})"
-        );
-        if inc.trace.steps.iter().any(|s| s.accepted) {
-            composed += 1;
+        let mut answers = Vec::new();
+        for (engine, backend) in [("store", backend), ("provided", &provided as &dyn Backend)] {
+            let inc = {
+                let ex = Explorer::new(backend, cfg.clone(), ctx.clone()).unwrap();
+                hb_cuts(&ex).unwrap()
+            };
+            let reference = {
+                let ex = Explorer::new(backend, cfg.clone(), ctx.clone()).unwrap();
+                figure4_reference(&ex).unwrap()
+            };
+            assert_eq!(
+                run_fingerprint(&inc),
+                run_fingerprint(&reference),
+                "reference and production HB-cuts diverged ({label}, {engine}, {cfg_label})"
+            );
+            if engine == "store" && inc.trace.steps.iter().any(|s| s.accepted) {
+                composed += 1;
+            }
+            answers.push(run_fingerprint(&inc));
         }
+        assert_eq!(
+            answers[0], answers[1],
+            "the provided bodies answered otherwise ({label}, {cfg_label})"
+        );
     }
     composed
 }
@@ -434,15 +497,28 @@ fn replay_cost(ctx: &Query, trace: &Trace, nominal: &dyn Fn(&str) -> bool) -> Re
 }
 
 /// Run HB-cuts with and without the §5.1 reuse and hold the run's scan
-/// count and the explorer's selection counters to the replay.
+/// count and the explorer's selection counters to the replay, on the
+/// table and on its provided bodies ([`Provided`]).
 fn assert_scans_follow_the_trace(table: &Table, ctx: &Query, cfg: &Config) -> Trace {
+    let trace = assert_scans_follow_the_trace_on(table, ctx, cfg, 1);
+    let provided = assert_scans_follow_the_trace_on(&Provided(table), ctx, cfg, 2);
+    assert_eq!(format!("{provided:?}"), format!("{trace:?}"));
+    trace
+}
+
+fn assert_scans_follow_the_trace_on(
+    backend: &dyn Backend,
+    ctx: &Query,
+    cfg: &Config,
+    scans_per_numeric_pair: u64,
+) -> Trace {
     let run = |memoize: bool| {
-        let ex = Explorer::new(table, cfg.clone().with_memoize(memoize), ctx.clone()).unwrap();
+        let ex = Explorer::new(backend, cfg.clone().with_memoize(memoize), ctx.clone()).unwrap();
         let out = hb_cuts(&ex).unwrap();
         (out.trace, ex.cache_stats(), ex.backend_ops().scans)
     };
     let (trace, memo, scans) = run(true);
-    let schema = Backend::schema(table);
+    let schema = backend.schema();
     let nominal = |attr: &str| !schema.type_of(attr).unwrap().is_numeric();
     let cost = replay_cost(ctx, &trace, &nominal);
 
@@ -451,14 +527,10 @@ fn assert_scans_follow_the_trace(table: &Table, ctx: &Query, cfg: &Config) -> Tr
     // exactly once — nothing is looked up, so nothing hits — and no term
     // grows with the number of pairs evaluated. These tables hold no null
     // and no NaN, so every cut's halves partition their parent; the cut
-    // knows it from the count its statistics come with — the exact
-    // median's ranked values, a frequency table's total — and the pair
-    // costs one scan. A sampled median comes with no count, and each of
-    // its halves scans for itself.
-    let scans_per_numeric_pair = match cfg.median {
-        MedianStrategy::Exact => 1,
-        MedianStrategy::Sampled { .. } => 2,
-    };
+    // knows it from the count its statistics come with — the median's
+    // ranked values, a frequency table's total — and the pair costs one
+    // scan. The provided `cut_stats` comes with no count, and each half
+    // of its numeric cuts scans for itself.
     let context_scans = ctx.constraint_count() as u64;
     assert_eq!(
         scans,
@@ -523,16 +595,10 @@ fn selection_lookups_follow_the_trace_not_the_pair_count() {
     let table = b.finish();
     let ctx =
         charles::parse_query("(x: [100,900], y: , k: , z: )", Backend::schema(&table)).unwrap();
-    let exact = cfg.with_max_depth(16);
-    let sampled = exact
-        .clone()
-        .with_median(MedianStrategy::Sampled { size: 512, seed: 7 });
-    for cfg in [exact, sampled] {
-        let trace = assert_scans_follow_the_trace(&table, &ctx, &cfg);
-        assert_eq!(trace.seeds, ["x", "y", "k", "z"]);
-        assert!(trace.steps.iter().any(|s| s.accepted));
-        assert!(trace.steps.iter().any(|s| !s.accepted), "{trace:?}");
-    }
+    let trace = assert_scans_follow_the_trace(&table, &ctx, &cfg.with_max_depth(16));
+    assert_eq!(trace.seeds, ["x", "y", "k", "z"]);
+    assert!(trace.steps.iter().any(|s| s.accepted));
+    assert!(trace.steps.iter().any(|s| !s.accepted), "{trace:?}");
 }
 
 /// A small table in the spirit of `partition_properties.rs`: two
@@ -596,29 +662,33 @@ proptest! {
     /// Property: for arbitrary small tables and depth bounds, the
     /// reference and production HB-cuts produce identical compose traces
     /// (same pairs, same skipped pairs, same StopReason, same depths)
-    /// and identical ranked output, across the memoize × median-strategy
-    /// matrix.
+    /// and identical ranked output, with memoization on and off, on the
+    /// table and on its provided bodies.
     #[test]
     fn naive_and_incremental_traces_match(t in arb_table(), max_depth in 3usize..13) {
         let ctx = Query::wildcard(&SMALL_CONTEXT);
+        let provided = Provided(&t);
+        let engines: [(&str, &dyn Backend); 2] = [("store", &t), ("provided", &provided)];
         // Contexts can be degenerate (all-constant columns): both paths
         // must then fail identically too.
-        for (cfg_label, cfg) in config_matrix() {
-            let cfg = cfg.with_max_depth(max_depth);
-            let run = |reference: bool| {
-                let ex = Explorer::new(&t, cfg.clone(), ctx.clone()).unwrap();
-                if reference { figure4_reference(&ex) } else { hb_cuts(&ex) }
-            };
-            match (run(false), run(true)) {
-                (Ok(inc), Ok(reference)) => prop_assert_eq!(
-                    run_fingerprint(&inc),
-                    run_fingerprint(&reference),
-                    "diverged under {} at max_depth {}", cfg_label, max_depth
-                ),
-                (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
-                (a, b) => return Err(TestCaseError::fail(format!(
-                    "one path failed, the other did not ({cfg_label}): {a:?} vs {b:?}"
-                ))),
+        for (engine, backend) in engines {
+            for (cfg_label, cfg) in config_matrix() {
+                let cfg = cfg.with_max_depth(max_depth);
+                let run = |reference: bool| {
+                    let ex = Explorer::new(backend, cfg.clone(), ctx.clone()).unwrap();
+                    if reference { figure4_reference(&ex) } else { hb_cuts(&ex) }
+                };
+                match (run(false), run(true)) {
+                    (Ok(inc), Ok(reference)) => prop_assert_eq!(
+                        run_fingerprint(&inc),
+                        run_fingerprint(&reference),
+                        "diverged on {} under {} at max_depth {}", engine, cfg_label, max_depth
+                    ),
+                    (Err(e1), Err(e2)) => prop_assert_eq!(e1, e2),
+                    (a, b) => return Err(TestCaseError::fail(format!(
+                        "one path failed, the other did not ({engine}, {cfg_label}): {a:?} vs {b:?}"
+                    ))),
+                }
             }
         }
     }
