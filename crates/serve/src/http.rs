@@ -16,7 +16,7 @@ use crate::codes::ErrorCode;
 use std::io::{BufRead, Write};
 
 /// Upper bound on the request line plus all headers.
-pub const MAX_HEAD_BYTES: usize = 8 * 1024;
+pub(crate) const MAX_HEAD_BYTES: usize = 8 * 1024;
 /// Upper bound on a request body.
 pub const MAX_BODY_BYTES: usize = 1024 * 1024;
 
@@ -77,7 +77,7 @@ pub enum HttpError {
     /// next request — a smuggling primitive behind proxies), so it is
     /// rejected outright per RFC 7230 §3.3.1.
     UnsupportedTransferEncoding(String),
-    /// Request line + headers exceeded [`MAX_HEAD_BYTES`].
+    /// Request line + headers exceeded 8 KiB.
     HeadTooLarge,
     /// Declared body length exceeded [`MAX_BODY_BYTES`].
     BodyTooLarge(usize),
@@ -267,7 +267,7 @@ pub fn parse_request<R: BufRead>(reader: &mut R) -> Result<Request, HttpError> {
 }
 
 /// Reason phrase for the status codes this server emits.
-pub fn status_reason(status: u16) -> &'static str {
+pub(crate) fn status_reason(status: u16) -> &'static str {
     match status {
         200 => "OK",
         201 => "Created",
@@ -292,7 +292,7 @@ pub fn status_reason(status: u16) -> &'static str {
 /// will read another request from this connection, `close` when it is
 /// about to hang up — so conforming clients never try to reuse a
 /// connection that is being torn down.
-pub fn write_response<W: Write>(
+pub(crate) fn write_response<W: Write>(
     writer: &mut W,
     status: u16,
     body: &str,

@@ -60,7 +60,7 @@ pub fn json_f64(v: f64) -> String {
 }
 
 /// A JSON array of strings.
-pub fn json_string_array(items: &[String]) -> String {
+pub(crate) fn json_string_array(items: &[String]) -> String {
     json_array(items, |s| json_string(s))
 }
 
@@ -157,7 +157,7 @@ pub(crate) fn error_body(
 /// non-2xx response. `code` is a stable snake_case machine-readable
 /// identifier (clients branch on it; the set is documented in the
 /// README's serving section); `message` is the human-readable detail.
-pub fn encode_error(code: &str, message: &str) -> String {
+pub(crate) fn encode_error(code: &str, message: &str) -> String {
     debug_assert!(
         code.chars().all(|c| c.is_ascii_lowercase() || c == '_'),
         "error codes are stable snake_case identifiers, got {code:?}"
@@ -170,7 +170,7 @@ pub fn encode_error(code: &str, message: &str) -> String {
 /// Each diagnostic's `code` is its stable snake_case
 /// [`charles_sdl::DiagnosticCode`] name, so clients can branch per
 /// finding, not just per response.
-pub fn encode_error_with_diagnostics(
+pub(crate) fn encode_error_with_diagnostics(
     code: &str,
     message: &str,
     diagnostics: &[charles_sdl::Diagnostic],
@@ -187,7 +187,7 @@ pub fn encode_error_with_diagnostics(
 }
 
 /// The wire name of a stop reason (snake_case, stable).
-pub fn stop_reason_name(stop: StopReason) -> &'static str {
+pub(crate) fn stop_reason_name(stop: StopReason) -> &'static str {
     match stop {
         StopReason::IndependenceThreshold => "independence_threshold",
         StopReason::DepthLimit => "depth_limit",

@@ -57,11 +57,11 @@
 // A suppression names its lint and says why: `#[expect(.., reason = "..")]`.
 #![deny(clippy::allow_attributes, clippy::allow_attributes_without_reason)]
 
-pub mod client;
+mod client;
 mod codes;
 pub mod http;
 pub mod json;
-pub mod server;
+mod server;
 pub mod wire;
 
 pub use client::{http_request, Client, ClientConfig, Response};

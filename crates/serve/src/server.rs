@@ -12,12 +12,13 @@
 //! | `GET /metrics` | — | serving-layer counters |
 //! | `GET /healthz` | — | liveness probe |
 //!
-//! Every accepted connection, HTTP or CHRW, owns a thread that runs
+//! Every accepted connection, HTTP or CHRW, owns one thread that runs
 //! the one connection loop (`handle_connection`): decode a request in
 //! its listener's framing, dispatch it through the shared `api_*`
-//! layer, and queue the encoded answer for the connection's in-order
-//! writer thread. An idle keep-alive connection parks a thread of its
-//! own, not a shared one. Compute is bounded apart from connections:
+//! layer, and append the encoded answer to the connection's pending
+//! bytes, which go out before the thread next blocks reading the socket
+//! (ADR 0031). An idle keep-alive connection parks a thread of its own,
+//! not a shared one. Compute is bounded apart from connections:
 //! starting a session and drilling — the two requests that may run the
 //! advisor — each hold one of [`ServeConfig::workers`] advice slots.
 //! Per-session state is a [`Session`] behind its own mutex, so requests
@@ -42,10 +43,9 @@ use charles_sdl::{Diagnostic, DiagnosticCode, SdlError};
 use charles_store::{Backend, Table};
 use std::collections::HashMap;
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::Scope;
 use std::time::Duration;
@@ -422,7 +422,7 @@ impl Server {
                 .unwrap_or_else(|p| p.into_inner())
                 .drain()
             {
-                let _ = conn.shutdown(std::net::Shutdown::Both);
+                let _ = conn.shutdown(Shutdown::Both);
             }
         });
     }
@@ -510,33 +510,60 @@ impl Drop for ServerHandle {
     }
 }
 
-/// A `TcpStream` reader that enforces one absolute deadline across the
-/// *whole* request: before every read the socket timeout is re-armed
-/// with the time remaining, so a client trickling one byte per
-/// near-timeout interval still gets cut off at the deadline instead of
-/// resetting the clock with each byte.
-pub(crate) struct DeadlineStream {
+/// A connection's one socket, read against a whole-request deadline
+/// and written in batches of finished answers.
+///
+/// Before every read the socket timeout is re-armed with the time
+/// remaining, so a client trickling one byte per near-timeout interval
+/// still gets cut off at the deadline instead of resetting the clock
+/// with each byte. Each write is bounded by the same timeout.
+struct DeadlineStream {
     stream: TcpStream,
     deadline: std::time::Instant,
+    /// Encoded answers not yet written, in request order. They go out
+    /// before the next read (the thread may block there for the
+    /// client's next bytes) or once past [`WRITE_BATCH_BYTES`], so a
+    /// pipelined burst that sits whole in the reader's buffer is
+    /// answered in one `write`.
+    pending: Vec<u8>,
 }
 
 impl DeadlineStream {
-    pub(crate) fn new(stream: TcpStream, timeout: Duration) -> DeadlineStream {
+    fn new(stream: TcpStream, timeout: Duration) -> DeadlineStream {
+        let _ = stream.set_write_timeout(Some(timeout));
         DeadlineStream {
             stream,
             deadline: std::time::Instant::now() + timeout,
+            pending: Vec::new(),
         }
     }
 
     /// Start a fresh whole-request deadline (once per request on a
     /// persistent connection — idle time between requests counts too).
-    pub(crate) fn rearm(&mut self, timeout: Duration) {
+    fn rearm(&mut self, timeout: Duration) {
         self.deadline = std::time::Instant::now() + timeout;
+    }
+
+    /// Write out every pending answer. A failed write (the client hung
+    /// up, or read nothing for a whole timeout) shuts the socket down,
+    /// so the loop's next read or write fails at once instead of
+    /// waiting out the timeout again.
+    fn write_pending(&mut self) -> std::io::Result<()> {
+        // `write_all` of nothing makes no syscall.
+        let written = self.stream.write_all(&self.pending);
+        self.pending.clear();
+        if written.is_err() {
+            let _ = self.stream.shutdown(Shutdown::Both);
+        }
+        written
     }
 }
 
 impl std::io::Read for DeadlineStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        // Answer first: a client may wait for an answer before it sends
+        // the rest of its next request.
+        self.write_pending()?;
         let remaining = self
             .deadline
             .checked_duration_since(std::time::Instant::now())
@@ -586,7 +613,10 @@ fn accept_loop<'scope>(
         // a socket that rejects the option still gets served.
         let _ = stream.set_nodelay(true);
         state.metrics.connections.fetch_add(1, Ordering::Relaxed);
-        let registered = Registered::new(state, &stream);
+        // A connection shutdown could not reach is closed unserved.
+        let Ok(registered) = Registered::new(state, &stream) else {
+            continue;
+        };
         // A refused thread drops the closure, and with it the socket and
         // the registration: the client sees its connection close.
         let _ = std::thread::Builder::new().spawn_scoped(scope, move || {
@@ -612,17 +642,17 @@ struct Registered<'a> {
 
 impl<'a> Registered<'a> {
     /// Register a clone of `stream` so shutdown can unblock its thread
-    /// if it is parked reading when the flag flips.
-    fn new(state: &'a ServerState, stream: &TcpStream) -> Registered<'a> {
+    /// if it is parked reading or writing when the flag flips. Fails if
+    /// the socket cannot be cloned (no file descriptor left).
+    fn new(state: &'a ServerState, stream: &TcpStream) -> std::io::Result<Registered<'a>> {
+        let clone = stream.try_clone()?;
         let conn_id = state.conn_seq.fetch_add(1, Ordering::Relaxed);
-        if let Ok(clone) = stream.try_clone() {
-            state
-                .conns
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .insert(conn_id, clone);
-        }
-        Registered { state, conn_id }
+        state
+            .conns
+            .lock()
+            .unwrap_or_else(|p| p.into_inner())
+            .insert(conn_id, clone);
+        Ok(Registered { state, conn_id })
     }
 }
 
@@ -636,11 +666,8 @@ impl Drop for Registered<'_> {
     }
 }
 
-/// Answers queued per connection before its reading thread blocks (the
-/// pipelining backpressure bound).
-const PIPELINE_DEPTH: usize = 32;
-/// The writer thread coalesces queued answers into one `write` syscall
-/// up to roughly this many bytes.
+/// Pending answers are written out once they pass roughly this many
+/// bytes, even if the next request is already buffered.
 const WRITE_BATCH_BYTES: usize = 256 * 1024;
 
 /// Serve one connection until the client closes, the read deadline
@@ -650,31 +677,17 @@ const WRITE_BATCH_BYTES: usize = 256 * 1024;
 /// saying `Connection: close`; a CHRW connection has no budget, since
 /// it would have to fail frames the client already pipelined out.
 ///
-/// Read and write are decoupled: this thread reads, decodes and
-/// dispatches; a writer thread drains a bounded in-order queue of
-/// encoded answers, coalescing bursts into batched writes. Pipelined
-/// clients overlap their next request with the server's previous
-/// answer; the queue bound (not the socket) is the backpressure. Answer
-/// buffers cycle back through a return channel, so the steady-state
-/// request path allocates nothing.
+/// One thread reads, decodes, dispatches and writes. Each answer is
+/// appended to the stream's pending bytes, which go out before the
+/// thread next reads the socket (see [`DeadlineStream`]), so pipelined
+/// requests are answered in batched writes, and a client that stops
+/// reading stops this thread's reads: the socket is the backpressure.
+/// The pending buffer is reused, so the steady-state request path
+/// allocates nothing.
 fn handle_connection(stream: TcpStream, kind: ConnKind, state: &ServerState, config: &ServeConfig) {
     use std::io::BufRead;
     let timeout = config.read_timeout;
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(DeadlineStream::new(read_half, timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let (answers, queued) = mpsc::sync_channel::<Vec<u8>>(PIPELINE_DEPTH);
-    let (recycle, recycled) = mpsc::channel::<Vec<u8>>();
-    // `std::thread::spawn` panics when the OS refuses a thread; a
-    // connection that cannot have its writer is closed instead (the
-    // refused closure drops the socket's write half with it).
-    let Ok(writer) =
-        std::thread::Builder::new().spawn(move || write_in_order(stream, &queued, &recycle))
-    else {
-        return;
-    };
+    let mut reader = BufReader::new(DeadlineStream::new(stream, timeout));
     let mut budget = config.max_requests_per_connection.max(1);
     let mut scratch: Vec<u8> = Vec::new();
     loop {
@@ -687,70 +700,46 @@ fn handle_connection(stream: TcpStream, kind: ConnKind, state: &ServerState, con
             Ok([]) | Err(_) => break,
             Ok(_) => {}
         }
-        let mut buf = recycled.try_recv().unwrap_or_default();
-        buf.clear();
         let (status, keep_open) = match kind {
-            ConnKind::Http => match parse_request(&mut reader) {
-                Ok(req) => {
-                    budget -= 1;
-                    let keep_alive = req.keep_alive && budget > 0;
-                    let (status, body) = route(state, &req);
-                    let _ = write_response(&mut buf, status, &body, keep_alive);
-                    (status, keep_alive)
-                }
-                Err(e) => {
-                    let code = http_error_code(&e);
-                    let body = encode_error(code.as_str(), &e.to_string());
-                    let _ = write_response(&mut buf, code.status(), &body, false);
-                    (code.status(), false)
-                }
-            },
+            ConnKind::Http => {
+                let (status, body, keep_alive) = match parse_request(&mut reader) {
+                    Ok(req) => {
+                        budget -= 1;
+                        let (status, body) = route(state, &req);
+                        (status, body, req.keep_alive && budget > 0)
+                    }
+                    Err(e) => {
+                        let code = http_error_code(&e);
+                        let body = encode_error(code.as_str(), &e.to_string());
+                        (code.status(), body, false)
+                    }
+                };
+                let _ = write_response(&mut reader.get_mut().pending, status, &body, keep_alive);
+                (status, keep_alive)
+            }
             ConnKind::Wire => match read_frame(&mut reader, &mut scratch, MAX_REQUEST_PAYLOAD)
                 .and_then(|opcode| WireRequest::decode(opcode, &scratch))
             {
                 Ok(req) => {
                     let result = dispatch(state, &req);
-                    encode_api_result(&mut buf, &result);
+                    encode_api_result(&mut reader.get_mut().pending, &result);
                     (api_status(&result), true)
                 }
                 Err(err) => {
-                    encode_frame_error(&mut buf, &err);
+                    encode_frame_error(&mut reader.get_mut().pending, &err);
                     (ErrorCode::BadFrame.status(), false)
                 }
             },
         };
         state.metrics.record_response(status);
-        if answers.send(buf).is_err() || !keep_open {
-            break; // the writer died (transport error), or we close
+        let conn = reader.get_mut();
+        let full = conn.pending.len() >= WRITE_BATCH_BYTES;
+        if !keep_open || (full && conn.write_pending().is_err()) {
+            break;
         }
     }
-    drop(answers);
-    let _ = writer.join();
-}
-
-/// A connection's writer: send each queued answer in order, together
-/// with whatever else is already queued, until the reading side hangs
-/// up or the transport fails.
-fn write_in_order(mut stream: TcpStream, queued: &Receiver<Vec<u8>>, recycle: &Sender<Vec<u8>>) {
-    let mut batch: Vec<u8> = Vec::new();
-    while let Ok(answer) = queued.recv() {
-        batch.clear();
-        batch.extend_from_slice(&answer);
-        let _ = recycle.send(answer);
-        while batch.len() < WRITE_BATCH_BYTES {
-            match queued.try_recv() {
-                Ok(next) => {
-                    batch.extend_from_slice(&next);
-                    let _ = recycle.send(next);
-                }
-                Err(_) => break,
-            }
-        }
-        if stream.write_all(&batch).is_err() {
-            // Transport gone: the reader notices its next send failing.
-            return;
-        }
-    }
+    // The answers still pending: a closing answer among them.
+    let _ = reader.get_mut().write_pending();
 }
 
 /// Split a request target's path component into non-empty segments.

@@ -33,12 +33,12 @@
 //!
 //! Responses are returned strictly in request order, so clients may
 //! write many frames before reading any response and match them up
-//! FIFO. The server decouples reading from writing per connection — the
-//! connection's thread decodes and dispatches, a writer thread drains a
-//! bounded in-order queue — so a burst of pipelined frames is parsed and
-//! answered without head-of-line blocking on the client's read pace
-//! (until the queue fills, which is the backpressure). HTTP connections
-//! run the same loop and writer; only the framing differs.
+//! FIFO. A connection's one thread decodes, dispatches and appends each
+//! answer to a pending buffer, which it writes out before it next reads
+//! the socket (or once past 256 KiB): a burst of pipelined frames that
+//! arrived together is answered in one `write`, and a client that stops
+//! reading stops the server's reads, through the socket (ADR 0031).
+//! HTTP connections run the same loop; only the framing differs.
 //!
 //! # Relationship to the HTTP listener
 //!
@@ -457,10 +457,6 @@ pub struct WireCacheStats {
     pub capacity: Option<u64>,
 }
 
-/// Serving-layer counters off the wire (the shared
-/// [`MetricsSnapshot`], which both listeners' traffic feeds).
-pub type WireMetrics = MetricsSnapshot;
-
 /// A structured error response: the binary rendering of the JSON
 /// `{"error":{...}}` body.
 #[derive(Debug, Clone)]
@@ -519,8 +515,9 @@ pub enum WireResponse {
     Deleted,
     /// Cache counters.
     CacheStats(WireCacheStats),
-    /// Serving-layer counters.
-    Metrics(WireMetrics),
+    /// Serving-layer counters (the shared [`MetricsSnapshot`], which
+    /// both listeners' traffic feeds).
+    Metrics(MetricsSnapshot),
     /// Liveness.
     Health,
     /// Any failure (HTTP 4xx/5xx).

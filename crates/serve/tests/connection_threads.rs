@@ -2,11 +2,18 @@
 //! keep-alive clients starve no fresh client, a panicking handler
 //! closes its own connection and gives its slot back, and no more than
 //! `ServeConfig::workers` advice runs are ever inside the store at once.
+//! The connection's thread writes its own answers: a finished answer
+//! goes out before the thread waits for the rest of the next request,
+//! and a thread blocked writing to a client that never reads does not
+//! hold up shutdown.
 
-use charles_serve::wire::{wire_request, WireConn, WireRequest};
+use charles_serve::wire::{
+    read_frame, wire_request, WireConn, WireRequest, WireResponse, HEADER_LEN, MAX_RESPONSE_PAYLOAD,
+};
 use charles_serve::{http_request, Client, ClientConfig, ServeConfig, Server, ServerHandle};
 use charles_store::{Backend, Bitmap, CutStats, FrequencyTable, Schema};
 use charles_store::{DataType, StorePredicate, StoreResult, Table, TableBuilder, Value};
+use std::io::{ErrorKind, Read, Write};
 use std::mem::ManuallyDrop;
 use std::net::TcpStream;
 use std::sync::{Arc, Condvar, Mutex};
@@ -285,4 +292,103 @@ fn advice_slots_bound_the_runs_inside_the_store() {
         );
     }
     charles_parallel::set_num_threads(0);
+}
+
+/// Connect to `addr`, send `bytes` and read under a 2 s deadline.
+fn send_part(addr: std::net::SocketAddr, bytes: &[u8]) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(2)))
+        .unwrap();
+    stream.write_all(bytes).unwrap();
+    stream
+}
+
+#[test]
+fn an_answer_is_written_before_the_rest_of_the_next_request_arrives() {
+    let server = spawn(table(), 1);
+
+    // HTTP: a whole `GET /healthz`, then the next one up to mid-path.
+    let healthz = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n";
+    let two = healthz.repeat(2);
+    let (sent, rest) = two.split_at(healthz.len() + 8);
+    let mut http = send_part(server.addr(), sent);
+    for part in [rest, &[]] {
+        let mut answer = Vec::new();
+        let mut byte = [0u8; 1];
+        while !answer.ends_with(b"{\"ok\":true}") {
+            let read = http.read_exact(&mut byte);
+            assert!(read.is_ok(), "{read:?} after {answer:?}");
+            answer.push(byte[0]);
+        }
+        assert!(answer.starts_with(b"HTTP/1.1 200 OK\r\n"), "{answer:?}");
+        http.write_all(part).unwrap();
+    }
+
+    // CHRW: a whole `Health` frame, then a `Start` frame's header.
+    let mut frames = Vec::new();
+    WireRequest::Health.encode(&mut frames);
+    let split = frames.len() + HEADER_LEN;
+    WireRequest::Start { body: "(kind: )" }.encode(&mut frames);
+    let (sent, rest) = frames.split_at(split);
+    let mut wire = send_part(server.wire_addr().unwrap(), sent);
+    let mut scratch = Vec::new();
+    let mut recv = |wire: &mut TcpStream| {
+        read_frame(wire, &mut scratch, MAX_RESPONSE_PAYLOAD)
+            .and_then(|opcode| WireResponse::decode(opcode, &scratch))
+            .map(|response| response.status())
+    };
+    assert_eq!(recv(&mut wire).ok(), Some(200), "the Health answer");
+    wire.write_all(rest).unwrap();
+    assert_eq!(recv(&mut wire).ok(), Some(201), "the Start answer");
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_ends_a_connection_blocked_writing_to_a_client_that_never_reads() {
+    let config = ServeConfig {
+        read_timeout: Duration::from_secs(30),
+        ..ServeConfig::default()
+    };
+    let server = Server::bind("127.0.0.1:0", Arc::new(table()), config)
+        .and_then(|server| server.with_wire_listener("127.0.0.1:0"))
+        .and_then(Server::spawn)
+        .unwrap();
+    let wire = server.wire_addr().unwrap();
+    let context = "(kind: , size: )";
+    let warm = wire_request(wire, &WireRequest::Start { body: context });
+    assert_eq!(warm.map(|r| r.status()).ok(), Some(201));
+
+    // Pipeline starts of the cached context and read nothing, until a
+    // write of ours stalls: the server has stopped reading, because its
+    // own writes to us block.
+    let silent = TcpStream::connect(wire).unwrap();
+    let mut writer = silent.try_clone().unwrap();
+    writer
+        .set_write_timeout(Some(Duration::from_millis(500)))
+        .unwrap();
+    let pipeliner = std::thread::spawn(move || {
+        let mut burst = Vec::new();
+        for _ in 0..64 {
+            WireRequest::Start { body: context }.encode(&mut burst);
+        }
+        let begun = Instant::now();
+        while begun.elapsed() < PATIENCE {
+            if let Err(e) = writer.write_all(&burst) {
+                return Some(e.kind());
+            }
+        }
+        None
+    });
+    let stalled = pipeliner.join().unwrap();
+    assert!(
+        matches!(stalled, Some(ErrorKind::WouldBlock | ErrorKind::TimedOut)),
+        "the server never stopped reading: {stalled:?}"
+    );
+
+    let begun = Instant::now();
+    server.shutdown();
+    let took = begun.elapsed();
+    assert!(took < Duration::from_secs(2), "shutdown took {took:?}");
+    drop(silent);
 }
