@@ -51,21 +51,13 @@ impl Default for AdaptiveOptions {
 /// Run the randomized per-piece search; returns ranked segmentations
 /// (deduplicated across restarts).
 pub fn adaptive_segmentations(ex: &Explorer<'_>, opts: AdaptiveOptions) -> CoreResult<Vec<Ranked>> {
-    // Derive one sub-seed per restart from the master seed up front.
-    // Restarts then consume independent RNG streams, which makes each
-    // run a pure function of (data, opts, sub-seed) — that is what lets
-    // them fan out across threads with output identical to running them
-    // one after another.
+    // Each restart draws its own sub-seed from the master seed and runs
+    // on an RNG stream of its own: a pure function of (data, opts,
+    // sub-seed).
     let mut master = StdRng::seed_from_u64(opts.seed);
-    let seeds: Vec<u64> = (0..opts.restarts.max(1)).map(|_| master.gen()).collect();
-    // Every restart runs; the first error in restart order is the one a
-    // sequential loop would have returned.
-    let runs: Vec<Segmentation> = charles_parallel::par_map(&seeds, |&seed| {
-        let mut rng = StdRng::seed_from_u64(seed);
-        one_run(ex, opts, &mut rng)
-    })
-    .into_iter()
-    .collect::<CoreResult<_>>()?;
+    let runs: Vec<Segmentation> = (0..opts.restarts.max(1))
+        .map(|_| one_run(ex, opts, &mut StdRng::seed_from_u64(master.gen())))
+        .collect::<CoreResult<_>>()?;
 
     // Dedupe and score in restart order (first occurrence wins).
     let mut pool: Vec<(Segmentation, charles_core::metrics::Score)> = Vec::new();

@@ -33,9 +33,8 @@ pub struct Advice {
     pub trace: Trace,
     /// Backend operations this run asked for, counted by the run itself
     /// ([`Explorer::backend_ops`] has the rule), so other runs on the
-    /// same backend never move them. The same counts at any worker
-    /// count, since every selection the run needs is derived from its
-    /// parent's exactly once (no memo two workers could both miss).
+    /// same backend never move them. Every selection the run needs is
+    /// derived from its parent's exactly once.
     pub backend_ops: BackendStats,
     /// Selections materialised and INDEP pairs evaluated while
     /// answering; as deterministic as [`Advice::backend_ops`].

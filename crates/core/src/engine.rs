@@ -113,8 +113,7 @@ enum Half {
     Left,
     /// `parent ∧ ¬left` once the left half has been materialised — no
     /// scan; until then it can only scan its own conjunct. Halves leave
-    /// CUT left first and every walk of them keeps that order;
-    /// `Explorer::map_units` keeps a pair in one unit of its fan-out.
+    /// CUT left first and every walk of them keeps that order.
     Right,
 }
 
@@ -178,18 +177,6 @@ impl Piece {
                 pair,
             },
         })
-    }
-
-    /// Whether materialising this piece waits for its sibling's bitmap
-    /// instead of scanning.
-    fn is_complement(&self) -> bool {
-        matches!(
-            &self.sel,
-            PieceSelection::Derived {
-                pair: Some((Half::Right, _)),
-                ..
-            }
-        )
     }
 }
 
@@ -377,26 +364,6 @@ impl<'a> Explorer<'a> {
         Ok(sel)
     }
 
-    /// `f` of every piece and its selection, in order. The unit of
-    /// fan-out is a piece, or a cut's two halves where they partition
-    /// their parent — a left half and the complement after it. Within a
-    /// unit the left half is materialised first, so the right one is what
-    /// it leaves and the pair costs one scan at any worker count — never
-    /// two halves racing for it.
-    pub(crate) fn map_units<U, F>(&self, pieces: &[Piece], f: F) -> CoreResult<Vec<U>>
-    where
-        U: Send,
-        F: Fn(&Piece, Arc<Bitmap>) -> CoreResult<U> + Sync,
-    {
-        let units: Vec<&[Piece]> = pieces.chunk_by(|_, next| next.is_complement()).collect();
-        let mapped = crate::par::try_map(&units, |unit| {
-            unit.iter()
-                .map(|p| f(p, self.materialise(p)?))
-                .collect::<CoreResult<Vec<U>>>()
-        })?;
-        Ok(mapped.into_iter().flatten().collect())
-    }
-
     /// Hand a piece's query to a caller outside the crate. The selection
     /// memo takes the bitmap the piece derives, so the caller's next
     /// `selection`/`count` of that query is a hit, not a re-evaluation
@@ -426,13 +393,10 @@ impl<'a> Explorer<'a> {
         Ok(self.count(q)? as f64 / n as f64)
     }
 
-    /// Covers of every segment of a segmentation.
-    ///
-    /// Each segment's selection evaluates independently, so this fans
-    /// out across `charles-parallel`'s worker threads (order-preserving
-    /// — the returned vector always matches `seg.queries()` order).
+    /// Covers of every segment of a segmentation, in `seg.queries()`
+    /// order.
     pub fn covers(&self, seg: &Segmentation) -> CoreResult<Vec<f64>> {
-        crate::par::try_map(seg.queries(), |q| self.cover(q))
+        seg.queries().iter().map(|q| self.cover(q)).collect()
     }
 
     /// What a numeric cut needs of `attr` over `sel`
@@ -707,8 +671,6 @@ mod tests {
             [(true, false, 1), (false, false, 2), (true, true, 2)]
         {
             let mut pair = halves(partition);
-            assert!(!pair[0].is_complement());
-            assert_eq!(pair[1].is_complement(), partition);
             if right_first {
                 pair.reverse();
             }
@@ -720,21 +682,6 @@ mod tests {
                 assert_eq!(**sel, evaluated(piece), "{}", piece.query);
             }
             assert_eq!(sels[0].count_ones() + sels[1].count_ones(), 20);
-        }
-        // Taken together in CUT's order the halves are one unit, left
-        // first; a right half standing first is a unit of its own and
-        // scans, like one asked alone.
-        for (right_first, scans) in [(false, 1), (true, 2)] {
-            let mut pair = halves(true);
-            if right_first {
-                pair.reverse();
-            }
-            let before = ex.backend_ops().scans;
-            let sels = ex.map_units(&pair, |_, sel| Ok(sel)).unwrap();
-            assert_eq!(ex.backend_ops().scans - before, scans);
-            for (piece, sel) in pair.iter().zip(&sels) {
-                assert_eq!(**sel, evaluated(piece), "{}", piece.query);
-            }
         }
     }
 

@@ -54,7 +54,7 @@
 //! `tests/hbcuts_equivalence.rs`.
 //!
 //! The loop itself exists once, as the `Stepper`: [`hb_cuts`] seeds it
-//! in one parallel fan-out and steps it to the stop; [`crate::lazy`]
+//! with every attribute and steps it to the stop; [`crate::lazy`]
 //! seeds it one attribute per call and steps it on demand.
 //!
 //! # A rejected composition is counted, not cut
@@ -492,14 +492,11 @@ impl Stepper {
 /// touching the newly composed candidate and carries every other pair
 /// value in run-local state (see the module docs).
 pub fn hb_cuts(ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
-    // Lines 2–5: seed with one binary cut per attribute. The
-    // per-attribute cuts are independent (one walk for the median, one
-    // scan for the halves), so they fan out across threads; the zip
-    // keeps attribute order.
-    let attrs = ex.attributes();
-    let seed_cuts = crate::par::try_map(&attrs, |attr| seed_cut(ex, attr))?;
+    // Lines 2–5: seed with one binary cut per attribute (one walk for
+    // the median, one scan for the halves), in attribute order.
     let mut stepper = Stepper::default();
-    for (attr, cut) in attrs.iter().zip(seed_cuts) {
+    for attr in ex.attributes() {
+        let cut = seed_cut(ex, attr)?;
         stepper.seed(attr, cut);
     }
     if stepper.cand.is_empty() {

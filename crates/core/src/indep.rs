@@ -54,7 +54,7 @@ pub(crate) struct Resolved {
     counts: Vec<usize>,
     /// The pieces partition the context, known by construction: every
     /// cut that made them split its piece into a partitioning pair (the
-    /// right half `Piece::is_complement`). Never inferred from the
+    /// right half the complement of its left). Never inferred from the
     /// counts: halves that overlap (a `Float` bound on an `Int` attribute
     /// beyond 2⁵³) and halves that drop rows (a NaN) can together still
     /// count `n`.
@@ -64,22 +64,29 @@ pub(crate) struct Resolved {
 
 /// Resolve a segmentation by its queries: one selection lookup per
 /// piece, each a whole conjunction when the explorer has not seen it.
-/// The pieces evaluate independently, so they fan out. Nothing is known
-/// of how they were made, so nothing says they partition the context.
+/// Nothing is known of how they were made, so nothing says they
+/// partition the context.
 pub(crate) fn resolve(ex: &Explorer<'_>, seg: &Segmentation) -> CoreResult<Resolved> {
-    let sels = crate::par::try_map(seg.queries(), |q| ex.selection(q))?;
+    let sels = seg
+        .queries()
+        .iter()
+        .map(|q| ex.selection(q))
+        .collect::<CoreResult<_>>()?;
     Ok(Resolved::new(sels, false, ex.context_size()))
 }
 
-/// Resolve the pieces CUT handed over into a candidate: the scans of
-/// those still derived fan out (`Explorer::map_units`). `partition`
-/// says the pieces partition the context, as CUT and COMPOSE report it.
+/// Resolve the pieces CUT handed over into a candidate: those still
+/// derived are scanned, in order. `partition` says the pieces partition
+/// the context, as CUT and COMPOSE report it.
 pub(crate) fn resolve_pieces(
     ex: &Explorer<'_>,
     pieces: Vec<Piece>,
     partition: bool,
 ) -> CoreResult<(Segmentation, Resolved)> {
-    let sels = ex.map_units(&pieces, |_, sel| Ok(sel))?;
+    let sels = pieces
+        .iter()
+        .map(|p| ex.materialise(p))
+        .collect::<CoreResult<_>>()?;
     let queries = pieces.into_iter().map(|p| p.query).collect();
     Ok((
         Segmentation::new(queries),

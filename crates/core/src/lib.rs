@@ -62,7 +62,6 @@ pub mod hbcuts;
 pub mod indep;
 pub mod lazy;
 pub mod metrics;
-pub(crate) mod par;
 pub mod primitives;
 pub mod ranking;
 pub mod session;

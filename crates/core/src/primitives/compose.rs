@@ -11,9 +11,8 @@
 //! The cuts chain over pieces (`compose_pieces`): a level's halves carry
 //! their parent's bitmap into the next level, which materialises each
 //! (one scan per pair where the halves partition their parent, else one
-//! per half) before cutting it again — the level's pieces fan out, a
-//! partitioning pair as one unit — and the last level's halves leave
-//! still derived.
+//! per half) before cutting it again, left half first — and the last
+//! level's halves leave still derived.
 //!
 //! A caller that throws a composition of `reject_at` pieces or more away
 //! — HB-cuts at its stop test, Figure 4's line 15 — can learn that from

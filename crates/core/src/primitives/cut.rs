@@ -89,16 +89,20 @@ struct Split {
 /// with no valid split over unchanged (keeps the partition property).
 /// Also says whether any piece was cut, and whether every piece that was
 /// cut was cut into halves that partition it — then the pieces out
-/// partition whatever the pieces in did. The pieces are materialised and
-/// their splits found unit by unit in one fan-out (`Explorer::map_units`).
+/// partition whatever the pieces in did. The pieces are materialised in
+/// order, so a right half finds its left half's bitmap.
 pub(crate) fn cut_pieces(
     ex: &Explorer<'_>,
     pieces: Vec<Piece>,
     attr: &str,
 ) -> CoreResult<(Vec<Piece>, bool, bool)> {
-    let splits = ex.map_units(&pieces, |piece, sel| {
-        Ok((cut_piece(ex, &piece.query, &sel, attr)?, sel))
-    })?;
+    let splits = pieces
+        .iter()
+        .map(|piece| {
+            let sel = ex.materialise(piece)?;
+            Ok((cut_piece(ex, &piece.query, &sel, attr)?, sel))
+        })
+        .collect::<CoreResult<_>>()?;
     Ok(halve(pieces, splits, attr))
 }
 
@@ -143,19 +147,20 @@ pub(crate) struct Counted<'a> {
 /// How many pieces cutting `pieces` along `attr` would give, found
 /// without cutting them: a piece that varies cuts into two, one that
 /// does not stays whole (`Explorer::varies`, neither a median nor a
-/// frequency table), under either median strategy. The pieces are
-/// materialised unit by unit in one fan-out, as [`cut_pieces`] does.
+/// frequency table). The pieces are materialised in order, as
+/// [`cut_pieces`] does.
 pub(crate) fn count_cuts<'a>(
     ex: &Explorer<'_>,
     pieces: Vec<Piece>,
     attr: &'a str,
 ) -> CoreResult<Counted<'a>> {
-    let probes = ex.map_units(&pieces, |_, sel| Ok((ex.varies(attr, &sel)?, sel)))?;
     let level = pieces
         .into_iter()
-        .zip(probes)
-        .map(|(piece, (varies, sel))| (piece, varies, sel))
-        .collect();
+        .map(|piece| {
+            let sel = ex.materialise(&piece)?;
+            Ok((piece, ex.varies(attr, &sel)?, sel))
+        })
+        .collect::<CoreResult<_>>()?;
     Ok(Counted { attr, level })
 }
 
@@ -168,23 +173,20 @@ impl Counted<'_> {
     }
 
     /// The level's cut, as [`cut_pieces`] reports it. Only the pieces
-    /// that vary are cut now, from the selections the count holds — in
-    /// one fan-out, no piece scanned again.
+    /// that vary are cut now, from the selections the count holds — no
+    /// piece scanned again.
     pub(crate) fn cut(self, ex: &Explorer<'_>) -> CoreResult<(Vec<Piece>, bool, bool)> {
         let attr = self.attr;
-        let found = crate::par::try_map(&self.level, |(piece, varies, sel)| {
-            if *varies {
-                cut_piece(ex, &piece.query, sel, attr)
+        let (mut pieces, mut splits) = (Vec::new(), Vec::new());
+        for (piece, varies, sel) in self.level {
+            let found = if varies {
+                cut_piece(ex, &piece.query, &sel, attr)?
             } else {
-                Ok(None)
-            }
-        })?;
-        let (pieces, splits) = self
-            .level
-            .into_iter()
-            .zip(found)
-            .map(|((piece, _, sel), found)| (piece, (found, sel)))
-            .unzip();
+                None
+            };
+            pieces.push(piece);
+            splits.push((found, sel));
+        }
         Ok(halve(pieces, splits, attr))
     }
 }

@@ -1,18 +1,18 @@
-//! Deterministic fork-join helpers for the Charles hot paths.
-//!
-//! crates.io (and hence rayon) is unavailable in this build
-//! environment, so this crate provides the minimal primitive the
-//! advisor's evaluation paths need: an **order-preserving parallel
+//! Deterministic fork-join helpers: an **order-preserving parallel
 //! map** over a slice, built on `std::thread::scope`.
+//!
+//! No crate of the workspace uses it any more: an advice run is one
+//! thread (`docs/adr/0032-one-thread-per-advice-run.md`). Its one user
+//! is the `benchmark/` package, which names [`par_map`],
+//! [`set_num_threads`] and [`num_threads`]; the crate goes with the next
+//! change to that package.
 //!
 //! Determinism contract: `par_map(items, f)` returns exactly
 //! `items.iter().map(f).collect()` — results land at the index of
 //! their input, and any reduction the caller performs afterwards runs
 //! sequentially in index order. As long as `f` itself is a pure
 //! function of its input, parallel and sequential execution are
-//! **bitwise identical**, floats included. This is what lets
-//! `charles-core` guarantee identical advisor output with and without
-//! threads.
+//! **bitwise identical**, floats included.
 //!
 //! Work distribution is dynamic: the caller and `threads − 1` scoped
 //! helpers claim items one at a time from one shared cursor until none

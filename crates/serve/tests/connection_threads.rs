@@ -281,9 +281,8 @@ fn peak_runs_inside_the_store(workers: usize) -> usize {
 
 #[test]
 fn advice_slots_bound_the_runs_inside_the_store() {
-    // One thread per cold run, so the evals inside the store count runs.
-    charles_parallel::set_num_threads(1);
-    // At two slots two runs overlap; `workers = 0` is one slot.
+    // An advice run is one thread, so the evals inside the store count
+    // runs. At two slots two runs overlap; `workers = 0` is one slot.
     for (workers, slots) in [(1, 1), (2, 2), (0, 1)] {
         assert_eq!(
             peak_runs_inside_the_store(workers),
@@ -291,7 +290,6 @@ fn advice_slots_bound_the_runs_inside_the_store() {
             "workers = {workers}"
         );
     }
-    charles_parallel::set_num_threads(0);
 }
 
 /// Connect to `addr`, send `bytes` and read under a 2 s deadline.

@@ -94,8 +94,9 @@ impl CutStats {
 
 /// The database operations the advisor needs.
 ///
-/// `Send + Sync` is a supertrait requirement: the advisor's parallel
-/// evaluation path shares one backend reference across worker threads.
+/// `Send + Sync` is a supertrait requirement: the server's connection
+/// threads share one table (a session holds it as `Arc<dyn Backend>`),
+/// and concurrent advice runs call it at once, each on its own thread.
 /// Backends are immutable after construction, so this costs implementors
 /// nothing.
 pub trait Backend: Send + Sync {

@@ -57,8 +57,8 @@ pub enum ItemKind {
 pub struct Item {
     /// What it is.
     pub kind: ItemKind,
-    /// Its name (`use` items: the normalized path text; `impl` blocks:
-    /// the self-type name).
+    /// Its name (`use` items: the path text, spaces dropped but around
+    /// `as`; `impl` blocks: the self-type name).
     pub name: String,
     /// Enclosing inline-module path within the file.
     pub mod_path: Vec<String>,
@@ -343,7 +343,13 @@ impl<'a> Parser<'a> {
                 let name = self.toks[i + 1..past.saturating_sub(1)]
                     .iter()
                     .filter(|t| t.kind != TokKind::Comment)
-                    .map(|t| t.text.as_str())
+                    .map(|t| {
+                        if t.is_ident("as") {
+                            " as "
+                        } else {
+                            t.text.as_str()
+                        }
+                    })
                     .collect::<Vec<_>>()
                     .join("");
                 self.items.push(mk(ItemKind::Use, name, None));

@@ -9,7 +9,10 @@
 //! `cargo xtask lint --write-api-snapshots`.
 //!
 //! Scope rules: `pub(crate)`/`pub(super)` items are not API; items in
-//! test scopes are not API; `main.rs`/`bin/` files have no API.
+//! test scopes are not API; `main.rs`/`bin/` files have no API. An item
+//! of a module that is not `pub` all the way down from the crate root
+//! is listed under the path a `pub use` in a public module gives it,
+//! and not at all if nothing re-exports it.
 
 use crate::diag::{codes, Diagnostic};
 use crate::model::{Item, ItemKind, Vis, WorkspaceFiles};
@@ -32,16 +35,20 @@ pub const CRATES: &[(&str, &str)] = &[
     ("charles-xtask", "crates/xtask/src"),
 ];
 
+/// A crate-root-relative module path.
+type Path = Vec<String>;
+
 /// Render one crate's public surface as sorted snapshot lines.
 pub fn snapshot(ws: &WorkspaceFiles, src_prefix: &str) -> String {
-    let mut lines: Vec<String> = Vec::new();
+    // Every non-test item with the module it is declared in.
+    let mut items: Vec<(&Item, Path)> = Vec::new();
     for file in ws.crate_src(src_prefix) {
         let rel = &file.path[src_prefix.len() + 1..];
         if rel == "main.rs" || rel.starts_with("bin/") {
             continue;
         }
         // File path → leading module path (lib.rs/mod.rs add nothing).
-        let mut base: Vec<String> = rel
+        let mut base: Path = rel
             .trim_end_matches(".rs")
             .split('/')
             .map(str::to_string)
@@ -49,13 +56,55 @@ pub fn snapshot(ws: &WorkspaceFiles, src_prefix: &str) -> String {
         if matches!(base.last().map(String::as_str), Some("lib") | Some("mod")) {
             base.pop();
         }
-        for item in &file.items {
-            if item.vis != Vis::Pub || item.is_test {
+        for item in file.items.iter().filter(|item| !item.is_test) {
+            let mut module = base.clone();
+            module.extend(item.mod_path.iter().cloned());
+            items.push((item, module));
+        }
+    }
+    let hidden: Vec<Path> = items
+        .iter()
+        .filter(|(item, _)| item.kind == ItemKind::Mod && item.vis != Vis::Pub)
+        .map(|(item, module)| [module.as_slice(), std::slice::from_ref(&item.name)].concat())
+        .collect();
+    let public = |module: &[String]| !hidden.iter().any(|h| module.starts_with(h));
+    // What each `pub use` of a public module names: (item path, the
+    // module it is re-exported into, the name it is re-exported as).
+    let mut exports: Vec<(Path, &[String], String)> = Vec::new();
+    for (item, module) in &items {
+        if item.kind == ItemKind::Use && item.vis == Vis::Pub && public(module) {
+            let mut names = Vec::new();
+            use_names(&[], &item.name, &mut names);
+            for (path, name) in names {
+                exports.push((resolve(module, path), module, name));
+            }
+        }
+    }
+
+    let mut lines: Vec<String> = Vec::new();
+    for (item, module) in &items {
+        if item.vis != Vis::Pub {
+            continue;
+        }
+        if public(module) {
+            lines.extend(render(item, module, item.owner.as_deref(), &item.name));
+            continue;
+        }
+        // A method goes where its type is re-exported, anything else
+        // where it is.
+        let key = item.owner.as_deref().unwrap_or(&item.name);
+        for (path, at, name) in &exports {
+            let Some((last, named)) = path.split_last() else {
+                continue;
+            };
+            if named != module.as_slice() || (last != key && last != "*") {
                 continue;
             }
-            if let Some(line) = render(item, &base) {
-                lines.push(line);
-            }
+            let name = if name == "*" { key } else { name };
+            lines.extend(match item.owner {
+                Some(_) => render(item, at, Some(name), &item.name),
+                None => render(item, at, None, name),
+            });
         }
     }
     lines.sort();
@@ -67,7 +116,75 @@ pub fn snapshot(ws: &WorkspaceFiles, src_prefix: &str) -> String {
     out
 }
 
-fn render(item: &Item, base: &[String]) -> Option<String> {
+/// Push the (path, bound name) of every name the `use` tree `tree`
+/// brings in below `prefix`: `a::{b, c::D as E, self}` names `a::b` as
+/// `b`, `a::c::D` as `E` and `a` as `a`; a glob `a::*` is bound as `*`.
+fn use_names(prefix: &[String], tree: &str, out: &mut Vec<(Path, String)>) {
+    let tree = tree.trim();
+    let segments = |path: &str| -> Path {
+        let path = path.split("::").filter(|s| !s.is_empty());
+        [prefix, &path.map(str::to_string).collect::<Path>()].concat()
+    };
+    if let (Some(open), Some(inner)) = (tree.find('{'), tree.strip_suffix('}')) {
+        let head = segments(&tree[..open]);
+        let body = &inner[open + 1..];
+        let (mut depth, mut from) = (0usize, 0);
+        for (at, c) in body.char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' => depth = depth.saturating_sub(1),
+                ',' if depth == 0 => {
+                    use_names(&head, &body[from..at], out);
+                    from = at + 1;
+                }
+                _ => {}
+            }
+        }
+        use_names(&head, &body[from..], out);
+        return;
+    }
+    if tree.is_empty() {
+        return;
+    }
+    let (path, alias) = match tree.split_once(" as ") {
+        Some((path, alias)) => (path, Some(alias.trim())),
+        None => (tree, None),
+    };
+    let mut path = segments(path);
+    if path.last().is_some_and(|s| s == "self") {
+        path.pop();
+    }
+    if let Some(name) = alias.or(path.last().map(String::as_str)) {
+        let name = name.to_string();
+        out.push((path, name));
+    }
+}
+
+/// A `use` path written in `module`, from the crate root: `crate::`
+/// starts there, `self::` and a bare path at `module`, and each leading
+/// `super::` one module up.
+fn resolve(module: &[String], path: Path) -> Path {
+    let mut path = path.into_iter().peekable();
+    let mut from: Path = match path.peek().map(String::as_str) {
+        Some("crate") => {
+            path.next();
+            Vec::new()
+        }
+        Some("self") => {
+            path.next();
+            module.to_vec()
+        }
+        _ => module.to_vec(),
+    };
+    while path.next_if(|s| s == "super").is_some() {
+        from.pop();
+    }
+    from.extend(path);
+    from
+}
+
+/// One snapshot line: `item` of `module`, listed as `owner::name`.
+fn render(item: &Item, module: &[String], owner: Option<&str>, name: &str) -> Option<String> {
     let kind = match item.kind {
         ItemKind::Fn => "fn",
         ItemKind::Struct => "struct",
@@ -84,24 +201,17 @@ fn render(item: &Item, base: &[String]) -> Option<String> {
         ItemKind::Impl => return None,
         ItemKind::MacroRules => "macro",
     };
-    let mut path: Vec<&str> = base.iter().map(String::as_str).collect();
-    path.extend(item.mod_path.iter().map(String::as_str));
-    let mut qualified = path.join("::");
-    if let Some(owner) = &item.owner {
-        if !qualified.is_empty() {
-            qualified.push_str("::");
-        }
-        qualified.push_str(owner);
-    }
-    if item.name.is_empty() {
+    if name.is_empty() {
         return None;
     }
-    if !qualified.is_empty() {
-        qualified.push_str("::");
-    }
     // `use` names already carry their own path text.
-    qualified.push_str(&item.name);
-    Some(format!("pub {kind} {qualified}"))
+    let path: Vec<&str> = module
+        .iter()
+        .map(String::as_str)
+        .chain(owner)
+        .chain([name])
+        .collect();
+    Some(format!("pub {kind} {}", path.join("::")))
 }
 
 /// Run the pass: compare each crate's live surface to its snapshot.
@@ -174,4 +284,60 @@ pub fn write_snapshots(ws: &WorkspaceFiles) -> std::io::Result<Vec<String>> {
         written.push(rel);
     }
     Ok(written)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::model::SourceFile;
+    use std::path::PathBuf;
+
+    fn workspace(files: &[(&str, &str)]) -> WorkspaceFiles {
+        WorkspaceFiles {
+            root: PathBuf::new(),
+            files: files
+                .iter()
+                .map(|(path, src)| SourceFile::parse(path, src))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn an_item_of_a_private_module_is_listed_where_it_is_re_exported() {
+        let ws = workspace(&[
+            (
+                "k/src/lib.rs",
+                "mod server;\nmod hidden;\npub mod wire;\n\
+                 pub use server::{Server, bind as start};\n",
+            ),
+            (
+                "k/src/server.rs",
+                "pub struct Server;\nimpl Server { pub fn run(&self) {} }\n\
+                 pub fn bind() {}\npub fn unexported() {}\n",
+            ),
+            ("k/src/hidden.rs", "pub fn nowhere() {}\n"),
+            ("k/src/wire.rs", "pub fn send() {}\n"),
+        ]);
+        assert_eq!(
+            snapshot(&ws, "k/src"),
+            "pub fn Server::run\npub fn start\npub fn wire::send\npub mod wire\n\
+             pub struct Server\npub use server::{Server,bind as start}\n"
+        );
+    }
+
+    #[test]
+    fn use_trees_expand_to_the_names_they_bind() {
+        let mut names = Vec::new();
+        use_names(&[], "a::{b,c::{D as E,self},*}", &mut names);
+        let names: Vec<String> = names
+            .iter()
+            .map(|(path, name)| format!("{} as {name}", path.join("::")))
+            .collect();
+        assert_eq!(
+            names,
+            ["a::b as b", "a::c::D as E", "a::c as c", "a::* as *"]
+        );
+        let up = resolve(&["m".into(), "n".into()], vec!["super".into(), "x".into()]);
+        assert_eq!(up, ["m", "x"]);
+    }
 }

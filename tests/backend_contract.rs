@@ -17,8 +17,10 @@ use charles_store::{
     Backend, BackendStats, Bitmap, CutStats, FrequencyTable, Schema, StoreError, StorePredicate,
     StoreResult, Value,
 };
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
+use std::thread::ThreadId;
 
 mod common;
 
@@ -60,8 +62,8 @@ impl<'a> FusedBackend<'a> {
 }
 
 fn spend(fuse: &AtomicUsize, what: &str) -> StoreResult<()> {
-    // Compare-and-swap loop: the advisor may call concurrently from
-    // its worker threads, and the fuse must never double-spend.
+    // Compare-and-swap loop: advice runs on other threads may share the
+    // backend, and the fuse must never double-spend.
     let mut left = fuse.load(Ordering::Relaxed);
     loop {
         if left == 0 {
@@ -325,20 +327,15 @@ fn failed_resolution_of_a_composed_candidate_is_one_err_and_consumes_nothing() {
         let seeded = std::iter::from_fn(|| gen.next_segmentation().ok().flatten()).count();
         assert_eq!(seeded, healthy.trace.seeds.len() - 1);
     }
-    let eager_err = |threads: usize| {
-        charles_parallel::set_num_threads(threads);
+    let err = {
         let backend = faulty();
         let ex = Explorer::new(&backend, Config::default(), ctx.clone()).unwrap();
-        let err = hb_cuts(&ex).unwrap_err();
-        charles_parallel::set_num_threads(0);
-        err
+        hb_cuts(&ex).unwrap_err()
     };
-    let err = eager_err(1);
     assert_eq!(
         err,
         CoreError::Store(StoreError::Io("injected scan failure".into()))
     );
-    assert_eq!(eager_err(4), err);
 
     // The lazy run drives the same stepper: the failed step must leave
     // it as it was, so that a retry — here after the fault clears —
@@ -1823,13 +1820,17 @@ fn homogeneity_and_surprise_propagate_backend_errors() {
     );
 }
 
-/// A delegating backend that tallies what it was asked. It forwards
-/// every method to the engine it wraps, `cut_stats` and `varies` too, so
-/// a `min_max` or `median` it sees is an explorer's own call, never one
-/// made inside a cut's or a `varies`' provided body.
+/// A delegating backend that tallies what it was asked, and notes the
+/// thread of every call. It forwards every method to the engine it
+/// wraps, `cut_stats` and `varies` too, so a `min_max` or `median` it
+/// sees is an explorer's own call, never one made inside a cut's or a
+/// `varies`' provided body. Set, `linger` holds each call 100 µs: a run
+/// that forked would have a helper thread take some of its calls.
 struct Tallied<'a> {
     inner: &'a dyn Backend,
     tally: Mutex<Tally>,
+    threads: Mutex<HashSet<ThreadId>>,
+    linger: bool,
 }
 
 /// What a [`Tallied`] backend was asked: `eval` by the range and set
@@ -1879,11 +1880,20 @@ impl<'a> Tallied<'a> {
         Tallied {
             inner,
             tally: Mutex::default(),
+            threads: Mutex::default(),
+            linger: false,
         }
     }
 
     fn note(&self, call: impl FnOnce(&mut Tally)) {
+        self.threads
+            .lock()
+            .unwrap()
+            .insert(std::thread::current().id());
         call(&mut self.tally.lock().unwrap());
+        if self.linger {
+            std::thread::sleep(std::time::Duration::from_micros(100));
+        }
     }
 
     fn tally(&self) -> Tally {
@@ -1903,6 +1913,7 @@ impl Backend for Tallied<'_> {
         self.inner.eval(pred)
     }
     fn not_null(&self, column: &str) -> StoreResult<Bitmap> {
+        self.note(|_| ());
         self.inner.not_null(column)
     }
     fn count(&self, pred: &StorePredicate) -> StoreResult<usize> {
@@ -1933,15 +1944,16 @@ impl Backend for Tallied<'_> {
     }
     fn cut_stats(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<CutStats>> {
         let stats = self.inner.cut_stats(column, sel)?;
-        if stats.as_ref().is_some_and(|s| s.median.is_some()) {
-            self.note(|t| t.cut_medians += 1);
-        }
+        let median = stats.as_ref().is_some_and(|s| s.median.is_some());
+        self.note(|t| t.cut_medians += u64::from(median));
         Ok(stats)
     }
     fn varies(&self, column: &str, sel: &Bitmap) -> StoreResult<bool> {
+        self.note(|_| ());
         self.inner.varies(column, sel)
     }
     fn next_above(&self, column: &str, sel: &Bitmap, v: &Value) -> StoreResult<Option<Value>> {
+        self.note(|_| ());
         self.inner.next_above(column, sel, v)
     }
     fn mean_and_var(&self, column: &str, sel: &Bitmap) -> StoreResult<Option<(f64, f64)>> {
@@ -2024,5 +2036,38 @@ fn the_explorer_counts_every_store_call_made_through_it() {
         // bare count or a distinct count.
         assert_eq!((tally.count, tally.distinct_count), (0, 0), "{name}");
         assert!(tally.ops().scans > 1, "{name} asked nothing: {tally:?}");
+    }
+}
+
+#[test]
+fn every_store_call_of_a_run_is_made_on_the_callers_thread() {
+    // An advice run is one thread (ADR 0032): HB-cuts, a lazy walk and
+    // the adaptive search ask the store everything from the thread that
+    // runs them, none of it from a helper.
+    use charles_bench::adaptive_segmentations;
+    let table = voc_table(8_000, 99);
+    let sdl = "(type_of_boat: , tonnage: , departure_harbour: , trip: )";
+    let ctx = charles::parse_query(sdl, Backend::schema(&table)).unwrap();
+    type Run<'r> = &'r dyn Fn(&Explorer<'_>);
+    let runs: [(&str, Run); 3] = [
+        ("hb-cuts", &|ex| drop(hb_cuts(ex).unwrap())),
+        ("lazy", &|ex| {
+            let mut gen = LazyGenerator::new(ex);
+            while gen.next_segmentation().unwrap().is_some() {}
+        }),
+        ("adaptive", &|ex| {
+            drop(adaptive_segmentations(ex, Default::default()).unwrap())
+        }),
+    ];
+    let caller = HashSet::from([std::thread::current().id()]);
+    for (name, run) in runs {
+        let backend = Tallied {
+            linger: true,
+            ..Tallied::new(&table)
+        };
+        let ex = Explorer::new(&backend, Config::default(), ctx.clone()).unwrap();
+        run(&ex);
+        assert!(backend.tally().ops().scans > 1, "{name} asked nothing");
+        assert_eq!(*backend.threads.lock().unwrap(), caller, "{name}");
     }
 }

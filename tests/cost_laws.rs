@@ -8,8 +8,8 @@
 //! and records what the run counted of itself (`Advice::backend_ops`,
 //! `Advice::cache`) and how HB-cuts ended (its steps and stop reason).
 //! `tests/golden/cost_laws.txt` holds the committed table; the test
-//! renders it at one and at two `par_map` threads and compares byte for
-//! byte, so a change that moves one op of one cell shows there. The
+//! renders it afresh and compares byte for byte, so a change that moves
+//! one op of one cell shows there. The
 //! n = 10³ cells and the datasets run on a `RowTable` copy too, whose
 //! every line must be the column store's: the two engines differ in
 //! layout only, not in the calls a run makes. Re-bless
@@ -64,10 +64,14 @@
 //! The three datasets mix nominal attributes in (a frequency cut is a
 //! scan without a median) and their contexts stop on other criteria;
 //! their cells are recorded, and the law is not asserted of them.
+//!
+//! The counts belong to the run, not to the backend: two runs racing on
+//! one table each count what they count alone.
 
 use charles::advisor::StopReason;
 use charles::{
-    astro_table, sweep_table, voc_table, weblog_table, Advice, Advisor, Backend, RowTable, Table,
+    astro_table, sweep_table, voc_table, weblog_table, Advice, Advisor, Backend, Query, RowTable,
+    Table,
 };
 use std::fmt::Write as _;
 use std::path::Path;
@@ -113,31 +117,27 @@ fn advise(table: &dyn Backend) -> Advice {
         .unwrap_or_else(|e| panic!("{sdl}: {e}"))
 }
 
-/// `table`'s counts, advised at one and at two `par_map` threads.
-fn cell(name: String, table: &dyn Backend) -> [Cell; 2] {
-    [1, 2].map(|threads| {
-        charles_parallel::set_num_threads(threads);
-        let advice = advise(table);
-        charles_parallel::set_num_threads(0);
-        Cell {
-            name: name.clone(),
-            k: table.schema().arity(),
-            scans: advice.backend_ops.scans,
-            medians: advice.backend_ops.medians,
-            sel_misses: advice.cache.sel_misses,
-            indep_probes: advice.cache.indep_misses,
-            steps: advice.trace.steps.len() as u64,
-            stop: advice.trace.stop,
-        }
-    })
+/// `table`'s counts.
+fn cell(name: String, table: &dyn Backend) -> Cell {
+    let advice = advise(table);
+    Cell {
+        name,
+        k: table.schema().arity(),
+        scans: advice.backend_ops.scans,
+        medians: advice.backend_ops.medians,
+        sel_misses: advice.cache.sel_misses,
+        indep_probes: advice.cache.indep_misses,
+        steps: advice.trace.steps.len() as u64,
+        stop: advice.trace.stop,
+    }
 }
 
 /// A cell of the column store and the same cell of its row-store copy.
-type Twins = ([Cell; 2], [Cell; 2]);
+type Twins = (Cell, Cell);
 
-/// Every sweep cell, then the three datasets, each at one and at two
-/// threads; and the n = 10³ cells and the datasets on both engines.
-fn cells() -> (Vec<[Cell; 2]>, Vec<[Cell; 2]>, Vec<Twins>) {
+/// Every sweep cell, then the three datasets; and the n = 10³ cells and
+/// the datasets on both engines.
+fn cells() -> (Vec<Cell>, Vec<Cell>, Vec<Twins>) {
     let mut twins = Vec::new();
     let mut both = |name: String, table: &Table| {
         let column = cell(name.clone(), table);
@@ -177,10 +177,10 @@ fn line(c: &Cell) -> String {
     )
 }
 
-/// The golden table, from the cells at `threads` (1 or 2).
-fn render<'a>(cells: impl Iterator<Item = &'a [Cell; 2]>, threads: usize) -> String {
+/// The golden table.
+fn render<'a>(cells: impl Iterator<Item = &'a Cell>) -> String {
     let mut out = String::from("# cell: scans medians sel_misses indep_probes steps stop\n");
-    for c in cells.map(|c| &c[threads - 1]) {
+    for c in cells {
         let _ = writeln!(out, "{}", line(c));
     }
     out
@@ -191,22 +191,19 @@ fn op_counts_match_the_golden_and_follow_the_affine_law() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/cost_laws.txt");
     let (sweep, datasets, twins) = cells();
     let all = || sweep.iter().chain(&datasets);
+    let got = render(all());
     if std::env::var_os(BLESS_VAR).is_some() {
-        std::fs::write(&path, render(all(), 1)).unwrap();
+        std::fs::write(&path, &got).unwrap();
     }
     let want = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("{}: {e} (bless with {BLESS_VAR}=1)", path.display()));
-    for threads in [1, 2] {
-        let got = render(all(), threads);
-        assert!(
-            got == want,
-            "op counts moved at {threads} thread(s): re-bless with {BLESS_VAR}=1 if deliberate \
-             and review `git diff tests/golden/cost_laws.txt`"
-        );
-    }
+    assert!(
+        got == want,
+        "op counts moved: re-bless with {BLESS_VAR}=1 if deliberate and review \
+         `git diff tests/golden/cost_laws.txt`"
+    );
 
     for c in &sweep {
-        let c = &c[0];
         let k = c.k as u64;
         let (scans, medians) = if k == 2 {
             (4, 4)
@@ -227,12 +224,45 @@ fn op_counts_match_the_golden_and_follow_the_affine_law() {
     // One layout or the other, the same calls.
     assert_eq!(twins.len(), KS.len() * SEEDS.len() + 3);
     for (column, rows) in &twins {
-        for threads in 0..2 {
-            assert_eq!(
-                line(&rows[threads]),
-                line(&column[threads]),
-                "the row store"
-            );
+        assert_eq!(line(rows), line(column), "the row store");
+    }
+}
+
+#[test]
+fn concurrent_runs_on_one_table_count_only_their_own_backend_ops() {
+    // Two advice runs on different contexts share one table, started
+    // together round after round: each reports the counts it reports
+    // alone. The counts belong to the run, not to the backend, so one
+    // run can neither zero nor inflate the other's.
+    let t = &voc_table(4_000, 99);
+    let ctxs = [
+        "(type_of_boat: , tonnage: , departure_harbour: , trip: )",
+        "(type_of_boat: {fluit, jacht, pinas}, tonnage: [200,1000], departure_harbour: , trip: )",
+    ]
+    .map(|sdl| charles::parse_query(sdl, Backend::schema(t)).unwrap());
+    let advise = |ctx: &Query| {
+        let advice = Advisor::new(t).advise(ctx.clone()).unwrap();
+        (advice.backend_ops, advice.cache)
+    };
+    let solo = ctxs.each_ref().map(advise);
+    let start = std::sync::Barrier::new(2);
+    let raced = std::thread::scope(|scope| {
+        let rounds = ctxs.each_ref().map(|ctx| {
+            let start = &start;
+            scope.spawn(move || {
+                (0..8)
+                    .map(|_| {
+                        start.wait();
+                        advise(ctx)
+                    })
+                    .collect::<Vec<_>>()
+            })
+        });
+        rounds.map(|run| run.join().unwrap())
+    });
+    for ((ctx, solo), raced) in ctxs.iter().zip(solo).zip(raced) {
+        for (round, ops) in raced.into_iter().enumerate() {
+            assert_eq!(ops, solo, "{ctx}, round {round}");
         }
     }
 }

@@ -7,8 +7,8 @@
 //! is rendered the three ways it leaves the advisor: the JSON object both
 //! listeners serve, its CHRW payload (verbatim `f64` bits, in hex), and
 //! its `backend_ops` / `cache` counters. `tests/golden/<case>.txt` holds
-//! the committed rendering of every case; the test renders them at one
-//! and at two `par_map` threads and compares byte for byte.
+//! the committed rendering of every case; the test renders them afresh
+//! and compares byte for byte.
 //!
 //! After a deliberate change to what the advisor answers or how it is
 //! encoded, re-bless and review the diff — every moved byte or count
@@ -245,8 +245,8 @@ fn render(case: &Case, backend: &Arc<dyn Backend>) -> String {
     out
 }
 
-/// Every case of `cases` rendered at `threads` `par_map` threads.
-fn render_all(cases: &[Case], threads: usize) -> Vec<(&'static str, String)> {
+/// Every case of `cases` rendered.
+fn render_all(cases: &[Case]) -> Vec<(&'static str, String)> {
     let voc = voc_table(ROWS, SEED);
     let tables: [(&str, Arc<dyn Backend>); 4] = [
         ("voc_rows", Arc::new(RowTable::from_table(&voc).unwrap())),
@@ -254,8 +254,7 @@ fn render_all(cases: &[Case], threads: usize) -> Vec<(&'static str, String)> {
         ("astro", Arc::new(astro_table(ROWS, SEED))),
         ("weblog", Arc::new(weblog_table(ROWS, SEED))),
     ];
-    charles_parallel::set_num_threads(threads);
-    let rendered = cases
+    cases
         .iter()
         .map(|case| {
             let (_, backend) = tables
@@ -264,9 +263,7 @@ fn render_all(cases: &[Case], threads: usize) -> Vec<(&'static str, String)> {
                 .unwrap_or_else(|| panic!("no table {:?}", case.table));
             (case.name, render(case, backend))
         })
-        .collect();
-    charles_parallel::set_num_threads(0);
-    rendered
+        .collect()
 }
 
 /// Where `got` and `want` first part — line, column and a few dozen
@@ -292,12 +289,12 @@ fn first_difference(got: &str, want: &str) -> String {
 }
 
 #[test]
-fn advice_bytes_match_the_goldens_at_one_and_two_threads() {
+fn advice_bytes_match_the_goldens() {
     let dir = golden_dir();
-    let one = render_all(CASES, 1);
+    let rendered = render_all(CASES);
     if std::env::var_os(BLESS_VAR).is_some() {
         std::fs::create_dir_all(&dir).unwrap();
-        for (name, text) in &one {
+        for (name, text) in &rendered {
             std::fs::write(dir.join(format!("{name}.txt")), text).unwrap();
         }
     }
@@ -315,19 +312,16 @@ fn advice_bytes_match_the_goldens_at_one_and_two_threads() {
         "tests/golden/ holds exactly one file per case, and cost_laws.txt"
     );
 
-    let two = render_all(CASES, 2);
-    for (threads, rendered) in [(1, &one), (2, &two)] {
-        for (name, got) in rendered {
-            let path = dir.join(format!("{name}.txt"));
-            let want = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| panic!("{}: {e} (bless with {BLESS_VAR}=1)", path.display()));
-            assert!(
-                *got == want,
-                "golden {name} differs at {threads} thread(s), {} — if the change is \
-                 deliberate, re-bless with {BLESS_VAR}=1 and review `git diff tests/golden`",
-                first_difference(got, &want)
-            );
-        }
+    for (name, got) in &rendered {
+        let path = dir.join(format!("{name}.txt"));
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: {e} (bless with {BLESS_VAR}=1)", path.display()));
+        assert!(
+            *got == want,
+            "golden {name} differs, {} — if the change is deliberate, re-bless with \
+             {BLESS_VAR}=1 and review `git diff tests/golden`",
+            first_difference(got, &want)
+        );
     }
 
     // E7's ablation swaps the layout only: the row-store case renders
@@ -342,16 +336,14 @@ fn advice_bytes_match_the_goldens_at_one_and_two_threads() {
         let lines = text.lines().filter(|l| !l.starts_with("table: "));
         lines.collect::<Vec<_>>().join("\n")
     };
-    for (threads, rendered) in [(1, &one), (2, &two)] {
-        let (_, got) = rendered
-            .iter()
-            .find(|(name, _)| *name == rows.name)
-            .unwrap();
-        let (got, want) = (untabled(got), untabled(&render_all(&columns, threads)[0].1));
-        assert!(
-            got == want,
-            "row_store differs from its case over voc at {threads} thread(s), {}",
-            first_difference(&got, &want)
-        );
-    }
+    let (_, got) = rendered
+        .iter()
+        .find(|(name, _)| *name == rows.name)
+        .unwrap();
+    let (got, want) = (untabled(got), untabled(&render_all(&columns)[0].1));
+    assert!(
+        got == want,
+        "row_store differs from its case over voc, {}",
+        first_difference(&got, &want)
+    );
 }
