@@ -401,7 +401,11 @@ mod tests {
                     let mut conjunction = eval::selection(piece, backend).unwrap();
                     conjunction.and_inplace(ex.context_selection());
                     assert_eq!(*sel, conjunction, "{piece}");
-                    let narrowing = piece.predicates().iter().find(|p| p.attr == attr).unwrap();
+                    let narrowing = piece
+                        .predicates()
+                        .iter()
+                        .find(|p| &*p.attr == attr)
+                        .unwrap();
                     let mut derived = backend.eval(&eval::lower_predicate(narrowing)).unwrap();
                     derived.and_inplace(&parent);
                     assert_eq!(*sel, derived, "{piece}");

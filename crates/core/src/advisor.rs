@@ -43,6 +43,16 @@ pub struct Advice {
     pub encoded: Encoded,
 }
 
+// The server shares cached advices across its connection threads, and
+// a query's attribute names are `Arc<str>`s, shared between its clones:
+// the three types stay `Send + Sync`, or this stops compiling.
+const _: fn() = || {
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<Query>();
+    send_sync::<charles_sdl::Segmentation>();
+    send_sync::<Advice>();
+};
+
 /// Write-once slots for the two rendered forms of an [`Advice`] a
 /// server sends — one binary, one text. The core stores what it is
 /// handed and knows neither format: whoever first sends the advice

@@ -168,7 +168,7 @@ impl Piece {
         pair: Option<(Half, LeftSelection)>,
     ) -> Option<Piece> {
         let query = query.into_refined(attr, constraint)?;
-        let conjunct = query.predicates().iter().position(|p| p.attr == attr)?;
+        let conjunct = query.predicates().iter().position(|p| &*p.attr == attr)?;
         Some(Piece {
             query,
             sel: PieceSelection::Derived {

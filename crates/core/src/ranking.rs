@@ -6,17 +6,19 @@
 //! descending, with breadth and simplicity as deterministic tie-breaks,
 //! and the rendered form as the last one.
 //!
-//! Rendering a segmentation of dozens of queries costs microseconds, and
-//! seed cuts of one table often tie on entropy exactly, so the
-//! comparator does not render per comparison: `rank` stably sorts
-//! indices and renders each segmentation at most once, the first time a
-//! comparison reaches its rendered form — only tied segmentations are
-//! ever rendered. The order is the one a sort of the elements under the
-//! same comparator gives.
+//! Seed cuts of one table often tie on entropy exactly, and a wide
+//! context's segmentation renders to kilobytes, of which two tied ones
+//! usually share only a short prefix. So the comparator renders nothing
+//! whole: each segmentation the tie-break reaches gets a buffer that
+//! [`RenderCursor`] grows one predicate at a time, only as far as a
+//! comparison needs, and a comparison stops at the first byte that
+//! differs. `rank` stably sorts indices; the order is the one a stable
+//! sort of the elements gives under a comparator that ends in
+//! `a.to_string().cmp(&b.to_string())`.
 
 use crate::metrics::Score;
+use charles_sdl::display::RenderCursor;
 use charles_sdl::Segmentation;
-use std::cell::OnceCell;
 use std::cmp::Ordering;
 
 /// A segmentation with its score card, as presented to the user.
@@ -32,18 +34,22 @@ pub struct Ranked {
 /// ties broken by breadth (descending), then simplicity (ascending), then
 /// the rendered form so the order is total and reproducible.
 ///
-/// The sort is stable, and a segmentation is rendered at most once.
+/// The sort is stable, and a segmentation is rendered only as far as
+/// its first byte that differs from a segmentation it ties with.
 pub fn rank(scored: Vec<(Segmentation, Score)>) -> Vec<Ranked> {
-    let rendered: Vec<OnceCell<String>> = scored.iter().map(|_| OnceCell::new()).collect();
-    let render = |i: usize| rendered[i].get_or_init(|| scored[i].0.to_string());
+    let mut renders: Vec<Render<'_>> = scored.iter().map(|(s, _)| Render::new(s)).collect();
     let mut order: Vec<usize> = (0..scored.len()).collect();
     order.sort_by(|&a, &b| {
         let (sa, sb) = (&scored[a].1, &scored[b].1);
         entropy_descending(sa.entropy, sb.entropy)
             .then(sb.breadth.cmp(&sa.breadth))
             .then(sa.simplicity.cmp(&sb.simplicity))
-            .then_with(|| render(a).cmp(render(b)))
+            .then_with(|| match renders.get_disjoint_mut([a, b]) {
+                Ok([ra, rb]) => ra.cmp(rb),
+                Err(_) => Ordering::Equal,
+            })
     });
+    drop(renders);
     let mut slots: Vec<Option<(Segmentation, Score)>> = scored.into_iter().map(Some).collect();
     order
         .into_iter()
@@ -55,6 +61,53 @@ pub fn rank(scored: Vec<(Segmentation, Score)>) -> Vec<Ranked> {
             }
         })
         .collect()
+}
+
+/// The prefix of a segmentation's render that comparisons have needed
+/// so far, and the cursor that writes the rest.
+struct Render<'a> {
+    cursor: RenderCursor<'a>,
+    text: String,
+}
+
+impl<'a> Render<'a> {
+    fn new(segmentation: &'a Segmentation) -> Render<'a> {
+        Render {
+            cursor: RenderCursor::new(segmentation),
+            text: String::new(),
+        }
+    }
+
+    /// Render chunks until the prefix is longer than `len` bytes, or
+    /// the whole render is.
+    fn extend_past(&mut self, len: usize) {
+        while self.text.len() <= len
+            && self
+                .cursor
+                .write_next(&mut self.text)
+                .expect("writing to a String cannot fail")
+        {}
+    }
+
+    /// `self.to_string().cmp(&other.to_string())`, rendering both only
+    /// up to their first byte that differs.
+    fn cmp(&mut self, other: &mut Render<'_>) -> Ordering {
+        let mut at = 0;
+        loop {
+            self.extend_past(at);
+            other.extend_past(at);
+            let (a, b) = (&self.text.as_bytes()[at..], &other.text.as_bytes()[at..]);
+            let n = a.len().min(b.len());
+            if n == 0 {
+                // One render ends at `at`: it is a prefix of the other.
+                return a.len().cmp(&b.len());
+            }
+            match a[..n].cmp(&b[..n]) {
+                Ordering::Equal => at += n,
+                unequal => return unequal,
+            }
+        }
+    }
 }
 
 /// Entropy, highest first. Numbers compare as numbers (−0.0 and 0.0
@@ -151,8 +204,9 @@ mod tests {
         assert_eq!(ranked[0].score.depth, 1);
     }
 
-    /// `rank` as it was before it rendered each segmentation once: both
-    /// rendered on every comparison that reaches the tie-break.
+    /// The reference order: a stable sort of the elements that renders
+    /// both segmentations whole on every comparison that reaches the
+    /// tie-break.
     fn rank_rendering_every_comparison(scored: Vec<(Segmentation, Score)>) -> Vec<Ranked> {
         let mut out: Vec<Ranked> = scored
             .into_iter()
@@ -173,52 +227,104 @@ mod tests {
         out
     }
 
+    /// A query over the first 12–14 of `c0`…`c13` (`c1` is a prefix of
+    /// `c10`…`c13`), with one or two of them constrained: an `Int`
+    /// range, a `Float` range over the same numbers, or a set of strings
+    /// some of which render quoted. One query in eight has no predicate
+    /// at all.
+    fn wide_query(rng: &mut StdRng) -> Query {
+        if rng.gen_range(0..8) == 0 {
+            return Query::conjunction(vec![]);
+        }
+        let width: usize = rng.gen_range(12..=14);
+        let names: Vec<String> = (0..width).map(|i| format!("c{i}")).collect();
+        let mut query = Query::wildcard(&names.iter().map(String::as_str).collect::<Vec<_>>());
+        for _ in 0..rng.gen_range(1..=2) {
+            let lo = rng.gen_range(0..2i64);
+            let constraint = match rng.gen_range(0..3) {
+                0 => Constraint::range(Value::Int(lo), Value::Int(lo + 1)),
+                1 => Constraint::range(Value::Float(lo as f64), Value::Float(lo as f64 + 1.0)),
+                _ => {
+                    let pool = ["de lange", "jacht", "'t hoen", "de_lange"];
+                    let values = (0..rng.gen_range(1..=2))
+                        .map(|_| Value::str(pool[rng.gen_range(0..pool.len())]))
+                        .collect();
+                    Constraint::set(values)
+                }
+            };
+            // A second constraint on one attribute intersects the first,
+            // and an empty intersection leaves the query as it was.
+            let attr = &names[rng.gen_range(0..width)];
+            query = query.refined(attr, constraint.unwrap()).unwrap_or(query);
+        }
+        query
+    }
+
     #[test]
-    fn rank_renders_once_to_the_same_order() {
-        // Heavy ties: three entropies, breadth and simplicity 1–3, and
-        // segmentations of one to three queries whose first query is one
-        // of three, so the tie-break often reads past it — and identical
-        // segmentations, which only stability orders. `depth` is each
-        // entry's input position.
-        let query = |lo: i64| {
-            Query::wildcard(&["a", "b"])
-                .refined(
-                    "a",
-                    Constraint::range(Value::Int(lo), Value::Int(lo + 1)).unwrap(),
-                )
-                .unwrap()
-        };
+    fn rank_compares_renders_piecewise_to_the_same_order() {
+        // Heavy ties: three entropies, breadth and simplicity 1–3. Each
+        // segmentation's first query is one of three, so the tie-break
+        // often reads past it; one in four is the first queries of an
+        // earlier one, so its render is a proper prefix of that one's;
+        // and a few are copies, which only stability orders. `depth` is
+        // each entry's input position.
         let mut rng = StdRng::seed_from_u64(29);
-        let mut past_first = 0;
+        let firsts: Vec<Query> = (0..3).map(|_| wide_query(&mut rng)).collect();
+        let (mut past_first, mut prefixes) = (0, 0);
         for _ in 0..300 {
-            let scored: Vec<(Segmentation, Score)> = (0..rng.gen_range(0..40))
-                .map(|i| {
-                    let mut queries = vec![query(rng.gen_range(0..3))];
-                    for _ in 0..rng.gen_range(0..3) {
-                        queries.push(query(rng.gen_range(0..6)));
+            let mut segmentations: Vec<Segmentation> = Vec::new();
+            for _ in 0..rng.gen_range(0..40) {
+                let earlier = segmentations.len();
+                let seg = match rng.gen_range(0..8) {
+                    0..=1 if earlier > 0 => {
+                        let of = &segmentations[rng.gen_range(0..earlier)];
+                        let keep: usize = rng.gen_range(1..=of.depth());
+                        Segmentation::new(of.queries()[..keep].to_vec())
                     }
+                    2 if earlier > 0 => segmentations[rng.gen_range(0..earlier)].clone(),
+                    _ => {
+                        let mut queries = vec![firsts[rng.gen_range(0..3usize)].clone()];
+                        for _ in 0..rng.gen_range(0..4) {
+                            queries.push(wide_query(&mut rng));
+                        }
+                        Segmentation::new(queries)
+                    }
+                };
+                segmentations.push(seg);
+            }
+            let scored: Vec<(Segmentation, Score)> = segmentations
+                .into_iter()
+                .enumerate()
+                .map(|(i, seg)| {
                     let entropy = [0.5, 1.0, 1.5][rng.gen_range(0..3usize)];
-                    let card = score(entropy, rng.gen_range(1..=3), rng.gen_range(1..=3), i);
-                    (Segmentation::new(queries), card)
+                    (
+                        seg,
+                        score(entropy, rng.gen_range(1..=3), rng.gen_range(1..=3), i),
+                    )
                 })
                 .collect();
             let positions = |ranked: Vec<Ranked>| -> Vec<usize> {
                 ranked.iter().map(|r| r.score.depth).collect()
             };
             let reference = rank_rendering_every_comparison(scored.clone());
-            past_first += reference
-                .windows(2)
-                .filter(|w| {
-                    let key = |r: &Ranked| (r.score.entropy, r.score.breadth, r.score.simplicity);
-                    let (a, b) = (&w[0].segmentation, &w[1].segmentation);
-                    key(&w[0]) == key(&w[1]) && a.queries()[0] == b.queries()[0] && a != b
-                })
-                .count();
+            for w in reference.windows(2) {
+                let key = |r: &Ranked| (r.score.entropy, r.score.breadth, r.score.simplicity);
+                let (a, b) = (&w[0].segmentation, &w[1].segmentation);
+                if key(&w[0]) != key(&w[1]) || a == b {
+                    continue;
+                }
+                past_first += usize::from(a.queries().first() == b.queries().first());
+                prefixes += usize::from(b.to_string().starts_with(&a.to_string()));
+            }
             assert_eq!(positions(rank(scored)), positions(reference));
         }
         assert!(
             past_first > 100,
             "ties must reach past the first query: {past_first}"
+        );
+        assert!(
+            prefixes > 100,
+            "ties must compare a render with its own proper prefix: {prefixes}"
         );
     }
 }

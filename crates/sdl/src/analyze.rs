@@ -45,6 +45,7 @@ use crate::predicate::{Constraint, Predicate};
 use crate::query::Query;
 use charles_store::{DataType, Schema, Value};
 use std::fmt;
+use std::sync::Arc;
 
 /// Machine-readable diagnostic codes, stable across releases (clients
 /// and tests branch on the snake_case wire names from
@@ -231,14 +232,14 @@ fn pass(query: &Query, schema: &Schema, merge: bool) -> QueryReport {
     // of its conjuncts.
     let predicates = query.predicates();
     for (i, first) in predicates.iter().enumerate() {
-        let attr = first.attr.as_str();
-        if predicates[..i].iter().any(|p| p.attr == attr) {
+        let attr = &*first.attr;
+        if predicates[..i].iter().any(|p| &*p.attr == attr) {
             continue;
         }
         let conjuncts = || {
             predicates[i..]
                 .iter()
-                .filter(move |p| p.attr == attr)
+                .filter(move |p| &*p.attr == attr)
                 .map(|p| &p.constraint)
         };
 
@@ -296,11 +297,11 @@ fn pass(query: &Query, schema: &Schema, merge: bool) -> QueryReport {
                 attr,
                 format!(
                     "{count} constraints on {attr:?} merge into {}",
-                    Predicate::new(attr, acc.clone())
+                    Predicate::new(Arc::clone(&first.attr), acc.clone())
                 ),
             ));
         }
-        merged.push(Predicate::new(attr, acc));
+        merged.push(Predicate::new(Arc::clone(&first.attr), acc));
     }
 
     let satisfiability = if provably_empty {

@@ -5,7 +5,8 @@
 //!
 //! * query — `(date: [1550,1650], tonnage: , type: {jacht, fluit})`
 //! * half-open float range — `[0.5,2.5[` (the paper's `[min, med[`)
-//! * segmentation — one query per line
+//! * segmentation — one query per line, also written a predicate at a
+//!   time by [`RenderCursor`]
 
 use crate::predicate::{Constraint, Predicate};
 use crate::query::Query;
@@ -69,28 +70,80 @@ impl fmt::Display for Predicate {
     }
 }
 
+/// How many chunks [`write_chunk`] renders `q` in: one per predicate,
+/// and one for a query of none.
+fn chunk_count(q: &Query) -> usize {
+    q.predicates().len().max(1)
+}
+
+/// Chunk `i` of `q`'s render: predicate `i`, after the opening
+/// parenthesis if it is the first and after `", "` if not, and before
+/// the closing parenthesis if it is the last. A query of no predicates
+/// is the one chunk `()`.
+fn write_chunk(q: &Query, i: usize, out: &mut impl fmt::Write) -> fmt::Result {
+    out.write_str(if i == 0 { "(" } else { ", " })?;
+    if let Some(p) = q.predicates().get(i) {
+        write!(out, "{p}")?;
+    }
+    if i + 1 >= q.predicates().len() {
+        out.write_char(')')?;
+    }
+    Ok(())
+}
+
 impl fmt::Display for Query {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "(")?;
-        for (i, p) in self.predicates().iter().enumerate() {
-            if i > 0 {
-                write!(f, ", ")?;
-            }
-            write!(f, "{p}")?;
-        }
-        write!(f, ")")
+        (0..chunk_count(self)).try_for_each(|i| write_chunk(self, i, f))
     }
 }
 
 impl fmt::Display for Segmentation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, q) in self.queries().iter().enumerate() {
-            if i > 0 {
-                writeln!(f)?;
-            }
-            write!(f, "{q}")?;
-        }
+        let mut cursor = RenderCursor::new(self);
+        while cursor.write_next(f)? {}
         Ok(())
+    }
+}
+
+/// A segmentation's render, written one predicate at a time: what
+/// [`Segmentation`]'s `Display` writes, in the same chunks, for a reader
+/// that needs only a prefix of it — two renders compared up to their
+/// first difference, say.
+#[derive(Debug, Clone)]
+pub struct RenderCursor<'a> {
+    queries: &'a [Query],
+    query: usize,
+    chunk: usize,
+}
+
+impl<'a> RenderCursor<'a> {
+    /// A cursor at the start of `segmentation`'s render.
+    pub fn new(segmentation: &'a Segmentation) -> RenderCursor<'a> {
+        RenderCursor {
+            queries: segmentation.queries(),
+            query: 0,
+            chunk: 0,
+        }
+    }
+
+    /// Write the next chunk of the render to `out`: one predicate with
+    /// the punctuation around it, after a newline when it opens a query
+    /// that is not the first. `Ok(false)`, with nothing written, once
+    /// the whole render has been.
+    pub fn write_next(&mut self, out: &mut impl fmt::Write) -> Result<bool, fmt::Error> {
+        let Some(q) = self.queries.get(self.query) else {
+            return Ok(false);
+        };
+        if self.chunk == 0 && self.query > 0 {
+            out.write_char('\n')?;
+        }
+        write_chunk(q, self.chunk, out)?;
+        self.chunk += 1;
+        if self.chunk == chunk_count(q) {
+            self.query += 1;
+            self.chunk = 0;
+        }
+        Ok(true)
     }
 }
 

@@ -13,8 +13,8 @@ pub fn lower_predicate(p: &Predicate) -> StorePredicate {
             lo,
             hi,
             hi_inclusive,
-        } => StorePredicate::range(p.attr.clone(), lo.clone(), hi.clone(), *hi_inclusive),
-        Constraint::Set(values) => StorePredicate::set(p.attr.clone(), values.clone()),
+        } => StorePredicate::range(&*p.attr, lo.clone(), hi.clone(), *hi_inclusive),
+        Constraint::Set(values) => StorePredicate::set(&*p.attr, values.clone()),
     }
 }
 

@@ -158,9 +158,9 @@ impl<'a> Parser<'a> {
         let attr = self.ident()?;
         let ty = self
             .schema
-            .type_of(&attr)
+            .type_of(attr)
             .map_err(|_| SdlError::UnknownAttribute {
-                attr: attr.clone(),
+                attr: attr.to_string(),
                 position: self.pos,
             })?;
         self.expect(':')?;
@@ -173,7 +173,9 @@ impl<'a> Parser<'a> {
         Ok(Predicate::new(attr, constraint))
     }
 
-    fn ident(&mut self) -> SdlResult<String> {
+    /// The attribute name at the cursor, borrowed from the input: the
+    /// predicate copies it once, into its shared name.
+    fn ident(&mut self) -> SdlResult<&'a str> {
         self.skip_ws();
         let start = self.pos;
         while let Some(c) = self.peek() {
@@ -186,7 +188,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             Err(self.err("expected attribute name".into()))
         } else {
-            Ok(self.input[start..self.pos].to_string())
+            Ok(&self.input[start..self.pos])
         }
     }
 

@@ -3,6 +3,7 @@
 use crate::error::{SdlError, SdlResult};
 use charles_store::Value;
 use std::cmp::Ordering;
+use std::sync::Arc;
 
 /// The three constraint forms of SDL.
 ///
@@ -229,17 +230,20 @@ fn check_bounds(lo: &Value, hi: &Value, hi_inclusive: bool) -> SdlResult<()> {
 }
 
 /// A named constraint: one conjunct of an SDL query.
+///
+/// The attribute name is shared: cloning a predicate, or refining a
+/// query on another attribute, copies a pointer, not the name.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Predicate {
     /// Attribute (column) name.
-    pub attr: String,
+    pub attr: Arc<str>,
     /// The constraint applied to it.
     pub constraint: Constraint,
 }
 
 impl Predicate {
     /// Build a predicate.
-    pub fn new(attr: impl Into<String>, constraint: Constraint) -> Predicate {
+    pub fn new(attr: impl Into<Arc<str>>, constraint: Constraint) -> Predicate {
         Predicate {
             attr: attr.into(),
             constraint,
@@ -247,7 +251,7 @@ impl Predicate {
     }
 
     /// Unconstrained predicate (`attr:`).
-    pub fn any(attr: impl Into<String>) -> Predicate {
+    pub fn any(attr: impl Into<Arc<str>>) -> Predicate {
         Predicate::new(attr, Constraint::Any)
     }
 

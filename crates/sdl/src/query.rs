@@ -75,7 +75,7 @@ impl Query {
     /// the exploration scope: "we choose to restrict the exploration to
     /// the columns mentioned by the user" (§2).
     pub fn attributes(&self) -> Vec<&str> {
-        self.predicates.iter().map(|p| p.attr.as_str()).collect()
+        self.predicates.iter().map(|p| &*p.attr).collect()
     }
 
     /// Only the attributes that carry an actual constraint.
@@ -83,7 +83,7 @@ impl Query {
         self.predicates
             .iter()
             .filter(|p| p.is_constraining())
-            .map(|p| p.attr.as_str())
+            .map(|p| &*p.attr)
             .collect()
     }
 
@@ -100,13 +100,13 @@ impl Query {
     pub fn constraint(&self, attr: &str) -> Option<&Constraint> {
         self.predicates
             .iter()
-            .find(|p| p.attr == attr)
+            .find(|p| &*p.attr == attr)
             .map(|p| &p.constraint)
     }
 
     /// Whether the query mentions an attribute at all.
     pub fn mentions(&self, attr: &str) -> bool {
-        self.predicates.iter().any(|p| p.attr == attr)
+        self.predicates.iter().any(|p| &*p.attr == attr)
     }
 
     /// Refine the query with an additional constraint on `attr` — the
@@ -121,7 +121,7 @@ impl Query {
     /// [`Query::refined`] of an owned query, without cloning it. The
     /// query is consumed either way: on `None` it is gone.
     pub fn into_refined(mut self, attr: &str, constraint: Constraint) -> Option<Query> {
-        match self.predicates.iter_mut().find(|p| p.attr == attr) {
+        match self.predicates.iter_mut().find(|p| &*p.attr == attr) {
             Some(p) => {
                 let merged = p.constraint.intersect(&constraint)?;
                 p.constraint = merged;
@@ -351,6 +351,24 @@ mod tests {
 
     fn set(vals: &[&str]) -> Constraint {
         Constraint::set(vals.iter().map(|v| Value::str(*v)).collect()).unwrap()
+    }
+
+    #[test]
+    fn clones_and_refinements_share_the_attribute_names() {
+        let names: Vec<String> = (0..48).map(|i| format!("c{i}")).collect();
+        let q = Query::wildcard(&names.iter().map(String::as_str).collect::<Vec<_>>());
+        let range = || Constraint::range(Value::Int(0), Value::Int(9)).unwrap();
+        let copies = [
+            q.clone(),
+            q.refined("c17", range()).unwrap(),
+            q.clone().into_refined("c40", range()).unwrap(),
+        ];
+        for copy in &copies {
+            assert_eq!(copy.predicates().len(), 48);
+            for (a, b) in q.predicates().iter().zip(copy.predicates()) {
+                assert!(std::sync::Arc::ptr_eq(&a.attr, &b.attr), "{}", a.attr);
+            }
+        }
     }
 
     #[test]

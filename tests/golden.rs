@@ -1,7 +1,7 @@
 //! Golden advice bytes: "advice bytes unchanged" as a committed check.
 //!
-//! A fixed set of contexts over `datagen`'s three tables — the shapes of
-//! the four benchmark workloads, one drill/back trail, the §5.1 ablations (memo off, analysis off, the row-store
+//! A fixed set of contexts over `datagen`'s three tables and a 16-column
+//! `sweep_table` — the shapes of the four benchmark workloads, one drill/back trail, the §5.1 ablations (memo off, analysis off, the row-store
 //! backend) and a repeated attribute merged at admission — is advised
 //! afresh and each advice
 //! is rendered the three ways it leaves the advisor: the JSON object both
@@ -22,14 +22,19 @@
 use charles::serve::json::encode_advice;
 use charles::serve::wire::{WireAdvice, WireResponse, HEADER_LEN};
 use charles::store::{Backend, RowTable};
-use charles::{astro_table, voc_table, weblog_table, Advice, Config, Session};
+use charles::{astro_table, sweep_table, voc_table, weblog_table, Advice, Config, Session};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-/// Rows and seed of every table the cases run on.
+/// Rows and seed of every table the cases run on, bar `sweep`.
 const ROWS: usize = 3_000;
 const SEED: u64 = 7;
+
+/// Rows and columns of the `sweep` table: the benchmark's `cold_wide`
+/// table, narrowed to 16 columns.
+const SWEEP_ROWS: usize = 4_000;
+const SWEEP_COLUMNS: usize = 16;
 
 /// The one environment variable this test reads: set, it rewrites the
 /// golden files from this build instead of comparing against them.
@@ -113,6 +118,17 @@ const CASES: &[Case] = &[
         "weblog",
         &[Step::Start(
             "(section: , method: , status: , bytes: , latency_ms: , country: , hour: )",
+        )],
+    ),
+    // cold_wide at the benchmark's scale: 16 links of one dependency
+    // chain, whose seed cuts and compositions tie on entropy often, so
+    // `rank` reaches its rendered tie-break many times per advice.
+    case(
+        "cold_wide_sweep",
+        "sweep",
+        &[Step::Start(
+            "(c0: , c1: , c2: , c3: , c4: , c5: , c6: , c7: , \
+             c8: , c9: , c10: , c11: , c12: , c13: , c14: , c15: )",
         )],
     ),
     // session_drill: the benchmark's script — drill twice, back out
@@ -214,10 +230,10 @@ fn chrw_payload(advice: &Advice) -> Vec<u8> {
 }
 
 /// One case rendered as its golden file.
-fn render(case: &Case, backend: &Arc<dyn Backend>) -> String {
+fn render(case: &Case, rows: usize, backend: &Arc<dyn Backend>) -> String {
     let config = (case.config)();
     let mut out = format!(
-        "case: {}\ntable: {} ({ROWS} rows, seed {SEED})\nconfig: {config:?}\n",
+        "case: {}\ntable: {} ({rows} rows, seed {SEED})\nconfig: {config:?}\n",
         case.name, case.table
     );
     let mut session = Session::with_config(Arc::clone(backend), config);
@@ -248,20 +264,26 @@ fn render(case: &Case, backend: &Arc<dyn Backend>) -> String {
 /// Every case of `cases` rendered.
 fn render_all(cases: &[Case]) -> Vec<(&'static str, String)> {
     let voc = voc_table(ROWS, SEED);
-    let tables: [(&str, Arc<dyn Backend>); 4] = [
-        ("voc_rows", Arc::new(RowTable::from_table(&voc).unwrap())),
-        ("voc", Arc::new(voc)),
-        ("astro", Arc::new(astro_table(ROWS, SEED))),
-        ("weblog", Arc::new(weblog_table(ROWS, SEED))),
+    let sweep = sweep_table(SWEEP_ROWS, SWEEP_COLUMNS, SEED);
+    let tables: [(&str, usize, Arc<dyn Backend>); 5] = [
+        (
+            "voc_rows",
+            ROWS,
+            Arc::new(RowTable::from_table(&voc).unwrap()),
+        ),
+        ("voc", ROWS, Arc::new(voc)),
+        ("astro", ROWS, Arc::new(astro_table(ROWS, SEED))),
+        ("weblog", ROWS, Arc::new(weblog_table(ROWS, SEED))),
+        ("sweep", SWEEP_ROWS, Arc::new(sweep)),
     ];
     cases
         .iter()
         .map(|case| {
-            let (_, backend) = tables
+            let (_, rows, backend) = tables
                 .iter()
-                .find(|(name, _)| *name == case.table)
+                .find(|(name, ..)| *name == case.table)
                 .unwrap_or_else(|| panic!("no table {:?}", case.table));
-            (case.name, render(case, backend))
+            (case.name, render(case, *rows, backend))
         })
         .collect()
 }

@@ -4,10 +4,11 @@
 //! candidate ids, a triangular INDEP matrix, a ban set for uncomposable
 //! pairs). [`figure4_reference`] below is an independent implementation
 //! of the same figure, written against the public primitives only
-//! (`cut_segmentation`, `indep`, `compose`, `score`, `rank`): every
+//! (`cut_segmentation`, `indep`, `compose`, `score`): every
 //! iteration it enumerates all O(k²) pairs in the textbook nested loop
 //! and orders them by a stable sort, carrying INDEP values in its own
-//! map keyed by rendered fingerprints. It shares no selection code with
+//! map keyed by rendered fingerprints, and it ranks its answers by a
+//! stable sort that renders both segmentations whole on every tie. It shares no selection code with
 //! what it checks. The contract: **bitwise-identical advisor output**,
 //! meaning the same compose trace (same pairs in the same order, same
 //! skipped pairs, same `StopReason`) and the same ranked answers down to
@@ -28,8 +29,8 @@
 //! pieces are never scanned and take no frequency table).
 
 use charles::advisor::{
-    compose, cut_segmentation, fingerprint, hb_cuts, indep, rank, score, ComposeStep, CoreError,
-    CoreResult, Explorer, HbCutsOutput, SkippedPair, StopReason, Trace,
+    compose, cut_segmentation, fingerprint, hb_cuts, indep, score, ComposeStep, CoreError,
+    CoreResult, Explorer, HbCutsOutput, Ranked, Score, SkippedPair, StopReason, Trace,
 };
 use charles::{sweep_table, voc_table, Config, Query, Segmentation, Table};
 use charles_store::{Backend, Bitmap, FrequencyTable, Schema, StorePredicate, StoreResult, Value};
@@ -157,14 +158,30 @@ fn figure4_reference(ex: &Explorer<'_>) -> CoreResult<HbCutsOutput> {
 
     // Lines 23–25.
     output.extend(cand);
-    let mut scored = Vec::new();
-    for seg in output {
-        let s = score(ex, &seg)?;
-        scored.push((seg, s));
+    let mut ranked = Vec::new();
+    for segmentation in output {
+        let score = score(ex, &segmentation)?;
+        ranked.push(Ranked {
+            segmentation,
+            score,
+        });
     }
-    let mut ranked = rank(scored);
+    ranked.sort_by(ranked_order);
     ranked.truncate(cfg.max_results);
     Ok(HbCutsOutput { ranked, trace })
+}
+
+/// The paper's order, written out: entropy descending with a NaN after
+/// every number, then breadth descending, simplicity ascending, and the
+/// whole rendered segmentation, rendered afresh on every comparison.
+fn ranked_order(a: &Ranked, b: &Ranked) -> std::cmp::Ordering {
+    let entropy = |s: &Score| (s.entropy.is_nan(), -s.entropy);
+    let (ea, eb) = (entropy(&a.score), entropy(&b.score));
+    ea.partial_cmp(&eb)
+        .unwrap_or(std::cmp::Ordering::Equal)
+        .then(b.score.breadth.cmp(&a.score.breadth))
+        .then(a.score.simplicity.cmp(&b.score.simplicity))
+        .then_with(|| a.segmentation.to_string().cmp(&b.segmentation.to_string()))
 }
 
 /// One ranked answer in exactly-comparable form: segmentation text plus
@@ -429,8 +446,8 @@ fn replay_cost(ctx: &Query, trace: &Trace, nominal: &dyn Fn(&str) -> bool) -> Re
     let listed = |cut: &[String]| -> Vec<String> {
         ctx.predicates()
             .iter()
-            .filter(|p| p.is_constraining() || cut.contains(&p.attr))
-            .map(|p| p.attr.clone())
+            .filter(|p| p.is_constraining() || cut.iter().any(|c| **c == *p.attr))
+            .map(|p| p.attr.to_string())
             .collect()
     };
     let mut cost = ReplayedCost::default();
