@@ -43,14 +43,21 @@ pub struct Advice {
     pub encoded: Encoded,
 }
 
-// The server shares cached advices across its connection threads, and
-// a query's attribute names are `Arc<str>`s, shared between its clones:
-// the three types stay `Send + Sync`, or this stops compiling.
+// The thread model, checked by the compiler. The server shares cached
+// advices and its one advice cache across its connection threads, and a
+// query's attribute names are `Arc<str>`s, shared between its clones:
+// those types stay `Send + Sync`. A session lives in an
+// `Arc<Mutex<Session>>`, so it stays `Send`. An explorer is one advice
+// run's state, used by one thread at a time: `Send`, and not `Sync`.
 const _: fn() = || {
+    fn send<T: Send>() {}
     fn send_sync<T: Send + Sync>() {}
     send_sync::<Query>();
     send_sync::<charles_sdl::Segmentation>();
     send_sync::<Advice>();
+    send_sync::<crate::AdviceCache>();
+    send::<crate::Session>();
+    send::<Explorer<'_>>();
 };
 
 /// Write-once slots for the two rendered forms of an [`Advice`] a

@@ -3,24 +3,28 @@
 //! The serving layer's contexts are cache keys shared across users: N
 //! concurrent sessions drilling into the same region of the data should
 //! pay for **one** HB-cuts run. [`AdviceCache`] provides that sharing as
-//! a sharded map in front of [`Advisor::advise`], keyed by the
-//! *canonical* context's structure ([`CacheKey`]) so contexts that
-//! differ only in conjunct order, set-literal order or surface
-//! whitespace hit the same entry.
+//! one map in front of [`Advisor::advise`], keyed by the *canonical*
+//! context's structure ([`CacheKey`]) so contexts that differ only in
+//! conjunct order, set-literal order or surface whitespace hit the same
+//! entry.
 //!
 //! A hit renders nothing: the key's one hash, computed when the key is
-//! made, picks the shard and is the shard map's hash too, and equal
-//! hashes are confirmed by comparing structure. Admission builds a
-//! normal form only for a repeated attribute, and canonicalization sorts
-//! the admitted context in place, so a hit clones no query
-//! (`docs/adr/0018-a-cache-hit-renders-nothing.md`).
+//! made, is the map's hash, and equal hashes are confirmed by comparing
+//! structure. Admission builds a normal form only for a repeated
+//! attribute, and canonicalization sorts the admitted context in place,
+//! so a hit clones no query (`docs/adr/0018-a-cache-hit-renders-nothing.md`).
+//!
+//! The map sits behind one lock, held for one probe and never across an
+//! advisor run. The server reaches the cache only from session starts and
+//! drills, each of which first takes an advice slot, so no more than
+//! `workers` threads are ever here at once
+//! (`docs/adr/0034-one-advice-cache-map.md`).
 //!
 //! Two properties matter for serving:
 //!
 //! * **Single-flight** — concurrent requests for the same key block on
 //!   one advisor run instead of racing N identical computations (each
-//!   entry is a [`OnceLock`]; the map shard lock is only held for the
-//!   entry lookup, never across the advisor run).
+//!   entry is a [`OnceLock`], settled outside the map lock).
 //! * **Determinism** — the cache advises on the canonicalized query, so
 //!   a cached answer is byte-identical to what a direct
 //!   `advisor.advise(context.canonicalized())` call would produce;
@@ -33,22 +37,24 @@
 //! about the context, so the callers of that flight see the error, the
 //! entry is dropped, and the next request runs again.
 //!
-//! A cache built with [`AdviceCache::bounded`] additionally enforces a
-//! capacity: once a shard is full, inserting a new context evicts its
-//! least-recently-used **settled** entry (in-flight computations are
-//! never evicted, so single-flight semantics — and the exactness of the
-//! `runs` counter per resident key — are preserved). A long-running
-//! server therefore no longer grows without bound with the number of
-//! distinct contexts ever advised.
+//! A cache built with [`AdviceCache::bounded`] additionally holds at
+//! most `capacity` entries: inserting a new context into a full cache
+//! evicts its least-recently-used **settled** entry (in-flight
+//! computations are never evicted, so single-flight semantics — and the
+//! exactness of the `runs` counter per resident key — are preserved). A
+//! long-running server therefore no longer grows without bound with the
+//! number of distinct contexts ever advised. Finding the victim scans
+//! the map, up to `capacity` entries, and only on a miss, which then
+//! runs HB-cuts.
 
 use crate::advisor::{Advice, Advisor};
 use crate::error::{CoreError, CoreResult};
 use charles_sdl::{CacheKey, Query};
 use charles_store::StoreError;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// One cache slot: settled exactly once, then shared by reference.
 type Slot = Arc<OnceLock<Result<Arc<Advice>, CoreError>>>;
@@ -60,11 +66,16 @@ struct Entry {
     last_used: u64,
 }
 
-/// A shard's map: its keys arrive hashed ([`CacheKey`] writes its one
-/// `u64`), and [`KeyHash`] passes that on instead of hashing it again.
-type Shard = HashMap<CacheKey, Entry, BuildHasherDefault<KeyHash>>;
+/// The map and the LRU clock, both only read under the cache's lock.
+#[derive(Default)]
+struct Map {
+    /// Keys arrive hashed ([`CacheKey`] writes its one `u64`), and
+    /// [`KeyHash`] passes that on instead of hashing it again.
+    entries: HashMap<CacheKey, Entry, BuildHasherDefault<KeyHash>>,
+    tick: u64,
+}
 
-/// The hasher of a [`Shard`]: the last `u64` written is the hash.
+/// The hasher of the map: the last `u64` written is the hash.
 #[derive(Default)]
 struct KeyHash(u64);
 
@@ -102,13 +113,11 @@ pub struct AdviceCacheStats {
     pub evictions: u64,
 }
 
-/// A sharded, single-flight cache of advice keyed by canonical context.
+/// A single-flight cache of advice keyed by canonical context.
 pub struct AdviceCache {
-    shards: Vec<Mutex<Shard>>,
-    /// Per-shard entry bound; `None` = unbounded.
-    shard_capacity: Option<usize>,
-    /// Logical clock driving LRU recency.
-    tick: AtomicU64,
+    map: Mutex<Map>,
+    /// Entry bound; `None` = unbounded.
+    capacity: Option<usize>,
     hits: AtomicU64,
     misses: AtomicU64,
     runs: AtomicU64,
@@ -116,40 +125,24 @@ pub struct AdviceCache {
 }
 
 impl AdviceCache {
-    /// Unbounded cache with the default shard count (16).
+    /// Unbounded cache.
     pub fn new() -> AdviceCache {
-        AdviceCache::with_shards(16)
+        AdviceCache::build(None)
     }
 
-    /// Unbounded cache with an explicit shard count (clamped to ≥ 1).
-    /// More shards mean less lock contention on the entry lookup; the
-    /// advisor runs themselves never hold a shard lock.
-    pub fn with_shards(shards: usize) -> AdviceCache {
-        AdviceCache::build(shards, None)
+    /// Bounded cache: at most `capacity` entries (clamped to ≥ 1),
+    /// evicting the least-recently-used settled entry on insert into a
+    /// full cache. In-flight entries are never evicted, so a cache whose
+    /// entries are all mid-computation may transiently exceed its bound
+    /// rather than break single-flight.
+    pub fn bounded(capacity: usize) -> AdviceCache {
+        AdviceCache::build(Some(capacity.max(1)))
     }
 
-    /// Bounded cache: at most ~`capacity` entries total, evicting the
-    /// least-recently-used settled entry of a full shard on insert.
-    /// The bound is enforced per shard (`⌈capacity / shards⌉` each), so
-    /// a skewed key distribution can evict slightly early; in-flight
-    /// entries are never evicted, so a shard whose entries are all
-    /// mid-computation may transiently exceed its bound rather than
-    /// break single-flight. The shard count is clamped to at most
-    /// `capacity` (and both to ≥ 1), so the effective total —
-    /// [`AdviceCache::capacity`] — exceeds the request by at most
-    /// `shards − 1` rounding slack, never by a multiple of it.
-    pub fn bounded(shards: usize, capacity: usize) -> AdviceCache {
-        let capacity = capacity.max(1);
-        let n = shards.max(1).min(capacity);
-        AdviceCache::build(n, Some(capacity.div_ceil(n)))
-    }
-
-    fn build(shards: usize, shard_capacity: Option<usize>) -> AdviceCache {
-        let n = shards.max(1);
+    fn build(capacity: Option<usize>) -> AdviceCache {
         AdviceCache {
-            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_capacity,
-            tick: AtomicU64::new(0),
+            map: Mutex::default(),
+            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             runs: AtomicU64::new(0),
@@ -157,12 +150,13 @@ impl AdviceCache {
         }
     }
 
+    fn map(&self) -> MutexGuard<'_, Map> {
+        self.map.lock().expect("advice cache lock poisoned")
+    }
+
     /// Number of settled or in-flight entries.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("advice cache shard poisoned").len())
-            .sum()
+        self.map().entries.len()
     }
 
     /// True when no context has been advised through the cache yet.
@@ -170,9 +164,9 @@ impl AdviceCache {
         self.len() == 0
     }
 
-    /// The configured total capacity (`None` = unbounded).
+    /// The configured capacity (`None` = unbounded).
     pub fn capacity(&self) -> Option<usize> {
-        self.shard_capacity.map(|c| c * self.shards.len())
+        self.capacity
     }
 
     /// Effectiveness counters so far.
@@ -202,20 +196,18 @@ impl AdviceCache {
     /// otherwise keys would conflate answers from different sources.
     pub fn advise_cached(&self, advisor: &Advisor<'_>, context: Query) -> CoreResult<Arc<Advice>> {
         let key = CacheKey::new(advisor.admit(context)?);
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let shard = &self.shards[self.shard_index(&key)];
         let slot: Slot = {
-            let mut shard = shard.lock().expect("advice cache shard poisoned");
-            if let Some(entry) = shard.get_mut(&key) {
+            let mut map = self.map();
+            map.tick += 1;
+            let now = map.tick;
+            if let Some(entry) = map.entries.get_mut(&key) {
                 entry.last_used = now;
                 entry.slot.clone()
             } else {
-                if let Some(cap) = self.shard_capacity {
-                    if shard.len() >= cap {
-                        self.evict_lru(&mut shard);
-                    }
+                if self.capacity.is_some_and(|cap| map.entries.len() >= cap) {
+                    self.evict_lru(&mut map);
                 }
-                let entry = shard.entry(key.clone()).or_insert(Entry {
+                let entry = map.entries.entry(key.clone()).or_insert(Entry {
                     slot: Slot::default(),
                     last_used: now,
                 });
@@ -236,37 +228,30 @@ impl AdviceCache {
         if matches!(result, Err(CoreError::Store(StoreError::Io(_)))) {
             // Transient, unlike every other error: forget this flight
             // (and only this one — the key may already hold a retry).
-            let mut shard = shard.lock().expect("advice cache shard poisoned");
-            shard.retain(|_, e| !Arc::ptr_eq(&e.slot, &slot));
+            self.map()
+                .entries
+                .retain(|_, e| !Arc::ptr_eq(&e.slot, &slot));
         }
         result
     }
 
-    /// Evict the least-recently-used *settled* entry of a full shard.
+    /// Evict the least-recently-used *settled* entry of a full cache.
     /// In-flight entries (unsettled `OnceLock`s with callers blocked on
     /// them) are skipped: removing one would let a later request start a
     /// duplicate run for the same key while the first is still going.
-    /// If every entry is in flight, nothing is evicted and the shard
+    /// If every entry is in flight, nothing is evicted and the cache
     /// transiently exceeds its bound.
-    fn evict_lru(&self, shard: &mut Shard) {
-        let victim = shard
+    fn evict_lru(&self, map: &mut Map) {
+        let victim = map
+            .entries
             .iter()
             .filter(|(_, e)| e.slot.get().is_some())
             .min_by_key(|(_, e)| e.last_used)
             .map(|(k, _)| k.clone());
         if let Some(k) = victim {
-            shard.remove(&k);
+            map.entries.remove(&k);
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    /// The shard of a key, from bits 32 and up of its one hash: the
-    /// shard map takes its bucket index from the low bits (under 2³²
-    /// buckets) and its tag from the top seven.
-    fn shard_index(&self, key: &CacheKey) -> usize {
-        let mut h = KeyHash::default();
-        key.hash(&mut h);
-        ((h.finish() >> 32) % self.shards.len() as u64) as usize
     }
 }
 
@@ -297,7 +282,7 @@ mod tests {
     fn equivalent_contexts_share_one_run() {
         let t = table();
         let advisor = Advisor::new(&t);
-        let cache = AdviceCache::with_shards(4);
+        let cache = AdviceCache::new();
         let schema = Backend::schema(&t);
         let q1 = parse_query("(kind: , size: )", schema).unwrap();
         let q2 = parse_query("(size: ,   kind: )", schema).unwrap();
@@ -334,7 +319,7 @@ mod tests {
     fn redundant_conjunct_spellings_share_one_entry() {
         let t = table();
         let advisor = Advisor::new(&t);
-        let cache = AdviceCache::with_shards(4);
+        let cache = AdviceCache::new();
         let schema = Backend::schema(&t);
         // Three spellings of (size: [10,40], kind: ) — analysis merges
         // the duplicated attribute before the cache keys the context.
@@ -368,7 +353,7 @@ mod tests {
         }
         let t = b.finish();
         let advisor = Advisor::new(&t);
-        let cache = AdviceCache::with_shards(4);
+        let cache = AdviceCache::new();
         let schema = Backend::schema(&t);
         let q = |s: &str| parse_query(s, schema).unwrap();
         let a1 = cache
@@ -397,7 +382,7 @@ mod tests {
         // only a hand-built query can hold such a pair.)
         let t = table();
         let advisor = Advisor::new(&t);
-        let cache = AdviceCache::with_shards(2);
+        let cache = AdviceCache::new();
         let context = |v: Value| {
             Query::new(vec![
                 Predicate::any("kind"),
@@ -443,7 +428,7 @@ mod tests {
         }
         let t = b.finish();
         let advisor = Advisor::with_config(&t, crate::Config::default().with_analysis(false));
-        let cache = AdviceCache::with_shards(2);
+        let cache = AdviceCache::new();
         let schema = Backend::schema(&t);
         let quoted = parse_query("(size: {'-3'}, kind: )", schema).unwrap();
         let number = parse_query("(size: {-3}, kind: )", schema).unwrap();
@@ -473,7 +458,7 @@ mod tests {
     fn distinct_contexts_get_distinct_entries() {
         let t = table();
         let advisor = Advisor::new(&t);
-        let cache = AdviceCache::with_shards(3);
+        let cache = AdviceCache::new();
         let schema = Backend::schema(&t);
         let q1 = parse_query("(kind: , size: )", schema).unwrap();
         let q2 = parse_query("(kind: {even}, size: )", schema).unwrap();
@@ -500,8 +485,7 @@ mod tests {
     fn bounded_cache_evicts_lru_and_stays_within_capacity() {
         let t = table();
         let advisor = Advisor::new(&t);
-        // One shard so the LRU order is fully observable.
-        let cache = AdviceCache::bounded(1, 2);
+        let cache = AdviceCache::bounded(2);
         assert_eq!(cache.capacity(), Some(2));
         let schema = Backend::schema(&t);
         let q = |s: &str| parse_query(s, schema).unwrap();
@@ -528,7 +512,7 @@ mod tests {
     fn long_running_use_does_not_grow_without_bound() {
         let t = table();
         let advisor = Advisor::new(&t);
-        let cache = AdviceCache::bounded(4, 8);
+        let cache = AdviceCache::bounded(8);
         let schema = Backend::schema(&t);
         // Many distinct contexts — far more than the capacity.
         for lo in 0..40i64 {
@@ -546,29 +530,10 @@ mod tests {
     }
 
     #[test]
-    fn small_capacities_are_not_inflated_by_sharding() {
-        // Requesting capacity 4 over 16 shards must not admit 16
-        // entries: the shard count clamps to the capacity.
-        let cache = AdviceCache::bounded(16, 4);
-        assert_eq!(cache.capacity(), Some(4));
-        assert_eq!(cache.shards.len(), 4);
-        let t = table();
-        let advisor = Advisor::new(&t);
-        let schema = Backend::schema(&t);
-        for lo in 0..12i64 {
-            let q = parse_query(&format!("(size: [{lo},{}], kind: )", lo + 2), schema).unwrap();
-            cache.advise_cached(&advisor, q).unwrap();
-        }
-        assert!(cache.len() <= 4, "grew to {}", cache.len());
-        // Default server shape stays exact: 1024 over 16 shards.
-        assert_eq!(AdviceCache::bounded(16, 1024).capacity(), Some(1024));
-    }
-
-    #[test]
     fn unbounded_cache_never_evicts() {
         let t = table();
         let advisor = Advisor::new(&t);
-        let cache = AdviceCache::with_shards(2);
+        let cache = AdviceCache::new();
         assert_eq!(cache.capacity(), None);
         let schema = Backend::schema(&t);
         for lo in 0..20i64 {
@@ -582,7 +547,7 @@ mod tests {
     #[test]
     fn bounded_single_flight_still_runs_once_per_resident_key() {
         let t = table();
-        let cache = Arc::new(AdviceCache::bounded(4, 16));
+        let cache = Arc::new(AdviceCache::bounded(16));
         let threads = 8;
         std::thread::scope(|scope| {
             for _ in 0..threads {
@@ -603,7 +568,7 @@ mod tests {
     #[test]
     fn concurrent_identical_contexts_run_once() {
         let t = table();
-        let cache = Arc::new(AdviceCache::with_shards(7));
+        let cache = Arc::new(AdviceCache::new());
         let threads = 8;
         std::thread::scope(|scope| {
             for _ in 0..threads {

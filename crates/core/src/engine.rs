@@ -41,8 +41,10 @@ use charles_sdl::{eval, Constraint, Query, Segmentation};
 use charles_store::{
     Backend, BackendStats, Bitmap, CutStats, DataType, FrequencyTable, StorePredicate, Value,
 };
+use std::cell::{OnceCell, RefCell};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Cache performance counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,7 +120,7 @@ enum Half {
 }
 
 /// The left half's bitmap, shared by the two halves of one cut.
-type LeftSelection = Arc<OnceLock<Arc<Bitmap>>>;
+type LeftSelection = Rc<OnceCell<Arc<Bitmap>>>;
 
 impl Piece {
     pub(crate) fn ready(query: Query, sel: Arc<Bitmap>) -> Piece {
@@ -180,13 +182,14 @@ impl Piece {
     }
 }
 
-/// A pinned exploration context over a backend.
+/// A pinned exploration context over a backend: one advice run's state,
+/// `Send` and not `Sync` (`docs/adr/0034-one-advice-cache-map.md`).
 pub struct Explorer<'a> {
     backend: &'a dyn Backend,
     config: Config,
     context: Query,
     context_sel: Arc<Bitmap>,
-    caches: Mutex<Caches>,
+    caches: RefCell<Caches>,
 }
 
 impl<'a> Explorer<'a> {
@@ -219,7 +222,7 @@ impl<'a> Explorer<'a> {
             config,
             context,
             context_sel: Arc::new(sel),
-            caches: Mutex::new(caches),
+            caches: RefCell::new(caches),
         })
     }
 
@@ -252,7 +255,7 @@ impl<'a> Explorer<'a> {
 
     /// Cache counters so far.
     pub fn cache_stats(&self) -> CacheStats {
-        self.caches().stats
+        self.caches.borrow().stats
     }
 
     /// The store work this explorer has asked for so far — what
@@ -278,14 +281,7 @@ impl<'a> Explorer<'a> {
     /// door to its backend, so these are all the store calls a caller
     /// of this crate can make through it.
     pub fn backend_ops(&self) -> BackendStats {
-        self.caches().ops
-    }
-
-    /// The memo and the counters. A panic under this lock leaves both
-    /// valid (an insert or an increment either happened or did not), so
-    /// a poisoned guard is recovered, not propagated.
-    fn caches(&self) -> MutexGuard<'_, Caches> {
-        self.caches.lock().unwrap_or_else(|p| p.into_inner())
+        self.caches.borrow().ops
     }
 
     /// The context with its extent: the root every CUT derives from.
@@ -298,14 +294,14 @@ impl<'a> Explorer<'a> {
     /// row outside the context. The context's own selection is its extent.
     pub fn selection(&self, q: &Query) -> CoreResult<Arc<Bitmap>> {
         if *q == self.context {
-            self.caches().stats.sel_hits += 1;
+            self.caches.borrow_mut().stats.sel_hits += 1;
             return Ok(Arc::clone(&self.context_sel));
         }
         // The memo key is the rendered query; the §5.1 ablation has no
         // memo, so it renders none.
         let key = self.config.memoize.then(|| q.to_string());
         if let Some(key) = &key {
-            let mut caches = self.caches();
+            let mut caches = self.caches.borrow_mut();
             if let Some(bm) = caches.selections.get(key).map(Arc::clone) {
                 caches.stats.sel_hits += 1;
                 return Ok(bm);
@@ -316,7 +312,7 @@ impl<'a> Explorer<'a> {
             eval::lower(q),
         ]);
         let arc = Arc::new(self.backend.eval(&within)?);
-        let mut caches = self.caches();
+        let mut caches = self.caches.borrow_mut();
         caches.stats.sel_misses += 1;
         caches.ops.scans += scans(&within);
         if let Some(key) = key {
@@ -358,7 +354,7 @@ impl<'a> Explorer<'a> {
             // A second materialisation finds the same bits already there.
             let _ = shared.set(Arc::clone(&sel));
         }
-        let mut caches = self.caches();
+        let mut caches = self.caches.borrow_mut();
         caches.stats.sel_misses += 1;
         caches.ops.scans += scanned;
         Ok(sel)
@@ -371,9 +367,9 @@ impl<'a> Explorer<'a> {
     pub(crate) fn release(&self, piece: Piece) -> CoreResult<Query> {
         if self.config.memoize {
             let key = piece.query.to_string();
-            if !self.caches().selections.contains_key(&key) {
+            if !self.caches.borrow().selections.contains_key(&key) {
                 let sel = self.materialise(&piece)?;
-                self.caches().selections.insert(key, sel);
+                self.caches.borrow_mut().selections.insert(key, sel);
             }
         }
         Ok(piece.query)
@@ -405,7 +401,7 @@ impl<'a> Explorer<'a> {
     pub(crate) fn cut_stats(&self, attr: &str, sel: &Bitmap) -> CoreResult<Option<CutStats>> {
         let stats = self.backend.cut_stats(attr, sel)?;
         if stats.as_ref().is_some_and(|s| s.median.is_some()) {
-            self.caches().ops.medians += 1;
+            self.caches.borrow_mut().ops.medians += 1;
         }
         Ok(stats)
     }
@@ -445,7 +441,7 @@ impl<'a> Explorer<'a> {
         sel: &Bitmap,
     ) -> CoreResult<(FrequencyTable, Vec<String>)> {
         let table = self.backend.frequencies(attr, sel)?;
-        self.caches().ops.scans += 1;
+        self.caches.borrow_mut().ops.scans += 1;
         Ok(table)
     }
 
@@ -456,7 +452,7 @@ impl<'a> Explorer<'a> {
     /// here.
     pub fn min_max(&self, attr: &str, sel: &Bitmap) -> CoreResult<Option<(Value, Value)>> {
         let extremes = self.backend.min_max(attr, sel)?;
-        self.caches().ops.scans += 1;
+        self.caches.borrow_mut().ops.scans += 1;
         Ok(extremes)
     }
 
@@ -464,7 +460,7 @@ impl<'a> Explorer<'a> {
     /// ([`Backend::mean_and_var`]): one scan.
     pub fn mean_and_var(&self, attr: &str, sel: &Bitmap) -> CoreResult<Option<(f64, f64)>> {
         let moments = self.backend.mean_and_var(attr, sel)?;
-        self.caches().ops.scans += 1;
+        self.caches.borrow_mut().ops.scans += 1;
         Ok(moments)
     }
 
@@ -473,13 +469,13 @@ impl<'a> Explorer<'a> {
     /// cut's.
     pub fn quantile(&self, attr: &str, sel: &Bitmap, q: f64) -> CoreResult<Option<Value>> {
         let value = self.backend.quantile(attr, sel, q)?;
-        self.caches().ops.medians += 1;
+        self.caches.borrow_mut().ops.medians += 1;
         Ok(value)
     }
 
     /// Count `n` INDEP evaluations.
     pub(crate) fn count_indep_evaluations(&self, n: u64) {
-        self.caches().stats.indep_misses += n;
+        self.caches.borrow_mut().stats.indep_misses += n;
     }
 }
 

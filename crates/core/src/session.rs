@@ -51,8 +51,7 @@ impl Session {
         Session {
             backend,
             config,
-            // One caller at a time (`&mut self`): one shard.
-            cache: Arc::new(AdviceCache::with_shards(1)),
+            cache: Arc::new(AdviceCache::new()),
             trail: Vec::new(),
         }
     }
@@ -360,7 +359,7 @@ mod tests {
     #[test]
     fn sessions_share_advice_through_the_cache() {
         let backend = table();
-        let cache = Arc::new(crate::cache::AdviceCache::with_shards(4));
+        let cache = Arc::new(crate::cache::AdviceCache::new());
         let mut s1 = Session::new(Arc::clone(&backend)).with_cache(Arc::clone(&cache));
         let mut s2 = Session::new(Arc::clone(&backend)).with_cache(Arc::clone(&cache));
         let a1 = s1.start("(kind: , size: )").unwrap().clone();

@@ -3,9 +3,11 @@
 use crate::predicate::{Constraint, Predicate};
 use crate::query::Query;
 use charles_store::{Backend, Bitmap, StorePredicate, StoreResult};
+use std::sync::Arc;
 
 /// Lower one conjunct: the range or set scan over its attribute, or
-/// `True` for an unconstrained one.
+/// `True` for an unconstrained one. The scan shares the conjunct's
+/// attribute name, so lowering copies no name.
 pub fn lower_predicate(p: &Predicate) -> StorePredicate {
     match &p.constraint {
         Constraint::Any => StorePredicate::True,
@@ -13,8 +15,8 @@ pub fn lower_predicate(p: &Predicate) -> StorePredicate {
             lo,
             hi,
             hi_inclusive,
-        } => StorePredicate::range(&*p.attr, lo.clone(), hi.clone(), *hi_inclusive),
-        Constraint::Set(values) => StorePredicate::set(&*p.attr, values.clone()),
+        } => StorePredicate::range(Arc::clone(&p.attr), lo.clone(), hi.clone(), *hi_inclusive),
+        Constraint::Set(values) => StorePredicate::set(Arc::clone(&p.attr), values.clone()),
     }
 }
 

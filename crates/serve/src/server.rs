@@ -284,15 +284,12 @@ impl Slots {
     }
 }
 
-/// Shard count of every advice cache a server creates.
-const CACHE_SHARDS: usize = 16;
-
 /// Build an advice cache honouring the configured bound (0 = unbounded).
 fn new_cache(capacity: usize) -> AdviceCache {
     if capacity == 0 {
-        AdviceCache::with_shards(CACHE_SHARDS)
+        AdviceCache::new()
     } else {
-        AdviceCache::bounded(CACHE_SHARDS, capacity)
+        AdviceCache::bounded(capacity)
     }
 }
 
@@ -1382,7 +1379,7 @@ mod tests {
         // A tiny bounded cache: more distinct contexts than capacity
         // must evict rather than grow, and /cache/stats must say so.
         let st = ServerState {
-            cache: Arc::new(AdviceCache::bounded(1, 2)),
+            cache: Arc::new(AdviceCache::bounded(2)),
             cache_capacity: 2,
             ..state()
         };
@@ -1407,12 +1404,54 @@ mod tests {
     }
 
     #[test]
+    fn a_full_cache_holds_its_capacity_and_evicts_the_least_recent_entry() {
+        // The bound is the cache's, not a share of it per key hash: 8
+        // distinct contexts fill a capacity of 8 with nothing evicted,
+        // and a ninth evicts the one touched longest ago.
+        let st = ServerState {
+            cache: Arc::new(new_cache(8)),
+            cache_capacity: 8,
+            ..state()
+        };
+        let stat = |name: &str| -> u64 {
+            let (status, body) = route(&st, &get("/cache/stats"));
+            assert_eq!(status, 200, "{body}");
+            let after = body.split(&format!("\"{name}\":")).nth(1).unwrap();
+            let digits: String = after.chars().take_while(char::is_ascii_digit).collect();
+            digits.parse().unwrap()
+        };
+        let start = |lo: usize| {
+            let body = format!("(size: [{lo},{}], kind: )", lo + 20);
+            let (status, resp) = route(&st, &post("/session", &body));
+            assert_eq!(status, 201, "{resp}");
+        };
+        for lo in 0..8 {
+            start(lo);
+        }
+        assert_eq!((stat("entries"), stat("evictions")), (8, 0));
+        // Touch the first context again: the second is now the least
+        // recently used.
+        start(0);
+        assert_eq!(stat("runs"), 8);
+        start(8);
+        assert_eq!((stat("entries"), stat("evictions")), (8, 1));
+        assert_eq!(stat("runs"), 9);
+        // Every other context is still a hit; the second runs again.
+        for lo in (0..9).filter(|&lo| lo != 1) {
+            start(lo);
+        }
+        assert_eq!((stat("runs"), stat("evictions")), (9, 1));
+        start(1);
+        assert_eq!((stat("runs"), stat("evictions")), (10, 2));
+    }
+
+    #[test]
     fn encodings_are_freed_with_their_advice() {
         // One cache entry: the second context evicts the first, whose
         // only other holder is session s1's history. No registry keeps
         // an encoding alive past its advice.
         let st = ServerState {
-            cache: Arc::new(AdviceCache::bounded(1, 1)),
+            cache: Arc::new(AdviceCache::bounded(1)),
             cache_capacity: 1,
             ..state()
         };

@@ -43,7 +43,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone, PartialEq)]
 pub struct RangePred {
     /// Column the constraint applies to.
-    pub column: String,
+    pub column: Arc<str>,
     /// Lower bound (always inclusive, per SDL Definition 1).
     pub lo: Value,
     /// Upper bound.
@@ -56,7 +56,7 @@ pub struct RangePred {
 #[derive(Debug, Clone, PartialEq)]
 pub struct SetPred {
     /// Column the constraint applies to.
-    pub column: String,
+    pub column: Arc<str>,
     /// Accepted values.
     pub values: Vec<Value>,
 }
@@ -80,7 +80,7 @@ pub enum StorePredicate {
 
 impl StorePredicate {
     /// Convenience constructor for a range predicate.
-    pub fn range(column: impl Into<String>, lo: Value, hi: Value, hi_inclusive: bool) -> Self {
+    pub fn range(column: impl Into<Arc<str>>, lo: Value, hi: Value, hi_inclusive: bool) -> Self {
         StorePredicate::Range(RangePred {
             column: column.into(),
             lo,
@@ -90,7 +90,7 @@ impl StorePredicate {
     }
 
     /// Convenience constructor for a set predicate.
-    pub fn set(column: impl Into<String>, values: Vec<Value>) -> Self {
+    pub fn set(column: impl Into<Arc<str>>, values: Vec<Value>) -> Self {
         StorePredicate::Set(SetPred {
             column: column.into(),
             values,

@@ -245,7 +245,8 @@ fn a_panicking_leader_leaves_its_waiter_a_clean_rerun() {
     // The single-flight leader panics while a second caller waits on its
     // slot: the panic is the leader's alone, the waiter runs the context
     // again and gets what a plain run returns, and the cache stays usable
-    // — no shard lock is held across a run, so none is poisoned.
+    // — the cache's map lock is never held across a run, so it is not
+    // poisoned.
     let table = voc_table(1_000, 57);
     let ctx = charles::parse_query(CONTEXT, Backend::schema(&table)).unwrap();
     let plain = FusedBackend::new(&table, usize::MAX);
@@ -273,8 +274,8 @@ fn a_panicking_leader_leaves_its_waiter_a_clean_rerun() {
     });
     let stats = cache.stats();
     assert_eq!((stats.runs, stats.misses, stats.hits), (2, 2, 0));
-    // `len` takes every shard lock (and panics on a poisoned one); the
-    // next caller is served the waiter's answer.
+    // `len` takes the map lock (and panics on a poisoned one); the next
+    // caller is served the waiter's answer.
     assert_eq!(cache.len(), 1);
     let again = advise().unwrap();
     assert_eq!(format!("{again:?}"), format!("{reference:?}"));

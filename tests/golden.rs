@@ -1,7 +1,7 @@
 //! Golden advice bytes: "advice bytes unchanged" as a committed check.
 //!
-//! A fixed set of contexts over `datagen`'s three tables and a 16-column
-//! `sweep_table` — the shapes of the four benchmark workloads, one drill/back trail, the §5.1 ablations (memo off, analysis off, the row-store
+//! A fixed set of contexts over `datagen`'s three tables, a 16-column
+//! `sweep_table` and a 64-row table built here for one tie — the shapes of the four benchmark workloads, one drill/back trail, the §5.1 ablations (memo off, analysis off, the row-store
 //! backend) and a repeated attribute merged at admission — is advised
 //! afresh and each advice
 //! is rendered the three ways it leaves the advisor: the JSON object both
@@ -21,7 +21,7 @@
 
 use charles::serve::json::encode_advice;
 use charles::serve::wire::{WireAdvice, WireResponse, HEADER_LEN};
-use charles::store::{Backend, RowTable};
+use charles::store::{Backend, DataType, RowTable, Table, TableBuilder, Value};
 use charles::{astro_table, sweep_table, voc_table, weblog_table, Advice, Config, Session};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -35,6 +35,9 @@ const SEED: u64 = 7;
 /// table, narrowed to 16 columns.
 const SWEEP_ROWS: usize = 4_000;
 const SWEEP_COLUMNS: usize = 16;
+
+/// Rows of the `ties` table.
+const TIES_ROWS: usize = 64;
 
 /// The one environment variable this test reads: set, it rewrites the
 /// golden files from this build instead of comparing against them.
@@ -203,6 +206,21 @@ const CASES: &[Case] = &[
             Step::Back,
         ],
     ),
+    // Two compositions that tie on entropy, breadth and simplicity and
+    // share their first query, so `rank` orders them by a byte past it.
+    // With analysis off `a` stays repeated: both seeds on it cut the
+    // first `a`, and they cannot compose with each other, so one
+    // composes with `b` and the other with `d`. The piece `a = 0` is
+    // constant in `b` and `d`, so both compositions keep it whole. `c`
+    // is independent of the rest: it composes with nothing, and only
+    // keeps the candidates in the order that pairs the second `a` with
+    // `d` rather than `d` with it (which would not compose).
+    Case {
+        name: "tie_past_first_query",
+        table: "ties",
+        config: unanalyzed,
+        steps: &[Step::Start("(a: , a: , b: , c: , d: )")],
+    },
     // E7's backend ablation: the VOC table as a row store.
     case(
         "row_store",
@@ -229,11 +247,11 @@ fn chrw_payload(advice: &Advice) -> Vec<u8> {
     frame.split_off(HEADER_LEN + 4)
 }
 
-/// One case rendered as its golden file.
-fn render(case: &Case, rows: usize, backend: &Arc<dyn Backend>) -> String {
+/// One case rendered as its golden file; `shape` describes its table.
+fn render(case: &Case, shape: &str, backend: &Arc<dyn Backend>) -> String {
     let config = (case.config)();
     let mut out = format!(
-        "case: {}\ntable: {} ({rows} rows, seed {SEED})\nconfig: {config:?}\n",
+        "case: {}\ntable: {} ({shape})\nconfig: {config:?}\n",
         case.name, case.table
     );
     let mut session = Session::with_config(Arc::clone(backend), config);
@@ -261,29 +279,58 @@ fn render(case: &Case, rows: usize, backend: &Arc<dyn Backend>) -> String {
     out
 }
 
+/// `a` is 0 in the first half of the rows and 1 in the second; `b` and
+/// `d` are 0 where `a` is, and otherwise each spread evenly over 1–4,
+/// independently of one another; `c` alternates 0 and 1 on every row.
+fn ties_table() -> Table {
+    let mut b = TableBuilder::new("ties");
+    for name in ["a", "b", "c", "d"] {
+        b.add_column(name, DataType::Int);
+    }
+    let half = TIES_ROWS as i64 / 2;
+    for i in 0..TIES_ROWS as i64 {
+        let c = i % 2;
+        let row = if i < half {
+            [0, 0, c, 0]
+        } else {
+            let k = i - half;
+            [1, 1 + k % 4, c, 1 + (k / 4) % 4]
+        };
+        b.push_row(row.into_iter().map(Value::Int).collect())
+            .expect("schema");
+    }
+    b.finish()
+}
+
 /// Every case of `cases` rendered.
 fn render_all(cases: &[Case]) -> Vec<(&'static str, String)> {
     let voc = voc_table(ROWS, SEED);
     let sweep = sweep_table(SWEEP_ROWS, SWEEP_COLUMNS, SEED);
-    let tables: [(&str, usize, Arc<dyn Backend>); 5] = [
+    let seeded = |rows| format!("{rows} rows, seed {SEED}");
+    let tables: [(&str, String, Arc<dyn Backend>); 6] = [
         (
             "voc_rows",
-            ROWS,
+            seeded(ROWS),
             Arc::new(RowTable::from_table(&voc).unwrap()),
         ),
-        ("voc", ROWS, Arc::new(voc)),
-        ("astro", ROWS, Arc::new(astro_table(ROWS, SEED))),
-        ("weblog", ROWS, Arc::new(weblog_table(ROWS, SEED))),
-        ("sweep", SWEEP_ROWS, Arc::new(sweep)),
+        ("voc", seeded(ROWS), Arc::new(voc)),
+        ("astro", seeded(ROWS), Arc::new(astro_table(ROWS, SEED))),
+        ("weblog", seeded(ROWS), Arc::new(weblog_table(ROWS, SEED))),
+        ("sweep", seeded(SWEEP_ROWS), Arc::new(sweep)),
+        (
+            "ties",
+            format!("{TIES_ROWS} rows, no seed"),
+            Arc::new(ties_table()),
+        ),
     ];
     cases
         .iter()
         .map(|case| {
-            let (_, rows, backend) = tables
+            let (_, shape, backend) = tables
                 .iter()
                 .find(|(name, ..)| *name == case.table)
                 .unwrap_or_else(|| panic!("no table {:?}", case.table));
-            (case.name, render(case, *rows, backend))
+            (case.name, render(case, shape, backend))
         })
         .collect()
 }

@@ -391,8 +391,8 @@ fn concurrent_sessions_serve_oracle_bytes_and_share_one_cache() {
     );
 
     // The HTTP view of the same counters agrees. (Capacity reports the
-    // effective per-shard-rounded bound; no eviction can have happened
-    // with this few distinct contexts.)
+    // configured bound; no eviction can have happened with this few
+    // distinct contexts.)
     let (status, body) = http_request(addr, "GET", "/cache/stats", "").unwrap();
     assert_eq!(status, 200);
     let capacity = cache.capacity().expect("server caches are bounded");
